@@ -1,8 +1,8 @@
-"""Regenerate pinned.json: for the pinned seed and corpus size, the SHA-256
-of the generated corpus TSV and of each workload's query list, and the
-digest of koko's oracle rows for every query.
+"""Regenerate pinned.json: for seed 1 at the benchmark's corpus size, the
+SHA-256 of the generated corpus TSV and of each workload's query list, and
+the digest of koko's oracle rows for every query.
 
-    python3 kokobench/pin.py [--seed 1] [--sentences 5000] [--out FILE]
+    python3 kokobench/pin.py
 
 A run on the pinned seed checks its inputs against these hashes and its
 rows against these digests instead of running the oracle. Regenerate only
@@ -12,7 +12,6 @@ that the committed file still matches the oracle.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import shutil
@@ -25,6 +24,8 @@ sys.path.insert(0, HERE)
 import gen  # noqa: E402
 import run  # noqa: E402
 import worker  # noqa: E402
+
+SEED = 1
 
 
 def compute(seed: int, sentences: int) -> dict:
@@ -56,13 +57,8 @@ def compute(seed: int, sentences: int) -> dict:
 
 
 def main() -> None:
-    p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--sentences", type=int, default=run.SENTENCES)
-    p.add_argument("--out", default=run.PINNED)
-    args = p.parse_args()
-    pinned = compute(args.seed, args.sentences)
-    with open(args.out, "w", encoding="utf-8") as f:
+    pinned = compute(SEED, run.SENTENCES)
+    with open(run.PINNED, "w", encoding="utf-8") as f:
         json.dump(pinned, f, indent=1, sort_keys=True)
         f.write("\n")
 

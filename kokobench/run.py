@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import shutil
@@ -40,8 +41,12 @@ import gen  # noqa: E402
 from worker import jsonl_digest  # noqa: E402
 
 WORKLOADS = ["cli", "span", "tree", "evidence"]
-SENTENCES = 5000
-SETUPS = 3
+SENTENCES = 20000
+# Set-ups per run; setup_s is their median. Each set-up is followed by its
+# share of the timed passes, at least one, so that the passes sample the
+# machine's speed across the run. A traced run reports no setup_s, so it
+# sets up once.
+SETUPS = 2
 CHILD_TIMEOUT_S = 170
 PINNED = os.path.join(HERE, "pinned.json")
 
@@ -138,18 +143,10 @@ def run_worker(job: dict, work: str, env: dict) -> dict:
         return json.load(f)
 
 
-def load_pinned(path: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as f:
-            return json.load(f)
-    except FileNotFoundError:
-        return {}
-
-
 def expected_digests(inputs: dict, pinned: dict, seed: int, sentences: int, workload: str) -> list[str] | None:
     """The pinned oracle digests when this is the pinned seed and size;
     then the inputs must hash as pinned. None means: ask the oracle."""
-    if pinned.get("seed") != seed or pinned.get("sentences") != sentences:
+    if pinned["seed"] != seed or pinned["sentences"] != sentences:
         return None
     if inputs["corpus_sha256"] != pinned["corpus_sha256"]:
         raise BenchError(f"generated corpus drifted from pinned.json for seed {seed}")
@@ -170,9 +167,12 @@ def write_inputs(inputs: dict, work: str) -> dict:
     return {"tsv": tsv, "resources": files}
 
 
+def setups(args) -> int:
+    return 1 if args.trace else SETUPS
+
+
 def fixed_order(n: int) -> list[int]:
-    """The same interleaving for every seed, so a run that stops mid-pass
-    still samples every kind of query."""
+    """The same interleaving of the query list for every seed."""
     order = list(range(n))
     random.Random(0).shuffle(order)
     return order
@@ -190,7 +190,7 @@ def run_warm(workload: str, inputs: dict, expected, work: str, args) -> dict:
         "workload": workload, "src": os.path.join(ROOT, "src"), "dir": work,
         "tsv": paths["tsv"], "resources": paths["resources"] if workload == "evidence" else None,
         "queries": queries, "order": fixed_order(len(queries)), "seconds": args.seconds,
-        "trace": bool(args.trace), "oracle": expected is None, "setups": SETUPS,
+        "trace": bool(args.trace), "oracle": expected is None, "setups": setups(args),
     }
     r = run_worker(job, work, child_env(job["src"]))
     expected = expected or r["oracle"]
@@ -198,9 +198,9 @@ def run_warm(workload: str, inputs: dict, expected, work: str, args) -> dict:
     notes += r["errors"]
     failed += len(r["errors"])
     attempted = len(r["ops"])
-    lat = [op[1] for op in r["ops"]]
     out = {
-        "latencies": lat,
+        "timed": [op[:2] for op in r["ops"]],
+        "loop_s": r["loop_s"],
         "setup_s": r["setup_s"],
         "peak_rss_mb": r["peak_rss_kb"] / 1024.0,
         "index_bytes": r["index_bytes"],
@@ -212,7 +212,7 @@ def run_warm(workload: str, inputs: dict, expected, work: str, args) -> dict:
         failed += f + len(traced["drift"])
         notes += n + traced["drift"]
         attempted += len(traced["ops"])
-        out["trace"] = layer_metrics(r, traced, qps(lat), r["index_bytes"])
+        out["trace"] = layer_metrics(r, traced, len(r["ops"]) / r["loop_s"], r["index_bytes"])
     out.update(attempted=attempted, failed=failed, notes=notes)
     return out
 
@@ -225,15 +225,6 @@ def run_cli(inputs: dict, expected, work: str, args) -> dict:
     err = os.path.join(work, "koko.stderr")
 
     index = os.path.join(work, "index")
-    setup_s = []
-    for _ in range(SETUPS):
-        shutil.rmtree(index, ignore_errors=True)
-        dt, code, _, _ = spawn(koko + ["index", "--corpus", paths["tsv"], "--out", index], env, err)
-        if code != 0:
-            raise BenchError(f"koko index exited {code}")
-        setup_s.append(dt)
-    index_bytes = sum(os.path.getsize(os.path.join(index, f)) for f in os.listdir(index))
-
     queries = inputs["queries"]["cli"]
     res = paths["resources"]
     argv = []
@@ -247,23 +238,35 @@ def run_cli(inputs: dict, expected, work: str, args) -> dict:
             a += ["--expansions", res["expansions"]]
         argv.append(a)
 
+    setup_s = []
     ops = []
     peak_kb = 0
-    start = time.perf_counter()
-    k = 0
-    while k == 0 or time.perf_counter() - start < args.seconds:
-        qi = k % len(queries)
-        dt, code, out, rss = spawn(koko + argv[qi], env, err)
-        peak_kb = max(peak_kb, rss)
+    loop_s = 0.0
+    # As in the worker: each set-up is followed by its share of the timed
+    # loop, in whole passes over the mix, at least one.
+    for _ in range(setups(args)):
+        shutil.rmtree(index, ignore_errors=True)
+        dt, code, _, _ = spawn(koko + ["index", "--corpus", paths["tsv"], "--out", index], env, err)
         if code != 0:
-            digest = f"error: koko query exited {code}"
-        else:
-            try:
-                digest = jsonl_digest(out)
-            except (ValueError, KeyError, TypeError) as exc:
-                digest = f"error: unparsable output: {exc}"
-        ops.append([qi, dt, digest])
-        k += 1
+            raise BenchError(f"koko index exited {code}")
+        setup_s.append(dt)
+        start = time.perf_counter()
+        k = 0
+        while k == 0 or k % len(queries) or time.perf_counter() - start < args.seconds / setups(args):
+            qi = k % len(queries)
+            dt, code, out, rss = spawn(koko + argv[qi], env, err)
+            peak_kb = max(peak_kb, rss)
+            if code != 0:
+                digest = f"error: koko query exited {code}"
+            else:
+                try:
+                    digest = jsonl_digest(out)
+                except (ValueError, KeyError, TypeError) as exc:
+                    digest = f"error: unparsable output: {exc}"
+            ops.append([qi, dt, digest])
+            k += 1
+        loop_s += time.perf_counter() - start
+    index_bytes = sum(os.path.getsize(os.path.join(index, f)) for f in os.listdir(index))
 
     job = {
         "workload": "cli", "src": src, "dir": work, "tsv": paths["tsv"], "index": index,
@@ -276,9 +279,9 @@ def run_cli(inputs: dict, expected, work: str, args) -> dict:
     failed += len(r["errors"])
     notes += r["errors"]
     attempted = len(ops)
-    lat = [dt for _, dt, _ in ops]
     out = {
-        "latencies": lat,
+        "timed": [op[:2] for op in ops],
+        "loop_s": loop_s,
         "setup_s": setup_s,
         "peak_rss_mb": peak_kb / 1024.0,
         "index_bytes": index_bytes,
@@ -293,17 +296,11 @@ def run_cli(inputs: dict, expected, work: str, args) -> dict:
             attempted += len(loop)
         failed += len(traced["drift"])
         notes += traced["drift"]
-        in_process = [op[1] for op in r["untraced"]]
-        out["trace"] = layer_metrics(r, traced, qps(in_process), index_bytes)
-        out["trace"]["cli.unaccounted_s"] = statistics.fmean(lat) - statistics.fmean(op[1] for op in traced["ops"])
+        out["trace"] = layer_metrics(r, traced, len(r["untraced"]) / r["untraced_s"], index_bytes)
+        out["trace"]["cli.unaccounted_s"] = (
+            statistics.fmean(op[1] for op in ops) - statistics.fmean(op[1] for op in traced["ops"]))
     out.update(attempted=attempted, failed=failed, notes=notes)
     return out
-
-
-def qps(latencies: list[float]) -> float:
-    """Operations per second of the time spent in them: with one client in
-    a closed loop, the client's own checks between operations excluded."""
-    return len(latencies) / sum(latencies)
 
 
 def layer_metrics(r: dict, traced: dict, untraced_qps: float, index_bytes: int) -> dict:
@@ -329,9 +326,43 @@ def layer_metrics(r: dict, traced: dict, untraced_qps: float, index_bytes: int) 
     out["dpli.effectiveness"] = traced["effectiveness"]
     out["aggregate.pass_ratio"] = traced["pass_ratio"]
     traced_lat = [op[1] for op in traced["ops"]]
-    out["trace.overhead_pct"] = 100.0 * (untraced_qps - qps(traced_lat)) / untraced_qps
+    out["trace.overhead_pct"] = 100.0 * (untraced_qps - len(traced_lat) / traced["loop_s"]) / untraced_qps
     out["trace.self_share"] = r["layers"]["op_self_total_s"] / sum(traced_lat)
     return out
+
+
+def best_latencies(timed: list) -> list[float]:
+    """Each query's fastest run in the timed loop, given [query index,
+    seconds] per operation. Every query runs once per pass and the machine
+    is shared, so the fastest of a query's runs is the one least slowed by
+    other tenants."""
+    best: dict[int, float] = {}
+    for qi, dt in timed:
+        best[qi] = min(dt, best.get(qi, dt))
+    return list(best.values())
+
+
+def harrell_davis_median(values: list[float]) -> float:
+    """The Harrell-Davis estimate of the median: a mean of all the sorted
+    values, weighted by how much of a Beta((n+1)/2, (n+1)/2) distribution
+    falls between i/n and (i+1)/n. The query costs of a list fall in
+    clusters; the sample median jumps across the gap between two of them
+    when one query moves, this estimate moves by that query's weight."""
+    xs = sorted(values)
+    n = len(xs)
+    if n == 1:
+        return xs[0]
+    a = (n + 1) / 2
+    log_norm = 2 * math.lgamma(a) - math.lgamma(2 * a)
+    steps = 200  # per 1/n, for the trapezoid rule
+    h = 1.0 / (n * steps)
+    pdf = [0.0] + [math.exp((a - 1) * math.log(i * h * (1 - i * h)) - log_norm) for i in range(1, n * steps)] + [0.0]
+    cdf = [0.0]
+    for i in range(n):
+        chunk = pdf[i * steps:(i + 1) * steps + 1]
+        cdf.append(cdf[-1] + h * (sum(chunk) - (chunk[0] + chunk[-1]) / 2))
+    weights = [cdf[i + 1] - cdf[i] for i in range(n)]
+    return sum(w * x for w, x in zip(weights, xs)) / sum(weights)
 
 
 def percentile(values: list[float], q: float) -> float:
@@ -339,8 +370,8 @@ def percentile(values: list[float], q: float) -> float:
 
 
 def run_workload(workload: str, args, pinned: dict) -> dict:
-    inputs = gen.make_inputs(args.seed, args.sentences)
-    expected = expected_digests(inputs, pinned, args.seed, args.sentences, workload)
+    inputs = gen.make_inputs(args.seed, SENTENCES)
+    expected = expected_digests(inputs, pinned, args.seed, SENTENCES, workload)
     work = os.path.join(ROOT, ".bench_build", "kokobench", f"{workload}-{args.seed}")
     shutil.rmtree(work, ignore_errors=True)
     os.makedirs(work)
@@ -354,15 +385,16 @@ def run_workload(workload: str, args, pinned: dict) -> dict:
             if name != "spans.jsonl":
                 path = os.path.join(work, name)
                 shutil.rmtree(path) if os.path.isdir(path) else os.remove(path)
-    lat_ms = [dt * 1000.0 for dt in r["latencies"]]
+    lat_ms = [1000.0 * best for best in best_latencies(r["timed"])]
     e2e = {
         "setup_s": statistics.median(r["setup_s"]),
-        "query_ms_p50": statistics.median(lat_ms),
-        "qps": qps(r["latencies"]),
+        "query_ms_p50": harrell_davis_median(lat_ms),
+        # Operations completed per second of the timed loop's wall time.
+        "qps": len(r["timed"]) / r["loop_s"],
         "peak_rss_mb": r["peak_rss_mb"],
         "index_bytes_per_corpus_byte": r["index_bytes"] / r["corpus_bytes"],
     }
-    extra = {"error_rate": r["failed"] / r["attempted"], "operations": len(lat_ms)}
+    extra = {"error_rate": r["failed"] / r["attempted"], "operations": len(r["timed"])}
     if len(lat_ms) >= 100:
         extra["query_ms_p90"] = percentile(lat_ms, 90)
     return {"e2e": e2e, "extra": extra, "trace": r.get("trace"), "attempted": r["attempted"],
@@ -390,20 +422,22 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--seconds", type=float, required=True)
     p.add_argument("--trace", type=int, choices=[0, 1], default=0)
-    p.add_argument("--sentences", type=int, default=SENTENCES, help="corpus size (tests use a tiny one)")
-    p.add_argument("--pinned", default=PINNED, help="pinned inputs and oracle digests")
     args = p.parse_args(argv)
 
     if not os.path.isfile(os.path.join(ROOT, "src", "koko", "__init__.py")):
         print(f"error: no koko sources under {os.path.join(ROOT, 'src')}", file=sys.stderr)
         return 2
     spec = declared()
-    pinned = load_pinned(args.pinned)
     workloads = WORKLOADS if args.workload == "all" else [args.workload]
     section = "per_layer" if args.trace else "end_to_end"
     metrics: dict[str, dict] = {}
     attempted = failed = 0
     try:
+        try:
+            with open(PINNED, encoding="utf-8") as f:
+                pinned = json.load(f)
+        except OSError as exc:
+            raise BenchError(f"cannot read the pinned inputs: {exc}") from None
         for w in workloads:
             r = run_workload(w, args, pinned)
             attempted += r["attempted"]

@@ -35,9 +35,23 @@ def bench(*args: str, cwd: str = ROOT) -> subprocess.CompletedProcess:
     )
 
 
-def result(proc: subprocess.CompletedProcess) -> dict:
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+@pytest.fixture
+def tiny(monkeypatch, capsys):
+    """Runs the benchmark in this process on a tiny corpus: returns its
+    exit code, standard output and standard error."""
+    monkeypatch.setattr(run, "SENTENCES", TINY)
+
+    def call(*args: str) -> tuple[int, str, str]:
+        code = run.main(list(args))
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    return call
+
+
+def result(code: int, out: str, err: str) -> dict:
+    assert code == 0, err
+    return json.loads(out.strip().splitlines()[-1])
 
 
 def test_inputs_repeat_for_a_seed_and_differ_across_seeds():
@@ -54,23 +68,23 @@ def test_pinned_digests_match_the_oracle():
 
 
 @pytest.mark.parametrize("workload", run.WORKLOADS)
-def test_each_workload_prints_every_metric_with_its_unit(workload):
-    proc = bench("--workload", workload, "--seed", "4", "--seconds", "0.5", "--sentences", str(TINY))
-    r = result(proc)
+def test_each_workload_prints_every_metric_with_its_unit(tiny, workload):
+    code, out, err = tiny("--workload", workload, "--seed", "4", "--seconds", "0.5")
+    r = result(code, out, err)
     assert r["correct"] and r["failed"] == 0 and r["attempted"] >= 1
     units = {m["name"]: m["unit"] for m in SPEC["end_to_end"]}
     assert {k: v["unit"] for k, v in r["metrics"].items()} == units
-    lines = proc.stdout.splitlines()[:-1]
+    lines = out.splitlines()[:-1]
     for name, unit in units.items():
         assert any(line.split()[1:2] == [name] and line.split()[-1] == unit for line in lines), name
     assert all(v["value"] > 0 for v in r["metrics"].values())
 
 
 @pytest.mark.parametrize("workload", run.WORKLOADS)
-def test_traced_run_covers_the_layers_and_adds_up(workload):
-    proc = bench("--workload", workload, "--seed", "4", "--seconds", "0.5", "--sentences", str(TINY), "--trace", "1")
-    r = result(proc)
-    assert r["correct"], proc.stdout
+def test_traced_run_covers_the_layers_and_adds_up(tiny, workload):
+    code, out, err = tiny("--workload", workload, "--seed", "4", "--seconds", "0.5", "--trace", "1")
+    r = result(code, out, err)
+    assert r["correct"], out
     assert set(r["metrics"]) == {m["name"] for m in SPEC["per_layer"]}
     # Layer self times add up to the traced operations' wall time.
     assert abs(r["metrics"]["trace.self_share"]["value"] - 1.0) <= 0.10
@@ -84,35 +98,42 @@ def test_traced_run_covers_the_layers_and_adds_up(workload):
     assert layers == expected
 
 
-def write_pinned(tmp_path, seed: int, edit) -> str:
+def write_pinned(tmp_path, monkeypatch, seed: int, edit) -> None:
     pinned = pin.compute(seed, TINY)
     edit(pinned)
     path = os.path.join(tmp_path, "pinned.json")
     with open(path, "w", encoding="utf-8") as f:
         json.dump(pinned, f)
-    return path
+    monkeypatch.setattr(run, "PINNED", path)
 
 
-def test_a_corrupted_expected_digest_shows_as_errors(tmp_path):
+def test_a_corrupted_expected_digest_shows_as_errors(tiny, tmp_path, monkeypatch):
     def corrupt(pinned):
         pinned["oracle_digests"]["span"][0] = "0" * 64
 
-    path = write_pinned(tmp_path, 7, corrupt)
-    proc = bench("--workload", "span", "--seed", "7", "--seconds", "0.5", "--sentences", str(TINY), "--pinned", path)
-    r = result(proc)
+    write_pinned(tmp_path, monkeypatch, 7, corrupt)
+    code, out, err = tiny("--workload", "span", "--seed", "7", "--seconds", "0.5")
+    r = result(code, out, err)
     assert not r["correct"] and r["failed"] > 0
-    rate = [line.split()[2] for line in proc.stdout.splitlines() if line.split()[1:2] == ["error_rate"]]
+    rate = [line.split()[2] for line in out.splitlines() if line.split()[1:2] == ["error_rate"]]
     assert float(rate[0]) > 0
 
 
-def test_the_pinned_seed_fails_when_its_inputs_drift(tmp_path):
+def test_the_pinned_seed_fails_when_its_inputs_drift(tiny, tmp_path, monkeypatch):
     def drift(pinned):
         pinned["corpus_sha256"] = "0" * 64
 
-    path = write_pinned(tmp_path, 7, drift)
-    proc = bench("--workload", "tree", "--seed", "7", "--seconds", "0.5", "--sentences", str(TINY), "--pinned", path)
-    assert proc.returncode != 0
-    assert "drifted" in proc.stderr
+    write_pinned(tmp_path, monkeypatch, 7, drift)
+    code, _, err = tiny("--workload", "tree", "--seed", "7", "--seconds", "0.5")
+    assert code != 0
+    assert "drifted" in err
+
+
+def test_fails_without_its_pinned_inputs(tiny, tmp_path, monkeypatch):
+    monkeypatch.setattr(run, "PINNED", os.path.join(tmp_path, "missing.json"))
+    code, out, err = tiny("--workload", "span", "--seed", "7", "--seconds", "0.5")
+    assert code != 0
+    assert not out.strip() and "pinned" in err
 
 
 def test_fails_without_the_program(tmp_path):
@@ -121,3 +142,16 @@ def test_fails_without_the_program(tmp_path):
     proc = bench("--workload", "span", "--seed", "1", "--seconds", "1", cwd=str(tmp_path))
     assert proc.returncode != 0
     assert not proc.stdout.strip()
+
+
+def test_the_median_estimate_does_not_jump_across_a_gap():
+    assert run.harrell_davis_median([7.0]) == 7.0
+    assert run.harrell_davis_median([1.0, 2.0, 3.0]) == pytest.approx(2.0)
+    # Two clusters of query costs, the median at the edge of the gap: one
+    # query crossing it moves the sample median by half the gap, the
+    # estimate by less than a third of that.
+    before = [10.0] * 16 + [60.0] * 14
+    after = [10.0] * 15 + [60.0] * 15
+    jump = run.statistics.median(after) - run.statistics.median(before)
+    assert jump == 25.0
+    assert run.harrell_davis_median(after) - run.harrell_davis_median(before) < jump / 3

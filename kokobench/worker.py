@@ -2,7 +2,7 @@
 
 run.py starts it as `python3 worker.py JOB RESULT` with `PYTHONPATH` set
 to the checkout's `src`, so it imports the koko under test and nothing
-else. It reads the job (JSON), runs the set-ups, the timed loop, the
+else. It reads the job (JSON), runs the set-ups and the timed loop, the
 traced loop when asked, the index round-trip check and the oracle, and
 writes the result (JSON). Its own peak RSS is the workload's
 `peak_rss_mb`, so nothing else runs in this process.
@@ -11,6 +11,7 @@ writes the result (JSON). Its own peak RSS is the workload's
 from __future__ import annotations
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -106,11 +107,11 @@ def layer_report(tracer: tracing.Tracer, units: dict[str, int]) -> dict:
     return {"per_name": per_name, "op_self_total_s": op_total}
 
 
-def timed_loop(order, seconds, run_one, finish, whole_passes: bool):
-    """Closed loop with one client: run operations in `order`, cycling, until
-    `seconds` have passed (at an operation boundary, or at a pass boundary
-    when `whole_passes`). Only `run_one` is timed; `finish` turns its
-    outcome into what is kept. Returns [query index, seconds, kept] per op."""
+def timed_loop(order, seconds, run_one, finish):
+    """Closed loop with one client: run operations in `order`, cycling, in
+    whole passes until `seconds` have passed. Each `run_one` is timed;
+    `finish` turns its outcome into what is kept. Returns [query index,
+    seconds, kept] per op and the loop's wall time."""
     ops = []
     start = time.perf_counter()
     k = 0
@@ -121,8 +122,9 @@ def timed_loop(order, seconds, run_one, finish, whole_passes: bool):
         dt = time.perf_counter() - t0
         ops.append([qi, dt, finish(outcome)])
         k += 1
-        if time.perf_counter() - start >= seconds and (not whole_passes or k % len(order) == 0):
-            return ops
+        wall = time.perf_counter() - start
+        if wall >= seconds and k % len(order) == 0:
+            return ops, wall
 
 
 def rows_digest(outcome) -> str:
@@ -139,14 +141,9 @@ def set_up(api, tsv: str):
 
 def warm(job: dict, koko, api) -> dict:
     errors: list[str] = []
-    setup_s = []
-    for _ in range(job["setups"]):
-        docs = corpus = bundle = None
-        t0 = time.perf_counter()
-        docs, corpus, bundle = set_up(api, job["tsv"])
-        setup_s.append(time.perf_counter() - t0)
     resources = ResourceFiles(koko, job["resources"])
     queries = job["queries"]
+    corpus = bundle = None
 
     def run_one(qi):
         q = queries[qi]
@@ -156,10 +153,32 @@ def warm(job: dict, koko, api) -> dict:
         except Exception as exc:  # a failed operation is counted, not fatal
             return f"error: {type(exc).__name__}: {exc}"
 
-    ops = timed_loop(job["order"], job["seconds"], run_one, rows_digest, whole_passes=False)
+    # Each set-up is followed by its share of the timed passes, so that the
+    # passes sample the machine's speed across the whole run, not one
+    # stretch of it.
+    setup_s: list[float] = []
+    ops: list = []
+    loop_s = 0.0
+    order = job["order"]
+    for i in range(job["setups"]):
+        docs = corpus = bundle = None
+        t0 = time.perf_counter()
+        docs, corpus, bundle = set_up(api, job["tsv"])
+        setup_s.append(time.perf_counter() - t0)
+        # Untimed: every stretch starts from the same state of the garbage
+        # collector, whatever the set-up left behind. Its full collections
+        # then come after the same amount of allocation in every stretch;
+        # rotating the order moves them onto other queries, so that a
+        # query's fastest run is not always one that paid for them.
+        gc.collect()
+        shift = i * len(order) // job["setups"]
+        stretch, wall = timed_loop(order[shift:] + order[:shift], job["seconds"] / job["setups"], run_one, rows_digest)
+        ops += stretch
+        loop_s += wall
     result = {
         "setup_s": setup_s,
         "ops": ops,
+        "loop_s": loop_s,
         "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
     }
 
@@ -170,6 +189,7 @@ def warm(job: dict, koko, api) -> dict:
         try:
             docs = corpus = bundle = None
             docs, corpus, bundle = set_up(api, job["tsv"])
+            gc.collect()
             result["traced"] = traced_loop(tracer, job, run_one, rows_digest)
         finally:
             tracer.restore()
@@ -202,8 +222,8 @@ def warm(job: dict, koko, api) -> dict:
 
 
 def traced_loop(tracer: tracing.Tracer, job: dict, run_one, finish) -> dict:
-    """Whole passes, at least one, with spans on. Per-query counts come from
-    the first pass and must repeat exactly in later passes."""
+    """The timed loop again, with spans on. Per-query counts come from the
+    first pass and must repeat exactly in later passes."""
     per_query: dict[int, dict] = {}
     drift: list[str] = []
 
@@ -218,10 +238,11 @@ def traced_loop(tracer: tracing.Tracer, job: dict, run_one, finish) -> dict:
             drift.append(f"query {qi}: counts {counts} after {per_query[qi]}")
         return outcome
 
-    ops = timed_loop(job["order"], job["seconds"], counted, finish, whole_passes=True)
+    ops, loop_s = timed_loop(job["order"], job["seconds"], counted, finish)
     totals = {k: sum(c[k] for c in per_query.values()) for k in DETERMINISTIC}
     return {
         "ops": ops,
+        "loop_s": loop_s,
         "counts_per_op": {k: v / len(per_query) for k, v in totals.items()},
         "effectiveness": (
             totals["aggregate.answer_sentences"] / totals["dpli.candidate_sentences"]
@@ -269,7 +290,8 @@ def cli(job: dict, koko, api) -> dict:
     def finish(outcome):
         return outcome if outcome.startswith("error") else jsonl_digest(outcome)
 
-    result["untraced"] = timed_loop(job["order"], job["seconds"], lambda qi: run_main(job["argv"][qi]), finish, whole_passes=True)
+    result["untraced"], result["untraced_s"] = timed_loop(
+        job["order"], job["seconds"], lambda qi: run_main(job["argv"][qi]), finish)
     tracer = tracing.Tracer()
     tracing.install(tracer, koko, api)
     entry = tracer.wrap("cli.main", koko.cli.main)
