@@ -17,6 +17,7 @@ order (gaps allowed, case-insensitive) and scores k_i * l_j, damped by
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .corpus import Corpus, Sentence, detokenize
@@ -113,7 +114,7 @@ def conf_descriptor(expansions: list[Expansion], clauses: list[tuple[list[str], 
 class EvidenceEvaluator:
     """Scores clause conditions for candidate values within one document."""
 
-    def __init__(self, corpus: Corpus, resources: Resources, doc_sids: list[int]):
+    def __init__(self, corpus: Corpus, resources: Resources, doc_sids: Sequence[int]):
         self.corpus = corpus
         self.resources = resources
         self.doc_sids = doc_sids
@@ -352,8 +353,7 @@ def finalize_results(
         doc_idx = corpus.doc_index_of(t.sid)
         evaluator = evaluators.get(doc_idx)
         if evaluator is None:
-            doc = corpus.documents[doc_idx]
-            evaluator = EvidenceEvaluator(corpus, resources, corpus.doc_sids(doc))
+            evaluator = EvidenceEvaluator(corpus, resources, corpus.doc_sids(doc_idx))
             evaluators[doc_idx] = evaluator
         values = {
             name: value_of(sentence, t.bindings[name], output_kinds[name])

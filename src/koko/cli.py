@@ -14,11 +14,18 @@ import time
 
 from .aggregate import ResultRow
 from .bench import generate_span_suite, generate_tree_suite, run_benchmark
-from .corpus import Corpus, load_corpus
+from .corpus import Corpus, load_corpus, open_canonical, read_corpus_bytes
 from .engine import run_query
 from .errors import KokoError, KokoInputError, KokoQueryError
 from .gsp import estimate_cost
-from .indexes import build_indexes, corpus_fingerprint, load_bundle, save_bundle
+from .indexes import (
+    build_indexes,
+    corpus_fingerprint,
+    fingerprint_bytes,
+    index_fingerprint,
+    load_bundle,
+    save_bundle,
+)
 from .normalize import normalize
 from .oracle import oracle_evaluate
 from .parser import parse_query
@@ -83,12 +90,22 @@ def _load_resources(args: argparse.Namespace) -> Resources:
 
 
 def _load_corpus_and_bundle(args: argparse.Namespace):
-    docs = load_corpus(args.corpus)
-    corpus = Corpus(docs)
-    if getattr(args, "index", None):
-        bundle = load_bundle(args.index, expected_fingerprint=corpus_fingerprint(docs))
+    if not getattr(args, "index", None):
+        docs = load_corpus(args.corpus)
+        return Corpus(docs), build_indexes(docs)
+    # A corpus file whose bytes hash to the index's fingerprint is the
+    # canonical serialization of the documents the index was built from,
+    # which were validated then; its sentences are parsed when a query
+    # reaches them. Any other file is parsed and fingerprinted in full.
+    fingerprint = index_fingerprint(args.index)
+    data = read_corpus_bytes(args.corpus)
+    if fingerprint_bytes(data) == fingerprint:
+        corpus = open_canonical(data, args.corpus)
     else:
-        bundle = build_indexes(docs)
+        docs = load_corpus(args.corpus)
+        corpus = Corpus(docs)
+        fingerprint = corpus_fingerprint(docs)
+    bundle = load_bundle(args.index, expected_fingerprint=fingerprint, corpus=corpus)
     return corpus, bundle
 
 

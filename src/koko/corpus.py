@@ -16,8 +16,9 @@ comments and are dropped on read.
 
 from __future__ import annotations
 
-import io
 import re
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
@@ -136,22 +137,62 @@ class AnnotatedDocument:
     sentences: list[Sentence] = field(default_factory=list)
 
 
+class SentenceList(Sequence):
+    """Sentences by sid. In a corpus opened by `open_canonical` an entry
+    starts as its (first line number, TSV bytes) and is parsed the first
+    time it is read; the token count of every sentence is known up front."""
+
+    __slots__ = ("_items", "_origin")
+
+    def __init__(self, items: list, origin: str):
+        self._items = items
+        self._origin = origin
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __getitem__(self, sid):
+        if isinstance(sid, slice):
+            return [self[i] for i in range(*sid.indices(len(self._items)))]
+        item = self._items[sid]
+        if isinstance(item, tuple):
+            sid = range(len(self._items))[sid]
+            item = self._items[sid] = _parse_chunk(*item, sid, self._origin)
+        return item
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self._items)))
+
+
 class Corpus:
-    """Loaded documents plus flat, sid-addressable sentence access."""
+    """Sentences addressable by sid, their token counts, and the document
+    table: document i holds the sids from ``doc_starts[i]`` up to the next
+    document's start."""
 
     def __init__(self, documents: list[AnnotatedDocument]):
-        self.documents = documents
-        self.sentences: list[Sentence] = []
-        self._doc_index: list[int] = []
-        for i, doc in enumerate(documents):
+        sentences: list[Sentence] = []
+        doc_ids: list[str] = []
+        doc_starts: list[int] = []
+        for doc in documents:
+            doc_ids.append(doc.doc_id)
+            doc_starts.append(len(sentences))
             for s in doc.sentences:
-                if s.sid != len(self.sentences):
+                if s.sid != len(sentences):
                     raise KokoInputError(
                         f"sentence ids must be contiguous from 0; found sid {s.sid} "
-                        f"at position {len(self.sentences)} (doc {doc.doc_id})"
+                        f"at position {len(sentences)} (doc {doc.doc_id})"
                     )
-                self.sentences.append(s)
-                self._doc_index.append(i)
+                sentences.append(s)
+        lengths = [len(s.tokens) for s in sentences]
+        self._fill(SentenceList(sentences, "<documents>"), lengths, doc_ids, doc_starts)
+
+    def _fill(
+        self, sentences: SentenceList, lengths: list[int], doc_ids: list[str], doc_starts: list[int]
+    ) -> None:
+        self.sentences = sentences
+        self.sentence_lengths = lengths
+        self.doc_ids = doc_ids
+        self.doc_starts = doc_starts
 
     def __len__(self) -> int:
         return len(self.sentences)
@@ -159,18 +200,79 @@ class Corpus:
     def sentence(self, sid: int) -> Sentence:
         return self.sentences[sid]
 
-    def document_of(self, sid: int) -> AnnotatedDocument:
-        return self.documents[self._doc_index[sid]]
-
     def doc_index_of(self, sid: int) -> int:
-        return self._doc_index[sid]
+        return bisect_right(self.doc_starts, sid) - 1
 
-    def doc_sids(self, doc: AnnotatedDocument) -> list[int]:
-        return [s.sid for s in doc.sentences]
+    def doc_sids(self, doc_index: int) -> range:
+        nxt = doc_index + 1
+        end = self.doc_starts[nxt] if nxt < len(self.doc_starts) else len(self.sentences)
+        return range(self.doc_starts[doc_index], end)
 
     @property
     def token_count(self) -> int:
-        return sum(len(s) for s in self.sentences)
+        return sum(self.sentence_lengths)
+
+
+def open_canonical(data: bytes, origin: str) -> Corpus:
+    """Corpus over the UTF-8 bytes of ``serialize_corpus(docs)``.
+
+    Only the document headers are read here; each sentence is parsed from
+    its chunk on first access, with the same checks as `parse_corpus`.
+    The caller vouches that `data` is canonical, for instance because its
+    fingerprint matches an index built from validated documents.
+    """
+    items: list = []
+    lengths: list[int] = []
+    doc_ids: list[str] = []
+    doc_starts: list[int] = []
+    lineno = 1
+    # Sentences end with an empty line; a document header is the line
+    # before its first sentence.
+    for chunk in data.split(b"\n\n"):
+        first = lineno
+        lines = chunk.count(b"\n") + 1
+        lineno += lines + 1
+        while chunk.startswith(b"#"):
+            header, _, chunk = chunk.partition(b"\n")
+            m = _DOC_LINE.match(_decode(header, origin, first).rstrip())
+            if m:
+                doc_ids.append(m.group(1))
+                doc_starts.append(len(items))
+            first += 1
+            lines -= 1
+        if chunk:
+            if not doc_ids:
+                doc_ids.append("doc0")
+                doc_starts.append(0)
+            items.append((first, chunk))
+            lengths.append(lines)
+    corpus = Corpus.__new__(Corpus)
+    corpus._fill(SentenceList(items, origin), lengths, doc_ids, doc_starts)
+    return corpus
+
+
+def _decode(raw: bytes, origin: str, lineno: int) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = lineno + raw.count(b"\n", 0, exc.start)
+        raise KokoInputError(f"{origin}:{line}: not valid UTF-8 ({exc.reason})") from None
+
+
+def _parse_chunk(lineno: int, chunk: bytes, sid: int, origin: str) -> Sentence:
+    rows = [
+        (lineno + i, line.rstrip().split("\t"))
+        # Split on newlines only, so the row count is the token count that
+        # open_canonical recorded.
+        for i, line in enumerate(_decode(chunk, origin, lineno).split("\n"))
+    ]
+    sentence = _build_sentence(rows, origin)
+    if sentence.sid != sid:
+        raise KokoInputError(
+            f"{origin}:{lineno}: sentence ids must be contiguous from 0; "
+            f"found sid {sentence.sid} at position {sid}"
+        )
+    return sentence
 
 
 # Punctuation that attaches to the previous token when spans are rendered
@@ -293,12 +395,7 @@ def parse_corpus(text: str, origin: str = "<string>") -> list[AnnotatedDocument]
                 current_doc = AnnotatedDocument(doc_id=m.group(1))
                 docs.append(current_doc)
             continue
-        cols = line.split("\t")
-        if len(cols) != 7:
-            raise KokoInputError(
-                f"{origin}:{lineno}: expected 7 tab-separated columns, got {len(cols)}"
-            )
-        rows.append((lineno, cols))
+        rows.append((lineno, line.split("\t")))
     flush(-1)
     # Validate global sid contiguity through Corpus construction.
     Corpus(docs)
@@ -314,6 +411,8 @@ def _build_sentence(rows: list[tuple[int, list[str]]], origin: str) -> Sentence:
     prev_etype: str | None = None
     for pos_in_sentence, (lineno, cols) in enumerate(rows):
         where = f"{origin}:{lineno}"
+        if len(cols) != 7:
+            raise KokoInputError(f"{where}: expected 7 tab-separated columns, got {len(cols)}")
         try:
             row_sid = int(cols[0])
             tid = int(cols[1])
@@ -361,15 +460,23 @@ def _build_sentence(rows: list[tuple[int, list[str]]], origin: str) -> Sentence:
     if roots != 1:
         raise KokoInputError(f"{where}: sentence {sid} has {roots} roots, expected exactly 1")
     root_tid = next(t.tid for t in tokens if t.head is None)
-    # Cycle/connectivity check: every token must reach the root.
-    for t in tokens:
-        seen = set()
-        cur = t.tid
-        while cur != root_tid:
-            if cur in seen:
-                raise KokoInputError(f"{where}: cyclic head relation at sid {sid}, tid {t.tid}")
-            seen.add(cur)
+    # Cycle/connectivity check: every token must reach the root. Each
+    # token is walked once: a walk stops at the first token already known
+    # to reach the root, and meeting its own path again is a cycle.
+    ON_PATH, REACHES_ROOT = 1, 2
+    state = [0] * n
+    state[root_tid] = REACHES_ROOT
+    for start in range(n):
+        path = []
+        cur = start
+        while not state[cur]:
+            state[cur] = ON_PATH
+            path.append(cur)
             cur = tokens[cur].head
+        if state[cur] == ON_PATH:
+            raise KokoInputError(f"{where}: cyclic head relation at sid {sid}, tid {start}")
+        for tid in path:
+            state[tid] = REACHES_ROOT
     sentence = Sentence(sid=sid, tokens=tokens, root_tid=root_tid)
     sentence.finalize()
     return sentence
@@ -378,12 +485,15 @@ def _build_sentence(rows: list[tuple[int, list[str]]], origin: str) -> Sentence:
 def load_corpus(path: str, format: str = "tsv") -> list[AnnotatedDocument]:
     if format != "tsv":
         raise KokoInputError(f"unknown corpus format {format!r}; only 'tsv' is supported")
+    return parse_corpus(_decode(read_corpus_bytes(path), path, 1), origin=path)
+
+
+def read_corpus_bytes(path: str) -> bytes:
     try:
-        with io.open(path, "r", encoding="utf-8") as f:
-            text = f.read()
+        with open(path, "rb") as f:
+            return f.read()
     except OSError as exc:
         raise KokoInputError(f"cannot read corpus: {exc}") from None
-    return parse_corpus(text, origin=path)
 
 
 def serialize_corpus(docs: list[AnnotatedDocument]) -> str:

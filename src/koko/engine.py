@@ -62,7 +62,7 @@ def run_query(
 
     def eval_one(sid: int) -> tuple[list[CandidateTuple], SkipPlan, EvalStats]:
         local = EvalStats()
-        t = len(corpus.sentence(sid))
+        t = corpus.sentence_lengths[sid]
         plan = generate_skip_plan(n, table, sid, t) if use_gsp else SkipPlan()
         return evaluate_sentence(n, table, sid, plan, corpus, local), plan, local
 

@@ -24,10 +24,11 @@ import io
 import json
 import os
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
-from .corpus import AnnotatedDocument, PostingEntry, serialize_corpus
+from .corpus import AnnotatedDocument, Corpus, PostingEntry, serialize_corpus
 from .errors import KokoInputError
 
 MAGIC = b"KOKO"
@@ -46,7 +47,9 @@ class EntityRecord(NamedTuple):
 
 class WordIndex:
     def __init__(self) -> None:
-        self.postings: dict[str, list[PostingEntry]] = {}
+        # A dict while building; a loaded index decodes each list on first
+        # read (`_LazyPostings`).
+        self.postings: Mapping[str, list[PostingEntry]] = {}
 
     def add(self, word: str, entry: PostingEntry) -> None:
         self.postings.setdefault(word, []).append(entry)
@@ -61,23 +64,16 @@ class WordIndex:
 class EntityIndex:
     def __init__(self) -> None:
         self.records: list[EntityRecord] = []
-        self.by_surface: dict[str, list[EntityRecord]] = {}
         self.by_type: dict[str, list[EntityRecord]] = {}
-        self.by_sid: dict[int, list[EntityRecord]] = {}
 
     def add(self, record: EntityRecord) -> None:
         self.records.append(record)
-        self.by_surface.setdefault(record.surface, []).append(record)
         self.by_type.setdefault(record.etype, []).append(record)
-        self.by_sid.setdefault(record.sid, []).append(record)
 
     def lookup(self, etype: str | None = None) -> list[EntityRecord]:
         if etype is None:
             return list(self.records)
         return list(self.by_type.get(etype, []))
-
-    def lookup_surface(self, surface: str) -> list[EntityRecord]:
-        return list(self.by_surface.get(surface, []))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, EntityIndex) and self.records == other.records
@@ -89,12 +85,14 @@ class HierarchyNode:
     label: str
     parent: int  # -1 for the super-root
     children: dict[str, int] = field(default_factory=dict)
-    postings: list[PostingEntry] = field(default_factory=list)
 
 
 class HierarchyIndex:
     def __init__(self, root_label: str) -> None:
         self.nodes: list[HierarchyNode] = [HierarchyNode(0, root_label, -1)]
+        # Posting list of each node, by node id; decoded on first read in
+        # a loaded index, as in WordIndex.
+        self.postings: Mapping[int, list[PostingEntry]] = {0: []}
 
     @property
     def super_root(self) -> HierarchyNode:
@@ -113,6 +111,7 @@ class HierarchyIndex:
             nxt = len(self.nodes)
             node.children[label] = nxt
             self.nodes.append(HierarchyNode(nxt, label, node_id))
+            self.postings[nxt] = []
         return nxt
 
     def path_of(self, node_id: int) -> str:
@@ -133,7 +132,7 @@ class HierarchyIndex:
         matched = self.match_nodes(steps)
         out: list[PostingEntry] = []
         for node_id in sorted(matched):
-            out.extend(self.nodes[node_id].postings)
+            out.extend(self.postings[node_id])
         out.sort()
         return out
 
@@ -167,11 +166,9 @@ class HierarchyIndex:
         if not isinstance(other, HierarchyIndex) or len(self.nodes) != len(other.nodes):
             return False
         for a, b in zip(self.nodes, other.nodes):
-            if (a.label, a.parent, a.children, a.postings) != (
-                b.label, b.parent, b.children, b.postings,
-            ):
+            if (a.label, a.parent, a.children) != (b.label, b.parent, b.children):
                 return False
-        return True
+        return self.postings == other.postings
 
 
 @dataclass
@@ -208,7 +205,13 @@ class IndexBundle:
 
 
 def corpus_fingerprint(docs: list[AnnotatedDocument]) -> str:
-    return hashlib.sha256(serialize_corpus(docs).encode("utf-8")).hexdigest()
+    return fingerprint_bytes(serialize_corpus(docs).encode("utf-8"))
+
+
+def fingerprint_bytes(data: bytes) -> str:
+    """Fingerprint of a corpus file; equal to `corpus_fingerprint(docs)`
+    exactly when the file is the canonical serialization of docs."""
+    return hashlib.sha256(data).hexdigest()
 
 
 def build_indexes(docs: list[AnnotatedDocument]) -> IndexBundle:
@@ -228,8 +231,8 @@ def build_indexes(docs: list[AnnotatedDocument]) -> IndexBundle:
             for t in s.tokens:
                 entry = PostingEntry(s.sid, t.tid, meta.left[t.tid], meta.right[t.tid], meta.depth[t.tid])
                 word.add(t.text, entry)
-                pl.nodes[pl_node[t.tid]].postings.append(entry)
-                pos.nodes[pos_node[t.tid]].postings.append(entry)
+                pl.postings[pl_node[t.tid]].append(entry)
+                pos.postings[pos_node[t.tid]].append(entry)
             for e in s.entities:
                 entity.add(EntityRecord(e.sid, e.start, e.end, e.etype, e.surface))
     for plist in word.postings.values():
@@ -279,38 +282,27 @@ def _w_postings(f: io.BufferedWriter, postings: list[PostingEntry]) -> None:
         f.write(struct.pack("<5I", *p))
 
 
-class _Reader:
-    def __init__(self, path: str):
-        self.path = path
-        with open(path, "rb") as f:
-            self.buf = f.read()
-        self.pos = 0
+_U32 = struct.Struct("<I")
+_ENTITY = struct.Struct("<3I")
+_POSTING = struct.Struct("<5I")
+_NODE_HEAD = struct.Struct("<Ii")  # node id, parent id
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise KokoInputError(f"{self.path}: truncated index file")
-        out = self.buf[self.pos : self.pos + n]
-        self.pos += n
-        return out
 
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
+class _IndexFile:
+    """One .idx file in memory, scanned front to back. The scan skips each
+    posting block and keeps its offset; `postings_at` decodes a block when
+    a lookup first needs it and checks every entry against the corpus."""
 
-    def string(self) -> str:
-        raw = self.take(self.u32())
+    def __init__(self, directory: str, name: str, sentence_count: int, lengths: list[int] | None):
+        self.path = os.path.join(directory, name)
         try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError:
-            raise KokoInputError(f"{self.path}: corrupt string record") from None
-
-    def postings(self) -> list[PostingEntry]:
-        n = self.u32()
-        raw = self.take(20 * n)
-        return [
-            PostingEntry(*struct.unpack_from("<5I", raw, 20 * i)) for i in range(n)
-        ]
-
-    def header(self) -> None:
+            with open(self.path, "rb") as f:
+                self.buf = f.read()
+        except OSError as exc:
+            raise KokoInputError(f"{self.path}: cannot read index file: {exc.strerror}") from None
+        self.pos = 0
+        self.sentence_count = sentence_count
+        self.lengths = lengths
         if self.take(4) != MAGIC:
             raise KokoInputError(f"{self.path}: not an index file (bad magic)")
         version = self.u32()
@@ -319,6 +311,95 @@ class _Reader:
                 f"{self.path}: format version {version} does not match "
                 f"supported version {FORMAT_VERSION}"
             )
+
+    def advance(self, n: int) -> int:
+        """Move the read position n bytes on; returns where it was."""
+        pos = self.pos
+        if pos + n > len(self.buf):
+            raise KokoInputError(f"{self.path}: truncated index file")
+        self.pos = pos + n
+        return pos
+
+    def take(self, n: int) -> bytes:
+        start = self.advance(n)
+        return self.buf[start : start + n]
+
+    def u32(self) -> int:
+        return _U32.unpack_from(self.buf, self.advance(4))[0]
+
+    def string(self) -> str:
+        try:
+            return self.take(self.u32()).decode("utf-8")
+        except UnicodeDecodeError:
+            raise KokoInputError(f"{self.path}: corrupt string record") from None
+
+    def labelled_blocks(self, count: int, head: struct.Struct | None = None) -> list[tuple]:
+        """Read `count` records of an optional fixed-size head, a string
+        and a posting block, skipping the block: (*head fields, string,
+        block offset) per record."""
+        buf, pos = self.buf, self.pos
+        out = []
+        try:
+            for _ in range(count):
+                fields = ()
+                if head is not None:
+                    fields = head.unpack_from(buf, pos)
+                    pos += head.size
+                (n,) = _U32.unpack_from(buf, pos)
+                label = buf[pos + 4 : pos + 4 + n].decode("utf-8")
+                pos += 4 + n
+                (k,) = _U32.unpack_from(buf, pos)
+                out.append((*fields, label, pos))
+                pos += _U32.size + _POSTING.size * k
+        except struct.error:
+            raise KokoInputError(f"{self.path}: truncated index file") from None
+        except UnicodeDecodeError:
+            raise KokoInputError(f"{self.path}: corrupt string record") from None
+        if pos > len(buf):
+            raise KokoInputError(f"{self.path}: truncated index file")
+        self.pos = pos
+        return out
+
+    def end(self) -> None:
+        if self.pos != len(self.buf):
+            raise KokoInputError(f"{self.path}: {len(self.buf) - self.pos} bytes after the last record")
+
+    def postings_at(self, offset: int) -> list[PostingEntry]:
+        (n,) = _U32.unpack_from(self.buf, offset)
+        start = offset + _U32.size
+        entries = list(map(PostingEntry._make, _POSTING.iter_unpack(self.buf[start : start + _POSTING.size * n])))
+        count, lengths = self.sentence_count, self.lengths
+        for sid, tid, left, right, depth in entries:
+            if not (sid < count and left <= tid <= right) or (
+                lengths is not None and not (right < lengths[sid] and depth < lengths[sid])
+            ):
+                raise KokoInputError(
+                    f"{self.path}: posting ({sid},{tid},{left}-{right},{depth}) "
+                    f"lies outside the corpus"
+                )
+        return entries
+
+
+class _LazyPostings(Mapping):
+    """Posting lists of a loaded index by word or node id; each stays an
+    offset into its file until it is first read."""
+
+    def __init__(self, file: _IndexFile, offsets: dict):
+        self._file = file
+        self._offsets = offsets
+        self._decoded: dict = {}
+
+    def __getitem__(self, key) -> list[PostingEntry]:
+        plist = self._decoded.get(key)
+        if plist is None:
+            plist = self._decoded[key] = self._file.postings_at(self._offsets[key])
+        return plist
+
+    def __iter__(self):
+        return iter(self._offsets)
+
+    def __len__(self) -> int:
+        return len(self._offsets)
 
 
 def _open_out(path: str) -> io.BufferedWriter:
@@ -348,7 +429,7 @@ def save_bundle(bundle: IndexBundle, directory: str) -> None:
                 _w_u32(f, node.node_id)
                 f.write(struct.pack("<i", node.parent))
                 _w_str(f, node.label)
-                _w_postings(f, node.postings)
+                _w_postings(f, index.postings[node.node_id])
     manifest = {
         "format_version": FORMAT_VERSION,
         "fingerprint": bundle.fingerprint,
@@ -359,70 +440,110 @@ def save_bundle(bundle: IndexBundle, directory: str) -> None:
         f.write("\n")
 
 
-def load_bundle(directory: str, expected_fingerprint: str | None = None) -> IndexBundle:
+def _read_manifest(directory: str) -> dict:
     manifest_path = os.path.join(directory, "manifest.json")
     try:
         with open(manifest_path, "r", encoding="utf-8") as f:
             manifest = json.load(f)
     except FileNotFoundError:
         raise KokoInputError(f"{directory}: no manifest.json; not an index directory") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise KokoInputError(f"{manifest_path}: invalid JSON: {exc}") from None
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("fingerprint", ""), str):
+        raise KokoInputError(f"{manifest_path}: not an index manifest")
     if manifest.get("format_version") != FORMAT_VERSION:
         raise KokoInputError(
             f"{manifest_path}: format version {manifest.get('format_version')} "
             f"does not match supported version {FORMAT_VERSION}"
         )
+    return manifest
+
+
+def index_fingerprint(directory: str) -> str:
+    """The corpus fingerprint recorded in an index directory."""
+    return _read_manifest(directory).get("fingerprint", "")
+
+
+def load_bundle(
+    directory: str, expected_fingerprint: str | None = None, corpus: Corpus | None = None
+) -> IndexBundle:
+    """Open a saved index. Only record headers are read here; posting
+    lists are decoded on first lookup. Given the corpus, every sentence
+    and token an index record names is checked to exist in it."""
+    manifest = _read_manifest(directory)
     fingerprint = manifest.get("fingerprint", "")
     if expected_fingerprint is not None and fingerprint != expected_fingerprint:
         raise KokoInputError(
             f"{directory}: index fingerprint {fingerprint[:12]}... does not match "
             f"the supplied corpus ({expected_fingerprint[:12]}...); rebuild the index"
         )
+    counts = manifest.get("counts", {})
+    try:
+        sentence_count = int(counts.get("sentences", 0))
+        token_count = int(counts.get("tokens", 0))
+    except (AttributeError, TypeError, ValueError):
+        raise KokoInputError(f"{directory}: manifest.json has malformed counts") from None
+    lengths = None
+    if corpus is not None:
+        if sentence_count != len(corpus):
+            raise KokoInputError(
+                f"{directory}: index has {sentence_count} sentences, "
+                f"the corpus {len(corpus)}; rebuild the index"
+            )
+        lengths = corpus.sentence_lengths
 
-    r = _Reader(os.path.join(directory, "word.idx"))
-    r.header()
+    def open_file(name: str) -> _IndexFile:
+        return _IndexFile(directory, name, sentence_count, lengths)
+
+    f = open_file("word.idx")
     word = WordIndex()
-    for _ in range(r.u32()):
-        wordtext = r.string()
-        word.postings[wordtext] = r.postings()
+    word.postings = _LazyPostings(f, dict(f.labelled_blocks(f.u32())))
+    f.end()
 
-    r = _Reader(os.path.join(directory, "entity.idx"))
-    r.header()
+    f = open_file("entity.idx")
     entity = EntityIndex()
-    for _ in range(r.u32()):
-        surface = r.string()
-        etype = r.string()
-        sid, left, right = struct.unpack("<3I", r.take(12))
+    for _ in range(f.u32()):
+        surface = f.string()
+        etype = f.string()
+        sid, left, right = _ENTITY.unpack_from(f.buf, f.advance(_ENTITY.size))
+        if not (sid < sentence_count and left <= right) or (
+            lengths is not None and right >= lengths[sid]
+        ):
+            raise KokoInputError(f"{f.path}: entity ({sid},{left}-{right}) lies outside the corpus")
         entity.add(EntityRecord(sid, left, right, etype, surface))
+    f.end()
 
     hierarchies: list[HierarchyIndex] = []
     for name in ("pl.idx", "pos.idx"):
-        r = _Reader(os.path.join(directory, name))
-        r.header()
-        n_nodes = r.u32()
+        f = open_file(name)
+        records = f.labelled_blocks(f.u32(), _NODE_HEAD)
+        if not records:
+            raise KokoInputError(f"{f.path}: hierarchy without a super-root")
         index = HierarchyIndex(root_label="")
         index.nodes = []
-        for _ in range(n_nodes):
-            node_id = r.u32()
-            (parent,) = struct.unpack("<i", r.take(4))
-            label = r.string()
-            postings = r.postings()
-            index.nodes.append(HierarchyNode(node_id, label, parent, {}, postings))
-        for node in index.nodes:
-            if node.parent >= 0:
-                index.nodes[node.parent].children[node.label] = node.node_id
+        offsets = {}
+        for position, (node_id, parent, label, offset) in enumerate(records):
+            # Parents come before their children; only the super-root has none.
+            if node_id != position or not parent < node_id or (parent >= 0) != (node_id > 0):
+                raise KokoInputError(
+                    f"{f.path}: node record {position} has id {node_id} and parent {parent}"
+                )
+            offsets[node_id] = offset
+            index.nodes.append(HierarchyNode(node_id, label, parent))
+            if parent >= 0:
+                index.nodes[parent].children[label] = node_id
+        f.end()
+        index.postings = _LazyPostings(f, offsets)
         hierarchies.append(index)
 
-    counts = manifest.get("counts", {})
     return IndexBundle(
         word=word,
         entity=entity,
         pl=hierarchies[0],
         pos=hierarchies[1],
         fingerprint=fingerprint,
-        sentence_count=int(counts.get("sentences", 0)),
-        token_count=int(counts.get("tokens", 0)),
+        sentence_count=sentence_count,
+        token_count=token_count,
     )
 
 

@@ -299,3 +299,112 @@ def test_missing_files_map_to_exit_codes(tmp_path, capsys):
         capsys,
     )
     assert code == 3 and "vectors" in err
+
+
+# --- koko query --index on a canonical corpus file (parsed lazily) versus
+# any other file (parsed in full) ---
+
+LAZY_QUERIES = {
+    "tree": 'extract v:Str from "t" if (/ROOT:{ v = //verb/nsubj })',
+    "span": 'extract v:Str from "t" if (/ROOT:{ v = "baka" + ^ + //dobj })',
+    "evidence": (
+        'extract x:Entity from "t" if ()\n'
+        "satisfying x\n"
+        '    (str(x) contains "baka" {1}) or\n'
+        '    (x near "bali" {0.5})\n'
+        "with threshold 0.4\n"
+    ),
+}
+
+
+def _write_corpus_pair(tmp_path):
+    """The same synthetic corpus twice: canonical, and with a comment line
+    that only a full parse accepts."""
+    from koko.bench import synthesize_corpus
+    from koko.corpus import serialize_corpus
+
+    text = serialize_corpus(synthesize_corpus(4, 120, entity_rate=0.5))
+    canonical = tmp_path / "canonical.tsv"
+    canonical.write_text(text, encoding="utf-8")
+    commented = tmp_path / "commented.tsv"
+    commented.write_text("# a comment\n" + text, encoding="utf-8")
+    return str(canonical), str(commented)
+
+
+def test_lazy_and_full_parse_paths_agree_with_oracle(tmp_path, capsys):
+    from koko.corpus import Corpus, load_corpus
+    from koko.oracle import oracle_evaluate
+
+    canonical, commented = _write_corpus_pair(tmp_path)
+    idx = str(tmp_path / "idx")
+    assert run_cli(["index", "--corpus", canonical, "--out", idx], capsys)[0] == 0
+    corpus = Corpus(load_corpus(canonical))
+    for name, text in LAZY_QUERIES.items():
+        q = tmp_path / f"{name}.koko"
+        q.write_text(text)
+        outs = []
+        for path in (canonical, commented):
+            code, out, err = run_cli(
+                ["query", "--query", str(q), "--corpus", path, "--index", idx], capsys
+            )
+            assert code == 0, err
+            outs.append(out)
+        expected = "".join(
+            json.dumps(r.to_json(), ensure_ascii=False, sort_keys=True) + "\n"
+            for r in oracle_evaluate(parse_query(text), corpus)
+        )
+        assert expected, name
+        assert outs[0] == outs[1] == expected, name
+
+
+def test_lazy_path_parses_only_candidate_sentences(tmp_path, monkeypatch):
+    import koko.corpus
+    from koko.corpus import open_canonical
+    from koko.indexes import fingerprint_bytes, load_bundle
+
+    canonical, _ = _write_corpus_pair(tmp_path)
+    idx = str(tmp_path / "idx")
+    assert main(["index", "--corpus", canonical, "--out", idx]) == 0
+    parsed = []
+    build = koko.corpus._build_sentence
+    monkeypatch.setattr(
+        koko.corpus, "_build_sentence", lambda rows, origin: parsed.append(1) or build(rows, origin)
+    )
+    for name in ("tree", "span"):
+        parsed.clear()
+        with open(canonical, "rb") as f:
+            data = f.read()
+        corpus = open_canonical(data, canonical)
+        bundle = load_bundle(idx, expected_fingerprint=fingerprint_bytes(data), corpus=corpus)
+        run = run_query(parse_query(LAZY_QUERIES[name]), corpus, bundle)
+        assert run.rows, name
+        assert 0 < len(parsed) <= len(run.candidate_sids) < len(corpus), name
+
+
+def test_stale_canonical_corpus_exits_2(tmp_path, capsys):
+    from koko.bench import synthesize_corpus
+    from koko.corpus import serialize_corpus
+
+    first = tmp_path / "first.tsv"
+    first.write_text(serialize_corpus(synthesize_corpus(1, 30)), encoding="utf-8")
+    idx = str(tmp_path / "idx")
+    assert run_cli(["index", "--corpus", str(first), "--out", idx], capsys)[0] == 0
+    second = tmp_path / "second.tsv"
+    second.write_text(serialize_corpus(synthesize_corpus(2, 30)), encoding="utf-8")
+    code, _, err = run_cli(
+        ["query", "--query", EX21, "--corpus", str(second), "--index", idx], capsys
+    )
+    assert code == 2 and "fingerprint" in err
+
+
+def test_non_utf8_corpus_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.tsv"
+    bad.write_bytes(b"0\t0\th\xffi\tintj\troot\t-1\tO\n")
+    code, _, err = run_cli(["query", "--query", EX21, "--corpus", str(bad)], capsys)
+    assert code == 2 and "UTF-8" in err
+    idx = str(tmp_path / "idx")
+    assert run_cli(["index", "--corpus", EX31, "--out", idx], capsys)[0] == 0
+    code, _, err = run_cli(
+        ["query", "--query", EX21, "--corpus", str(bad), "--index", idx], capsys
+    )
+    assert code == 2 and "UTF-8" in err

@@ -124,8 +124,9 @@ def test_word_index_exactness(ex31_bundle, ex31_corpus):
 def test_posting_lists_sorted(ex31_bundle):
     for plist in ex31_bundle.word.postings.values():
         assert plist == sorted(plist)
-    for node in ex31_bundle.pl.nodes + ex31_bundle.pos.nodes:
-        assert node.postings == sorted(node.postings)
+    for index in (ex31_bundle.pl, ex31_bundle.pos):
+        for plist in index.postings.values():
+            assert plist == sorted(plist)
 
 
 def test_children_labels_distinct(ex31_bundle):
@@ -259,3 +260,115 @@ def test_corrupt_bytes_surface_as_input_errors(ex31_bundle, tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(KokoInputError):
         load_bundle(str(d))
+
+
+def _small_index(tmp_path):
+    from koko.bench import synthesize_corpus
+    from koko.corpus import serialize_corpus
+
+    docs = synthesize_corpus(6, 40, entity_rate=0.5)
+    bundle = build_indexes(docs)
+    d = tmp_path / "idx"
+    save_bundle(bundle, str(d))
+    return docs, bundle, d
+
+
+def test_node_parent_out_of_range_rejected(tmp_path):
+    _, _, d = _small_index(tmp_path)
+    path = d / "pl.idx"
+    raw = bytearray(path.read_bytes())
+    # Header (8), node count (4), the super-root's 16 bytes; then node 1's
+    # id and parent.
+    assert struct.unpack_from("<Ii", raw, 28) == (1, 0)
+    raw[32:36] = struct.pack("<i", 5000)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(KokoInputError, match="node record 1 has id 1 and parent 5000"):
+        load_bundle(str(d))
+
+
+def test_posting_block_past_end_of_file_rejected(tmp_path):
+    _, bundle, d = _small_index(tmp_path)
+    path = d / "word.idx"
+    raw = bytearray(path.read_bytes())
+    first = sorted(bundle.word.postings)[0].encode("utf-8")
+    count_at = 12 + 4 + len(first)
+    assert struct.unpack_from("<I", raw, count_at)[0] == len(bundle.word.postings[first.decode()])
+    raw[count_at : count_at + 4] = struct.pack("<I", 1 << 30)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(KokoInputError, match="truncated"):
+        load_bundle(str(d))
+
+
+def test_trailing_bytes_rejected(tmp_path):
+    _, _, d = _small_index(tmp_path)
+    path = d / "pos.idx"
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(KokoInputError, match="after the last record"):
+        load_bundle(str(d))
+
+
+def test_postings_decoded_and_checked_on_first_lookup(tmp_path):
+    from koko.corpus import Corpus
+
+    docs, bundle, d = _small_index(tmp_path)
+    path = d / "word.idx"
+    raw = bytearray(path.read_bytes())
+    words = sorted(bundle.word.postings)
+    first = words[0].encode("utf-8")
+    # The first posting's tid, past the end of its sentence.
+    tid_at = 12 + 4 + len(first) + 4 + 4
+    raw[tid_at : tid_at + 4] = struct.pack("<I", 999)
+    path.write_bytes(bytes(raw))
+    loaded = load_bundle(str(d), corpus=Corpus(docs))
+    assert loaded.word.lookup(words[1]) == bundle.word.lookup(words[1])
+    with pytest.raises(KokoInputError, match="outside the corpus"):
+        loaded.word.lookup(words[0])
+
+
+def test_corrupted_index_loads_to_rows_or_input_error(tmp_path):
+    import os
+    import random
+
+    from koko.corpus import open_canonical, serialize_corpus
+    from koko.engine import run_query
+    from koko.indexes import fingerprint_bytes
+    from koko.parser import parse_query
+
+    docs, _, d = _small_index(tmp_path)
+    data = serialize_corpus(docs).encode("utf-8")
+    names = sorted(os.listdir(d))
+    files = {name: (d / name).read_bytes() for name in names}
+    sizes = [len(files[name]) for name in names]
+    queries = [
+        parse_query(text)
+        for text in (
+            # Every posting of the PL index.
+            'extract v:Str from "t" if (/ROOT:{ v = //* })',
+            'extract v:Str from "t" if (/ROOT:{ v = //verb/nsubj })',
+            'extract v:Str from "t" if (/ROOT:{ v = "baka" + ^ + //dobj })',
+            'extract x:Entity from "t" if ()',
+        )
+    ]
+    rng = random.Random(20)
+    outcomes = {"rows": 0, "error": 0}
+    for copy in range(200):
+        flipped = {name: bytearray(raw) for name, raw in files.items()}
+        for _ in range(rng.randint(1, 4)):
+            name = rng.choices(names, weights=sizes)[0]
+            at = rng.randrange(len(flipped[name]))
+            flipped[name][at] ^= rng.randrange(1, 256)
+        target = tmp_path / f"copy{copy}"
+        target.mkdir()
+        for name, raw in flipped.items():
+            (target / name).write_bytes(bytes(raw))
+        corpus = open_canonical(data, "c.tsv")
+        try:
+            bundle = load_bundle(
+                str(target), expected_fingerprint=fingerprint_bytes(data), corpus=corpus
+            )
+            for q in queries:
+                run_query(q, corpus, bundle)
+            outcomes["rows"] += 1
+        except KokoInputError:
+            outcomes["error"] += 1
+    assert outcomes["rows"] > 0 and outcomes["error"] > 0
