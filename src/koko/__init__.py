@@ -15,7 +15,6 @@ from .corpus import (
     Corpus,
     PostingEntry,
     Sentence,
-    Span,
     Token,
     compute_tree_meta,
     entity_spans,
@@ -40,12 +39,9 @@ from .indexes import (
     IndexBundle,
     build_indexes,
     load_bundle,
-    lookup_entities,
-    lookup_hierarchy,
-    lookup_word,
     save_bundle,
 )
-from .normalize import NormalizedQuery, derived_constraints, normalize
+from .normalize import NormalizedQuery, normalize
 from .oracle import oracle_evaluate
 from .parser import parse_query
 from .resources import Resources, WordVectors, load_expansion_table
@@ -58,14 +54,13 @@ __all__ = [
     "IndexBundle", "KokoDecomposeError", "KokoError", "KokoInputError",
     "KokoNormalizeError", "KokoQueryError", "KokoResourceError",
     "KokoSyntaxError", "NormalizedQuery", "PostingEntry", "Query", "QueryRun",
-    "Resources", "ResultRow", "Sentence", "Span", "Token", "WordVectors",
+    "Resources", "ResultRow", "Sentence", "Token", "WordVectors",
     "apply_excluding", "build_indexes", "candidate_bindings",
     "compute_tree_meta", "conf_descriptor", "decompose",
-    "derived_constraints", "dominant_paths", "entity_spans", "estimate_cost",
+    "dominant_paths", "entity_spans", "estimate_cost",
     "evaluate_sentence", "finalize_results", "generate_skip_plan",
     "is_parent", "join_all", "join_word_path", "load_bundle", "load_corpus",
-    "load_expansion_table", "lookup_entities", "lookup_hierarchy",
-    "lookup_word", "normalize", "oracle_evaluate", "parse_corpus",
+    "load_expansion_table", "normalize", "oracle_evaluate", "parse_corpus",
     "parse_query", "pretty_print", "run_query", "save_bundle",
     "serialize_corpus",
 ]

@@ -17,7 +17,7 @@ from .bench import generate_span_suite, generate_tree_suite, run_benchmark
 from .corpus import Corpus, load_corpus, open_canonical, read_corpus_bytes
 from .engine import run_query
 from .errors import KokoError, KokoInputError, KokoQueryError
-from .gsp import estimate_cost
+from .gsp import estimate_cost, generate_skip_plan
 from .indexes import (
     build_indexes,
     corpus_fingerprint,
@@ -154,7 +154,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     corpus, bundle = _load_corpus_and_bundle(args)
     run = run_query(
         query, corpus, bundle, resources=resources,
-        use_gsp=not args.no_gsp, jobs=args.jobs,
+        use_gsp=not args.no_gsp,
     )
     _emit_rows(run.rows, args.format)
     return EXIT_OK
@@ -175,14 +175,13 @@ def cmd_explain(args: argparse.Namespace) -> int:
     if args.stage == "gsp":
         for sid in run.candidate_sids:
             t = len(corpus.sentence(sid))
-            plan = run.plans.get(sid)
+            plan = generate_skip_plan(run.normalized, run.table, sid, t)
             costs = {
                 name: estimate_cost(name, sid, run.table, t)
                 for name in n.variables
                 if n.var(name).kind not in ("subtree", "composite")
             }
-            skips = sorted(plan.skipped) if plan else []
-            print(f"sid {sid}: costs {costs} skip {skips}")
+            print(f"sid {sid}: costs {costs} skip {sorted(plan.skipped)}")
         print(f"loop iterations: {run.stats.loop_iterations}")
         print(f"tuples: {run.stats.tuples}")
         return EXIT_OK
@@ -277,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", help="previously built index directory")
     p.add_argument("--format", choices=["jsonl", "tsv"], default="jsonl")
     p.add_argument("--no-gsp", action="store_true", help="disable skip plans")
-    p.add_argument("--jobs", type=int, default=1)
     _add_resource_flags(p)
     p.set_defaults(func=cmd_query)
 

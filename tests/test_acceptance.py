@@ -22,7 +22,7 @@ from koko.bench import (
 from koko.corpus import AnnotatedDocument, Corpus, PostingEntry, Sentence, Token, parse_corpus
 from koko.dpli import decompose, join_word_path
 from koko.engine import run_query
-from koko.indexes import build_indexes, lookup_entities, lookup_hierarchy, lookup_word
+from koko.indexes import build_indexes
 from koko.normalize import normalize
 from koko.oracle import oracle_evaluate
 from koko.parser import parse_query
@@ -77,23 +77,23 @@ def span_results(synth):
 
 def test_criterion_1_golden_index_contents(ex31_bundle):
     t0 = time.time()
-    assert lookup_word(ex31_bundle, "I") == [PostingEntry(0, 0, 0, 0, 1)]
-    assert lookup_word(ex31_bundle, "cream") == [PostingEntry(0, 5, 2, 9, 1)]
-    assert lookup_word(ex31_bundle, "delicious") == [
+    assert ex31_bundle.word.lookup("I") == [PostingEntry(0, 0, 0, 0, 1)]
+    assert ex31_bundle.word.lookup("cream") == [PostingEntry(0, 5, 2, 9, 1)]
+    assert ex31_bundle.word.lookup("delicious") == [
         PostingEntry(0, 9, 9, 9, 3),
         PostingEntry(1, 3, 3, 3, 2),
     ]
     # Both quintuples of the worked table appear; the corpus has a third
     # occurrence of "ate" (tid 13 of the 17-token sentence) the shortened
     # table elides, and a complete index must carry it too.
-    ate = lookup_word(ex31_bundle, "ate")
+    ate = ex31_bundle.word.lookup("ate")
     assert PostingEntry(1, 1, 0, 12, 0) in ate and PostingEntry(0, 1, 0, 16, 0) in ate
     assert ate == [
         PostingEntry(0, 1, 0, 16, 0),
         PostingEntry(0, 13, 12, 15, 1),
         PostingEntry(1, 1, 0, 12, 0),
     ]
-    entities = {(r.surface, r.sid, r.left, r.right) for r in lookup_entities(ex31_bundle)}
+    entities = {(r.surface, r.sid, r.left, r.right) for r in ex31_bundle.entity.lookup()}
     assert entities == {
         ("cheesecake", 1, 4, 4),
         ("grocery store", 1, 10, 11),
@@ -109,7 +109,7 @@ def test_criterion_1_golden_index_contents(ex31_bundle):
     }
     for path, rows in pl_rows.items():
         steps = [("/", label) for label in path.strip("/").split("/")]
-        got = lookup_hierarchy(ex31_bundle, "pl", steps)
+        got = ex31_bundle.pl.lookup(steps)
         assert got == [PostingEntry(*r) for r in rows], path
     _report(1, "golden index contents", t0, 1.0)
 
@@ -130,8 +130,8 @@ def test_criterion_3_golden_word_join(ex31_bundle):
     t0 = time.time()
     q = parse_query('extract v:Str from "x" if (/ROOT:{ v = //"ate"/*//"delicious" })')
     dp = decompose(normalize(q).var("v").path)
-    q1 = lookup_word(ex31_bundle, "ate")
-    q2 = lookup_word(ex31_bundle, "delicious")
+    q1 = ex31_bundle.word.lookup("ate")
+    q2 = ex31_bundle.word.lookup("delicious")
     assert {(p.sid, p.tid) for p in q1} >= {(1, 1), (0, 1)}
     assert {tuple(p) for p in q2} == {(1, 3, 3, 3, 2), (0, 9, 9, 9, 3)}
     result = join_word_path(ex31_bundle, dp)

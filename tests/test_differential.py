@@ -12,8 +12,11 @@ import pytest
 
 from koko.bench import synthesize_corpus
 from koko.corpus import Corpus
+from koko.dpli import candidate_bindings
 from koko.engine import run_query
+from koko.gsp import generate_skip_plan
 from koko.indexes import build_indexes
+from koko.normalize import normalize
 from koko.oracle import oracle_evaluate
 from koko.parser import parse_query
 
@@ -73,3 +76,61 @@ def test_engine_matches_oracle(env, text):
     assert engine_keys == sorted(r.key() for r in oracle_rows)
     answers = {r.sid for r in oracle_rows if r.passed}
     assert answers <= set(run.candidate_sids)
+
+
+# A variable shared by two horizontal conditions and skipped by one: it is
+# derived from its neighbours in the condition that skipped it. In the
+# first two, g sits at the edge of the other condition, where nothing pins
+# its far end.
+SHARED = [
+    'extract v:Str, w:Str from "d" if (/ROOT:{ g = ^[@max=2], v = g + //det, w = //nsubj + g + //verb })',
+    'extract v:Str, w:Str from "d" if (/ROOT:{ g = ^[@max=2], h = ^[@max=1], v = g + h,'
+    " w = //nsubj + g + //verb })",
+    'extract v:Str, w:Str from "d" if (/ROOT:{ b = //det, v = //verb + b + //noun, w = b + //amod })',
+    'extract v:Str, w:Str from "d" if (/ROOT:{ a = //det, b = //dobj, v = a + b, w = b + ^[@max=3] + //punct })',
+    'extract v:Str, w:Str from "d" if (/ROOT:{ a = //nsubj, b = //*, c = //dobj, v = a + b + ^, w = ^ + b + c })',
+    'extract v:Str, w:Str from "d" if (/ROOT:{ b = //*, v = //det + b, w = b + //punct })',
+]
+
+# Hidden path intermediates with several realizations per visible binding,
+# which evaluation collapses.
+HIDDEN = [
+    'extract b:Str from "d" if (/ROOT:{ a = //verb, b = a//dobj//det })',
+    'extract v:Str from "d" if (/ROOT:{ a = //verb, b = a//*//det, v = b + ^ + //dobj })',
+]
+
+
+def _assert_matches_oracle(env, q):
+    corpus, bundle = env
+    run = run_query(q, corpus, bundle, keep_failed=True)
+    nogsp = run_query(q, corpus, bundle, keep_failed=True, use_gsp=False)
+    oracle_keys = sorted(r.key() for r in oracle_evaluate(q, corpus, keep_failed=True))
+    assert sorted(r.key() for r in run.rows) == oracle_keys
+    assert sorted(r.key() for r in nogsp.rows) == oracle_keys
+    return run
+
+
+@pytest.mark.parametrize("text", SHARED)
+def test_shared_variable_skipped_in_one_condition_matches_oracle(env, text):
+    corpus, bundle = env
+    q = parse_query(text)
+    n = normalize(q)
+    table = candidate_bindings(n, bundle)
+    first_seen: dict[str, int] = {}
+    shared = set()
+    for ci, cond in enumerate(n.horizontal):
+        for name in cond.atoms:
+            if first_seen.setdefault(name, ci) != ci:
+                shared.add(name)
+    assert any(
+        shared & generate_skip_plan(n, table, sid, corpus.sentence_lengths[sid]).skipped
+        for sid in table.candidate_sids
+    )
+    assert _assert_matches_oracle(env, q).rows
+
+
+@pytest.mark.parametrize("text", HIDDEN)
+def test_hidden_intermediates_collapse_like_oracle(env, text):
+    run = _assert_matches_oracle(env, parse_query(text))
+    # More combinations were enumerated than visible tuples kept.
+    assert run.stats.tuples > len(run.tuples) > 0

@@ -1,9 +1,16 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koko.cli import main
 from koko.engine import run_query
@@ -41,10 +48,12 @@ def test_cmd_query_builds_index_on_the_fly(capsys):
     assert code == 0 and "chocolate ice cream" in out
 
 
-def test_query_output_deterministic_across_jobs(capsys):
-    _, out1, _ = run_cli(["query", "--query", EX21, "--corpus", EX31, "--jobs", "1"], capsys)
-    _, out4, _ = run_cli(["query", "--query", EX21, "--corpus", EX31, "--jobs", "4"], capsys)
-    assert out1 == out4
+def test_run_query_accepts_only_one_job(ex31_corpus, ex31_bundle):
+    with open(EX21, encoding="utf-8") as f:
+        q = parse_query(f.read())
+    assert run_query(q, ex31_corpus, ex31_bundle, jobs=1).rows
+    with pytest.raises(ValueError, match="jobs=4"):
+        run_query(q, ex31_corpus, ex31_bundle, jobs=4)
 
 
 def test_query_tsv_format(capsys):
@@ -408,3 +417,64 @@ def test_non_utf8_corpus_exits_2(tmp_path, capsys):
         ["query", "--query", EX21, "--corpus", str(bad), "--index", idx], capsys
     )
     assert code == 2 and "UTF-8" in err
+
+
+with open(EX31, encoding="utf-8") as _f:
+    EX31_LINES = _f.read().split("\n")
+
+
+@st.composite
+def _broken_corpus(draw) -> bytes:
+    """ex31.tsv with one defect that makes it invalid: a dropped or
+    duplicated column, a bad head, a bad IOB tag, a head cycle, or bytes
+    that are not UTF-8."""
+    lines = list(EX31_LINES)
+    rows = [i for i, line in enumerate(lines) if "\t" in line]
+    i = draw(st.sampled_from(rows))
+    # The token rows of i's sentence.
+    sentence = [j for j in rows if lines[j].split("\t")[0] == lines[i].split("\t")[0]]
+    cols = lines[i].split("\t")
+    kind = draw(st.sampled_from(["drop", "duplicate", "head", "iob", "cycle", "utf8"]))
+    if kind == "drop":
+        del cols[draw(st.integers(0, 6))]
+    elif kind == "duplicate":
+        k = draw(st.integers(0, 6))
+        cols.insert(k, cols[k])
+    elif kind == "head":
+        bad = [cols[1], str(len(sentence) + draw(st.integers(0, 3))), "-2", "x", ""]
+        if cols[5] != "-1":
+            bad.append("-1")  # a second root
+        cols[5] = draw(st.sampled_from(bad))
+    elif kind == "iob":
+        cols[6] = draw(st.sampled_from(["", "B", "Person", "X-Person", "b-Person", "I-Zzz"]))
+    elif kind == "cycle":
+        a, b = draw(
+            st.lists(
+                st.sampled_from([j for j in sentence if lines[j].split("\t")[5] != "-1"]),
+                min_size=2, max_size=2, unique=True,
+            )
+        )
+        ca, cb = lines[a].split("\t"), lines[b].split("\t")
+        ca[5], cb[5] = cb[1], ca[1]
+        lines[a], lines[b] = "\t".join(ca), "\t".join(cb)
+    if kind != "cycle":
+        lines[i] = "\t".join(cols)
+    data = "\n".join(lines).encode("utf-8")
+    if kind == "utf8":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3(", b"\xed\xa0\x80", b"\x80"])) + data[at:]
+    return data
+
+
+@given(_broken_corpus())
+@settings(max_examples=60, deadline=None)
+def test_malformed_corpus_fuzz_exits_2(data):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "c.tsv")
+        with open(path, "wb") as f:
+            f.write(data)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["query", "--query", EX21, "--corpus", path])
+    assert code == 2
+    assert err.getvalue().startswith("error: ") and len(err.getvalue().strip()) > len("error:")

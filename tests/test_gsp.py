@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import pytest
 
+from koko import gsp
+from koko.bench import synthesize_corpus
 from koko.corpus import Corpus, parse_corpus
 from koko.dpli import candidate_bindings
 from koko.engine import run_query
@@ -269,3 +271,84 @@ def test_eq_constraint_end_to_end():
     miss = parse_query('extract x:Str from "t" if (/ROOT:{ x = //verb } ("Anna") eq (x))')
     assert run_query(miss, corpus, bundle).rows == []
     assert [r.key() for r in oracle_evaluate(hit, corpus)] == [r.key() for r in rows]
+
+
+# loop_iterations and tuples per (corpus, fixture query), with and without
+# skip plans, as the per-sentence evaluator counted them before plans were
+# compiled once per query.
+PINNED_COUNTS = {
+    ("figure1", "ex21"): ((8, 1), (8, 1)),
+    ("figure1", "ex23"): ((1, 1), (1, 1)),
+    ("figure1", "ex41"): ((3, 0), (178, 0)),
+    ("figure1", "fig9_cafes"): ((1, 1), (1, 1)),
+    ("figure1", "fig10_facilities"): ((1, 1), (1, 1)),
+    ("figure1", "fig11_teams"): ((1, 1), (1, 1)),
+    ("ex31", "ex21"): ((18, 2), (18, 2)),
+    ("ex31", "ex23"): ((3, 3), (3, 3)),
+    ("ex31", "ex41"): ((7, 0), (398, 0)),
+    ("ex31", "fig9_cafes"): ((3, 3), (3, 3)),
+    ("ex31", "fig10_facilities"): ((3, 3), (3, 3)),
+    ("ex31", "fig11_teams"): ((3, 3), (3, 3)),
+}
+
+
+@pytest.mark.parametrize("corpus_name,query", sorted(PINNED_COUNTS))
+def test_loop_counts_pinned(request, corpus_name, query):
+    corpus = request.getfixturevalue(f"{corpus_name}_corpus")
+    bundle = request.getfixturevalue(f"{corpus_name}_bundle")
+    q = load_fixture_query(query)
+    got = tuple(
+        (s.loop_iterations, s.tuples)
+        for s in (run_query(q, corpus, bundle, use_gsp=g).stats for g in (True, False))
+    )
+    assert got == PINNED_COUNTS[(corpus_name, query)]
+
+
+SHARED_QUERY = (
+    'extract v:Str, w:Str from "d" if (/ROOT:{ b = //det, v = //verb + b + //noun, w = b + //amod })'
+)
+
+
+@pytest.fixture(scope="module")
+def synthetic_env():
+    docs = synthesize_corpus(777, 200, entity_rate=0.5)
+    return Corpus(docs), build_indexes(docs)
+
+
+def test_plan_memo_shares_one_plan_per_ranking(synthetic_env):
+    corpus, bundle = synthetic_env
+    n = normalize(parse_query(SHARED_QUERY))
+    table = candidate_bindings(n, bundle)
+    memo: dict = {}
+    plans = [
+        generate_skip_plan(n, table, sid, corpus.sentence_lengths[sid], memo)
+        for sid in table.candidate_sids
+    ]
+    assert len({id(p) for p in plans}) == len(memo) < len(plans)
+    for sid, plan in zip(table.candidate_sids, plans):
+        fresh = generate_skip_plan(n, table, sid, corpus.sentence_lengths[sid])
+        assert fresh.per_condition == plan.per_condition
+
+
+def test_query_compiles_once_per_distinct_plan(synthetic_env, monkeypatch):
+    corpus, bundle = synthetic_env
+    built: list[tuple] = []
+
+    class Counted(gsp.CompiledPlan):
+        def __init__(self, n, table, plan):
+            built.append(plan.key)
+            super().__init__(n, table, plan)
+
+    monkeypatch.setattr(gsp, "CompiledPlan", Counted)
+    q = parse_query(SHARED_QUERY)
+    run = run_query(q, corpus, bundle)
+    n, table = run.normalized, run.table
+    distinct = {
+        generate_skip_plan(n, table, sid, corpus.sentence_lengths[sid]).key
+        for sid in table.candidate_sids
+    }
+    assert 1 < len(distinct) < len(table.candidate_sids)
+    assert sorted(built) == sorted(distinct)
+    built.clear()
+    run_query(q, corpus, bundle, use_gsp=False)
+    assert built == [()]

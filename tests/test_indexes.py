@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import json
 import struct
+import zlib
 
 import pytest
 
@@ -11,9 +13,6 @@ from koko.indexes import (
     build_indexes,
     corpus_fingerprint,
     load_bundle,
-    lookup_entities,
-    lookup_hierarchy,
-    lookup_word,
     save_bundle,
 )
 
@@ -34,30 +33,30 @@ def _parse_pattern(path: str):
 
 
 def test_word_index_rows(ex31_bundle):
-    assert lookup_word(ex31_bundle, "I") == [PostingEntry(0, 0, 0, 0, 1)]
-    assert lookup_word(ex31_bundle, "cream") == [PostingEntry(0, 5, 2, 9, 1)]
-    assert lookup_word(ex31_bundle, "delicious") == [
+    assert ex31_bundle.word.lookup("I") == [PostingEntry(0, 0, 0, 0, 1)]
+    assert ex31_bundle.word.lookup("cream") == [PostingEntry(0, 5, 2, 9, 1)]
+    assert ex31_bundle.word.lookup("delicious") == [
         PostingEntry(0, 9, 9, 9, 3),
         PostingEntry(1, 3, 3, 3, 2),
     ]
     # The 17-token sentence mentions "ate" twice; both occurrences index.
-    assert lookup_word(ex31_bundle, "ate") == [
+    assert ex31_bundle.word.lookup("ate") == [
         PostingEntry(0, 1, 0, 16, 0),
         PostingEntry(0, 13, 12, 15, 1),
         PostingEntry(1, 1, 0, 12, 0),
     ]
-    assert lookup_word(ex31_bundle, "zzz-absent") == []
+    assert ex31_bundle.word.lookup("zzz-absent") == []
 
 
 def test_entity_index_rows(ex31_bundle):
-    rows = {(r.surface, r.sid, r.left, r.right) for r in lookup_entities(ex31_bundle)}
+    rows = {(r.surface, r.sid, r.left, r.right) for r in ex31_bundle.entity.lookup()}
     assert rows == {
         ("chocolate ice cream", 0, 3, 5),
         ("cheesecake", 1, 4, 4),
         ("grocery store", 1, 10, 11),
     }
-    assert lookup_entities(ex31_bundle, "Person") == []
-    assert len(lookup_entities(ex31_bundle, "Entity")) == 3
+    assert ex31_bundle.entity.lookup("Person") == []
+    assert len(ex31_bundle.entity.lookup("Entity")) == 3
 
 
 def test_pl_index_pinned_rows(ex31_bundle):
@@ -70,35 +69,35 @@ def test_pl_index_pinned_rows(ex31_bundle):
         "/root/dobj/nn": [(0, 3), (0, 4)],
     }
     for path, rows in expect.items():
-        got = lookup_hierarchy(ex31_bundle, "pl", _parse_pattern(path))
+        got = ex31_bundle.pl.lookup(_parse_pattern(path))
         assert [(p.sid, p.tid) for p in got] == rows, path
 
 
 def test_merged_nn_node_carries_both_tokens(ex31_bundle, ex31_corpus):
-    got = lookup_hierarchy(ex31_bundle, "pl", _parse_pattern("/root/dobj/nn"))
+    got = ex31_bundle.pl.lookup(_parse_pattern("/root/dobj/nn"))
     assert got == [PostingEntry(0, 3, 3, 3, 2), PostingEntry(0, 4, 4, 4, 2)]
     words = [ex31_corpus.sentence(p.sid).tokens[p.tid].text for p in got]
     assert words == ["chocolate", "ice"]
 
 
 def test_hierarchy_descendant_and_wildcard(ex31_bundle):
-    got = lookup_hierarchy(ex31_bundle, "pl", _parse_pattern("//*/dobj//*"))
+    got = ex31_bundle.pl.lookup(_parse_pattern("//*/dobj//*"))
     # Everything strictly below a non-root-attached dobj node.
     sids_tids = {(p.sid, p.tid) for p in got}
     assert (0, 3) in sids_tids and (0, 9) in sids_tids and (1, 10) in sids_tids
     assert (0, 5) not in sids_tids  # the dobj itself is not its own descendant
     assert (0, 15) not in sids_tids  # pie sits under conj/dobj, matched elsewhere
-    got_root = lookup_hierarchy(ex31_bundle, "pl", _parse_pattern("/root"))
+    got_root = ex31_bundle.pl.lookup(_parse_pattern("/root"))
     assert [(p.sid, p.tid) for p in got_root] == [(0, 1), (1, 1)]
 
 
 def test_lookup_missing_path_is_empty(ex31_bundle):
-    assert lookup_hierarchy(ex31_bundle, "pl", _parse_pattern("/root/iobj")) == []
-    assert lookup_hierarchy(ex31_bundle, "pos", _parse_pattern("//sym")) == []
+    assert ex31_bundle.pl.lookup(_parse_pattern("/root/iobj")) == []
+    assert ex31_bundle.pos.lookup(_parse_pattern("//sym")) == []
 
 
 def test_pos_index_rooted_lookup(ex31_bundle):
-    got = lookup_hierarchy(ex31_bundle, "pos", _parse_pattern("/verb"))
+    got = ex31_bundle.pos.lookup(_parse_pattern("/verb"))
     assert [(p.sid, p.tid) for p in got] == [(0, 1), (1, 1)]
 
 
@@ -112,7 +111,7 @@ def test_every_token_reachable_through_its_root_path(ex31_bundle, ex31_corpus):
                 head = s.tokens[head].head
             chain.reverse()
             pattern = [("/", s.tokens[tid].label) for tid in chain]
-            got = lookup_hierarchy(ex31_bundle, "pl", pattern)
+            got = ex31_bundle.pl.lookup(pattern)
             assert any(p.sid == s.sid and p.tid == t.tid for p in got)
 
 
@@ -218,7 +217,7 @@ def test_entity_type_filter_selects_single_person():
         "0\t2\tcheesecake\tnoun\tdobj\t1\tB-Entity\n"
     )
     bundle = build_indexes(docs)
-    people = lookup_entities(bundle, "Person")
+    people = bundle.entity.lookup("Person")
     assert [(r.surface, r.sid, r.left, r.right) for r in people] == [("Anna", 0, 0, 0)]
 
 
@@ -243,9 +242,7 @@ def test_wildcard_descendant_union_matches_brute_force(ex31_bundle, ex31_corpus)
             )
             if ok:
                 expected.append(s.posting(t.tid))
-    got = lookup_hierarchy(
-        ex31_bundle, "pl", [("//", "*"), ("/", "dobj"), ("//", "*")]
-    )
+    got = ex31_bundle.pl.lookup([("//", "*"), ("/", "dobj"), ("//", "*")])
     assert sorted(got) == sorted(expected)
 
 
@@ -271,6 +268,35 @@ def _small_index(tmp_path):
     d = tmp_path / "idx"
     save_bundle(bundle, str(d))
     return docs, bundle, d
+
+
+def _rewrite_checksum(d, name):
+    manifest = json.loads((d / "manifest.json").read_text())
+    manifest["checksums"][name] = zlib.crc32((d / name).read_bytes())
+    (d / "manifest.json").write_text(json.dumps(manifest))
+
+
+def test_checksum_mismatch_rejected(tmp_path):
+    _, bundle, d = _small_index(tmp_path)
+    path = d / "entity.idx"
+    raw = bytearray(path.read_bytes())
+    # The first record's sid, inside the corpus after the change.
+    first = bundle.entity.records[0]
+    sid_at = 12 + 4 + len(first.surface.encode()) + 4 + len(first.etype.encode())
+    assert struct.unpack_from("<I", raw, sid_at)[0] == first.sid == 0
+    raw[sid_at] = 1
+    path.write_bytes(bytes(raw))
+    with pytest.raises(KokoInputError, match="entity.idx: checksum mismatch"):
+        load_bundle(str(d))
+
+
+def test_manifest_without_checksums_rejected(tmp_path):
+    _, _, d = _small_index(tmp_path)
+    manifest = json.loads((d / "manifest.json").read_text())
+    del manifest["checksums"]["pos.idx"]
+    (d / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(KokoInputError, match="checksums"):
+        load_bundle(str(d))
 
 
 def test_node_parent_out_of_range_rejected(tmp_path):
@@ -315,10 +341,12 @@ def test_postings_decoded_and_checked_on_first_lookup(tmp_path):
     raw = bytearray(path.read_bytes())
     words = sorted(bundle.word.postings)
     first = words[0].encode("utf-8")
-    # The first posting's tid, past the end of its sentence.
+    # The first posting's tid, past the end of its sentence, in a file
+    # whose checksum matches: a faulty writer, not a corrupted copy.
     tid_at = 12 + 4 + len(first) + 4 + 4
     raw[tid_at : tid_at + 4] = struct.pack("<I", 999)
     path.write_bytes(bytes(raw))
+    _rewrite_checksum(d, "word.idx")
     loaded = load_bundle(str(d), corpus=Corpus(docs))
     assert loaded.word.lookup(words[1]) == bundle.word.lookup(words[1])
     with pytest.raises(KokoInputError, match="outside the corpus"):
@@ -337,6 +365,7 @@ def test_corrupted_index_loads_to_rows_or_input_error(tmp_path):
     docs, _, d = _small_index(tmp_path)
     data = serialize_corpus(docs).encode("utf-8")
     names = sorted(os.listdir(d))
+    assert "entity.idx" in names
     files = {name: (d / name).read_bytes() for name in names}
     sizes = [len(files[name]) for name in names]
     queries = [
@@ -349,26 +378,34 @@ def test_corrupted_index_loads_to_rows_or_input_error(tmp_path):
             'extract x:Entity from "t" if ()',
         )
     ]
+
+    def answers(directory):
+        corpus = open_canonical(data, "c.tsv")
+        bundle = load_bundle(directory, expected_fingerprint=fingerprint_bytes(data), corpus=corpus)
+        return [sorted(r.key() for r in run_query(q, corpus, bundle).rows) for q in queries]
+
+    clean = answers(str(d))
     rng = random.Random(20)
-    outcomes = {"rows": 0, "error": 0}
+    outcomes = {"rows": 0, "error": 0, "wrong": 0}
     for copy in range(200):
         flipped = {name: bytearray(raw) for name, raw in files.items()}
-        for _ in range(rng.randint(1, 4)):
-            name = rng.choices(names, weights=sizes)[0]
+        for k in range(rng.randint(1, 4)):
+            # The first flip goes to each file in turn, so the small ones
+            # (entity.idx, manifest.json) are corrupted in a fifth of the
+            # copies; the others land by file size.
+            name = names[copy % len(names)] if k == 0 else rng.choices(names, weights=sizes)[0]
             at = rng.randrange(len(flipped[name]))
             flipped[name][at] ^= rng.randrange(1, 256)
         target = tmp_path / f"copy{copy}"
         target.mkdir()
         for name, raw in flipped.items():
             (target / name).write_bytes(bytes(raw))
-        corpus = open_canonical(data, "c.tsv")
         try:
-            bundle = load_bundle(
-                str(target), expected_fingerprint=fingerprint_bytes(data), corpus=corpus
-            )
-            for q in queries:
-                run_query(q, corpus, bundle)
-            outcomes["rows"] += 1
+            got = answers(str(target))
         except KokoInputError:
             outcomes["error"] += 1
-    assert outcomes["rows"] > 0 and outcomes["error"] > 0
+            continue
+        # Only a harmless change to the manifest may load.
+        assert all(flipped[name] == files[name] for name in names if name.endswith(".idx")), copy
+        outcomes["rows" if got == clean else "wrong"] += 1
+    assert outcomes["wrong"] == 0 and outcomes["error"] > 0

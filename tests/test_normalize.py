@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from koko.errors import KokoNormalizeError
-from koko.normalize import derived_constraints, normalize
+from koko.normalize import normalize
 from koko.parser import parse_query
 from koko.syntax import print_path
 
@@ -17,7 +17,7 @@ def test_ex21_absolute_paths_and_constraints():
     assert print_path(n.var("c").path) == '//verb/dobj//"delicious"'
     assert n.var("d").kind == "subtree" and n.var("d").of == "b"
     assert n.var("e").kind == "entity" and n.var("e").etype == "Entity"
-    assert [(c.kind, c.a, c.b) for c in derived_constraints(n)] == [
+    assert [(c.kind, c.a, c.b) for c in n.constraints] == [
         ("parentOf", "a", "b"),
         ("ancestorOf", "b", "c"),
         ("in", "b", "e"),
@@ -26,7 +26,7 @@ def test_ex21_absolute_paths_and_constraints():
 
 def test_ex41_six_constraints_and_elastic_synthesis():
     n = normalize(load_fixture_query("ex41"))
-    assert [(c.kind, c.a, c.b) for c in derived_constraints(n)] == [
+    assert [(c.kind, c.a, c.b) for c in n.constraints] == [
         ("parentOf", "b", "c"),
         ("ancestorOf", "c", "d"),
         ("leftOf", "a", "__v1"),
@@ -61,7 +61,7 @@ def test_multi_step_relative_definition_chains_intermediates():
 
 def test_empty_extract_yields_no_constraints():
     n = normalize(load_fixture_query("ex23"))
-    assert derived_constraints(n) == []
+    assert list(n.constraints) == []
     assert list(n.variables) == ["x"]
 
 
