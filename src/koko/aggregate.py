@@ -138,7 +138,7 @@ class EvidenceEvaluator:
             return 1.0 if self._adjacent(value, cond.arg, after=True) else 0.0
         if kind == "preceded_by":
             return 1.0 if self._adjacent(value, cond.arg, after=False) else 0.0
-        raise ValueError(f"{kind} is not a boolean condition")
+        raise ValueError(f"unknown condition kind {kind!r}")
 
     def _adjacent(self, value: str, literal: str, after: bool) -> bool:
         value_toks = tokenize_literal(value)
@@ -189,8 +189,6 @@ class EvidenceEvaluator:
                 per_sentence.append((sid, best))
         if not per_sentence:
             return 0.0, per_sentence
-        if self.resources.near_mode == "sum":
-            return min(1.0, sum(c for _, c in per_sentence)), per_sentence
         return max(c for _, c in per_sentence), per_sentence
 
     # -- descriptors --------------------------------------------------------
@@ -254,6 +252,18 @@ class EvidenceEvaluator:
 
     # -- clause scoring ----------------------------------------------------------
 
+    def confidence(self, cond: SatCondition, value: str) -> tuple[float, list[tuple[int, float]]]:
+        """The condition's confidence m for the value, and the per-sentence
+        confidences it came from (empty for document-level conditions)."""
+        kind = cond.kind
+        if kind == "near":
+            return self.eval_near(value, cond.arg)
+        if kind == "similar_to":
+            return self.resources.similarity(value, cond.arg), []
+        if kind in ("desc_right", "desc_left"):
+            return self.eval_descriptor(value, cond.arg, right_side=kind == "desc_right")
+        return self.eval_boolean(cond, value), []
+
     def score(self, clause: SatisfyingClause, clause_index: int, value: str) -> EvidenceScore:
         key = (clause_index, value)
         cached = self._score_cache.get(key)
@@ -263,20 +273,7 @@ class EvidenceEvaluator:
         total = 0.0
         for i, wc in enumerate(clause.conditions):
             cond = wc.condition
-            per_sentence: list[tuple[int, float]] = []
-            if cond.kind in ("contains", "mentions", "matches", "in_dict",
-                             "followed_by", "preceded_by"):
-                m = self.eval_boolean(cond, value)
-            elif cond.kind == "near":
-                m, per_sentence = self.eval_near(value, cond.arg)
-            elif cond.kind == "similar_to":
-                m = self.resources.similarity(value, cond.arg)
-            elif cond.kind == "desc_right":
-                m, per_sentence = self.eval_descriptor(value, cond.arg, right_side=True)
-            elif cond.kind == "desc_left":
-                m, per_sentence = self.eval_descriptor(value, cond.arg, right_side=False)
-            else:
-                raise ValueError(f"unknown condition kind {cond.kind!r}")
+            m, per_sentence = self.confidence(cond, value)
             total += wc.weight * m
             conditions.append(ConditionScore(
                 index=i,
@@ -297,15 +294,7 @@ class EvidenceEvaluator:
 
     def condition_fires(self, cond: SatCondition, value: str) -> bool:
         """Excluding semantics: a condition fires when its confidence > 0."""
-        if cond.kind in ("contains", "mentions", "matches", "in_dict",
-                         "followed_by", "preceded_by"):
-            return self.eval_boolean(cond, value) > 0.0
-        if cond.kind == "near":
-            return self.eval_near(value, cond.arg)[0] > 0.0
-        if cond.kind == "similar_to":
-            return self.resources.similarity(value, cond.arg) > 0.0
-        m, _ = self.eval_descriptor(value, cond.arg, cond.kind == "desc_right")
-        return m > 0.0
+        return self.confidence(cond, value)[0] > 0.0
 
 
 def apply_excluding(

@@ -65,7 +65,6 @@ class _TreeShape:
     heads: list[int]
     labels: list[str]
     poses: list[str]
-    root: int
 
 
 def _random_shape(rng: random.Random, n: int) -> _TreeShape:
@@ -92,7 +91,7 @@ def _random_shape(rng: random.Random, n: int) -> _TreeShape:
                 pos = end + 1
 
     build(0, n - 1, -1)
-    return _TreeShape(heads=heads, labels=labels, poses=poses, root=heads.index(-1))
+    return _TreeShape(heads=heads, labels=labels, poses=poses)
 
 
 def synthesize_corpus(
@@ -146,9 +145,7 @@ def synthesize_corpus(
             )
             for i in range(n)
         ]
-        sentence = Sentence(sid=sid, tokens=tokens, root_tid=shape.root)
-        sentence.finalize()
-        doc.sentences.append(sentence)
+        doc.sentences.append(Sentence(sid, tokens))
     return docs
 
 
@@ -186,7 +183,7 @@ def _sample_chain(rng: random.Random, corpus: Corpus, length: int, rooted: bool)
     """Contiguous head-chain of the requested length from a random sentence."""
     for _ in range(200):
         s = corpus.sentences[rng.randrange(len(corpus.sentences))]
-        deep = [t.tid for t in s.tokens if s.meta.depth[t.tid] >= length - 1]
+        deep = [t.tid for t in s.tokens if s.depth[t.tid] >= length - 1]
         if not deep:
             continue
         tid = rng.choice(deep)
@@ -317,7 +314,7 @@ def _span_atom(rng: random.Random, s: Sentence, tid: int) -> str:
     roll = rng.random()
     if roll < 0.4:
         return f'"{tok.text}"'
-    if roll < 0.75 or s.meta.depth[tid] == 0:
+    if roll < 0.75 or s.depth[tid] == 0:
         return "//" + tok.label
     head = s.tokens[tid].head
     return "//" + s.tokens[head].label + "/" + tok.label
@@ -401,18 +398,15 @@ def run_benchmark(
     bundle: IndexBundle,
     resources: Resources | None = None,
     with_oracle: bool = True,
-    with_nogsp: bool = True,
 ) -> list[QueryReport]:
     resources = resources if resources is not None else Resources()
     reports: list[QueryReport] = []
     for bq in suite.queries:
         q = parse_query(bq.text)
         run = run_query(q, corpus, bundle, resources=resources)
-        nogsp_iters = 0
-        if with_nogsp:
-            nogsp_iters = run_query(
-                q, corpus, bundle, resources=resources, use_gsp=False
-            ).stats.loop_iterations
+        nogsp_iters = run_query(
+            q, corpus, bundle, resources=resources, use_gsp=False
+        ).stats.loop_iterations
         candidates = set(run.candidate_sids)
         if with_oracle:
             oracle_rows = oracle_evaluate(q, corpus, resources=resources)

@@ -16,7 +16,7 @@ from .aggregate import ResultRow
 from .bench import generate_span_suite, generate_tree_suite, run_benchmark
 from .corpus import Corpus, load_corpus, open_canonical, read_corpus_bytes
 from .engine import run_query
-from .errors import KokoError, KokoInputError, KokoQueryError
+from .errors import KokoError, KokoInputError, KokoQueryError, KokoResourceError
 from .gsp import estimate_cost, generate_skip_plan
 from .indexes import (
     build_indexes,
@@ -29,7 +29,7 @@ from .indexes import (
 from .normalize import normalize
 from .oracle import oracle_evaluate
 from .parser import parse_query
-from .resources import Resources, WordVectors, load_clause_file, load_expansion_table
+from .resources import Resources, WordVectors, load_clause_file, load_expansion_table, read_text
 
 EXIT_OK = 0
 EXIT_VERIFY_MISMATCH = 1
@@ -51,15 +51,31 @@ def _add_resource_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _read_resource_manifest(path: str) -> dict:
+    """The KOKO_RESOURCES manifest: a JSON object whose file names are
+    strings, ``dicts`` an object of name -> path and ``topk`` an integer."""
+    what = f"KOKO_RESOURCES manifest {path}"
+    try:
+        manifest = json.loads(read_text(path, "KOKO_RESOURCES manifest"))
+    except json.JSONDecodeError as exc:
+        raise KokoResourceError(f"{what} is not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise KokoResourceError(f"{what}: expected a JSON object")
+    for key in ("expansions", "vectors", "decomposer"):
+        if not isinstance(manifest.get(key, ""), str):
+            raise KokoResourceError(f"{what}: {key!r} must be a string")
+    topk = manifest.get("topk", 3)
+    if not isinstance(topk, int) or isinstance(topk, bool):
+        raise KokoResourceError(f"{what}: 'topk' must be an integer")
+    dicts = manifest.get("dicts", {})
+    if not isinstance(dicts, dict) or not all(isinstance(p, str) for p in dicts.values()):
+        raise KokoResourceError(f"{what}: 'dicts' must map dictionary names to file paths")
+    return manifest
+
+
 def _load_resources(args: argparse.Namespace) -> Resources:
-    manifest: dict = {}
     env_path = os.environ.get("KOKO_RESOURCES")
-    if env_path:
-        try:
-            with open(env_path, "r", encoding="utf-8") as f:
-                manifest = json.load(f)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise KokoQueryError(f"cannot read KOKO_RESOURCES manifest {env_path}: {exc}")
+    manifest = _read_resource_manifest(env_path) if env_path else {}
     res = Resources()
     expansions = getattr(args, "expansions", None) or manifest.get("expansions")
     vectors = getattr(args, "vectors", None) or manifest.get("vectors")
@@ -110,11 +126,7 @@ def _load_corpus_and_bundle(args: argparse.Namespace):
 
 
 def _read_query(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            return parse_query(f.read())
-    except OSError as exc:
-        raise KokoQueryError(f"cannot read query file: {exc}")
+    return parse_query(read_text(path, "query file", KokoQueryError))
 
 
 def cmd_index(args: argparse.Namespace) -> int:

@@ -12,6 +12,12 @@ HEAD is the parent token id or -1 for the root. ETYPE is ``O`` or
 ``B-<Type>`` / ``I-<Type>``. A blank line ends a sentence and a line of the
 form ``# doc_id = <id>`` opens a new document. Other ``#`` lines are
 comments and are dropped on read.
+
+``Sentence(sid, tokens)`` is the one way to build a sentence, whether it
+comes from the reader, a lazily parsed canonical file or a synthetic
+corpus: its constructor derives the tree data every index entry is made
+of (``Sentence.posting``) and the entity mentions (``EntitySpan``), which
+the entity index stores as they are.
 """
 
 from __future__ import annotations
@@ -34,9 +40,6 @@ class PostingEntry(NamedTuple):
     right: int
     depth: int
 
-    def pretty(self) -> str:
-        return f"({self.sid},{self.tid},{self.left}-{self.right},{self.depth})"
-
 
 @dataclass(frozen=True, slots=True)
 class Token:
@@ -52,8 +55,10 @@ class Token:
     iob: str | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class EntitySpan:
+class EntitySpan(NamedTuple):
+    """An entity mention: a maximal IOB2 run of tokens start..end
+    inclusive. Sentences and the entity index hold the same records."""
+
     sid: int
     start: int
     end: int
@@ -62,23 +67,75 @@ class EntitySpan:
 
 
 @dataclass(slots=True)
-class TreeMeta:
-    """Per-token subtree extents and depths; root depth is 0."""
-
-    left: list[int]
-    right: list[int]
-    depth: list[int]
-
-
-@dataclass(slots=True)
 class Sentence:
+    """A sentence's tokens and what their head links and IOB2 tags imply,
+    all derived when the sentence is built: the root, each token's
+    children, subtree extent (``left``/``right``, the min/max tid over the
+    subtree) and depth (the root's is 0), and the entity mentions.
+
+    Extents are min/max over subtree token ids even for non-projective
+    sentences, where the containment tests they feed become
+    over-approximate; exact answers are restored by the validation stage,
+    which walks real head links. A token that does not reach the root (a
+    head cycle) keeps depth -1.
+    """
+
     sid: int
     tokens: list[Token]
-    root_tid: int = -1
-    # Derived, filled by finalize(): adjacency, extents, depths, entities.
-    children: list[list[int]] = field(default_factory=list)
-    meta: TreeMeta | None = None
-    entities: list[EntitySpan] = field(default_factory=list)
+    root_tid: int = field(init=False, compare=False)
+    children: list[list[int]] = field(init=False, compare=False)
+    left: list[int] = field(init=False, compare=False)
+    right: list[int] = field(init=False, compare=False)
+    depth: list[int] = field(init=False, compare=False)
+    entities: list[EntitySpan] = field(init=False, compare=False)
+
+    def __post_init__(self) -> None:
+        tokens = self.tokens
+        n = len(tokens)
+        children: list[list[int]] = [[] for _ in range(n)]
+        entities: list[EntitySpan] = []
+        root = -1
+        start, etype = None, None
+        for t in tokens:
+            if t.head is None:
+                root = t.tid
+            else:
+                children[t.head].append(t.tid)
+            if start is not None and (t.etype != etype or t.iob == "B"):
+                entities.append(self._mention(start, t.tid - 1, etype))
+                start = None
+            if start is None and t.etype is not None:
+                start, etype = t.tid, t.etype
+        if start is not None:
+            entities.append(self._mention(start, n - 1, etype))
+        left = list(range(n))
+        right = list(range(n))
+        depth = [-1] * n
+        depth[root] = 0
+        # Iterative DFS from the root; the reversed visit order folds child
+        # extents into their heads.
+        order: list[int] = []
+        stack = [root]
+        while stack:
+            tid = stack.pop()
+            order.append(tid)
+            for c in children[tid]:
+                depth[c] = depth[tid] + 1
+                stack.append(c)
+        for tid in reversed(order):
+            head = tokens[tid].head
+            if head is not None:
+                if left[tid] < left[head]:
+                    left[head] = left[tid]
+                if right[tid] > right[head]:
+                    right[head] = right[tid]
+        self.root_tid = root
+        self.children = children
+        self.left, self.right, self.depth = left, right, depth
+        self.entities = entities
+
+    def _mention(self, start: int, end: int, etype: str) -> EntitySpan:
+        return EntitySpan(self.sid, start, end, etype, self.text(start, end))
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -88,8 +145,7 @@ class Sentence:
         return [t.text for t in self.tokens]
 
     def posting(self, tid: int) -> PostingEntry:
-        m = self.meta
-        return PostingEntry(self.sid, tid, m.left[tid], m.right[tid], m.depth[tid])
+        return PostingEntry(self.sid, tid, self.left[tid], self.right[tid], self.depth[tid])
 
     def text(self, start: int = 0, end: int | None = None) -> str:
         """Detokenized surface text of tokens start..end inclusive."""
@@ -103,14 +159,6 @@ class Sentence:
         while head is not None:
             yield head
             head = self.tokens[head].head
-
-    def finalize(self) -> None:
-        self.children = [[] for _ in self.tokens]
-        for t in self.tokens:
-            if t.head is not None:
-                self.children[t.head].append(t.tid)
-        self.meta = compute_tree_meta(self)
-        self.entities = entity_spans(self)
 
 
 @dataclass(slots=True)
@@ -272,44 +320,6 @@ def detokenize(tokens: Iterable[str]) -> str:
     return "".join(out)
 
 
-def compute_tree_meta(sentence: Sentence) -> TreeMeta:
-    """Subtree extents (min/max tid over the subtree) and root distances.
-
-    Extents are min/max over subtree token ids even for non-projective
-    sentences, where the containment tests they feed become
-    over-approximate; exact answers are restored by the validation stage,
-    which walks real head links.
-    """
-    n = len(sentence.tokens)
-    children: list[list[int]] = [[] for _ in range(n)]
-    root = -1
-    for t in sentence.tokens:
-        if t.head is None:
-            root = t.tid
-        else:
-            children[t.head].append(t.tid)
-    left = list(range(n))
-    right = list(range(n))
-    depth = [0] * n
-    # Iterative DFS; post-order pass folds child extents into parents.
-    order: list[int] = []
-    stack = [root]
-    while stack:
-        tid = stack.pop()
-        order.append(tid)
-        for c in children[tid]:
-            depth[c] = depth[tid] + 1
-            stack.append(c)
-    for tid in reversed(order):
-        head = sentence.tokens[tid].head
-        if head is not None:
-            if left[tid] < left[head]:
-                left[head] = left[tid]
-            if right[tid] > right[head]:
-                right[head] = right[tid]
-    return TreeMeta(left=left, right=right, depth=depth)
-
-
 def is_parent(p: PostingEntry, c: PostingEntry) -> bool:
     """Extent-based parent test; exact on projective trees only."""
     return (
@@ -318,30 +328,6 @@ def is_parent(p: PostingEntry, c: PostingEntry) -> bool:
         and p.right >= c.right
         and p.depth == c.depth - 1
     )
-
-
-def entity_spans(sentence: Sentence) -> list[EntitySpan]:
-    """Maximal contiguous IOB2 runs with their types and surface text."""
-    spans: list[EntitySpan] = []
-    start = None
-    etype = None
-    for t in sentence.tokens:
-        if t.etype is None:
-            if start is not None:
-                spans.append(_close_entity(sentence, start, t.tid - 1, etype))
-                start, etype = None, None
-        elif t.iob == "B" or start is None or t.etype != etype:
-            if start is not None:
-                spans.append(_close_entity(sentence, start, t.tid - 1, etype))
-            start, etype = t.tid, t.etype
-    if start is not None:
-        spans.append(_close_entity(sentence, start, len(sentence.tokens) - 1, etype))
-    return spans
-
-
-def _close_entity(sentence: Sentence, start: int, end: int, etype: str) -> EntitySpan:
-    surface = detokenize(t.text for t in sentence.tokens[start : end + 1])
-    return EntitySpan(sentence.sid, start, end, etype, surface)
 
 
 _DOC_LINE = re.compile(r"#\s*doc_id\s*=\s*(.+?)\s*$")
@@ -441,32 +427,15 @@ def _build_sentence(rows: list[tuple[int, list[str]]], origin: str) -> Sentence:
     where = f"{origin}:{first_line}"
     if roots != 1:
         raise KokoInputError(f"{where}: sentence {sid} has {roots} roots, expected exactly 1")
-    root_tid = next(t.tid for t in tokens if t.head is None)
-    # Cycle/connectivity check: every token must reach the root. Each
-    # token is walked once: a walk stops at the first token already known
-    # to reach the root, and meeting its own path again is a cycle.
-    ON_PATH, REACHES_ROOT = 1, 2
-    state = [0] * n
-    state[root_tid] = REACHES_ROOT
-    for start in range(n):
-        path = []
-        cur = start
-        while not state[cur]:
-            state[cur] = ON_PATH
-            path.append(cur)
-            cur = tokens[cur].head
-        if state[cur] == ON_PATH:
-            raise KokoInputError(f"{where}: cyclic head relation at sid {sid}, tid {start}")
-        for tid in path:
-            state[tid] = REACHES_ROOT
-    sentence = Sentence(sid=sid, tokens=tokens, root_tid=root_tid)
-    sentence.finalize()
+    sentence = Sentence(sid, tokens)
+    if -1 in sentence.depth:
+        # Some token does not reach the root: its head links run in a cycle.
+        tid = sentence.depth.index(-1)
+        raise KokoInputError(f"{where}: cyclic head relation at sid {sid}, tid {tid}")
     return sentence
 
 
-def load_corpus(path: str, format: str = "tsv") -> list[AnnotatedDocument]:
-    if format != "tsv":
-        raise KokoInputError(f"unknown corpus format {format!r}; only 'tsv' is supported")
+def load_corpus(path: str) -> list[AnnotatedDocument]:
     return parse_corpus(_decode(read_corpus_bytes(path), path, 1), origin=path)
 
 

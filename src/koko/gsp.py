@@ -296,7 +296,7 @@ class CompiledPlan:
                 return self._dominated_enumerator(vb)
             return lambda s, env: [Bound(e.tid, e.tid, e.tid) for e in by_sid.get(s.sid, ())]
         if var.kind == ENTITY:
-            return lambda s, env: [Bound(r.left, r.right, None, r) for r in by_sid.get(s.sid, ())]
+            return lambda s, env: [Bound(r.start, r.end, None, r) for r in by_sid.get(s.sid, ())]
         if var.kind == WORDSEQ:
             return lambda s, env: [Bound(start, end) for _, start, end in by_sid.get(s.sid, ())]
 
@@ -347,7 +347,7 @@ class CompiledPlan:
 
             def subtree(s: Sentence, env: dict) -> list[Bound]:
                 tid = env[of].tid
-                return [Bound(s.meta.left[tid], s.meta.right[tid])]
+                return [Bound(s.left[tid], s.right[tid])]
 
             return subtree
         if var.kind == COMPOSITE:

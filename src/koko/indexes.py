@@ -28,9 +28,8 @@ import struct
 import zlib
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
-from .corpus import AnnotatedDocument, Corpus, PostingEntry, serialize_corpus
+from .corpus import AnnotatedDocument, Corpus, EntitySpan, PostingEntry, serialize_corpus
 from .errors import KokoInputError
 
 MAGIC = b"KOKO"
@@ -38,14 +37,6 @@ FORMAT_VERSION = 2
 INDEX_FILES = ("word.idx", "entity.idx", "pl.idx", "pos.idx")
 
 TOP = "⊤"  # dummy label above every sentence root in the POS index
-
-
-class EntityRecord(NamedTuple):
-    sid: int
-    left: int
-    right: int
-    etype: str
-    surface: str
 
 
 class WordIndex:
@@ -66,14 +57,14 @@ class WordIndex:
 
 class EntityIndex:
     def __init__(self) -> None:
-        self.records: list[EntityRecord] = []
-        self.by_type: dict[str, list[EntityRecord]] = {}
+        self.records: list[EntitySpan] = []
+        self.by_type: dict[str, list[EntitySpan]] = {}
 
-    def add(self, record: EntityRecord) -> None:
+    def add(self, record: EntitySpan) -> None:
         self.records.append(record)
         self.by_type.setdefault(record.etype, []).append(record)
 
-    def lookup(self, etype: str | None = None) -> list[EntityRecord]:
+    def lookup(self, etype: str | None = None) -> list[EntitySpan]:
         if etype is None:
             return list(self.records)
         return list(self.by_type.get(etype, []))
@@ -116,14 +107,6 @@ class HierarchyIndex:
             self.nodes.append(HierarchyNode(nxt, label, node_id))
             self.postings[nxt] = []
         return nxt
-
-    def path_of(self, node_id: int) -> str:
-        parts: list[str] = []
-        while node_id != 0:
-            node = self.nodes[node_id]
-            parts.append(node.label)
-            node_id = node.parent
-        return "/" + "/".join(reversed(parts))
 
     def lookup(self, steps: list[tuple[str, str]]) -> list[PostingEntry]:
         """Union of posting lists over nodes whose root path matches.
@@ -230,14 +213,13 @@ def build_indexes(docs: list[AnnotatedDocument]) -> IndexBundle:
             token_count += len(s.tokens)
             pl_node = _assign_nodes(pl, s, key="label")
             pos_node = _assign_nodes(pos, s, key="pos")
-            meta = s.meta
             for t in s.tokens:
-                entry = PostingEntry(s.sid, t.tid, meta.left[t.tid], meta.right[t.tid], meta.depth[t.tid])
+                entry = s.posting(t.tid)
                 word.add(t.text, entry)
                 pl.postings[pl_node[t.tid]].append(entry)
                 pos.postings[pos_node[t.tid]].append(entry)
             for e in s.entities:
-                entity.add(EntityRecord(e.sid, e.start, e.end, e.etype, e.surface))
+                entity.add(e)
     for plist in word.postings.values():
         plist.sort()
     return IndexBundle(
@@ -437,7 +419,7 @@ def save_bundle(bundle: IndexBundle, directory: str) -> None:
         for r in bundle.entity.records:
             _w_str(f, r.surface)
             _w_str(f, r.etype)
-            f.write(struct.pack("<3I", r.sid, r.left, r.right))
+            f.write(struct.pack("<3I", r.sid, r.start, r.end))
     for name, index in (("pl.idx", bundle.pl), ("pos.idx", bundle.pos)):
         with _open_out(os.path.join(directory, name)) as f:
             _w_u32(f, len(index.nodes))
@@ -529,16 +511,16 @@ def load_bundle(
     for _ in range(f.u32()):
         surface = f.string()
         etype = f.string()
-        sid, left, right = _ENTITY.unpack_from(f.buf, f.advance(_ENTITY.size))
-        if not (prev <= sid < sentence_count and left <= right) or (
-            lengths is not None and right >= lengths[sid]
+        sid, start, end = _ENTITY.unpack_from(f.buf, f.advance(_ENTITY.size))
+        if not (prev <= sid < sentence_count and start <= end) or (
+            lengths is not None and end >= lengths[sid]
         ):
             raise KokoInputError(
-                f"{f.path}: entity ({sid},{left}-{right}) lies outside the corpus "
+                f"{f.path}: entity ({sid},{start}-{end}) lies outside the corpus "
                 f"or out of sentence order"
             )
         prev = sid
-        entity.add(EntityRecord(sid, left, right, etype, surface))
+        entity.add(EntitySpan(sid, start, end, etype, surface))
     f.end()
 
     hierarchies: list[HierarchyIndex] = []

@@ -98,10 +98,6 @@ class NormalizedQuery:
     horizontal: tuple[HorizontalCondition, ...] = ()
     constraints: tuple[NormConstraint, ...] = ()
 
-    @property
-    def order(self) -> list[str]:
-        return list(self.variables)
-
     def node_vars(self) -> list[NormVar]:
         return [v for v in self.variables.values() if v.kind == NODE]
 
@@ -176,25 +172,9 @@ class _Normalizer:
         return f"__s{self.step_count}"
 
     def _definition(self, name: str, atoms: tuple[SpanAtom, ...]) -> None:
-        if len(atoms) == 1:
-            atom = atoms[0]
-            if isinstance(atom, PathAtom):
-                self._node_var(name, atom.path, synthesized=False)
-                return
-            if isinstance(atom, SubtreeAtom):
-                self._subtree_var(name, atom.var, synthesized=False)
-                return
-            if isinstance(atom, TokensAtom):
-                self._add(NormVar(
-                    name=name, kind=WORDSEQ, def_index=len(self.variables),
-                    tokens=tuple(tokenize_literal(atom.text)),
-                ))
-                return
-            if isinstance(atom, ElasticAtom):
-                self._add(NormVar(
-                    name=name, kind=ELASTIC, def_index=len(self.variables), elastic=atom,
-                ))
-                return
+        if len(atoms) == 1 and not isinstance(atoms[0], VarAtom):
+            self._atom_def(name, atoms[0], synthesized=False)
+            return
         member_names = [self._atom_var(a) for a in atoms]
         self._add(NormVar(
             name=name, kind=COMPOSITE, def_index=len(self.variables),
@@ -222,21 +202,25 @@ class _Normalizer:
                 raise KokoNormalizeError(f"unknown variable {atom.name!r} in span composition")
             return atom.name
         name = self._synth_name()
+        self._atom_def(name, atom, synthesized=True)
+        return name
+
+    def _atom_def(self, name: str, atom: SpanAtom, synthesized: bool) -> None:
+        """Define `name` as the variable of one non-variable atom."""
         if isinstance(atom, PathAtom):
-            self._node_var(name, atom.path, synthesized=True)
+            self._node_var(name, atom.path, synthesized)
         elif isinstance(atom, SubtreeAtom):
-            self._subtree_var(name, atom.var, synthesized=True)
+            self._subtree_var(name, atom.var, synthesized)
         elif isinstance(atom, TokensAtom):
             self._add(NormVar(
-                name=name, kind=WORDSEQ, def_index=len(self.variables), synthesized=True,
+                name=name, kind=WORDSEQ, def_index=len(self.variables), synthesized=synthesized,
                 tokens=tuple(tokenize_literal(atom.text)),
             ))
         else:
             self._add(NormVar(
-                name=name, kind=ELASTIC, def_index=len(self.variables), synthesized=True,
+                name=name, kind=ELASTIC, def_index=len(self.variables), synthesized=synthesized,
                 elastic=atom,
             ))
-        return name
 
     def _node_var(self, name: str, path: PathExpr, synthesized: bool) -> None:
         if path.base is None:

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 from .corpus import Sentence
-from .errors import KokoResourceError
+from .errors import KokoError, KokoResourceError
 from .vocab import STOPWORDS
 
 MAX_EXPANSIONS = 10  # fixed number of expanded terms kept per descriptor
@@ -37,17 +37,26 @@ class Clause:
     score: float
 
 
+def read_text(path: str, what: str, error: type[KokoError] = KokoResourceError) -> str:
+    """The UTF-8 text of a file the query needs. A file that cannot be
+    read or decoded raises `error` (a resource error unless given) with a
+    message naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return f.read()
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"cannot read {what} {path}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from None
+
+
 class DictionaryStore:
     def __init__(self) -> None:
         self._dicts: dict[str, set[str]] = {}
 
     def load(self, name: str, path: str) -> None:
-        try:
-            with open(path, "r", encoding="utf-8") as f:
-                entries = {line.rstrip("\n") for line in f if line.strip()}
-        except OSError as exc:
-            raise KokoResourceError(f"cannot read dictionary {name!r}: {exc}") from None
-        self._dicts[name] = entries
+        text = read_text(path, f"dictionary {name!r}")
+        self._dicts[name] = {line for line in text.split("\n") if line.strip()}
 
     def add(self, name: str, entries: set[str]) -> None:
         self._dicts[name] = set(entries)
@@ -63,20 +72,28 @@ class WordVectors:
 
     def __init__(self, path: str):
         self.vectors: dict[str, list[float]] = {}
-        try:
-            f = open(path, "r", encoding="utf-8")
-        except OSError as exc:
-            raise KokoResourceError(f"cannot read vectors file: {exc}") from None
-        with f:
-            for line in f:
-                parts = line.split()
-                if len(parts) < 2:
-                    continue
+        dim = None
+        for lineno, line in enumerate(read_text(path, "vectors file").split("\n"), start=1):
+            parts = line.split()
+            if len(parts) < 2:
+                continue
+            try:
                 vec = [float(x) for x in parts[1:]]
-                norm = math.sqrt(sum(x * x for x in vec))
-                if norm > 0:
-                    vec = [x / norm for x in vec]
-                self.vectors[parts[0]] = vec
+            except ValueError:
+                vec = None
+            # A nan would make every similarity with the word read as 1.
+            if vec is None or not all(map(math.isfinite, vec)):
+                raise KokoResourceError(f"{path}:{lineno}: vector components must be finite numbers")
+            if dim is None:
+                dim = len(vec)
+            elif len(vec) != dim:
+                raise KokoResourceError(
+                    f"{path}:{lineno}: vector has {len(vec)} components, the first one has {dim}"
+                )
+            norm = math.sqrt(sum(x * x for x in vec))
+            if norm > 0:
+                vec = [x / norm for x in vec]
+            self.vectors[parts[0]] = vec
 
     def cosine(self, a: str, b: str) -> float | None:
         va = self.vectors.get(a)
@@ -112,26 +129,23 @@ class WordVectors:
 def load_expansion_table(path: str) -> dict[str, list[Expansion]]:
     """TSV rows ``descriptor <tab> expansion <tab> score``."""
     table: dict[str, list[Expansion]] = {}
-    try:
-        f = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise KokoResourceError(f"cannot read expansion table: {exc}") from None
-    with f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            cols = line.split("\t")
-            if len(cols) != 3:
-                raise KokoResourceError(
-                    f"{path}:{lineno}: expected 3 tab-separated columns, got {len(cols)}"
-                )
-            score = float(cols[2])
-            if not 0.0 < score <= 1.0:
-                raise KokoResourceError(f"{path}:{lineno}: expansion score must be in (0, 1]")
-            table.setdefault(cols[0], []).append(
-                Expansion(tuple(cols[1].split()), score)
+    for lineno, line in enumerate(read_text(path, "expansion table").split("\n"), start=1):
+        if not line or line.startswith("#"):
+            continue
+        cols = line.split("\t")
+        if len(cols) != 3:
+            raise KokoResourceError(
+                f"{path}:{lineno}: expected 3 tab-separated columns, got {len(cols)}"
             )
+        try:
+            score = float(cols[2])
+        except ValueError:
+            raise KokoResourceError(f"{path}:{lineno}: expansion score {cols[2]!r} is not a number") from None
+        if not 0.0 < score <= 1.0:
+            raise KokoResourceError(f"{path}:{lineno}: expansion score must be in (0, 1]")
+        table.setdefault(cols[0], []).append(
+            Expansion(tuple(cols[1].split()), score)
+        )
     return table
 
 
@@ -140,15 +154,9 @@ class Resources:
     expansion_table: dict[str, list[Expansion]] | None = None
     vectors: WordVectors | None = None
     topk: int = 3
-    max_expansions: int = MAX_EXPANSIONS
     dictionaries: DictionaryStore = field(default_factory=DictionaryStore)
     decomposer: str = "identity"  # identity | clauses | file
     clause_file: dict[int, list[Clause]] | None = None
-    stopwords: frozenset[str] = STOPWORDS
-    # How per-word similarities compose into a phrase score.
-    combine: str = "product"  # product | min
-    # How per-sentence proximity confidences aggregate per document.
-    near_mode: str = "max"  # max | sum (sum is clamped to 1)
     _expand_cache: dict[str, list[Expansion]] = field(default_factory=dict)
     _decompose_cache: dict[int, list[Clause]] = field(default_factory=dict)
 
@@ -168,7 +176,7 @@ class Resources:
             rows = list(self.expansion_table.get(phrase, []))
             rows.sort(key=lambda e: (-e.score, e.words))
             out = [identity] + [e for e in rows if e.words != words]
-            return out[: self.max_expansions + 1]
+            return out[: MAX_EXPANSIONS + 1]
         if self.vectors is not None:
             return self._expand_embeddings(words, identity)
         return [identity]
@@ -176,12 +184,11 @@ class Resources:
     def _expand_embeddings(self, words: tuple[str, ...], identity: Expansion) -> list[Expansion]:
         options: list[list[tuple[str, float]]] = []
         for w in words:
-            if w.lower() in self.stopwords or w not in self.vectors.vectors:
+            if w.lower() in STOPWORDS or w not in self.vectors.vectors:
                 options.append([(w, 1.0)])
             else:
                 options.append([(w, 1.0)] + self.vectors.neighbors(w, self.topk))
         combos: list[Expansion] = []
-        use_min = self.combine == "min"
 
         def walk(i: int, acc: list[str], score: float) -> None:
             if i == len(options):
@@ -191,12 +198,12 @@ class Resources:
                 return
             for word, sim in options[i]:
                 sim = max(0.0, min(1.0, sim))
-                walk(i + 1, acc + [word], min(score, sim) if use_min else score * sim)
+                walk(i + 1, acc + [word], score * sim)
 
         walk(0, [], 1.0)
         combos = [c for c in combos if c.score > 0.0]
         combos.sort(key=lambda e: (-e.score, e.words))
-        return [identity] + combos[: self.max_expansions]
+        return [identity] + combos[:MAX_EXPANSIONS]
 
     # -- phrase similarity -----------------------------------------------------
 
@@ -233,7 +240,15 @@ class Resources:
         if self.decomposer == "file":
             if self.clause_file is None:
                 raise KokoResourceError("decomposer 'file' needs a clause file")
-            return self.clause_file.get(sentence.sid, [Clause(tuple(range(len(sentence))), 1.0)])
+            clauses = self.clause_file.get(sentence.sid)
+            if clauses is None:
+                return [Clause(tuple(range(len(sentence))), 1.0)]
+            if any(not 0 <= t < len(sentence) for c in clauses for t in c.token_ids):
+                raise KokoResourceError(
+                    f"clause file: a clause of sentence {sentence.sid} names a token "
+                    f"outside its {len(sentence)} tokens"
+                )
+            return clauses
         if self.decomposer == "clauses":
             return _split_clauses(sentence)
         return [Clause(tuple(range(len(sentence))), 1.0)]
@@ -269,20 +284,15 @@ def _split_clauses(sentence: Sentence) -> list[Clause]:
 def load_clause_file(path: str) -> dict[int, list[Clause]]:
     """JSON Lines: {"sid": n, "clauses": [{"tokens": [...], "score": s}]}"""
     out: dict[int, list[Clause]] = {}
-    try:
-        f = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise KokoResourceError(f"cannot read clause file: {exc}") from None
-    with f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                out[int(row["sid"])] = [
-                    Clause(tuple(int(t) for t in c["tokens"]), float(c.get("score", 1.0)))
-                    for c in row["clauses"]
-                ]
-            except (KeyError, ValueError, json.JSONDecodeError) as exc:
-                raise KokoResourceError(f"{path}:{lineno}: bad clause record: {exc}") from None
+    for lineno, line in enumerate(read_text(path, "clause file").split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line)
+            out[int(row["sid"])] = [
+                Clause(tuple(int(t) for t in c["tokens"]), float(c.get("score", 1.0)))
+                for c in row["clauses"]
+            ]
+        except (KeyError, ValueError, TypeError, AttributeError, OverflowError) as exc:
+            raise KokoResourceError(f"{path}:{lineno}: bad clause record: {exc}") from None
     return out

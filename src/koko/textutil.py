@@ -76,30 +76,24 @@ def tokenize_literal(text: str) -> list[str]:
     return out
 
 
-def find_token_seq(haystack: list[str], needle: list[str], *, fold_case: bool = False) -> list[int]:
+def find_token_seq(haystack: list[str], needle: list[str]) -> list[int]:
     """Start offsets of every contiguous occurrence of needle in haystack."""
     if not needle:
         return []
-    if fold_case:
-        haystack = [w.lower() for w in haystack]
-        needle = [w.lower() for w in needle]
     n, m = len(haystack), len(needle)
     return [i for i in range(n - m + 1) if haystack[i : i + m] == needle]
 
 
-def subsequence_positions(
-    words: list[str], phrase: list[str], *, fold_case: bool = True
-) -> list[int] | None:
+def subsequence_positions(words: list[str], phrase: list[str]) -> list[int] | None:
     """Leftmost in-order match of phrase within words, gaps allowed.
 
-    Returns the matched indices or None. Matching is case-insensitive by
-    default, which is how descriptor phrases are compared.
+    Returns the matched indices or None. Matching is case-insensitive,
+    which is how descriptor phrases are compared.
     """
     if not phrase:
         return None
-    if fold_case:
-        words = [w.lower() for w in words]
-        phrase = [w.lower() for w in phrase]
+    words = [w.lower() for w in words]
+    phrase = [w.lower() for w in phrase]
     out: list[int] = []
     i = 0
     for target in phrase:

@@ -93,7 +93,7 @@ def test_criterion_1_golden_index_contents(ex31_bundle):
         PostingEntry(0, 13, 12, 15, 1),
         PostingEntry(1, 1, 0, 12, 0),
     ]
-    entities = {(r.surface, r.sid, r.left, r.right) for r in ex31_bundle.entity.lookup()}
+    entities = {(r.surface, r.sid, r.start, r.end) for r in ex31_bundle.entity.lookup()}
     assert entities == {
         ("cheesecake", 1, 4, 4),
         ("grocery store", 1, 10, 11),
@@ -262,9 +262,7 @@ def _replicate(sentence: Sentence, sid: int) -> Sentence:
         Token(sid, t.tid, t.text, t.pos, t.label, t.head, t.etype, t.iob)
         for t in sentence.tokens
     ]
-    s = Sentence(sid=sid, tokens=tokens, root_tid=sentence.root_tid)
-    s.finalize()
-    return s
+    return Sentence(sid, tokens)
 
 
 def test_criterion_10_compression_property():

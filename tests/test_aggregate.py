@@ -144,6 +144,19 @@ def test_near_formula():
     assert ev.eval_near("x", "a")[0] == 1.0
     assert ev.eval_near("x", "y")[0] == 0.25
     assert ev.eval_near("x", "absent")[0] == 0.0
+    # Over a document, near takes the best sentence: distance 0 in two
+    # sentences gives 1.0, and distances 1 and 3 give 0.5, not 0.5 + 0.25.
+    corpus = Corpus(parse_corpus(
+        "0\t0\tx\tnoun\troot\t-1\tO\n0\t1\tnear\tnoun\tdep\t0\tO\n\n"
+        "1\t0\tx\tnoun\troot\t-1\tO\n1\t1\tnear\tnoun\tdep\t0\tO\n\n"
+        "2\t0\tx\tnoun\troot\t-1\tO\n2\t1\ta\tnoun\tdep\t0\tO\n2\t2\tfar\tnoun\tdep\t0\tO\n\n"
+        "3\t0\tfar\tnoun\troot\t-1\tO\n3\t1\ta\tnoun\tdep\t0\tO\n"
+        "3\t2\tb\tnoun\tdep\t0\tO\n3\t3\tc\tnoun\tdep\t0\tO\n3\t4\tx\tnoun\tdep\t0\tO\n"
+    ))
+    ev = EvidenceEvaluator(corpus, Resources(), [0, 1])
+    assert ev.eval_near("x", "near")[0] == 1.0
+    ev = EvidenceEvaluator(corpus, Resources(), [2, 3])
+    assert ev.eval_near("x", "far") == (0.5, [(2, 0.5), (3, 0.25)])
 
 
 def test_near_bounds_property(cafe_env):
@@ -341,20 +354,6 @@ def test_clamp_total_bounded_by_weight_sum(cafe_env):
         assert s.total <= wsum + 1e-12
         for c in s.conditions:
             assert 0.0 <= c.m <= 1.0
-
-
-def test_near_sum_mode_clamped():
-    def sent(sid):
-        return (
-            f"{sid}\t0\tx\tnoun\troot\t-1\tO\n"
-            f"{sid}\t1\tnear\tnoun\tdep\t0\tO\n"
-        )
-
-    corpus = Corpus(parse_corpus(sent(0) + "\n" + sent(1)))
-    ev_max = EvidenceEvaluator(corpus, Resources(), [0, 1])
-    ev_sum = EvidenceEvaluator(corpus, Resources(near_mode="sum"), [0, 1])
-    assert ev_max.eval_near("x", "near")[0] == 1.0
-    assert ev_sum.eval_near("x", "near")[0] == 1.0  # 1 + 1 clamped
 
 
 def test_evidence_scoped_per_document():

@@ -13,7 +13,6 @@ from koko.corpus import (
     Sentence,
     Token,
     detokenize,
-    entity_spans,
     is_parent,
     load_corpus,
     open_canonical,
@@ -59,9 +58,7 @@ def test_tree_meta_matches_brute_force(ex31_corpus):
     for s in ex31_corpus.sentences:
         for t in s.tokens:
             left, right, depth = _brute_extents(s, t.tid)
-            assert (s.meta.left[t.tid], s.meta.right[t.tid], s.meta.depth[t.tid]) == (
-                left, right, depth,
-            )
+            assert (s.left[t.tid], s.right[t.tid], s.depth[t.tid]) == (left, right, depth)
 
 
 def _random_sentence(rng: random.Random, n: int, sid: int = 0) -> Sentence:
@@ -90,8 +87,8 @@ def _random_sentence(rng: random.Random, n: int, sid: int = 0) -> Sentence:
               None if i == root else heads[i])
         for i in range(n)
     ]
-    s = Sentence(sid=sid, tokens=tokens, root_tid=root)
-    s.finalize()
+    s = Sentence(sid, tokens)
+    assert s.root_tid == root
     return s
 
 
@@ -101,9 +98,7 @@ def test_tree_meta_property(n, seed):
     s = _random_sentence(random.Random(seed), n)
     for t in s.tokens:
         left, right, depth = _brute_extents(s, t.tid)
-        assert (s.meta.left[t.tid], s.meta.right[t.tid], s.meta.depth[t.tid]) == (
-            left, right, depth,
-        )
+        assert (s.left[t.tid], s.right[t.tid], s.depth[t.tid]) == (left, right, depth)
 
 
 def test_is_parent_examples(ex31_corpus):
@@ -122,10 +117,10 @@ def test_is_parent_follows_head_links_on_projective_trees(ex31_corpus):
 
 def test_entity_spans(ex31_corpus):
     s0, s1 = ex31_corpus.sentences
-    assert [(e.etype, e.start, e.end, e.surface) for e in entity_spans(s0)] == [
+    assert [(e.etype, e.start, e.end, e.surface) for e in s0.entities] == [
         ("Entity", 3, 5, "chocolate ice cream"),
     ]
-    assert [(e.start, e.end, e.surface) for e in entity_spans(s1)] == [
+    assert [(e.start, e.end, e.surface) for e in s1.entities] == [
         (4, 4, "cheesecake"),
         (10, 11, "grocery store"),
     ]
@@ -138,7 +133,7 @@ def test_entity_spans_adjacent_b_tags():
         "0\t2\tran\tverb\troot\t-1\tO\n"
     )
     s = parse_corpus(text)[0].sentences[0]
-    assert [(e.start, e.end) for e in entity_spans(s)] == [(0, 0), (1, 1)]
+    assert [(e.start, e.end) for e in s.entities] == [(0, 0), (1, 1)]
 
 
 def test_empty_file_gives_empty_corpus(tmp_path):
@@ -208,13 +203,6 @@ def test_non_contiguous_sids_rejected():
         parse_corpus(text)
 
 
-def test_unknown_format_rejected(tmp_path):
-    path = tmp_path / "c.tsv"
-    path.write_text("")
-    with pytest.raises(KokoInputError, match="format"):
-        load_corpus(str(path), format="conllu")
-
-
 def test_doc_boundaries():
     text = (
         "# doc_id = one\n"
@@ -231,7 +219,7 @@ def test_doc_boundaries():
 
 def test_entity_spans_empty_without_tags():
     s = parse_corpus("0\t0\thello\tnoun\troot\t-1\tO\n")[0].sentences[0]
-    assert entity_spans(s) == []
+    assert s.entities == []
 
 
 def test_cycle_message_names_first_token_off_the_root():
@@ -253,7 +241,7 @@ def test_long_chain_parses():
     )
     s = parse_corpus(text)[0].sentences[0]
     assert s.root_tid == n - 1
-    assert s.meta.depth[0] == n - 1 and s.meta.left[n - 1] == 0
+    assert s.depth[0] == n - 1 and s.left[n - 1] == 0
 
 
 def test_non_utf8_corpus_rejected(tmp_path):

@@ -192,7 +192,7 @@ def test_non_projective_tree_engine_matches_oracle():
     docs = parse_corpus(tsv)
     corpus = Corpus(docs)
     s = corpus.sentence(0)
-    assert (s.meta.left[0], s.meta.right[0]) == (0, 3)  # non-projective extent
+    assert (s.left[0], s.right[0]) == (0, 3)  # non-projective extent
     bundle = build_indexes(docs)
     queries = [
         'extract v:Str from "x" if (/ROOT:{ v = //xcomp/dobj })',

@@ -43,6 +43,19 @@ def test_cmd_index_and_query(tmp_path, capsys):
     assert rows[0]["values"]["d"] == "a chocolate ice cream, which was delicious"
 
 
+def test_public_names_are_the_documented_ones():
+    import koko
+
+    assert sorted(koko.__all__) == [
+        "Corpus", "KokoDecomposeError", "KokoError", "KokoInputError",
+        "KokoNormalizeError", "KokoQueryError", "KokoResourceError",
+        "KokoSyntaxError", "Resources", "build_indexes", "load_bundle",
+        "load_corpus", "oracle_evaluate", "parse_query", "run_query",
+        "save_bundle", "serialize_corpus",
+    ]
+    assert all(hasattr(koko, name) for name in koko.__all__)
+
+
 def test_cmd_query_builds_index_on_the_fly(capsys):
     code, out, _ = run_cli(["query", "--query", EX21, "--corpus", EX31], capsys)
     assert code == 0 and "chocolate ice cream" in out
@@ -308,6 +321,42 @@ def test_missing_files_map_to_exit_codes(tmp_path, capsys):
         capsys,
     )
     assert code == 3 and "vectors" in err
+
+
+# Each case: the bad file's content and the flags (or manifest) that load it.
+MALFORMED_RESOURCES = {
+    "expansion score": (b"d\te\tmuch\n", lambda p: ["--expansions", p]),
+    "vector component": (b"w 1.0 x\n", lambda p: ["--vectors", p]),
+    "vector nan": (b"w 1.0 0.0\nv nan 1.0\n", lambda p: ["--vectors", p]),
+    "vector dimension": (b"w 1.0 0.0\nv 1.0 0.0 1.0\n", lambda p: ["--vectors", p]),
+    "clause list": (b'{"sid": 0, "clauses": 5}\n', lambda p: ["--decomposer", f"file:{p}"]),
+    "dict encoding": (b"caf\xe9\n", lambda p: ["--dict", f"Food={p}"]),
+    "query encoding": (b'extract v:Str from "x" if (/ROOT:{ v = "\xff" })', lambda p: ["--query", p]),
+    "manifest list": (b'["dicts"]', "KOKO_RESOURCES"),
+    "manifest dicts": (b'{"dicts": ["a.txt"]}', "KOKO_RESOURCES"),
+    "manifest topk": (b'{"topk": "3"}', "KOKO_RESOURCES"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_RESOURCES))
+def test_malformed_resource_files_exit_3(case, tmp_path):
+    content, use = MALFORMED_RESOURCES[case]
+    bad = tmp_path / "bad-file"
+    bad.write_bytes(content)
+    env = dict(os.environ)
+    args = ["query", "--corpus", EX31]
+    if use == "KOKO_RESOURCES":
+        env["KOKO_RESOURCES"] = str(bad)
+    else:
+        args += use(str(bad))
+    if "--query" not in args:
+        args += ["--query", EX21]
+    proc = subprocess.run(
+        [sys.executable, "-m", "koko", *args], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and str(bad) in proc.stderr
 
 
 # --- koko query --index on a canonical corpus file (parsed lazily) versus

@@ -7,7 +7,7 @@ import zlib
 import pytest
 
 from koko.bench import synthesize_corpus
-from koko.corpus import PostingEntry
+from koko.corpus import Corpus, EntitySpan, PostingEntry
 from koko.errors import KokoInputError
 from koko.indexes import (
     build_indexes,
@@ -49,7 +49,7 @@ def test_word_index_rows(ex31_bundle):
 
 
 def test_entity_index_rows(ex31_bundle):
-    rows = {(r.surface, r.sid, r.left, r.right) for r in ex31_bundle.entity.lookup()}
+    rows = {(r.surface, r.sid, r.start, r.end) for r in ex31_bundle.entity.lookup()}
     assert rows == {
         ("chocolate ice cream", 0, 3, 5),
         ("cheesecake", 1, 4, 4),
@@ -218,7 +218,20 @@ def test_entity_type_filter_selects_single_person():
     )
     bundle = build_indexes(docs)
     people = bundle.entity.lookup("Person")
-    assert [(r.surface, r.sid, r.left, r.right) for r in people] == [("Anna", 0, 0, 0)]
+    assert [(r.surface, r.sid, r.start, r.end) for r in people] == [("Anna", 0, 0, 0)]
+
+
+def test_entity_index_holds_the_sentences_mentions(tmp_path):
+    docs = synthesize_corpus(5, 60, entity_rate=0.6)
+    corpus = Corpus(docs)
+    mentions = [e for s in corpus.sentences for e in s.entities]
+    assert len(mentions) > 20
+    bundle = build_indexes(docs)
+    assert bundle.entity.records == mentions
+    save_bundle(bundle, str(tmp_path / "idx"))
+    loaded = load_bundle(str(tmp_path / "idx"), corpus=corpus)
+    assert loaded.entity.records == mentions
+    assert all(type(e) is EntitySpan for e in loaded.entity.records)
 
 
 def test_wildcard_descendant_union_matches_brute_force(ex31_bundle, ex31_corpus):

@@ -7,6 +7,7 @@ import pytest
 from koko.corpus import Corpus, parse_corpus
 from koko.errors import KokoResourceError
 from koko.resources import (
+    MAX_EXPANSIONS,
     Clause,
     Expansion,
     Resources,
@@ -82,9 +83,14 @@ def test_expansion_determinism(vectors):
 
 
 def test_truncation_to_fixed_count(vectors):
-    res = Resources(vectors=vectors, topk=3, max_expansions=2)
-    out = res.expand("serves coffee")
-    assert len(out) <= 3  # identity + two alternates
+    # With itself, each word has 3, 3 and 4 options of positive similarity,
+    # so the phrase has 3 * 3 * 4 - 1 = 35 alternates, more than the cap.
+    res = Resources(vectors=vectors, topk=4)
+    out = res.expand("serves coffee tea")
+    assert len(out) == MAX_EXPANSIONS + 1  # identity + the cap of alternates
+    assert out[0] == Expansion(("serves", "coffee", "tea"), 1.0)
+    scores = [e.score for e in out[1:]]
+    assert scores == sorted(scores, reverse=True) and scores[-1] > 0.0
 
 
 def test_similarity_with_vectors(vectors):
@@ -155,6 +161,10 @@ def test_clause_file_provider(tmp_path):
     corpus = _sentence(["a", "b", "c"])
     res = Resources(decomposer="file", clause_file=load_clause_file(str(path)))
     assert res.decompose(corpus.sentence(0)) == [Clause((0, 1), 0.9)]
+    for bad in (3, -1):
+        res = Resources(decomposer="file", clause_file={0: [Clause((0, bad), 1.0)]})
+        with pytest.raises(KokoResourceError, match="outside its 3 tokens"):
+            res.decompose(corpus.sentence(0))
 
 
 def test_bad_expansion_table_rejected(tmp_path):
@@ -173,14 +183,3 @@ def test_vectors_are_unit_normalized(tmp_path):
     v = WordVectors(str(path))
     assert math.isclose(sum(x * x for x in v.vectors["w"]), 1.0, abs_tol=1e-12)
 
-
-def test_min_combination_switch(vectors):
-    prod = Resources(vectors=vectors, topk=1).expand("serves coffee")
-    low = Resources(vectors=vectors, topk=1, combine="min").expand("serves coffee")
-    p = {e.words: e.score for e in prod}
-    m = {e.words: e.score for e in low}
-    both = ("sells", "espresso")
-    assert m[both] == pytest.approx(
-        min(vectors.cosine("serves", "sells"), vectors.cosine("coffee", "espresso")), abs=1e-9
-    )
-    assert p[both] < m[both]
