@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .corpus import Corpus, Sentence, detokenize
+from .corpus import Corpus, Sentence
 from .gsp import Bound, CandidateTuple
 from .normalize import ENTITY, NODE, NormalizedQuery
 from .resources import Clause, Expansion, Resources
@@ -146,7 +146,7 @@ class EvidenceEvaluator:
         if not value_toks or not lit_toks:
             return False
         for sid in self.doc_sids:
-            words = self.corpus.sentence(sid).words
+            words = self.corpus.sentence(sid).tokens
             for start in find_token_seq(words, value_toks):
                 if after:
                     nxt = start + len(value_toks)
@@ -168,7 +168,7 @@ class EvidenceEvaluator:
         if not value_toks or not lit_toks:
             return 0.0, per_sentence
         for sid in self.doc_sids:
-            words = self.corpus.sentence(sid).words
+            words = self.corpus.sentence(sid).tokens
             v_occ = find_token_seq(words, value_toks)
             l_occ = find_token_seq(words, lit_toks)
             if not v_occ or not l_occ:
@@ -203,7 +203,7 @@ class EvidenceEvaluator:
             return 0.0, per_sentence
         for sid in self.doc_sids:
             sentence = self.corpus.sentence(sid)
-            occurrences = find_token_seq(sentence.words, value_toks)
+            occurrences = find_token_seq(sentence.tokens, value_toks)
             if not occurrences:
                 continue
             conf = 0.0
@@ -228,7 +228,7 @@ class EvidenceEvaluator:
         occ_end: int,
         right_side: bool,
     ) -> float:
-        words = sentence.words
+        words = sentence.tokens
         best = 0.0
         for e in expansions:
             total = 0.0
@@ -314,10 +314,8 @@ def value_of(sentence: Sentence, bound: Bound, kind: str) -> str:
     if kind == ENTITY and bound.rec is not None:
         return bound.rec.surface
     if kind == NODE:
-        return sentence.tokens[bound.tid].text
-    if bound.end < bound.start:
-        return ""
-    return detokenize(t.text for t in sentence.tokens[bound.start : bound.end + 1])
+        return sentence.tokens[bound.tid]
+    return sentence.text(bound.start, bound.end)
 
 
 def finalize_results(

@@ -13,11 +13,10 @@ the seed.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from dataclasses import dataclass, field
 
-from .corpus import AnnotatedDocument, Corpus, Sentence, Token
+from .corpus import AnnotatedDocument, Corpus, Sentence
 from .engine import run_query
 from .errors import KokoInputError
 from .indexes import IndexBundle
@@ -62,24 +61,26 @@ def _zipf_pick(rng: random.Random, items: list[str]) -> str:
 
 @dataclass
 class _TreeShape:
-    heads: list[int]
+    """Sentence columns shared by every sentence drawn from one shape."""
+
+    heads: list[int | None]
     labels: list[str]
-    poses: list[str]
+    pos: list[str]
 
 
 def _random_shape(rng: random.Random, n: int) -> _TreeShape:
-    heads = [-1] * n
+    heads: list[int | None] = [None] * n
     labels = ["root"] * n
-    poses = [rng.choices(_POS_CHOICES, _POS_WEIGHTS)[0] for _ in range(n)]
+    pos_tags = [rng.choices(_POS_CHOICES, _POS_WEIGHTS)[0] for _ in range(n)]
 
-    def build(lo: int, hi: int, head: int) -> None:
+    def build(lo: int, hi: int, head: int | None) -> None:
         if lo > hi:
             return
         root = rng.randint(lo, hi)
-        if head == -1:
-            heads[root] = -1
+        if head is None:
+            heads[root] = None
             labels[root] = "root"
-            poses[root] = "verb"
+            pos_tags[root] = "verb"
         else:
             heads[root] = head
             labels[root] = rng.choices(_CHILD_LABELS, _LABEL_WEIGHTS)[0]
@@ -90,8 +91,8 @@ def _random_shape(rng: random.Random, n: int) -> _TreeShape:
                 build(pos, end, root)
                 pos = end + 1
 
-    build(0, n - 1, -1)
-    return _TreeShape(heads=heads, labels=labels, poses=poses)
+    build(0, n - 1, None)
+    return _TreeShape(heads=heads, labels=labels, pos=pos_tags)
 
 
 def synthesize_corpus(
@@ -132,20 +133,10 @@ def synthesize_corpus(
             for k in range(length):
                 etypes[start + k] = etype
                 iobs[start + k] = "B" if k == 0 else "I"
-        tokens = [
-            Token(
-                sid=sid,
-                tid=i,
-                text=_zipf_pick(rng, vocab),
-                pos=shape.poses[i],
-                label=shape.labels[i],
-                head=None if shape.heads[i] == -1 else shape.heads[i],
-                etype=etypes[i],
-                iob=iobs[i],
-            )
-            for i in range(n)
-        ]
-        doc.sentences.append(Sentence(sid, tokens))
+        texts = [_zipf_pick(rng, vocab) for _ in range(n)]
+        doc.sentences.append(
+            Sentence(sid, texts, shape.pos, shape.labels, shape.heads, etypes, iobs)
+        )
     return docs
 
 
@@ -169,59 +160,60 @@ class BenchmarkSuite:
     composition: dict = field(default_factory=dict)
 
 
-def _root_chain(s: Sentence, tid: int) -> list[int]:
-    chain = [tid]
-    head = s.tokens[tid].head
-    while head is not None:
-        chain.append(head)
-        head = s.tokens[head].head
-    chain.reverse()
-    return chain
-
-
-def _sample_chain(rng: random.Random, corpus: Corpus, length: int, rooted: bool) -> list[Token]:
-    """Contiguous head-chain of the requested length from a random sentence."""
+def _sample_chain(
+    rng: random.Random, corpus: Corpus, length: int, rooted: bool
+) -> tuple[Sentence, list[int]]:
+    """Contiguous head-chain of the requested length from a random
+    sentence: the sentence and the chain's tids, top first."""
     for _ in range(200):
         s = corpus.sentences[rng.randrange(len(corpus.sentences))]
-        deep = [t.tid for t in s.tokens if s.depth[t.tid] >= length - 1]
+        deep = [tid for tid, d in enumerate(s.depth) if d >= length - 1]
         if not deep:
             continue
         tid = rng.choice(deep)
-        chain = _root_chain(s, tid)
+        chain = [*reversed(list(s.ancestors(tid))), tid]
         if rooted:
             picked = chain[:length]
         else:
             hi = len(chain) - length
             start = rng.randint(1, hi) if hi >= 1 else 0
             picked = chain[start : start + length]
-        return [s.tokens[t] for t in picked]
+        return s, picked
     raise KokoInputError("corpus too small to sample a label chain for benchmark generation")
 
 
 def _render_path(
-    rng: random.Random, tokens: list[Token], attrs: str, wildcard: bool, rooted: bool
+    rng: random.Random,
+    s: Sentence,
+    tids: list[int],
+    labels: list[str],
+    attrs: str,
+    wildcard: bool,
+    rooted: bool,
 ) -> str:
+    """Path over the chain `tids` of `s`, naming each step by `labels`
+    (the chain's own labels, or with the last one swapped)."""
     parts: list[str] = []
     pos_positions: list[int] = []
-    if attrs in ("pl_pos", "pl_pos_text") and len(tokens) > 1:
-        k = max(1, len(tokens) // 2)
-        pos_positions = rng.sample(range(1, len(tokens)), min(k, len(tokens) - 1))
-    text_position = rng.randrange(len(tokens)) if attrs == "pl_pos_text" else None
-    wild_position = rng.randrange(len(tokens)) if wildcard else None
-    for i, tok in enumerate(tokens):
+    if attrs in ("pl_pos", "pl_pos_text") and len(tids) > 1:
+        k = max(1, len(tids) // 2)
+        pos_positions = rng.sample(range(1, len(tids)), min(k, len(tids) - 1))
+    text_position = rng.randrange(len(tids)) if attrs == "pl_pos_text" else None
+    wild_position = rng.randrange(len(tids)) if wildcard else None
+    for i, tid in enumerate(tids):
         axis = "/" if (rooted if i == 0 else rng.random() < 0.8) else "//"
         if i == 0 and not rooted:
             axis = "//"
-        label = tok.label
+        label = labels[i]
         conds: list[str] = []
         if i in pos_positions:
-            conds.append(f'@pos="{tok.pos}"')
+            conds.append(f'@pos="{s.pos[tid]}"')
             label = "*"
         if i == wild_position:
             label = "*"
             conds = []
         if text_position == i:
-            conds.append(f'@text="{tok.text}"')
+            conds.append(f'@text="{s.tokens[tid]}"')
         rendered = label + (f"[{', '.join(conds)}]" if conds else "")
         parts.append(axis + rendered)
     return "".join(parts)
@@ -238,16 +230,14 @@ def generate_tree_suite(seed: int, corpus: Corpus) -> BenchmarkSuite:
             for wildcard in (False, True):
                 for rooted in (True, False):
                     for k in range(5):
-                        tokens = _sample_chain(rng, corpus, length, rooted)
+                        s, tids = _sample_chain(rng, corpus, length, rooted)
+                        labels = [s.labels[tid] for tid in tids]
                         if k == 4:
                             # One query per setting gets its last label
                             # swapped, so some queries select little or
                             # nothing.
-                            tokens[-1] = dataclasses.replace(
-                                tokens[-1],
-                                label=rng.choices(_CHILD_LABELS, _LABEL_WEIGHTS)[0],
-                            )
-                        path = _render_path(rng, tokens, attrs, wildcard, rooted)
+                            labels[-1] = rng.choices(_CHILD_LABELS, _LABEL_WEIGHTS)[0]
+                        path = _render_path(rng, s, tids, labels, attrs, wildcard, rooted)
                         text = f'extract v:Str from "bench" if (/ROOT:{{ v = {path} }})'
                         suite.queries.append(BenchQuery(
                             qid=f"tree-{qid:03d}",
@@ -285,7 +275,7 @@ def _tree_pattern_query(rng: random.Random, corpus: Corpus, size: int) -> str:
         used = 1
         if size >= 3 and s.children[s.root_tid] and rng.random() < 0.5:
             anchor = rng.choice(s.children[s.root_tid])
-            path += "/" + s.tokens[anchor].label
+            path += "/" + s.labels[anchor]
             used = 2
         defs = [f"x = {path}"]
         var_of_token = {anchor: "x"}
@@ -296,8 +286,8 @@ def _tree_pattern_query(rng: random.Random, corpus: Corpus, size: int) -> str:
             child = frontier.pop(0)
             ci += 1
             name = f"c{ci}"
-            parent_var = var_of_token[s.tokens[child].head]
-            defs.append(f"{name} = {parent_var}/{s.tokens[child].label}")
+            parent_var = var_of_token[s.heads[child]]
+            defs.append(f"{name} = {parent_var}/{s.labels[child]}")
             var_of_token[child] = name
             used += 1
             frontier.extend(s.children[child])
@@ -310,14 +300,12 @@ def _tree_pattern_query(rng: random.Random, corpus: Corpus, size: int) -> str:
 
 
 def _span_atom(rng: random.Random, s: Sentence, tid: int) -> str:
-    tok = s.tokens[tid]
     roll = rng.random()
     if roll < 0.4:
-        return f'"{tok.text}"'
+        return f'"{s.tokens[tid]}"'
     if roll < 0.75 or s.depth[tid] == 0:
-        return "//" + tok.label
-    head = s.tokens[tid].head
-    return "//" + s.tokens[head].label + "/" + tok.label
+        return "//" + s.labels[tid]
+    return "//" + s.labels[s.heads[tid]] + "/" + s.labels[tid]
 
 
 def generate_span_suite(seed: int, corpus: Corpus) -> BenchmarkSuite:

@@ -53,7 +53,8 @@ def _add_resource_flags(p: argparse.ArgumentParser) -> None:
 
 def _read_resource_manifest(path: str) -> dict:
     """The KOKO_RESOURCES manifest: a JSON object whose file names are
-    strings, ``dicts`` an object of name -> path and ``topk`` an integer."""
+    strings, ``dicts`` an object of name -> path and ``topk`` an integer
+    >= 0."""
     what = f"KOKO_RESOURCES manifest {path}"
     try:
         manifest = json.loads(read_text(path, "KOKO_RESOURCES manifest"))
@@ -65,8 +66,8 @@ def _read_resource_manifest(path: str) -> dict:
         if not isinstance(manifest.get(key, ""), str):
             raise KokoResourceError(f"{what}: {key!r} must be a string")
     topk = manifest.get("topk", 3)
-    if not isinstance(topk, int) or isinstance(topk, bool):
-        raise KokoResourceError(f"{what}: 'topk' must be an integer")
+    if not isinstance(topk, int) or isinstance(topk, bool) or topk < 0:
+        raise KokoResourceError(f"{what}: 'topk' must be a non-negative integer")
     dicts = manifest.get("dicts", {})
     if not isinstance(dicts, dict) or not all(isinstance(p, str) for p in dicts.values()):
         raise KokoResourceError(f"{what}: 'dicts' must map dictionary names to file paths")
@@ -86,6 +87,8 @@ def _load_resources(args: argparse.Namespace) -> Resources:
     if vectors:
         res.vectors = WordVectors(vectors)
     topk = getattr(args, "topk", None)
+    if topk is not None and topk < 0:
+        raise KokoQueryError(f"--topk must be >= 0, got {topk}")
     res.topk = topk if topk is not None else manifest.get("topk", 3)
     for name, path in manifest.get("dicts", {}).items():
         res.dictionaries.load(name, path)
@@ -242,6 +245,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    if args.limit < 0:
+        raise KokoQueryError(f"--limit must be >= 0, got {args.limit}")
     docs = load_corpus(args.corpus)
     corpus = Corpus(docs)
     bundle = build_indexes(docs)

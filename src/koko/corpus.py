@@ -13,11 +13,14 @@ HEAD is the parent token id or -1 for the root. ETYPE is ``O`` or
 form ``# doc_id = <id>`` opens a new document. Other ``#`` lines are
 comments and are dropped on read.
 
-``Sentence(sid, tokens)`` is the one way to build a sentence, whether it
-comes from the reader, a lazily parsed canonical file or a synthetic
-corpus: its constructor derives the tree data every index entry is made
-of (``Sentence.posting``) and the entity mentions (``EntitySpan``), which
-the entity index stores as they are.
+A sentence stores each per-token field as a column: a list indexed by
+token id (``tokens``, ``pos``, ``labels``, ``heads``, ``etypes``,
+``iobs``). ``Sentence(sid, tokens, pos, labels, heads, etypes, iobs)`` is
+the one way to build a sentence, whether it comes from the reader, a
+lazily parsed canonical file or a synthetic corpus: its constructor
+derives the tree data every index entry is made of (``Sentence.posting``)
+and the entity mentions (``EntitySpan``), which the entity index stores
+as they are.
 """
 
 from __future__ import annotations
@@ -41,20 +44,6 @@ class PostingEntry(NamedTuple):
     depth: int
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
-    sid: int
-    tid: int
-    text: str
-    pos: str
-    label: str
-    head: int | None
-    etype: str | None = None
-    # IOB2 marker ("B" or "I") kept so adjacent same-typed entities stay
-    # distinguishable; None whenever etype is None.
-    iob: str | None = None
-
-
 class EntitySpan(NamedTuple):
     """An entity mention: a maximal IOB2 run of tokens start..end
     inclusive. Sentences and the entity index hold the same records."""
@@ -68,10 +57,11 @@ class EntitySpan(NamedTuple):
 
 @dataclass(slots=True)
 class Sentence:
-    """A sentence's tokens and what their head links and IOB2 tags imply,
-    all derived when the sentence is built: the root, each token's
-    children, subtree extent (``left``/``right``, the min/max tid over the
-    subtree) and depth (the root's is 0), and the entity mentions.
+    """A sentence's per-token columns, indexed by tid, and what their head
+    links and IOB2 tags imply, all derived when the sentence is built: the
+    root, each token's children, subtree extent (``left``/``right``, the
+    min/max tid over the subtree) and depth (the root's is 0), and the
+    entity mentions. The columns are not modified after construction.
 
     Extents are min/max over subtree token ids even for non-projective
     sentences, where the containment tests they feed become
@@ -81,7 +71,14 @@ class Sentence:
     """
 
     sid: int
-    tokens: list[Token]
+    tokens: list[str]  # token texts
+    pos: list[str]
+    labels: list[str]
+    heads: list[int | None]  # None on the root
+    etypes: list[str | None]
+    # IOB2 marker ("B" or "I") kept so adjacent same-typed entities stay
+    # distinguishable; None whenever the etype is None.
+    iobs: list[str | None]
     root_tid: int = field(init=False, compare=False)
     children: list[list[int]] = field(init=False, compare=False)
     left: list[int] = field(init=False, compare=False)
@@ -90,22 +87,24 @@ class Sentence:
     entities: list[EntitySpan] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        tokens = self.tokens
-        n = len(tokens)
+        heads, etypes, iobs = self.heads, self.etypes, self.iobs
+        n = len(self.tokens)
+        if not n == len(self.pos) == len(self.labels) == len(heads) == len(etypes) == len(iobs):
+            raise ValueError(f"sentence {self.sid}: its per-token columns differ in length")
         children: list[list[int]] = [[] for _ in range(n)]
         entities: list[EntitySpan] = []
         root = -1
         start, etype = None, None
-        for t in tokens:
-            if t.head is None:
-                root = t.tid
+        for tid, head in enumerate(heads):
+            if head is None:
+                root = tid
             else:
-                children[t.head].append(t.tid)
-            if start is not None and (t.etype != etype or t.iob == "B"):
-                entities.append(self._mention(start, t.tid - 1, etype))
+                children[head].append(tid)
+            if start is not None and (etypes[tid] != etype or iobs[tid] == "B"):
+                entities.append(self._mention(start, tid - 1, etype))
                 start = None
-            if start is None and t.etype is not None:
-                start, etype = t.tid, t.etype
+            if start is None and etypes[tid] is not None:
+                start, etype = tid, etypes[tid]
         if start is not None:
             entities.append(self._mention(start, n - 1, etype))
         left = list(range(n))
@@ -123,7 +122,7 @@ class Sentence:
                 depth[c] = depth[tid] + 1
                 stack.append(c)
         for tid in reversed(order):
-            head = tokens[tid].head
+            head = heads[tid]
             if head is not None:
                 if left[tid] < left[head]:
                     left[head] = left[tid]
@@ -140,10 +139,6 @@ class Sentence:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    @property
-    def words(self) -> list[str]:
-        return [t.text for t in self.tokens]
-
     def posting(self, tid: int) -> PostingEntry:
         return PostingEntry(self.sid, tid, self.left[tid], self.right[tid], self.depth[tid])
 
@@ -151,14 +146,15 @@ class Sentence:
         """Detokenized surface text of tokens start..end inclusive."""
         if end is None:
             end = len(self.tokens) - 1
-        return detokenize(t.text for t in self.tokens[start : end + 1])
+        return detokenize(self.tokens[start : end + 1])
 
     def ancestors(self, tid: int) -> Iterable[int]:
         """Proper ancestors of tid, nearest first."""
-        head = self.tokens[tid].head
+        heads = self.heads
+        head = heads[tid]
         while head is not None:
             yield head
-            head = self.tokens[head].head
+            head = heads[head]
 
 
 @dataclass(slots=True)
@@ -320,16 +316,6 @@ def detokenize(tokens: Iterable[str]) -> str:
     return "".join(out)
 
 
-def is_parent(p: PostingEntry, c: PostingEntry) -> bool:
-    """Extent-based parent test; exact on projective trees only."""
-    return (
-        p.sid == c.sid
-        and p.left <= c.left
-        and p.right >= c.right
-        and p.depth == c.depth - 1
-    )
-
-
 _DOC_LINE = re.compile(r"#\s*doc_id\s*=\s*(.+?)\s*$")
 
 
@@ -373,7 +359,12 @@ def parse_corpus(text: str, origin: str = "<string>") -> list[AnnotatedDocument]
 def _build_sentence(rows: list[tuple[int, list[str]]], origin: str) -> Sentence:
     first_line = rows[0][0]
     sid = None
-    tokens: list[Token] = []
+    texts: list[str] = []
+    pos: list[str] = []
+    labels: list[str] = []
+    heads: list[int | None] = []
+    etypes: list[str | None] = []
+    iobs: list[str | None] = []
     n = len(rows)
     roots = 0
     prev_etype: str | None = None
@@ -418,16 +409,16 @@ def _build_sentence(rows: list[tuple[int, list[str]]], origin: str) -> Sentence:
         else:
             raise KokoInputError(f"{where}: entity column must be O, B-<T> or I-<T>, got {etag!r}")
         prev_etype = etype
-        tokens.append(
-            Token(
-                sid=sid, tid=tid, text=cols[2], pos=cols[3], label=cols[4],
-                head=head, etype=etype, iob=iob,
-            )
-        )
+        texts.append(cols[2])
+        pos.append(cols[3])
+        labels.append(cols[4])
+        heads.append(head)
+        etypes.append(etype)
+        iobs.append(iob)
     where = f"{origin}:{first_line}"
     if roots != 1:
         raise KokoInputError(f"{where}: sentence {sid} has {roots} roots, expected exactly 1")
-    sentence = Sentence(sid, tokens)
+    sentence = Sentence(sid, texts, pos, labels, heads, etypes, iobs)
     if -1 in sentence.depth:
         # Some token does not reach the root: its head links run in a cycle.
         tid = sentence.depth.index(-1)
@@ -453,11 +444,11 @@ def serialize_corpus(docs: list[AnnotatedDocument]) -> str:
     for doc in docs:
         out.append(f"# doc_id = {doc.doc_id}")
         for s in doc.sentences:
-            for t in s.tokens:
-                head = -1 if t.head is None else t.head
-                etag = "O" if t.etype is None else f"{t.iob}-{t.etype}"
-                out.append(
-                    "\t".join((str(t.sid), str(t.tid), t.text, t.pos, t.label, str(head), etag))
-                )
+            sid = str(s.sid)
+            columns = zip(s.tokens, s.pos, s.labels, s.heads, s.etypes, s.iobs)
+            for tid, (text, pos, label, head, etype, iob) in enumerate(columns):
+                head = -1 if head is None else head
+                etag = "O" if etype is None else f"{iob}-{etype}"
+                out.append("\t".join((sid, str(tid), text, pos, label, str(head), etag)))
             out.append("")
     return "\n".join(out) + ("\n" if out else "")

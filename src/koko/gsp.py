@@ -171,28 +171,28 @@ def _plan_for_rankings(n: NormalizedQuery, rankings: tuple[tuple[str, ...], ...]
 
 
 def _token_matches_step(s: Sentence, tid: int, step: Step) -> bool:
-    tok = s.tokens[tid]
+    text = s.tokens[tid]
     if step.kind == "word":
-        if tok.text != step.label:
+        if text != step.label:
             return False
     elif step.kind == "name":
         side = classify_label(step.label)
         if side == PL:
-            if tok.label != step.label:
+            if s.labels[tid] != step.label:
                 return False
         elif side == POS:
-            if tok.pos != step.label:
+            if s.pos[tid] != step.label:
                 return False
         else:
             return False
     for cond in step.conditions:
-        if cond.key == "pos" and tok.pos != cond.value:
+        if cond.key == "pos" and s.pos[tid] != cond.value:
             return False
-        if cond.key == "text" and tok.text != cond.value:
+        if cond.key == "text" and text != cond.value:
             return False
-        if cond.key == "etype" and tok.etype != cond.value:
+        if cond.key == "etype" and s.etypes[tid] != cond.value:
             return False
-        if cond.key == "regex" and not full_match(cond.value, tok.text):
+        if cond.key == "regex" and not full_match(cond.value, text):
             return False
     return True
 
@@ -208,15 +208,15 @@ def _match_upward(s: Sentence, tid: int, steps: tuple[Step, ...], i: int) -> boo
     axis = steps[i].axis
     if i == 0:
         if axis == "/":
-            return s.tokens[tid].head is None
+            return s.heads[tid] is None
         return True
-    head = s.tokens[tid].head
+    head = s.heads[tid]
     if axis == "/":
         return head is not None and _match_upward(s, head, steps, i - 1)
     while head is not None:
         if _match_upward(s, head, steps, i - 1):
             return True
-        head = s.tokens[head].head
+        head = s.heads[head]
     return False
 
 
@@ -320,13 +320,13 @@ class CompiledPlan:
         bounded = all(st.axis == "/" for st in tail)
 
         def candidates(s: Sentence, env: dict) -> list[Bound]:
-            tokens = s.tokens
+            heads = s.heads
             tids: set[int] = set()
             for e in by_sid.get(s.sid, ()):
                 dist = 0
                 cur = e.tid
                 while True:
-                    head = tokens[cur].head
+                    head = heads[cur]
                     if head is None:
                         break
                     cur = head
@@ -486,7 +486,7 @@ def _materialize(
             end = start + k - 1
         if start < 0 or end >= len(s) or end - start + 1 != k:
             return []
-        if tuple(t.text for t in s.tokens[start : end + 1]) != var.tokens:
+        if tuple(s.tokens[start : end + 1]) != var.tokens:
             return []
         return [Bound(start, end)]
     if var.kind == ENTITY:
@@ -506,7 +506,7 @@ def _materialize(
 def _constraint_check(kind: str, a: str, b: str) -> Callable[[Sentence, dict], bool]:
     def parent_of(s: Sentence, env: dict) -> bool:
         child, parent = env[b].tid, env[a].tid
-        return child is not None and parent is not None and s.tokens[child].head == parent
+        return child is not None and parent is not None and s.heads[child] == parent
 
     def ancestor_of(s: Sentence, env: dict) -> bool:
         child, parent = env[b].tid, env[a].tid

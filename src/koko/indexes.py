@@ -89,10 +89,6 @@ class HierarchyIndex:
         self.postings: Mapping[int, list[PostingEntry]] = {0: []}
 
     @property
-    def super_root(self) -> HierarchyNode:
-        return self.nodes[0]
-
-    @property
     def node_count(self) -> int:
         """Number of merged nodes, super-root excluded."""
         return len(self.nodes) - 1
@@ -167,18 +163,6 @@ class IndexBundle:
     sentence_count: int
     token_count: int
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, IndexBundle)
-            and self.word == other.word
-            and self.entity == other.entity
-            and self.pl == other.pl
-            and self.pos == other.pos
-            and self.fingerprint == other.fingerprint
-            and self.sentence_count == other.sentence_count
-            and self.token_count == other.token_count
-        )
-
     def counts(self) -> dict[str, int]:
         return {
             "sentences": self.sentence_count,
@@ -211,13 +195,13 @@ def build_indexes(docs: list[AnnotatedDocument]) -> IndexBundle:
         for s in doc.sentences:
             sentence_count += 1
             token_count += len(s.tokens)
-            pl_node = _assign_nodes(pl, s, key="label")
-            pos_node = _assign_nodes(pos, s, key="pos")
-            for t in s.tokens:
-                entry = s.posting(t.tid)
-                word.add(t.text, entry)
-                pl.postings[pl_node[t.tid]].append(entry)
-                pos.postings[pos_node[t.tid]].append(entry)
+            pl_node = _assign_nodes(pl, s, s.labels)
+            pos_node = _assign_nodes(pos, s, s.pos)
+            for tid, text in enumerate(s.tokens):
+                entry = s.posting(tid)
+                word.add(text, entry)
+                pl.postings[pl_node[tid]].append(entry)
+                pos.postings[pos_node[tid]].append(entry)
             for e in s.entities:
                 entity.add(e)
     for plist in word.postings.values():
@@ -233,14 +217,14 @@ def build_indexes(docs: list[AnnotatedDocument]) -> IndexBundle:
     )
 
 
-def _assign_nodes(index: HierarchyIndex, sentence, key: str) -> list[int]:
-    """Hierarchy node id for every token of the sentence, by tid."""
+def _assign_nodes(index: HierarchyIndex, sentence, column: list[str]) -> list[int]:
+    """Hierarchy node id for every token of the sentence, by tid, merging
+    children on their value in ``column`` (labels or POS tags)."""
     node_of = [0] * len(sentence.tokens)
     stack = [(sentence.root_tid, 0)]
     while stack:
         tid, parent_node = stack.pop()
-        token = sentence.tokens[tid]
-        node = index.child(parent_node, getattr(token, key))
+        node = index.child(parent_node, column[tid])
         node_of[tid] = node
         for c in sentence.children[tid]:
             stack.append((c, node))

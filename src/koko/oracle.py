@@ -34,27 +34,27 @@ from .vocab import PARSE_LABELS, POS_TAGS
 
 
 def _step_ok(s: Sentence, tid: int, step: Step) -> bool:
-    tok = s.tokens[tid]
-    if step.kind == "word" and tok.text != step.label:
+    text = s.tokens[tid]
+    if step.kind == "word" and text != step.label:
         return False
     if step.kind == "name":
         if step.label in PARSE_LABELS:
-            if tok.label != step.label:
+            if s.labels[tid] != step.label:
                 return False
         elif step.label in POS_TAGS:
-            if tok.pos != step.label:
+            if s.pos[tid] != step.label:
                 return False
         else:
             return False
     for cond in step.conditions:
         value = cond.value
-        if cond.key == "pos" and tok.pos != value:
+        if cond.key == "pos" and s.pos[tid] != value:
             return False
-        if cond.key == "text" and tok.text != value:
+        if cond.key == "text" and text != value:
             return False
-        if cond.key == "etype" and tok.etype != value:
+        if cond.key == "etype" and s.etypes[tid] != value:
             return False
-        if cond.key == "regex" and not full_match(value, tok.text):
+        if cond.key == "regex" and not full_match(value, text):
             return False
     return True
 
@@ -91,11 +91,11 @@ def _subtree_span(s: Sentence, tid: int) -> tuple[int, int]:
 
 
 def _is_ancestor(s: Sentence, a: int, b: int) -> bool:
-    head = s.tokens[b].head
+    head = s.heads[b]
     while head is not None:
         if head == a:
             return True
-        head = s.tokens[head].head
+        head = s.heads[head]
     return False
 
 
@@ -133,7 +133,7 @@ class _SentenceOracle:
             ]
         if var.kind == WORDSEQ:
             k = len(var.tokens)
-            words = [t.text for t in s.tokens]
+            words = s.tokens
             return [
                 Bound(i, i + k - 1)
                 for i in range(len(words) - k + 1)
@@ -205,7 +205,7 @@ class _SentenceOracle:
         if kind == "parentOf":
             return (
                 a.tid is not None and b.tid is not None
-                and self.s.tokens[b.tid].head == a.tid
+                and self.s.heads[b.tid] == a.tid
             )
         if kind == "ancestorOf":
             return a.tid is not None and b.tid is not None and _is_ancestor(self.s, a.tid, b.tid)

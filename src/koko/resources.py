@@ -259,7 +259,7 @@ _RELATIVE_PRONOUNS = {"who", "whom", "whose", "which", "that", "where", "when"}
 
 
 def _split_clauses(sentence: Sentence) -> list[Clause]:
-    words = [t.text for t in sentence.tokens]
+    words = sentence.tokens
     boundaries: set[int] = set()
     for i, w in enumerate(words):
         lw = w.lower()

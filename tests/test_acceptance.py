@@ -19,7 +19,7 @@ from koko.bench import (
     generate_tree_suite,
     synthesize_corpus,
 )
-from koko.corpus import AnnotatedDocument, Corpus, PostingEntry, Sentence, Token, parse_corpus
+from koko.corpus import AnnotatedDocument, Corpus, PostingEntry, Sentence, parse_corpus
 from koko.dpli import decompose, join_word_path
 from koko.engine import run_query
 from koko.indexes import build_indexes
@@ -257,12 +257,8 @@ def test_criterion_9_formula_spot_checks():
     _report(9, "formula spot checks", t0, 1.0)
 
 
-def _replicate(sentence: Sentence, sid: int) -> Sentence:
-    tokens = [
-        Token(sid, t.tid, t.text, t.pos, t.label, t.head, t.etype, t.iob)
-        for t in sentence.tokens
-    ]
-    return Sentence(sid, tokens)
+def _replicate(s: Sentence, sid: int) -> Sentence:
+    return Sentence(sid, s.tokens, s.pos, s.labels, s.heads, s.etypes, s.iobs)
 
 
 def test_criterion_10_compression_property():
@@ -272,7 +268,7 @@ def test_criterion_10_compression_property():
         SEED + 2, 1000, shape_pool=150, vocabulary=500, min_len=8, max_len=12
     )
     distinct = [s for d in distinct_docs for s in d.sentences]
-    assert len({tuple(s.words) for s in distinct}) == 1000  # truly distinct sentences
+    assert len({tuple(s.tokens) for s in distinct}) == 1000  # truly distinct sentences
 
     def as_corpus(sentences: list[Sentence]) -> list[AnnotatedDocument]:
         doc = AnnotatedDocument(doc_id="mix")

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from koko.bench import (
@@ -28,6 +30,23 @@ def test_synthesized_corpus_is_valid_and_reproducible():
     assert serialize_corpus(a) == serialize_corpus(b)
     c = synthesize_corpus(6, 50)
     assert serialize_corpus(a) != serialize_corpus(c)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_generators_match_recorded_output(small_corpus):
+    # Recorded from an earlier build of the generators: a rewrite that
+    # changes the order of random draws, or what is drawn, changes these.
+    assert _sha256(serialize_corpus(synthesize_corpus(5, 50))) == (
+        "83e74d1d6cdffd5d9af07c1a161af45eaa046ef95d9506be311020f8d3b6f649"
+    )
+    _, corpus, _ = small_corpus
+    tree = "\n".join(q.text for q in generate_tree_suite(1, corpus).queries)
+    assert _sha256(tree) == "99b534eddbaa4a2def477fa88bb4f6be4d606b21c31f72b171da5d1f1c9ac6fc"
+    span = "\n".join(q.text for q in generate_span_suite(1, corpus).queries)
+    assert _sha256(span) == "45c4518a893cd37e3c41108138a360ee6835d9c56af4e015873ac191b8829ec4"
 
 
 def test_tree_suite_composition(small_corpus):

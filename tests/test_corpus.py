@@ -11,9 +11,7 @@ from koko.corpus import (
     Corpus,
     PostingEntry,
     Sentence,
-    Token,
     detokenize,
-    is_parent,
     load_corpus,
     open_canonical,
     parse_corpus,
@@ -29,9 +27,9 @@ def test_load_ex31_shape(ex31_corpus):
     s0, s1 = ex31_corpus.sentences
     assert len(s0) == 17 and s0.root_tid == 1
     assert len(s1) == 13 and s1.root_tid == 1
-    assert s0.tokens[5].text == "cream" and s0.tokens[5].label == "dobj"
-    assert [t.text for t in s0.tokens[3:6]] == ["chocolate", "ice", "cream"]
-    assert all(t.etype == "Entity" for t in s0.tokens[3:6])
+    assert s0.tokens[5] == "cream" and s0.labels[5] == "dobj"
+    assert s0.tokens[3:6] == ["chocolate", "ice", "cream"]
+    assert s0.etypes[3:6] == ["Entity"] * 3
 
 
 def test_tree_meta_pinned_values(ex31_corpus):
@@ -49,16 +47,16 @@ def test_tree_meta_single_token():
 
 
 def _brute_extents(s: Sentence, tid: int) -> tuple[int, int, int]:
-    members = [t.tid for t in s.tokens if tid in (list(s.ancestors(t.tid)) + [t.tid])]
+    members = [t for t in range(len(s)) if tid in (list(s.ancestors(t)) + [t])]
     depth = len(list(s.ancestors(tid)))
     return min(members), max(members), depth
 
 
 def test_tree_meta_matches_brute_force(ex31_corpus):
     for s in ex31_corpus.sentences:
-        for t in s.tokens:
-            left, right, depth = _brute_extents(s, t.tid)
-            assert (s.left[t.tid], s.right[t.tid], s.depth[t.tid]) == (left, right, depth)
+        for tid in range(len(s)):
+            left, right, depth = _brute_extents(s, tid)
+            assert (s.left[tid], s.right[tid], s.depth[tid]) == (left, right, depth)
 
 
 def _random_sentence(rng: random.Random, n: int, sid: int = 0) -> Sentence:
@@ -82,12 +80,15 @@ def _random_sentence(rng: random.Random, n: int, sid: int = 0) -> Sentence:
                 break
         if ok:
             break
-    tokens = [
-        Token(sid, i, f"w{i}", "noun", "root" if i == root else "dep",
-              None if i == root else heads[i])
-        for i in range(n)
-    ]
-    s = Sentence(sid, tokens)
+    s = Sentence(
+        sid,
+        [f"w{i}" for i in range(n)],
+        ["noun"] * n,
+        ["root" if i == root else "dep" for i in range(n)],
+        [None if i == root else heads[i] for i in range(n)],
+        [None] * n,
+        [None] * n,
+    )
     assert s.root_tid == root
     return s
 
@@ -96,23 +97,23 @@ def _random_sentence(rng: random.Random, n: int, sid: int = 0) -> Sentence:
 @settings(max_examples=60, deadline=None)
 def test_tree_meta_property(n, seed):
     s = _random_sentence(random.Random(seed), n)
-    for t in s.tokens:
-        left, right, depth = _brute_extents(s, t.tid)
-        assert (s.left[t.tid], s.right[t.tid], s.depth[t.tid]) == (left, right, depth)
+    for tid in range(len(s)):
+        left, right, depth = _brute_extents(s, tid)
+        assert (s.left[tid], s.right[tid], s.depth[tid]) == (left, right, depth)
 
 
-def test_is_parent_examples(ex31_corpus):
-    s0, s1 = ex31_corpus.sentences
-    assert is_parent(s0.posting(1), s0.posting(5))  # ate -> cream
-    assert not is_parent(s1.posting(1), s1.posting(3))  # depth gap 2
-    assert not is_parent(s0.posting(5), s0.posting(5))  # self
+def test_columns_of_different_lengths_rejected():
+    with pytest.raises(ValueError, match="differ in length"):
+        Sentence(0, ["a", "b"], ["noun", "noun"], ["root", "dep"], [None, 0], [None, None], [None])
 
 
-def test_is_parent_follows_head_links_on_projective_trees(ex31_corpus):
+def test_extents_nest_along_head_links_on_projective_trees(ex31_corpus):
+    # A head's extent contains its child's and sits one level above it.
     for s in ex31_corpus.sentences:
-        for t in s.tokens:
-            if t.head is not None:
-                assert is_parent(s.posting(t.head), s.posting(t.tid))
+        for tid, head in enumerate(s.heads):
+            if head is not None:
+                assert s.left[head] <= s.left[tid] and s.right[tid] <= s.right[head]
+                assert s.depth[head] == s.depth[tid] - 1
 
 
 def test_entity_spans(ex31_corpus):
@@ -302,6 +303,6 @@ def test_open_canonical_parses_on_first_access(monkeypatch):
 def test_open_canonical_rejects_bad_bytes_on_access():
     data = b"# doc_id = d\n0\t0\ta\tnoun\troot\t-1\tO\n\n1\t0\th\xffi\tintj\troot\t-1\tO\n\n"
     lazy = open_canonical(data, "c.tsv")
-    assert lazy.sentence(0).tokens[0].text == "a"
+    assert lazy.sentence(0).tokens[0] == "a"
     with pytest.raises(KokoInputError, match=r"c.tsv:4: not valid UTF-8"):
         lazy.sentence(1)

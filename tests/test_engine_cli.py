@@ -335,7 +335,17 @@ MALFORMED_RESOURCES = {
     "manifest list": (b'["dicts"]', "KOKO_RESOURCES"),
     "manifest dicts": (b'{"dicts": ["a.txt"]}', "KOKO_RESOURCES"),
     "manifest topk": (b'{"topk": "3"}', "KOKO_RESOURCES"),
+    "manifest negative topk": (b'{"topk": -1}', "KOKO_RESOURCES"),
 }
+
+
+def _assert_exits_3(args: list[str], env: dict, named: str) -> None:
+    proc = subprocess.run(
+        [sys.executable, "-m", "koko", *args], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and named in proc.stderr
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_RESOURCES))
@@ -351,12 +361,27 @@ def test_malformed_resource_files_exit_3(case, tmp_path):
         args += use(str(bad))
     if "--query" not in args:
         args += ["--query", EX21]
-    proc = subprocess.run(
-        [sys.executable, "-m", "koko", *args], capture_output=True, text=True, env=env
-    )
-    assert proc.returncode == 3, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: ") and str(bad) in proc.stderr
+    _assert_exits_3(args, env, str(bad))
+
+
+# Each case: a command with an out-of-range flag value, given the path of
+# a report it must not write, and the flag its error names.
+BAD_FLAG_VALUES = {
+    "bench limit": (
+        lambda report: ["bench", "--suite", "span", "--corpus", EX31,
+                        "--report", report, "--limit", "-1"],
+        "--limit",
+    ),
+    "query topk": (lambda report: ["query", "--query", EX21, "--corpus", EX31, "--topk", "-1"], "--topk"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FLAG_VALUES))
+def test_bad_flag_values_exit_3(case, tmp_path):
+    args, flag = BAD_FLAG_VALUES[case]
+    report = tmp_path / "report.json"
+    _assert_exits_3(args(str(report)), dict(os.environ), flag)
+    assert not report.exists()
 
 
 # --- koko query --index on a canonical corpus file (parsed lazily) versus

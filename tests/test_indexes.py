@@ -76,7 +76,7 @@ def test_pl_index_pinned_rows(ex31_bundle):
 def test_merged_nn_node_carries_both_tokens(ex31_bundle, ex31_corpus):
     got = ex31_bundle.pl.lookup(_parse_pattern("/root/dobj/nn"))
     assert got == [PostingEntry(0, 3, 3, 3, 2), PostingEntry(0, 4, 4, 4, 2)]
-    words = [ex31_corpus.sentence(p.sid).tokens[p.tid].text for p in got]
+    words = [ex31_corpus.sentence(p.sid).tokens[p.tid] for p in got]
     assert words == ["chocolate", "ice"]
 
 
@@ -103,16 +103,16 @@ def test_pos_index_rooted_lookup(ex31_bundle):
 
 def test_every_token_reachable_through_its_root_path(ex31_bundle, ex31_corpus):
     for s in ex31_corpus.sentences:
-        for t in s.tokens:
-            chain = [t.tid]
-            head = t.head
+        for tid in range(len(s)):
+            chain = [tid]
+            head = s.heads[tid]
             while head is not None:
                 chain.append(head)
-                head = s.tokens[head].head
+                head = s.heads[head]
             chain.reverse()
-            pattern = [("/", s.tokens[tid].label) for tid in chain]
+            pattern = [("/", s.labels[x]) for x in chain]
             got = ex31_bundle.pl.lookup(pattern)
-            assert any(p.sid == s.sid and p.tid == t.tid for p in got)
+            assert any(p.sid == s.sid and p.tid == tid for p in got)
 
 
 def test_word_index_exactness(ex31_bundle, ex31_corpus):
@@ -140,13 +140,13 @@ def test_compression_on_repeated_sentences():
     template = synthesize_corpus(3, 1, min_len=9, max_len=9)
     ssent = template[0].sentences[0]
     distinct_paths = set()
-    for t in ssent.tokens:
-        chain = [t.tid]
-        head = t.head
+    for tid in range(len(ssent)):
+        chain = [tid]
+        head = ssent.heads[tid]
         while head is not None:
             chain.append(head)
-            head = ssent.tokens[head].head
-        distinct_paths.add(tuple(ssent.tokens[x].label for x in reversed(chain)))
+            head = ssent.heads[head]
+        distinct_paths.add(tuple(ssent.labels[x] for x in reversed(chain)))
     repeated = synthesize_corpus(3, 500, min_len=9, max_len=9, shape_pool=1, vocabulary=80)
     bundle = build_indexes(repeated)
     assert bundle.pl.node_count <= len(distinct_paths) + 1
@@ -239,14 +239,14 @@ def test_wildcard_descendant_union_matches_brute_force(ex31_bundle, ex31_corpus)
     # path and keep those with a dobj strictly between two other labels.
     expected = []
     for s in ex31_corpus.sentences:
-        for t in s.tokens:
-            chain = [t.tid]
-            head = t.head
+        for tid in range(len(s)):
+            chain = [tid]
+            head = s.heads[tid]
             while head is not None:
                 chain.append(head)
-                head = s.tokens[head].head
-            chain.reverse()  # root .. t
-            labels = [s.tokens[x].label for x in chain]
+                head = s.heads[head]
+            chain.reverse()  # root .. tid
+            labels = [s.labels[x] for x in chain]
             # pattern //* /dobj //*: some prefix of >=1 labels, then dobj,
             # then >=1 more labels ending at t
             ok = any(
@@ -254,7 +254,7 @@ def test_wildcard_descendant_union_matches_brute_force(ex31_bundle, ex31_corpus)
                 for i in range(len(labels))
             )
             if ok:
-                expected.append(s.posting(t.tid))
+                expected.append(s.posting(tid))
     got = ex31_bundle.pl.lookup([("//", "*"), ("/", "dobj"), ("//", "*")])
     assert sorted(got) == sorted(expected)
 
