@@ -13,12 +13,20 @@ Descriptor confidence per sentence follows
 decomposed clauses c_j, where a match requires the descriptor's words in
 order (gaps allowed, case-insensitive) and scores k_i * l_j, damped by
 1/(1+g) for the token gap g between the candidate and the matched words.
+
+Adjacency, ``near`` and descriptors look for the value's occurrences in
+its document. The engine passes a word-index locator, so only the
+document's sentences holding the value's first token are read (and
+parsed); the oracle passes none and reads every sentence of the
+document. A query with neither a satisfying nor an excluding clause
+builds no evaluator and is a projection of its tuples.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .corpus import Corpus, Sentence
 from .gsp import Bound, CandidateTuple
@@ -28,6 +36,7 @@ from .syntax import SatCondition, SatisfyingClause, print_condition
 from .textutil import (
     compile_pattern,
     find_token_seq,
+    in_order_positions,
     subsequence_positions,
     tokenize_literal,
 )
@@ -111,23 +120,63 @@ def conf_descriptor(expansions: list[Expansion], clauses: list[tuple[list[str], 
     return best
 
 
-class EvidenceEvaluator:
-    """Scores clause conditions for candidate values within one document."""
+# A query renders and tokenizes the same few conditions and values for
+# every row and document; each distinct one is worked out once.
+_render = lru_cache(maxsize=1024)(print_condition)
 
-    def __init__(self, corpus: Corpus, resources: Resources, doc_sids: Sequence[int]):
+
+@lru_cache(maxsize=65536)
+def _tokens(text: str) -> tuple[str, ...]:
+    return tuple(tokenize_literal(text))
+
+
+# locate(word, doc_sids): the sids, in order, of the sentences in the
+# document range doc_sids that hold the token word.
+Locate = Callable[[str, range], Sequence[int]]
+
+
+class EvidenceEvaluator:
+    """Scores clause conditions for candidate values within one document.
+
+    Adjacency, ``near`` and both descriptor sides scan the document for
+    occurrences of the value. A sentence without the value's first token
+    holds no occurrence and adds nothing to any of them, so with `locate`
+    the scans visit only the sentences it returns for that token.
+    `engine.run_query` passes a locator over the word index, so that only
+    those sentences are parsed. `koko.oracle` passes none and scans every
+    sentence of `doc_sids`: it stays independent of the index, and the
+    differential tests and `koko verify` check the locator against it.
+    """
+
+    def __init__(
+        self,
+        corpus: Corpus,
+        resources: Resources,
+        doc_sids: Sequence[int],
+        locate: Locate | None = None,
+    ):
         self.corpus = corpus
         self.resources = resources
         self.doc_sids = doc_sids
+        self.locate = locate
+        self._located: dict[str, Sequence[int]] = {}
         self._score_cache: dict[tuple[int, str], EvidenceScore] = {}
+
+    def _sids_with(self, value_toks: tuple[str, ...]) -> Sequence[int]:
+        """The document's sentences that may hold value_toks."""
+        if self.locate is None:
+            return self.doc_sids
+        sids = self._located.get(value_toks[0])
+        if sids is None:
+            sids = self._located[value_toks[0]] = self.locate(value_toks[0], self.doc_sids)
+        return sids
 
     # -- boolean conditions ----------------------------------------------
 
     def eval_boolean(self, cond: SatCondition, value: str) -> float:
         kind = cond.kind
         if kind == "contains":
-            return 1.0 if find_token_seq(
-                tokenize_literal(value), tokenize_literal(cond.arg)
-            ) else 0.0
+            return 1.0 if find_token_seq(list(_tokens(value)), _tokens(cond.arg)) else 0.0
         if kind == "mentions":
             return 1.0 if cond.arg in value else 0.0
         if kind == "matches":
@@ -141,11 +190,11 @@ class EvidenceEvaluator:
         raise ValueError(f"unknown condition kind {kind!r}")
 
     def _adjacent(self, value: str, literal: str, after: bool) -> bool:
-        value_toks = tokenize_literal(value)
-        lit_toks = tokenize_literal(literal)
+        value_toks = _tokens(value)
+        lit_toks = list(_tokens(literal))
         if not value_toks or not lit_toks:
             return False
-        for sid in self.doc_sids:
+        for sid in self._sids_with(value_toks):
             words = self.corpus.sentence(sid).tokens
             for start in find_token_seq(words, value_toks):
                 if after:
@@ -162,12 +211,12 @@ class EvidenceEvaluator:
 
     def eval_near(self, value: str, literal: str) -> tuple[float, list[tuple[int, float]]]:
         """Best per-sentence 1/(1+gap); gap is tokens strictly between."""
-        value_toks = tokenize_literal(value)
-        lit_toks = tokenize_literal(literal)
+        value_toks = _tokens(value)
+        lit_toks = _tokens(literal)
         per_sentence: list[tuple[int, float]] = []
         if not value_toks or not lit_toks:
             return 0.0, per_sentence
-        for sid in self.doc_sids:
+        for sid in self._sids_with(value_toks):
             words = self.corpus.sentence(sid).tokens
             v_occ = find_token_seq(words, value_toks)
             l_occ = find_token_seq(words, lit_toks)
@@ -196,59 +245,31 @@ class EvidenceEvaluator:
     def eval_descriptor(
         self, value: str, phrase: str, right_side: bool
     ) -> tuple[float, list[tuple[int, float]]]:
-        expansions = self.resources.expand(phrase)
-        value_toks = tokenize_literal(value)
+        expansions = [
+            ([w.lower() for w in e.words], e.score) for e in self.resources.expand(phrase)
+        ]
+        value_toks = _tokens(value)
         per_sentence: list[tuple[int, float]] = []
         if not value_toks:
             return 0.0, per_sentence
-        for sid in self.doc_sids:
+        for sid in self._sids_with(value_toks):
             sentence = self.corpus.sentence(sid)
             occurrences = find_token_seq(sentence.tokens, value_toks)
             if not occurrences:
                 continue
             conf = 0.0
             clause_set = self.resources.decompose(sentence)
+            lowered = [w.lower() for w in sentence.tokens]
             for occ in occurrences:
                 occ_end = occ + len(value_toks) - 1
                 conf = max(
                     conf,
-                    self._descriptor_conf(sentence, clause_set, expansions, occ, occ_end, right_side),
+                    _descriptor_conf(lowered, clause_set, expansions, occ, occ_end, right_side),
                 )
             if conf:
                 per_sentence.append((sid, conf))
         total = min(1.0, sum(c for _, c in per_sentence))
         return total, per_sentence
-
-    def _descriptor_conf(
-        self,
-        sentence: Sentence,
-        clause_set: list[Clause],
-        expansions: list[Expansion],
-        occ: int,
-        occ_end: int,
-        right_side: bool,
-    ) -> float:
-        words = sentence.tokens
-        best = 0.0
-        for e in expansions:
-            total = 0.0
-            for clause in clause_set:
-                if right_side:
-                    ids = [t for t in clause.token_ids if t > occ_end]
-                else:
-                    ids = [t for t in clause.token_ids if t < occ]
-                if len(ids) < len(e.words):
-                    continue
-                positions = subsequence_positions([words[t] for t in ids], list(e.words))
-                if positions is None:
-                    continue
-                if right_side:
-                    gap = ids[positions[0]] - occ_end - 1
-                else:
-                    gap = occ - ids[positions[-1]] - 1
-                total += e.score * clause.score / (1.0 + gap)
-            best = max(best, total)
-        return best
 
     # -- clause scoring ----------------------------------------------------------
 
@@ -277,7 +298,7 @@ class EvidenceEvaluator:
             total += wc.weight * m
             conditions.append(ConditionScore(
                 index=i,
-                rendered=print_condition(cond),
+                rendered=_render(cond),
                 weight=wc.weight,
                 m=m,
                 per_sentence=per_sentence,
@@ -297,6 +318,42 @@ class EvidenceEvaluator:
         return self.confidence(cond, value)[0] > 0.0
 
 
+def _descriptor_conf(
+    lowered: list[str],
+    clause_set: list[Clause],
+    expansions: list[tuple[list[str], float]],
+    occ: int,
+    occ_end: int,
+    right_side: bool,
+) -> float:
+    """Best expansion's damped clause matches on one side of the value's
+    occurrence occ..occ_end; `lowered` and the expansions' words are
+    lowercased."""
+    sides = []
+    for clause in clause_set:
+        if right_side:
+            ids = [t for t in clause.token_ids if t > occ_end]
+        else:
+            ids = [t for t in clause.token_ids if t < occ]
+        sides.append((ids, [lowered[t] for t in ids], clause.score))
+    best = 0.0
+    for words, k in expansions:
+        total = 0.0
+        for ids, side_words, l in sides:
+            if len(ids) < len(words):
+                continue
+            positions = in_order_positions(side_words, words)
+            if positions is None:
+                continue
+            if right_side:
+                gap = ids[positions[0]] - occ_end - 1
+            else:
+                gap = occ - ids[positions[-1]] - 1
+            total += k * l / (1.0 + gap)
+        best = max(best, total)
+    return best
+
+
 def apply_excluding(
     evaluator: EvidenceEvaluator, conditions, values: dict[str, str]
 ) -> str | None:
@@ -306,7 +363,7 @@ def apply_excluding(
         if target is None:
             continue
         if evaluator.condition_fires(cond, target):
-            return print_condition(cond)
+            return _render(cond)
     return None
 
 
@@ -324,10 +381,13 @@ def finalize_results(
     corpus: Corpus,
     resources: Resources,
     keep_failed: bool = False,
+    locate: Locate | None = None,
 ) -> list[ResultRow]:
     """Score satisfying clauses, apply the excluding clause and project
-    output tuples. Queries with an empty extract clause deduplicate by
-    value per document; everything else keeps bag semantics."""
+    output tuples. Queries with an empty if clause deduplicate by value
+    per document; everything else keeps bag semantics. `locate` is handed
+    to each document's `EvidenceEvaluator`; a query with neither a
+    satisfying nor an excluding clause makes none."""
     q = n.query
     evaluators: dict[int, EvidenceEvaluator] = {}
     rows: list[ResultRow] = []
@@ -335,19 +395,23 @@ def finalize_results(
     dedup_mode = not q.defs and not q.constraints
     output_kinds = {name: n.var(name).kind for name, _ in q.outputs}
 
-    for t in tuples:
-        sentence = corpus.sentence(t.sid)
-        doc_idx = corpus.doc_index_of(t.sid)
+    def evaluator_of(sid: int) -> EvidenceEvaluator:
+        doc_idx = corpus.doc_index_of(sid)
         evaluator = evaluators.get(doc_idx)
         if evaluator is None:
-            evaluator = EvidenceEvaluator(corpus, resources, corpus.doc_sids(doc_idx))
-            evaluators[doc_idx] = evaluator
+            evaluator = evaluators[doc_idx] = EvidenceEvaluator(
+                corpus, resources, corpus.doc_sids(doc_idx), locate
+            )
+        return evaluator
+
+    for t in tuples:
+        sentence = corpus.sentence(t.sid)
         values = {
             name: value_of(sentence, t.bindings[name], output_kinds[name])
             for name, _ in q.outputs
         }
         if dedup_mode:
-            key = (doc_idx, tuple(sorted(values.items())))
+            key = (corpus.doc_index_of(t.sid), tuple(sorted(values.items())))
             if key in dedup:
                 continue
             dedup.add(key)
@@ -358,7 +422,7 @@ def finalize_results(
             value = values.get(var)
             if value is None:
                 value = value_of(sentence, t.bindings[var], n.var(var).kind)
-            s = evaluator.score(clause, ci, value)
+            s = evaluator_of(t.sid).score(clause, ci, value)
             scores[var] = s
             passed = passed and s.passed
         excluded_by: str | None = None
@@ -369,7 +433,7 @@ def finalize_results(
                     rendered[cond.var] = value_of(
                         sentence, t.bindings[cond.var], n.var(cond.var).kind
                     )
-            excluded_by = apply_excluding(evaluator, q.excluding, rendered)
+            excluded_by = apply_excluding(evaluator_of(t.sid), q.excluding, rendered)
         ok = passed and excluded_by is None
         if ok or keep_failed:
             rows.append(ResultRow(

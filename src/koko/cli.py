@@ -227,8 +227,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         query, corpus, bundle, resources=resources, keep_failed=True
     ).rows
     oracle_rows = oracle_evaluate(query, corpus, resources=resources, keep_failed=True)
-    a = [r.key() for r in engine_rows]
-    b = [r.key() for r in oracle_rows]
+    # Rows are compared with their evidence scores, so a wrong score that
+    # leaves pass/fail unchanged still shows.
+    a = [(r.key(), json.dumps(r.to_json(), sort_keys=True)) for r in engine_rows]
+    b = [(r.key(), json.dumps(r.to_json(), sort_keys=True)) for r in oracle_rows]
     if a == b:
         print(f"ok: engine and oracle agree on {len(a)} rows")
         return EXIT_OK

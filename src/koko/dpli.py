@@ -352,19 +352,18 @@ def candidate_bindings(n: NormalizedQuery, bundle: IndexBundle) -> BindingTable:
         if vb.derived_from is not None:
             vb.by_sid = bindings[vb.derived_from].by_sid
 
-    if not n.query.defs:
-        candidate_sids = list(range(bundle.sentence_count))
+    # A tuple binds every variable in one sentence, so only sentences in
+    # every index-bound variable's postings can hold one; `extract
+    # x:Entity … if ()` reads its candidates off the entity index.
+    sid_sets = [
+        set(vb.by_sid)
+        for vb in bindings.values()
+        if vb.index_bound and vb.derived_from is None
+    ]
+    if sid_sets:
+        candidate_sids = sorted(set.intersection(*sid_sets))
     else:
-        sid_sets = [
-            set(vb.by_sid)
-            for vb in bindings.values()
-            if vb.index_bound and vb.derived_from is None
-        ]
-        if sid_sets:
-            common = set.intersection(*sid_sets)
-            candidate_sids = sorted(common)
-        else:
-            candidate_sids = list(range(bundle.sentence_count))
+        candidate_sids = list(range(bundle.sentence_count))
     return BindingTable(
         bindings=bindings, candidate_sids=candidate_sids, dominance=dominance, info=info
     )

@@ -5,6 +5,9 @@ Candidate sentences are evaluated in one loop, in sentence order. The
 loop plans each sentence (plans are memoized on their cost ranking, see
 `koko.gsp`), runs the plan's compiled nested loop, which is compiled once
 per distinct plan, and appends the sentence's tuples to the output.
+Aggregation then finds a value's occurrences in its document through the
+word index (`WordIndex.sentences_with`), so it parses only the sentences
+holding the value's first token.
 """
 
 from __future__ import annotations
@@ -80,7 +83,9 @@ def run_query(
         tuples += evaluate_sentence(n, table, sid, plan, corpus, sentence_stats, compiled)
         stats.add(sentence_stats)
     t2 = time.perf_counter()
-    rows = finalize_results(n, tuples, corpus, resources, keep_failed=keep_failed)
+    rows = finalize_results(
+        n, tuples, corpus, resources, keep_failed=keep_failed, locate=bundle.word.sentences_with
+    )
     return QueryRun(
         rows=rows, tuples=tuples, stats=stats, table=table, normalized=n,
         lookup_seconds=t1 - t0, eval_seconds=t2 - t1,

@@ -26,8 +26,10 @@ import json
 import os
 import struct
 import zlib
+from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .corpus import AnnotatedDocument, Corpus, EntitySpan, PostingEntry, serialize_corpus
 from .errors import KokoInputError
@@ -37,6 +39,7 @@ FORMAT_VERSION = 2
 INDEX_FILES = ("word.idx", "entity.idx", "pl.idx", "pos.idx")
 
 TOP = "⊤"  # dummy label above every sentence root in the POS index
+_SID = attrgetter("sid")
 
 
 class WordIndex:
@@ -50,6 +53,14 @@ class WordIndex:
 
     def lookup(self, word: str) -> list[PostingEntry]:
         return self.postings.get(word, [])
+
+    def sentences_with(self, word: str, sids: range) -> list[int]:
+        """The sids in `sids` of the sentences holding `word`, in order,
+        cut from its sid-sorted posting list."""
+        postings = self.lookup(word)
+        lo = bisect_left(postings, sids.start, key=_SID)
+        hi = bisect_left(postings, sids.stop, lo, key=_SID)
+        return list(dict.fromkeys(e.sid for e in postings[lo:hi]))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, WordIndex) and self.postings == other.postings

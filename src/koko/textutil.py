@@ -10,6 +10,7 @@ Backreferences, lookaround and named groups are rejected.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from functools import lru_cache
 
 from .errors import KokoQueryError
@@ -76,12 +77,13 @@ def tokenize_literal(text: str) -> list[str]:
     return out
 
 
-def find_token_seq(haystack: list[str], needle: list[str]) -> list[int]:
+def find_token_seq(haystack: list[str], needle: Sequence[str]) -> list[int]:
     """Start offsets of every contiguous occurrence of needle in haystack."""
     if not needle:
         return []
-    n, m = len(haystack), len(needle)
-    return [i for i in range(n - m + 1) if haystack[i : i + m] == needle]
+    needle = list(needle)
+    first, m = needle[0], len(needle)
+    return [i for i, w in enumerate(haystack) if w == first and haystack[i : i + m] == needle]
 
 
 def subsequence_positions(words: list[str], phrase: list[str]) -> list[int] | None:
@@ -90,10 +92,13 @@ def subsequence_positions(words: list[str], phrase: list[str]) -> list[int] | No
     Returns the matched indices or None. Matching is case-insensitive,
     which is how descriptor phrases are compared.
     """
+    return in_order_positions([w.lower() for w in words], [w.lower() for w in phrase])
+
+
+def in_order_positions(words: list[str], phrase: Sequence[str]) -> list[int] | None:
+    """`subsequence_positions` for words and phrase already lowercased."""
     if not phrase:
         return None
-    words = [w.lower() for w in words]
-    phrase = [w.lower() for w in phrase]
     out: list[int] = []
     i = 0
     for target in phrase:

@@ -383,3 +383,18 @@ def test_evidence_scoped_per_document():
     )
     rows = run_query(q, corpus, bundle, resources=res, keep_failed=True).rows
     assert [(r.sid, r.passed) for r in rows] == [(0, True), (1, False)]
+
+
+def test_query_without_evidence_is_a_projection(ex31_corpus, ex31_bundle, monkeypatch):
+    import koko.aggregate
+
+    q = parse_query('extract v:Str from "d" if (/ROOT:{ v = //verb })')
+    expected = run_query(q, ex31_corpus, ex31_bundle).rows
+    assert expected
+
+    def unused(*args, **kwargs):
+        raise AssertionError("a query without evidence needs no document")
+
+    monkeypatch.setattr(koko.aggregate, "EvidenceEvaluator", unused)
+    monkeypatch.setattr(Corpus, "doc_index_of", unused)
+    assert run_query(q, ex31_corpus, ex31_bundle).rows == expected

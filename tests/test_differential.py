@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from koko.bench import synthesize_corpus
-from koko.corpus import Corpus
+from koko.corpus import Corpus, parse_corpus
 from koko.dpli import candidate_bindings
 from koko.engine import run_query
 from koko.gsp import generate_skip_plan
@@ -134,3 +134,128 @@ def test_hidden_intermediates_collapse_like_oracle(env, text):
     run = _assert_matches_oracle(env, parse_query(text))
     # More combinations were enumerated than visible tuples kept.
     assert run.stats.tuples > len(run.tuples) > 0
+
+
+# Evidence located through the word index (engine) against a scan of every
+# sentence of the document (oracle). A sentence is written as words; a
+# mention's words carry its type after a slash ("Acme/Org Corp/Org").
+
+
+def _evidence_corpus(documents: list[list[str]]):
+    lines = []
+    sid = 0
+    for d, sentences in enumerate(documents):
+        lines.append(f"# doc_id = d{d}")
+        for sentence in sentences:
+            prev = None
+            for tid, item in enumerate(sentence.split()):
+                word, _, etype = item.partition("/")
+                tag = "O" if not etype else ("I-" if prev == etype else "B-") + etype
+                head, label = (-1, "root") if tid == 0 else (0, "dep")
+                lines.append(f"{sid}\t{tid}\t{word}\tnoun\t{label}\t{head}\t{tag}")
+                prev = etype or None
+            lines.append("")
+            sid += 1
+    docs = parse_corpus("\n".join(lines) + "\n")
+    return Corpus(docs), build_indexes(docs)
+
+
+def _evidence_rows(rows):
+    return [
+        (r.key(), r.excluded_by, {var: s.describe() for var, s in r.scores.items()})
+        for r in rows
+    ]
+
+
+def _assert_evidence_matches_oracle(corpus, bundle, text):
+    q = parse_query(text)
+    run = run_query(q, corpus, bundle, keep_failed=True)
+    oracle = oracle_evaluate(q, corpus, keep_failed=True)
+    assert _evidence_rows(run.rows) == _evidence_rows(oracle)
+    return run
+
+
+def _per_sentence(run, value):
+    """Sids with evidence for the value, per condition, from the first row."""
+    row = next(r for r in run.rows if value in r.values.values())
+    (score,) = row.scores.values()
+    return [[sid for sid, _ in c.per_sentence] for c in score.conditions]
+
+
+def test_evidence_from_mention_free_sentences_of_the_document():
+    corpus, bundle = _evidence_corpus([[
+        "Acme/Org sells coffee",
+        "people say Acme serves tea daily",
+        "tea Acme is fine",
+        "nothing here",
+    ]])
+    run = _assert_evidence_matches_oracle(corpus, bundle, (
+        'extract x:Entity from "d" if ()\nsatisfying x\n'
+        '    (x near "tea" {0.5}) or (x "serves" {0.2}) or ("tea" x {0.2}) or\n'
+        '    (x [["serves tea"]] {0.2}) or ([["say"]] x {0.2})\n'
+        "with threshold 0.5"
+    ))
+    assert run.candidate_sids == [0]
+    assert _per_sentence(run, "Acme") == [[1, 2], [], [], [1], [1]]
+
+
+def test_evidence_in_another_document_does_not_count():
+    corpus, bundle = _evidence_corpus([
+        ["Zed/Person runs", "the sun sets"],
+        ["Zed sells coffee", "coffee Zed serves"],
+    ])
+    run = _assert_evidence_matches_oracle(corpus, bundle, (
+        'extract x:Entity from "d" if ()\nsatisfying x\n'
+        '    (x near "coffee" {0.5}) or (x "sells" {0.2}) or ("coffee" x {0.2}) or\n'
+        '    (x [["sells coffee"]] {0.2}) or ([["coffee"]] x {0.2})\n'
+        "with threshold 0.1"
+    ))
+    assert [r.passed for r in run.rows] == [False]
+    assert _per_sentence(run, "Zed") == [[], [], [], [], []]
+
+
+def test_evidence_for_multi_token_value_with_frequent_first_token():
+    corpus, bundle = _evidence_corpus([[
+        "the/Org Bank/Org of the city",
+        "the bank lends and the Bank grows",
+        "the Bank opened the the Bank",
+        "the river the end",
+    ]])
+    run = _assert_evidence_matches_oracle(corpus, bundle, (
+        'extract x:Entity from "d" if ()\nsatisfying x\n'
+        '    (x near "grows" {0.5}) or (x "grows" {0.2}) or ("the" x {0.2}) or\n'
+        '    (x [["opened"]] {0.2}) or ([["lends"]] x {0.2})\n'
+        "with threshold 0.5"
+    ))
+    assert _per_sentence(run, "the Bank") == [[1], [], [], [2], [1]]
+
+
+def test_near_literal_only_in_sentences_without_the_value():
+    corpus, bundle = _evidence_corpus([["Acme/Org runs", "coffee is hot", "more coffee"]])
+    run = _assert_evidence_matches_oracle(corpus, bundle, (
+        'extract x:Entity from "d" if ()\nsatisfying x (x near "coffee" {1})\n'
+        "with threshold 0.5"
+    ))
+    assert [(r.passed, r.scores["x"].total) for r in run.rows] == [(False, 0.0)]
+
+
+def test_typed_entity_query_without_mentions_of_its_type():
+    corpus, bundle = _evidence_corpus([["Acme/Org sells coffee", "Acme near coffee"]])
+    run = _assert_evidence_matches_oracle(corpus, bundle, (
+        'extract a:Person from "d" if ()\nsatisfying a (a near "coffee" {1})\n'
+        "with threshold 0.5"
+    ))
+    assert run.candidate_sids == [] and run.rows == []
+
+
+def test_query_without_index_bound_variable_evaluates_every_sentence():
+    corpus, bundle = _evidence_corpus([
+        ["Acme/Org sells coffee", "tea and coffee"],
+        ["coffee Acme", "nothing here"],
+    ])
+    run = _assert_evidence_matches_oracle(corpus, bundle, (
+        'extract v:Str from "d" if (/ROOT:{ v = ^[@min=1, @max=1] })\n'
+        'satisfying v (v near "coffee" {1})\nwith threshold 0.5'
+    ))
+    assert run.candidate_sids == list(range(len(corpus)))
+    assert {r.sid for r in run.rows if r.passed} == {0, 1, 2}

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from koko.cli import main
 from koko.engine import run_query
 from koko.parser import parse_query
+from koko.textutil import tokenize_literal
 
 from .conftest import data_path
 
@@ -390,11 +391,17 @@ def test_bad_flag_values_exit_3(case, tmp_path):
 LAZY_QUERIES = {
     "tree": 'extract v:Str from "t" if (/ROOT:{ v = //verb/nsubj })',
     "span": 'extract v:Str from "t" if (/ROOT:{ v = "baka" + ^ + //dobj })',
+    # Every condition that scans the document: near, adjacency on both
+    # sides and both descriptor sides.
     "evidence": (
         'extract x:Entity from "t" if ()\n'
         "satisfying x\n"
         '    (str(x) contains "baka" {1}) or\n'
-        '    (x near "bali" {0.5})\n'
+        '    (x near "bali" {0.5}) or\n'
+        '    (x "baka" {0.2}) or\n'
+        '    ("bali" x {0.2}) or\n'
+        '    (x [["bana"]] {0.2}) or\n'
+        '    ([["baka bali"]] x {0.2})\n'
         "with threshold 0.4\n"
     ),
 }
@@ -462,6 +469,40 @@ def test_lazy_path_parses_only_candidate_sentences(tmp_path, monkeypatch):
         run = run_query(parse_query(LAZY_QUERIES[name]), corpus, bundle)
         assert run.rows, name
         assert 0 < len(parsed) <= len(run.candidate_sids) < len(corpus), name
+
+    # The evidence query's candidates are the entity index's sentences, and
+    # its evidence reads only the sentences of a mention's document that
+    # hold the mention's first token.
+    parsed.clear()
+    with open(canonical, "rb") as f:
+        data = f.read()
+    corpus = open_canonical(data, canonical)
+    bundle = load_bundle(idx, expected_fingerprint=fingerprint_bytes(data), corpus=corpus)
+    run = run_query(parse_query(LAZY_QUERIES["evidence"]), corpus, bundle)
+    assert run.rows
+    mentions = bundle.entity.lookup()
+    assert run.candidate_sids == sorted({e.sid for e in mentions})
+    holding = set()
+    for e in mentions:
+        first = tokenize_literal(e.surface)[0]
+        doc = corpus.doc_sids(corpus.doc_index_of(e.sid))
+        holding |= {p.sid for p in bundle.word.lookup(first) if p.sid in doc}
+    assert 0 < len(parsed) <= len(holding)
+    assert len(run.candidate_sids) < len(corpus) and len(parsed) < len(corpus)
+
+
+def test_verify_evidence_query_on_documents(tmp_path, capsys):
+    canonical, _ = _write_corpus_pair(tmp_path)
+    idx = str(tmp_path / "idx")
+    assert run_cli(["index", "--corpus", canonical, "--out", idx], capsys)[0] == 0
+    q = tmp_path / "evidence.koko"
+    q.write_text(LAZY_QUERIES["evidence"])
+    for extra in ([], ["--index", idx]):
+        code, out, err = run_cli(
+            ["verify", "--query", str(q), "--corpus", canonical, *extra], capsys
+        )
+        assert code == 0, err
+        assert "agree" in out and int(out.split("agree on ")[1].split()[0]) > 0
 
 
 def test_stale_canonical_corpus_exits_2(tmp_path, capsys):
