@@ -18,9 +18,9 @@ token id (``tokens``, ``pos``, ``labels``, ``heads``, ``etypes``,
 ``iobs``). ``Sentence(sid, tokens, pos, labels, heads, etypes, iobs)`` is
 the one way to build a sentence, whether it comes from the reader, a
 lazily parsed canonical file or a synthetic corpus: its constructor
-derives the tree data every index entry is made of (``Sentence.posting``)
-and the entity mentions (``EntitySpan``), which the entity index stores
-as they are.
+derives the tree data (``left``, ``right``, ``depth``), which the index's
+token table stores as it is, and the entity mentions (``EntitySpan``),
+which the entity index stores as they are.
 """
 
 from __future__ import annotations
@@ -32,16 +32,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 from .errors import KokoInputError
-
-
-class PostingEntry(NamedTuple):
-    """Index unit: sentence id, token id, subtree extent and tree depth."""
-
-    sid: int
-    tid: int
-    left: int
-    right: int
-    depth: int
 
 
 class EntitySpan(NamedTuple):
@@ -139,9 +129,6 @@ class Sentence:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def posting(self, tid: int) -> PostingEntry:
-        return PostingEntry(self.sid, tid, self.left[tid], self.right[tid], self.depth[tid])
-
     def text(self, start: int = 0, end: int | None = None) -> str:
         """Detokenized surface text of tokens start..end inclusive."""
         if end is None:
@@ -177,9 +164,7 @@ class SentenceList(Sequence):
     def __len__(self) -> int:
         return len(self._items)
 
-    def __getitem__(self, sid):
-        if isinstance(sid, slice):
-            return [self[i] for i in range(*sid.indices(len(self._items)))]
+    def __getitem__(self, sid: int) -> Sentence:
         item = self._items[sid]
         if isinstance(item, tuple):
             sid = range(len(self._items))[sid]
@@ -337,7 +322,8 @@ def parse_corpus(text: str, origin: str = "<string>") -> list[AnnotatedDocument]
             ensure_doc().sentences.append(_build_sentence(rows, origin))
             rows = []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # Not `splitlines`, which also splits at U+2028, "\x0c" and the like.
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.rstrip()
         if not line:
             flush(lineno)

@@ -15,14 +15,14 @@ must differ in depth by at least k.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .corpus import PostingEntry
 from .errors import KokoDecomposeError
-from .indexes import IndexBundle
+from .indexes import IndexBundle, TokenTable
 from .normalize import ANY_ENTITY, ENTITY, NODE, WORDSEQ, NormalizedQuery, NormVar
 from .syntax import PathExpr
 from .vocab import PL, POS, classify_label
@@ -157,60 +157,64 @@ def dominant_paths(n: NormalizedQuery) -> dict[str, tuple[str, int]]:
 # Joins
 
 
-def _filter_depth(entries: list[PostingEntry], min_depth: int, exact: bool) -> list[PostingEntry]:
+def _filter_depth(offsets, depth, min_depth: int, exact: bool) -> list[int]:
     if exact:
-        return [e for e in entries if e.depth == min_depth]
-    return [e for e in entries if e.depth >= min_depth]
+        return [o for o in offsets if depth[o] == min_depth]
+    return [o for o in offsets if depth[o] >= min_depth]
 
 
-def join_word_path(bundle: IndexBundle, dp: DecomposedPath) -> list[PostingEntry] | None:
+def _contained(inner, outer, tokens: TokenTable, gap: int) -> list[int]:
+    """The offsets of `inner` whose token some `outer` token of the same
+    sentence contains, by extent, at least `gap` levels further up."""
+    sid_of, left, right, depth = tokens.sid_of, tokens.left, tokens.right, tokens.depth
+    by_sid: dict[int, list[int]] = {}
+    for o in outer:
+        by_sid.setdefault(sid_of[o], []).append(o)
+    return [
+        i for i in inner
+        if any(
+            left[o] <= left[i] and right[o] >= right[i] and depth[i] >= depth[o] + gap
+            for o in by_sid.get(sid_of[i], ())
+        )
+    ]
+
+
+def join_word_path(bundle: IndexBundle, dp: DecomposedPath) -> list[int] | None:
     """Chained containment join over the concrete words of the word path.
 
-    Returns entries for the last concrete word, or None when the path has
-    no words at all (a universal leg). A later word survives when some
-    earlier-word entry in the same sentence contains its extent and sits
+    Returns the offsets of the last concrete word, or None when the path
+    has no words at all (a universal leg). A later word survives when some
+    earlier-word token in the same sentence contains its extent and sits
     at least as many levels up as there are steps between the two words.
     """
     if not dp.word_positions:
         return None
-    first = dp.word_positions[0]
-    current = _filter_depth(
-        bundle.word.lookup(dp.word_steps[first][1]), dp.min_depth[first], dp.exact_depth[first]
-    )
-    prev_pos = first
-    for pos in dp.word_positions[1:]:
+    t = bundle.tokens
+    current: list[int] | None = None
+    for pos in dp.word_positions:
+        word = bundle.word.lookup(dp.word_steps[pos][1])
+        leg = _filter_depth(word, t.depth, dp.min_depth[pos], dp.exact_depth[pos])
+        current = leg if current is None else _contained(leg, current, t, pos - prev_pos)
         if not current:
             return []
-        nxt = _filter_depth(
-            bundle.word.lookup(dp.word_steps[pos][1]), dp.min_depth[pos], dp.exact_depth[pos]
-        )
-        gap = pos - prev_pos
-        by_sid: dict[int, list[PostingEntry]] = {}
-        for e in current:
-            by_sid.setdefault(e.sid, []).append(e)
-        current = [
-            q for q in nxt
-            if any(
-                p.left <= q.left and p.right >= q.right and q.depth >= p.depth + gap
-                for p in by_sid.get(q.sid, ())
-            )
-        ]
         prev_pos = pos
     return current
 
 
-def _intersect_tokens(a: list[PostingEntry], b: list[PostingEntry]) -> list[PostingEntry]:
-    keys = {(e.sid, e.tid) for e in a}
-    return [e for e in b if (e.sid, e.tid) in keys]
+def _intersect_tokens(a, b) -> list[int]:
+    keys = set(a)
+    return [o for o in b if o in keys]
 
 
 def join_all(
-    p1: list[PostingEntry] | None,
-    p2: list[PostingEntry] | None,
-    q: list[PostingEntry] | None,
+    p1: list[int] | None,
+    p2: list[int] | None,
+    q: list[int] | None,
     dp: DecomposedPath,
-) -> list[PostingEntry]:
-    """Combine the three legs into candidates for the path's last step."""
+    tokens: TokenTable,
+) -> list[int]:
+    """Combine the three legs into candidates for the path's last step, in
+    offset order: every leg is sorted, and each join keeps one's order."""
     if p1 is None:
         p = p2
     elif p2 is None:
@@ -226,17 +230,7 @@ def join_all(
         return _intersect_tokens(q, p)
     # The last concrete word must be an ancestor of the candidate token,
     # at least as many levels up as the steps separating them.
-    gap = len(dp.word_steps) - 1 - dp.word_positions[-1]
-    by_sid: dict[int, list[PostingEntry]] = {}
-    for e in q:
-        by_sid.setdefault(e.sid, []).append(e)
-    return [
-        c for c in p
-        if any(
-            w.left <= c.left and w.right >= c.right and c.depth >= w.depth + gap
-            for w in by_sid.get(c.sid, ())
-        )
-    ]
+    return _contained(p, q, tokens, len(dp.word_steps) - 1 - dp.word_positions[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +238,7 @@ def join_all(
 
 
 class SidRuns(Mapping):
-    """Entries sorted by sid (their first field), looked up by sid.
+    """Entries sorted by sid, looked up by sid; `key` gives an entry's sid.
 
     Holds the one list and, per sid, the (start, end) bounds of its run,
     instead of a container per sid. The bounds are tuples of ints, which
@@ -255,11 +249,11 @@ class SidRuns(Mapping):
 
     __slots__ = ("entries", "runs")
 
-    def __init__(self, entries: list) -> None:
+    def __init__(self, entries: list, key: Callable = itemgetter(0)) -> None:
         self.entries = entries
         self.runs: dict[int, tuple[int, int]] = {}
         start = 0
-        for sid, k in Counter(map(itemgetter(0), entries)).items():
+        for sid, k in Counter(map(key, entries)).items():
             self.runs[sid] = (start, start + k)
             start += k
 
@@ -306,7 +300,13 @@ class BindingTable:
     bindings: dict[str, VarBinding]
     candidate_sids: list[int]
     dominance: dict[str, tuple[str, int]]
+    starts: array  # node candidates are token offsets, starts[sid] + tid
     info: list[DominantInfo] = field(default_factory=list)
+
+    def node_tids(self, var: str, sid: int) -> list[int]:
+        """The token ids of a node variable's candidates in one sentence."""
+        base = self.starts[sid]
+        return [o - base for o in self.bindings[var].by_sid.get(sid, ())]
 
     def describe(self) -> str:
         lines = ["dominant paths:"]
@@ -365,7 +365,11 @@ def candidate_bindings(n: NormalizedQuery, bundle: IndexBundle) -> BindingTable:
     else:
         candidate_sids = list(range(bundle.sentence_count))
     return BindingTable(
-        bindings=bindings, candidate_sids=candidate_sids, dominance=dominance, info=info
+        bindings=bindings,
+        candidate_sids=candidate_sids,
+        dominance=dominance,
+        starts=bundle.tokens.starts,
+        info=info,
     )
 
 
@@ -378,8 +382,7 @@ def _bind_dominant(var: NormVar, bundle: IndexBundle, info: list[DominantInfo]) 
         # All-wildcard path: the skeleton still constrains depth; resolve
         # it through the PL hierarchy.
         p1 = bundle.pl.lookup(dp.pl_steps)
-    entries = join_all(p1, p2, q, dp)
-    entries.sort()
+    entries = join_all(p1, p2, q, dp, bundle.tokens)
     info.append(DominantInfo(
         var=var.name,
         decomposed=dp,
@@ -388,19 +391,20 @@ def _bind_dominant(var: NormVar, bundle: IndexBundle, info: list[DominantInfo]) 
         q_size=None if q is None else len(q),
         result_size=len(entries),
     ))
-    return VarBinding(var=var, by_sid=SidRuns(entries), index_bound=True)
+    return VarBinding(var=var, by_sid=SidRuns(entries, bundle.tokens.sid_of.__getitem__), index_bound=True)
 
 
 def _word_seq_spans(bundle: IndexBundle, tokens: tuple[str, ...]) -> list[tuple[int, int, int]]:
     """(sid, start, end) occurrences of a literal token sequence."""
     if not tokens:
         return []
-    first = bundle.word.lookup(tokens[0])
-    later = [
-        {(e.sid, e.tid) for e in bundle.word.lookup(tok)} for tok in tokens[1:]
-    ]
+    starts, sid_of = bundle.tokens.starts, bundle.tokens.sid_of
+    last = len(tokens) - 1
+    later = [set(bundle.word.lookup(tok)) for tok in tokens[1:]]
     out = []
-    for e in first:
-        if all((e.sid, e.tid + k + 1) in keys for k, keys in enumerate(later)):
-            out.append((e.sid, e.tid, e.tid + len(tokens) - 1))
+    for o in bundle.word.lookup(tokens[0]):
+        sid = sid_of[o]
+        if o + last < starts[sid + 1] and all(o + k + 1 in keys for k, keys in enumerate(later)):
+            start = o - starts[sid]
+            out.append((sid, start, start + last))
     return out

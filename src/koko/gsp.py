@@ -79,12 +79,10 @@ class SkipPlan:
 class EvalStats:
     loop_iterations: int = 0
     tuples: int = 0
-    sentences: int = 0
 
     def add(self, other: EvalStats) -> None:
         self.loop_iterations += other.loop_iterations
         self.tuples += other.tuples
-        self.sentences += other.sentences
 
 
 @dataclass
@@ -294,7 +292,7 @@ class CompiledPlan:
         if var.kind == NODE:
             if vb.derived_from is not None:
                 return self._dominated_enumerator(vb)
-            return lambda s, env: [Bound(e.tid, e.tid, e.tid) for e in by_sid.get(s.sid, ())]
+            return lambda s, env: [Bound(t, t, t) for t in self.table.node_tids(var.name, s.sid)]
         if var.kind == ENTITY:
             return lambda s, env: [Bound(r.start, r.end, None, r) for r in by_sid.get(s.sid, ())]
         if var.kind == WORDSEQ:
@@ -314,7 +312,6 @@ class CompiledPlan:
 
     def _dominated_enumerator(self, vb: VarBinding) -> Callable[[Sentence, dict], list[Bound]]:
         """Ancestors, at the right distance, of the dominant's candidates."""
-        by_sid = self.table.bindings[vb.derived_from].by_sid
         tail = self.n.var(vb.derived_from).path.steps[vb.prefix_len :]
         dmin = len(tail)
         bounded = all(st.axis == "/" for st in tail)
@@ -322,9 +319,8 @@ class CompiledPlan:
         def candidates(s: Sentence, env: dict) -> list[Bound]:
             heads = s.heads
             tids: set[int] = set()
-            for e in by_sid.get(s.sid, ()):
+            for cur in self.table.node_tids(vb.derived_from, s.sid):
                 dist = 0
-                cur = e.tid
                 while True:
                     head = heads[cur]
                     if head is None:
@@ -565,7 +561,6 @@ def evaluate_sentence(
     it the plan is compiled for this call only.
     """
     stats = stats if stats is not None else EvalStats()
-    stats.sentences += 1
     key = plan.key
     program = compiled.get(key) if compiled is not None else None
     if program is None:

@@ -1,66 +1,115 @@
-"""The four corpus indices and their on-disk form.
+"""The token table, the four corpus indices and their on-disk form.
 
-* word index: surface string -> posting list of (sid, tid, left-right, depth)
+* token table: every token's subtree extent and depth, stored once
+* word index: surface string -> posting list
 * entity index: entity surface -> (sid, start-end, type) records
-* PL hierarchy index: dependency trees merged on parse labels
-* POS hierarchy index: dependency trees merged on POS tags
+* PL / POS hierarchy index: dependency trees merged on parse labels / POS tags
 
-Hierarchy indices merge same-labelled children recursively, so every node
-is addressed by the unique label path from the root, and each token lands
-in exactly one node's posting list per index. Both hierarchies hang off a
-synthetic super-root (labelled with TOP for the POS index, where sentence
-roots carry arbitrary tags); the super-root is not counted as a node.
+A posting list is a sorted ``array('I')`` of global token offsets
+(``starts[sid] + tid``), whose sid, tid and tree data the token table
+gives. Hierarchy indices merge same-labelled children recursively, so
+every node is addressed by the unique label path from the root, and each
+token lands in exactly one node's posting list per index. Both hang off
+a synthetic super-root (labelled TOP in the POS index, where sentence
+roots carry arbitrary tags), which is not counted as a node.
 
-Persisted layout (directory): ``manifest.json`` plus ``word.idx``,
-``entity.idx``, ``pl.idx``, ``pos.idx``. Every ``.idx`` file starts with
-the magic bytes ``KOKO`` and a little-endian u32 format version, followed
-by length-prefixed records as written below. The manifest records the
-CRC-32 of each ``.idx`` file, checked on load.
+Persisted layout (directory): ``manifest.json``, which records the CRC-32
+of each file, plus ``tree.idx``, ``word.idx``, ``entity.idx``, ``pl.idx``
+and ``pos.idx``: each the magic ``KOKO``, a format version and the
+records `save_bundle` writes, every integer a little-endian 4-byte one.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
 import struct
+import sys
 import zlib
+from array import array
 from bisect import bisect_left
+from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from operator import attrgetter
+from functools import partial
+from itertools import accumulate, chain, count, repeat
+from operator import lt, sub
 
-from .corpus import AnnotatedDocument, Corpus, EntitySpan, PostingEntry, serialize_corpus
+from .corpus import AnnotatedDocument, Corpus, EntitySpan, serialize_corpus
 from .errors import KokoInputError
 
 MAGIC = b"KOKO"
-FORMAT_VERSION = 2
-INDEX_FILES = ("word.idx", "entity.idx", "pl.idx", "pos.idx")
+FORMAT_VERSION = 3
+INDEX_FILES = ("tree.idx", "word.idx", "entity.idx", "pl.idx", "pos.idx")
 
 TOP = "⊤"  # dummy label above every sentence root in the POS index
-_SID = attrgetter("sid")
+
+_TYPECODE = "I"  # array typecode of offsets and tree columns, 4 bytes on disk
+if array(_TYPECODE).itemsize != 4:
+    raise ImportError(f"koko.indexes needs 4-byte array items of type {_TYPECODE!r}")
+
+
+def _swapped(a: array) -> array:
+    """`a` in little-endian order: a swapped copy on a big-endian host."""
+    if sys.byteorder == "big":
+        a = array(_TYPECODE, a)
+        a.byteswap()
+    return a
+
+
+@dataclass
+class TokenTable:
+    """Tree data of every token of the corpus, stored once. Sentence sid
+    holds the offsets ``starts[sid]`` up to ``starts[sid + 1]``, so
+    ``starts[-1]`` is the token count; ``left``, ``right`` and ``depth``
+    are the sentence-local columns of each `Sentence`, by offset.
+    ``sid_of`` (the sentence of each offset) is derived from ``starts``."""
+
+    starts: array
+    left: array
+    right: array
+    depth: array
+    sid_of: array = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        sids = range(len(self.starts) - 1)
+        lengths = map(sub, self.starts[1:], self.starts)
+        self.sid_of = array(_TYPECODE, chain.from_iterable(map(repeat, sids, lengths)))
+
+    def check(self, offsets: array, where: str) -> None:
+        """Raise KokoInputError unless `offsets` is a strictly increasing
+        list of token offsets whose tree entries lie in their sentence."""
+        starts, sid_of, left, right, depth = self.starts, self.sid_of, self.left, self.right, self.depth
+        prev = -1
+        for o in offsets:
+            if not prev < o < len(sid_of):
+                raise KokoInputError(f"{where}: posting {o} lies outside the corpus or out of order")
+            sid = sid_of[o]
+            tid, n = o - starts[sid], starts[sid + 1] - starts[sid]
+            if not (left[o] <= tid <= right[o] < n and depth[o] < n):
+                raise KokoInputError(f"{where}: tree entry of token ({sid},{tid}) lies outside the corpus")
+            prev = o
 
 
 class WordIndex:
-    def __init__(self) -> None:
-        # A dict while building; a loaded index decodes each list on first
+    def __init__(self, tokens: TokenTable, postings: Mapping[str, array]) -> None:
+        self.tokens = tokens
+        # A dict when built; a loaded index decodes each list on first
         # read (`_LazyPostings`).
-        self.postings: Mapping[str, list[PostingEntry]] = {}
+        self.postings = postings
 
-    def add(self, word: str, entry: PostingEntry) -> None:
-        self.postings.setdefault(word, []).append(entry)
-
-    def lookup(self, word: str) -> list[PostingEntry]:
-        return self.postings.get(word, [])
+    def lookup(self, word: str) -> array:
+        return self.postings.get(word) or array(_TYPECODE)
 
     def sentences_with(self, word: str, sids: range) -> list[int]:
         """The sids in `sids` of the sentences holding `word`, in order,
-        cut from its sid-sorted posting list."""
+        cut from its offset-sorted posting list."""
         postings = self.lookup(word)
-        lo = bisect_left(postings, sids.start, key=_SID)
-        hi = bisect_left(postings, sids.stop, lo, key=_SID)
-        return list(dict.fromkeys(e.sid for e in postings[lo:hi]))
+        starts = self.tokens.starts
+        lo = bisect_left(postings, starts[sids.start])
+        hi = bisect_left(postings, starts[sids.stop], lo)
+        return list(dict.fromkeys(map(self.tokens.sid_of.__getitem__, postings[lo:hi])))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, WordIndex) and self.postings == other.postings
@@ -97,7 +146,7 @@ class HierarchyIndex:
         self.nodes: list[HierarchyNode] = [HierarchyNode(0, root_label, -1)]
         # Posting list of each node, by node id; decoded on first read in
         # a loaded index, as in WordIndex.
-        self.postings: Mapping[int, list[PostingEntry]] = {0: []}
+        self.postings: Mapping[int, array] = {0: array(_TYPECODE)}
 
     @property
     def node_count(self) -> int:
@@ -112,22 +161,17 @@ class HierarchyIndex:
             nxt = len(self.nodes)
             node.children[label] = nxt
             self.nodes.append(HierarchyNode(nxt, label, node_id))
-            self.postings[nxt] = []
+            self.postings[nxt] = array(_TYPECODE)
         return nxt
 
-    def lookup(self, steps: list[tuple[str, str]]) -> list[PostingEntry]:
-        """Union of posting lists over nodes whose root path matches.
+    def lookup(self, steps: list[tuple[str, str]]) -> list[int]:
+        """Sorted union of posting lists over nodes whose root path matches.
 
         ``steps`` are (axis, label) pairs where label may be ``*``. ``/``
         consumes exactly one edge, ``//`` one or more; both start from the
         super-root, so a leading ``//`` reaches the depth-0 tokens too.
         """
-        matched = self.match_nodes(steps)
-        out: list[PostingEntry] = []
-        for node_id in sorted(matched):
-            out.extend(self.postings[node_id])
-        out.sort()
-        return out
+        return sorted(chain.from_iterable(map(self.postings.__getitem__, self.match_nodes(steps))))
 
     def match_nodes(self, steps: list[tuple[str, str]]) -> set[int]:
         positions = {0}
@@ -156,12 +200,11 @@ class HierarchyIndex:
             stack.extend(self.nodes[nid].children.values())
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HierarchyIndex) or len(self.nodes) != len(other.nodes):
-            return False
-        for a, b in zip(self.nodes, other.nodes):
-            if (a.label, a.parent, a.children) != (b.label, b.parent, b.children):
-                return False
-        return self.postings == other.postings
+        return (
+            isinstance(other, HierarchyIndex)
+            and self.nodes == other.nodes
+            and self.postings == other.postings
+        )
 
 
 @dataclass
@@ -170,9 +213,16 @@ class IndexBundle:
     entity: EntityIndex
     pl: HierarchyIndex
     pos: HierarchyIndex
+    tokens: TokenTable
     fingerprint: str
-    sentence_count: int
-    token_count: int
+
+    @property
+    def sentence_count(self) -> int:
+        return len(self.tokens.starts) - 1
+
+    @property
+    def token_count(self) -> int:
+        return self.tokens.starts[-1]
 
     def counts(self) -> dict[str, int]:
         return {
@@ -196,35 +246,37 @@ def fingerprint_bytes(data: bytes) -> str:
 
 
 def build_indexes(docs: list[AnnotatedDocument]) -> IndexBundle:
-    word = WordIndex()
+    words: defaultdict[str, array] = defaultdict(partial(array, _TYPECODE))
     entity = EntityIndex()
     pl = HierarchyIndex(root_label="")
     pos = HierarchyIndex(root_label=TOP)
-    sentence_count = 0
-    token_count = 0
+    starts = array(_TYPECODE, [0])
+    left, right, depth = array(_TYPECODE), array(_TYPECODE), array(_TYPECODE)
+    pl_nodes, pos_nodes = pl.postings, pos.postings
     for doc in docs:
         for s in doc.sentences:
-            sentence_count += 1
-            token_count += len(s.tokens)
-            pl_node = _assign_nodes(pl, s, s.labels)
-            pos_node = _assign_nodes(pos, s, s.pos)
-            for tid, text in enumerate(s.tokens):
-                entry = s.posting(tid)
-                word.add(text, entry)
-                pl.postings[pl_node[tid]].append(entry)
-                pos.postings[pos_node[tid]].append(entry)
+            base = starts[-1]
+            starts.append(base + len(s))
+            left.extend(s.left)
+            right.extend(s.right)
+            depth.extend(s.depth)
+            # Offsets grow with every token, so each list stays sorted.
+            for o, text, pl_node, pos_node in zip(
+                count(base), s.tokens, _assign_nodes(pl, s, s.labels), _assign_nodes(pos, s, s.pos)
+            ):
+                words[text].append(o)
+                pl_nodes[pl_node].append(o)
+                pos_nodes[pos_node].append(o)
             for e in s.entities:
                 entity.add(e)
-    for plist in word.postings.values():
-        plist.sort()
+    tokens = TokenTable(starts, left, right, depth)
     return IndexBundle(
-        word=word,
+        word=WordIndex(tokens, dict(words)),
         entity=entity,
         pl=pl,
         pos=pos,
+        tokens=tokens,
         fingerprint=corpus_fingerprint(docs),
-        sentence_count=sentence_count,
-        token_count=token_count,
     )
 
 
@@ -245,47 +297,79 @@ def _assign_nodes(index: HierarchyIndex, sentence, column: list[str]) -> list[in
 # ---------------------------------------------------------------------------
 # Persistence
 
-
-def _w_u32(f: io.BufferedWriter, value: int) -> None:
-    f.write(struct.pack("<I", value))
-
-
-def _w_str(f: io.BufferedWriter, value: str) -> None:
-    raw = value.encode("utf-8")
-    f.write(struct.pack("<I", len(raw)))
-    f.write(raw)
-
-
-def _w_postings(f: io.BufferedWriter, postings: list[PostingEntry]) -> None:
-    f.write(struct.pack("<I", len(postings)))
-    for p in postings:
-        f.write(struct.pack("<5I", *p))
-
-
 _U32 = struct.Struct("<I")
 _ENTITY = struct.Struct("<3I")
-_POSTING = struct.Struct("<5I")
 _NODE_HEAD = struct.Struct("<Ii")  # node id, parent id
+
+
+def _w_str(buf: bytearray, value: str) -> None:
+    raw = value.encode("utf-8")
+    buf += _U32.pack(len(raw))
+    buf += raw
+
+
+def _w_postings(buf: bytearray, postings: array) -> None:
+    buf += _U32.pack(len(postings))
+    buf += _swapped(postings).tobytes()
+
+
+def save_bundle(bundle: IndexBundle, directory: str) -> None:
+    """Write every file from one in-memory buffer, which also gives its
+    checksum."""
+    files = {name: bytearray(MAGIC + _U32.pack(FORMAT_VERSION)) for name in INDEX_FILES}
+    t = bundle.tokens
+    buf = files["tree.idx"]
+    buf += _U32.pack(bundle.sentence_count)
+    for column in (t.starts, t.left, t.right, t.depth):
+        buf += _swapped(column).tobytes()
+    buf = files["word.idx"]
+    buf += _U32.pack(len(bundle.word.postings))
+    for wordtext in sorted(bundle.word.postings):
+        _w_str(buf, wordtext)
+        _w_postings(buf, bundle.word.postings[wordtext])
+    buf = files["entity.idx"]
+    buf += _U32.pack(len(bundle.entity.records))
+    for r in bundle.entity.records:
+        _w_str(buf, r.surface)
+        _w_str(buf, r.etype)
+        buf += _ENTITY.pack(r.sid, r.start, r.end)
+    for name, index in (("pl.idx", bundle.pl), ("pos.idx", bundle.pos)):
+        buf = files[name]
+        buf += _U32.pack(len(index.nodes))
+        for node in index.nodes:
+            buf += _NODE_HEAD.pack(node.node_id, node.parent)
+            _w_str(buf, node.label)
+            _w_postings(buf, index.postings[node.node_id])
+    os.makedirs(directory, exist_ok=True)
+    for name, buf in files.items():
+        with open(os.path.join(directory, name), "wb") as f:
+            f.write(buf)
+    manifest = {
+        "format_version": FORMAT_VERSION,
+        "fingerprint": bundle.fingerprint,
+        "counts": bundle.counts(),
+        "checksums": {name: zlib.crc32(buf) for name, buf in files.items()},
+    }
+    with open(os.path.join(directory, "manifest.json"), "w", encoding="utf-8") as f:
+        json.dump(manifest, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
 class _IndexFile:
     """One .idx file in memory, scanned front to back. The scan skips each
-    posting block and keeps its offset; `postings_at` decodes a block when
-    a lookup first needs it and checks every entry against the corpus."""
+    posting block and keeps its offset; `block_at` decodes a block when
+    a lookup first needs it and checks it against the token table."""
 
-    def __init__(
-        self, directory: str, name: str, sentence_count: int, lengths: list[int] | None, crc: int
-    ):
+    def __init__(self, directory: str, name: str, crc: int, tokens: TokenTable | None = None):
         self.path = os.path.join(directory, name)
         self.crc = crc
+        self.tokens = tokens
         try:
             with open(self.path, "rb") as f:
                 self.buf = f.read()
         except OSError as exc:
             raise KokoInputError(f"{self.path}: cannot read index file: {exc.strerror}") from None
         self.pos = 0
-        self.sentence_count = sentence_count
-        self.lengths = lengths
         if self.take(4) != MAGIC:
             raise KokoInputError(f"{self.path}: not an index file (bad magic)")
         version = self.u32()
@@ -310,6 +394,9 @@ class _IndexFile:
     def u32(self) -> int:
         return _U32.unpack_from(self.buf, self.advance(4))[0]
 
+    def u32s(self, n: int) -> array:
+        return _swapped(array(_TYPECODE, self.take(4 * n)))
+
     def string(self) -> str:
         try:
             return self.take(self.u32()).decode("utf-8")
@@ -333,7 +420,7 @@ class _IndexFile:
                 pos += 4 + n
                 (k,) = _U32.unpack_from(buf, pos)
                 out.append((*fields, label, pos))
-                pos += _U32.size + _POSTING.size * k
+                pos += 4 + 4 * k
         except struct.error:
             raise KokoInputError(f"{self.path}: truncated index file") from None
         except UnicodeDecodeError:
@@ -350,22 +437,12 @@ class _IndexFile:
         if zlib.crc32(self.buf) != self.crc:
             raise KokoInputError(f"{self.path}: checksum mismatch, the file is corrupt; rebuild the index")
 
-    def postings_at(self, offset: int) -> list[PostingEntry]:
+    def block_at(self, offset: int) -> array:
         (n,) = _U32.unpack_from(self.buf, offset)
-        start = offset + _U32.size
-        entries = list(map(PostingEntry._make, _POSTING.iter_unpack(self.buf[start : start + _POSTING.size * n])))
-        count, lengths = self.sentence_count, self.lengths
-        prev = 0
-        for sid, tid, left, right, depth in entries:
-            if not (prev <= sid < count and left <= tid <= right) or (
-                lengths is not None and not (right < lengths[sid] and depth < lengths[sid])
-            ):
-                raise KokoInputError(
-                    f"{self.path}: posting ({sid},{tid},{left}-{right},{depth}) "
-                    f"lies outside the corpus or out of sentence order"
-                )
-            prev = sid
-        return entries
+        start = offset + 4
+        block = _swapped(array(_TYPECODE, self.buf[start : start + 4 * n]))
+        self.tokens.check(block, self.path)
+        return block
 
 
 class _LazyPostings(Mapping):
@@ -377,10 +454,10 @@ class _LazyPostings(Mapping):
         self._offsets = offsets
         self._decoded: dict = {}
 
-    def __getitem__(self, key) -> list[PostingEntry]:
+    def __getitem__(self, key) -> array:
         plist = self._decoded.get(key)
         if plist is None:
-            plist = self._decoded[key] = self._file.postings_at(self._offsets[key])
+            plist = self._decoded[key] = self._file.block_at(self._offsets[key])
         return plist
 
     def __iter__(self):
@@ -388,50 +465,6 @@ class _LazyPostings(Mapping):
 
     def __len__(self) -> int:
         return len(self._offsets)
-
-
-def _open_out(path: str) -> io.BufferedWriter:
-    f = open(path, "wb")
-    f.write(MAGIC)
-    f.write(struct.pack("<I", FORMAT_VERSION))
-    return f
-
-
-def _file_crc(path: str) -> int:
-    with open(path, "rb") as f:
-        return zlib.crc32(f.read())
-
-
-def save_bundle(bundle: IndexBundle, directory: str) -> None:
-    os.makedirs(directory, exist_ok=True)
-    with _open_out(os.path.join(directory, "word.idx")) as f:
-        _w_u32(f, len(bundle.word.postings))
-        for wordtext in sorted(bundle.word.postings):
-            _w_str(f, wordtext)
-            _w_postings(f, bundle.word.postings[wordtext])
-    with _open_out(os.path.join(directory, "entity.idx")) as f:
-        _w_u32(f, len(bundle.entity.records))
-        for r in bundle.entity.records:
-            _w_str(f, r.surface)
-            _w_str(f, r.etype)
-            f.write(struct.pack("<3I", r.sid, r.start, r.end))
-    for name, index in (("pl.idx", bundle.pl), ("pos.idx", bundle.pos)):
-        with _open_out(os.path.join(directory, name)) as f:
-            _w_u32(f, len(index.nodes))
-            for node in index.nodes:
-                _w_u32(f, node.node_id)
-                f.write(struct.pack("<i", node.parent))
-                _w_str(f, node.label)
-                _w_postings(f, index.postings[node.node_id])
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "fingerprint": bundle.fingerprint,
-        "counts": bundle.counts(),
-        "checksums": {name: _file_crc(os.path.join(directory, name)) for name in INDEX_FILES},
-    }
-    with open(os.path.join(directory, "manifest.json"), "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
 
 
 def _read_manifest(directory: str) -> dict:
@@ -461,10 +494,11 @@ def index_fingerprint(directory: str) -> str:
 def load_bundle(
     directory: str, expected_fingerprint: str | None = None, corpus: Corpus | None = None
 ) -> IndexBundle:
-    """Open a saved index. Only record headers are read here; posting
-    lists are decoded on first lookup. Each file's checksum is checked
-    against the manifest's. Given the corpus, every sentence and token an
-    index record names is checked to exist in it."""
+    """Open a saved index. The token table is read whole; of the other
+    files only record headers are read here, and posting lists are
+    decoded on first lookup, each checked against the token table. Each
+    file's checksum is checked against the manifest's. Given the corpus,
+    the token table's sentence lengths are checked to be the corpus's."""
     manifest = _read_manifest(directory)
     fingerprint = manifest.get("fingerprint", "")
     if expected_fingerprint is not None and fingerprint != expected_fingerprint:
@@ -472,32 +506,31 @@ def load_bundle(
             f"{directory}: index fingerprint {fingerprint[:12]}... does not match "
             f"the supplied corpus ({expected_fingerprint[:12]}...); rebuild the index"
         )
-    counts = manifest.get("counts", {})
-    try:
-        sentence_count = int(counts.get("sentences", 0))
-        token_count = int(counts.get("tokens", 0))
-    except (AttributeError, TypeError, ValueError):
-        raise KokoInputError(f"{directory}: manifest.json has malformed counts") from None
     checksums = manifest.get("checksums")
     if not isinstance(checksums, dict) or not all(
         isinstance(checksums.get(name), int) for name in INDEX_FILES
     ):
         raise KokoInputError(f"{directory}: manifest.json lacks the checksums of the index files")
-    lengths = None
-    if corpus is not None:
-        if sentence_count != len(corpus):
-            raise KokoInputError(
-                f"{directory}: index has {sentence_count} sentences, "
-                f"the corpus {len(corpus)}; rebuild the index"
-            )
-        lengths = corpus.sentence_lengths
+
+    f = _IndexFile(directory, "tree.idx", checksums["tree.idx"])
+    starts = f.u32s(f.u32() + 1)
+    columns = [f.u32s(starts[-1]) for _ in range(3)]
+    f.end()
+    # Every sentence has a token.
+    if starts[0] != 0 or not all(map(lt, starts, starts[1:])):
+        raise KokoInputError(f"{f.path}: sentence starts do not increase from 0")
+    if corpus is not None and starts != array(_TYPECODE, accumulate(corpus.sentence_lengths, initial=0)):
+        raise KokoInputError(
+            f"{directory}: index sentence lengths ({len(starts) - 1} sentences) differ from "
+            f"the corpus's ({len(corpus)} sentences); rebuild the index"
+        )
+    tokens = TokenTable(starts, *columns)
 
     def open_file(name: str) -> _IndexFile:
-        return _IndexFile(directory, name, sentence_count, lengths, checksums[name])
+        return _IndexFile(directory, name, checksums[name], tokens)
 
     f = open_file("word.idx")
-    word = WordIndex()
-    word.postings = _LazyPostings(f, dict(f.labelled_blocks(f.u32())))
+    word = WordIndex(tokens, _LazyPostings(f, dict(f.labelled_blocks(f.u32()))))
     f.end()
 
     f = open_file("entity.idx")
@@ -507,9 +540,7 @@ def load_bundle(
         surface = f.string()
         etype = f.string()
         sid, start, end = _ENTITY.unpack_from(f.buf, f.advance(_ENTITY.size))
-        if not (prev <= sid < sentence_count and start <= end) or (
-            lengths is not None and end >= lengths[sid]
-        ):
+        if not (prev <= sid < len(starts) - 1 and start <= end < starts[sid + 1] - starts[sid]):
             raise KokoInputError(
                 f"{f.path}: entity ({sid},{start}-{end}) lies outside the corpus "
                 f"or out of sentence order"
@@ -546,8 +577,6 @@ def load_bundle(
         entity=entity,
         pl=hierarchies[0],
         pos=hierarchies[1],
+        tokens=tokens,
         fingerprint=fingerprint,
-        sentence_count=sentence_count,
-        token_count=token_count,
     )
-

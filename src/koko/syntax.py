@@ -67,10 +67,6 @@ class VarDef:
     name: str
     atoms: tuple[SpanAtom, ...]
 
-    @property
-    def is_node(self) -> bool:
-        return len(self.atoms) == 1 and isinstance(self.atoms[0], PathAtom)
-
 
 @dataclass(frozen=True)
 class Constraint:
@@ -108,16 +104,6 @@ class Query:
     constraints: tuple[Constraint, ...] = ()
     satisfying: tuple[SatisfyingClause, ...] = ()
     excluding: tuple[SatCondition, ...] = ()
-
-    def satisfying_for(self, var: str) -> SatisfyingClause | None:
-        for clause in self.satisfying:
-            if clause.var == var:
-                return clause
-        return None
-
-    @property
-    def declared_vars(self) -> set[str]:
-        return {name for name, _ in self.outputs} | {d.name for d in self.defs}
 
 
 def format_number(x: float) -> str:

@@ -21,6 +21,17 @@ def data_path(*parts: str) -> str:
     return os.path.join(DATA, *parts)
 
 
+def postings(bundle, offsets) -> list[tuple[int, int, int, int, int]]:
+    """(sid, tid, left, right, depth) of each token offset, read from the
+    bundle's token table."""
+    t = bundle.tokens
+    out = []
+    for o in offsets:
+        sid = t.sid_of[o]
+        out.append((sid, o - t.starts[sid], t.left[o], t.right[o], t.depth[o]))
+    return out
+
+
 def load_fixture_query(name: str):
     with open(data_path("queries", f"{name}.koko"), "r", encoding="utf-8") as f:
         return parse_query(f.read())

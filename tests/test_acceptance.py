@@ -19,7 +19,7 @@ from koko.bench import (
     generate_tree_suite,
     synthesize_corpus,
 )
-from koko.corpus import AnnotatedDocument, Corpus, PostingEntry, Sentence, parse_corpus
+from koko.corpus import AnnotatedDocument, Corpus, Sentence, parse_corpus
 from koko.dpli import decompose, join_word_path
 from koko.engine import run_query
 from koko.indexes import build_indexes
@@ -29,7 +29,7 @@ from koko.parser import parse_query
 from koko.resources import Expansion, Resources
 from koko.syntax import pretty_print
 
-from .conftest import QUERY_FIXTURES, fixture_query_text, load_fixture_query
+from .conftest import QUERY_FIXTURES, fixture_query_text, load_fixture_query, postings
 
 SEED = 20240617
 
@@ -77,21 +77,25 @@ def span_results(synth):
 
 def test_criterion_1_golden_index_contents(ex31_bundle):
     t0 = time.time()
-    assert ex31_bundle.word.lookup("I") == [PostingEntry(0, 0, 0, 0, 1)]
-    assert ex31_bundle.word.lookup("cream") == [PostingEntry(0, 5, 2, 9, 1)]
-    assert ex31_bundle.word.lookup("delicious") == [
-        PostingEntry(0, 9, 9, 9, 3),
-        PostingEntry(1, 3, 3, 3, 2),
+
+    def word(text):
+        return postings(ex31_bundle, ex31_bundle.word.lookup(text))
+
+    assert word("I") == [(0, 0, 0, 0, 1)]
+    assert word("cream") == [(0, 5, 2, 9, 1)]
+    assert word("delicious") == [
+        (0, 9, 9, 9, 3),
+        (1, 3, 3, 3, 2),
     ]
     # Both quintuples of the worked table appear; the corpus has a third
     # occurrence of "ate" (tid 13 of the 17-token sentence) the shortened
     # table elides, and a complete index must carry it too.
-    ate = ex31_bundle.word.lookup("ate")
-    assert PostingEntry(1, 1, 0, 12, 0) in ate and PostingEntry(0, 1, 0, 16, 0) in ate
+    ate = word("ate")
+    assert (1, 1, 0, 12, 0) in ate and (0, 1, 0, 16, 0) in ate
     assert ate == [
-        PostingEntry(0, 1, 0, 16, 0),
-        PostingEntry(0, 13, 12, 15, 1),
-        PostingEntry(1, 1, 0, 12, 0),
+        (0, 1, 0, 16, 0),
+        (0, 13, 12, 15, 1),
+        (1, 1, 0, 12, 0),
     ]
     entities = {(r.surface, r.sid, r.start, r.end) for r in ex31_bundle.entity.lookup()}
     assert entities == {
@@ -109,8 +113,8 @@ def test_criterion_1_golden_index_contents(ex31_bundle):
     }
     for path, rows in pl_rows.items():
         steps = [("/", label) for label in path.strip("/").split("/")]
-        got = ex31_bundle.pl.lookup(steps)
-        assert got == [PostingEntry(*r) for r in rows], path
+        got = postings(ex31_bundle, ex31_bundle.pl.lookup(steps))
+        assert got == rows, path
     _report(1, "golden index contents", t0, 1.0)
 
 
@@ -130,12 +134,12 @@ def test_criterion_3_golden_word_join(ex31_bundle):
     t0 = time.time()
     q = parse_query('extract v:Str from "x" if (/ROOT:{ v = //"ate"/*//"delicious" })')
     dp = decompose(normalize(q).var("v").path)
-    q1 = ex31_bundle.word.lookup("ate")
-    q2 = ex31_bundle.word.lookup("delicious")
-    assert {(p.sid, p.tid) for p in q1} >= {(1, 1), (0, 1)}
-    assert {tuple(p) for p in q2} == {(1, 3, 3, 3, 2), (0, 9, 9, 9, 3)}
-    result = join_word_path(ex31_bundle, dp)
-    assert {tuple(p) for p in result} == {(1, 3, 3, 3, 2), (0, 9, 9, 9, 3)}
+    q1 = postings(ex31_bundle, ex31_bundle.word.lookup("ate"))
+    q2 = postings(ex31_bundle, ex31_bundle.word.lookup("delicious"))
+    assert {(sid, tid) for sid, tid, *_ in q1} >= {(1, 1), (0, 1)}
+    assert set(q2) == {(1, 3, 3, 3, 2), (0, 9, 9, 9, 3)}
+    result = postings(ex31_bundle, join_word_path(ex31_bundle, dp))
+    assert set(result) == {(1, 3, 3, 3, 2), (0, 9, 9, 9, 3)}
     _report(3, "golden word-path join", t0, 1.0)
 
 

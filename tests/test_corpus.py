@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from koko.corpus import (
     AnnotatedDocument,
     Corpus,
-    PostingEntry,
     Sentence,
     detokenize,
     load_corpus,
@@ -32,18 +31,22 @@ def test_load_ex31_shape(ex31_corpus):
     assert s0.etypes[3:6] == ["Entity"] * 3
 
 
+def _tree_meta(s: Sentence, tid: int) -> tuple[int, int, int, int, int]:
+    return (s.sid, tid, s.left[tid], s.right[tid], s.depth[tid])
+
+
 def test_tree_meta_pinned_values(ex31_corpus):
     s0, s1 = ex31_corpus.sentences
-    assert s1.posting(1) == PostingEntry(1, 1, 0, 12, 0)
-    assert s0.posting(9) == PostingEntry(0, 9, 9, 9, 3)
-    assert s0.posting(1) == PostingEntry(0, 1, 0, 16, 0)
-    assert s0.posting(5) == PostingEntry(0, 5, 2, 9, 1)
+    assert _tree_meta(s1, 1) == (1, 1, 0, 12, 0)
+    assert _tree_meta(s0, 9) == (0, 9, 9, 9, 3)
+    assert _tree_meta(s0, 1) == (0, 1, 0, 16, 0)
+    assert _tree_meta(s0, 5) == (0, 5, 2, 9, 1)
 
 
 def test_tree_meta_single_token():
     docs = parse_corpus("0\t0\thi\tintj\troot\t-1\tO\n")
     s = docs[0].sentences[0]
-    assert s.posting(0) == PostingEntry(0, 0, 0, 0, 0)
+    assert _tree_meta(s, 0) == (0, 0, 0, 0, 0)
 
 
 def _brute_extents(s: Sentence, tid: int) -> tuple[int, int, int]:

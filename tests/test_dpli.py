@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from koko.bench import synthesize_corpus
-from koko.corpus import Corpus, PostingEntry, parse_corpus
+from koko.corpus import Corpus, parse_corpus
 from koko.dpli import candidate_bindings, decompose, dominant_paths, join_word_path
 from koko.engine import run_query
 from koko.errors import KokoDecomposeError
@@ -13,7 +13,7 @@ from koko.oracle import oracle_evaluate
 from koko.parser import parse_query
 from koko.syntax import PathExpr
 
-from .conftest import load_fixture_query
+from .conftest import load_fixture_query, postings
 
 
 def _path(text: str) -> PathExpr:
@@ -92,10 +92,10 @@ def test_unrelated_prefix_paths_stay_independent():
 
 def test_join_word_path_golden(ex31_bundle):
     dp = decompose(_path('//"ate"/*//"delicious"'))
-    q1 = ex31_bundle.word.lookup("ate")
-    assert PostingEntry(1, 1, 0, 12, 0) in q1 and PostingEntry(0, 1, 0, 16, 0) in q1
-    result = join_word_path(ex31_bundle, dp)
-    assert sorted(result) == [PostingEntry(0, 9, 9, 9, 3), PostingEntry(1, 3, 3, 3, 2)]
+    q1 = postings(ex31_bundle, ex31_bundle.word.lookup("ate"))
+    assert (1, 1, 0, 12, 0) in q1 and (0, 1, 0, 16, 0) in q1
+    result = postings(ex31_bundle, join_word_path(ex31_bundle, dp))
+    assert sorted(result) == [(0, 9, 9, 9, 3), (1, 3, 3, 3, 2)]
 
 
 def test_join_word_path_absent_word(ex31_bundle):

@@ -421,6 +421,34 @@ def _write_corpus_pair(tmp_path):
     return str(canonical), str(commented)
 
 
+@pytest.mark.parametrize("ch", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_token_holding_a_unicode_line_break(ch, tmp_path, capsys):
+    # str.splitlines() breaks lines at these characters too; the TSV
+    # format ends lines at "\n" only.
+    from koko.corpus import AnnotatedDocument, Sentence, parse_corpus, serialize_corpus
+
+    token = f"ice{ch}cream"
+    sentence = Sentence(
+        0, ["I", "ate", token], ["pron", "verb", "noun"], ["nsubj", "root", "dobj"],
+        [1, None, 1], [None] * 3, [None] * 3,
+    )
+    text = serialize_corpus([AnnotatedDocument("d0", [sentence])])
+    assert parse_corpus(text)[0].sentences[0] == sentence
+    corpus = tmp_path / "c.tsv"
+    corpus.write_bytes(text.encode("utf-8"))
+    q = tmp_path / "q.koko"
+    q.write_text('extract v:Str from "t" if (/ROOT:{ v = /root/dobj })')
+    idx = str(tmp_path / "idx")
+    assert run_cli(["index", "--corpus", str(corpus), "--out", idx], capsys)[0] == 0
+    outs = []
+    for extra in ([], ["--index", idx]):
+        code, out, err = run_cli(["query", "--query", str(q), "--corpus", str(corpus)] + extra, capsys)
+        assert code == 0, err
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert [json.loads(line)["values"]["v"] for line in outs[0].split("\n") if line] == [token]
+
+
 def test_lazy_and_full_parse_paths_agree_with_oracle(tmp_path, capsys):
     from koko.corpus import Corpus, load_corpus
     from koko.oracle import oracle_evaluate
@@ -486,7 +514,7 @@ def test_lazy_path_parses_only_candidate_sentences(tmp_path, monkeypatch):
     for e in mentions:
         first = tokenize_literal(e.surface)[0]
         doc = corpus.doc_sids(corpus.doc_index_of(e.sid))
-        holding |= {p.sid for p in bundle.word.lookup(first) if p.sid in doc}
+        holding |= {bundle.tokens.sid_of[o] for o in bundle.word.lookup(first)} & set(doc)
     assert 0 < len(parsed) <= len(holding)
     assert len(run.candidate_sids) < len(corpus) and len(parsed) < len(corpus)
 

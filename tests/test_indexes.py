@@ -7,7 +7,7 @@ import zlib
 import pytest
 
 from koko.bench import synthesize_corpus
-from koko.corpus import Corpus, EntitySpan, PostingEntry
+from koko.corpus import Corpus, EntitySpan
 from koko.errors import KokoInputError
 from koko.indexes import (
     build_indexes,
@@ -15,6 +15,8 @@ from koko.indexes import (
     load_bundle,
     save_bundle,
 )
+
+from .conftest import postings
 
 
 def _parse_pattern(path: str):
@@ -33,19 +35,22 @@ def _parse_pattern(path: str):
 
 
 def test_word_index_rows(ex31_bundle):
-    assert ex31_bundle.word.lookup("I") == [PostingEntry(0, 0, 0, 0, 1)]
-    assert ex31_bundle.word.lookup("cream") == [PostingEntry(0, 5, 2, 9, 1)]
-    assert ex31_bundle.word.lookup("delicious") == [
-        PostingEntry(0, 9, 9, 9, 3),
-        PostingEntry(1, 3, 3, 3, 2),
+    def word(text):
+        return postings(ex31_bundle, ex31_bundle.word.lookup(text))
+
+    assert word("I") == [(0, 0, 0, 0, 1)]
+    assert word("cream") == [(0, 5, 2, 9, 1)]
+    assert word("delicious") == [
+        (0, 9, 9, 9, 3),
+        (1, 3, 3, 3, 2),
     ]
     # The 17-token sentence mentions "ate" twice; both occurrences index.
-    assert ex31_bundle.word.lookup("ate") == [
-        PostingEntry(0, 1, 0, 16, 0),
-        PostingEntry(0, 13, 12, 15, 1),
-        PostingEntry(1, 1, 0, 12, 0),
+    assert word("ate") == [
+        (0, 1, 0, 16, 0),
+        (0, 13, 12, 15, 1),
+        (1, 1, 0, 12, 0),
     ]
-    assert ex31_bundle.word.lookup("zzz-absent") == []
+    assert word("zzz-absent") == []
 
 
 def test_entity_index_rows(ex31_bundle):
@@ -69,26 +74,26 @@ def test_pl_index_pinned_rows(ex31_bundle):
         "/root/dobj/nn": [(0, 3), (0, 4)],
     }
     for path, rows in expect.items():
-        got = ex31_bundle.pl.lookup(_parse_pattern(path))
-        assert [(p.sid, p.tid) for p in got] == rows, path
+        got = postings(ex31_bundle, ex31_bundle.pl.lookup(_parse_pattern(path)))
+        assert [(sid, tid) for sid, tid, *_ in got] == rows, path
 
 
 def test_merged_nn_node_carries_both_tokens(ex31_bundle, ex31_corpus):
-    got = ex31_bundle.pl.lookup(_parse_pattern("/root/dobj/nn"))
-    assert got == [PostingEntry(0, 3, 3, 3, 2), PostingEntry(0, 4, 4, 4, 2)]
-    words = [ex31_corpus.sentence(p.sid).tokens[p.tid] for p in got]
+    got = postings(ex31_bundle, ex31_bundle.pl.lookup(_parse_pattern("/root/dobj/nn")))
+    assert got == [(0, 3, 3, 3, 2), (0, 4, 4, 4, 2)]
+    words = [ex31_corpus.sentence(sid).tokens[tid] for sid, tid, *_ in got]
     assert words == ["chocolate", "ice"]
 
 
 def test_hierarchy_descendant_and_wildcard(ex31_bundle):
-    got = ex31_bundle.pl.lookup(_parse_pattern("//*/dobj//*"))
+    got = postings(ex31_bundle, ex31_bundle.pl.lookup(_parse_pattern("//*/dobj//*")))
     # Everything strictly below a non-root-attached dobj node.
-    sids_tids = {(p.sid, p.tid) for p in got}
+    sids_tids = {(sid, tid) for sid, tid, *_ in got}
     assert (0, 3) in sids_tids and (0, 9) in sids_tids and (1, 10) in sids_tids
     assert (0, 5) not in sids_tids  # the dobj itself is not its own descendant
     assert (0, 15) not in sids_tids  # pie sits under conj/dobj, matched elsewhere
-    got_root = ex31_bundle.pl.lookup(_parse_pattern("/root"))
-    assert [(p.sid, p.tid) for p in got_root] == [(0, 1), (1, 1)]
+    got_root = postings(ex31_bundle, ex31_bundle.pl.lookup(_parse_pattern("/root")))
+    assert [(sid, tid) for sid, tid, *_ in got_root] == [(0, 1), (1, 1)]
 
 
 def test_lookup_missing_path_is_empty(ex31_bundle):
@@ -97,8 +102,8 @@ def test_lookup_missing_path_is_empty(ex31_bundle):
 
 
 def test_pos_index_rooted_lookup(ex31_bundle):
-    got = ex31_bundle.pos.lookup(_parse_pattern("/verb"))
-    assert [(p.sid, p.tid) for p in got] == [(0, 1), (1, 1)]
+    got = postings(ex31_bundle, ex31_bundle.pos.lookup(_parse_pattern("/verb")))
+    assert [(sid, tid) for sid, tid, *_ in got] == [(0, 1), (1, 1)]
 
 
 def test_every_token_reachable_through_its_root_path(ex31_bundle, ex31_corpus):
@@ -111,8 +116,8 @@ def test_every_token_reachable_through_its_root_path(ex31_bundle, ex31_corpus):
                 head = s.heads[head]
             chain.reverse()
             pattern = [("/", s.labels[x]) for x in chain]
-            got = ex31_bundle.pl.lookup(pattern)
-            assert any(p.sid == s.sid and p.tid == tid for p in got)
+            got = postings(ex31_bundle, ex31_bundle.pl.lookup(pattern))
+            assert any(sid == s.sid and t == tid for sid, t, *_ in got)
 
 
 def test_word_index_exactness(ex31_bundle, ex31_corpus):
@@ -122,10 +127,10 @@ def test_word_index_exactness(ex31_bundle, ex31_corpus):
 
 def test_posting_lists_sorted(ex31_bundle):
     for plist in ex31_bundle.word.postings.values():
-        assert plist == sorted(plist)
+        assert list(plist) == sorted(plist)
     for index in (ex31_bundle.pl, ex31_bundle.pos):
         for plist in index.postings.values():
-            assert plist == sorted(plist)
+            assert list(plist) == sorted(plist)
 
 
 def test_children_labels_distinct(ex31_bundle):
@@ -254,8 +259,8 @@ def test_wildcard_descendant_union_matches_brute_force(ex31_bundle, ex31_corpus)
                 for i in range(len(labels))
             )
             if ok:
-                expected.append(s.posting(tid))
-    got = ex31_bundle.pl.lookup([("//", "*"), ("/", "dobj"), ("//", "*")])
+                expected.append((s.sid, tid, s.left[tid], s.right[tid], s.depth[tid]))
+    got = postings(ex31_bundle, ex31_bundle.pl.lookup([("//", "*"), ("/", "dobj"), ("//", "*")]))
     assert sorted(got) == sorted(expected)
 
 
@@ -354,16 +359,80 @@ def test_postings_decoded_and_checked_on_first_lookup(tmp_path):
     raw = bytearray(path.read_bytes())
     words = sorted(bundle.word.postings)
     first = words[0].encode("utf-8")
-    # The first posting's tid, past the end of its sentence, in a file
+    # The first posting's token offset, past the last token, in a file
     # whose checksum matches: a faulty writer, not a corrupted copy.
-    tid_at = 12 + 4 + len(first) + 4 + 4
-    raw[tid_at : tid_at + 4] = struct.pack("<I", 999)
+    offset_at = 12 + 4 + len(first) + 4
+    assert struct.unpack_from("<I", raw, offset_at)[0] == bundle.word.postings[words[0]][0]
+    raw[offset_at : offset_at + 4] = struct.pack("<I", bundle.token_count)
     path.write_bytes(bytes(raw))
     _rewrite_checksum(d, "word.idx")
     loaded = load_bundle(str(d), corpus=Corpus(docs))
     assert loaded.word.lookup(words[1]) == bundle.word.lookup(words[1])
     with pytest.raises(KokoInputError, match="outside the corpus"):
         loaded.word.lookup(words[0])
+
+
+def test_corpus_with_other_sentence_lengths_rejected(tmp_path):
+    docs, _, d = _small_index(tmp_path)
+    other = synthesize_corpus(7, 40)
+    lengths = [len(s) for doc in docs for s in doc.sentences]
+    assert [len(s) for doc in other for s in doc.sentences] != lengths
+    with pytest.raises(KokoInputError, match="sentence lengths"):
+        load_bundle(str(d), corpus=Corpus(other))
+
+
+def test_posting_block_out_of_order_rejected_on_lookup(tmp_path):
+    docs, bundle, d = _small_index(tmp_path)
+    path = d / "word.idx"
+    raw = bytearray(path.read_bytes())
+    # Header (8) and word count (4), then per word its string and block.
+    block = 12
+    for word in sorted(bundle.word.postings):
+        block += 4 + len(word.encode("utf-8")) + 4
+        if len(bundle.word.postings[word]) > 1:
+            break
+        block += 4 * len(bundle.word.postings[word])
+    # The word's first two offsets swapped, in a file whose checksum
+    # matches.
+    a, b = bundle.word.postings[word][:2]
+    assert raw[block : block + 8] == struct.pack("<2I", a, b)
+    raw[block : block + 8] = struct.pack("<2I", b, a)
+    path.write_bytes(bytes(raw))
+    _rewrite_checksum(d, "word.idx")
+    loaded = load_bundle(str(d), corpus=Corpus(docs))
+    with pytest.raises(KokoInputError, match="out of order"):
+        loaded.word.lookup(word)
+
+
+def test_tree_entry_past_its_sentence_rejected_on_lookup(tmp_path):
+    docs, bundle, d = _small_index(tmp_path)
+    path = d / "tree.idx"
+    raw = bytearray(path.read_bytes())
+    starts = bundle.tokens.starts
+    # Header (8), sentence count (4), the S + 1 starts, the left column;
+    # then token 0's right, moved one past its sentence, in a file whose
+    # checksum matches.
+    right_at = 12 + 4 * len(starts) + 4 * bundle.token_count
+    assert struct.unpack_from("<I", raw, right_at)[0] == bundle.tokens.right[0]
+    raw[right_at : right_at + 4] = struct.pack("<I", starts[1])
+    path.write_bytes(bytes(raw))
+    _rewrite_checksum(d, "tree.idx")
+    loaded = load_bundle(str(d), corpus=Corpus(docs))
+    word = docs[0].sentences[0].tokens[0]
+    other = next(w for w, plist in bundle.word.postings.items() if plist[0] != 0)
+    assert loaded.word.lookup(other) == bundle.word.lookup(other)
+    with pytest.raises(KokoInputError, match="tree entry of token \\(0,0\\)"):
+        loaded.word.lookup(word)
+
+
+def test_save_of_a_loaded_index_is_byte_identical(tmp_path):
+    docs, _, d = _small_index(tmp_path)
+    again = tmp_path / "again"
+    save_bundle(load_bundle(str(d), corpus=Corpus(docs)), str(again))
+    names = sorted(p.name for p in d.iterdir())
+    assert names == sorted(p.name for p in again.iterdir())
+    for name in names:
+        assert (again / name).read_bytes() == (d / name).read_bytes(), name
 
 
 def test_corrupted_index_loads_to_rows_or_input_error(tmp_path):
@@ -404,7 +473,7 @@ def test_corrupted_index_loads_to_rows_or_input_error(tmp_path):
         flipped = {name: bytearray(raw) for name, raw in files.items()}
         for k in range(rng.randint(1, 4)):
             # The first flip goes to each file in turn, so the small ones
-            # (entity.idx, manifest.json) are corrupted in a fifth of the
+            # (entity.idx, manifest.json) are corrupted in a sixth of the
             # copies; the others land by file size.
             name = names[copy % len(names)] if k == 0 else rng.choices(names, weights=sizes)[0]
             at = rng.randrange(len(flipped[name]))
