@@ -199,6 +199,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
             print(f"sid {sid}: costs {costs} skip {sorted(plan.skipped)}")
         print(f"loop iterations: {run.stats.loop_iterations}")
         print(f"tuples: {run.stats.tuples}")
+        print(f"checks: {run.stats.checks}")
         return EXIT_OK
     if args.stage == "satisfy":
         if not args.value:

@@ -5,7 +5,9 @@ pattern and a word pattern sharing one axis skeleton; non-matching
 positions become ``*``. The three legs are fetched from their indices and
 joined back on token identity (PL with POS) and on ancestor containment
 with a depth gap (word chains), yielding a candidate set that is complete
-but possibly over-approximate; the validation stage makes it exact.
+but possibly over-approximate; the validation stage makes it exact. A
+path that one hierarchy lookup answers whole (`DecomposedPath.exact`)
+yields exactly its matches, and its binding skips validation.
 
 Depth bookkeeping: step i of a pattern can bind tokens no shallower than
 i edges below the virtual root anchor (token depth i-1 at least, exactly
@@ -45,6 +47,16 @@ class DecomposedPath:
     @property
     def has_pos(self) -> bool:
         return any(label != "*" for _, label in self.pos_steps)
+
+    @property
+    def exact(self) -> bool:
+        """True when one hierarchy lookup answers the whole path: every
+        step is a parse label or ``*``, or every step a POS tag or ``*``,
+        with no word and no condition. Merged nodes collapse identical
+        root paths, so each token of a matched node has the path."""
+        if self.word_positions or any(step.conditions for step in self.source.steps):
+            return False
+        return not (self.has_pl and self.has_pos)
 
     @property
     def last_is_word(self) -> bool:
@@ -214,7 +226,8 @@ def join_all(
     tokens: TokenTable,
 ) -> list[int]:
     """Combine the three legs into candidates for the path's last step, in
-    offset order: every leg is sorted, and each join keeps one's order."""
+    offset order: every leg is sorted, and each join keeps one's order.
+    Unless the path ends in a word, p1 or p2 is given."""
     if p1 is None:
         p = p2
     elif p2 is None:
@@ -222,10 +235,9 @@ def join_all(
     else:
         p = _intersect_tokens(p1, p2)
     if q is None:
-        assert p is not None  # the all-wildcard case resolves p through the PL index
         return p
     if p is None:
-        return q if dp.last_is_word else []
+        return q
     if dp.last_is_word:
         return _intersect_tokens(q, p)
     # The last concrete word must be an ancestor of the candidate token,
@@ -277,6 +289,7 @@ class VarBinding:
     var: NormVar
     by_sid: SidRuns = field(default_factory=lambda: SidRuns([]))
     index_bound: bool = False
+    exact: bool = False  # the candidates need no path validation
     derived_from: str | None = None  # dominant variable for dominated node vars
     prefix_len: int = 0
 
@@ -318,7 +331,8 @@ class BindingTable:
                          + (f"  |P2| = {d.p2_size}" if d.p2_size is not None else "  (skipped)"))
             lines.append(f"    word {d.decomposed.render('word')}"
                          + (f"  |Q| = {d.q_size}" if d.q_size is not None else "  (skipped)"))
-            lines.append(f"    candidates = {d.result_size}")
+            lines.append(f"    candidates = {d.result_size}"
+                         + ("  (exact, not validated)" if d.decomposed.exact else ""))
         lines.append(f"candidate sentences: {len(self.candidate_sids)}")
         return "\n".join(lines) + "\n"
 
@@ -378,9 +392,9 @@ def _bind_dominant(var: NormVar, bundle: IndexBundle, info: list[DominantInfo]) 
     p1 = bundle.pl.lookup(dp.pl_steps) if dp.has_pl else None
     p2 = bundle.pos.lookup(dp.pos_steps) if dp.has_pos else None
     q = join_word_path(bundle, dp)
-    if p1 is None and p2 is None and q is None:
-        # All-wildcard path: the skeleton still constrains depth; resolve
-        # it through the PL hierarchy.
+    if p1 is None and p2 is None and not dp.last_is_word:
+        # Only wildcards after the last word, if any: the skeleton still
+        # constrains the last step; resolve it through the PL hierarchy.
         p1 = bundle.pl.lookup(dp.pl_steps)
     entries = join_all(p1, p2, q, dp, bundle.tokens)
     info.append(DominantInfo(
@@ -391,7 +405,8 @@ def _bind_dominant(var: NormVar, bundle: IndexBundle, info: list[DominantInfo]) 
         q_size=None if q is None else len(q),
         result_size=len(entries),
     ))
-    return VarBinding(var=var, by_sid=SidRuns(entries, bundle.tokens.sid_of.__getitem__), index_bound=True)
+    by_sid = SidRuns(entries, bundle.tokens.sid_of.__getitem__)
+    return VarBinding(var=var, by_sid=by_sid, index_bound=True, exact=dp.exact)
 
 
 def _word_seq_spans(bundle: IndexBundle, tokens: tuple[str, ...]) -> list[tuple[int, int, int]]:

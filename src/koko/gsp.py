@@ -18,7 +18,9 @@ Every surviving combination is validated against the real dependency
 tree: each node variable's full path is re-checked by walking head links,
 and all derived constraints (parentOf, ancestorOf, leftOf, in, eq) plus
 elastic conditions are enforced. Index candidates are complete but not
-exact, so these checks are what makes the final answer sound.
+exact, so these checks are what makes the final answer sound. The one
+exception is a node variable enumerated from an exact binding (see
+`dpli.DecomposedPath.exact`), whose candidates are its path's matches.
 """
 
 from __future__ import annotations
@@ -79,10 +81,12 @@ class SkipPlan:
 class EvalStats:
     loop_iterations: int = 0
     tuples: int = 0
+    checks: int = 0  # check ops run: paths, constraints, elastic conditions
 
     def add(self, other: EvalStats) -> None:
         self.loop_iterations += other.loop_iterations
         self.tuples += other.tuples
+        self.checks += other.checks
 
 
 @dataclass
@@ -366,13 +370,18 @@ class CompiledPlan:
         bound: set[str] = set()
         pending_checks = [({c.a, c.b}, _constraint_check(c.kind, c.a, c.b)) for c in n.constraints]
 
-        def on_bound(name: str) -> None:
+        def on_bound(name: str, enumerated: bool) -> None:
             bound.add(name)
             var = n.var(name)
             check = _bind_check(var)
-            # Node paths are always re-validated; elastic conditions only
-            # need a check op when enumerated (derivation checks inline).
-            if check is not None and (var.kind == NODE or name not in skipped):
+            # Node paths are re-validated unless enumerated from an exact
+            # binding; elastic conditions only need a check op when
+            # enumerated (derivation checks inline).
+            if var.kind == NODE:
+                needed = not (enumerated and self.table.bindings[name].exact)
+            else:
+                needed = enumerated
+            if check is not None and needed:
                 self.ops.append((None, check))
             for entry in list(pending_checks):
                 needs, fn = entry
@@ -389,9 +398,9 @@ class CompiledPlan:
             present = [x for x in self.neighbors[name] if x is not None]
             return bool(present) and all(x in bound for x in present)
 
-        def add_loop(name: str, fn: Callable) -> None:
+        def add_loop(name: str, fn: Callable, enumerated: bool) -> None:
             self.ops.append((name, fn))
-            on_bound(name)
+            on_bound(name, enumerated)
 
         derived_kinds = {SUBTREE, COMPOSITE}
         to_enumerate = [
@@ -412,17 +421,17 @@ class CompiledPlan:
                 for name in sorted(to_derive, key=lambda x: n.var(x).def_index):
                     if derivable(name):
                         to_derive.discard(name)
-                        add_loop(name, self._deriver(n.var(name)))
+                        add_loop(name, self._deriver(n.var(name)), False)
                         moved = True
                         break
             if queue:
                 name = queue.pop(0)
-                add_loop(name, self._enumerator(n.var(name)))
+                add_loop(name, self._enumerator(n.var(name)), True)
             elif to_derive:
                 # Underivable leftovers (no horizontal context): enumerate.
                 name = sorted(to_derive, key=lambda x: n.var(x).def_index)[0]
                 to_derive.discard(name)
-                add_loop(name, self._enumerator(n.var(name)))
+                add_loop(name, self._enumerator(n.var(name)), True)
 
     # -- execution ----------------------------------------------------------------
 
@@ -441,6 +450,7 @@ class CompiledPlan:
                 return
             name, fn = ops[i]
             if name is None:
+                stats.checks += 1
                 if fn(s, env):
                     step(i + 1)
                 return

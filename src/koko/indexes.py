@@ -11,7 +11,9 @@ gives. Hierarchy indices merge same-labelled children recursively, so
 every node is addressed by the unique label path from the root, and each
 token lands in exactly one node's posting list per index. Both hang off
 a synthetic super-root (labelled TOP in the POS index, where sentence
-roots carry arbitrary tags), which is not counted as a node.
+roots carry arbitrary tags), which is not counted as a node. ``//``
+steps read a pre-order numbering of the nodes (`_PrePlane`), derived at
+the first such lookup and never stored.
 
 Persisted layout (directory): ``manifest.json``, which records the CRC-32
 of each file, plus ``tree.idx``, ``word.idx``, ``entity.idx``, ``pl.idx``
@@ -34,7 +36,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate, chain, count, repeat
-from operator import lt, sub
+from operator import add, lt, sub
 
 from .corpus import AnnotatedDocument, Corpus, EntitySpan, serialize_corpus
 from .errors import KokoInputError
@@ -147,6 +149,8 @@ class HierarchyIndex:
         # Posting list of each node, by node id; decoded on first read in
         # a loaded index, as in WordIndex.
         self.postings: Mapping[int, array] = {0: array(_TYPECODE)}
+        # Derived at the first `//` step; a new node drops it.
+        self._plane: _PrePlane | None = None
 
     @property
     def node_count(self) -> int:
@@ -162,6 +166,7 @@ class HierarchyIndex:
             node.children[label] = nxt
             self.nodes.append(HierarchyNode(nxt, label, node_id))
             self.postings[nxt] = array(_TYPECODE)
+            self._plane = None
         return nxt
 
     def lookup(self, steps: list[tuple[str, str]]) -> list[int]:
@@ -177,27 +182,21 @@ class HierarchyIndex:
         positions = {0}
         for axis, label in steps:
             nxt: set[int] = set()
-            for node_id in positions:
-                if axis == "/":
-                    node = self.nodes[node_id]
+            if axis == "/":
+                for node_id in positions:
+                    children = self.nodes[node_id].children
                     if label == "*":
-                        nxt.update(node.children.values())
-                    elif label in node.children:
-                        nxt.add(node.children[label])
-                else:
-                    self._descendants(node_id, label, nxt)
+                        nxt.update(children.values())
+                    elif label in children:
+                        nxt.add(children[label])
+            else:
+                if self._plane is None:
+                    self._plane = _PrePlane(self.nodes)
+                self._plane.descendants(positions, label, nxt)
             positions = nxt
             if not positions:
                 break
         return positions
-
-    def _descendants(self, node_id: int, label: str, out: set[int]) -> None:
-        stack = list(self.nodes[node_id].children.values())
-        while stack:
-            nid = stack.pop()
-            if label == "*" or self.nodes[nid].label == label:
-                out.add(nid)
-            stack.extend(self.nodes[nid].children.values())
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -205,6 +204,60 @@ class HierarchyIndex:
             and self.nodes == other.nodes
             and self.postings == other.postings
         )
+
+
+class _PrePlane:
+    """Pre-order numbering of a hierarchy (Grust, "Accelerating XPath
+    Location Steps", SIGMOD 2002): the descendants of a node hold the
+    ranks after its own and before its ``end``, so a ``//label`` step is
+    a bisect of the label's rank list inside each range. Derived from the
+    nodes, never stored."""
+
+    def __init__(self, nodes: list[HierarchyNode]) -> None:
+        order = array(_TYPECODE)  # node id by rank
+        stack = [0]
+        while stack:
+            node_id = stack.pop()
+            order.append(node_id)
+            stack.extend(nodes[node_id].children.values())
+        # Every parent has a lower id than its children, so one backward
+        # pass sums the subtree sizes.
+        size = [1] * len(nodes)
+        for node in reversed(nodes[1:]):
+            size[node.parent] += size[node.node_id]
+        rank = [0] * len(nodes)
+        ranks_of: dict[str, array] = {}
+        for r, node_id in enumerate(order):
+            rank[node_id] = r
+            label = nodes[node_id].label
+            ranks = ranks_of.get(label)
+            if ranks is None:
+                ranks = ranks_of[label] = array(_TYPECODE)
+            ranks.append(r)
+        self.order = order
+        self.rank = array(_TYPECODE, rank)
+        self.end = array(_TYPECODE, map(add, rank, size))  # one past the last rank of each subtree
+        self.ranks_of = ranks_of
+
+    def descendants(self, node_ids: set[int], label: str, out: set[int]) -> None:
+        """Add to `out` the nodes labelled `label` (any, for ``*``) strictly
+        below some node of `node_ids`."""
+        order, rank, end = self.order, self.rank, self.end
+        ranks = None
+        if label != "*":
+            ranks = self.ranks_of.get(label)
+            if ranks is None:
+                return
+        hi = 0
+        for lo, stop in sorted((rank[n] + 1, end[n]) for n in node_ids):
+            if stop <= hi:
+                continue  # inside a range already taken
+            hi = stop
+            if ranks is None:
+                out.update(order[lo:stop])
+            else:
+                i = bisect_left(ranks, lo)
+                out.update(map(order.__getitem__, ranks[i : bisect_left(ranks, stop, i)]))
 
 
 @dataclass

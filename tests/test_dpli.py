@@ -206,3 +206,33 @@ def test_non_projective_tree_engine_matches_oracle():
         engine = run_query(q, corpus, bundle).rows
         oracle = oracle_evaluate(q, corpus)
         assert [r.key() for r in engine] == [r.key() for r in oracle], text
+
+
+# A word step followed only by wildcards: the PL skeleton resolves the
+# last step, and the word leg must contain it.
+WORD_THEN_WILDCARDS = ['/"ate"/*', '//"ate"//*', '//"ate"/*/*', '/*/"ate"//*']
+
+
+@pytest.mark.parametrize("path", WORD_THEN_WILDCARDS)
+def test_word_then_wildcards_matches_oracle_on_ex31(ex31_corpus, ex31_bundle, path):
+    q = parse_query(f'extract v:Str from "x" if (/ROOT:{{ v = {path} }})')
+    oracle = sorted(r.key() for r in oracle_evaluate(q, ex31_corpus))
+    assert sorted(r.key() for r in run_query(q, ex31_corpus, ex31_bundle).rows) == oracle
+    if path == '/"ate"/*':
+        assert len(oracle) == 9  # every child of the two roots "ate"
+
+
+def test_word_then_wildcards_matches_oracle_on_synthetic_corpus():
+    docs = synthesize_corpus(7, 300)
+    corpus = Corpus(docs)
+    bundle = build_indexes(docs)
+    frequent = sorted({s.tokens[s.root_tid] for s in corpus.sentences})[:5]
+    rows = 0
+    for word in frequent:
+        for shape in ('/"{}"/*', '//"{}"//*', '//"{}"/*/*'):
+            path = shape.format(word)
+            q = parse_query(f'extract v:Str from "x" if (/ROOT:{{ v = {path} }})')
+            oracle = sorted(r.key() for r in oracle_evaluate(q, corpus))
+            assert sorted(r.key() for r in run_query(q, corpus, bundle).rows) == oracle, path
+            rows += len(oracle)
+    assert rows > 0

@@ -149,6 +149,7 @@ def test_explain_gsp_prints_costs_and_counts(capsys):
     code, out, _ = run_cli(["explain", "--query", q, "--corpus", EX31, "--stage", "gsp"], capsys)
     assert code == 0
     assert "loop iterations:" in out
+    assert "checks:" in out
 
 
 def test_explain_satisfy_prints_evidence(tmp_path, capsys):

@@ -352,3 +352,59 @@ def test_query_compiles_once_per_distinct_plan(synthetic_env, monkeypatch):
     built.clear()
     run_query(q, corpus, bundle, use_gsp=False)
     assert built == [()]
+
+
+# Exact bindings: a path one hierarchy lookup answers whole is not
+# re-validated when its variable is enumerated from the index.
+
+
+def _node_query(path: str):
+    return parse_query(f'extract v:Str from "x" if (/ROOT:{{ v = {path} }})')
+
+
+@pytest.mark.parametrize("path", ["/root/nsubj", "//*//nn", "//verb/*", "//*"])
+def test_exact_path_runs_no_checks(ex31_corpus, ex31_bundle, path):
+    run = run_query(_node_query(path), ex31_corpus, ex31_bundle)
+    assert run.table.bindings["v"].exact
+    assert run.stats.checks == 0 and run.stats.tuples > 0
+
+
+@pytest.mark.parametrize(
+    "path", ["//verb/nsubj", '/"ate"/*', '//*[@pos="noun"]', '/root/nsubj[@etype="Person"]']
+)
+def test_inexact_path_is_validated(ex31_corpus, ex31_bundle, path):
+    run = run_query(_node_query(path), ex31_corpus, ex31_bundle)
+    assert not run.table.bindings["v"].exact
+    assert run.stats.checks >= run.stats.loop_iterations > 0
+
+
+def test_checks_summed_over_sentences(synthetic_env):
+    corpus, bundle = synthetic_env
+    q = parse_query(SHARED_QUERY)
+    run = run_query(q, corpus, bundle)
+    n, table = run.normalized, run.table
+    compiled: dict = {}
+    per_sentence = []
+    for sid in table.candidate_sids:
+        stats = EvalStats()
+        plan = generate_skip_plan(n, table, sid, corpus.sentence_lengths[sid])
+        evaluate_sentence(n, table, sid, plan, corpus, stats, compiled)
+        per_sentence.append(stats.checks)
+    assert run.stats.checks == sum(per_sentence) > 0
+
+
+def test_skipped_exact_variable_keeps_its_check(synthetic_env):
+    # `a` is exact, but where "x" + a skips it, a is rebuilt from the gap
+    # after the literal and must still be checked against its path.
+    corpus, bundle = synthetic_env
+    word = corpus.sentence(0).tokens[0]
+    q = parse_query(f'extract v:Str from "d" if (/ROOT:{{ a = //nsubj, v = "{word}" + a }})')
+    run = run_query(q, corpus, bundle, keep_failed=True)
+    n, table = run.normalized, run.table
+    assert table.bindings["a"].exact
+    assert any(
+        "a" in generate_skip_plan(n, table, sid, corpus.sentence_lengths[sid]).skipped
+        for sid in table.candidate_sids
+    )
+    oracle = oracle_evaluate(q, corpus, keep_failed=True)
+    assert sorted(r.key() for r in run.rows) == sorted(r.key() for r in oracle)

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import functools
 import json
 import struct
+import tempfile
 import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koko.bench import synthesize_corpus
 from koko.corpus import Corpus, EntitySpan
@@ -491,3 +495,96 @@ def test_corrupted_index_loads_to_rows_or_input_error(tmp_path):
         assert all(flipped[name] == files[name] for name in names if name.endswith(".idx")), copy
         outcomes["rows" if got == clean else "wrong"] += 1
     assert outcomes["wrong"] == 0 and outcomes["error"] > 0
+
+
+# ---------------------------------------------------------------------------
+# `//` steps as pre-order range filters, against a brute-force walk
+
+
+def _label_path(index, node_id):
+    """Labels from the top down to the node, super-root excluded."""
+    labels = []
+    while node_id > 0:
+        node = index.nodes[node_id]
+        labels.append(node.label)
+        node_id = node.parent
+    return labels[::-1]
+
+
+def _reference_match(labels, steps) -> bool:
+    """True when the steps consume the label path exactly: `/` one edge,
+    `//` one or more."""
+
+    @functools.cache
+    def match(i: int, j: int) -> bool:
+        if i == len(steps):
+            return j == len(labels)
+        axis, label = steps[i]
+        last = j if axis == "/" else len(labels) - 1
+        return any(
+            (label == "*" or labels[k] == label) and match(i + 1, k + 1)
+            for k in range(j, min(last, len(labels) - 1) + 1)
+        )
+
+    return match(0, 0)
+
+
+@functools.lru_cache(maxsize=None)
+def _hierarchies(seed: int, loaded: bool):
+    bundle = build_indexes(synthesize_corpus(seed, 300))
+    if loaded:
+        with tempfile.TemporaryDirectory() as d:
+            save_bundle(bundle, d)
+            bundle = load_bundle(d)
+            # Decode every block now: the directory goes away.
+            for index in (bundle.pl, bundle.pos):
+                for node_id in index.postings:
+                    index.postings[node_id]
+    return {"pl": bundle.pl, "pos": bundle.pos}
+
+
+_HIERARCHY_LABELS = sorted(
+    {node.label for seed in (5, 29) for h in _hierarchies(seed, False).values() for node in h.nodes[1:]}
+)
+_steps = st.lists(
+    st.tuples(
+        st.sampled_from(["/", "//"]),
+        st.sampled_from(["*", "*", "missing", *_HIERARCHY_LABELS]),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+@pytest.mark.parametrize("which", ["pl", "pos"])
+@pytest.mark.parametrize("seed", [5, 29])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(steps=_steps)
+def test_range_filter_matches_reference_walk(seed, which, loaded, steps):
+    index = _hierarchies(seed, loaded)[which]
+    expected = {
+        node_id
+        for node_id in range(1, len(index.nodes))
+        if _reference_match(_label_path(index, node_id), steps)
+    }
+    assert index.match_nodes(steps) == expected
+    assert index.lookup(steps) == sorted(o for n in expected for o in index.postings[n])
+
+
+def test_pre_order_plane_is_derived_at_the_first_descendant_step(tmp_path):
+    bundle = build_indexes(synthesize_corpus(5, 50))
+    save_bundle(bundle, str(tmp_path / "idx"))
+    loaded = load_bundle(str(tmp_path / "idx"))
+    loaded.pl.lookup(_parse_pattern("/root/nsubj"))
+    assert loaded.pl._plane is None  # `/` steps read the children only
+    assert loaded == bundle
+    assert loaded.pl.lookup(_parse_pattern("//nsubj//det")) == bundle.pl.lookup(
+        _parse_pattern("//nsubj//det")
+    )
+    assert loaded.pl._plane is not None and bundle.pl._plane is not None
+    assert loaded == bundle
+    # Nothing derived is saved: the files stay byte-identical.
+    save_bundle(loaded, str(tmp_path / "again"))
+    for name in ("tree.idx", "pl.idx", "pos.idx", "manifest.json"):
+        assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "idx" / name).read_bytes()
