@@ -246,11 +246,12 @@ def _check_elastic(var: NormVar, s: Sentence, start: int, end: int) -> bool:
 # ---------------------------------------------------------------------------
 # Per-sentence evaluation
 
-# An op is (variable name, fn) or (None, check). fn(sentence, env) returns
-# the bindings to loop the variable over: its candidates when it is
-# enumerated, its alignment when it is derived. check(sentence, env)
-# passes or rejects the bindings made so far.
-Op = tuple[str | None, Callable[[Sentence, dict[str, Bound]], object]]
+# An op is (variable name, fn, enumerated) or (None, check, False).
+# fn(sentence, env) returns the bindings to loop the variable over: its
+# candidates when it is enumerated, which depend on the sentence only, its
+# alignment when it is derived. check(sentence, env) passes or rejects the
+# bindings made so far.
+Op = tuple[str | None, Callable[[Sentence, dict[str, Bound]], object], bool]
 
 
 class CompiledPlan:
@@ -382,11 +383,11 @@ class CompiledPlan:
             else:
                 needed = enumerated
             if check is not None and needed:
-                self.ops.append((None, check))
+                self.ops.append((None, check, False))
             for entry in list(pending_checks):
                 needs, fn = entry
                 if needs <= bound:
-                    self.ops.append((None, fn))
+                    self.ops.append((None, fn, False))
                     pending_checks.remove(entry)
 
         def derivable(name: str) -> bool:
@@ -399,7 +400,7 @@ class CompiledPlan:
             return bool(present) and all(x in bound for x in present)
 
         def add_loop(name: str, fn: Callable, enumerated: bool) -> None:
-            self.ops.append((name, fn))
+            self.ops.append((name, fn, enumerated))
             on_bound(name, enumerated)
 
         derived_kinds = {SUBTREE, COMPOSITE}
@@ -443,18 +444,25 @@ class CompiledPlan:
         sid = s.sid
         env: dict[str, Bound] = {}
         out: list[CandidateTuple] = []
+        # An enumerated variable's candidates, built once per sentence.
+        candidates: dict[int, list[Bound]] = {}
 
         def step(i: int) -> None:
             if i == last:
                 out.append(CandidateTuple(sid, dict(env)))
                 return
-            name, fn = ops[i]
+            name, fn, enumerated = ops[i]
             if name is None:
                 stats.checks += 1
                 if fn(s, env):
                     step(i + 1)
                 return
-            bindings = fn(s, env)
+            if not enumerated:
+                bindings = fn(s, env)
+            elif i in candidates:
+                bindings = candidates[i]
+            else:
+                bindings = candidates[i] = fn(s, env)
             stats.loop_iterations += len(bindings)
             for b in bindings:
                 env[name] = b

@@ -5,20 +5,26 @@
 * entity index: entity surface -> (sid, start-end, type) records
 * PL / POS hierarchy index: dependency trees merged on parse labels / POS tags
 
-A posting list is a sorted ``array('I')`` of global token offsets
-(``starts[sid] + tid``), whose sid, tid and tree data the token table
-gives. Hierarchy indices merge same-labelled children recursively, so
-every node is addressed by the unique label path from the root, and each
-token lands in exactly one node's posting list per index. Both hang off
-a synthetic super-root (labelled TOP in the POS index, where sentence
-roots carry arbitrary tags), which is not counted as a node. ``//``
-steps read a pre-order numbering of the nodes (`_PrePlane`), derived at
-the first such lookup and never stored.
+A posting list is a sorted run of global token offsets (``starts[sid] +
+tid``), whose sid, tid and tree data the token table gives. Every posting
+list of an index lives in one `PostingLists`: the lists end to end in
+``flat``, and ``ptr`` says where each key's list starts. Hierarchy indices
+merge same-labelled children recursively, so every node is addressed by
+the unique label path from the root, and each token lands in exactly one
+node's posting list per index. Both hang off a synthetic super-root
+(labelled TOP in the POS index, where sentence roots carry arbitrary
+tags), which is not counted as a node. ``//`` steps read a pre-order
+numbering of the nodes (`_PrePlane`), derived at the first such lookup
+and never stored.
 
 Persisted layout (directory): ``manifest.json``, which records the CRC-32
 of each file, plus ``tree.idx``, ``word.idx``, ``entity.idx``, ``pl.idx``
-and ``pos.idx``: each the magic ``KOKO``, a format version and the
-records `save_bundle` writes, every integer a little-endian 4-byte one.
+and ``pos.idx``: each the magic ``KOKO`` and a format version, then the
+columns and string tables `save_bundle` writes. A column is a count and
+that many little-endian 4-byte integers; a string table is a column of
+end offsets (in code points) and one UTF-8 blob (a byte count and the
+bytes), so each file is read with one ``frombytes`` per column and one
+decode per table.
 """
 
 from __future__ import annotations
@@ -31,23 +37,22 @@ import sys
 import zlib
 from array import array
 from bisect import bisect_left
-from collections import defaultdict
-from collections.abc import Mapping
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate, chain, count, repeat
-from operator import add, lt, sub
+from operator import add, attrgetter, le, lt, sub
 
-from .corpus import AnnotatedDocument, Corpus, EntitySpan, serialize_corpus
+from .corpus import AnnotatedDocument, Corpus, EntitySpan, Sentence, serialize_corpus
 from .errors import KokoInputError
 
 MAGIC = b"KOKO"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 INDEX_FILES = ("tree.idx", "word.idx", "entity.idx", "pl.idx", "pos.idx")
 
 TOP = "⊤"  # dummy label above every sentence root in the POS index
 
-_TYPECODE = "I"  # array typecode of offsets and tree columns, 4 bytes on disk
+_TYPECODE = "I"  # array typecode of every column, 4 bytes on disk
 if array(_TYPECODE).itemsize != 4:
     raise ImportError(f"koko.indexes needs 4-byte array items of type {_TYPECODE!r}")
 
@@ -94,12 +99,58 @@ class TokenTable:
             prev = o
 
 
+class PostingLists(Mapping):
+    """The posting lists of an index by key (a word, or a node id), as two
+    columns: key i's list is ``flat[ptr[i]:ptr[i + 1]]``. A list read from
+    a file is checked on its first read (`check`); a built one is trusted."""
+
+    def __init__(
+        self, keys: Sequence, ptr: array, flat: array, check: Callable[[array], None] | None = None
+    ) -> None:
+        self._keys = keys
+        self.ptr = ptr
+        self.flat = flat
+        self._at = dict(zip(keys, count()))
+        self._check = check
+        self._checked = bytearray(len(keys))
+
+    @classmethod
+    def grouped(cls, key_of: Iterable, keys: Sequence) -> PostingLists:
+        """The offsets 0, 1, ... grouped by their key in `key_of`, the
+        lists in the order of `keys`."""
+        lists: dict = {key: [] for key in keys}
+        for offset, key in enumerate(key_of):
+            lists[key].append(offset)
+        ptr = array(_TYPECODE, accumulate(map(len, lists.values()), initial=0))
+        return cls(keys, ptr, array(_TYPECODE, chain.from_iterable(lists.values())))
+
+    def __getitem__(self, key) -> array:
+        i = self._at[key]
+        plist = self.flat[self.ptr[i] : self.ptr[i + 1]]
+        if self._check is not None and not self._checked[i]:
+            self._check(plist)
+            self._checked[i] = 1
+        return plist
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, PostingLists)
+            and self._keys == other._keys
+            and self.ptr == other.ptr
+            and self.flat == other.flat
+        )
+
+
+@dataclass
 class WordIndex:
-    def __init__(self, tokens: TokenTable, postings: Mapping[str, array]) -> None:
-        self.tokens = tokens
-        # A dict when built; a loaded index decodes each list on first
-        # read (`_LazyPostings`).
-        self.postings = postings
+    tokens: TokenTable = field(repr=False, compare=False)
+    postings: PostingLists  # by word, in sorted order
 
     def lookup(self, word: str) -> array:
         return self.postings.get(word) or array(_TYPECODE)
@@ -113,61 +164,41 @@ class WordIndex:
         hi = bisect_left(postings, starts[sids.stop], lo)
         return list(dict.fromkeys(map(self.tokens.sid_of.__getitem__, postings[lo:hi])))
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, WordIndex) and self.postings == other.postings
 
-
+@dataclass
 class EntityIndex:
-    def __init__(self) -> None:
-        self.records: list[EntitySpan] = []
-        self.by_type: dict[str, list[EntitySpan]] = {}
+    records: list[EntitySpan]
+    by_type: dict[str, list[EntitySpan]] = field(init=False, repr=False, compare=False)
 
-    def add(self, record: EntitySpan) -> None:
-        self.records.append(record)
-        self.by_type.setdefault(record.etype, []).append(record)
+    def __post_init__(self) -> None:
+        self.by_type = {}
+        for record in self.records:
+            self.by_type.setdefault(record.etype, []).append(record)
 
     def lookup(self, etype: str | None = None) -> list[EntitySpan]:
         if etype is None:
             return list(self.records)
         return list(self.by_type.get(etype, []))
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, EntityIndex) and self.records == other.records
-
 
 @dataclass
 class HierarchyNode:
-    node_id: int
     label: str
     parent: int  # -1 for the super-root
     children: dict[str, int] = field(default_factory=dict)
 
 
+@dataclass
 class HierarchyIndex:
-    def __init__(self, root_label: str) -> None:
-        self.nodes: list[HierarchyNode] = [HierarchyNode(0, root_label, -1)]
-        # Posting list of each node, by node id; decoded on first read in
-        # a loaded index, as in WordIndex.
-        self.postings: Mapping[int, array] = {0: array(_TYPECODE)}
-        # Derived at the first `//` step; a new node drops it.
-        self._plane: _PrePlane | None = None
+    nodes: list[HierarchyNode]  # by node id; a parent's id is below its children's
+    postings: PostingLists  # by node id
+    # Derived at the first `//` step.
+    _plane: _PrePlane | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def node_count(self) -> int:
         """Number of merged nodes, super-root excluded."""
         return len(self.nodes) - 1
-
-    def child(self, node_id: int, label: str) -> int:
-        """Child with the given label, created on demand."""
-        node = self.nodes[node_id]
-        nxt = node.children.get(label)
-        if nxt is None:
-            nxt = len(self.nodes)
-            node.children[label] = nxt
-            self.nodes.append(HierarchyNode(nxt, label, node_id))
-            self.postings[nxt] = array(_TYPECODE)
-            self._plane = None
-        return nxt
 
     def lookup(self, steps: list[tuple[str, str]]) -> list[int]:
         """Sorted union of posting lists over nodes whose root path matches.
@@ -198,13 +229,6 @@ class HierarchyIndex:
                 break
         return positions
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, HierarchyIndex)
-            and self.nodes == other.nodes
-            and self.postings == other.postings
-        )
-
 
 class _PrePlane:
     """Pre-order numbering of a hierarchy (Grust, "Accelerating XPath
@@ -223,8 +247,8 @@ class _PrePlane:
         # Every parent has a lower id than its children, so one backward
         # pass sums the subtree sizes.
         size = [1] * len(nodes)
-        for node in reversed(nodes[1:]):
-            size[node.parent] += size[node.node_id]
+        for node_id in range(len(nodes) - 1, 0, -1):
+            size[nodes[node_id].parent] += size[node_id]
         rank = [0] * len(nodes)
         ranks_of: dict[str, array] = {}
         for r, node_id in enumerate(order):
@@ -299,48 +323,53 @@ def fingerprint_bytes(data: bytes) -> str:
 
 
 def build_indexes(docs: list[AnnotatedDocument]) -> IndexBundle:
-    words: defaultdict[str, array] = defaultdict(partial(array, _TYPECODE))
-    entity = EntityIndex()
-    pl = HierarchyIndex(root_label="")
-    pos = HierarchyIndex(root_label=TOP)
-    starts = array(_TYPECODE, [0])
-    left, right, depth = array(_TYPECODE), array(_TYPECODE), array(_TYPECODE)
-    pl_nodes, pos_nodes = pl.postings, pos.postings
-    for doc in docs:
-        for s in doc.sentences:
-            base = starts[-1]
-            starts.append(base + len(s))
-            left.extend(s.left)
-            right.extend(s.right)
-            depth.extend(s.depth)
-            # Offsets grow with every token, so each list stays sorted.
-            for o, text, pl_node, pos_node in zip(
-                count(base), s.tokens, _assign_nodes(pl, s, s.labels), _assign_nodes(pos, s, s.pos)
-            ):
-                words[text].append(o)
-                pl_nodes[pl_node].append(o)
-                pos_nodes[pos_node].append(o)
-            for e in s.entities:
-                entity.add(e)
-    tokens = TokenTable(starts, left, right, depth)
+    sentences = [s for doc in docs for s in doc.sentences]
+
+    def column(name: str) -> array:
+        return array(_TYPECODE, chain.from_iterable(map(attrgetter(name), sentences)))
+
+    tokens = TokenTable(
+        array(_TYPECODE, accumulate(map(len, sentences), initial=0)),
+        column("left"),
+        column("right"),
+        column("depth"),
+    )
+    texts = list(chain.from_iterable(s.tokens for s in sentences))
     return IndexBundle(
-        word=WordIndex(tokens, dict(words)),
-        entity=entity,
-        pl=pl,
-        pos=pos,
+        word=WordIndex(tokens, PostingLists.grouped(texts, sorted(set(texts)))),
+        entity=EntityIndex([e for s in sentences for e in s.entities]),
+        pl=_merged_trees("", sentences, attrgetter("labels")),
+        pos=_merged_trees(TOP, sentences, attrgetter("pos")),
         tokens=tokens,
         fingerprint=corpus_fingerprint(docs),
     )
 
 
-def _assign_nodes(index: HierarchyIndex, sentence, column: list[str]) -> list[int]:
-    """Hierarchy node id for every token of the sentence, by tid, merging
-    children on their value in ``column`` (labels or POS tags)."""
+def _merged_trees(
+    root_label: str, sentences: list[Sentence], column: Callable[[Sentence], list[str]]
+) -> HierarchyIndex:
+    """The hierarchy of the sentences' trees with children merged on their
+    value in ``column`` (labels or POS tags)."""
+    nodes = [HierarchyNode(root_label, -1)]
+    node_of = array(_TYPECODE)  # by token offset
+    for s in sentences:
+        node_of.extend(_assign_nodes(nodes, s, column(s)))
+    return HierarchyIndex(nodes, PostingLists.grouped(node_of, range(len(nodes))))
+
+
+def _assign_nodes(nodes: list[HierarchyNode], sentence: Sentence, column: list[str]) -> list[int]:
+    """Hierarchy node id for every token of the sentence, by tid, adding
+    the nodes its tree opens."""
     node_of = [0] * len(sentence.tokens)
     stack = [(sentence.root_tid, 0)]
     while stack:
-        tid, parent_node = stack.pop()
-        node = index.child(parent_node, column[tid])
+        tid, parent = stack.pop()
+        label = column[tid]
+        children = nodes[parent].children
+        node = children.get(label)
+        if node is None:
+            node = children[label] = len(nodes)
+            nodes.append(HierarchyNode(label, parent))
         node_of[tid] = node
         for c in sentence.children[tid]:
             stack.append((c, node))
@@ -351,19 +380,26 @@ def _assign_nodes(index: HierarchyIndex, sentence, column: list[str]) -> list[in
 # Persistence
 
 _U32 = struct.Struct("<I")
-_ENTITY = struct.Struct("<3I")
-_NODE_HEAD = struct.Struct("<Ii")  # node id, parent id
 
 
-def _w_str(buf: bytearray, value: str) -> None:
-    raw = value.encode("utf-8")
+def _w_columns(buf: bytearray, *columns: array) -> None:
+    for column in columns:
+        buf += _U32.pack(len(column))
+        buf += _swapped(column).tobytes()
+
+
+def _w_strings(buf: bytearray, strings: Sequence[str]) -> None:
+    _w_columns(buf, array(_TYPECODE, accumulate(map(len, strings))))
+    raw = "".join(strings).encode("utf-8")
     buf += _U32.pack(len(raw))
     buf += raw
 
 
-def _w_postings(buf: bytearray, postings: array) -> None:
-    buf += _U32.pack(len(postings))
-    buf += _swapped(postings).tobytes()
+def _interned(values: Sequence[str]) -> tuple[list[str], array]:
+    """The distinct values, in first-seen order, and each value's id."""
+    ids: dict[str, int] = {}
+    column = array(_TYPECODE, [ids.setdefault(v, len(ids)) for v in values])
+    return list(ids), column
 
 
 def save_bundle(bundle: IndexBundle, directory: str) -> None:
@@ -371,28 +407,21 @@ def save_bundle(bundle: IndexBundle, directory: str) -> None:
     checksum."""
     files = {name: bytearray(MAGIC + _U32.pack(FORMAT_VERSION)) for name in INDEX_FILES}
     t = bundle.tokens
-    buf = files["tree.idx"]
-    buf += _U32.pack(bundle.sentence_count)
-    for column in (t.starts, t.left, t.right, t.depth):
-        buf += _swapped(column).tobytes()
-    buf = files["word.idx"]
-    buf += _U32.pack(len(bundle.word.postings))
-    for wordtext in sorted(bundle.word.postings):
-        _w_str(buf, wordtext)
-        _w_postings(buf, bundle.word.postings[wordtext])
-    buf = files["entity.idx"]
-    buf += _U32.pack(len(bundle.entity.records))
-    for r in bundle.entity.records:
-        _w_str(buf, r.surface)
-        _w_str(buf, r.etype)
-        buf += _ENTITY.pack(r.sid, r.start, r.end)
+    _w_columns(files["tree.idx"], t.starts, t.left, t.right, t.depth)
+    words = bundle.word.postings
+    _w_strings(files["word.idx"], list(words))
+    _w_columns(files["word.idx"], words.ptr, words.flat)
+    sid, start, end, etype, surface = list(zip(*bundle.entity.records)) or [()] * 5
+    etypes, etype_ids = _interned(etype)
+    _w_strings(files["entity.idx"], etypes)
+    _w_columns(files["entity.idx"], *(array(_TYPECODE, c) for c in (sid, start, end)), etype_ids)
+    _w_strings(files["entity.idx"], surface)
     for name, index in (("pl.idx", bundle.pl), ("pos.idx", bundle.pos)):
-        buf = files[name]
-        buf += _U32.pack(len(index.nodes))
-        for node in index.nodes:
-            buf += _NODE_HEAD.pack(node.node_id, node.parent)
-            _w_str(buf, node.label)
-            _w_postings(buf, index.postings[node.node_id])
+        nodes = index.nodes[1:]
+        labels, label_ids = _interned([node.label for node in nodes])
+        _w_strings(files[name], labels)
+        parents = array(_TYPECODE, [node.parent for node in nodes])
+        _w_columns(files[name], label_ids, parents, index.postings.ptr, index.postings.flat)
     os.makedirs(directory, exist_ok=True)
     for name, buf in files.items():
         with open(os.path.join(directory, name), "wb") as f:
@@ -409,9 +438,8 @@ def save_bundle(bundle: IndexBundle, directory: str) -> None:
 
 
 class _IndexFile:
-    """One .idx file in memory, scanned front to back. The scan skips each
-    posting block and keeps its offset; `block_at` decodes a block when
-    a lookup first needs it and checks it against the token table."""
+    """One .idx file in memory, read front to back as columns and string
+    tables."""
 
     def __init__(self, directory: str, name: str, crc: int, tokens: TokenTable | None = None):
         self.path = os.path.join(directory, name)
@@ -422,102 +450,59 @@ class _IndexFile:
                 self.buf = f.read()
         except OSError as exc:
             raise KokoInputError(f"{self.path}: cannot read index file: {exc.strerror}") from None
-        self.pos = 0
-        if self.take(4) != MAGIC:
-            raise KokoInputError(f"{self.path}: not an index file (bad magic)")
+        if self.buf[:4] != MAGIC:
+            raise self.fail("not an index file (bad magic)")
+        self.pos = 4
         version = self.u32()
         if version != FORMAT_VERSION:
-            raise KokoInputError(
-                f"{self.path}: format version {version} does not match "
-                f"supported version {FORMAT_VERSION}"
-            )
+            raise self.fail(f"format version {version} does not match supported version {FORMAT_VERSION}")
 
-    def advance(self, n: int) -> int:
-        """Move the read position n bytes on; returns where it was."""
-        pos = self.pos
-        if pos + n > len(self.buf):
-            raise KokoInputError(f"{self.path}: truncated index file")
-        self.pos = pos + n
-        return pos
-
-    def take(self, n: int) -> bytes:
-        start = self.advance(n)
-        return self.buf[start : start + n]
+    def fail(self, what: str) -> KokoInputError:
+        return KokoInputError(f"{self.path}: {what}")
 
     def u32(self) -> int:
-        return _U32.unpack_from(self.buf, self.advance(4))[0]
+        if self.pos + 4 > len(self.buf):
+            raise self.fail("truncated index file")
+        self.pos += 4
+        return _U32.unpack_from(self.buf, self.pos - 4)[0]
 
-    def u32s(self, n: int) -> array:
-        return _swapped(array(_TYPECODE, self.take(4 * n)))
+    def block(self, itemsize: int) -> memoryview:
+        """A count, then that many items of `itemsize` bytes, uncopied."""
+        start = self.pos + 4
+        end = start + itemsize * self.u32()
+        if end > len(self.buf):
+            raise self.fail("truncated index file")
+        self.pos = end
+        return memoryview(self.buf)[start:end]
 
-    def string(self) -> str:
+    def column(self) -> array:
+        column = array(_TYPECODE)
+        column.frombytes(self.block(4))
+        return _swapped(column)
+
+    def strings(self) -> list[str]:
+        ends = self.column()
         try:
-            return self.take(self.u32()).decode("utf-8")
+            text = str(self.block(1), "utf-8")
         except UnicodeDecodeError:
-            raise KokoInputError(f"{self.path}: corrupt string record") from None
+            raise self.fail("corrupt string table") from None
+        bounds = array(_TYPECODE, [0]) + ends
+        if bounds[-1] != len(text) or not all(map(le, bounds, bounds[1:])):
+            raise self.fail("string end offsets out of order or past the text")
+        return list(map(text.__getitem__, map(slice, bounds, ends)))
 
-    def labelled_blocks(self, count: int, head: struct.Struct | None = None) -> list[tuple]:
-        """Read `count` records of an optional fixed-size head, a string
-        and a posting block, skipping the block: (*head fields, string,
-        block offset) per record."""
-        buf, pos = self.buf, self.pos
-        out = []
-        try:
-            for _ in range(count):
-                fields = ()
-                if head is not None:
-                    fields = head.unpack_from(buf, pos)
-                    pos += head.size
-                (n,) = _U32.unpack_from(buf, pos)
-                label = buf[pos + 4 : pos + 4 + n].decode("utf-8")
-                pos += 4 + n
-                (k,) = _U32.unpack_from(buf, pos)
-                out.append((*fields, label, pos))
-                pos += 4 + 4 * k
-        except struct.error:
-            raise KokoInputError(f"{self.path}: truncated index file") from None
-        except UnicodeDecodeError:
-            raise KokoInputError(f"{self.path}: corrupt string record") from None
-        if pos > len(buf):
-            raise KokoInputError(f"{self.path}: truncated index file")
-        self.pos = pos
-        return out
+    def postings(self, keys: Sequence) -> PostingLists:
+        ptr, flat = self.column(), self.column()
+        if len(ptr) != len(keys) + 1 or ptr[0] != 0 or ptr[-1] != len(flat) or not all(map(le, ptr, ptr[1:])):
+            raise self.fail(f"posting list bounds do not rise from 0 to {len(flat)} over {len(keys)} lists")
+        return PostingLists(keys, ptr, flat, partial(self.tokens.check, where=self.path))
 
     def end(self) -> None:
         """After the scan: no bytes left over, and the checksum holds."""
         if self.pos != len(self.buf):
-            raise KokoInputError(f"{self.path}: {len(self.buf) - self.pos} bytes after the last record")
+            raise self.fail(f"{len(self.buf) - self.pos} bytes after the last record")
         if zlib.crc32(self.buf) != self.crc:
-            raise KokoInputError(f"{self.path}: checksum mismatch, the file is corrupt; rebuild the index")
-
-    def block_at(self, offset: int) -> array:
-        (n,) = _U32.unpack_from(self.buf, offset)
-        start = offset + 4
-        block = _swapped(array(_TYPECODE, self.buf[start : start + 4 * n]))
-        self.tokens.check(block, self.path)
-        return block
-
-
-class _LazyPostings(Mapping):
-    """Posting lists of a loaded index by word or node id; each stays an
-    offset into its file until it is first read."""
-
-    def __init__(self, file: _IndexFile, offsets: dict):
-        self._file = file
-        self._offsets = offsets
-        self._decoded: dict = {}
-
-    def __getitem__(self, key) -> array:
-        plist = self._decoded.get(key)
-        if plist is None:
-            plist = self._decoded[key] = self._file.block_at(self._offsets[key])
-        return plist
-
-    def __iter__(self):
-        return iter(self._offsets)
-
-    def __len__(self) -> int:
-        return len(self._offsets)
+            raise self.fail("checksum mismatch, the file is corrupt; rebuild the index")
 
 
 def _read_manifest(directory: str) -> dict:
@@ -547,11 +532,10 @@ def index_fingerprint(directory: str) -> str:
 def load_bundle(
     directory: str, expected_fingerprint: str | None = None, corpus: Corpus | None = None
 ) -> IndexBundle:
-    """Open a saved index. The token table is read whole; of the other
-    files only record headers are read here, and posting lists are
-    decoded on first lookup, each checked against the token table. Each
-    file's checksum is checked against the manifest's. Given the corpus,
-    the token table's sentence lengths are checked to be the corpus's."""
+    """Open a saved index. Every file is read whole, column by column, and
+    its checksum checked against the manifest's; a posting list is checked
+    against the token table on first lookup. Given the corpus, the token
+    table's sentence lengths are checked to be the corpus's."""
     manifest = _read_manifest(directory)
     fingerprint = manifest.get("fingerprint", "")
     if expected_fingerprint is not None and fingerprint != expected_fingerprint:
@@ -566,12 +550,13 @@ def load_bundle(
         raise KokoInputError(f"{directory}: manifest.json lacks the checksums of the index files")
 
     f = _IndexFile(directory, "tree.idx", checksums["tree.idx"])
-    starts = f.u32s(f.u32() + 1)
-    columns = [f.u32s(starts[-1]) for _ in range(3)]
+    starts, *columns = (f.column() for _ in range(4))
     f.end()
     # Every sentence has a token.
-    if starts[0] != 0 or not all(map(lt, starts, starts[1:])):
-        raise KokoInputError(f"{f.path}: sentence starts do not increase from 0")
+    if not starts or starts[0] != 0 or not all(map(lt, starts, starts[1:])):
+        raise f.fail("sentence starts do not increase from 0")
+    if any(len(c) != starts[-1] for c in columns):
+        raise f.fail(f"tree columns do not hold the {starts[-1]} tokens")
     if corpus is not None and starts != array(_TYPECODE, accumulate(corpus.sentence_lengths, initial=0)):
         raise KokoInputError(
             f"{directory}: index sentence lengths ({len(starts) - 1} sentences) differ from "
@@ -583,47 +568,51 @@ def load_bundle(
         return _IndexFile(directory, name, checksums[name], tokens)
 
     f = open_file("word.idx")
-    word = WordIndex(tokens, _LazyPostings(f, dict(f.labelled_blocks(f.u32()))))
+    words = f.strings()
+    word = WordIndex(tokens, f.postings(words))
+    if not all(map(lt, words, words[1:])):
+        raise f.fail("words out of order")
     f.end()
 
     f = open_file("entity.idx")
-    entity = EntityIndex()
-    prev = 0
-    for _ in range(f.u32()):
-        surface = f.string()
-        etype = f.string()
-        sid, start, end = _ENTITY.unpack_from(f.buf, f.advance(_ENTITY.size))
-        if not (prev <= sid < len(starts) - 1 and start <= end < starts[sid + 1] - starts[sid]):
-            raise KokoInputError(
-                f"{f.path}: entity ({sid},{start}-{end}) lies outside the corpus "
-                f"or out of sentence order"
-            )
-        prev = sid
-        entity.add(EntitySpan(sid, start, end, etype, surface))
+    etypes = f.strings()
+    sid, start, end, etype_ids = (f.column() for _ in range(4))
+    surfaces = f.strings()
+    if not len(sid) == len(start) == len(end) == len(etype_ids) == len(surfaces):
+        raise f.fail("entity columns differ in length")
+    if max(etype_ids, default=-1) >= len(etypes):
+        raise f.fail(f"etype id {max(etype_ids)} past the {len(etypes)} etypes")
+    lengths = array(_TYPECODE, map(sub, starts[1:], starts))
+    if not (
+        all(map(le, sid, sid[1:]))
+        and (not sid or sid[-1] < len(lengths))
+        and all(map(le, start, end))
+        and all(map(lt, end, map(lengths.__getitem__, sid)))
+    ):
+        raise f.fail("an entity lies outside the corpus or out of sentence order")
     f.end()
+    entity = EntityIndex(list(map(EntitySpan, sid, start, end, map(etypes.__getitem__, etype_ids), surfaces)))
 
     hierarchies: list[HierarchyIndex] = []
-    for name in ("pl.idx", "pos.idx"):
+    for name, root_label in (("pl.idx", ""), ("pos.idx", TOP)):
         f = open_file(name)
-        records = f.labelled_blocks(f.u32(), _NODE_HEAD)
-        if not records:
-            raise KokoInputError(f"{f.path}: hierarchy without a super-root")
-        index = HierarchyIndex(root_label="")
-        index.nodes = []
-        offsets = {}
-        for position, (node_id, parent, label, offset) in enumerate(records):
-            # Parents come before their children; only the super-root has none.
-            if node_id != position or not parent < node_id or (parent >= 0) != (node_id > 0):
-                raise KokoInputError(
-                    f"{f.path}: node record {position} has id {node_id} and parent {parent}"
-                )
-            offsets[node_id] = offset
-            index.nodes.append(HierarchyNode(node_id, label, parent))
-            if parent >= 0:
-                index.nodes[parent].children[label] = node_id
+        labels = f.strings()
+        label_ids, parents = f.column(), f.column()
+        postings = f.postings(range(len(label_ids) + 1))
+        if len(parents) != len(label_ids):
+            raise f.fail("node columns differ in length")
+        if max(label_ids, default=-1) >= len(labels):
+            raise f.fail(f"label id {max(label_ids)} past the {len(labels)} labels")
+        # Parents come before their children.
+        if not all(map(lt, parents, count(1))):
+            node_id = next(i for i, p in enumerate(parents, 1) if p >= i)
+            raise f.fail(f"node record {node_id} has parent {parents[node_id - 1]}")
         f.end()
-        index.postings = _LazyPostings(f, offsets)
-        hierarchies.append(index)
+        nodes = [HierarchyNode(root_label, -1)]
+        nodes += map(HierarchyNode, map(labels.__getitem__, label_ids), parents)
+        for node_id, node in enumerate(nodes[1:], 1):
+            nodes[node.parent].children[node.label] = node_id
+        hierarchies.append(HierarchyIndex(nodes, postings))
 
     return IndexBundle(
         word=word,

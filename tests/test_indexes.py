@@ -273,9 +273,10 @@ def test_corrupt_bytes_surface_as_input_errors(ex31_bundle, tmp_path):
     save_bundle(ex31_bundle, str(d))
     path = d / "word.idx"
     raw = bytearray(path.read_bytes())
-    # Flip bytes inside the first string record (right after the header
-    # and the word count) to break its UTF-8.
-    raw[12:14] = b"\xff\xfe"
+    # Flip bytes inside the first string of the word table to break its
+    # UTF-8.
+    text_at = _offsets(raw, "word.idx")["words.text"]
+    raw[text_at : text_at + 2] = b"\xff\xfe"
     path.write_bytes(bytes(raw))
     with pytest.raises(KokoInputError):
         load_bundle(str(d))
@@ -292,6 +293,31 @@ def _small_index(tmp_path):
     return docs, bundle, d
 
 
+# The parts of each index file after its 8-byte header, in order. Each is a
+# u32 count and that many items: 1-byte ones for a string table's UTF-8
+# text, u32 ones for every other column.
+_LAYOUT = {
+    "tree.idx": ["starts", "left", "right", "depth"],
+    "word.idx": ["words.ends", "words.text", "ptr", "flat"],
+    "entity.idx": [
+        "etypes.ends", "etypes.text", "sid", "start", "end", "etype_id", "surfaces.ends", "surfaces.text",
+    ],
+    "pl.idx": ["labels.ends", "labels.text", "label_id", "parent", "ptr", "flat"],
+}
+
+
+def _offsets(raw, name):
+    """Byte offset of the first item of each part of an index file; its
+    count sits in the 4 bytes before."""
+    at, out = 8, {}
+    for part in _LAYOUT[name]:
+        (n,) = struct.unpack_from("<I", raw, at)
+        out[part] = at + 4
+        at += 4 + n * (1 if part.endswith(".text") else 4)
+    assert at == len(raw)
+    return out
+
+
 def _rewrite_checksum(d, name):
     manifest = json.loads((d / "manifest.json").read_text())
     manifest["checksums"][name] = zlib.crc32((d / name).read_bytes())
@@ -304,7 +330,7 @@ def test_checksum_mismatch_rejected(tmp_path):
     raw = bytearray(path.read_bytes())
     # The first record's sid, inside the corpus after the change.
     first = bundle.entity.records[0]
-    sid_at = 12 + 4 + len(first.surface.encode()) + 4 + len(first.etype.encode())
+    sid_at = _offsets(raw, "entity.idx")["sid"]
     assert struct.unpack_from("<I", raw, sid_at)[0] == first.sid == 0
     raw[sid_at] = 1
     path.write_bytes(bytes(raw))
@@ -325,12 +351,13 @@ def test_node_parent_out_of_range_rejected(tmp_path):
     _, _, d = _small_index(tmp_path)
     path = d / "pl.idx"
     raw = bytearray(path.read_bytes())
-    # Header (8), node count (4), the super-root's 16 bytes; then node 1's
-    # id and parent.
-    assert struct.unpack_from("<Ii", raw, 28) == (1, 0)
-    raw[32:36] = struct.pack("<i", 5000)
+    # Node 1's parent, the first entry of the parent column (the
+    # super-root has none).
+    parent_at = _offsets(raw, "pl.idx")["parent"]
+    assert struct.unpack_from("<I", raw, parent_at) == (0,)
+    raw[parent_at : parent_at + 4] = struct.pack("<I", 5000)
     path.write_bytes(bytes(raw))
-    with pytest.raises(KokoInputError, match="node record 1 has id 1 and parent 5000"):
+    with pytest.raises(KokoInputError, match="node record 1 has parent 5000"):
         load_bundle(str(d))
 
 
@@ -338,9 +365,9 @@ def test_posting_block_past_end_of_file_rejected(tmp_path):
     _, bundle, d = _small_index(tmp_path)
     path = d / "word.idx"
     raw = bytearray(path.read_bytes())
-    first = sorted(bundle.word.postings)[0].encode("utf-8")
-    count_at = 12 + 4 + len(first)
-    assert struct.unpack_from("<I", raw, count_at)[0] == len(bundle.word.postings[first.decode()])
+    # The count of the posting column, which holds every token.
+    count_at = _offsets(raw, "word.idx")["flat"] - 4
+    assert struct.unpack_from("<I", raw, count_at)[0] == bundle.token_count
     raw[count_at : count_at + 4] = struct.pack("<I", 1 << 30)
     path.write_bytes(bytes(raw))
     with pytest.raises(KokoInputError, match="truncated"):
@@ -362,10 +389,9 @@ def test_postings_decoded_and_checked_on_first_lookup(tmp_path):
     path = d / "word.idx"
     raw = bytearray(path.read_bytes())
     words = sorted(bundle.word.postings)
-    first = words[0].encode("utf-8")
     # The first posting's token offset, past the last token, in a file
     # whose checksum matches: a faulty writer, not a corrupted copy.
-    offset_at = 12 + 4 + len(first) + 4
+    offset_at = _offsets(raw, "word.idx")["flat"]
     assert struct.unpack_from("<I", raw, offset_at)[0] == bundle.word.postings[words[0]][0]
     raw[offset_at : offset_at + 4] = struct.pack("<I", bundle.token_count)
     path.write_bytes(bytes(raw))
@@ -389,10 +415,9 @@ def test_posting_block_out_of_order_rejected_on_lookup(tmp_path):
     docs, bundle, d = _small_index(tmp_path)
     path = d / "word.idx"
     raw = bytearray(path.read_bytes())
-    # Header (8) and word count (4), then per word its string and block.
-    block = 12
+    # The posting column holds each word's list in word order.
+    block = _offsets(raw, "word.idx")["flat"]
     for word in sorted(bundle.word.postings):
-        block += 4 + len(word.encode("utf-8")) + 4
         if len(bundle.word.postings[word]) > 1:
             break
         block += 4 * len(bundle.word.postings[word])
@@ -413,10 +438,10 @@ def test_tree_entry_past_its_sentence_rejected_on_lookup(tmp_path):
     path = d / "tree.idx"
     raw = bytearray(path.read_bytes())
     starts = bundle.tokens.starts
-    # Header (8), sentence count (4), the S + 1 starts, the left column;
-    # then token 0's right, moved one past its sentence, in a file whose
+    # Token 0's right, moved one past its sentence, in a file whose
     # checksum matches.
-    right_at = 12 + 4 * len(starts) + 4 * bundle.token_count
+    right_at = _offsets(raw, "tree.idx")["right"]
+    assert right_at == 8 + 4 + 4 * len(starts) + 4 + 4 * bundle.token_count + 4
     assert struct.unpack_from("<I", raw, right_at)[0] == bundle.tokens.right[0]
     raw[right_at : right_at + 4] = struct.pack("<I", starts[1])
     path.write_bytes(bytes(raw))
@@ -536,7 +561,7 @@ def _hierarchies(seed: int, loaded: bool):
         with tempfile.TemporaryDirectory() as d:
             save_bundle(bundle, d)
             bundle = load_bundle(d)
-            # Decode every block now: the directory goes away.
+            # Read (and so check) every list once.
             for index in (bundle.pl, bundle.pos):
                 for node_id in index.postings:
                     index.postings[node_id]
@@ -588,3 +613,164 @@ def test_pre_order_plane_is_derived_at_the_first_descendant_step(tmp_path):
     save_bundle(loaded, str(tmp_path / "again"))
     for name in ("tree.idx", "pl.idx", "pos.idx", "manifest.json"):
         assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "idx" / name).read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# String tables and the structural checks of the columns
+
+# Strings a separator-byte encoding of the tables would break.
+_ODD = ["", "\x00", "a\u2028b", "\U0001d538"]
+
+
+def _odd_strings_corpus():
+    """One sentence whose words, labels, POS tags, entity types and
+    surfaces are the odd strings. TSV rows end at the entity column, whose
+    trailing whitespace the reader strips, so no type ends in U+2028."""
+    from koko.corpus import AnnotatedDocument, Sentence
+
+    n = len(_ODD)
+    sentence = Sentence(
+        0,
+        ["ate", *_ODD],
+        ["verb", *_ODD],
+        ["root", *_ODD],
+        [None] + [0] * n,
+        [None, "", "\x00", "\u2028T", "\U0001d538"],
+        [None] + ["B"] * n,
+    )
+    return [AnnotatedDocument("d0", [sentence])]
+
+
+def test_string_tables_round_trip_odd_strings(tmp_path):
+    bundle = build_indexes(_odd_strings_corpus())
+    assert set(_ODD) <= set(bundle.word.postings)
+    assert {e.surface for e in bundle.entity.records} == set(_ODD)
+    save_bundle(bundle, str(tmp_path / "idx"))
+    loaded = load_bundle(str(tmp_path / "idx"))
+    assert loaded == bundle
+    assert list(loaded.word.postings) == list(bundle.word.postings)
+    for index in (loaded.pl, loaded.pos):
+        assert set(_ODD) <= {node.label for node in index.nodes}
+    assert loaded.entity.records == bundle.entity.records
+    assert {e.etype for e in loaded.entity.records} == {"", "\x00", "\u2028T", "\U0001d538"}
+
+
+def test_string_tables_round_trip_through_the_cli(tmp_path, capsys):
+    from koko.cli import main
+    from koko.corpus import serialize_corpus
+
+    corpus = tmp_path / "c.tsv"
+    corpus.write_bytes(serialize_corpus(_odd_strings_corpus()).encode("utf-8"))
+    idx = str(tmp_path / "idx")
+    assert main(["index", "--corpus", str(corpus), "--out", idx]) == 0
+    queries = {
+        "entities": 'extract x:Entity from "t" if ()',
+        "words": 'extract v:Str from "t" if (/ROOT:{ v = /root/* })',
+    }
+    for name, text in queries.items():
+        q = tmp_path / f"{name}.koko"
+        q.write_text(text, encoding="utf-8")
+        outs = []
+        for extra in ([], ["--index", idx]):
+            capsys.readouterr()
+            assert main(["query", "--query", str(q), "--corpus", str(corpus), *extra]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1], name
+        rows = [json.loads(line) for line in outs[1].split("\n") if line]
+        values = {value for row in rows for value in row["values"].values()}
+        assert set(_ODD) <= values, name
+
+
+def _set_u32(raw, at, value):
+    raw[at : at + 4] = struct.pack("<I", value)
+
+
+def _u32(raw, at):
+    return struct.unpack_from("<I", raw, at)[0]
+
+
+def _ptr_decreasing(raw):
+    ptr = _offsets(raw, "word.idx")["ptr"]
+    # The second list's start, moved past the third's.
+    _set_u32(raw, ptr + 4, _u32(raw, ptr + 8) + 1)
+
+
+def _ptr_short_of_the_postings(raw):
+    at = _offsets(raw, "word.idx")
+    last = at["flat"] - 8  # the last ptr entry, before the flat column's count
+    assert _u32(raw, last) == _u32(raw, at["flat"] - 4)
+    _set_u32(raw, last, _u32(raw, last) - 1)
+
+
+def _label_id_out_of_range(raw):
+    at = _offsets(raw, "pl.idx")
+    labels = _u32(raw, at["labels.ends"] - 4)
+    _set_u32(raw, at["label_id"], labels)
+
+
+def _etype_id_out_of_range(raw):
+    at = _offsets(raw, "entity.idx")
+    etypes = _u32(raw, at["etypes.ends"] - 4)
+    _set_u32(raw, at["etype_id"], etypes)
+
+
+def _parent_not_below_its_node(raw):
+    # Node 2 made its own parent.
+    _set_u32(raw, _offsets(raw, "pl.idx")["parent"] + 4, 2)
+
+
+def _string_ends_out_of_order(raw):
+    # The surface table is checked by nothing else.
+    ends = _offsets(raw, "entity.idx")["surfaces.ends"]
+    first, second = _u32(raw, ends), _u32(raw, ends + 4)
+    assert first < second
+    _set_u32(raw, ends, second)
+    _set_u32(raw, ends + 4, first)
+
+
+def _words_out_of_order(raw):
+    # The second word emptied; the third takes over its text.
+    ends = _offsets(raw, "word.idx")["words.ends"]
+    assert _u32(raw, ends) > 0
+    _set_u32(raw, ends + 4, _u32(raw, ends))
+
+
+def _drop_last(name, part):
+    """A corruption that drops the last entry of one column."""
+
+    def corrupt(raw):
+        at = _offsets(raw, name)[part]
+        n = _u32(raw, at - 4)
+        _set_u32(raw, at - 4, n - 1)
+        del raw[at + 4 * (n - 1) : at + 4 * n]
+
+    corrupt.__name__ = f"{part}_short"
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "name, corrupt, message",
+    [
+        ("word.idx", _ptr_decreasing, "posting list bounds"),
+        ("word.idx", _ptr_short_of_the_postings, "posting list bounds"),
+        ("pl.idx", _label_id_out_of_range, "label id"),
+        ("entity.idx", _etype_id_out_of_range, "etype id"),
+        ("pl.idx", _parent_not_below_its_node, "node record 2 has parent 2"),
+        ("entity.idx", _string_ends_out_of_order, "string end offsets"),
+        ("word.idx", _words_out_of_order, "words out of order"),
+        ("tree.idx", _drop_last("tree.idx", "depth"), "tree columns do not hold"),
+        ("entity.idx", _drop_last("entity.idx", "end"), "entity columns differ"),
+        ("pl.idx", _drop_last("pl.idx", "parent"), "node columns differ"),
+    ],
+    ids=lambda v: getattr(v, "__name__", None),
+)
+def test_structural_checks_reject_a_faulty_writer(tmp_path, name, corrupt, message):
+    # Each column is wrong in a file whose checksum matches.
+    _, _, d = _small_index(tmp_path)
+    path = d / name
+    raw = bytearray(path.read_bytes())
+    corrupt(raw)
+    path.write_bytes(bytes(raw))
+    _rewrite_checksum(d, name)
+    with pytest.raises(KokoInputError, match=message):
+        load_bundle(str(d))
