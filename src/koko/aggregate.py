@@ -176,7 +176,7 @@ class EvidenceEvaluator:
     def eval_boolean(self, cond: SatCondition, value: str) -> float:
         kind = cond.kind
         if kind == "contains":
-            return 1.0 if find_token_seq(list(_tokens(value)), _tokens(cond.arg)) else 0.0
+            return 1.0 if find_token_seq(_tokens(value), _tokens(cond.arg)) else 0.0
         if kind == "mentions":
             return 1.0 if cond.arg in value else 0.0
         if kind == "matches":
@@ -191,7 +191,7 @@ class EvidenceEvaluator:
 
     def _adjacent(self, value: str, literal: str, after: bool) -> bool:
         value_toks = _tokens(value)
-        lit_toks = list(_tokens(literal))
+        lit_toks = _tokens(literal)
         if not value_toks or not lit_toks:
             return False
         for sid in self._sids_with(value_toks):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .corpus import AnnotatedDocument, Corpus, Sentence
+from .corpus import AnnotatedDocument, Corpus, Sentence, child_lists
 from .engine import run_query
 from .errors import KokoInputError
 from .indexes import IndexBundle
@@ -63,9 +63,9 @@ def _zipf_pick(rng: random.Random, items: list[str]) -> str:
 class _TreeShape:
     """Sentence columns shared by every sentence drawn from one shape."""
 
-    heads: list[int | None]
-    labels: list[str]
-    pos: list[str]
+    heads: tuple[int | None, ...]
+    labels: tuple[str, ...]
+    pos: tuple[str, ...]
 
 
 def _random_shape(rng: random.Random, n: int) -> _TreeShape:
@@ -92,7 +92,7 @@ def _random_shape(rng: random.Random, n: int) -> _TreeShape:
                 pos = end + 1
 
     build(0, n - 1, None)
-    return _TreeShape(heads=heads, labels=labels, pos=pos_tags)
+    return _TreeShape(heads=tuple(heads), labels=tuple(labels), pos=tuple(pos_tags))
 
 
 def synthesize_corpus(
@@ -270,16 +270,17 @@ def _tree_pattern_query(rng: random.Random, corpus: Corpus, size: int) -> str:
         s = corpus.sentences[rng.randrange(len(corpus.sentences))]
         if len(s) < size:
             continue
+        children = child_lists(s.heads)
         anchor = s.root_tid
         path = "/root"
         used = 1
-        if size >= 3 and s.children[s.root_tid] and rng.random() < 0.5:
-            anchor = rng.choice(s.children[s.root_tid])
+        if size >= 3 and children[s.root_tid] and rng.random() < 0.5:
+            anchor = rng.choice(children[s.root_tid])
             path += "/" + s.labels[anchor]
             used = 2
         defs = [f"x = {path}"]
         var_of_token = {anchor: "x"}
-        frontier = list(s.children[anchor])
+        frontier = list(children[anchor])
         rng.shuffle(frontier)
         ci = 0
         while used < size and frontier:
@@ -290,7 +291,7 @@ def _tree_pattern_query(rng: random.Random, corpus: Corpus, size: int) -> str:
             defs.append(f"{name} = {parent_var}/{s.labels[child]}")
             var_of_token[child] = name
             used += 1
-            frontier.extend(s.children[child])
+            frontier.extend(children[child])
         if used < size:
             continue
         outs = ", ".join(["x:Str"] + [f"c{i}:Str" for i in range(1, ci + 1)])

@@ -13,14 +13,18 @@ HEAD is the parent token id or -1 for the root. ETYPE is ``O`` or
 form ``# doc_id = <id>`` opens a new document. Other ``#`` lines are
 comments and are dropped on read.
 
-A sentence stores each per-token field as a column: a list indexed by
+A sentence stores each per-token field as a column: a tuple indexed by
 token id (``tokens``, ``pos``, ``labels``, ``heads``, ``etypes``,
 ``iobs``). ``Sentence(sid, tokens, pos, labels, heads, etypes, iobs)`` is
 the one way to build a sentence, whether it comes from the reader, a
 lazily parsed canonical file or a synthetic corpus: its constructor
 derives the tree data (``left``, ``right``, ``depth``), which the index's
 token table stores as it is, and the entity mentions (``EntitySpan``),
-which the entity index stores as they are.
+which the entity index stores as they are. A sentence keeps no per-token
+mutable container: CPython stops tracking a tuple of strs, ints and
+``None`` at its first collection, so a loaded corpus costs the garbage
+collector about one object per sentence. Readers that walk the tree
+downwards derive the children from ``heads`` (`child_lists`).
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import re
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from operator import eq
 from typing import Iterable, NamedTuple
 
 from .errors import KokoInputError
@@ -47,11 +52,12 @@ class EntitySpan(NamedTuple):
 
 @dataclass(slots=True)
 class Sentence:
-    """A sentence's per-token columns, indexed by tid, and what their head
-    links and IOB2 tags imply, all derived when the sentence is built: the
-    root, each token's children, subtree extent (``left``/``right``, the
+    """A sentence's per-token columns, tuples indexed by tid, and what
+    their head links and IOB2 tags imply, all derived when the sentence is
+    built: the root, each token's subtree extent (``left``/``right``, the
     min/max tid over the subtree) and depth (the root's is 0), and the
-    entity mentions. The columns are not modified after construction.
+    entity mentions. Columns given as other sequences are stored as
+    tuples; a tuple is stored as it is, so sentences can share columns.
 
     Extents are min/max over subtree token ids even for non-projective
     sentences, where the containment tests they feed become
@@ -61,42 +67,43 @@ class Sentence:
     """
 
     sid: int
-    tokens: list[str]  # token texts
-    pos: list[str]
-    labels: list[str]
-    heads: list[int | None]  # None on the root
-    etypes: list[str | None]
+    tokens: tuple[str, ...]  # token texts
+    pos: tuple[str, ...]
+    labels: tuple[str, ...]
+    heads: tuple[int | None, ...]  # None on the root
+    etypes: tuple[str | None, ...]
     # IOB2 marker ("B" or "I") kept so adjacent same-typed entities stay
     # distinguishable; None whenever the etype is None.
-    iobs: list[str | None]
+    iobs: tuple[str | None, ...]
     root_tid: int = field(init=False, compare=False)
-    children: list[list[int]] = field(init=False, compare=False)
-    left: list[int] = field(init=False, compare=False)
-    right: list[int] = field(init=False, compare=False)
-    depth: list[int] = field(init=False, compare=False)
-    entities: list[EntitySpan] = field(init=False, compare=False)
+    left: tuple[int, ...] = field(init=False, compare=False)
+    right: tuple[int, ...] = field(init=False, compare=False)
+    depth: tuple[int, ...] = field(init=False, compare=False)
+    entities: tuple[EntitySpan, ...] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        heads, etypes, iobs = self.heads, self.etypes, self.iobs
+        self.tokens = tuple(self.tokens)
+        self.pos = tuple(self.pos)
+        self.labels = tuple(self.labels)
+        self.heads = heads = tuple(self.heads)
+        self.etypes = etypes = tuple(self.etypes)
+        self.iobs = iobs = tuple(self.iobs)
         n = len(self.tokens)
         if not n == len(self.pos) == len(self.labels) == len(heads) == len(etypes) == len(iobs):
             raise ValueError(f"sentence {self.sid}: its per-token columns differ in length")
-        children: list[list[int]] = [[] for _ in range(n)]
+        children = child_lists(heads)
+        root = heads.index(None) if None in heads else -1
         entities: list[EntitySpan] = []
-        root = -1
-        start, etype = None, None
-        for tid, head in enumerate(heads):
-            if head is None:
-                root = tid
-            else:
-                children[head].append(tid)
-            if start is not None and (etypes[tid] != etype or iobs[tid] == "B"):
-                entities.append(self._mention(start, tid - 1, etype))
-                start = None
-            if start is None and etypes[tid] is not None:
-                start, etype = tid, etypes[tid]
-        if start is not None:
-            entities.append(self._mention(start, n - 1, etype))
+        if etypes.count(None) != n:
+            start, etype = None, None
+            for tid in range(n):
+                if start is not None and (etypes[tid] != etype or iobs[tid] == "B"):
+                    entities.append(self._mention(start, tid - 1, etype))
+                    start = None
+                if start is None and etypes[tid] is not None:
+                    start, etype = tid, etypes[tid]
+            if start is not None:
+                entities.append(self._mention(start, n - 1, etype))
         left = list(range(n))
         right = list(range(n))
         depth = [-1] * n
@@ -108,9 +115,12 @@ class Sentence:
         while stack:
             tid = stack.pop()
             order.append(tid)
-            for c in children[tid]:
-                depth[c] = depth[tid] + 1
-                stack.append(c)
+            below = children[tid]
+            if below:
+                d = depth[tid] + 1
+                for c in below:
+                    depth[c] = d
+                stack.extend(below)
         for tid in reversed(order):
             head = heads[tid]
             if head is not None:
@@ -119,9 +129,8 @@ class Sentence:
                 if right[tid] > right[head]:
                     right[head] = right[tid]
         self.root_tid = root
-        self.children = children
-        self.left, self.right, self.depth = left, right, depth
-        self.entities = entities
+        self.left, self.right, self.depth = tuple(left), tuple(right), tuple(depth)
+        self.entities = tuple(entities)
 
     def _mention(self, start: int, end: int, etype: str) -> EntitySpan:
         return EntitySpan(self.sid, start, end, etype, self.text(start, end))
@@ -142,6 +151,16 @@ class Sentence:
         while head is not None:
             yield head
             head = heads[head]
+
+
+def child_lists(heads: Sequence[int | None]) -> list[list[int]]:
+    """Each token's children, in tid order, from the head links. A new
+    list per call: a `Sentence` keeps none."""
+    children: list[list[int]] = [[] for _ in heads]
+    for tid, head in enumerate(heads):
+        if head is not None:
+            children[head].append(tid)
+    return children
 
 
 @dataclass(slots=True)
@@ -343,72 +362,71 @@ def parse_corpus(text: str, origin: str = "<string>") -> list[AnnotatedDocument]
 
 
 def _build_sentence(rows: list[tuple[int, list[str]]], origin: str) -> Sentence:
-    first_line = rows[0][0]
-    sid = None
-    texts: list[str] = []
-    pos: list[str] = []
-    labels: list[str] = []
-    heads: list[int | None] = []
-    etypes: list[str | None] = []
-    iobs: list[str | None] = []
-    n = len(rows)
-    roots = 0
-    prev_etype: str | None = None
-    for pos_in_sentence, (lineno, cols) in enumerate(rows):
-        where = f"{origin}:{lineno}"
-        if len(cols) != 7:
-            raise KokoInputError(f"{where}: expected 7 tab-separated columns, got {len(cols)}")
-        try:
-            row_sid = int(cols[0])
-            tid = int(cols[1])
-            head_raw = int(cols[5])
-        except ValueError as exc:
-            raise KokoInputError(f"{where}: non-integer id field: {exc}") from None
-        if sid is None:
-            sid = row_sid
-        elif row_sid != sid:
-            raise KokoInputError(f"{where}: sid changed mid-sentence ({sid} -> {row_sid})")
-        if tid != pos_in_sentence:
-            raise KokoInputError(f"{where}: token ids must be contiguous from 0, got {tid}")
-        head: int | None
-        if head_raw == -1:
-            head = None
-            roots += 1
-            if cols[4] != "root":
-                raise KokoInputError(f"{where}: head -1 requires label 'root', got {cols[4]!r}")
-        else:
-            if not 0 <= head_raw < n:
-                raise KokoInputError(f"{where}: head {head_raw} out of range for sid {sid}")
-            if head_raw == tid:
-                raise KokoInputError(f"{where}: token cannot head itself")
-            head = head_raw
-        etag = cols[6]
-        iob: str | None
-        if etag == "O":
-            etype, iob = None, None
-        elif etag.startswith(("B-", "I-")):
+    """The sentence of one block of TSV rows, each (line number, fields).
+
+    The rows are transposed into columns and each check runs down a whole
+    column, naming the first row it fails on. So of several faults in one
+    sentence the first check reports, in this order: the column count,
+    the integer fields, the sid, the token ids, the heads, the entity
+    tags, then the number of roots and head cycles."""
+    linenos, lines = zip(*rows)
+    n = len(lines)
+
+    def fail(tid: int, message: str) -> KokoInputError:
+        return KokoInputError(f"{origin}:{linenos[tid]}: {message}")
+
+    widths = list(map(len, lines))
+    if widths.count(7) != n:
+        tid = next(tid for tid, width in enumerate(widths) if width != 7)
+        raise fail(tid, f"expected 7 tab-separated columns, got {widths[tid]}")
+    sids, tids, texts, pos, labels, heads, etags = zip(*lines)
+    try:
+        sids, tids, heads = list(map(int, sids)), list(map(int, tids)), list(map(int, heads))
+    except ValueError:
+        for tid, cols in enumerate(lines):
+            try:
+                int(cols[0]), int(cols[1]), int(cols[5])
+            except ValueError as exc:
+                raise fail(tid, f"non-integer id field: {exc}") from None
+    sid = sids[0]
+    if sids.count(sid) != n:
+        tid = next(tid for tid, row_sid in enumerate(sids) if row_sid != sid)
+        raise fail(tid, f"sid changed mid-sentence ({sid} -> {sids[tid]})")
+    if tids != list(range(n)):
+        tid = next(tid for tid, row_tid in enumerate(tids) if row_tid != tid)
+        raise fail(tid, f"token ids must be contiguous from 0, got {tids[tid]}")
+    if min(heads) < -1 or max(heads) >= n or any(map(eq, heads, range(n))):
+        tid = next(tid for tid, head in enumerate(heads) if head == tid or not -1 <= head < n)
+        if heads[tid] == tid:
+            raise fail(tid, "token cannot head itself")
+        raise fail(tid, f"head {heads[tid]} out of range for sid {sid}")
+    # Head -1 marks a root: its label must say so, and its head is None.
+    roots = heads.count(-1)
+    tid = -1
+    for _ in range(roots):
+        tid = heads.index(-1, tid + 1)
+        if labels[tid] != "root":
+            raise fail(tid, f"head -1 requires label 'root', got {labels[tid]!r}")
+        heads[tid] = None
+    etypes: list[str | None] = [None] * n
+    iobs: list[str | None] = [None] * n
+    if etags.count("O") != n:
+        for tid, etag in enumerate(etags):
+            if etag == "O":
+                continue
+            if not etag.startswith(("B-", "I-")):
+                raise fail(tid, f"entity column must be O, B-<T> or I-<T>, got {etag!r}")
             iob, etype = etag[0], etag[2:]
-            if iob == "I" and prev_etype != etype:
-                raise KokoInputError(
-                    f"{where}: I-{etype} tag without a preceding B-/I-{etype} (sid {sid})"
-                )
-        else:
-            raise KokoInputError(f"{where}: entity column must be O, B-<T> or I-<T>, got {etag!r}")
-        prev_etype = etype
-        texts.append(cols[2])
-        pos.append(cols[3])
-        labels.append(cols[4])
-        heads.append(head)
-        etypes.append(etype)
-        iobs.append(iob)
-    where = f"{origin}:{first_line}"
+            if iob == "I" and (etypes[tid - 1] if tid else None) != etype:
+                raise fail(tid, f"I-{etype} tag without a preceding B-/I-{etype} (sid {sid})")
+            iobs[tid], etypes[tid] = iob, etype
+    # Faults of the whole sentence name its first line.
     if roots != 1:
-        raise KokoInputError(f"{where}: sentence {sid} has {roots} roots, expected exactly 1")
+        raise fail(0, f"sentence {sid} has {roots} roots, expected exactly 1")
     sentence = Sentence(sid, texts, pos, labels, heads, etypes, iobs)
     if -1 in sentence.depth:
         # Some token does not reach the root: its head links run in a cycle.
-        tid = sentence.depth.index(-1)
-        raise KokoInputError(f"{where}: cyclic head relation at sid {sid}, tid {tid}")
+        raise fail(0, f"cyclic head relation at sid {sid}, tid {sentence.depth.index(-1)}")
     return sentence
 
 

@@ -157,10 +157,11 @@ def dominant_paths(n: NormalizedQuery) -> dict[str, tuple[str, int]]:
                 extenders[c.a].append(c.b)
 
     def sink(name: str) -> str:
-        nxt = extenders[name]
-        if not nxt:
-            return name
-        return sink(min(nxt, key=lambda x: n.var(x).def_index))
+        # A loop, not recursion: a recursive closure holds itself through
+        # its cell, a cycle only the garbage collector frees.
+        while extenders[name]:
+            name = min(extenders[name], key=lambda x: n.var(x).def_index)
+        return name
 
     return {name: (sink(name), len(sigs[name])) for name in node_names}
 

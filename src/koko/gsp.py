@@ -260,7 +260,9 @@ class CompiledPlan:
     Built once and run on every sentence the plan was chosen for: the op
     script, the checks and each skipped variable's neighbours depend on
     the query, its binding table and the plan only, and every op takes
-    the sentence and the bindings so far as arguments.
+    the sentence and the bindings so far as arguments. No op refers to
+    the plan itself: a plan holding ops that hold it would be a cycle,
+    which keeps the binding table until the garbage collector runs.
     """
 
     def __init__(self, n: NormalizedQuery, table: BindingTable, plan: SkipPlan):
@@ -297,7 +299,8 @@ class CompiledPlan:
         if var.kind == NODE:
             if vb.derived_from is not None:
                 return self._dominated_enumerator(vb)
-            return lambda s, env: [Bound(t, t, t) for t in self.table.node_tids(var.name, s.sid)]
+            node_tids = self.table.node_tids
+            return lambda s, env: [Bound(t, t, t) for t in node_tids(var.name, s.sid)]
         if var.kind == ENTITY:
             return lambda s, env: [Bound(r.start, r.end, None, r) for r in by_sid.get(s.sid, ())]
         if var.kind == WORDSEQ:
@@ -320,11 +323,12 @@ class CompiledPlan:
         tail = self.n.var(vb.derived_from).path.steps[vb.prefix_len :]
         dmin = len(tail)
         bounded = all(st.axis == "/" for st in tail)
+        node_tids = self.table.node_tids
 
         def candidates(s: Sentence, env: dict) -> list[Bound]:
             heads = s.heads
             tids: set[int] = set()
-            for cur in self.table.node_tids(vb.derived_from, s.sid):
+            for cur in node_tids(vb.derived_from, s.sid):
                 dist = 0
                 while True:
                     head = heads[cur]
@@ -470,6 +474,10 @@ class CompiledPlan:
             env.pop(name, None)
 
         step(0)
+        # `step` holds itself through its closure cell. Unbinding it breaks
+        # that cycle, so the sentence's bindings are freed on return, not
+        # left for the garbage collector.
+        del step
         stats.tuples += len(out)
         return dedupe_hidden(self.n, out) if self.has_hidden else out
 
@@ -500,7 +508,7 @@ def _materialize(
             end = start + k - 1
         if start < 0 or end >= len(s) or end - start + 1 != k:
             return []
-        if tuple(s.tokens[start : end + 1]) != var.tokens:
+        if s.tokens[start : end + 1] != var.tokens:
             return []
         return [Bound(start, end)]
     if var.kind == ENTITY:

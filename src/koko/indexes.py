@@ -43,7 +43,7 @@ from functools import partial
 from itertools import accumulate, chain, count, repeat
 from operator import add, attrgetter, le, lt, sub
 
-from .corpus import AnnotatedDocument, Corpus, EntitySpan, Sentence, serialize_corpus
+from .corpus import AnnotatedDocument, Corpus, EntitySpan, Sentence, child_lists, serialize_corpus
 from .errors import KokoInputError
 
 MAGIC = b"KOKO"
@@ -335,44 +335,65 @@ def build_indexes(docs: list[AnnotatedDocument]) -> IndexBundle:
         column("depth"),
     )
     texts = list(chain.from_iterable(s.tokens for s in sentences))
+    pl, pos = _merged_trees(sentences)
     return IndexBundle(
         word=WordIndex(tokens, PostingLists.grouped(texts, sorted(set(texts)))),
         entity=EntityIndex([e for s in sentences for e in s.entities]),
-        pl=_merged_trees("", sentences, attrgetter("labels")),
-        pos=_merged_trees(TOP, sentences, attrgetter("pos")),
+        pl=pl,
+        pos=pos,
         tokens=tokens,
         fingerprint=corpus_fingerprint(docs),
     )
 
 
-def _merged_trees(
-    root_label: str, sentences: list[Sentence], column: Callable[[Sentence], list[str]]
-) -> HierarchyIndex:
-    """The hierarchy of the sentences' trees with children merged on their
-    value in ``column`` (labels or POS tags)."""
-    nodes = [HierarchyNode(root_label, -1)]
-    node_of = array(_TYPECODE)  # by token offset
-    for s in sentences:
-        node_of.extend(_assign_nodes(nodes, s, column(s)))
-    return HierarchyIndex(nodes, PostingLists.grouped(node_of, range(len(nodes))))
-
-
-def _assign_nodes(nodes: list[HierarchyNode], sentence: Sentence, column: list[str]) -> list[int]:
-    """Hierarchy node id for every token of the sentence, by tid, adding
-    the nodes its tree opens."""
-    node_of = [0] * len(sentence.tokens)
-    stack = [(sentence.root_tid, 0)]
+def _walk(sentence: Sentence) -> list[int]:
+    """The sentence's tids in depth-first order from the root, a token's
+    children pushed in tid order (so the last child is visited first)."""
+    children = child_lists(sentence.heads)
+    order: list[int] = []
+    stack = [sentence.root_tid]
     while stack:
-        tid, parent = stack.pop()
+        tid = stack.pop()
+        order.append(tid)
+        stack.extend(children[tid])
+    return order
+
+
+def _merged_trees(sentences: list[Sentence]) -> tuple[HierarchyIndex, HierarchyIndex]:
+    """The PL and the POS hierarchy: the sentences' trees with children
+    merged on their parse label and on their POS tag. Nodes are numbered
+    in the order the sentences' walks first reach them."""
+    planes = (
+        (attrgetter("labels"), [HierarchyNode("", -1)], array(_TYPECODE)),
+        (attrgetter("pos"), [HierarchyNode(TOP, -1)], array(_TYPECODE)),
+    )
+    for s in sentences:
+        walk = _walk(s)
+        for column, nodes, node_of in planes:  # node_of: by token offset
+            node_of.extend(_assign_nodes(nodes, s.heads, column(s), walk))
+    pl, pos = (
+        HierarchyIndex(nodes, PostingLists.grouped(node_of, range(len(nodes))))
+        for _, nodes, node_of in planes
+    )
+    return pl, pos
+
+
+def _assign_nodes(
+    nodes: list[HierarchyNode], heads: Sequence[int | None], column: Sequence[str], walk: list[int]
+) -> list[int]:
+    """Hierarchy node id for every token of a sentence, by tid, adding the
+    nodes its tree opens. `walk` reaches every head before its children."""
+    node_of = [0] * len(heads)
+    for tid in walk:
+        head = heads[tid]
+        parent = 0 if head is None else node_of[head]
+        merged = nodes[parent].children
         label = column[tid]
-        children = nodes[parent].children
-        node = children.get(label)
+        node = merged.get(label)
         if node is None:
-            node = children[label] = len(nodes)
+            node = merged[label] = len(nodes)
             nodes.append(HierarchyNode(label, parent))
         node_of[tid] = node
-        for c in sentence.children[tid]:
-            stack.append((c, node))
     return node_of
 
 

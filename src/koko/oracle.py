@@ -59,18 +59,28 @@ def _step_ok(s: Sentence, tid: int, step: Step) -> bool:
     return True
 
 
-def _descendants(s: Sentence, tid: int) -> list[int]:
+def _children(s: Sentence) -> list[list[int]]:
+    """Each token's children, in tid order, from the head links."""
+    children: list[list[int]] = [[] for _ in range(len(s))]
+    for tid, head in enumerate(s.heads):
+        if head is not None:
+            children[head].append(tid)
+    return children
+
+
+def _descendants(children: list[list[int]], tid: int) -> list[int]:
     out: list[int] = []
-    stack = list(s.children[tid])
+    stack = list(children[tid])
     while stack:
         t = stack.pop()
         out.append(t)
-        stack.extend(s.children[t])
+        stack.extend(children[t])
     return out
 
 
 def match_path_tokens(s: Sentence, steps: tuple[Step, ...]) -> list[int]:
     """Tokens whose root-anchored downward walk realizes every step."""
+    children = _children(s)
     frontier: list[int] | None = None  # None marks the virtual anchor
     for step in steps:
         if frontier is None:
@@ -78,7 +88,7 @@ def match_path_tokens(s: Sentence, steps: tuple[Step, ...]) -> list[int]:
         else:
             pool = []
             for t in frontier:
-                pool.extend(s.children[t] if step.axis == "/" else _descendants(s, t))
+                pool.extend(children[t] if step.axis == "/" else _descendants(children, t))
         frontier = sorted({t for t in pool if _step_ok(s, t, step)})
         if not frontier:
             return []
@@ -86,7 +96,7 @@ def match_path_tokens(s: Sentence, steps: tuple[Step, ...]) -> list[int]:
 
 
 def _subtree_span(s: Sentence, tid: int) -> tuple[int, int]:
-    tids = [tid] + _descendants(s, tid)
+    tids = [tid] + _descendants(_children(s), tid)
     return min(tids), max(tids)
 
 

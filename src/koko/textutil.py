@@ -77,11 +77,13 @@ def tokenize_literal(text: str) -> list[str]:
     return out
 
 
-def find_token_seq(haystack: list[str], needle: Sequence[str]) -> list[int]:
-    """Start offsets of every contiguous occurrence of needle in haystack."""
+def find_token_seq(haystack: tuple[str, ...], needle: tuple[str, ...]) -> list[int]:
+    """Start offsets of every contiguous occurrence of needle in haystack.
+
+    Both are tuples, as `Sentence.tokens` is: a slice of a tuple never
+    equals a list."""
     if not needle:
         return []
-    needle = list(needle)
     first, m = needle[0], len(needle)
     return [i for i, w in enumerate(haystack) if w == first and haystack[i : i + m] == needle]
 

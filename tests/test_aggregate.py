@@ -13,6 +13,7 @@ from koko.normalize import normalize
 from koko.parser import parse_query
 from koko.resources import Expansion, Resources
 from koko.syntax import SatCondition
+from koko.textutil import find_token_seq
 
 from .conftest import load_fixture_query
 
@@ -103,6 +104,31 @@ def test_followed_by_adjacency(cafe_env):
     assert ev.eval_boolean(SatCondition("followed_by", "x", ", a cafe"), "Blue Bottle") == 1.0
     assert ev.eval_boolean(SatCondition("followed_by", "x", "a cafe"), "Blue Bottle") == 0.0
     assert ev.eval_boolean(SatCondition("preceded_by", "x", "Blue"), "Bottle") == 1.0
+
+
+def test_token_sequences_match_on_tuple_columns():
+    """A sentence's columns are tuples, and a slice of a tuple never equals
+    a list: every token-sequence comparison is tuple to tuple."""
+    docs = parse_corpus(
+        "0\t0\tBlue\tpropn\tnn\t1\tB-Entity\n"
+        "0\t1\tBottle\tpropn\tnsubj\t2\tI-Entity\n"
+        "0\t2\tserves\tverb\troot\t-1\tO\n"
+        "0\t3\thot\tadj\tamod\t4\tO\n"
+        "0\t4\tcoffee\tnoun\tdobj\t2\tO\n"
+    )
+    corpus = Corpus(docs)
+    words = corpus.sentence(0).tokens
+    assert isinstance(words, tuple)
+    assert find_token_seq(words, ("hot", "coffee")) == [3]
+    ev = _evaluator(corpus)
+    assert ev.eval_boolean(SatCondition("followed_by", "x", "serves hot"), "Blue Bottle") == 1.0
+    assert ev.eval_boolean(SatCondition("preceded_by", "x", "Bottle serves"), "hot coffee") == 1.0
+    assert ev.eval_boolean(SatCondition("contains", "x", "hot coffee"), "serves hot coffee") == 1.0
+    # The word sequence is skipped by the plan and aligned to the gap left
+    # of "coffee", which compares the sentence's tokens with the literal's.
+    query = parse_query('extract v:Str from "t" if (/ROOT:{ v = "serves hot" + "coffee" })')
+    rows = run_query(query, corpus, build_indexes(docs)).rows
+    assert [r.values for r in rows] == [{"v": "serves hot coffee"}]
 
 
 def test_in_dict_requires_known_dictionary(cafe_env):

@@ -27,8 +27,8 @@ def test_load_ex31_shape(ex31_corpus):
     assert len(s0) == 17 and s0.root_tid == 1
     assert len(s1) == 13 and s1.root_tid == 1
     assert s0.tokens[5] == "cream" and s0.labels[5] == "dobj"
-    assert s0.tokens[3:6] == ["chocolate", "ice", "cream"]
-    assert s0.etypes[3:6] == ["Entity"] * 3
+    assert s0.tokens[3:6] == ("chocolate", "ice", "cream")
+    assert s0.etypes[3:6] == ("Entity",) * 3
 
 
 def _tree_meta(s: Sentence, tid: int) -> tuple[int, int, int, int, int]:
@@ -182,6 +182,62 @@ def test_malformed_lines(line, message):
         parse_corpus(line + "\n")
 
 
+# A four-token sentence after a document header (line 1); its third row,
+# line 4, is replaced by each faulty row below. Token 3 hangs off token 2,
+# so a head of 3 on line 4 closes a cycle.
+_FOUR_ROWS = [
+    "0\t0\tThe\tdet\tdet\t1\tO",
+    "0\t1\tcat\tnoun\troot\t-1\tO",
+    "0\t2\tsat\tverb\tdep\t1\tO",
+    "0\t3\t.\tpunct\tpunct\t2\tO",
+]
+
+
+@pytest.mark.parametrize(
+    "third_row, message",
+    [
+        ("0\t2\tsat\tverb\tdep\t1", "c.tsv:4: expected 7 tab-separated columns, got 6"),
+        (
+            "0\tx\tsat\tverb\tdep\t1\tO",
+            "c.tsv:4: non-integer id field: invalid literal for int() with base 10: 'x'",
+        ),
+        ("1\t2\tsat\tverb\tdep\t1\tO", "c.tsv:4: sid changed mid-sentence (0 -> 1)"),
+        ("0\t5\tsat\tverb\tdep\t1\tO", "c.tsv:4: token ids must be contiguous from 0, got 5"),
+        ("0\t2\tsat\tverb\tdep\t-1\tO", "c.tsv:4: head -1 requires label 'root', got 'dep'"),
+        ("0\t2\tsat\tverb\tdep\t4\tO", "c.tsv:4: head 4 out of range for sid 0"),
+        ("0\t2\tsat\tverb\tdep\t2\tO", "c.tsv:4: token cannot head itself"),
+        (
+            "0\t2\tsat\tverb\tdep\t1\tPerson",
+            "c.tsv:4: entity column must be O, B-<T> or I-<T>, got 'Person'",
+        ),
+        (
+            "0\t2\tsat\tverb\tdep\t1\tI-Person",
+            "c.tsv:4: I-Person tag without a preceding B-/I-Person (sid 0)",
+        ),
+        # Faults of the whole sentence name its first line.
+        ("0\t2\tsat\tverb\troot\t-1\tO", "c.tsv:2: sentence 0 has 2 roots, expected exactly 1"),
+        ("0\t2\tsat\tverb\tdep\t3\tO", "c.tsv:2: cyclic head relation at sid 0, tid 2"),
+    ],
+)
+def test_row_errors_name_their_line(third_row, message):
+    rows = [*_FOUR_ROWS[:2], third_row, *_FOUR_ROWS[3:]]
+    text = "# doc_id = d\n" + "\n".join(rows) + "\n\n"
+    with pytest.raises(KokoInputError) as full:
+        parse_corpus(text, origin="c.tsv")
+    assert str(full.value) == message
+    lazy = open_canonical(text.encode("utf-8"), "c.tsv")
+    with pytest.raises(KokoInputError) as on_access:
+        lazy.sentence(0)
+    assert str(on_access.value) == message
+
+
+def test_four_rows_parse_without_a_fault():
+    text = "# doc_id = d\n" + "\n".join(_FOUR_ROWS) + "\n\n"
+    (s,) = open_canonical(text.encode("utf-8"), "c.tsv").sentences
+    assert s.heads == (1, None, 1, 2)
+    assert s == parse_corpus(text)[0].sentences[0]
+
+
 def test_two_roots_rejected():
     text = (
         "0\t0\ta\tnoun\troot\t-1\tO\n"
@@ -223,7 +279,7 @@ def test_doc_boundaries():
 
 def test_entity_spans_empty_without_tags():
     s = parse_corpus("0\t0\thello\tnoun\troot\t-1\tO\n")[0].sentences[0]
-    assert s.entities == []
+    assert s.entities == ()
 
 
 def test_cycle_message_names_first_token_off_the_root():
