@@ -20,6 +20,13 @@ document's sentences holding the value's first token are read (and
 parsed); the oracle passes none and reads every sentence of the
 document. A query with neither a satisfying nor an excluding clause
 builds no evaluator and is a projection of its tuples.
+
+Finalize takes one tuple shape from every producer (the engine's direct
+plan, its nested loop and the oracle): ``(sid, values)``, the values
+projected in the order of `projected_names`. The nested loop and the
+oracle project their bindings through `projector` while the sentence is
+in hand, so finalize reads no sentence to build a row, and its sort and
+dedup keys come from the values tuple.
 """
 
 from __future__ import annotations
@@ -78,7 +85,7 @@ class EvidenceScore:
         return "\n".join(lines) + "\n"
 
 
-@dataclass
+@dataclass(slots=True)
 class ResultRow:
     sid: int
     values: dict[str, str]
@@ -367,6 +374,23 @@ def apply_excluding(
     return None
 
 
+# A projected tuple: (sid, values), with one value per `projected_names`
+# entry, in that order. The engine's direct plan, GSP and the oracle all
+# hand finalize this one shape.
+Projected = tuple[int, tuple[str, ...]]
+
+
+def projected_names(n: NormalizedQuery) -> tuple[str, ...]:
+    """The variables finalize reads, in the order of a projected tuple's
+    values: the outputs, then the variables of satisfying and excluding
+    conditions that are not outputs."""
+    q = n.query
+    names = dict.fromkeys(name for name, _ in q.outputs)
+    names.update(dict.fromkeys(clause.var for clause in q.satisfying))
+    names.update(dict.fromkeys(cond.var for cond in q.excluding))
+    return tuple(names)
+
+
 def value_of(sentence: Sentence, bound: Bound, kind: str) -> str:
     if kind == ENTITY and bound.rec is not None:
         return bound.rec.surface
@@ -375,28 +399,55 @@ def value_of(sentence: Sentence, bound: Bound, kind: str) -> str:
     return sentence.text(bound.start, bound.end)
 
 
+def projector(n: NormalizedQuery) -> Callable[[Sentence, Sequence[CandidateTuple]], list[Projected]]:
+    """project(sentence, tuples): the projected tuples of one sentence's
+    candidate tuples, read while the sentence is in hand."""
+    specs = tuple((name, n.var(name).kind) for name in projected_names(n))
+
+    def project(sentence: Sentence, tuples: Sequence[CandidateTuple]) -> list[Projected]:
+        sid = sentence.sid
+        return [
+            (sid, tuple([value_of(sentence, t.bindings[name], kind) for name, kind in specs]))
+            for t in tuples
+        ]
+
+    return project
+
+
 def finalize_results(
     n: NormalizedQuery,
-    tuples: list[CandidateTuple],
+    tuples: Sequence[Projected],
     corpus: Corpus,
     resources: Resources,
     keep_failed: bool = False,
     locate: Locate | None = None,
 ) -> list[ResultRow]:
-    """Score satisfying clauses, apply the excluding clause and project
-    output tuples. Queries with an empty if clause deduplicate by value
-    per document; everything else keeps bag semantics. `locate` is handed
-    to each document's `EvidenceEvaluator`; a query with neither a
-    satisfying nor an excluding clause makes none."""
+    """Score satisfying clauses, apply the excluding clause and build the
+    rows of projected tuples (see `projected_names`). Queries with an
+    empty if clause deduplicate by value per document; everything else
+    keeps bag semantics. Rows are ordered by sid, then by the output
+    values in the order of their sorted names (`ResultRow.key`), and read
+    no sentence: values come projected. `locate` is handed to each
+    document's `EvidenceEvaluator`; a query with neither a satisfying nor
+    an excluding clause makes none."""
     q = n.query
+    names = projected_names(n)
+    index = {name: i for i, name in enumerate(names)}
+    shown = names[: len(dict.fromkeys(name for name, _ in q.outputs))]
+    # A row's sort and dedup key: its output values in the order of their
+    # sorted names, which orders rows as `sorted(values.items())` would.
+    order = sorted(range(len(shown)), key=shown.__getitem__)
+    key_of = None if order == list(range(len(names))) else lambda v: tuple([v[i] for i in order])
+    clauses = [(ci, clause, index[clause.var]) for ci, clause in enumerate(q.satisfying)]
     evaluators: dict[int, EvidenceEvaluator] = {}
     rows: list[ResultRow] = []
+    keys: list[tuple] = []
     dedup: set[tuple] = set()
     dedup_mode = not q.defs and not q.constraints
-    output_kinds = {name: n.var(name).kind for name, _ in q.outputs}
+    doc_index_of = corpus.doc_index_of
 
     def evaluator_of(sid: int) -> EvidenceEvaluator:
-        doc_idx = corpus.doc_index_of(sid)
+        doc_idx = doc_index_of(sid)
         evaluator = evaluators.get(doc_idx)
         if evaluator is None:
             evaluator = evaluators[doc_idx] = EvidenceEvaluator(
@@ -405,40 +456,26 @@ def finalize_results(
         return evaluator
 
     for t in tuples:
-        sentence = corpus.sentence(t.sid)
-        values = {
-            name: value_of(sentence, t.bindings[name], output_kinds[name])
-            for name, _ in q.outputs
-        }
+        sid, values = t
+        key = values if key_of is None else key_of(values)
         if dedup_mode:
-            key = (corpus.doc_index_of(t.sid), tuple(sorted(values.items())))
-            if key in dedup:
+            seen = (doc_index_of(sid), key)
+            if seen in dedup:
                 continue
-            dedup.add(key)
+            dedup.add(seen)
         scores: dict[str, EvidenceScore] = {}
-        passed = True
-        for ci, clause in enumerate(q.satisfying):
-            var = clause.var
-            value = values.get(var)
-            if value is None:
-                value = value_of(sentence, t.bindings[var], n.var(var).kind)
-            s = evaluator_of(t.sid).score(clause, ci, value)
-            scores[var] = s
-            passed = passed and s.passed
+        ok = True
         excluded_by: str | None = None
-        if passed and q.excluding:
-            rendered = dict(values)
-            for cond in q.excluding:
-                if cond.var not in rendered:
-                    rendered[cond.var] = value_of(
-                        sentence, t.bindings[cond.var], n.var(cond.var).kind
-                    )
-            excluded_by = apply_excluding(evaluator_of(t.sid), q.excluding, rendered)
-        ok = passed and excluded_by is None
+        for ci, clause, i in clauses:
+            score = scores[clause.var] = evaluator_of(sid).score(clause, ci, values[i])
+            ok = ok and score.passed
+        if ok and q.excluding:
+            excluded_by = apply_excluding(
+                evaluator_of(sid), q.excluding, dict(zip(names, values))
+            )
+            ok = excluded_by is None
         if ok or keep_failed:
-            rows.append(ResultRow(
-                sid=t.sid, values=values, scores=scores,
-                passed=ok, excluded_by=excluded_by,
-            ))
-    rows.sort(key=lambda r: (r.sid, tuple(sorted(r.values.items()))))
-    return rows
+            rows.append(ResultRow(sid, dict(zip(shown, values)), scores, ok, excluded_by))
+            # A projected tuple whose values are its key is its own sort key.
+            keys.append(t if key_of is None else (sid, key))
+    return [rows[i] for i in sorted(range(len(rows)), key=keys.__getitem__)]

@@ -188,6 +188,14 @@ def cmd_explain(args: argparse.Namespace) -> int:
         print(run.table.describe(), end="")
         return EXIT_OK
     if args.stage == "gsp":
+        if run.direct is not None:
+            print(
+                f"direct plan: one enumeration op ({run.direct}) answered from postings; "
+                f"candidate sentences: {len(run.candidate_sids)}; "
+                f"loop iterations: {run.stats.loop_iterations}; "
+                f"tuples: {run.stats.tuples}; checks: {run.stats.checks}"
+            )
+            return EXIT_OK
         for sid in run.candidate_sids:
             t = len(corpus.sentence(sid))
             plan = generate_skip_plan(run.normalized, run.table, sid, t)
@@ -295,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--index", help="previously built index directory")
     p.add_argument("--format", choices=["jsonl", "tsv"], default="jsonl")
-    p.add_argument("--no-gsp", action="store_true", help="disable skip plans")
+    p.add_argument("--no-gsp", action="store_true", help="disable skip plans and direct answers from postings")
     _add_resource_flags(p)
     p.set_defaults(func=cmd_query)
 

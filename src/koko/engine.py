@@ -1,13 +1,22 @@
 """End-to-end query pipeline: normalize, index lookup, per-sentence
 evaluation, evidence aggregation.
 
-Candidate sentences are evaluated in one loop, in sentence order. The
-loop plans each sentence (plans are memoized on their cost ranking, see
-`koko.gsp`), runs the plan's compiled nested loop, which is compiled once
-per distinct plan, and appends the sentence's tuples to the output.
-Aggregation then finds a value's occurrences in its document through the
-word index (`WordIndex.sentences_with`), so it parses only the sentences
-holding the value's first token.
+A query whose plan is one enumeration op and no check op (one variable
+that the index answers exactly, see `gsp.direct_binding`) is answered
+straight from its postings: one pass over the binding's entries projects
+each value by its offset (`gsp.run_direct`), with no skip plan, no
+compiled loop and no candidate tuple per sentence.
+
+Every other query's candidate sentences are evaluated in one loop, in
+sentence order. The loop plans each sentence (plans are memoized on their
+cost ranking, see `koko.gsp`), runs the plan's compiled nested loop, which
+is compiled once per distinct plan, and projects the sentence's tuples
+onto the values aggregation reads (`aggregate.projector`) while the
+sentence is in hand. Both paths hand aggregation the same shape, (sid,
+values), so aggregation reads no sentence to build a row; it finds a
+value's occurrences in its document through the word index
+(`WordIndex.sentences_with`), so it parses only the sentences holding the
+value's first token.
 """
 
 from __future__ import annotations
@@ -15,10 +24,17 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .aggregate import ResultRow, finalize_results
+from .aggregate import Projected, ResultRow, finalize_results, projector
 from .corpus import Corpus
 from .dpli import BindingTable, candidate_bindings
-from .gsp import CandidateTuple, EvalStats, SkipPlan, evaluate_sentence, generate_skip_plan
+from .gsp import (
+    EvalStats,
+    SkipPlan,
+    direct_binding,
+    evaluate_sentence,
+    generate_skip_plan,
+    run_direct,
+)
 from .indexes import IndexBundle
 from .normalize import NormalizedQuery, normalize
 from .resources import Resources
@@ -28,12 +44,14 @@ from .syntax import Query
 @dataclass
 class QueryRun:
     rows: list[ResultRow]
-    tuples: list[CandidateTuple]
+    tuples: list[Projected]
     stats: EvalStats
     table: BindingTable
     normalized: NormalizedQuery
     lookup_seconds: float = 0.0
     eval_seconds: float = 0.0
+    # The variable a direct plan answered from its postings, or None.
+    direct: str | None = None
 
     @property
     def candidate_sids(self) -> list[int]:
@@ -56,11 +74,11 @@ def run_query(
     """Answer a query over the corpus through its index bundle.
 
     `use_gsp=False` evaluates every sentence without skips (pure nested
-    loops). `keep_failed=True` also returns rows that failed their
-    satisfying clause or were excluded. `jobs` must be 1: evaluation is
-    CPU-bound pure Python, and a thread pool over it ran 2.7 times slower
-    under the GIL, so it was removed. Other values raise ValueError
-    rather than being ignored.
+    loops), also when a direct plan would answer the query. `keep_failed=
+    True` also returns rows that failed their satisfying clause or were
+    excluded. `jobs` must be 1: evaluation is CPU-bound pure Python, and
+    a thread pool over it ran 2.7 times slower under the GIL, so it was
+    removed. Other values raise ValueError rather than being ignored.
     """
     if jobs != 1:
         raise ValueError(f"jobs={jobs}: sentences are evaluated in one thread; only jobs=1 is supported")
@@ -70,18 +88,11 @@ def run_query(
     table = candidate_bindings(n, bundle)
     t1 = time.perf_counter()
     stats = EvalStats()
-    plans: dict = {}
-    compiled: dict = {}
-    no_skips = SkipPlan()
-    lengths = corpus.sentence_lengths
-    tuples: list[CandidateTuple] = []
-    for sid in table.candidate_sids:
-        plan = generate_skip_plan(n, table, sid, lengths[sid], plans) if use_gsp else no_skips
-        # The stats argument holds this sentence's counts only, so that
-        # whoever observes the call sees them.
-        sentence_stats = EvalStats()
-        tuples += evaluate_sentence(n, table, sid, plan, corpus, sentence_stats, compiled)
-        stats.add(sentence_stats)
+    direct = direct_binding(n, table) if use_gsp else None
+    if direct is not None:
+        tuples = run_direct(direct, table.starts, corpus, stats)
+    else:
+        tuples = _nested_loops(n, table, corpus, stats, use_gsp)
     t2 = time.perf_counter()
     rows = finalize_results(
         n, tuples, corpus, resources, keep_failed=keep_failed, locate=bundle.word.sentences_with
@@ -89,4 +100,27 @@ def run_query(
     return QueryRun(
         rows=rows, tuples=tuples, stats=stats, table=table, normalized=n,
         lookup_seconds=t1 - t0, eval_seconds=t2 - t1,
+        direct=None if direct is None else direct.var.name,
     )
+
+
+def _nested_loops(
+    n: NormalizedQuery, table: BindingTable, corpus: Corpus, stats: EvalStats, use_gsp: bool
+) -> list[Projected]:
+    """Every candidate sentence's tuples under its skip plan, projected."""
+    plans: dict = {}
+    compiled: dict = {}
+    no_skips = SkipPlan()
+    lengths = corpus.sentence_lengths
+    project = projector(n)
+    tuples: list[Projected] = []
+    for sid in table.candidate_sids:
+        plan = generate_skip_plan(n, table, sid, lengths[sid], plans) if use_gsp else no_skips
+        # The stats argument holds this sentence's counts only, so that
+        # whoever observes the call sees them.
+        sentence_stats = EvalStats()
+        found = evaluate_sentence(n, table, sid, plan, corpus, sentence_stats, compiled)
+        stats.add(sentence_stats)
+        if found:
+            tuples += project(corpus.sentence(sid), found)
+    return tuples

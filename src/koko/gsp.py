@@ -14,6 +14,12 @@ compiled once per query into a `CompiledPlan`: the op script of the
 nested loop, whose ops take the sentence and the bindings so far as
 arguments. Running it on a sentence only enumerates, derives and emits.
 
+The degenerate plan is one enumeration op and no check op: a query with
+one variable that the index answers exactly (`direct_binding`). Its
+candidates are its tuples, so `run_direct` emits them in one pass over
+the binding's postings, projected by offset, with no plan per sentence,
+no compiled loop and no `CandidateTuple`.
+
 Every surviving combination is validated against the real dependency
 tree: each node variable's full path is re-checked by walking head links,
 and all derived constraints (parentOf, ancestorOf, leftOf, in, eq) plus
@@ -25,6 +31,7 @@ exception is a node variable enumerated from an exact binding (see
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -166,6 +173,63 @@ def _plan_for_rankings(n: NormalizedQuery, rankings: tuple[tuple[str, ...], ...]
                         names.remove(b)
                 skipped = plan.skipped
     return plan
+
+
+# ---------------------------------------------------------------------------
+# The degenerate plan: one enumeration op and no check op
+
+
+def direct_binding(n: NormalizedQuery, table: BindingTable) -> VarBinding | None:
+    """The binding of the query's one variable when its plan is a single
+    enumeration op with no check op, else None.
+
+    That is a query with one variable, which is then its only output, no
+    constraint and no horizontal condition, whose variable the index
+    answers exactly: an exact node path (`VarBinding.exact`), a literal
+    word sequence or an entity. Its candidates are its tuples.
+    """
+    if len(n.variables) != 1 or n.constraints or n.horizontal:
+        return None
+    (vb,) = table.bindings.values()
+    var = vb.var
+    if var.hidden or vb.derived_from is not None or not vb.index_bound:
+        return None
+    if var.kind == NODE:
+        return vb if vb.exact else None
+    return vb if var.kind in (WORDSEQ, ENTITY) else None
+
+
+def run_direct(
+    vb: VarBinding, starts: Sequence[int], corpus: Corpus, stats: EvalStats
+) -> list[tuple[int, tuple[str]]]:
+    """A direct plan's tuples, projected (see `aggregate.projected_names`),
+    in one pass over the binding's entries, which are in the order the
+    nested loop would emit them. A node's value is the word at its offset,
+    a word sequence's its detokenized text and an entity's its surface;
+    each sentence is read once, and an entity's not at all. `stats` gets
+    the nested loop's counts: one iteration and one tuple per entry, no
+    check."""
+    entries = vb.by_sid.entries
+    kind = vb.var.kind
+    sentences = corpus.sentences
+    out: list[tuple[int, tuple[str]]] = []
+    emit = out.append
+    if kind == ENTITY:
+        out += [(rec.sid, (rec.surface,)) for rec in entries]
+    elif kind == WORDSEQ:
+        for sid, (a, b) in vb.by_sid.runs.items():
+            text = sentences[sid].text
+            for _, start, end in entries[a:b]:
+                emit((sid, (text(start, end),)))
+    else:
+        for sid, (a, b) in vb.by_sid.runs.items():
+            tokens = sentences[sid].tokens
+            base = starts[sid]
+            for o in entries[a:b]:
+                emit((sid, (tokens[o - base],)))
+    stats.loop_iterations += len(entries)
+    stats.tuples += len(entries)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -3,16 +3,17 @@
 Ground truth for the equivalence tests: per sentence it enumerates node
 bindings by walking the dependency tree top-down from the root, span
 bindings by exhaustive enumeration, checks every constraint literally and
-hands the surviving tuples to the same aggregation formulas the engine
-uses. It deliberately shares no matching code with the index pipeline or
-the plan executor; only the corpus model and the aggregation stage are
-common. Runtime is quadratic per sentence and only fit for desk-scale
-corpora (a few thousand sentences).
+hands the surviving tuples, projected onto their values by the engine's
+helper (`aggregate.projector`), to the same aggregation formulas the
+engine uses. It deliberately shares no matching code with the index
+pipeline or the plan executor; only the corpus model and the aggregation
+stage are common. Runtime is quadratic per sentence and only fit for
+desk-scale corpora (a few thousand sentences).
 """
 
 from __future__ import annotations
 
-from .aggregate import ResultRow, finalize_results
+from .aggregate import Projected, ResultRow, finalize_results, projector
 from .corpus import Corpus, Sentence
 from .gsp import Bound, CandidateTuple
 from .normalize import (
@@ -247,10 +248,12 @@ class _SentenceOracle:
         env.pop(var.name, None)
 
 
-def oracle_tuples(n: NormalizedQuery, corpus: Corpus) -> list[CandidateTuple]:
-    out: list[CandidateTuple] = []
+def oracle_tuples(n: NormalizedQuery, corpus: Corpus) -> list[Projected]:
+    """Every sentence's tuples, projected as the engine's are."""
+    project = projector(n)
+    out: list[Projected] = []
     for s in corpus.sentences:
-        out.extend(dedupe_hidden(n, _SentenceOracle(n, s).run()))
+        out += project(s, dedupe_hidden(n, _SentenceOracle(n, s).run()))
     return out
 
 

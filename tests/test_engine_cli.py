@@ -152,6 +152,17 @@ def test_explain_gsp_prints_costs_and_counts(capsys):
     assert "checks:" in out
 
 
+def test_explain_gsp_prints_one_line_for_a_direct_plan(tmp_path, capsys):
+    q = tmp_path / "d.koko"
+    q.write_text('extract v:Str from "x" if (/ROOT:{ v = //dobj })\n')
+    code, out, _ = run_cli(["explain", "--query", str(q), "--corpus", EX31, "--stage", "gsp"], capsys)
+    assert code == 0
+    assert out == (
+        "direct plan: one enumeration op (v) answered from postings; candidate sentences: 2; "
+        "loop iterations: 3; tuples: 3; checks: 0\n"
+    )
+
+
 def test_explain_satisfy_prints_evidence(tmp_path, capsys):
     q = tmp_path / "s.koko"
     q.write_text(

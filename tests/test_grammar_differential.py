@@ -8,6 +8,12 @@ seeded synthetic corpora, so most generated queries match something.
 This is the gate for skipping validation on exact paths: any path the
 index over-approximates but the engine does not validate shows up as an
 extra row.
+
+Literal queries (``v = "w1 w2"``) and entity queries (``extract x:GPE …
+if ()``) are the other direct plans, answered from the postings with no
+nested loop. They run on a third corpus too, whose even documents repeat
+each sentence, so that values recur within a document; their rows must
+equal the oracle's and the nested loop's, in order and with their scores.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koko.bench import synthesize_corpus
-from koko.corpus import Corpus
+from koko.corpus import AnnotatedDocument, Corpus, Sentence
 from koko.engine import run_query
 from koko.indexes import build_indexes
 from koko.oracle import oracle_evaluate
@@ -38,6 +44,23 @@ def _environment(seed: int):
 
 
 ENVIRONMENTS = {seed: _environment(seed) for seed in (7, 31)}
+
+
+def _repeated_environment(seed: int):
+    """Seed's corpus, with each sentence of an even document twice."""
+    docs = []
+    sid = 0
+    for i, doc in enumerate(synthesize_corpus(seed, 120, entity_rate=0.5)):
+        sentences = []
+        for s in doc.sentences:
+            for _ in range(2 if i % 2 == 0 else 1):
+                sentences.append(Sentence(sid, s.tokens, s.pos, s.labels, s.heads, s.etypes, s.iobs))
+                sid += 1
+        docs.append(AnnotatedDocument(doc.doc_id, sentences))
+    return Corpus(docs), build_indexes(docs)
+
+
+REPEATED = _repeated_environment(7)
 _sentences = [s for corpus, _ in ENVIRONMENTS.values() for s in corpus.sentences]
 # Frequent values more often: each appears once per 2% of the tokens it
 # covers, and at least once.
@@ -49,6 +72,25 @@ WORDS = sorted(
      for w, _ in Counter(t for s in corpus.sentences for t in s.tokens).most_common(6)}
 )
 assert set(LABELS) <= PARSE_LABELS and set(TAGS) <= POS_TAGS - PARSE_LABELS
+
+
+def _word_sequences() -> tuple[list[tuple[str, ...]], list[tuple[str, ...]]]:
+    """The 2- and 3-word sequences inside the sentences, and those made of
+    a sentence's last words and the next sentence's first ones."""
+    inside: set[tuple[str, ...]] = set()
+    across: set[tuple[str, ...]] = set()
+    for corpus, _ in ENVIRONMENTS.values():
+        sentences = corpus.sentences
+        for s in sentences:
+            for k in (2, 3):
+                inside.update(s.tokens[i : i + k] for i in range(len(s) - k + 1))
+        for a, b in zip(sentences, sentences[1:]):
+            across.update({a.tokens[-1:] + b.tokens[:1], a.tokens[-2:] + b.tokens[:1],
+                           a.tokens[-1:] + b.tokens[:2]})
+    return sorted(inside), sorted(across - inside)
+
+
+INSIDE, ACROSS = _word_sequences()
 
 
 @st.composite
@@ -122,6 +164,51 @@ def span_queries(draw) -> str:
 # over-approximating lookup would go unvalidated. With fewer examples, a
 # rule widened to mixed label/POS paths was missed under some seeds.
 QUERIES = st.one_of(*[path_queries()] * 3, tree_queries(), span_queries())
+
+
+@st.composite
+def literal_queries(draw) -> str:
+    words = draw(st.one_of(
+        st.lists(st.sampled_from(WORDS), min_size=1, max_size=3).map(tuple),
+        st.sampled_from(INSIDE),
+        st.sampled_from(ACROSS),
+    ))
+    return f'extract v:Str from "d" if (/ROOT:{{ v = "{" ".join(words)}" }})'
+
+
+ENTITY_QUERIES = st.sampled_from(ETYPES + ["Entity"]).map(
+    lambda etype: f'extract x:{etype} from "d" if ()'
+)
+
+
+def test_repeated_environment_has_values_with_and_without_repeats():
+    corpus, _ = REPEATED
+    for etype in ETYPES:
+        repeats = []
+        for d in range(len(corpus.doc_ids)):
+            surfaces = Counter(
+                e.surface for sid in corpus.doc_sids(d) for e in corpus.sentence(sid).entities
+                if e.etype == etype
+            )
+            if surfaces:
+                repeats.append(max(surfaces.values()) > 1)
+        assert any(repeats) and not all(repeats), etype
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(text=st.one_of(literal_queries(), literal_queries(), ENTITY_QUERIES))
+def test_generated_direct_plans_match_oracle(text):
+    q = parse_query(text)
+    for corpus, bundle in [*ENVIRONMENTS.values(), REPEATED]:
+        run = run_query(q, corpus, bundle, keep_failed=True)
+        assert run.direct is not None
+        rows = [(r.key(), r.to_json()) for r in run.rows]
+        nested = run_query(q, corpus, bundle, keep_failed=True, use_gsp=False)
+        assert rows == [(r.key(), r.to_json()) for r in nested.rows]
+        assert (run.stats.loop_iterations, run.stats.tuples) == (
+            nested.stats.loop_iterations, nested.stats.tuples
+        )
+        assert rows == [(r.key(), r.to_json()) for r in oracle_evaluate(q, corpus, keep_failed=True)]
 
 
 @settings(max_examples=800, deadline=None, derandomize=True)
