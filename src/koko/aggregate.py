@@ -16,8 +16,8 @@ order (gaps allowed, case-insensitive) and scores k_i * l_j, damped by
 
 Adjacency, ``near`` and descriptors look for the value's occurrences in
 its document. The engine passes a word-index locator, so only the
-document's sentences holding the value's first token are read (and
-parsed); the oracle passes none and reads every sentence of the
+document's sentences holding the value's first token are read (and,
+in a corpus opened over an index, built); the oracle passes none and reads every sentence of the
 document. A query with neither a satisfying nor an excluding clause
 builds no evaluator and is a projection of its tuples.
 
@@ -150,7 +150,7 @@ class EvidenceEvaluator:
     holds no occurrence and adds nothing to any of them, so with `locate`
     the scans visit only the sentences it returns for that token.
     `engine.run_query` passes a locator over the word index, so that only
-    those sentences are parsed. `koko.oracle` passes none and scans every
+    those sentences are built. `koko.oracle` passes none and scans every
     sentence of `doc_sids`: it stays independent of the index, and the
     differential tests and `koko verify` check the locator against it.
     """

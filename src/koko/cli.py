@@ -14,7 +14,7 @@ import time
 
 from .aggregate import ResultRow
 from .bench import generate_span_suite, generate_tree_suite, run_benchmark
-from .corpus import Corpus, load_corpus, open_canonical, read_corpus_bytes
+from .corpus import Corpus, load_corpus, read_corpus_bytes
 from .engine import run_query
 from .errors import KokoError, KokoInputError, KokoQueryError, KokoResourceError
 from .gsp import estimate_cost, generate_skip_plan
@@ -24,6 +24,7 @@ from .indexes import (
     fingerprint_bytes,
     index_fingerprint,
     load_bundle,
+    open_corpus,
     save_bundle,
 )
 from .normalize import normalize
@@ -109,23 +110,21 @@ def _load_resources(args: argparse.Namespace) -> Resources:
 
 
 def _load_corpus_and_bundle(args: argparse.Namespace):
-    if not getattr(args, "index", None):
+    """The corpus and its index. With --index both come from the index, and
+    a --corpus file is only checked to be the one it was built from: by the
+    hash of its bytes, or, when those differ, by the fingerprint of its parse."""
+    if not args.index:
+        if not args.corpus:
+            raise KokoInputError("give --corpus, --index or both")
         docs = load_corpus(args.corpus)
         return Corpus(docs), build_indexes(docs)
-    # A corpus file whose bytes hash to the index's fingerprint is the
-    # canonical serialization of the documents the index was built from,
-    # which were validated then; its sentences are parsed when a query
-    # reaches them. Any other file is parsed and fingerprinted in full.
-    fingerprint = index_fingerprint(args.index)
-    data = read_corpus_bytes(args.corpus)
-    if fingerprint_bytes(data) == fingerprint:
-        corpus = open_canonical(data, args.corpus)
-    else:
-        docs = load_corpus(args.corpus)
-        corpus = Corpus(docs)
-        fingerprint = corpus_fingerprint(docs)
-    bundle = load_bundle(args.index, expected_fingerprint=fingerprint, corpus=corpus)
-    return corpus, bundle
+    fingerprint = None
+    if args.corpus:
+        fingerprint = index_fingerprint(args.index)
+        if fingerprint_bytes(read_corpus_bytes(args.corpus)) != fingerprint:
+            fingerprint = corpus_fingerprint(load_corpus(args.corpus))
+    bundle = load_bundle(args.index, expected_fingerprint=fingerprint)
+    return open_corpus(bundle), bundle
 
 
 def _read_query(path: str):
@@ -149,12 +148,9 @@ def cmd_index(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _emit_rows(rows: list[ResultRow], fmt: str) -> None:
+def _emit_rows(rows: list[ResultRow], fmt: str, names: list[str]) -> None:
+    """Print the rows; a TSV header names the outputs, also with no row."""
     if fmt == "tsv":
-        names: list[str] = []
-        for r in rows:
-            names = list(r.values)
-            break
         print("\t".join(["sid"] + names))
         for r in rows:
             print("\t".join([str(r.sid)] + [r.values[n] for n in names]))
@@ -171,7 +167,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         query, corpus, bundle, resources=resources,
         use_gsp=not args.no_gsp,
     )
-    _emit_rows(run.rows, args.format)
+    _emit_rows(run.rows, args.format, list(dict.fromkeys(name for name, _ in query.outputs)))
     return EXIT_OK
 
 
@@ -197,7 +193,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
             )
             return EXIT_OK
         for sid in run.candidate_sids:
-            t = len(corpus.sentence(sid))
+            t = corpus.sentence_lengths[sid]
             plan = generate_skip_plan(run.normalized, run.table, sid, t)
             costs = {
                 name: estimate_cost(name, sid, run.table, t)
@@ -232,10 +228,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     query = _read_query(args.query)
     resources = _load_resources(args)
     corpus, bundle = _load_corpus_and_bundle(args)
+    # The oracle reads its own parse of the corpus file, so with --index
+    # the corpus built from the index is checked against it too.
+    oracle_corpus = Corpus(load_corpus(args.corpus)) if args.index else corpus
     engine_rows = run_query(
         query, corpus, bundle, resources=resources, keep_failed=True
     ).rows
-    oracle_rows = oracle_evaluate(query, corpus, resources=resources, keep_failed=True)
+    oracle_rows = oracle_evaluate(query, oracle_corpus, resources=resources, keep_failed=True)
     # Rows are compared with their evidence scores, so a wrong score that
     # leaves pass/fail unchanged still shows.
     a = [(r.key(), json.dumps(r.to_json(), sort_keys=True)) for r in engine_rows]
@@ -300,8 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("query", help="run a query and stream results")
     p.add_argument("--query", required=True)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--index", help="previously built index directory")
+    p.add_argument("--corpus", help="corpus TSV; with --index, only checked against the index")
+    p.add_argument("--index", help="previously built index directory, which holds the corpus")
     p.add_argument("--format", choices=["jsonl", "tsv"], default="jsonl")
     p.add_argument("--no-gsp", action="store_true", help="disable skip plans and direct answers from postings")
     _add_resource_flags(p)
@@ -309,8 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("explain", help="print per-stage artifacts")
     p.add_argument("--query", required=True)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--index")
+    p.add_argument("--corpus", help="corpus TSV; with --index, only checked against the index")
+    p.add_argument("--index", help="previously built index directory, which holds the corpus")
     p.add_argument("--stage", required=True, choices=["normalize", "dpli", "gsp", "satisfy"])
     p.add_argument("--value", help="candidate value for --stage satisfy")
     _add_resource_flags(p)
@@ -338,18 +337,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except KokoInputError as exc:
+    except (KokoInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except KokoQueryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_QUERY_ERROR
     except KokoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_QUERY_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

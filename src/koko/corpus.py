@@ -16,8 +16,9 @@ comments and are dropped on read.
 A sentence stores each per-token field as a column: a tuple indexed by
 token id (``tokens``, ``pos``, ``labels``, ``heads``, ``etypes``,
 ``iobs``). ``Sentence(sid, tokens, pos, labels, heads, etypes, iobs)`` is
-the one way to build a sentence, whether it comes from the reader, a
-lazily parsed canonical file or a synthetic corpus: its constructor
+the one way to build a sentence, whether it comes from the reader, the
+columns of a saved index (`koko.indexes.open_corpus`) or a synthetic
+corpus: its constructor
 derives the tree data (``left``, ``right``, ``depth``), which the index's
 token table stores as it is, and the entity mentions (``EntitySpan``),
 which the entity index stores as they are. A sentence keeps no per-token
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from operator import eq
 from typing import Iterable, NamedTuple
@@ -170,28 +171,24 @@ class AnnotatedDocument:
 
 
 class SentenceList(Sequence):
-    """Sentences by sid. In a corpus opened by `open_canonical` an entry
-    starts as its (first line number, TSV bytes) and is parsed the first
-    time it is read; the token count of every sentence is known up front."""
+    """Sentences by sid. In a corpus opened over an index an entry starts
+    as None and is built by `build(sid)` the first time it is read."""
 
-    __slots__ = ("_items", "_origin")
+    __slots__ = ("_items", "_build")
 
-    def __init__(self, items: list, origin: str):
+    def __init__(self, items: list, build: Callable[[int], Sentence] | None = None):
         self._items = items
-        self._origin = origin
+        self._build = build
 
     def __len__(self) -> int:
         return len(self._items)
 
     def __getitem__(self, sid: int) -> Sentence:
         item = self._items[sid]
-        if isinstance(item, tuple):
+        if item is None:
             sid = range(len(self._items))[sid]
-            item = self._items[sid] = _parse_chunk(*item, sid, self._origin)
+            item = self._items[sid] = self._build(sid)
         return item
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self._items)))
 
 
 class Corpus:
@@ -213,16 +210,21 @@ class Corpus:
                         f"at position {len(sentences)} (doc {doc.doc_id})"
                     )
                 sentences.append(s)
-        lengths = [len(s.tokens) for s in sentences]
-        self._fill(SentenceList(sentences, "<documents>"), lengths, doc_ids, doc_starts)
-
-    def _fill(
-        self, sentences: SentenceList, lengths: list[int], doc_ids: list[str], doc_starts: list[int]
-    ) -> None:
-        self.sentences = sentences
-        self.sentence_lengths = lengths
+        self.sentences = SentenceList(sentences)
+        self.sentence_lengths = [len(s.tokens) for s in sentences]
         self.doc_ids = doc_ids
         self.doc_starts = doc_starts
+
+    @classmethod
+    def built_by(
+        cls, build: Callable[[int], Sentence], lengths: Sequence[int], doc_ids: list[str], doc_starts: Sequence[int]
+    ) -> Corpus:
+        """The corpus whose sentence sid is `build(sid)`, called when it is
+        first read; `lengths` gives every sentence's token count."""
+        corpus = cls.__new__(cls)
+        corpus.sentences = SentenceList([None] * len(lengths), build)
+        corpus.sentence_lengths, corpus.doc_ids, corpus.doc_starts = lengths, doc_ids, doc_starts
+        return corpus
 
     def __len__(self) -> int:
         return len(self.sentences)
@@ -241,68 +243,6 @@ class Corpus:
     @property
     def token_count(self) -> int:
         return sum(self.sentence_lengths)
-
-
-def open_canonical(data: bytes, origin: str) -> Corpus:
-    """Corpus over the UTF-8 bytes of ``serialize_corpus(docs)``.
-
-    Only the document headers are read here; each sentence is parsed from
-    its chunk on first access, with the same checks as `parse_corpus`.
-    The caller vouches that `data` is canonical, for instance because its
-    fingerprint matches an index built from validated documents.
-    """
-    items: list = []
-    lengths: list[int] = []
-    doc_ids: list[str] = []
-    doc_starts: list[int] = []
-    lineno = 1
-    # Sentences end with an empty line; a document header is the line
-    # before its first sentence.
-    for chunk in data.split(b"\n\n"):
-        first = lineno
-        lines = chunk.count(b"\n") + 1
-        lineno += lines + 1
-        while chunk.startswith(b"#"):
-            header, _, chunk = chunk.partition(b"\n")
-            m = _DOC_LINE.match(_decode(header, origin, first).rstrip())
-            if m:
-                doc_ids.append(m.group(1))
-                doc_starts.append(len(items))
-            first += 1
-            lines -= 1
-        if chunk:
-            if not doc_ids:
-                doc_ids.append("doc0")
-                doc_starts.append(0)
-            items.append((first, chunk))
-            lengths.append(lines)
-    corpus = Corpus.__new__(Corpus)
-    corpus._fill(SentenceList(items, origin), lengths, doc_ids, doc_starts)
-    return corpus
-
-
-def _decode(raw: bytes, origin: str, lineno: int) -> str:
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = lineno + raw.count(b"\n", 0, exc.start)
-        raise KokoInputError(f"{origin}:{line}: not valid UTF-8 ({exc.reason})") from None
-
-
-def _parse_chunk(lineno: int, chunk: bytes, sid: int, origin: str) -> Sentence:
-    rows = [
-        (lineno + i, line.rstrip().split("\t"))
-        # Split on newlines only, so the row count is the token count that
-        # open_canonical recorded.
-        for i, line in enumerate(_decode(chunk, origin, lineno).split("\n"))
-    ]
-    sentence = _build_sentence(rows, origin)
-    if sentence.sid != sid:
-        raise KokoInputError(
-            f"{origin}:{lineno}: sentence ids must be contiguous from 0; "
-            f"found sid {sentence.sid} at position {sid}"
-        )
-    return sentence
 
 
 # Punctuation that attaches to the previous token when spans are rendered
@@ -431,7 +371,13 @@ def _build_sentence(rows: list[tuple[int, list[str]]], origin: str) -> Sentence:
 
 
 def load_corpus(path: str) -> list[AnnotatedDocument]:
-    return parse_corpus(_decode(read_corpus_bytes(path), path, 1), origin=path)
+    raw = read_corpus_bytes(path)
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = 1 + raw.count(b"\n", 0, exc.start)
+        raise KokoInputError(f"{path}:{line}: not valid UTF-8 ({exc.reason})") from None
+    return parse_corpus(text, origin=path)
 
 
 def read_corpus_bytes(path: str) -> bytes:

@@ -15,7 +15,7 @@ onto the values aggregation reads (`aggregate.projector`) while the
 sentence is in hand. Both paths hand aggregation the same shape, (sid,
 values), so aggregation reads no sentence to build a row; it finds a
 value's occurrences in its document through the word index
-(`WordIndex.sentences_with`), so it parses only the sentences holding the
+(`WordIndex.sentences_with`), so it reads only the sentences holding the
 value's first token.
 """
 

@@ -1,6 +1,6 @@
 """The token table, the four corpus indices and their on-disk form.
 
-* token table: every token's subtree extent and depth, stored once
+* token table: every token's head, subtree extent and depth, stored once
 * word index: surface string -> posting list
 * entity index: entity surface -> (sid, start-end, type) records
 * PL / POS hierarchy index: dependency trees merged on parse labels / POS tags
@@ -13,9 +13,12 @@ merge same-labelled children recursively, so every node is addressed by
 the unique label path from the root, and each token lands in exactly one
 node's posting list per index. Both hang off a synthetic super-root
 (labelled TOP in the POS index, where sentence roots carry arbitrary
-tags), which is not counted as a node. ``//`` steps read a pre-order
-numbering of the nodes (`_PrePlane`), derived at the first such lookup
-and never stored.
+tags), which is not counted as a node. A hierarchy is its label and
+parent columns; ``//`` steps read a pre-order numbering of the nodes
+(`_PrePlane`), derived at the first such lookup and never stored.
+
+The index holds the whole corpus, heads and document table included, and
+`open_corpus` builds its sentences from the columns.
 
 Persisted layout (directory): ``manifest.json``, which records the CRC-32
 of each file, plus ``tree.idx``, ``word.idx``, ``entity.idx``, ``pl.idx``
@@ -36,19 +39,20 @@ import struct
 import sys
 import zlib
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate, chain, count, repeat
 from operator import add, attrgetter, le, lt, sub
 
-from .corpus import AnnotatedDocument, Corpus, EntitySpan, Sentence, child_lists, serialize_corpus
+from .corpus import AnnotatedDocument, Corpus, EntitySpan, Sentence, serialize_corpus
 from .errors import KokoInputError
 
 MAGIC = b"KOKO"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 INDEX_FILES = ("tree.idx", "word.idx", "entity.idx", "pl.idx", "pos.idx")
+NO_HEAD = 0xFFFFFFFF  # the head column's entry for a sentence root
 
 TOP = "⊤"  # dummy label above every sentence root in the POS index
 
@@ -69,13 +73,15 @@ def _swapped(a: array) -> array:
 class TokenTable:
     """Tree data of every token of the corpus, stored once. Sentence sid
     holds the offsets ``starts[sid]`` up to ``starts[sid + 1]``, so
-    ``starts[-1]`` is the token count; ``left``, ``right`` and ``depth``
-    are the sentence-local columns of each `Sentence`, by offset.
-    ``sid_of`` (the sentence of each offset) is derived from ``starts``."""
+    ``starts[-1]`` is the token count; ``left``, ``right``, ``heads`` and
+    ``depth`` are the sentence-local columns of each `Sentence`, by
+    offset, with `NO_HEAD` as a root's head. ``sid_of`` (the sentence of
+    each offset) is derived from ``starts``."""
 
     starts: array
     left: array
     right: array
+    heads: array
     depth: array
     sid_of: array = field(init=False, repr=False, compare=False)
 
@@ -113,6 +119,7 @@ class PostingLists(Mapping):
         self._at = dict(zip(keys, count()))
         self._check = check
         self._checked = bytearray(len(keys))
+        self._owners: array | None = None
 
     @classmethod
     def grouped(cls, key_of: Iterable, keys: Sequence) -> PostingLists:
@@ -137,6 +144,24 @@ class PostingLists(Mapping):
 
     def __len__(self) -> int:
         return len(self._keys)
+
+    def owners(self, size: int, where: str) -> array:
+        """The index inverted into a forward column: the key position of the
+        list holding each offset 0 .. size - 1, which must occur once each."""
+        if self._owners is None:
+            owners: list[int | None] = [None] * size
+            keys = chain.from_iterable(map(repeat, count(), map(sub, self.ptr[1:], self.ptr)))
+            try:
+                if len(self.flat) != size:
+                    raise IndexError
+                for offset, key in zip(self.flat, keys):
+                    owners[offset] = key
+                # With as many postings as offsets, an offset left unowned
+                # (None, which the array rejects) means another repeated.
+                self._owners = array(_TYPECODE, owners)
+            except (IndexError, TypeError):
+                raise KokoInputError(f"{where}: the posting lists do not hold every token once") from None
+        return self._owners
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -182,23 +207,22 @@ class EntityIndex:
 
 
 @dataclass
-class HierarchyNode:
-    label: str
-    parent: int  # -1 for the super-root
-    children: dict[str, int] = field(default_factory=dict)
-
-
-@dataclass
 class HierarchyIndex:
-    nodes: list[HierarchyNode]  # by node id; a parent's id is below its children's
+    labels: list[str]  # by node id; node 0 is the super-root
+    parents: array  # by node id, each below its node's; the super-root's is 0
     postings: PostingLists  # by node id
-    # Derived at the first `//` step.
+    # A `/` step's lookup, (parent, label) -> node, derived from the columns.
+    child: dict[tuple[int, str], int] = field(init=False, repr=False, compare=False)
+    # Derived at the first `//` or `/*` step.
     _plane: _PrePlane | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.child = dict(zip(zip(self.parents[1:], self.labels[1:]), count(1)))
 
     @property
     def node_count(self) -> int:
         """Number of merged nodes, super-root excluded."""
-        return len(self.nodes) - 1
+        return len(self.labels) - 1
 
     def lookup(self, steps: list[tuple[str, str]]) -> list[int]:
         """Sorted union of posting lists over nodes whose root path matches.
@@ -213,17 +237,15 @@ class HierarchyIndex:
         positions = {0}
         for axis, label in steps:
             nxt: set[int] = set()
-            if axis == "/":
-                for node_id in positions:
-                    children = self.nodes[node_id].children
-                    if label == "*":
-                        nxt.update(children.values())
-                    elif label in children:
-                        nxt.add(children[label])
+            if axis == "/" and label != "*":
+                nxt.update(self.child[key] for key in zip(positions, repeat(label)) if key in self.child)
             else:
                 if self._plane is None:
-                    self._plane = _PrePlane(self.nodes)
-                self._plane.descendants(positions, label, nxt)
+                    self._plane = _PrePlane(self.labels, self.parents)
+                if axis == "/":
+                    self._plane.children(positions, nxt)
+                else:
+                    self._plane.descendants(positions, label, nxt)
             positions = nxt
             if not positions:
                 break
@@ -234,34 +256,45 @@ class _PrePlane:
     """Pre-order numbering of a hierarchy (Grust, "Accelerating XPath
     Location Steps", SIGMOD 2002): the descendants of a node hold the
     ranks after its own and before its ``end``, so a ``//label`` step is
-    a bisect of the label's rank list inside each range. Derived from the
-    nodes, never stored."""
+    a bisect of the label's rank list inside each range. Derived, with the
+    children of each node, from the parent column, never stored."""
 
-    def __init__(self, nodes: list[HierarchyNode]) -> None:
+    def __init__(self, labels: list[str], parents: array) -> None:
+        below: list[list[int]] = [[] for _ in labels]
+        for node_id in range(1, len(labels)):
+            below[parents[node_id]].append(node_id)
         order = array(_TYPECODE)  # node id by rank
         stack = [0]
         while stack:
             node_id = stack.pop()
             order.append(node_id)
-            stack.extend(nodes[node_id].children.values())
+            stack.extend(below[node_id])
         # Every parent has a lower id than its children, so one backward
         # pass sums the subtree sizes.
-        size = [1] * len(nodes)
-        for node_id in range(len(nodes) - 1, 0, -1):
-            size[nodes[node_id].parent] += size[node_id]
-        rank = [0] * len(nodes)
+        size = [1] * len(labels)
+        for node_id in range(len(labels) - 1, 0, -1):
+            size[parents[node_id]] += size[node_id]
+        rank = [0] * len(labels)
         ranks_of: dict[str, array] = {}
         for r, node_id in enumerate(order):
             rank[node_id] = r
-            label = nodes[node_id].label
+            label = labels[node_id]
             ranks = ranks_of.get(label)
             if ranks is None:
                 ranks = ranks_of[label] = array(_TYPECODE)
             ranks.append(r)
         self.order = order
+        # Each node's children, as a posting list of node ids.
+        self.kids_at = array(_TYPECODE, accumulate(map(len, below), initial=0))
+        self.kids = array(_TYPECODE, chain.from_iterable(below))
         self.rank = array(_TYPECODE, rank)
         self.end = array(_TYPECODE, map(add, rank, size))  # one past the last rank of each subtree
         self.ranks_of = ranks_of
+
+    def children(self, node_ids: set[int], out: set[int]) -> None:
+        """Add to `out` the children of the nodes of `node_ids`."""
+        for node_id in node_ids:
+            out.update(self.kids[self.kids_at[node_id] : self.kids_at[node_id + 1]])
 
     def descendants(self, node_ids: set[int], label: str, out: set[int]) -> None:
         """Add to `out` the nodes labelled `label` (any, for ``*``) strictly
@@ -292,6 +325,11 @@ class IndexBundle:
     pos: HierarchyIndex
     tokens: TokenTable
     fingerprint: str
+    # The document table: document i holds sids doc_starts[i] .. the next start.
+    doc_ids: list[str]
+    doc_starts: array
+    # The directory a loaded bundle was read from, for error messages.
+    directory: str = field(default="", compare=False)
 
     @property
     def sentence_count(self) -> int:
@@ -332,6 +370,7 @@ def build_indexes(docs: list[AnnotatedDocument]) -> IndexBundle:
         array(_TYPECODE, accumulate(map(len, sentences), initial=0)),
         column("left"),
         column("right"),
+        array(_TYPECODE, [NO_HEAD if h is None else h for s in sentences for h in s.heads]),
         column("depth"),
     )
     texts = list(chain.from_iterable(s.tokens for s in sentences))
@@ -343,58 +382,34 @@ def build_indexes(docs: list[AnnotatedDocument]) -> IndexBundle:
         pos=pos,
         tokens=tokens,
         fingerprint=corpus_fingerprint(docs),
+        doc_ids=[doc.doc_id for doc in docs],
+        doc_starts=array(_TYPECODE, accumulate([len(doc.sentences) for doc in docs], initial=0))[:-1],
     )
-
-
-def _walk(sentence: Sentence) -> list[int]:
-    """The sentence's tids in depth-first order from the root, a token's
-    children pushed in tid order (so the last child is visited first)."""
-    children = child_lists(sentence.heads)
-    order: list[int] = []
-    stack = [sentence.root_tid]
-    while stack:
-        tid = stack.pop()
-        order.append(tid)
-        stack.extend(children[tid])
-    return order
 
 
 def _merged_trees(sentences: list[Sentence]) -> tuple[HierarchyIndex, HierarchyIndex]:
     """The PL and the POS hierarchy: the sentences' trees with children
     merged on their parse label and on their POS tag. Nodes are numbered
-    in the order the sentences' walks first reach them."""
-    planes = (
-        (attrgetter("labels"), [HierarchyNode("", -1)], array(_TYPECODE)),
-        (attrgetter("pos"), [HierarchyNode(TOP, -1)], array(_TYPECODE)),
-    )
-    for s in sentences:
-        walk = _walk(s)
-        for column, nodes, node_of in planes:  # node_of: by token offset
-            node_of.extend(_assign_nodes(nodes, s.heads, column(s), walk))
-    pl, pos = (
-        HierarchyIndex(nodes, PostingLists.grouped(node_of, range(len(nodes))))
-        for _, nodes, node_of in planes
-    )
-    return pl, pos
-
-
-def _assign_nodes(
-    nodes: list[HierarchyNode], heads: Sequence[int | None], column: Sequence[str], walk: list[int]
-) -> list[int]:
-    """Hierarchy node id for every token of a sentence, by tid, adding the
-    nodes its tree opens. `walk` reaches every head before its children."""
-    node_of = [0] * len(heads)
-    for tid in walk:
-        head = heads[tid]
-        parent = 0 if head is None else node_of[head]
-        merged = nodes[parent].children
-        label = column[tid]
-        node = merged.get(label)
-        if node is None:
-            node = merged[label] = len(nodes)
-            nodes.append(HierarchyNode(label, parent))
-        node_of[tid] = node
-    return node_of
+    as first reached, sentence by sentence, each sentence's tokens by
+    depth and then tid, so a head's node is known before its children's."""
+    merged = []
+    for column, root in (("labels", ""), ("pos", TOP)):
+        labels, parents, child = [root], array(_TYPECODE, [0]), {}
+        node_of: list[int] = []  # by token offset
+        for s in sentences:
+            values, heads, nodes = getattr(s, column), s.heads, [0] * len(s)
+            for tid in sorted(range(len(s)), key=s.depth.__getitem__):
+                head = heads[tid]
+                key = (0 if head is None else nodes[head], values[tid])
+                node = child.get(key)
+                if node is None:
+                    node = child[key] = len(labels)
+                    labels.append(key[1])
+                    parents.append(key[0])
+                nodes[tid] = node
+            node_of += nodes
+        merged.append(HierarchyIndex(labels, parents, PostingLists.grouped(node_of, range(len(labels)))))
+    return merged[0], merged[1]
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +443,9 @@ def save_bundle(bundle: IndexBundle, directory: str) -> None:
     checksum."""
     files = {name: bytearray(MAGIC + _U32.pack(FORMAT_VERSION)) for name in INDEX_FILES}
     t = bundle.tokens
-    _w_columns(files["tree.idx"], t.starts, t.left, t.right, t.depth)
+    _w_columns(files["tree.idx"], t.starts, t.left, t.right, t.heads)
+    _w_strings(files["tree.idx"], bundle.doc_ids)
+    _w_columns(files["tree.idx"], bundle.doc_starts)
     words = bundle.word.postings
     _w_strings(files["word.idx"], list(words))
     _w_columns(files["word.idx"], words.ptr, words.flat)
@@ -438,11 +455,9 @@ def save_bundle(bundle: IndexBundle, directory: str) -> None:
     _w_columns(files["entity.idx"], *(array(_TYPECODE, c) for c in (sid, start, end)), etype_ids)
     _w_strings(files["entity.idx"], surface)
     for name, index in (("pl.idx", bundle.pl), ("pos.idx", bundle.pos)):
-        nodes = index.nodes[1:]
-        labels, label_ids = _interned([node.label for node in nodes])
+        labels, label_ids = _interned(index.labels[1:])
         _w_strings(files[name], labels)
-        parents = array(_TYPECODE, [node.parent for node in nodes])
-        _w_columns(files[name], label_ids, parents, index.postings.ptr, index.postings.flat)
+        _w_columns(files[name], label_ids, index.parents[1:], index.postings.ptr, index.postings.flat)
     os.makedirs(directory, exist_ok=True)
     for name, buf in files.items():
         with open(os.path.join(directory, name), "wb") as f:
@@ -550,13 +565,11 @@ def index_fingerprint(directory: str) -> str:
     return _read_manifest(directory).get("fingerprint", "")
 
 
-def load_bundle(
-    directory: str, expected_fingerprint: str | None = None, corpus: Corpus | None = None
-) -> IndexBundle:
+def load_bundle(directory: str, expected_fingerprint: str | None = None) -> IndexBundle:
     """Open a saved index. Every file is read whole, column by column, and
     its checksum checked against the manifest's; a posting list is checked
-    against the token table on first lookup. Given the corpus, the token
-    table's sentence lengths are checked to be the corpus's."""
+    against the token table on first lookup. Each token's depth is its PL
+    node's, which the PL lists, inverted here, give."""
     manifest = _read_manifest(directory)
     fingerprint = manifest.get("fingerprint", "")
     if expected_fingerprint is not None and fingerprint != expected_fingerprint:
@@ -572,18 +585,19 @@ def load_bundle(
 
     f = _IndexFile(directory, "tree.idx", checksums["tree.idx"])
     starts, *columns = (f.column() for _ in range(4))
+    doc_ids, doc_starts = f.strings(), f.column()
     f.end()
     # Every sentence has a token.
     if not starts or starts[0] != 0 or not all(map(lt, starts, starts[1:])):
         raise f.fail("sentence starts do not increase from 0")
     if any(len(c) != starts[-1] for c in columns):
         raise f.fail(f"tree columns do not hold the {starts[-1]} tokens")
-    if corpus is not None and starts != array(_TYPECODE, accumulate(corpus.sentence_lengths, initial=0)):
-        raise KokoInputError(
-            f"{directory}: index sentence lengths ({len(starts) - 1} sentences) differ from "
-            f"the corpus's ({len(corpus)} sentences); rebuild the index"
-        )
-    tokens = TokenTable(starts, *columns)
+    # Documents start at sid 0 (an empty corpus may have none) and in order.
+    bounds = [*doc_starts, len(starts) - 1]
+    if len(doc_ids) != len(doc_starts) or bounds[0] != 0 or not all(map(le, bounds, bounds[1:])):
+        raise f.fail("document table out of order or past the sentence count")
+    # The depth column is filled from the PL hierarchy below.
+    tokens = TokenTable(starts, *columns, array(_TYPECODE))
 
     def open_file(name: str) -> _IndexFile:
         return _IndexFile(directory, name, checksums[name], tokens)
@@ -604,13 +618,15 @@ def load_bundle(
     if max(etype_ids, default=-1) >= len(etypes):
         raise f.fail(f"etype id {max(etype_ids)} past the {len(etypes)} etypes")
     lengths = array(_TYPECODE, map(sub, starts[1:], starts))
+    # Records come in sentence order, each inside its sentence and, in one
+    # sentence, starting after the one before ends.
     if not (
-        all(map(le, sid, sid[1:]))
+        all(map(lt, zip(sid, end), zip(sid[1:], start[1:])))
         and (not sid or sid[-1] < len(lengths))
         and all(map(le, start, end))
         and all(map(lt, end, map(lengths.__getitem__, sid)))
     ):
-        raise f.fail("an entity lies outside the corpus or out of sentence order")
+        raise f.fail("entity records overlap, come out of order or lie outside the corpus")
     f.end()
     entity = EntityIndex(list(map(EntitySpan, sid, start, end, map(etypes.__getitem__, etype_ids), surfaces)))
 
@@ -628,18 +644,61 @@ def load_bundle(
         if not all(map(lt, parents, count(1))):
             node_id = next(i for i, p in enumerate(parents, 1) if p >= i)
             raise f.fail(f"node record {node_id} has parent {parents[node_id - 1]}")
+        if postings.ptr[1]:
+            raise f.fail("the super-root holds postings")
         f.end()
-        nodes = [HierarchyNode(root_label, -1)]
-        nodes += map(HierarchyNode, map(labels.__getitem__, label_ids), parents)
-        for node_id, node in enumerate(nodes[1:], 1):
-            nodes[node.parent].children[node.label] = node_id
-        hierarchies.append(HierarchyIndex(nodes, postings))
+        labels = [root_label, *map(labels.__getitem__, label_ids)]
+        index = HierarchyIndex(labels, array(_TYPECODE, [0]) + parents, postings)
+        if len(index.child) != index.node_count:
+            raise f.fail("two children of a node share a label")
+        hierarchies.append(index)
 
-    return IndexBundle(
-        word=word,
-        entity=entity,
-        pl=hierarchies[0],
-        pos=hierarchies[1],
-        tokens=tokens,
-        fingerprint=fingerprint,
-    )
+    # Nodes are numbered parent first, so one pass gives every node's depth.
+    pl, pos = hierarchies
+    node_depth = [-1]
+    for parent in pl.parents[1:]:
+        node_depth.append(node_depth[parent] + 1)
+    owners = pl.postings.owners(starts[-1], os.path.join(directory, "pl.idx"))
+    tokens.depth = array(_TYPECODE, map(node_depth.__getitem__, owners))
+
+    return IndexBundle(word, entity, pl, pos, tokens, fingerprint, doc_ids, doc_starts, directory)
+
+
+def open_corpus(bundle: IndexBundle) -> Corpus:
+    """The corpus the bundle was built from, read from the bundle alone. A
+    sentence is built when first read, through the one `Sentence`
+    constructor, from its slices of the word, PL and POS lists inverted,
+    its heads and its entity records (B on a record's first token, I on
+    the rest); one whose heads are no tree, or whose derived tree data
+    differ from the token table's, raises KokoInputError then."""
+    t = bundle.tokens
+    path = partial(os.path.join, bundle.directory)
+    words, word_of = list(bundle.word.postings), bundle.word.postings.owners(t.starts[-1], path("word.idx"))
+    labels, label_of = bundle.pl.labels, bundle.pl.postings.owners(t.starts[-1], path("pl.idx"))
+    tags, tag_of = bundle.pos.labels, bundle.pos.postings.owners(t.starts[-1], path("pos.idx"))
+    records = bundle.entity.records
+    record_sids = array(_TYPECODE, map(attrgetter("sid"), records))
+
+    def build(sid: int) -> Sentence:
+        a, b = t.starts[sid], t.starts[sid + 1]
+        where = f"{path('tree.idx')}: sentence {sid}"
+        heads = [None if h == NO_HEAD else h for h in t.heads[a:b]]
+        if not all(h in range(b - a) for h in heads if h is not None):
+            raise KokoInputError(f"{where}: a head lies outside the sentence")
+        if heads.count(None) != 1:
+            raise KokoInputError(f"{where}: {heads.count(None)} roots, expected exactly 1")
+        etypes, iobs = [None] * (b - a), [None] * (b - a)
+        lo = bisect_left(record_sids, sid)
+        for rec in records[lo : bisect_right(record_sids, sid, lo)]:
+            etypes[rec.start : rec.end + 1] = [rec.etype] * (rec.end + 1 - rec.start)
+            iobs[rec.start : rec.end + 1] = ["B"] + ["I"] * (rec.end - rec.start)
+        texts, pos = map(words.__getitem__, word_of[a:b]), map(tags.__getitem__, tag_of[a:b])
+        s = Sentence(sid, texts, pos, map(labels.__getitem__, label_of[a:b]), heads, etypes, iobs)
+        if -1 in s.depth:
+            raise KokoInputError(f"{where}: the heads run in a cycle at tid {s.depth.index(-1)}")
+        if (s.left, s.right, s.depth) != (tuple(t.left[a:b]), tuple(t.right[a:b]), tuple(t.depth[a:b])):
+            raise KokoInputError(f"{where}: its tree data differ from the token table's")
+        return s
+
+    lengths = array(_TYPECODE, map(sub, t.starts[1:], t.starts))
+    return Corpus.built_by(build, lengths, bundle.doc_ids, bundle.doc_starts)

@@ -7,12 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koko.corpus import (
-    AnnotatedDocument,
     Corpus,
     Sentence,
     detokenize,
     load_corpus,
-    open_canonical,
     parse_corpus,
     serialize_corpus,
 )
@@ -225,17 +223,12 @@ def test_row_errors_name_their_line(third_row, message):
     with pytest.raises(KokoInputError) as full:
         parse_corpus(text, origin="c.tsv")
     assert str(full.value) == message
-    lazy = open_canonical(text.encode("utf-8"), "c.tsv")
-    with pytest.raises(KokoInputError) as on_access:
-        lazy.sentence(0)
-    assert str(on_access.value) == message
 
 
 def test_four_rows_parse_without_a_fault():
     text = "# doc_id = d\n" + "\n".join(_FOUR_ROWS) + "\n\n"
-    (s,) = open_canonical(text.encode("utf-8"), "c.tsv").sentences
+    (s,) = parse_corpus(text)[0].sentences
     assert s.heads == (1, None, 1, 2)
-    assert s == parse_corpus(text)[0].sentences[0]
 
 
 def test_two_roots_rejected():
@@ -309,59 +302,3 @@ def test_non_utf8_corpus_rejected(tmp_path):
     path.write_bytes(b"0\t0\ta\tnoun\troot\t-1\tO\n\n1\t0\th\xffi\tintj\troot\t-1\tO\n")
     with pytest.raises(KokoInputError, match=r"bad.tsv:3: not valid UTF-8"):
         load_corpus(str(path))
-
-
-def _canonical_docs():
-    from koko.bench import synthesize_corpus
-
-    docs = synthesize_corpus(9, 45, entity_rate=0.5, sentences_per_doc=7)
-    # An empty document in the middle and one at the end.
-    docs.insert(2, AnnotatedDocument("empty-middle"))
-    docs.append(AnnotatedDocument("empty-end"))
-    return docs
-
-
-def test_open_canonical_matches_full_parse():
-    docs = _canonical_docs()
-    full = Corpus(docs)
-    lazy = open_canonical(serialize_corpus(docs).encode("utf-8"), "c.tsv")
-    assert len(lazy) == len(full)
-    assert lazy.doc_ids == full.doc_ids and lazy.doc_starts == full.doc_starts
-    assert lazy.sentence_lengths == full.sentence_lengths
-    assert lazy.token_count == full.token_count
-    assert [lazy.doc_sids(i) for i in range(len(lazy.doc_ids))] == [
-        range(doc_start, doc_start + len(d.sentences))
-        for d, doc_start in zip(docs, full.doc_starts)
-    ]
-    assert lazy.sentence(7) == full.sentence(7)
-    assert lazy.sentences[-1] == full.sentences[-1]
-    assert list(lazy.sentences) == list(full.sentences)
-
-
-def test_open_canonical_parses_on_first_access(monkeypatch):
-    import koko.corpus
-
-    docs = _canonical_docs()
-    lazy = open_canonical(serialize_corpus(docs).encode("utf-8"), "c.tsv")
-    parsed = []
-    build = koko.corpus._build_sentence
-    monkeypatch.setattr(
-        koko.corpus, "_build_sentence", lambda rows, origin: parsed.append(rows[0]) or build(rows, origin)
-    )
-    lazy.sentence(3)
-    lazy.sentence(3)
-    # Sid 14 opens the document after the empty one.
-    assert lazy.doc_index_of(14) == 3 and lazy.sentence_lengths[30] > 0
-    assert len(parsed) == 1
-    # Line numbers are those of the file: 1 header line, then sentences
-    # 0-2 with one blank line after each.
-    first_line = 2 + sum(n + 1 for n in lazy.sentence_lengths[:3])
-    assert parsed[0][0] == first_line
-
-
-def test_open_canonical_rejects_bad_bytes_on_access():
-    data = b"# doc_id = d\n0\t0\ta\tnoun\troot\t-1\tO\n\n1\t0\th\xffi\tintj\troot\t-1\tO\n\n"
-    lazy = open_canonical(data, "c.tsv")
-    assert lazy.sentence(0).tokens[0] == "a"
-    with pytest.raises(KokoInputError, match=r"c.tsv:4: not valid UTF-8"):
-        lazy.sentence(1)

@@ -79,6 +79,31 @@ def test_query_tsv_format(capsys):
     assert header == ["sid", "e", "d"]
 
 
+@pytest.mark.parametrize("path, rows", [("//dobj", 3), ('"zzzqqq"', 0)])
+def test_query_tsv_header_names_the_outputs_without_rows(path, rows, tmp_path, capsys):
+    q = tmp_path / "q.koko"
+    q.write_text(f'extract v:Str, w:Str from "x" if (/ROOT:{{ v = {path}, w = v }})')
+    code, out, err = run_cli(["query", "--query", str(q), "--corpus", EX31, "--format", "tsv"], capsys)
+    assert code == 0, err
+    lines = out.splitlines()
+    assert lines[0] == "sid\tv\tw" and len(lines) == 1 + rows
+
+
+def test_explain_over_an_index_needs_no_corpus(tmp_path, capsys):
+    idx = str(tmp_path / "idx")
+    assert run_cli(["index", "--corpus", EX31, "--out", idx], capsys)[0] == 0
+    outs = [
+        run_cli(["explain", "--query", EX21, "--index", idx, "--stage", "gsp", *extra], capsys)[1]
+        for extra in ([], ["--corpus", EX31])
+    ]
+    assert outs[0] == outs[1] and "loop iterations" in outs[0]
+
+
+def test_query_needs_a_corpus_or_an_index(capsys):
+    code, _, err = run_cli(["query", "--query", EX21], capsys)
+    assert code == 2 and "--corpus" in err
+
+
 def test_malformed_corpus_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.tsv"
     bad.write_text("0\t0\tonly\tfour\tcols\n")
@@ -397,8 +422,9 @@ def test_bad_flag_values_exit_3(case, tmp_path):
     assert not report.exists()
 
 
-# --- koko query --index on a canonical corpus file (parsed lazily) versus
-# any other file (parsed in full) ---
+# --- koko query --index: the corpus built from the index, with a --corpus
+# file checked by its hash (canonical) or by its parse (any other), or with
+# none ---
 
 LAZY_QUERIES = {
     "tree": 'extract v:Str from "t" if (/ROOT:{ v = //verb/nsubj })',
@@ -420,8 +446,8 @@ LAZY_QUERIES = {
 
 
 def _write_corpus_pair(tmp_path):
-    """The same synthetic corpus twice: canonical, and with a comment line
-    that only a full parse accepts."""
+    """The same synthetic corpus twice: canonical, and with a comment line,
+    whose bytes hash to another fingerprint than its parse."""
     from koko.bench import synthesize_corpus
     from koko.corpus import serialize_corpus
 
@@ -461,7 +487,7 @@ def test_token_holding_a_unicode_line_break(ch, tmp_path, capsys):
     assert [json.loads(line)["values"]["v"] for line in outs[0].split("\n") if line] == [token]
 
 
-def test_lazy_and_full_parse_paths_agree_with_oracle(tmp_path, capsys):
+def test_index_queries_with_and_without_corpus_agree_with_oracle(tmp_path, capsys):
     from koko.corpus import Corpus, load_corpus
     from koko.oracle import oracle_evaluate
 
@@ -473,10 +499,8 @@ def test_lazy_and_full_parse_paths_agree_with_oracle(tmp_path, capsys):
         q = tmp_path / f"{name}.koko"
         q.write_text(text)
         outs = []
-        for path in (canonical, commented):
-            code, out, err = run_cli(
-                ["query", "--query", str(q), "--corpus", path, "--index", idx], capsys
-            )
+        for extra in (["--corpus", canonical], ["--corpus", commented], []):
+            code, out, err = run_cli(["query", "--query", str(q), "--index", idx, *extra], capsys)
             assert code == 0, err
             outs.append(out)
         expected = "".join(
@@ -484,28 +508,24 @@ def test_lazy_and_full_parse_paths_agree_with_oracle(tmp_path, capsys):
             for r in oracle_evaluate(parse_query(text), corpus)
         )
         assert expected, name
-        assert outs[0] == outs[1] == expected, name
+        assert outs == [expected] * 3, name
 
 
 def test_lazy_path_parses_only_candidate_sentences(tmp_path, monkeypatch):
-    import koko.corpus
-    from koko.corpus import open_canonical
-    from koko.indexes import fingerprint_bytes, load_bundle
+    # Sentences of the corpus opened over an index are built on first read.
+    import koko.indexes
+    from koko.indexes import load_bundle, open_corpus
 
     canonical, _ = _write_corpus_pair(tmp_path)
     idx = str(tmp_path / "idx")
     assert main(["index", "--corpus", canonical, "--out", idx]) == 0
     parsed = []
-    build = koko.corpus._build_sentence
-    monkeypatch.setattr(
-        koko.corpus, "_build_sentence", lambda rows, origin: parsed.append(1) or build(rows, origin)
-    )
+    build = koko.indexes.Sentence
+    monkeypatch.setattr(koko.indexes, "Sentence", lambda *columns: parsed.append(1) or build(*columns))
     for name in ("tree", "span"):
         parsed.clear()
-        with open(canonical, "rb") as f:
-            data = f.read()
-        corpus = open_canonical(data, canonical)
-        bundle = load_bundle(idx, expected_fingerprint=fingerprint_bytes(data), corpus=corpus)
+        bundle = load_bundle(idx)
+        corpus = open_corpus(bundle)
         run = run_query(parse_query(LAZY_QUERIES[name]), corpus, bundle)
         assert run.rows, name
         assert 0 < len(parsed) <= len(run.candidate_sids) < len(corpus), name
@@ -514,10 +534,8 @@ def test_lazy_path_parses_only_candidate_sentences(tmp_path, monkeypatch):
     # its evidence reads only the sentences of a mention's document that
     # hold the mention's first token.
     parsed.clear()
-    with open(canonical, "rb") as f:
-        data = f.read()
-    corpus = open_canonical(data, canonical)
-    bundle = load_bundle(idx, expected_fingerprint=fingerprint_bytes(data), corpus=corpus)
+    bundle = load_bundle(idx)
+    corpus = open_corpus(bundle)
     run = run_query(parse_query(LAZY_QUERIES["evidence"]), corpus, bundle)
     assert run.rows
     mentions = bundle.entity.lookup()

@@ -11,16 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koko.bench import synthesize_corpus
-from koko.corpus import Corpus, EntitySpan
+from koko.corpus import AnnotatedDocument, Corpus, EntitySpan, Sentence, parse_corpus, serialize_corpus
 from koko.errors import KokoInputError
 from koko.indexes import (
+    NO_HEAD,
     build_indexes,
     corpus_fingerprint,
     load_bundle,
+    open_corpus,
     save_bundle,
 )
 
-from .conftest import postings
+from .conftest import data_path, postings
 
 
 def _parse_pattern(path: str):
@@ -139,10 +141,9 @@ def test_posting_lists_sorted(ex31_bundle):
 
 def test_children_labels_distinct(ex31_bundle):
     for index in (ex31_bundle.pl, ex31_bundle.pos):
-        for node in index.nodes:
-            assert len(node.children) == len(set(node.children))
-            for label, child in node.children.items():
-                assert index.nodes[child].label == label
+        assert len(index.child) == index.node_count == len(index.parents) - 1
+        for (parent, label), child in index.child.items():
+            assert (index.parents[child], index.labels[child]) == (parent, label)
 
 
 def test_compression_on_repeated_sentences():
@@ -238,7 +239,7 @@ def test_entity_index_holds_the_sentences_mentions(tmp_path):
     bundle = build_indexes(docs)
     assert bundle.entity.records == mentions
     save_bundle(bundle, str(tmp_path / "idx"))
-    loaded = load_bundle(str(tmp_path / "idx"), corpus=corpus)
+    loaded = load_bundle(str(tmp_path / "idx"))
     assert loaded.entity.records == mentions
     assert all(type(e) is EntitySpan for e in loaded.entity.records)
 
@@ -297,7 +298,7 @@ def _small_index(tmp_path):
 # u32 count and that many items: 1-byte ones for a string table's UTF-8
 # text, u32 ones for every other column.
 _LAYOUT = {
-    "tree.idx": ["starts", "left", "right", "depth"],
+    "tree.idx": ["starts", "left", "right", "heads", "doc_ids.ends", "doc_ids.text", "doc_starts"],
     "word.idx": ["words.ends", "words.text", "ptr", "flat"],
     "entity.idx": [
         "etypes.ends", "etypes.text", "sid", "start", "end", "etype_id", "surfaces.ends", "surfaces.text",
@@ -383,8 +384,6 @@ def test_trailing_bytes_rejected(tmp_path):
 
 
 def test_postings_decoded_and_checked_on_first_lookup(tmp_path):
-    from koko.corpus import Corpus
-
     docs, bundle, d = _small_index(tmp_path)
     path = d / "word.idx"
     raw = bytearray(path.read_bytes())
@@ -396,19 +395,10 @@ def test_postings_decoded_and_checked_on_first_lookup(tmp_path):
     raw[offset_at : offset_at + 4] = struct.pack("<I", bundle.token_count)
     path.write_bytes(bytes(raw))
     _rewrite_checksum(d, "word.idx")
-    loaded = load_bundle(str(d), corpus=Corpus(docs))
+    loaded = load_bundle(str(d))
     assert loaded.word.lookup(words[1]) == bundle.word.lookup(words[1])
     with pytest.raises(KokoInputError, match="outside the corpus"):
         loaded.word.lookup(words[0])
-
-
-def test_corpus_with_other_sentence_lengths_rejected(tmp_path):
-    docs, _, d = _small_index(tmp_path)
-    other = synthesize_corpus(7, 40)
-    lengths = [len(s) for doc in docs for s in doc.sentences]
-    assert [len(s) for doc in other for s in doc.sentences] != lengths
-    with pytest.raises(KokoInputError, match="sentence lengths"):
-        load_bundle(str(d), corpus=Corpus(other))
 
 
 def test_posting_block_out_of_order_rejected_on_lookup(tmp_path):
@@ -428,7 +418,7 @@ def test_posting_block_out_of_order_rejected_on_lookup(tmp_path):
     raw[block : block + 8] = struct.pack("<2I", b, a)
     path.write_bytes(bytes(raw))
     _rewrite_checksum(d, "word.idx")
-    loaded = load_bundle(str(d), corpus=Corpus(docs))
+    loaded = load_bundle(str(d))
     with pytest.raises(KokoInputError, match="out of order"):
         loaded.word.lookup(word)
 
@@ -446,7 +436,7 @@ def test_tree_entry_past_its_sentence_rejected_on_lookup(tmp_path):
     raw[right_at : right_at + 4] = struct.pack("<I", starts[1])
     path.write_bytes(bytes(raw))
     _rewrite_checksum(d, "tree.idx")
-    loaded = load_bundle(str(d), corpus=Corpus(docs))
+    loaded = load_bundle(str(d))
     word = docs[0].sentences[0].tokens[0]
     other = next(w for w, plist in bundle.word.postings.items() if plist[0] != 0)
     assert loaded.word.lookup(other) == bundle.word.lookup(other)
@@ -457,7 +447,7 @@ def test_tree_entry_past_its_sentence_rejected_on_lookup(tmp_path):
 def test_save_of_a_loaded_index_is_byte_identical(tmp_path):
     docs, _, d = _small_index(tmp_path)
     again = tmp_path / "again"
-    save_bundle(load_bundle(str(d), corpus=Corpus(docs)), str(again))
+    save_bundle(load_bundle(str(d)), str(again))
     names = sorted(p.name for p in d.iterdir())
     assert names == sorted(p.name for p in again.iterdir())
     for name in names:
@@ -468,13 +458,11 @@ def test_corrupted_index_loads_to_rows_or_input_error(tmp_path):
     import os
     import random
 
-    from koko.corpus import open_canonical, serialize_corpus
     from koko.engine import run_query
-    from koko.indexes import fingerprint_bytes
     from koko.parser import parse_query
 
     docs, _, d = _small_index(tmp_path)
-    data = serialize_corpus(docs).encode("utf-8")
+    fingerprint = corpus_fingerprint(docs)
     names = sorted(os.listdir(d))
     assert "entity.idx" in names
     files = {name: (d / name).read_bytes() for name in names}
@@ -491,8 +479,8 @@ def test_corrupted_index_loads_to_rows_or_input_error(tmp_path):
     ]
 
     def answers(directory):
-        corpus = open_canonical(data, "c.tsv")
-        bundle = load_bundle(directory, expected_fingerprint=fingerprint_bytes(data), corpus=corpus)
+        bundle = load_bundle(directory, expected_fingerprint=fingerprint)
+        corpus = open_corpus(bundle)
         return [sorted(r.key() for r in run_query(q, corpus, bundle).rows) for q in queries]
 
     clean = answers(str(d))
@@ -530,9 +518,8 @@ def _label_path(index, node_id):
     """Labels from the top down to the node, super-root excluded."""
     labels = []
     while node_id > 0:
-        node = index.nodes[node_id]
-        labels.append(node.label)
-        node_id = node.parent
+        labels.append(index.labels[node_id])
+        node_id = index.parents[node_id]
     return labels[::-1]
 
 
@@ -569,7 +556,7 @@ def _hierarchies(seed: int, loaded: bool):
 
 
 _HIERARCHY_LABELS = sorted(
-    {node.label for seed in (5, 29) for h in _hierarchies(seed, False).values() for node in h.nodes[1:]}
+    {label for seed in (5, 29) for h in _hierarchies(seed, False).values() for label in h.labels[1:]}
 )
 _steps = st.lists(
     st.tuples(
@@ -590,7 +577,7 @@ def test_range_filter_matches_reference_walk(seed, which, loaded, steps):
     index = _hierarchies(seed, loaded)[which]
     expected = {
         node_id
-        for node_id in range(1, len(index.nodes))
+        for node_id in range(1, len(index.labels))
         if _reference_match(_label_path(index, node_id), steps)
     }
     assert index.match_nodes(steps) == expected
@@ -650,7 +637,7 @@ def test_string_tables_round_trip_odd_strings(tmp_path):
     assert loaded == bundle
     assert list(loaded.word.postings) == list(bundle.word.postings)
     for index in (loaded.pl, loaded.pos):
-        assert set(_ODD) <= {node.label for node in index.nodes}
+        assert set(_ODD) <= set(index.labels)
     assert loaded.entity.records == bundle.entity.records
     assert {e.etype for e in loaded.entity.records} == {"", "\x00", "\u2028T", "\U0001d538"}
 
@@ -735,6 +722,59 @@ def _words_out_of_order(raw):
     _set_u32(raw, ends + 4, _u32(raw, ends))
 
 
+def _doc_starts_out_of_order(raw):
+    at = _offsets(raw, "tree.idx")["doc_starts"]
+    assert _u32(raw, at) == 0 < _u32(raw, at + 4)
+    _set_u32(raw, at, _u32(raw, at + 4) + 1)
+
+
+def _doc_starts_past_the_sentences(raw):
+    at = _offsets(raw, "tree.idx")
+    sentences = _u32(raw, at["starts"] - 4) - 1
+    last = at["doc_starts"] + 4 * (_u32(raw, at["doc_starts"] - 4) - 1)
+    _set_u32(raw, last, sentences + 1)
+
+
+def _entity_records_overlap(raw):
+    # The first record's sentence and end given to the second, whose
+    # start is at most that end.
+    at = _offsets(raw, "entity.idx")
+    _set_u32(raw, at["sid"] + 4, _u32(raw, at["sid"]))
+    _set_u32(raw, at["start"] + 4, _u32(raw, at["end"]))
+    _set_u32(raw, at["end"] + 4, _u32(raw, at["end"]))
+
+
+def _super_root_holds_postings(raw):
+    # The first posting moved from node 1's list to the super-root's.
+    _set_u32(raw, _offsets(raw, "pl.idx")["ptr"] + 4, 1)
+
+
+def _siblings_share_a_label(raw):
+    at = _offsets(raw, "pl.idx")
+    parents = struct.unpack_from(f"<{_u32(raw, at['parent'] - 4)}I", raw, at["parent"])
+    first = {}
+    for i, parent in enumerate(parents):
+        if parent in first:
+            _set_u32(raw, at["label_id"] + 4 * i, _u32(raw, at["label_id"] + 4 * first[parent]))
+            return
+        first[parent] = i
+    raise AssertionError("no two nodes share a parent")
+
+
+def _posting_repeated(raw):
+    flat = _offsets(raw, "pl.idx")["flat"]
+    _set_u32(raw, flat + 4, _u32(raw, flat))
+
+
+def _posting_added(raw):
+    # The last list's last posting, once more: every token is still held.
+    flat = _offsets(raw, "pl.idx")["flat"]
+    n = _u32(raw, flat - 4)
+    _set_u32(raw, flat - 4, n + 1)
+    _set_u32(raw, flat - 8, n + 1)
+    raw[flat + 4 * n : flat + 4 * n] = raw[flat + 4 * (n - 1) : flat + 4 * n]
+
+
 def _drop_last(name, part):
     """A corruption that drops the last entry of one column."""
 
@@ -758,9 +798,17 @@ def _drop_last(name, part):
         ("pl.idx", _parent_not_below_its_node, "node record 2 has parent 2"),
         ("entity.idx", _string_ends_out_of_order, "string end offsets"),
         ("word.idx", _words_out_of_order, "words out of order"),
-        ("tree.idx", _drop_last("tree.idx", "depth"), "tree columns do not hold"),
+        ("tree.idx", _drop_last("tree.idx", "heads"), "tree columns do not hold"),
         ("entity.idx", _drop_last("entity.idx", "end"), "entity columns differ"),
         ("pl.idx", _drop_last("pl.idx", "parent"), "node columns differ"),
+        ("tree.idx", _doc_starts_out_of_order, "document table out of order"),
+        ("tree.idx", _doc_starts_past_the_sentences, "document table out of order or past"),
+        ("tree.idx", _drop_last("tree.idx", "doc_starts"), "document table"),
+        ("entity.idx", _entity_records_overlap, "entity records overlap"),
+        ("pl.idx", _super_root_holds_postings, "super-root holds postings"),
+        ("pl.idx", _siblings_share_a_label, "share a label"),
+        ("pl.idx", _posting_repeated, "do not hold every token once"),
+        ("pl.idx", _posting_added, "do not hold every token once"),
     ],
     ids=lambda v: getattr(v, "__name__", None),
 )
@@ -774,3 +822,132 @@ def test_structural_checks_reject_a_faulty_writer(tmp_path, name, corrupt, messa
     _rewrite_checksum(d, name)
     with pytest.raises(KokoInputError, match=message):
         load_bundle(str(d))
+
+
+# ---------------------------------------------------------------------------
+# The corpus built from the index
+
+
+def _documents(corpus):
+    return [
+        AnnotatedDocument(doc_id, [corpus.sentence(sid) for sid in corpus.doc_sids(i)])
+        for i, doc_id in enumerate(corpus.doc_ids)
+    ]
+
+
+def _assert_round_trip(text: str, directory: str) -> None:
+    """The index of the canonical corpus `text`, saved and loaded, gives
+    back the corpus: the same TSV bytes and the manifest's fingerprint."""
+    docs = parse_corpus(text)
+    built = build_indexes(docs)
+    save_bundle(built, directory)
+    loaded = load_bundle(directory)
+    assert loaded == built
+    for bundle in (built, loaded):
+        corpus = open_corpus(bundle)
+        again = _documents(corpus)
+        assert serialize_corpus(again) == text
+        assert corpus_fingerprint(again) == loaded.fingerprint
+        assert list(corpus.sentence_lengths) == [len(s) for doc in docs for s in doc.sentences]
+        assert [e for s in corpus.sentences for e in s.entities] == loaded.entity.records
+        # Built once, and addressed from the end too.
+        assert not len(corpus) or corpus.sentences[-1] is corpus.sentence(len(corpus) - 1)
+        parsed = Corpus(docs)
+        assert [corpus.doc_index_of(sid) for sid in range(len(corpus))] == [
+            parsed.doc_index_of(sid) for sid in range(len(parsed))
+        ]
+
+
+def test_index_built_corpus_round_trips_ex31(tmp_path):
+    with open(data_path("corpus", "ex31.tsv"), encoding="utf-8") as f:
+        text = serialize_corpus(parse_corpus(f.read()))
+    _assert_round_trip(text, str(tmp_path / "idx"))
+
+
+def _adjacent_mentions(s, at: int):
+    """`s` with its entity tags replaced by two mentions of one type side
+    by side (B-X B-X I-X), from tid `at` on."""
+    n = len(s)
+    at %= max(1, n - 1)
+    etypes, iobs = [None] * n, [None] * n
+    for tid, iob in zip(range(at, n), "BBI"):
+        etypes[tid], iobs[tid] = "Person", iob
+    return Sentence(s.sid, s.tokens, s.pos, s.labels, s.heads, etypes, iobs)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    seed=st.sampled_from([7, 31, 777]),
+    n=st.integers(0, 45),
+    per_doc=st.integers(1, 12),
+    empty=st.lists(st.integers(0, 10), max_size=3),
+    adjacent=st.lists(st.tuples(st.integers(0, 44), st.integers(0, 12)), max_size=4),
+)
+def test_index_built_corpus_round_trips(seed, n, per_doc, empty, adjacent):
+    # The differential tests' synthetic corpora, with empty documents and
+    # adjacent mentions of one type.
+    docs = synthesize_corpus(seed, n, entity_rate=0.5, sentences_per_doc=per_doc)
+    sentences = [s for doc in docs for s in doc.sentences]
+    for sid, at in adjacent:
+        if sid < n:
+            sentences[sid] = _adjacent_mentions(sentences[sid], at)
+    docs = [
+        AnnotatedDocument(doc.doc_id, sentences[doc.sentences[0].sid : doc.sentences[-1].sid + 1])
+        for doc in docs
+    ]
+    for i, at in enumerate(empty):
+        docs.insert(min(at, len(docs)), AnnotatedDocument(f"empty{i}"))
+    with tempfile.TemporaryDirectory() as d:
+        _assert_round_trip(serialize_corpus(docs), d)
+
+
+def _head_outside(raw, s):
+    _set_u32(raw, _offsets(raw, "tree.idx")["heads"], len(s))
+
+
+def _second_root(raw, s):
+    tid = next(tid for tid, head in enumerate(s.heads) if head is not None)
+    _set_u32(raw, _offsets(raw, "tree.idx")["heads"] + 4 * tid, NO_HEAD)
+
+
+def _no_root(raw, s):
+    _set_u32(raw, _offsets(raw, "tree.idx")["heads"] + 4 * s.root_tid, 1 if s.root_tid == 0 else 0)
+
+
+def _head_cycle(raw, s):
+    a, b = [tid for tid, head in enumerate(s.heads) if head is not None][:2]
+    heads = _offsets(raw, "tree.idx")["heads"]
+    _set_u32(raw, heads + 4 * a, b)
+    _set_u32(raw, heads + 4 * b, a)
+
+
+def _tree_data_differs(raw, s):
+    # The root's subtree starts at tid 0.
+    assert s.left[s.root_tid] == 0
+    _set_u32(raw, _offsets(raw, "tree.idx")["left"] + 4 * s.root_tid, 1)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_head_outside, "sentence 0: a head lies outside the sentence"),
+        (_second_root, "sentence 0: 2 roots, expected exactly 1"),
+        (_no_root, "sentence 0: 0 roots, expected exactly 1"),
+        (_head_cycle, "sentence 0: the heads run in a cycle"),
+        (_tree_data_differs, "sentence 0: its tree data differ from the token table's"),
+    ],
+    ids=lambda v: getattr(v, "__name__", None),
+)
+def test_sentence_checks_reject_a_faulty_writer(tmp_path, corrupt, message):
+    # The head or tree column of sentence 0 is wrong in a file whose
+    # checksum matches; the sentence is rejected when it is built, and the
+    # others still build.
+    docs, _, d = _small_index(tmp_path)
+    raw = bytearray((d / "tree.idx").read_bytes())
+    corrupt(raw, docs[0].sentences[0])
+    (d / "tree.idx").write_bytes(bytes(raw))
+    _rewrite_checksum(d, "tree.idx")
+    corpus = open_corpus(load_bundle(str(d)))
+    assert corpus.sentence(1) == docs[0].sentences[1]
+    with pytest.raises(KokoInputError, match=message):
+        corpus.sentence(0)
