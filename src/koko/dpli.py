@@ -9,6 +9,13 @@ but possibly over-approximate; the validation stage makes it exact. A
 path that one hierarchy lookup answers whole (`DecomposedPath.exact`)
 yields exactly its matches, and its binding skips validation.
 
+Every index-bound variable's candidates have one shape, `VarBinding.offsets`:
+the sorted global offset of each candidate's first token (a node's token,
+a literal's first word, an entity record's first token), with an entity's
+records alongside, one per offset. A literal's candidates come from a
+positional phrase intersection, and a sentence's candidates are the
+offsets inside the sentence's token range (`BindingTable.bounds`).
+
 Depth bookkeeping: step i of a pattern can bind tokens no shallower than
 i edges below the virtual root anchor (token depth i-1 at least, exactly
 that when no ``//`` appears up to i), and two concrete words k steps apart
@@ -18,11 +25,13 @@ must differ in depth by at least k.
 from __future__ import annotations
 
 from array import array
-from collections import Counter
-from collections.abc import Callable, Mapping
+from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import repeat
+from operator import sub
 
+from .corpus import EntitySpan
 from .errors import KokoDecomposeError
 from .indexes import IndexBundle, TokenTable
 from .normalize import ANY_ENTITY, ENTITY, NODE, WORDSEQ, NormalizedQuery, NormVar
@@ -250,53 +259,17 @@ def join_all(
 # Candidate bindings
 
 
-class SidRuns(Mapping):
-    """Entries sorted by sid, looked up by sid; `key` gives an entry's sid.
-
-    Holds the one list and, per sid, the (start, end) bounds of its run,
-    instead of a container per sid. The bounds are tuples of ints, which
-    the garbage collector stops tracking at its first young collection;
-    containers of records stay tracked and would be promoted into the old
-    generation, triggering full collections over the whole corpus.
-    """
-
-    __slots__ = ("entries", "runs")
-
-    def __init__(self, entries: list, key: Callable = itemgetter(0)) -> None:
-        self.entries = entries
-        self.runs: dict[int, tuple[int, int]] = {}
-        start = 0
-        for sid, k in Counter(map(key, entries)).items():
-            self.runs[sid] = (start, start + k)
-            start += k
-
-    def __getitem__(self, sid: int) -> list:
-        start, end = self.runs[sid]
-        return self.entries[start:end]
-
-    def get(self, sid: int, default=None):
-        run = self.runs.get(sid)
-        return default if run is None else self.entries[run[0] : run[1]]
-
-    def __iter__(self):
-        return iter(self.runs)
-
-    def __len__(self) -> int:
-        return len(self.runs)
-
-
 @dataclass
 class VarBinding:
     var: NormVar
-    by_sid: SidRuns = field(default_factory=lambda: SidRuns([]))
+    # The global offset of each candidate's first token, sorted: a node's
+    # token, a literal's first word, an entity record's first token.
+    offsets: Sequence[int] = field(default_factory=list)
+    records: list[EntitySpan] | None = None  # an entity variable's, one per offset
     index_bound: bool = False
     exact: bool = False  # the candidates need no path validation
     derived_from: str | None = None  # dominant variable for dominated node vars
     prefix_len: int = 0
-
-    def count(self, sid: int) -> int:
-        start, end = self.by_sid.runs.get(sid, (0, 0))
-        return end - start
 
 
 @dataclass
@@ -314,13 +287,21 @@ class BindingTable:
     bindings: dict[str, VarBinding]
     candidate_sids: list[int]
     dominance: dict[str, tuple[str, int]]
-    starts: array  # node candidates are token offsets, starts[sid] + tid
+    starts: array  # candidates are token offsets, starts[sid] + tid
     info: list[DominantInfo] = field(default_factory=list)
 
-    def node_tids(self, var: str, sid: int) -> list[int]:
-        """The token ids of a node variable's candidates in one sentence."""
-        base = self.starts[sid]
-        return [o - base for o in self.bindings[var].by_sid.get(sid, ())]
+    def bounds(self, var: str, sid: int) -> tuple[int, int]:
+        """(lo, hi): a variable's candidates in sentence sid are its
+        ``offsets[lo:hi]`` (and ``records[lo:hi]``), found by bisection."""
+        offsets = self.bindings[var].offsets
+        lo = bisect_left(offsets, self.starts[sid])
+        return lo, bisect_left(offsets, self.starts[sid + 1], lo)
+
+    def tids(self, var: str, sid: int) -> list[int]:
+        """The token ids of a variable's candidates' first tokens in one
+        sentence."""
+        lo, hi = self.bounds(var, sid)
+        return list(map(sub, self.bindings[var].offsets[lo:hi], repeat(self.starts[sid])))
 
     def describe(self) -> str:
         lines = ["dominant paths:"]
@@ -342,11 +323,13 @@ def candidate_bindings(n: NormalizedQuery, bundle: IndexBundle) -> BindingTable:
     bindings: dict[str, VarBinding] = {}
     dominance = dominant_paths(n)
     info: list[DominantInfo] = []
+    starts = bundle.tokens.starts
 
     for var in n.variables.values():
         if var.kind == ENTITY:
             records = bundle.entity.lookup(None if var.etype == ANY_ENTITY else var.etype)
-            bindings[var.name] = VarBinding(var=var, by_sid=SidRuns(records), index_bound=True)
+            offsets = [starts[r.sid] + r.start for r in records]
+            bindings[var.name] = VarBinding(var=var, offsets=offsets, records=records, index_bound=True)
         elif var.kind == NODE:
             dom, plen = dominance[var.name]
             if dom == var.name:
@@ -356,22 +339,23 @@ def candidate_bindings(n: NormalizedQuery, bundle: IndexBundle) -> BindingTable:
                     var=var, index_bound=True, derived_from=dom, prefix_len=plen
                 )
         elif var.kind == WORDSEQ:
-            spans = _word_seq_spans(bundle, var.tokens)
-            bindings[var.name] = VarBinding(var=var, by_sid=SidRuns(spans), index_bound=True)
+            offsets = _word_seq_starts(bundle, var.tokens)
+            bindings[var.name] = VarBinding(var=var, offsets=offsets, index_bound=True)
         else:
             bindings[var.name] = VarBinding(var=var)
 
-    # Dominated variables share their dominant's posting lists for cost
+    # Dominated variables share their dominant's candidates for cost
     # purposes; candidate derivation happens per sentence at plan time.
     for name, vb in bindings.items():
         if vb.derived_from is not None:
-            vb.by_sid = bindings[vb.derived_from].by_sid
+            vb.offsets = bindings[vb.derived_from].offsets
 
     # A tuple binds every variable in one sentence, so only sentences in
     # every index-bound variable's postings can hold one; `extract
     # x:Entity … if ()` reads its candidates off the entity index.
+    sid_of = bundle.tokens.sid_of
     sid_sets = [
-        set(vb.by_sid)
+        set(map(sid_of.__getitem__, vb.offsets))
         for vb in bindings.values()
         if vb.index_bound and vb.derived_from is None
     ]
@@ -383,7 +367,7 @@ def candidate_bindings(n: NormalizedQuery, bundle: IndexBundle) -> BindingTable:
         bindings=bindings,
         candidate_sids=candidate_sids,
         dominance=dominance,
-        starts=bundle.tokens.starts,
+        starts=starts,
         info=info,
     )
 
@@ -397,30 +381,27 @@ def _bind_dominant(var: NormVar, bundle: IndexBundle, info: list[DominantInfo]) 
         # Only wildcards after the last word, if any: the skeleton still
         # constrains the last step; resolve it through the PL hierarchy.
         p1 = bundle.pl.lookup(dp.pl_steps)
-    entries = join_all(p1, p2, q, dp, bundle.tokens)
+    offsets = join_all(p1, p2, q, dp, bundle.tokens)
     info.append(DominantInfo(
         var=var.name,
         decomposed=dp,
         p1_size=None if p1 is None else len(p1),
         p2_size=None if p2 is None else len(p2),
         q_size=None if q is None else len(q),
-        result_size=len(entries),
+        result_size=len(offsets),
     ))
-    by_sid = SidRuns(entries, bundle.tokens.sid_of.__getitem__)
-    return VarBinding(var=var, by_sid=by_sid, index_bound=True, exact=dp.exact)
+    return VarBinding(var=var, offsets=offsets, index_bound=True, exact=dp.exact)
 
 
-def _word_seq_spans(bundle: IndexBundle, tokens: tuple[str, ...]) -> list[tuple[int, int, int]]:
-    """(sid, start, end) occurrences of a literal token sequence."""
+def _word_seq_starts(bundle: IndexBundle, tokens: tuple[str, ...]) -> list[int]:
+    """The sorted offsets where a literal token sequence occurs, by its
+    first token: the offsets of word k, minus k, intersected over every k
+    (a positional phrase intersection), then cut to the occurrences that
+    end in the sentence they start in."""
     if not tokens:
         return []
-    starts, sid_of = bundle.tokens.starts, bundle.tokens.sid_of
-    last = len(tokens) - 1
-    later = [set(bundle.word.lookup(tok)) for tok in tokens[1:]]
-    out = []
-    for o in bundle.word.lookup(tokens[0]):
-        sid = sid_of[o]
-        if o + last < starts[sid + 1] and all(o + k + 1 in keys for k, keys in enumerate(later)):
-            start = o - starts[sid]
-            out.append((sid, start, start + last))
-    return out
+    found = set(bundle.word.lookup(tokens[0]))
+    for k, token in enumerate(tokens[1:], 1):
+        found.intersection_update(map(sub, bundle.word.lookup(token), repeat(k)))
+    starts, sid_of, last = bundle.tokens.starts, bundle.tokens.sid_of, len(tokens) - 1
+    return sorted(o for o in found if o + last < starts[sid_of[o] + 1])

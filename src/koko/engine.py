@@ -3,9 +3,9 @@ evaluation, evidence aggregation.
 
 A query whose plan is one enumeration op and no check op (one variable
 that the index answers exactly, see `gsp.direct_binding`) is answered
-straight from its postings: one pass over the binding's entries projects
-each value by its offset (`gsp.run_direct`), with no skip plan, no
-compiled loop and no candidate tuple per sentence.
+from the index alone: one pass over the binding's candidate offsets
+reads each value from the index (`gsp.run_direct`), with no skip plan,
+no compiled loop, no candidate tuple and no sentence built.
 
 Every other query's candidate sentences are evaluated in one loop, in
 sentence order. The loop plans each sentence (plans are memoized on their
@@ -90,7 +90,7 @@ def run_query(
     stats = EvalStats()
     direct = direct_binding(n, table) if use_gsp else None
     if direct is not None:
-        tuples = run_direct(direct, table.starts, corpus, stats)
+        tuples = run_direct(direct, bundle, stats)
     else:
         tuples = _nested_loops(n, table, corpus, stats, use_gsp)
     t2 = time.perf_counter()

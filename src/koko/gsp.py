@@ -17,8 +17,12 @@ arguments. Running it on a sentence only enumerates, derives and emits.
 The degenerate plan is one enumeration op and no check op: a query with
 one variable that the index answers exactly (`direct_binding`). Its
 candidates are its tuples, so `run_direct` emits them in one pass over
-the binding's postings, projected by offset, with no plan per sentence,
-no compiled loop and no `CandidateTuple`.
+the binding's candidate offsets, each value read from the index, with no
+plan per sentence, no compiled loop, no `CandidateTuple` and no
+`Sentence`.
+
+An enumerated variable's candidates in a sentence are the slice of its
+binding's sorted offsets that `BindingTable.bounds` finds by bisection.
 
 Every surviving combination is validated against the real dependency
 tree: each node variable's full path is re-checked by walking head links,
@@ -31,13 +35,15 @@ exception is a node variable enumerated from an exact binding (see
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
+from operator import attrgetter
 from typing import Callable, NamedTuple
 
-from .corpus import Corpus, Sentence
+from .corpus import Corpus, Sentence, detokenize
 from .dpli import BindingTable, VarBinding
+from .indexes import IndexBundle
 from .normalize import (
     ANY_ENTITY,
     COMPOSITE,
@@ -108,15 +114,13 @@ def estimate_cost(var_name: str, sid: int, table: BindingTable, sentence_len: in
     Elastic variables cost t(t+1)/2 spans; everything else costs its
     candidate count, with subtree aliases priced as their base variable.
     """
-    vb = table.bindings[var_name]
-    kind = vb.var.kind
-    if kind == ELASTIC:
+    var = table.bindings[var_name].var
+    if var.kind == ELASTIC:
         return sentence_len * (sentence_len + 1) // 2
-    if kind == SUBTREE:
-        return table.bindings[vb.var.of].count(sid)
-    if kind == COMPOSITE:
+    if var.kind == COMPOSITE:
         return 0
-    return vb.count(sid)
+    lo, hi = table.bounds(var.of if var.kind == SUBTREE else var_name, sid)
+    return hi - lo
 
 
 def generate_skip_plan(
@@ -199,36 +203,25 @@ def direct_binding(n: NormalizedQuery, table: BindingTable) -> VarBinding | None
     return vb if var.kind in (WORDSEQ, ENTITY) else None
 
 
-def run_direct(
-    vb: VarBinding, starts: Sequence[int], corpus: Corpus, stats: EvalStats
-) -> list[tuple[int, tuple[str]]]:
+def run_direct(vb: VarBinding, bundle: IndexBundle, stats: EvalStats) -> list[tuple[int, tuple[str]]]:
     """A direct plan's tuples, projected (see `aggregate.projected_names`),
-    in one pass over the binding's entries, which are in the order the
-    nested loop would emit them. A node's value is the word at its offset,
-    a word sequence's its detokenized text and an entity's its surface;
-    each sentence is read once, and an entity's not at all. `stats` gets
-    the nested loop's counts: one iteration and one tuple per entry, no
-    check."""
-    entries = vb.by_sid.entries
+    one per candidate offset, in the order the nested loop would emit
+    them, read from the index alone: a node's value is the word at its
+    offset (`WordIndex.texts`), a literal's its own words detokenized,
+    which every occurrence repeats, and an entity's its record's surface.
+    No sentence is built. `stats` gets the nested loop's counts: one
+    iteration and one tuple per candidate, no check."""
+    offsets = vb.offsets
     kind = vb.var.kind
-    sentences = corpus.sentences
-    out: list[tuple[int, tuple[str]]] = []
-    emit = out.append
     if kind == ENTITY:
-        out += [(rec.sid, (rec.surface,)) for rec in entries]
+        values = map(attrgetter("surface"), vb.records)
     elif kind == WORDSEQ:
-        for sid, (a, b) in vb.by_sid.runs.items():
-            text = sentences[sid].text
-            for _, start, end in entries[a:b]:
-                emit((sid, (text(start, end),)))
+        values = repeat(detokenize(vb.var.tokens), len(offsets))
     else:
-        for sid, (a, b) in vb.by_sid.runs.items():
-            tokens = sentences[sid].tokens
-            base = starts[sid]
-            for o in entries[a:b]:
-                emit((sid, (tokens[o - base],)))
-    stats.loop_iterations += len(entries)
-    stats.tuples += len(entries)
+        values = map(bundle.word.texts().__getitem__, offsets)
+    out = list(zip(map(bundle.tokens.sid_of.__getitem__, offsets), zip(values)))
+    stats.loop_iterations += len(out)
+    stats.tuples += len(out)
     return out
 
 
@@ -359,16 +352,22 @@ class CompiledPlan:
 
     def _enumerator(self, var: NormVar) -> Callable[[Sentence, dict], list[Bound]]:
         vb = self.table.bindings[var.name]
-        by_sid = vb.by_sid
+        tids, bounds = self.table.tids, self.table.bounds
         if var.kind == NODE:
             if vb.derived_from is not None:
                 return self._dominated_enumerator(vb)
-            node_tids = self.table.node_tids
-            return lambda s, env: [Bound(t, t, t) for t in node_tids(var.name, s.sid)]
+            return lambda s, env: [Bound(t, t, t) for t in tids(var.name, s.sid)]
         if var.kind == ENTITY:
-            return lambda s, env: [Bound(r.start, r.end, None, r) for r in by_sid.get(s.sid, ())]
+            records = vb.records
+
+            def entities(s: Sentence, env: dict) -> list[Bound]:
+                lo, hi = bounds(var.name, s.sid)
+                return [Bound(r.start, r.end, None, r) for r in records[lo:hi]]
+
+            return entities
         if var.kind == WORDSEQ:
-            return lambda s, env: [Bound(start, end) for _, start, end in by_sid.get(s.sid, ())]
+            last = len(var.tokens) - 1
+            return lambda s, env: [Bound(t, t + last) for t in tids(var.name, s.sid)]
 
         def spans(s: Sentence, env: dict) -> list[Bound]:
             assert var.kind == ELASTIC, f"{var.name} ({var.kind}) cannot be enumerated"
@@ -387,12 +386,12 @@ class CompiledPlan:
         tail = self.n.var(vb.derived_from).path.steps[vb.prefix_len :]
         dmin = len(tail)
         bounded = all(st.axis == "/" for st in tail)
-        node_tids = self.table.node_tids
+        dominant_tids = self.table.tids
 
         def candidates(s: Sentence, env: dict) -> list[Bound]:
             heads = s.heads
             tids: set[int] = set()
-            for cur in node_tids(vb.derived_from, s.sid):
+            for cur in dominant_tids(vb.derived_from, s.sid):
                 dist = 0
                 while True:
                     head = heads[cur]

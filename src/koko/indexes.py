@@ -42,7 +42,6 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import accumulate, chain, count, repeat
 from operator import add, attrgetter, le, lt, sub
 
@@ -108,14 +107,17 @@ class TokenTable:
 class PostingLists(Mapping):
     """The posting lists of an index by key (a word, or a node id), as two
     columns: key i's list is ``flat[ptr[i]:ptr[i + 1]]``. A list read from
-    a file is checked on its first read (`check`); a built one is trusted."""
+    a file is checked on its first read (`check`, given the list and
+    `where`, the file's name for error messages); a built one is trusted."""
 
     def __init__(
-        self, keys: Sequence, ptr: array, flat: array, check: Callable[[array], None] | None = None
+        self, keys: Sequence, ptr: array, flat: array,
+        check: Callable[[array, str], None] | None = None, where: str = "",
     ) -> None:
         self._keys = keys
         self.ptr = ptr
         self.flat = flat
+        self.where = where
         self._at = dict(zip(keys, count()))
         self._check = check
         self._checked = bytearray(len(keys))
@@ -135,7 +137,7 @@ class PostingLists(Mapping):
         i = self._at[key]
         plist = self.flat[self.ptr[i] : self.ptr[i + 1]]
         if self._check is not None and not self._checked[i]:
-            self._check(plist)
+            self._check(plist, self.where)
             self._checked[i] = 1
         return plist
 
@@ -145,7 +147,7 @@ class PostingLists(Mapping):
     def __len__(self) -> int:
         return len(self._keys)
 
-    def owners(self, size: int, where: str) -> array:
+    def owners(self, size: int) -> array:
         """The index inverted into a forward column: the key position of the
         list holding each offset 0 .. size - 1, which must occur once each."""
         if self._owners is None:
@@ -160,7 +162,7 @@ class PostingLists(Mapping):
                 # (None, which the array rejects) means another repeated.
                 self._owners = array(_TYPECODE, owners)
             except (IndexError, TypeError):
-                raise KokoInputError(f"{where}: the posting lists do not hold every token once") from None
+                raise KokoInputError(f"{self.where}: the posting lists do not hold every token once") from None
         return self._owners
 
     def __eq__(self, other: object) -> bool:
@@ -176,6 +178,15 @@ class PostingLists(Mapping):
 class WordIndex:
     tokens: TokenTable = field(repr=False, compare=False)
     postings: PostingLists  # by word, in sorted order
+    _texts: list[str] | None = field(default=None, repr=False, compare=False)
+
+    def texts(self) -> list[str]:
+        """The word of every token, by offset: the column a build was given,
+        else the postings inverted, once."""
+        if self._texts is None:
+            words = list(self.postings)
+            self._texts = list(map(words.__getitem__, self.postings.owners(self.tokens.starts[-1])))
+        return self._texts
 
     def lookup(self, word: str) -> array:
         return self.postings.get(word) or array(_TYPECODE)
@@ -376,7 +387,7 @@ def build_indexes(docs: list[AnnotatedDocument]) -> IndexBundle:
     texts = list(chain.from_iterable(s.tokens for s in sentences))
     pl, pos = _merged_trees(sentences)
     return IndexBundle(
-        word=WordIndex(tokens, PostingLists.grouped(texts, sorted(set(texts)))),
+        word=WordIndex(tokens, PostingLists.grouped(texts, sorted(set(texts))), texts),
         entity=EntityIndex([e for s in sentences for e in s.entities]),
         pl=pl,
         pos=pos,
@@ -531,7 +542,7 @@ class _IndexFile:
         ptr, flat = self.column(), self.column()
         if len(ptr) != len(keys) + 1 or ptr[0] != 0 or ptr[-1] != len(flat) or not all(map(le, ptr, ptr[1:])):
             raise self.fail(f"posting list bounds do not rise from 0 to {len(flat)} over {len(keys)} lists")
-        return PostingLists(keys, ptr, flat, partial(self.tokens.check, where=self.path))
+        return PostingLists(keys, ptr, flat, self.tokens.check, self.path)
 
     def end(self) -> None:
         """After the scan: no bytes left over, and the checksum holds."""
@@ -658,7 +669,7 @@ def load_bundle(directory: str, expected_fingerprint: str | None = None) -> Inde
     node_depth = [-1]
     for parent in pl.parents[1:]:
         node_depth.append(node_depth[parent] + 1)
-    owners = pl.postings.owners(starts[-1], os.path.join(directory, "pl.idx"))
+    owners = pl.postings.owners(starts[-1])
     tokens.depth = array(_TYPECODE, map(node_depth.__getitem__, owners))
 
     return IndexBundle(word, entity, pl, pos, tokens, fingerprint, doc_ids, doc_starts, directory)
@@ -667,21 +678,21 @@ def load_bundle(directory: str, expected_fingerprint: str | None = None) -> Inde
 def open_corpus(bundle: IndexBundle) -> Corpus:
     """The corpus the bundle was built from, read from the bundle alone. A
     sentence is built when first read, through the one `Sentence`
-    constructor, from its slices of the word, PL and POS lists inverted,
-    its heads and its entity records (B on a record's first token, I on
-    the rest); one whose heads are no tree, or whose derived tree data
-    differ from the token table's, raises KokoInputError then."""
+    constructor, from its slices of the word column (`WordIndex.texts`)
+    and of the PL and POS lists inverted, its heads and its entity records
+    (B on a record's first token, I on the rest); one whose heads are no
+    tree, or whose derived tree data differ from the token table's, raises
+    KokoInputError then."""
     t = bundle.tokens
-    path = partial(os.path.join, bundle.directory)
-    words, word_of = list(bundle.word.postings), bundle.word.postings.owners(t.starts[-1], path("word.idx"))
-    labels, label_of = bundle.pl.labels, bundle.pl.postings.owners(t.starts[-1], path("pl.idx"))
-    tags, tag_of = bundle.pos.labels, bundle.pos.postings.owners(t.starts[-1], path("pos.idx"))
+    texts = bundle.word.texts()
+    labels, label_of = bundle.pl.labels, bundle.pl.postings.owners(t.starts[-1])
+    tags, tag_of = bundle.pos.labels, bundle.pos.postings.owners(t.starts[-1])
     records = bundle.entity.records
     record_sids = array(_TYPECODE, map(attrgetter("sid"), records))
 
     def build(sid: int) -> Sentence:
         a, b = t.starts[sid], t.starts[sid + 1]
-        where = f"{path('tree.idx')}: sentence {sid}"
+        where = f"{os.path.join(bundle.directory, 'tree.idx')}: sentence {sid}"
         heads = [None if h == NO_HEAD else h for h in t.heads[a:b]]
         if not all(h in range(b - a) for h in heads if h is not None):
             raise KokoInputError(f"{where}: a head lies outside the sentence")
@@ -692,8 +703,8 @@ def open_corpus(bundle: IndexBundle) -> Corpus:
         for rec in records[lo : bisect_right(record_sids, sid, lo)]:
             etypes[rec.start : rec.end + 1] = [rec.etype] * (rec.end + 1 - rec.start)
             iobs[rec.start : rec.end + 1] = ["B"] + ["I"] * (rec.end - rec.start)
-        texts, pos = map(words.__getitem__, word_of[a:b]), map(tags.__getitem__, tag_of[a:b])
-        s = Sentence(sid, texts, pos, map(labels.__getitem__, label_of[a:b]), heads, etypes, iobs)
+        pos = map(tags.__getitem__, tag_of[a:b])
+        s = Sentence(sid, texts[a:b], pos, map(labels.__getitem__, label_of[a:b]), heads, etypes, iobs)
         if -1 in s.depth:
             raise KokoInputError(f"{where}: the heads run in a cycle at tid {s.depth.index(-1)}")
         if (s.left, s.right, s.depth) != (tuple(t.left[a:b]), tuple(t.right[a:b]), tuple(t.depth[a:b])):

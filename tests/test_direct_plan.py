@@ -14,10 +14,11 @@ import json
 import pytest
 
 import koko.engine
+import koko.indexes
 from koko.bench import synthesize_corpus
 from koko.corpus import AnnotatedDocument, Corpus, Sentence
 from koko.engine import run_query
-from koko.indexes import build_indexes
+from koko.indexes import build_indexes, load_bundle, open_corpus, save_bundle
 from koko.oracle import oracle_evaluate
 from koko.parser import parse_query
 
@@ -92,6 +93,27 @@ def test_direct_plan_skips_the_nested_loop(env, evaluated, name):
     assert _stats(run) == _stats(forced)
     assert run.stats.checks == 0 and run.stats.tuples == len(run.tuples)
     assert run.tuples == forced.tuples
+    assert _rows(run) == [
+        (r.key(), json.dumps(r.to_json(), sort_keys=True), r.excluded_by)
+        for r in oracle_evaluate(q, corpus, keep_failed=True)
+    ]
+
+
+@pytest.mark.parametrize("name", ["exact path", "literal", "entity"])
+def test_direct_plan_over_the_index_builds_no_sentence(env, tmp_path, monkeypatch, name):
+    # A direct plan reads its values from the index: the word column, the
+    # literal itself or the entity records.
+    corpus, bundle = env
+    save_bundle(bundle, str(tmp_path))
+    loaded = load_bundle(str(tmp_path))
+    opened = open_corpus(loaded)
+    built = []
+    build = koko.indexes.Sentence
+    monkeypatch.setattr(koko.indexes, "Sentence", lambda *columns: built.append(1) or build(*columns))
+    q = parse_query(DIRECT[name])
+    run = run_query(q, opened, loaded, keep_failed=True)
+    assert run.direct == q.outputs[0][0] and run.rows
+    assert built == []
     assert _rows(run) == [
         (r.key(), json.dumps(r.to_json(), sort_keys=True), r.excluded_by)
         for r in oracle_evaluate(q, corpus, keep_failed=True)

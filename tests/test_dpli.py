@@ -112,10 +112,59 @@ def test_candidate_bindings_ex21_figure1(figure1_bundle):
     n = normalize(load_fixture_query("ex21"))
     table = candidate_bindings(n, figure1_bundle)
     assert table.candidate_sids == [0]
-    assert [r.surface for r in table.bindings["e"].by_sid[0]] == ["chocolate ice cream"]
-    # Dominated variables share the dominant's posting lists.
+    lo, hi = table.bounds("e", 0)
+    assert [r.surface for r in table.bindings["e"].records[lo:hi]] == ["chocolate ice cream"]
+    # Dominated variables share the dominant's candidate offsets.
     assert table.bindings["a"].derived_from == "c"
-    assert table.bindings["a"].by_sid is table.bindings["c"].by_sid
+    assert table.bindings["a"].offsets is table.bindings["c"].offsets
+
+
+# Sentence 0 holds two entity records, sentence 1 none of the node and
+# literal candidates (its "ate" is followed by the next sentence's "a"),
+# and the literal "ate a" ends on the corpus's last token.
+EDGES_TSV = (
+    "0\t0\tRome\tnoun\tnsubj\t1\tB-GPE\n"
+    "0\t1\tis\tverb\troot\t-1\tO\n"
+    "0\t2\tRome\tnoun\tdobj\t1\tB-GPE\n\n"
+    "1\t0\tOslo\tnoun\tnsubj\t1\tB-GPE\n"
+    "1\t1\tate\tverb\troot\t-1\tO\n\n"
+    "2\t0\ta\tdet\tdet\t1\tO\n"
+    "2\t1\tdog\tnoun\tnsubj\t2\tO\n"
+    "2\t2\tate\tverb\troot\t-1\tO\n"
+    "2\t3\ta\tdet\tdobj\t2\tO\n"
+)
+EDGE_QUERIES = {
+    # name: (query, the first tids a scan of a sentence's columns finds)
+    "exact path": (
+        'extract v:Str from "x" if (/ROOT:{ v = //dobj })',
+        lambda s: [t for t in range(len(s)) if s.labels[t] == "dobj"],
+    ),
+    "literal": (
+        'extract v:Str from "x" if (/ROOT:{ v = "ate a" })',
+        lambda s: [t for t in range(len(s)) if s.tokens[t : t + 2] == ("ate", "a")],
+    ),
+    "entity": ('extract v:GPE from "x" if ()', lambda s: [e.start for e in s.entities]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_QUERIES))
+def test_candidates_per_sentence_equal_a_scan(name):
+    text, scan = EDGE_QUERIES[name]
+    docs = parse_corpus(EDGES_TSV)
+    corpus = Corpus(docs)
+    table = candidate_bindings(normalize(parse_query(text)), build_indexes(docs))
+    sids = range(len(corpus))
+    scans = [scan(corpus.sentence(sid)) for sid in sids]
+    assert scans == {"exact path": [[2], [], [3]], "literal": [[], [], [2]], "entity": [[0, 2], [0], []]}[name]
+    assert [table.tids("v", sid) for sid in sids] == scans
+    assert table.candidate_sids == [sid for sid in sids if scans[sid]]
+    records = table.bindings["v"].records
+    if name == "entity":
+        assert [records[slice(*table.bounds("v", sid))] for sid in sids] == [
+            list(corpus.sentence(sid).entities) for sid in sids
+        ]
+    else:
+        assert records is None
 
 
 def test_missing_label_short_circuits(ex31_bundle):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from koko.bench import synthesize_corpus
 from koko.corpus import AnnotatedDocument, Corpus, EntitySpan, Sentence, parse_corpus, serialize_corpus
+from koko.engine import run_query
 from koko.errors import KokoInputError
 from koko.indexes import (
     NO_HEAD,
@@ -21,6 +22,7 @@ from koko.indexes import (
     open_corpus,
     save_bundle,
 )
+from koko.parser import parse_query
 
 from .conftest import data_path, postings
 
@@ -951,3 +953,20 @@ def test_sentence_checks_reject_a_faulty_writer(tmp_path, corrupt, message):
     assert corpus.sentence(1) == docs[0].sentences[1]
     with pytest.raises(KokoInputError, match=message):
         corpus.sentence(0)
+
+
+def test_word_column_rejects_lists_that_repeat_a_token(tmp_path):
+    # The word lists are inverted into the word column on its first read,
+    # by `open_corpus` or by a direct plan, not by `load_bundle`.
+    docs, _, d = _small_index(tmp_path)
+    raw = bytearray((d / "word.idx").read_bytes())
+    flat = _offsets(raw, "word.idx")["flat"]
+    _set_u32(raw, flat + 4, _u32(raw, flat))
+    (d / "word.idx").write_bytes(bytes(raw))
+    _rewrite_checksum(d, "word.idx")
+    message = "word.idx: the posting lists do not hold every token once"
+    with pytest.raises(KokoInputError, match=message):
+        open_corpus(load_bundle(str(d)))
+    q = parse_query('extract v:Str from "x" if (/ROOT:{ v = //dobj })')
+    with pytest.raises(KokoInputError, match=message):
+        run_query(q, Corpus(docs), load_bundle(str(d)))
