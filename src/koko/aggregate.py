@@ -429,7 +429,8 @@ def finalize_results(
     values in the order of their sorted names (`ResultRow.key`), and read
     no sentence: values come projected. `locate` is handed to each
     document's `EvidenceEvaluator`; a query with neither a satisfying nor
-    an excluding clause makes none."""
+    an excluding clause makes none, and one that also keeps duplicates
+    builds its rows in one pass over its sorted tuples."""
     q = n.query
     names = projected_names(n)
     index = {name: i for i, name in enumerate(names)}
@@ -438,12 +439,16 @@ def finalize_results(
     # sorted names, which orders rows as `sorted(values.items())` would.
     order = sorted(range(len(shown)), key=shown.__getitem__)
     key_of = None if order == list(range(len(names))) else lambda v: tuple([v[i] for i in order])
+    dedup_mode = not q.defs and not q.constraints
+    if not q.satisfying and not q.excluding and not dedup_mode:
+        # A projection: every tuple is a passing row, in key order.
+        ordered = sorted(tuples) if key_of is None else sorted(tuples, key=lambda t: (t[0], key_of(t[1])))
+        return [ResultRow(sid, dict(zip(shown, values)), {}, True) for sid, values in ordered]
     clauses = [(ci, clause, index[clause.var]) for ci, clause in enumerate(q.satisfying)]
     evaluators: dict[int, EvidenceEvaluator] = {}
     rows: list[ResultRow] = []
     keys: list[tuple] = []
     dedup: set[tuple] = set()
-    dedup_mode = not q.defs and not q.constraints
     doc_index_of = corpus.doc_index_of
 
     def evaluator_of(sid: int) -> EvidenceEvaluator:

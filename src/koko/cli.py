@@ -13,7 +13,6 @@ import sys
 import time
 
 from .aggregate import ResultRow
-from .bench import generate_span_suite, generate_tree_suite, run_benchmark
 from .corpus import Corpus, load_corpus, read_corpus_bytes
 from .engine import run_query
 from .errors import KokoError, KokoInputError, KokoQueryError, KokoResourceError
@@ -255,6 +254,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    # Imported here: no other command uses it, and every `koko query`
+    # process would pay for the import.
+    from .bench import generate_span_suite, generate_tree_suite, run_benchmark
+
     if args.limit < 0:
         raise KokoQueryError(f"--limit must be >= 0, got {args.limit}")
     docs = load_corpus(args.corpus)

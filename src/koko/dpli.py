@@ -16,6 +16,19 @@ records alongside, one per offset. A literal's candidates come from a
 positional phrase intersection, and a sentence's candidates are the
 offsets inside the sentence's token range (`BindingTable.bounds`).
 
+The index-bound variables are bound as a chain of semi-joins, most
+selective first (Demaine, López-Ortiz & Munro, "Adaptive set
+intersections, unions, and differences", SODA 2000). A variable's
+candidate count is estimated from the index alone, as its cheapest leg's
+posting count: a PL or POS leg's matched nodes' lists, a word's list, an
+entity type's records (`_Link`). The cheapest variable is bound in full;
+every later variable is looked for only inside the sentences left so far
+(`indexes.Sentences`): each of its legs' postings filtered by sid when
+they are fewer than those sentences' tokens, else those tokens scanned
+through a forward column (`PostingLists.read`). The candidate sentences
+are the last variable's. A variable's legs are read cheapest first, and
+an empty leg or variable ends the chain: nothing after it is looked up.
+
 Depth bookkeeping: step i of a pattern can bind tokens no shallower than
 i edges below the virtual root anchor (token depth i-1 at least, exactly
 that when no ``//`` appears up to i), and two concrete words k steps apart
@@ -29,11 +42,11 @@ from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import sub
+from operator import attrgetter, itemgetter, sub
 
 from .corpus import EntitySpan
 from .errors import KokoDecomposeError
-from .indexes import IndexBundle, TokenTable
+from .indexes import IndexBundle, Sentences, TokenTable
 from .normalize import ANY_ENTITY, ENTITY, NODE, WORDSEQ, NormalizedQuery, NormVar
 from .syntax import PathExpr
 from .vocab import PL, POS, classify_label
@@ -201,8 +214,11 @@ def _contained(inner, outer, tokens: TokenTable, gap: int) -> list[int]:
     ]
 
 
-def join_word_path(bundle: IndexBundle, dp: DecomposedPath) -> list[int] | None:
-    """Chained containment join over the concrete words of the word path.
+def join_word_path(
+    bundle: IndexBundle, dp: DecomposedPath, within: Sentences | None = None
+) -> Sequence[int] | None:
+    """Chained containment join over the concrete words of the word path,
+    inside the sentences of `within` (every sentence when None).
 
     Returns the offsets of the last concrete word, or None when the path
     has no words at all (a universal leg). A later word survives when some
@@ -214,7 +230,7 @@ def join_word_path(bundle: IndexBundle, dp: DecomposedPath) -> list[int] | None:
     t = bundle.tokens
     current: list[int] | None = None
     for pos in dp.word_positions:
-        word = bundle.word.lookup(dp.word_steps[pos][1])
+        word = bundle.word.read(dp.word_steps[pos][1], within)
         leg = _filter_depth(word, t.depth, dp.min_depth[pos], dp.exact_depth[pos])
         current = leg if current is None else _contained(leg, current, t, pos - prev_pos)
         if not current:
@@ -276,10 +292,22 @@ class VarBinding:
 class DominantInfo:
     var: str
     decomposed: DecomposedPath
+    # The postings each leg read inside the sentences it was looked for in;
+    # None for a leg the path does not have or that was not read.
     p1_size: int | None
     p2_size: int | None
     q_size: int | None
     result_size: int
+
+
+@dataclass
+class ChainLink:
+    """One index-bound variable of the chain, in binding order."""
+
+    var: str
+    estimate: int  # candidates, estimated from the index alone
+    within: int | None  # the sentences it was looked for in; None: all
+    candidates: int
 
 
 @dataclass
@@ -289,6 +317,7 @@ class BindingTable:
     dominance: dict[str, tuple[str, int]]
     starts: array  # candidates are token offsets, starts[sid] + tid
     info: list[DominantInfo] = field(default_factory=list)
+    chain: list[ChainLink] = field(default_factory=list)
 
     def bounds(self, var: str, sid: int) -> tuple[int, int]:
         """(lo, hi): a variable's candidates in sentence sid are its
@@ -304,7 +333,18 @@ class BindingTable:
         return list(map(sub, self.bindings[var].offsets[lo:hi], repeat(self.starts[sid])))
 
     def describe(self) -> str:
-        lines = ["dominant paths:"]
+        lines = []
+        if self.chain:
+            lines.append("chain, by estimated candidates:")
+            for link in self.chain:
+                if link.within is None:
+                    where = "seeded the candidates"
+                elif link.within:
+                    where = f"looked for in {link.within} sentences"
+                else:
+                    where = "not looked for: no sentence left"
+                lines.append(f"  {link.var}  estimate {link.estimate}  {where}  candidates {link.candidates}")
+        lines.append("dominant paths:")
         for d in self.info:
             lines.append(f"  {d.var}:")
             lines.append(f"    pl   {d.decomposed.render('pl')}"
@@ -319,89 +359,162 @@ class BindingTable:
         return "\n".join(lines) + "\n"
 
 
-def candidate_bindings(n: NormalizedQuery, bundle: IndexBundle) -> BindingTable:
-    bindings: dict[str, VarBinding] = {}
-    dominance = dominant_paths(n)
-    info: list[DominantInfo] = []
-    starts = bundle.tokens.starts
+class _Link:
+    """An index-bound variable before it is bound: its legs, each with its
+    posting count read from the index alone (``ptr``, nothing
+    materialized), cheapest first, and its estimated candidate count, its
+    cheapest leg's. A dominant path's legs are its PL and POS node sets
+    and its word chain (`join_word_path`), a literal's its words, an
+    entity's its records."""
 
-    for var in n.variables.values():
+    def __init__(self, var: NormVar, bundle: IndexBundle) -> None:
+        self.var = var
+        self.records: list[EntitySpan] = []
+        self.dp: DecomposedPath | None = None
+        self.legs: list[tuple[int, str, set[int] | None]] = []
         if var.kind == ENTITY:
-            records = bundle.entity.lookup(None if var.etype == ANY_ENTITY else var.etype)
+            self.records = bundle.entity.lookup(None if var.etype == ANY_ENTITY else var.etype)
+            self.estimate = len(self.records)
+            return
+        words = bundle.word
+        if var.kind == WORDSEQ:
+            self.estimate = min(map(words.count, var.tokens), default=0)
+            return
+        dp = self.dp = decompose(var.path)
+        if dp.has_pl or not (dp.has_pos or dp.last_is_word):
+            # With only wildcards after the last word, if any, the skeleton
+            # still constrains the last step: the PL hierarchy resolves it.
+            nodes = bundle.pl.match_nodes(dp.pl_steps)
+            self.legs.append((bundle.pl.postings.size(nodes), "pl", nodes))
+        if dp.has_pos:
+            nodes = bundle.pos.match_nodes(dp.pos_steps)
+            self.legs.append((bundle.pos.postings.size(nodes), "pos", nodes))
+        if dp.word_positions:
+            self.legs.append((min(words.count(dp.word_steps[i][1]) for i in dp.word_positions), "q", None))
+        self.legs.sort(key=itemgetter(0))
+        self.estimate = self.legs[0][0]
+
+    def bind(self, bundle: IndexBundle, within: Sentences | None, info: list[DominantInfo]) -> VarBinding:
+        """The variable's candidates inside the sentences of `within`
+        (every sentence when None)."""
+        var = self.var
+        if var.kind == ENTITY:
+            records = self.records
+            if within is not None:
+                sids = within.sids
+                records = [r for r in records if r.sid in sids]
+            starts = bundle.tokens.starts
             offsets = [starts[r.sid] + r.start for r in records]
-            bindings[var.name] = VarBinding(var=var, offsets=offsets, records=records, index_bound=True)
-        elif var.kind == NODE:
+            return VarBinding(var=var, offsets=offsets, records=records, index_bound=True)
+        if var.kind == WORDSEQ:
+            return VarBinding(var=var, offsets=_word_seq_starts(bundle, var.tokens, within), index_bound=True)
+        return _bind_dominant(self, bundle, within, info)
+
+
+def candidate_bindings(n: NormalizedQuery, bundle: IndexBundle) -> BindingTable:
+    """Every variable's candidates, and the sentences that can hold a
+    tuple: those holding a candidate of every index-bound variable. The
+    index-bound variables are bound as a chain, in order of estimated
+    candidates (`_Link`): the first in full, every later one only inside
+    the sentences the ones before it left. An empty variable ends the
+    chain; the variables after it are not looked for."""
+    dominance = dominant_paths(n)
+    bindings: dict[str, VarBinding] = {}
+    links: list[_Link] = []
+    for var in n.variables.values():
+        if var.kind == NODE and dominance[var.name][0] != var.name:
             dom, plen = dominance[var.name]
-            if dom == var.name:
-                bindings[var.name] = _bind_dominant(n.var(dom), bundle, info)
-            else:
-                bindings[var.name] = VarBinding(
-                    var=var, index_bound=True, derived_from=dom, prefix_len=plen
-                )
-        elif var.kind == WORDSEQ:
-            offsets = _word_seq_starts(bundle, var.tokens)
-            bindings[var.name] = VarBinding(var=var, offsets=offsets, index_bound=True)
+            bindings[var.name] = VarBinding(var=var, index_bound=True, derived_from=dom, prefix_len=plen)
+        elif var.kind in (ENTITY, NODE, WORDSEQ):
+            links.append(_Link(var, bundle))
         else:
             bindings[var.name] = VarBinding(var=var)
+    links.sort(key=attrgetter("estimate"))
+
+    info: list[DominantInfo] = []
+    chain: list[ChainLink] = []
+    within: Sentences | None = None
+    sid_of = bundle.tokens.sid_of
+    for i, link in enumerate(links):
+        if i:  # the sentences of the candidates so far, which are sorted
+            within = Sentences(bundle.tokens, map(sid_of.__getitem__, vb.offsets))
+        if within is None or within.sids:
+            vb = link.bind(bundle, within, info)
+        else:
+            vb = VarBinding(var=link.var, records=[] if link.var.kind == ENTITY else None, index_bound=True)
+        bindings[link.var.name] = vb
+        chain.append(ChainLink(
+            link.var.name, link.estimate, None if within is None else len(within.sids), len(vb.offsets)
+        ))
 
     # Dominated variables share their dominant's candidates for cost
     # purposes; candidate derivation happens per sentence at plan time.
-    for name, vb in bindings.items():
-        if vb.derived_from is not None:
-            vb.offsets = bindings[vb.derived_from].offsets
-
-    # A tuple binds every variable in one sentence, so only sentences in
-    # every index-bound variable's postings can hold one; `extract
-    # x:Entity … if ()` reads its candidates off the entity index.
-    sid_of = bundle.tokens.sid_of
-    sid_sets = [
-        set(map(sid_of.__getitem__, vb.offsets))
-        for vb in bindings.values()
-        if vb.index_bound and vb.derived_from is None
-    ]
-    if sid_sets:
-        candidate_sids = sorted(set.intersection(*sid_sets))
+    for dominated in bindings.values():
+        if dominated.derived_from is not None:
+            dominated.offsets = bindings[dominated.derived_from].offsets
+    # The last variable's sentences are the candidates (`extract x:Entity
+    # … if ()` reads them off the entity index); a query with no
+    # index-bound variable considers every sentence.
+    if links:
+        candidate_sids = list(dict.fromkeys(map(sid_of.__getitem__, vb.offsets)))
     else:
         candidate_sids = list(range(bundle.sentence_count))
     return BindingTable(
-        bindings=bindings,
+        bindings={name: bindings[name] for name in n.variables},
         candidate_sids=candidate_sids,
         dominance=dominance,
-        starts=starts,
+        starts=bundle.tokens.starts,
         info=info,
+        chain=chain,
     )
 
 
-def _bind_dominant(var: NormVar, bundle: IndexBundle, info: list[DominantInfo]) -> VarBinding:
-    dp = decompose(var.path)
-    p1 = bundle.pl.lookup(dp.pl_steps) if dp.has_pl else None
-    p2 = bundle.pos.lookup(dp.pos_steps) if dp.has_pos else None
-    q = join_word_path(bundle, dp)
-    if p1 is None and p2 is None and not dp.last_is_word:
-        # Only wildcards after the last word, if any: the skeleton still
-        # constrains the last step; resolve it through the PL hierarchy.
-        p1 = bundle.pl.lookup(dp.pl_steps)
-    offsets = join_all(p1, p2, q, dp, bundle.tokens)
+def _bind_dominant(
+    link: _Link, bundle: IndexBundle, within: Sentences | None, info: list[DominantInfo]
+) -> VarBinding:
+    """A dominant path's candidates: its legs read cheapest first, inside
+    the sentences of `within`, then joined; an empty leg ends the path."""
+    dp = link.dp
+    read: dict[str, Sequence[int] | None] = {"pl": None, "pos": None, "q": None}
+    offsets: Sequence[int] = []
+    for _, kind, nodes in link.legs:
+        if kind == "q":
+            found = join_word_path(bundle, dp, within)
+        else:
+            found = (bundle.pl if kind == "pl" else bundle.pos).read(nodes, within)
+        read[kind] = found
+        if not found:
+            break
+    else:
+        offsets = join_all(read["pl"], read["pos"], read["q"], dp, bundle.tokens)
     info.append(DominantInfo(
-        var=var.name,
+        var=link.var.name,
         decomposed=dp,
-        p1_size=None if p1 is None else len(p1),
-        p2_size=None if p2 is None else len(p2),
-        q_size=None if q is None else len(q),
+        p1_size=None if read["pl"] is None else len(read["pl"]),
+        p2_size=None if read["pos"] is None else len(read["pos"]),
+        q_size=None if read["q"] is None else len(read["q"]),
         result_size=len(offsets),
     ))
-    return VarBinding(var=var, offsets=offsets, index_bound=True, exact=dp.exact)
+    return VarBinding(var=link.var, offsets=offsets, index_bound=True, exact=dp.exact)
 
 
-def _word_seq_starts(bundle: IndexBundle, tokens: tuple[str, ...]) -> list[int]:
+def _word_seq_starts(
+    bundle: IndexBundle, tokens: tuple[str, ...], within: Sentences | None = None
+) -> Sequence[int]:
     """The sorted offsets where a literal token sequence occurs, by its
-    first token: the offsets of word k, minus k, intersected over every k
-    (a positional phrase intersection), then cut to the occurrences that
-    end in the sentence they start in."""
+    first token, inside the sentences of `within` (every sentence when
+    None). A one-word literal's are its postings. Otherwise the offsets of
+    word k, minus k, are intersected over every k (a positional phrase
+    intersection), then cut to the occurrences that end in the sentence
+    they start in."""
     if not tokens:
         return []
-    found = set(bundle.word.lookup(tokens[0]))
+    if len(tokens) == 1:
+        return bundle.word.read(tokens[0], within)
+    found = set(bundle.word.read(tokens[0], within))
     for k, token in enumerate(tokens[1:], 1):
-        found.intersection_update(map(sub, bundle.word.lookup(token), repeat(k)))
+        if not found:
+            break
+        found.intersection_update(map(sub, bundle.word.read(token, within), repeat(k)))
     starts, sid_of, last = bundle.tokens.starts, bundle.tokens.sid_of, len(tokens) - 1
     return sorted(o for o in found if o + last < starts[sid_of[o] + 1])

@@ -40,9 +40,9 @@ import sys
 import zlib
 from array import array
 from bisect import bisect_left, bisect_right
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, count, repeat
+from itertools import accumulate, chain, compress, count, repeat
 from operator import add, attrgetter, le, lt, sub
 
 from .corpus import AnnotatedDocument, Corpus, EntitySpan, Sentence, serialize_corpus
@@ -74,20 +74,22 @@ class TokenTable:
     holds the offsets ``starts[sid]`` up to ``starts[sid + 1]``, so
     ``starts[-1]`` is the token count; ``left``, ``right``, ``heads`` and
     ``depth`` are the sentence-local columns of each `Sentence`, by
-    offset, with `NO_HEAD` as a root's head. ``sid_of`` (the sentence of
-    each offset) is derived from ``starts``."""
+    offset, with `NO_HEAD` as a root's head. ``lengths`` (the token count
+    of each sentence) and ``sid_of`` (the sentence of each offset) are
+    derived from ``starts``."""
 
     starts: array
     left: array
     right: array
     heads: array
     depth: array
+    lengths: array = field(init=False, repr=False, compare=False)
     sid_of: array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        sids = range(len(self.starts) - 1)
-        lengths = map(sub, self.starts[1:], self.starts)
-        self.sid_of = array(_TYPECODE, chain.from_iterable(map(repeat, sids, lengths)))
+        self.lengths = array(_TYPECODE, map(sub, self.starts[1:], self.starts))
+        sids = range(len(self.lengths))
+        self.sid_of = array(_TYPECODE, chain.from_iterable(map(repeat, sids, self.lengths)))
 
     def check(self, offsets: array, where: str) -> None:
         """Raise KokoInputError unless `offsets` is a strictly increasing
@@ -104,15 +106,33 @@ class TokenTable:
             prev = o
 
 
+class Sentences:
+    """Some sentences of the corpus, the candidates a query has left: their
+    sids in order (the keys of `sids`, which also answers membership) and
+    how many tokens they hold."""
+
+    def __init__(self, tokens: TokenTable, sids: Iterable[int]) -> None:
+        self.tokens = tokens
+        self.sids = dict.fromkeys(sids)
+        self.token_count = sum(map(tokens.lengths.__getitem__, self.sids))
+
+    def bounds(self) -> Iterator[tuple[int, int]]:
+        """Each sentence's first token offset and the one past its last."""
+        starts = self.tokens.starts
+        return ((starts[sid], starts[sid + 1]) for sid in self.sids)
+
+
 class PostingLists(Mapping):
     """The posting lists of an index by key (a word, or a node id), as two
     columns: key i's list is ``flat[ptr[i]:ptr[i + 1]]``. A list read from
     a file is checked on its first read (`check`, given the list and
-    `where`, the file's name for error messages); a built one is trusted."""
+    `where`, the file's name for error messages); a built one is trusted.
+    `owners`, the forward column, may come with the lists."""
 
     def __init__(
         self, keys: Sequence, ptr: array, flat: array,
         check: Callable[[array, str], None] | None = None, where: str = "",
+        owners: array | None = None,
     ) -> None:
         self._keys = keys
         self.ptr = ptr
@@ -121,25 +141,61 @@ class PostingLists(Mapping):
         self._at = dict(zip(keys, count()))
         self._check = check
         self._checked = bytearray(len(keys))
-        self._owners: array | None = None
+        self._owners = owners
 
     @classmethod
-    def grouped(cls, key_of: Iterable, keys: Sequence) -> PostingLists:
+    def grouped(cls, key_of: Sequence, keys: Sequence) -> PostingLists:
         """The offsets 0, 1, ... grouped by their key in `key_of`, the
-        lists in the order of `keys`."""
+        lists in the order of `keys`. When the keys are the positions 0,
+        1, ..., `key_of` is the forward column and is kept as `owners`."""
         lists: dict = {key: [] for key in keys}
         for offset, key in enumerate(key_of):
             lists[key].append(offset)
         ptr = array(_TYPECODE, accumulate(map(len, lists.values()), initial=0))
-        return cls(keys, ptr, array(_TYPECODE, chain.from_iterable(lists.values())))
+        owners = array(_TYPECODE, key_of) if keys == range(len(keys)) else None
+        return cls(keys, ptr, array(_TYPECODE, chain.from_iterable(lists.values())), owners=owners)
 
-    def __getitem__(self, key) -> array:
-        i = self._at[key]
+    def _list(self, i: int) -> array:
         plist = self.flat[self.ptr[i] : self.ptr[i + 1]]
         if self._check is not None and not self._checked[i]:
             self._check(plist, self.where)
             self._checked[i] = 1
         return plist
+
+    def __getitem__(self, key) -> array:
+        return self._list(self._at[key])
+
+    def size(self, keys: Iterable) -> int:
+        """How many postings the lists of `keys` hold, read from ``ptr``
+        alone; a key with no list counts 0."""
+        ptr, at = self.ptr, self._at
+        positions = list(map(at.__getitem__, filter(at.__contains__, keys)))
+        return sum(map(ptr.__getitem__, map((1).__add__, positions))) - sum(map(ptr.__getitem__, positions))
+
+    def read(
+        self, keys: Collection, within: Sentences | None, column: Callable[[], Sequence]
+    ) -> Sequence[int]:
+        """The sorted union of the lists of `keys` (a key with no list has
+        none), cut to the sentences of `within`, or whole when it is None.
+
+        Lists that hold fewer postings than `within` has tokens are read
+        and filtered by sid. Otherwise `within`'s tokens are scanned
+        through `column()`, the key of each offset, and the offsets found
+        are checked as a list's first read is."""
+        if within is not None and self.size(keys) >= within.token_count:
+            forward, wanted = column(), keys.__contains__
+            found = list(chain.from_iterable(
+                compress(range(a, b), map(wanted, forward[a:b])) for a, b in within.bounds()
+            ))
+            if self._check is not None:
+                self._check(found, self.where)
+            return found
+        lists = [self._list(self._at[key]) for key in keys if key in self._at]
+        if within is None:
+            return lists[0] if len(lists) == 1 else sorted(chain.from_iterable(lists))
+        inside = map(within.sids.__contains__, map(within.tokens.sid_of.__getitem__, chain.from_iterable(lists)))
+        kept = compress(chain.from_iterable(lists), inside)
+        return list(kept) if len(lists) == 1 else sorted(kept)
 
     def __iter__(self):
         return iter(self._keys)
@@ -190,6 +246,14 @@ class WordIndex:
 
     def lookup(self, word: str) -> array:
         return self.postings.get(word) or array(_TYPECODE)
+
+    def count(self, word: str) -> int:
+        return self.postings.size((word,))
+
+    def read(self, word: str, within: Sentences | None = None) -> Sequence[int]:
+        """The offsets of `word` in the sentences of `within` (every
+        sentence when None; see `PostingLists.read`)."""
+        return self.postings.read((word,), within, self.texts)
 
     def sentences_with(self, word: str, sids: range) -> list[int]:
         """The sids in `sids` of the sentences holding `word`, in order,
@@ -242,7 +306,13 @@ class HierarchyIndex:
         consumes exactly one edge, ``//`` one or more; both start from the
         super-root, so a leading ``//`` reaches the depth-0 tokens too.
         """
-        return sorted(chain.from_iterable(map(self.postings.__getitem__, self.match_nodes(steps))))
+        return list(self.read(self.match_nodes(steps)))
+
+    def read(self, nodes: set[int], within: Sentences | None = None) -> Sequence[int]:
+        """The offsets of the tokens of `nodes` in the sentences of `within`
+        (every sentence when None; see `PostingLists.read`)."""
+        postings = self.postings
+        return postings.read(nodes, within, lambda: postings.owners(within.tokens.starts[-1]))
 
     def match_nodes(self, steps: list[tuple[str, str]]) -> set[int]:
         positions = {0}
@@ -628,7 +698,7 @@ def load_bundle(directory: str, expected_fingerprint: str | None = None) -> Inde
         raise f.fail("entity columns differ in length")
     if max(etype_ids, default=-1) >= len(etypes):
         raise f.fail(f"etype id {max(etype_ids)} past the {len(etypes)} etypes")
-    lengths = array(_TYPECODE, map(sub, starts[1:], starts))
+    lengths = tokens.lengths
     # Records come in sentence order, each inside its sentence and, in one
     # sentence, starting after the one before ends.
     if not (
@@ -682,34 +752,39 @@ def open_corpus(bundle: IndexBundle) -> Corpus:
     and of the PL and POS lists inverted, its heads and its entity records
     (B on a record's first token, I on the rest); one whose heads are no
     tree, or whose derived tree data differ from the token table's, raises
-    KokoInputError then."""
+    KokoInputError then. The columns are made at the first build, so a
+    query that builds no sentence inverts nothing."""
     t = bundle.tokens
-    texts = bundle.word.texts()
-    labels, label_of = bundle.pl.labels, bundle.pl.postings.owners(t.starts[-1])
-    tags, tag_of = bundle.pos.labels, bundle.pos.postings.owners(t.starts[-1])
     records = bundle.entity.records
     record_sids = array(_TYPECODE, map(attrgetter("sid"), records))
+    columns: list = []  # the word, PL node and POS node of each token
+
+    def fail(sid: int, what: str) -> KokoInputError:
+        return KokoInputError(f"{os.path.join(bundle.directory, 'tree.idx')}: sentence {sid}: {what}")
 
     def build(sid: int) -> Sentence:
+        if not columns:
+            size = t.starts[-1]
+            columns.extend((bundle.word.texts(), bundle.pl.postings.owners(size), bundle.pos.postings.owners(size)))
+        texts, label_of, tag_of = columns
         a, b = t.starts[sid], t.starts[sid + 1]
-        where = f"{os.path.join(bundle.directory, 'tree.idx')}: sentence {sid}"
         heads = [None if h == NO_HEAD else h for h in t.heads[a:b]]
         if not all(h in range(b - a) for h in heads if h is not None):
-            raise KokoInputError(f"{where}: a head lies outside the sentence")
+            raise fail(sid, "a head lies outside the sentence")
         if heads.count(None) != 1:
-            raise KokoInputError(f"{where}: {heads.count(None)} roots, expected exactly 1")
+            raise fail(sid, f"{heads.count(None)} roots, expected exactly 1")
         etypes, iobs = [None] * (b - a), [None] * (b - a)
         lo = bisect_left(record_sids, sid)
         for rec in records[lo : bisect_right(record_sids, sid, lo)]:
             etypes[rec.start : rec.end + 1] = [rec.etype] * (rec.end + 1 - rec.start)
             iobs[rec.start : rec.end + 1] = ["B"] + ["I"] * (rec.end - rec.start)
-        pos = map(tags.__getitem__, tag_of[a:b])
-        s = Sentence(sid, texts[a:b], pos, map(labels.__getitem__, label_of[a:b]), heads, etypes, iobs)
+        pos = map(bundle.pos.labels.__getitem__, tag_of[a:b])
+        labels = map(bundle.pl.labels.__getitem__, label_of[a:b])
+        s = Sentence(sid, texts[a:b], pos, labels, heads, etypes, iobs)
         if -1 in s.depth:
-            raise KokoInputError(f"{where}: the heads run in a cycle at tid {s.depth.index(-1)}")
+            raise fail(sid, f"the heads run in a cycle at tid {s.depth.index(-1)}")
         if (s.left, s.right, s.depth) != (tuple(t.left[a:b]), tuple(t.right[a:b]), tuple(t.depth[a:b])):
-            raise KokoInputError(f"{where}: its tree data differ from the token table's")
+            raise fail(sid, "its tree data differ from the token table's")
         return s
 
-    lengths = array(_TYPECODE, map(sub, t.starts[1:], t.starts))
-    return Corpus.built_by(build, lengths, bundle.doc_ids, bundle.doc_starts)
+    return Corpus.built_by(build, t.lengths, bundle.doc_ids, bundle.doc_starts)

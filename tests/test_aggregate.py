@@ -5,11 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koko.aggregate import EvidenceEvaluator, conf_descriptor
+from koko.bench import synthesize_corpus
 from koko.corpus import Corpus, parse_corpus
 from koko.engine import run_query
 from koko.errors import KokoResourceError
 from koko.indexes import build_indexes
 from koko.normalize import normalize
+from koko.oracle import oracle_evaluate
 from koko.parser import parse_query
 from koko.resources import Expansion, Resources
 from koko.syntax import SatCondition
@@ -424,3 +426,28 @@ def test_query_without_evidence_is_a_projection(ex31_corpus, ex31_bundle, monkey
     monkeypatch.setattr(koko.aggregate, "EvidenceEvaluator", unused)
     monkeypatch.setattr(Corpus, "doc_index_of", unused)
     assert run_query(q, ex31_corpus, ex31_bundle).rows == expected
+
+
+def test_projection_rows_follow_the_key_order_of_out_of_order_outputs(monkeypatch):
+    # Outputs named w, a: a row's key orders them a, w. The projection
+    # sorts its tuples once, by that key, and touches no document. Two
+    # independent paths give every pair in a sentence.
+    import koko.aggregate
+
+    docs = synthesize_corpus(23, 150)
+    corpus, bundle = Corpus(docs), build_indexes(docs)
+    q = parse_query('extract w:Str, a:Str from "d" if (/ROOT:{ w = //nsubj, a = //det })')
+    oracle = oracle_evaluate(q, corpus)
+    keys = [r.key() for r in oracle]
+    assert len(keys) > 50 and keys == sorted(keys)
+    # Sorting by the values in the order named would differ.
+    assert sorted(oracle, key=lambda r: (r.sid, r.values["w"], r.values["a"])) != oracle
+
+    def unused(*args, **kwargs):
+        raise AssertionError("a projection needs no document")
+
+    monkeypatch.setattr(koko.aggregate, "EvidenceEvaluator", unused)
+    monkeypatch.setattr(Corpus, "doc_index_of", unused)
+    rows = run_query(q, corpus, bundle).rows
+    assert [(r.key(), r.to_json()) for r in rows] == [(r.key(), r.to_json()) for r in oracle]
+    assert [list(r.values) for r in rows[:1]] == [["w", "a"]]

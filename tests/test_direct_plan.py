@@ -103,9 +103,15 @@ def test_direct_plan_skips_the_nested_loop(env, evaluated, name):
 def test_direct_plan_over_the_index_builds_no_sentence(env, tmp_path, monkeypatch, name):
     # A direct plan reads its values from the index: the word column, the
     # literal itself or the entity records.
+    # Nor are the POS lists inverted, which only a sentence needs.
     corpus, bundle = env
     save_bundle(bundle, str(tmp_path))
     loaded = load_bundle(str(tmp_path))
+    inverted = []
+    owners = koko.indexes.PostingLists.owners
+    monkeypatch.setattr(
+        koko.indexes.PostingLists, "owners", lambda self, size: inverted.append(self.where) or owners(self, size)
+    )
     opened = open_corpus(loaded)
     built = []
     build = koko.indexes.Sentence
@@ -114,6 +120,9 @@ def test_direct_plan_over_the_index_builds_no_sentence(env, tmp_path, monkeypatc
     run = run_query(q, opened, loaded, keep_failed=True)
     assert run.direct == q.outputs[0][0] and run.rows
     assert built == []
+    assert not any(where.endswith("pos.idx") for where in inverted)
+    assert opened.sentence(0) == corpus.sentence(0)
+    assert any(where.endswith("pos.idx") for where in inverted)
     assert _rows(run) == [
         (r.key(), json.dumps(r.to_json(), sort_keys=True), r.excluded_by)
         for r in oracle_evaluate(q, corpus, keep_failed=True)

@@ -1,19 +1,24 @@
 from __future__ import annotations
 
+import json
+import struct
+import zlib
+
 import pytest
 
 from koko.bench import synthesize_corpus
-from koko.corpus import Corpus, parse_corpus
+from koko.cli import main
+from koko.corpus import Corpus, load_corpus, parse_corpus
 from koko.dpli import candidate_bindings, decompose, dominant_paths, join_word_path
 from koko.engine import run_query
-from koko.errors import KokoDecomposeError
-from koko.indexes import build_indexes
+from koko.errors import KokoDecomposeError, KokoInputError
+from koko.indexes import PostingLists, WordIndex, build_indexes, load_bundle, save_bundle
 from koko.normalize import normalize
 from koko.oracle import oracle_evaluate
 from koko.parser import parse_query
 from koko.syntax import PathExpr
 
-from .conftest import load_fixture_query, postings
+from .conftest import data_path, load_fixture_query, postings
 
 
 def _path(text: str) -> PathExpr:
@@ -285,3 +290,88 @@ def test_word_then_wildcards_matches_oracle_on_synthetic_corpus():
             assert sorted(r.key() for r in run_query(q, corpus, bundle).rows) == oracle, path
             rows += len(oracle)
     assert rows > 0
+
+
+# Two sentences of four tokens; "x" occurs once, in sentence 0, so it
+# seeds every chain below, and each later variable is looked for in
+# sentence 0 only: its 4 tokens.
+CHAIN_TSV = (
+    "0\t0\tx\tnoun\tnsubj\t1\tO\n"
+    "0\t1\ty\tverb\troot\t-1\tO\n"
+    "0\t2\ty\tnoun\tdobj\t1\tO\n"
+    "0\t3\tw\tdet\tdet\t2\tO\n\n"
+    "1\t0\ty\tnoun\tnsubj\t1\tO\n"
+    "1\t1\tz\tverb\troot\t-1\tO\n"
+    "1\t2\ty\tnoun\tdobj\t1\tO\n"
+    "1\t3\tw\tdet\tdet\t2\tO\n"
+)
+CHAIN_LEGS = {
+    # b's definition: (the branch that reads it, its tids in sentence 0)
+    '"w"': ("filter", [3]),  # 2 postings, fewer than 4 tokens
+    '"y"': ("scan", [1, 2]),  # 4 postings, as many as the tokens
+    "//det": ("filter", [3]),
+    "//*": ("scan", [0, 1, 2, 3]),  # the PL skeleton: 8 postings
+}
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+@pytest.mark.parametrize("definition", sorted(CHAIN_LEGS))
+def test_later_variable_is_filtered_or_scanned_inside_the_seed(tmp_path, monkeypatch, definition, loaded):
+    docs = parse_corpus(CHAIN_TSV)
+    bundle = build_indexes(docs)
+    if loaded:
+        save_bundle(bundle, str(tmp_path))
+        bundle = load_bundle(str(tmp_path))
+    columns = []  # the forward columns read, in order
+
+    def count_reads(owner, name):
+        original = getattr(owner, name)
+
+        def counted(self, *args):
+            columns.append(name)
+            return original(self, *args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count_reads(PostingLists, "owners")
+    count_reads(WordIndex, "texts")
+    q = parse_query(f'extract a:Str, b:Str from "x" if (/ROOT:{{ a = "x", b = {definition} }})')
+    table = candidate_bindings(normalize(q), bundle)
+    branch, tids = CHAIN_LEGS[definition]
+    assert [(link.var, link.within) for link in table.chain] == [("a", None), ("b", 1)]
+    assert table.candidate_sids == [0]
+    assert table.tids("b", 0) == tids
+    assert list(table.bindings["b"].offsets) == tids  # nothing from sentence 1
+    if branch == "filter":
+        assert columns == []
+    else:  # the forward column: words for a word, nodes for a node set
+        assert columns[0] == ("texts" if definition.startswith('"') else "owners")
+    rows = run_query(q, Corpus(docs), bundle).rows
+    assert [r.key() for r in rows] == [r.key() for r in oracle_evaluate(q, Corpus(docs))]
+
+
+def test_scanned_offset_with_bad_tree_data_is_an_input_error(tmp_path, capsys):
+    # Token (0,3)'s right moved past its sentence in a tree.idx whose
+    # checksum matches. "pie" seeds the chain in sentence 0, and `//*`
+    # (30 postings, more than its 17 tokens) is scanned there; the scan
+    # checks what it finds as a posting list's first read does.
+    idx = tmp_path / "idx"
+    docs = load_corpus(data_path("corpus", "ex31.tsv"))
+    save_bundle(build_indexes(docs), str(idx))
+    raw = bytearray((idx / "tree.idx").read_bytes())
+    # After the header: the 3 sentence starts, then the 30 lefts, then
+    # the rights, each column after its count.
+    right_at = 8 + 4 + 4 * 3 + 4 + 4 * 30 + 4
+    assert struct.unpack_from("<I", raw, right_at + 4 * 3)[0] == 3
+    struct.pack_into("<I", raw, right_at + 4 * 3, 17)
+    (idx / "tree.idx").write_bytes(bytes(raw))
+    manifest = json.loads((idx / "manifest.json").read_text())
+    manifest["checksums"]["tree.idx"] = zlib.crc32(bytes(raw))
+    (idx / "manifest.json").write_text(json.dumps(manifest))
+    text = 'extract a:Str, b:Str from "x" if (/ROOT:{ a = "pie", b = //* })'
+    with pytest.raises(KokoInputError, match=r"pl\.idx: tree entry of token \(0,3\)"):
+        candidate_bindings(normalize(parse_query(text)), load_bundle(str(idx)))
+    q = tmp_path / "q.koko"
+    q.write_text(text + "\n")
+    assert main(["query", "--query", str(q), "--index", str(idx)]) == 2
+    assert "tree entry of token (0,3)" in capsys.readouterr().err

@@ -18,15 +18,18 @@ equal the oracle's and the nested loop's, in order and with their scores.
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koko.bench import synthesize_corpus
 from koko.corpus import AnnotatedDocument, Corpus, Sentence
 from koko.engine import run_query
-from koko.indexes import build_indexes
+from koko.indexes import build_indexes, load_bundle, open_corpus, save_bundle
+from koko.normalize import ENTITY, NODE, WORDSEQ, normalize
 from koko.oracle import oracle_evaluate
 from koko.parser import parse_query
 from koko.vocab import PARSE_LABELS, POS_TAGS
@@ -218,3 +221,92 @@ def test_generated_queries_match_oracle(text):
     for corpus, bundle in ENVIRONMENTS.values():
         engine = sorted(r.key() for r in run_query(q, corpus, bundle, keep_failed=True).rows)
         assert engine == sorted(r.key() for r in oracle_evaluate(q, corpus, keep_failed=True))
+
+
+# Chains of index-bound variables: a span over an entity, a literal and a
+# path, each variable in turn the most selective. Each query is read off a
+# sentence, which it therefore matches, with the seed's kind the one whose
+# value occurs least often in the corpus, so the seed is known in advance.
+CHAIN_KINDS = ("literal", "path", "entity")
+
+
+def _chain_queries(corpus: Corpus, seed_kind: str, count: int) -> list[str]:
+    sentences = corpus.sentences
+    etypes = Counter(e.etype for s in sentences for e in s.entities)
+    etypes["Entity"] = sum(etypes.values())
+    words = Counter(t for s in sentences for t in s.tokens)
+    labels = Counter(label for s in sentences for label in s.labels)
+    rng = random.Random(f"{seed_kind}-{len(sentences)}")
+    out = []
+    while len(out) < count:
+        s = rng.choice(sentences)
+        if not s.entities:
+            continue
+        mention = rng.choice(s.entities)
+        etype = rng.choice([mention.etype, "Entity"])
+        outside = [t for t in range(len(s)) if not mention.start <= t <= mention.end]
+        if len(outside) < 2:
+            continue
+        w, a = rng.sample(outside, 2)
+        counts = {"literal": words[s.tokens[w]], "path": labels[s.labels[a]], "entity": etypes[etype]}
+        if any(counts[seed_kind] >= k for kind, k in counts.items() if kind != seed_kind):
+            continue
+        atoms = sorted([(mention.start, "e"), (w, f'"{s.tokens[w]}"'), (a, "a")])
+        span = " + ^ + ".join(atom for _, atom in atoms)
+        out.append(f'extract e:{etype}, v:Str from "d" if (/ROOT:{{ a = //{s.labels[a]}, v = {span} }})')
+    return out
+
+
+def _full_candidates(corpus: Corpus, n) -> tuple[list[int], dict[str, list[list[int]]]]:
+    """Each index-bound variable's first tids per sentence, read off the
+    sentences, and the sentences where every one has some."""
+    per_var: dict[str, list[list[int]]] = {}
+    for var in n.variables.values():
+        if var.kind == ENTITY:
+            etype = None if var.etype == "Entity" else var.etype
+            found = [[e.start for e in s.entities if etype in (None, e.etype)] for s in corpus.sentences]
+        elif var.kind == WORDSEQ:
+            k = len(var.tokens)
+            found = [[t for t in range(len(s) - k + 1) if s.tokens[t : t + k] == var.tokens] for s in corpus.sentences]
+        elif var.kind == NODE:
+            label = var.path.steps[-1].label
+            found = [[t for t in range(len(s)) if s.labels[t] == label] for s in corpus.sentences]
+        else:
+            continue
+        per_var[var.name] = found
+    sids = [sid for sid in range(len(corpus)) if all(found[sid] for found in per_var.values())]
+    return sids, per_var
+
+
+@pytest.fixture(scope="module")
+def loaded_environments(tmp_path_factory):
+    out = {}
+    for seed, (_, bundle) in ENVIRONMENTS.items():
+        d = str(tmp_path_factory.mktemp(f"chain{seed}"))
+        save_bundle(bundle, d)
+        loaded = load_bundle(d)
+        out[seed] = (open_corpus(loaded), loaded)
+    return out
+
+
+@pytest.mark.parametrize("seed_kind", CHAIN_KINDS)
+def test_chains_seeded_by_each_kind_match_the_oracle_and_a_full_binding(seed_kind, loaded_environments):
+    rows = 0
+    for seed, (corpus, bundle) in ENVIRONMENTS.items():
+        for text in _chain_queries(corpus, seed_kind, 20):
+            q = parse_query(text)
+            n = normalize(q)
+            oracle = [(r.key(), r.to_json()) for r in oracle_evaluate(q, corpus, keep_failed=True)]
+            sids, per_var = _full_candidates(corpus, n)
+            for env in ((corpus, bundle), loaded_environments[seed]):
+                run = run_query(q, *env, keep_failed=True)
+                assert [(r.key(), r.to_json()) for r in run.rows] == oracle, text
+                assert run.candidate_sids == sids, text
+                for name, found in per_var.items():
+                    assert [run.table.tids(name, sid) for sid in sids] == [found[sid] for sid in sids]
+                seed_var = n.var(run.table.chain[0].var)
+                assert seed_var.kind == {"literal": WORDSEQ, "path": NODE, "entity": ENTITY}[seed_kind]
+            # The last variable was looked for in the sentences left.
+            assert len(run.table.chain) == 3 and run.table.chain[-1].within
+            rows += len(oracle)
+    assert rows >= 40

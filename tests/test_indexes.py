@@ -957,7 +957,8 @@ def test_sentence_checks_reject_a_faulty_writer(tmp_path, corrupt, message):
 
 def test_word_column_rejects_lists_that_repeat_a_token(tmp_path):
     # The word lists are inverted into the word column on its first read,
-    # by `open_corpus` or by a direct plan, not by `load_bundle`.
+    # by the first sentence an opened corpus builds or by a direct plan,
+    # not by `load_bundle` or `open_corpus`.
     docs, _, d = _small_index(tmp_path)
     raw = bytearray((d / "word.idx").read_bytes())
     flat = _offsets(raw, "word.idx")["flat"]
@@ -965,8 +966,9 @@ def test_word_column_rejects_lists_that_repeat_a_token(tmp_path):
     (d / "word.idx").write_bytes(bytes(raw))
     _rewrite_checksum(d, "word.idx")
     message = "word.idx: the posting lists do not hold every token once"
+    corpus = open_corpus(load_bundle(str(d)))
     with pytest.raises(KokoInputError, match=message):
-        open_corpus(load_bundle(str(d)))
+        corpus.sentence(0)
     q = parse_query('extract v:Str from "x" if (/ROOT:{ v = //dobj })')
     with pytest.raises(KokoInputError, match=message):
         run_query(q, Corpus(docs), load_bundle(str(d)))
