@@ -15,10 +15,12 @@ order (gaps allowed, case-insensitive) and scores k_i * l_j, damped by
 1/(1+g) for the token gap g between the candidate and the matched words.
 
 Adjacency, ``near`` and descriptors look for the value's occurrences in
-its document. The engine passes a word-index locator, so only the
-document's sentences holding the value's first token are read (and,
-in a corpus opened over an index, built); the oracle passes none and reads every sentence of the
-document. A query with neither a satisfying nor an excluding clause
+its document. They read a sentence's words (`Corpus.words`), never the
+sentence: in a corpus opened over an index the words are a slice of the
+word column, so evidence builds no `Sentence`. The engine passes a
+word-index locator, so only the document's sentences holding the value's
+first token are read; the oracle passes none and reads every sentence of
+the document. A query with neither a satisfying nor an excluding clause
 builds no evaluator and is a projection of its tuples.
 
 Finalize takes one tuple shape from every producer (the engine's direct
@@ -145,12 +147,13 @@ Locate = Callable[[str, range], Sequence[int]]
 class EvidenceEvaluator:
     """Scores clause conditions for candidate values within one document.
 
-    Adjacency, ``near`` and both descriptor sides scan the document for
-    occurrences of the value. A sentence without the value's first token
-    holds no occurrence and adds nothing to any of them, so with `locate`
-    the scans visit only the sentences it returns for that token.
-    `engine.run_query` passes a locator over the word index, so that only
-    those sentences are built. `koko.oracle` passes none and scans every
+    Adjacency, ``near`` and both descriptor sides scan the words of the
+    document's sentences (`Corpus.words`) for occurrences of the value;
+    no condition reads a `Sentence`, so over an index nothing is built. A
+    sentence without the value's first token holds no occurrence and adds
+    nothing to any of them, so with `locate` the scans visit only the
+    sentences it returns for that token. `engine.run_query` passes a
+    locator over the word index. `koko.oracle` passes none and scans every
     sentence of `doc_sids`: it stays independent of the index, and the
     differential tests and `koko verify` check the locator against it.
     """
@@ -202,7 +205,7 @@ class EvidenceEvaluator:
         if not value_toks or not lit_toks:
             return False
         for sid in self._sids_with(value_toks):
-            words = self.corpus.sentence(sid).tokens
+            words = self.corpus.words(sid)
             for start in find_token_seq(words, value_toks):
                 if after:
                     nxt = start + len(value_toks)
@@ -224,7 +227,7 @@ class EvidenceEvaluator:
         if not value_toks or not lit_toks:
             return 0.0, per_sentence
         for sid in self._sids_with(value_toks):
-            words = self.corpus.sentence(sid).tokens
+            words = self.corpus.words(sid)
             v_occ = find_token_seq(words, value_toks)
             l_occ = find_token_seq(words, lit_toks)
             if not v_occ or not l_occ:
@@ -260,13 +263,13 @@ class EvidenceEvaluator:
         if not value_toks:
             return 0.0, per_sentence
         for sid in self._sids_with(value_toks):
-            sentence = self.corpus.sentence(sid)
-            occurrences = find_token_seq(sentence.tokens, value_toks)
+            words = self.corpus.words(sid)
+            occurrences = find_token_seq(words, value_toks)
             if not occurrences:
                 continue
             conf = 0.0
-            clause_set = self.resources.decompose(sentence)
-            lowered = [w.lower() for w in sentence.tokens]
+            clause_set = self.resources.decompose(sid, words)
+            lowered = [w.lower() for w in words]
             for occ in occurrences:
                 occ_end = occ + len(value_toks) - 1
                 conf = max(

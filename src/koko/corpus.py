@@ -192,9 +192,9 @@ class SentenceList(Sequence):
 
 
 class Corpus:
-    """Sentences addressable by sid, their token counts, and the document
-    table: document i holds the sids from ``doc_starts[i]`` up to the next
-    document's start."""
+    """Sentences addressable by sid, their token counts and words, and the
+    document table: document i holds the sids from ``doc_starts[i]`` up to
+    the next document's start."""
 
     def __init__(self, documents: list[AnnotatedDocument]):
         sentences: list[Sentence] = []
@@ -211,18 +211,23 @@ class Corpus:
                     )
                 sentences.append(s)
         self.sentences = SentenceList(sentences)
+        self._words = None
         self.sentence_lengths = [len(s.tokens) for s in sentences]
         self.doc_ids = doc_ids
         self.doc_starts = doc_starts
 
     @classmethod
     def built_by(
-        cls, build: Callable[[int], Sentence], lengths: Sequence[int], doc_ids: list[str], doc_starts: Sequence[int]
+        cls, build: Callable[[int], Sentence], words: Callable[[int], tuple[str, ...]],
+        lengths: Sequence[int], doc_ids: list[str], doc_starts: Sequence[int],
     ) -> Corpus:
         """The corpus whose sentence sid is `build(sid)`, called when it is
-        first read; `lengths` gives every sentence's token count."""
+        first read, and whose sentence sid has the words `words(sid)`, read
+        without building the sentence; `lengths` gives every sentence's
+        token count."""
         corpus = cls.__new__(cls)
         corpus.sentences = SentenceList([None] * len(lengths), build)
+        corpus._words = words
         corpus.sentence_lengths, corpus.doc_ids, corpus.doc_starts = lengths, doc_ids, doc_starts
         return corpus
 
@@ -231,6 +236,13 @@ class Corpus:
 
     def sentence(self, sid: int) -> Sentence:
         return self.sentences[sid]
+
+    def words(self, sid: int) -> tuple[str, ...]:
+        """The token texts of sentence sid; a corpus built by `built_by`
+        reads them without building the sentence."""
+        if self._words is None:
+            return self.sentences[sid].tokens
+        return self._words(sid)
 
     def doc_index_of(self, sid: int) -> int:
         return bisect_right(self.doc_starts, sid) - 1

@@ -477,11 +477,11 @@ def _bind_dominant(
     dp = link.dp
     read: dict[str, Sequence[int] | None] = {"pl": None, "pos": None, "q": None}
     offsets: Sequence[int] = []
-    for _, kind, nodes in link.legs:
+    for size, kind, nodes in link.legs:
         if kind == "q":
             found = join_word_path(bundle, dp, within)
         else:
-            found = (bundle.pl if kind == "pl" else bundle.pos).read(nodes, within)
+            found = (bundle.pl if kind == "pl" else bundle.pos).read(nodes, size, within)
         read[kind] = found
         if not found:
             break

@@ -173,16 +173,17 @@ class PostingLists(Mapping):
         return sum(map(ptr.__getitem__, map((1).__add__, positions))) - sum(map(ptr.__getitem__, positions))
 
     def read(
-        self, keys: Collection, within: Sentences | None, column: Callable[[], Sequence]
+        self, keys: Collection, size: int, within: Sentences | None, column: Callable[[], Sequence]
     ) -> Sequence[int]:
         """The sorted union of the lists of `keys` (a key with no list has
         none), cut to the sentences of `within`, or whole when it is None.
 
-        Lists that hold fewer postings than `within` has tokens are read
-        and filtered by sid. Otherwise `within`'s tokens are scanned
-        through `column()`, the key of each offset, and the offsets found
-        are checked as a list's first read is."""
-        if within is not None and self.size(keys) >= within.token_count:
+        `size` is the postings those lists hold (`size(keys)`). When they
+        are fewer than `within` has tokens, the lists are read and
+        filtered by sid. Otherwise `within`'s tokens are scanned through
+        `column()`, the key of each offset, and the offsets found are
+        checked as a list's first read is."""
+        if within is not None and size >= within.token_count:
             forward, wanted = column(), keys.__contains__
             found = list(chain.from_iterable(
                 compress(range(a, b), map(wanted, forward[a:b])) for a, b in within.bounds()
@@ -253,7 +254,7 @@ class WordIndex:
     def read(self, word: str, within: Sentences | None = None) -> Sequence[int]:
         """The offsets of `word` in the sentences of `within` (every
         sentence when None; see `PostingLists.read`)."""
-        return self.postings.read((word,), within, self.texts)
+        return self.postings.read((word,), self.count(word), within, self.texts)
 
     def sentences_with(self, word: str, sids: range) -> list[int]:
         """The sids in `sids` of the sentences holding `word`, in order,
@@ -306,13 +307,15 @@ class HierarchyIndex:
         consumes exactly one edge, ``//`` one or more; both start from the
         super-root, so a leading ``//`` reaches the depth-0 tokens too.
         """
-        return list(self.read(self.match_nodes(steps)))
+        nodes = self.match_nodes(steps)
+        return list(self.read(nodes, self.postings.size(nodes)))
 
-    def read(self, nodes: set[int], within: Sentences | None = None) -> Sequence[int]:
-        """The offsets of the tokens of `nodes` in the sentences of `within`
-        (every sentence when None; see `PostingLists.read`)."""
+    def read(self, nodes: set[int], size: int, within: Sentences | None = None) -> Sequence[int]:
+        """The offsets of the tokens of `nodes`, `size` postings in all, in
+        the sentences of `within` (every sentence when None; see
+        `PostingLists.read`)."""
         postings = self.postings
-        return postings.read(nodes, within, lambda: postings.owners(within.tokens.starts[-1]))
+        return postings.read(nodes, size, within, lambda: postings.owners(within.tokens.starts[-1]))
 
     def match_nodes(self, steps: list[tuple[str, str]]) -> set[int]:
         positions = {0}
@@ -374,8 +377,8 @@ class _PrePlane:
 
     def children(self, node_ids: set[int], out: set[int]) -> None:
         """Add to `out` the children of the nodes of `node_ids`."""
-        for node_id in node_ids:
-            out.update(self.kids[self.kids_at[node_id] : self.kids_at[node_id + 1]])
+        kids, at = self.kids, self.kids_at
+        out.update(chain.from_iterable(kids[at[n] : at[n + 1]] for n in node_ids))
 
     def descendants(self, node_ids: set[int], label: str, out: set[int]) -> None:
         """Add to `out` the nodes labelled `label` (any, for ``*``) strictly
@@ -753,20 +756,25 @@ def open_corpus(bundle: IndexBundle) -> Corpus:
     (B on a record's first token, I on the rest); one whose heads are no
     tree, or whose derived tree data differ from the token table's, raises
     KokoInputError then. The columns are made at the first build, so a
-    query that builds no sentence inverts nothing."""
+    query that builds no sentence inverts nothing. A sentence's words
+    (`Corpus.words`) are its slice of the word column alone."""
     t = bundle.tokens
     records = bundle.entity.records
     record_sids = array(_TYPECODE, map(attrgetter("sid"), records))
-    columns: list = []  # the word, PL node and POS node of each token
+    columns: list = []  # the PL node and POS node of each token
 
     def fail(sid: int, what: str) -> KokoInputError:
         return KokoInputError(f"{os.path.join(bundle.directory, 'tree.idx')}: sentence {sid}: {what}")
 
+    def words(sid: int) -> tuple[str, ...]:
+        return tuple(bundle.word.texts()[t.starts[sid] : t.starts[sid + 1]])
+
     def build(sid: int) -> Sentence:
+        texts = words(sid)
         if not columns:
             size = t.starts[-1]
-            columns.extend((bundle.word.texts(), bundle.pl.postings.owners(size), bundle.pos.postings.owners(size)))
-        texts, label_of, tag_of = columns
+            columns.extend((bundle.pl.postings.owners(size), bundle.pos.postings.owners(size)))
+        label_of, tag_of = columns
         a, b = t.starts[sid], t.starts[sid + 1]
         heads = [None if h == NO_HEAD else h for h in t.heads[a:b]]
         if not all(h in range(b - a) for h in heads if h is not None):
@@ -780,11 +788,11 @@ def open_corpus(bundle: IndexBundle) -> Corpus:
             iobs[rec.start : rec.end + 1] = ["B"] + ["I"] * (rec.end - rec.start)
         pos = map(bundle.pos.labels.__getitem__, tag_of[a:b])
         labels = map(bundle.pl.labels.__getitem__, label_of[a:b])
-        s = Sentence(sid, texts[a:b], pos, labels, heads, etypes, iobs)
+        s = Sentence(sid, texts, pos, labels, heads, etypes, iobs)
         if -1 in s.depth:
             raise fail(sid, f"the heads run in a cycle at tid {s.depth.index(-1)}")
         if (s.left, s.right, s.depth) != (tuple(t.left[a:b]), tuple(t.right[a:b]), tuple(t.depth[a:b])):
             raise fail(sid, "its tree data differ from the token table's")
         return s
 
-    return Corpus.built_by(build, t.lengths, bundle.doc_ids, bundle.doc_starts)
+    return Corpus.built_by(build, words, t.lengths, bundle.doc_ids, bundle.doc_starts)

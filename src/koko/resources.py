@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .corpus import Sentence
 from .errors import KokoError, KokoResourceError
 from .vocab import STOPWORDS
 
@@ -229,37 +229,38 @@ class Resources:
 
     # -- sentence decomposition ----------------------------------------------------
 
-    def decompose(self, sentence: Sentence) -> list[Clause]:
-        cached = self._decompose_cache.get(sentence.sid)
+    def decompose(self, sid: int, words: Sequence[str]) -> list[Clause]:
+        """The scored clauses of sentence sid, whose token texts are
+        `words`."""
+        cached = self._decompose_cache.get(sid)
         if cached is None:
-            cached = self._decompose(sentence)
-            self._decompose_cache[sentence.sid] = cached
+            cached = self._decompose(sid, words)
+            self._decompose_cache[sid] = cached
         return cached
 
-    def _decompose(self, sentence: Sentence) -> list[Clause]:
+    def _decompose(self, sid: int, words: Sequence[str]) -> list[Clause]:
         if self.decomposer == "file":
             if self.clause_file is None:
                 raise KokoResourceError("decomposer 'file' needs a clause file")
-            clauses = self.clause_file.get(sentence.sid)
+            clauses = self.clause_file.get(sid)
             if clauses is None:
-                return [Clause(tuple(range(len(sentence))), 1.0)]
-            if any(not 0 <= t < len(sentence) for c in clauses for t in c.token_ids):
+                return [Clause(tuple(range(len(words))), 1.0)]
+            if any(not 0 <= t < len(words) for c in clauses for t in c.token_ids):
                 raise KokoResourceError(
-                    f"clause file: a clause of sentence {sentence.sid} names a token "
-                    f"outside its {len(sentence)} tokens"
+                    f"clause file: a clause of sentence {sid} names a token "
+                    f"outside its {len(words)} tokens"
                 )
             return clauses
         if self.decomposer == "clauses":
-            return _split_clauses(sentence)
-        return [Clause(tuple(range(len(sentence))), 1.0)]
+            return _split_clauses(words)
+        return [Clause(tuple(range(len(words))), 1.0)]
 
 
 _COORDINATORS = {"and", "but", "or", "nor", "so", "yet"}
 _RELATIVE_PRONOUNS = {"who", "whom", "whose", "which", "that", "where", "when"}
 
 
-def _split_clauses(sentence: Sentence) -> list[Clause]:
-    words = sentence.tokens
+def _split_clauses(words: Sequence[str]) -> list[Clause]:
     boundaries: set[int] = set()
     for i, w in enumerate(words):
         lw = w.lower()
@@ -278,7 +279,7 @@ def _split_clauses(sentence: Sentence) -> list[Clause]:
             current.append(i)
     if current:
         clauses.append(Clause(tuple(current), 1.0))
-    return clauses or [Clause(tuple(range(len(sentence))), 1.0)]
+    return clauses or [Clause(tuple(range(len(words))), 1.0)]
 
 
 def load_clause_file(path: str) -> dict[int, list[Clause]]:

@@ -514,6 +514,7 @@ def test_index_queries_with_and_without_corpus_agree_with_oracle(tmp_path, capsy
 def test_lazy_path_parses_only_candidate_sentences(tmp_path, monkeypatch):
     # Sentences of the corpus opened over an index are built on first read.
     import koko.indexes
+    from koko.corpus import Corpus
     from koko.indexes import load_bundle, open_corpus
 
     canonical, _ = _write_corpus_pair(tmp_path)
@@ -531,11 +532,20 @@ def test_lazy_path_parses_only_candidate_sentences(tmp_path, monkeypatch):
         assert 0 < len(parsed) <= len(run.candidate_sids) < len(corpus), name
 
     # The evidence query's candidates are the entity index's sentences, and
-    # its evidence reads only the sentences of a mention's document that
-    # hold the mention's first token.
+    # its evidence reads only the words of the sentences of a mention's
+    # document that hold the mention's first token: it builds no sentence
+    # and inverts neither the PL nor the POS lists.
     parsed.clear()
     bundle = load_bundle(idx)
     corpus = open_corpus(bundle)
+    inverted = []
+    owners = koko.indexes.PostingLists.owners
+    monkeypatch.setattr(
+        koko.indexes.PostingLists, "owners",
+        lambda lists, size: inverted.append(lists) or owners(lists, size),
+    )
+    read = []
+    monkeypatch.setattr(corpus, "words", lambda sid: read.append(sid) or Corpus.words(corpus, sid))
     run = run_query(parse_query(LAZY_QUERIES["evidence"]), corpus, bundle)
     assert run.rows
     mentions = bundle.entity.lookup()
@@ -545,8 +555,10 @@ def test_lazy_path_parses_only_candidate_sentences(tmp_path, monkeypatch):
         first = tokenize_literal(e.surface)[0]
         doc = corpus.doc_sids(corpus.doc_index_of(e.sid))
         holding |= {bundle.tokens.sid_of[o] for o in bundle.word.lookup(first)} & set(doc)
-    assert 0 < len(parsed) <= len(holding)
-    assert len(run.candidate_sids) < len(corpus) and len(parsed) < len(corpus)
+    assert parsed == []
+    assert not any(lists is bundle.pl.postings or lists is bundle.pos.postings for lists in inverted)
+    assert 0 < len(set(read)) <= len(holding) < len(corpus)
+    assert len(run.candidate_sids) < len(corpus)
 
 
 def test_verify_evidence_query_on_documents(tmp_path, capsys):

@@ -845,8 +845,11 @@ def _assert_round_trip(text: str, directory: str) -> None:
     save_bundle(built, directory)
     loaded = load_bundle(directory)
     assert loaded == built
+    parsed = Corpus(docs)
     for bundle in (built, loaded):
         corpus = open_corpus(bundle)
+        # The word column, read before any sentence is built.
+        assert [corpus.words(sid) for sid in range(len(corpus))] == [s.tokens for s in parsed.sentences]
         again = _documents(corpus)
         assert serialize_corpus(again) == text
         assert corpus_fingerprint(again) == loaded.fingerprint
@@ -854,7 +857,6 @@ def _assert_round_trip(text: str, directory: str) -> None:
         assert [e for s in corpus.sentences for e in s.entities] == loaded.entity.records
         # Built once, and addressed from the end too.
         assert not len(corpus) or corpus.sentences[-1] is corpus.sentence(len(corpus) - 1)
-        parsed = Corpus(docs)
         assert [corpus.doc_index_of(sid) for sid in range(len(corpus))] == [
             parsed.doc_index_of(sid) for sid in range(len(parsed))
         ]

@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from koko.corpus import Corpus, parse_corpus
 from koko.errors import KokoResourceError
 from koko.resources import (
     MAX_EXPANSIONS,
@@ -118,53 +117,41 @@ def test_dictionaries(tmp_path):
         res.dict_contains("Cities", "Portland")
 
 
-def _sentence(words: list[str]) -> Corpus:
-    rows = "\n".join(
-        f"0\t{i}\t{w}\tnoun\t{'root' if i == 0 else 'dep'}\t{-1 if i == 0 else 0}\tO"
-        for i, w in enumerate(words)
-    )
-    return Corpus(parse_corpus(rows + "\n"))
-
-
 def test_identity_decomposer():
-    corpus = _sentence(["I", "ate", "a", "pie"])
     res = Resources()
-    clauses = res.decompose(corpus.sentence(0))
+    clauses = res.decompose(0, ("I", "ate", "a", "pie"))
     assert clauses == [Clause((0, 1, 2, 3), 1.0)]
 
 
 def test_clause_decomposer_splits_at_conjunction():
-    corpus = _sentence(["I", "ate", "a", "pie", "and", "she", "drank", "tea"])
     res = Resources(decomposer="clauses")
-    clauses = res.decompose(corpus.sentence(0))
+    clauses = res.decompose(0, ("I", "ate", "a", "pie", "and", "she", "drank", "tea"))
     assert [c.token_ids for c in clauses] == [(0, 1, 2, 3), (5, 6, 7)]
     covered = [t for c in clauses for t in c.token_ids]
     assert sorted(covered) == [0, 1, 2, 3, 5, 6, 7]  # delimiter excluded once
 
 
 def test_clause_decomposer_comma_before_relative_pronoun():
-    corpus = _sentence(["cream", ",", "which", "was", "delicious"])
     res = Resources(decomposer="clauses")
-    clauses = res.decompose(corpus.sentence(0))
+    clauses = res.decompose(0, ("cream", ",", "which", "was", "delicious"))
     assert [c.token_ids for c in clauses] == [(0,), (2, 3, 4)]
 
 
 def test_clause_decomposer_single_token():
-    corpus = _sentence(["hi"])
     res = Resources(decomposer="clauses")
-    assert res.decompose(corpus.sentence(0)) == [Clause((0,), 1.0)]
+    assert res.decompose(0, ("hi",)) == [Clause((0,), 1.0)]
 
 
 def test_clause_file_provider(tmp_path):
     path = tmp_path / "clauses.jsonl"
     path.write_text('{"sid": 0, "clauses": [{"tokens": [0, 1], "score": 0.9}]}\n')
-    corpus = _sentence(["a", "b", "c"])
+    words = ("a", "b", "c")
     res = Resources(decomposer="file", clause_file=load_clause_file(str(path)))
-    assert res.decompose(corpus.sentence(0)) == [Clause((0, 1), 0.9)]
+    assert res.decompose(0, words) == [Clause((0, 1), 0.9)]
     for bad in (3, -1):
         res = Resources(decomposer="file", clause_file={0: [Clause((0, bad), 1.0)]})
         with pytest.raises(KokoResourceError, match="outside its 3 tokens"):
-            res.decompose(corpus.sentence(0))
+            res.decompose(0, words)
 
 
 def test_bad_expansion_table_rejected(tmp_path):
