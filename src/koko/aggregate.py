@@ -14,10 +14,11 @@ decomposed clauses c_j, where a match requires the descriptor's words in
 order (gaps allowed, case-insensitive) and scores k_i * l_j, damped by
 1/(1+g) for the token gap g between the candidate and the matched words.
 
-Adjacency, ``near`` and descriptors look for the value's occurrences in
-its document. They read a sentence's words (`Corpus.words`), never the
-sentence: in a corpus opened over an index the words are a slice of the
-word column, so evidence builds no `Sentence`. The engine passes a
+Adjacency, ``near`` and descriptors read one list per value: its
+occurrences in the document, each a sentence's sid, its words
+(`Corpus.words`: in a corpus opened over an index a slice of the word
+column, so evidence builds no `Sentence`) and the value's start tids.
+Adjacency is ``near`` at distance zero, on one side. The engine passes a
 word-index locator, so only the document's sentences holding the value's
 first token are read; the oracle passes none and reads every sentence of
 the document. A query with neither a satisfying nor an excluding clause
@@ -143,17 +144,21 @@ def _tokens(text: str) -> tuple[str, ...]:
 # document range doc_sids that hold the token word.
 Locate = Callable[[str, range], Sequence[int]]
 
+# A value's occurrences in one document: for each sentence holding it, in
+# sid order, the sid, the sentence's words and the token ids where the
+# value starts.
+Occurrences = list[tuple[int, tuple[str, ...], list[int]]]
+
 
 class EvidenceEvaluator:
     """Scores clause conditions for candidate values within one document.
 
-    Adjacency, ``near`` and both descriptor sides scan the words of the
-    document's sentences (`Corpus.words`) for occurrences of the value;
-    no condition reads a `Sentence`, so over an index nothing is built. A
-    sentence without the value's first token holds no occurrence and adds
-    nothing to any of them, so with `locate` the scans visit only the
-    sentences it returns for that token. `engine.run_query` passes a
-    locator over the word index. `koko.oracle` passes none and scans every
+    Adjacency, ``near`` and both descriptor sides read the value's
+    `Occurrences`, found once per value; no condition reads a `Sentence`,
+    so over an index nothing is built. A sentence without the value's
+    first token holds no occurrence, so with `locate` only the sentences
+    it returns for that token are read. `engine.run_query` passes a
+    locator over the word index. `koko.oracle` passes none and reads every
     sentence of `doc_sids`: it stays independent of the index, and the
     differential tests and `koko verify` check the locator against it.
     """
@@ -169,17 +174,48 @@ class EvidenceEvaluator:
         self.resources = resources
         self.doc_sids = doc_sids
         self.locate = locate
-        self._located: dict[str, Sequence[int]] = {}
+        self._occurrences: dict[str, Occurrences] = {}
+        self._expansions: dict[str, list[tuple[list[str], float]]] = {}
         self._score_cache: dict[tuple[int, str], EvidenceScore] = {}
 
-    def _sids_with(self, value_toks: tuple[str, ...]) -> Sequence[int]:
-        """The document's sentences that may hold value_toks."""
-        if self.locate is None:
-            return self.doc_sids
-        sids = self._located.get(value_toks[0])
-        if sids is None:
-            sids = self._located[value_toks[0]] = self.locate(value_toks[0], self.doc_sids)
-        return sids
+    def _occurrences_of(self, value: str) -> Occurrences:
+        found = self._occurrences.get(value)
+        if found is None:
+            found = self._occurrences[value] = []
+            value_toks = _tokens(value)
+            if not value_toks:
+                return found
+            sids = self.doc_sids if self.locate is None else self.locate(value_toks[0], self.doc_sids)
+            for sid in sids:
+                words = self.corpus.words(sid)
+                starts = find_token_seq(words, value_toks)
+                if starts:
+                    found.append((sid, words, starts))
+        return found
+
+    def _literal_gaps(self, value: str, literal: str) -> list[tuple[int, list[tuple[str, int]]]]:
+        """For each sentence holding both the value and the literal: its sid
+        and, for each pair of a value and a literal occurrence, where the
+        literal lies ("after", "before" or "over" the value) and the
+        number of tokens strictly between them (0 when they overlap)."""
+        lit_toks = _tokens(literal)
+        value_len = len(_tokens(value))
+        out: list[tuple[int, list[tuple[str, int]]]] = []
+        for sid, words, starts in self._occurrences_of(value):
+            pairs = []
+            for l in find_token_seq(words, lit_toks):
+                l_end = l + len(lit_toks) - 1
+                for v in starts:
+                    v_end = v + value_len - 1
+                    if l > v_end:
+                        pairs.append(("after", l - v_end - 1))
+                    elif v > l_end:
+                        pairs.append(("before", v - l_end - 1))
+                    else:
+                        pairs.append(("over", 0))
+            if pairs:
+                out.append((sid, pairs))
+        return out
 
     # -- boolean conditions ----------------------------------------------
 
@@ -194,92 +230,48 @@ class EvidenceEvaluator:
         if kind == "in_dict":
             return 1.0 if self.resources.dict_contains(cond.arg, value) else 0.0
         if kind == "followed_by":
-            return 1.0 if self._adjacent(value, cond.arg, after=True) else 0.0
+            return self._adjacent(value, cond.arg, "after")
         if kind == "preceded_by":
-            return 1.0 if self._adjacent(value, cond.arg, after=False) else 0.0
+            return self._adjacent(value, cond.arg, "before")
         raise ValueError(f"unknown condition kind {kind!r}")
 
-    def _adjacent(self, value: str, literal: str, after: bool) -> bool:
-        value_toks = _tokens(value)
-        lit_toks = _tokens(literal)
-        if not value_toks or not lit_toks:
-            return False
-        for sid in self._sids_with(value_toks):
-            words = self.corpus.words(sid)
-            for start in find_token_seq(words, value_toks):
-                if after:
-                    nxt = start + len(value_toks)
-                    if words[nxt : nxt + len(lit_toks)] == lit_toks:
-                        return True
-                else:
-                    begin = start - len(lit_toks)
-                    if begin >= 0 and words[begin:start] == lit_toks:
-                        return True
-        return False
+    def _adjacent(self, value: str, literal: str, side: str) -> float:
+        """1.0 when the literal occurs right `side` ("after" or "before") the
+        value: a pair of their occurrences at distance zero on that side."""
+        return 1.0 if any((side, 0) in pairs for _, pairs in self._literal_gaps(value, literal)) else 0.0
 
     # -- near -------------------------------------------------------------
 
     def eval_near(self, value: str, literal: str) -> tuple[float, list[tuple[int, float]]]:
         """Best per-sentence 1/(1+gap); gap is tokens strictly between."""
-        value_toks = _tokens(value)
-        lit_toks = _tokens(literal)
-        per_sentence: list[tuple[int, float]] = []
-        if not value_toks or not lit_toks:
-            return 0.0, per_sentence
-        for sid in self._sids_with(value_toks):
-            words = self.corpus.words(sid)
-            v_occ = find_token_seq(words, value_toks)
-            l_occ = find_token_seq(words, lit_toks)
-            if not v_occ or not l_occ:
-                continue
-            best = 0.0
-            for v in v_occ:
-                v_end = v + len(value_toks) - 1
-                for l in l_occ:
-                    l_end = l + len(lit_toks) - 1
-                    if l > v_end:
-                        gap = l - v_end - 1
-                    elif v > l_end:
-                        gap = v - l_end - 1
-                    else:
-                        gap = 0
-                    best = max(best, 1.0 / (1.0 + gap))
-            if best:
-                per_sentence.append((sid, best))
-        if not per_sentence:
-            return 0.0, per_sentence
-        return max(c for _, c in per_sentence), per_sentence
+        per_sentence = [
+            (sid, 1.0 / (1.0 + min(gap for _, gap in pairs)))
+            for sid, pairs in self._literal_gaps(value, literal)
+        ]
+        return max((c for _, c in per_sentence), default=0.0), per_sentence
 
     # -- descriptors --------------------------------------------------------
 
     def eval_descriptor(
         self, value: str, phrase: str, right_side: bool
     ) -> tuple[float, list[tuple[int, float]]]:
-        expansions = [
-            ([w.lower() for w in e.words], e.score) for e in self.resources.expand(phrase)
-        ]
-        value_toks = _tokens(value)
+        expansions = self._expansions.get(phrase)
+        if expansions is None:
+            expansions = self._expansions[phrase] = [
+                ([w.lower() for w in e.words], e.score) for e in self.resources.expand(phrase)
+            ]
+        value_len = len(_tokens(value))
         per_sentence: list[tuple[int, float]] = []
-        if not value_toks:
-            return 0.0, per_sentence
-        for sid in self._sids_with(value_toks):
-            words = self.corpus.words(sid)
-            occurrences = find_token_seq(words, value_toks)
-            if not occurrences:
-                continue
-            conf = 0.0
+        for sid, words, starts in self._occurrences_of(value):
             clause_set = self.resources.decompose(sid, words)
             lowered = [w.lower() for w in words]
-            for occ in occurrences:
-                occ_end = occ + len(value_toks) - 1
-                conf = max(
-                    conf,
-                    _descriptor_conf(lowered, clause_set, expansions, occ, occ_end, right_side),
-                )
+            conf = max(
+                _descriptor_conf(lowered, clause_set, expansions, occ, occ + value_len - 1, right_side)
+                for occ in starts
+            )
             if conf:
                 per_sentence.append((sid, conf))
-        total = min(1.0, sum(c for _, c in per_sentence))
-        return total, per_sentence
+        return min(1.0, sum(c for _, c in per_sentence)), per_sentence
 
     # -- clause scoring ----------------------------------------------------------
 
@@ -448,19 +440,19 @@ def finalize_results(
         ordered = sorted(tuples) if key_of is None else sorted(tuples, key=lambda t: (t[0], key_of(t[1])))
         return [ResultRow(sid, dict(zip(shown, values)), {}, True) for sid, values in ordered]
     clauses = [(ci, clause, index[clause.var]) for ci, clause in enumerate(q.satisfying)]
-    evaluators: dict[int, EvidenceEvaluator] = {}
+    evaluator: EvidenceEvaluator | None = None
     rows: list[ResultRow] = []
     keys: list[tuple] = []
     dedup: set[tuple] = set()
     doc_index_of = corpus.doc_index_of
 
     def evaluator_of(sid: int) -> EvidenceEvaluator:
-        doc_idx = doc_index_of(sid)
-        evaluator = evaluators.get(doc_idx)
-        if evaluator is None:
-            evaluator = evaluators[doc_idx] = EvidenceEvaluator(
-                corpus, resources, corpus.doc_sids(doc_idx), locate
-            )
+        # Producers emit tuples in sid order, so a document's evaluator and
+        # the occurrences it holds are dropped when the next document starts.
+        nonlocal evaluator
+        doc_sids = corpus.doc_sids(doc_index_of(sid))
+        if evaluator is None or evaluator.doc_sids != doc_sids:
+            evaluator = EvidenceEvaluator(corpus, resources, doc_sids, locate)
         return evaluator
 
     for t in tuples:

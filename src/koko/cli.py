@@ -14,6 +14,7 @@ import time
 
 from .aggregate import ResultRow
 from .corpus import Corpus, load_corpus, read_corpus_bytes
+from .dpli import candidate_bindings
 from .engine import run_query
 from .errors import KokoError, KokoInputError, KokoQueryError, KokoResourceError
 from .gsp import estimate_cost, generate_skip_plan
@@ -178,10 +179,10 @@ def cmd_explain(args: argparse.Namespace) -> int:
     if args.stage == "normalize":
         print(n.describe(), end="")
         return EXIT_OK
-    run = run_query(query, corpus, bundle, resources=resources, keep_failed=True)
     if args.stage == "dpli":
-        print(run.table.describe(), end="")
+        print(candidate_bindings(n, bundle).describe(), end="")
         return EXIT_OK
+    run = run_query(query, corpus, bundle, resources=resources, keep_failed=True)
     if args.stage == "gsp":
         if run.direct is not None:
             print(

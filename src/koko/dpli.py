@@ -318,13 +318,19 @@ class BindingTable:
     starts: array  # candidates are token offsets, starts[sid] + tid
     info: list[DominantInfo] = field(default_factory=list)
     chain: list[ChainLink] = field(default_factory=list)
+    _last: dict[str, tuple[int, int, int]] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def bounds(self, var: str, sid: int) -> tuple[int, int]:
         """(lo, hi): a variable's candidates in sentence sid are its
-        ``offsets[lo:hi]`` (and ``records[lo:hi]``), found by bisection."""
-        offsets = self.bindings[var].offsets
-        lo = bisect_left(offsets, self.starts[sid])
-        return lo, bisect_left(offsets, self.starts[sid + 1], lo)
+        ``offsets[lo:hi]`` (and ``records[lo:hi]``), found by bisection.
+        The skip plan's costs and the nested loop ask for the same
+        sentence in turn, so each variable keeps its last (sid, lo, hi)."""
+        last = self._last.get(var)
+        if last is None or last[0] != sid:
+            offsets = self.bindings[var].offsets
+            lo = bisect_left(offsets, self.starts[sid])
+            last = self._last[var] = (sid, lo, bisect_left(offsets, self.starts[sid + 1], lo))
+        return last[1], last[2]
 
     def tids(self, var: str, sid: int) -> list[int]:
         """The token ids of a variable's candidates' first tokens in one

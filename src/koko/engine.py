@@ -14,10 +14,10 @@ is compiled once per distinct plan, and projects the sentence's tuples
 onto the values aggregation reads (`aggregate.projector`) while the
 sentence is in hand. Both paths hand aggregation the same shape, (sid,
 values), so aggregation reads no sentence to build a row. Evidence finds
-a value's occurrences in its document through the word index
-(`WordIndex.sentences_with`) and reads only the words of the sentences
-holding the value's first token (`Corpus.words`), so it builds no
-sentence: the nested loop is the only stage that builds a `Sentence`.
+each value's occurrences in its document once, through the word index
+(`WordIndex.sentences_with`), and reads only the words (`Corpus.words`)
+of the sentences holding its first token: it builds no sentence, and the
+nested loop is the only stage that builds a `Sentence`.
 """
 
 from __future__ import annotations

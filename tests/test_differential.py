@@ -239,6 +239,64 @@ def test_near_literal_only_in_sentences_without_the_value():
     assert [(r.passed, r.scores["x"].total) for r in run.rows] == [(False, 0.0)]
 
 
+# The conditions of ADJACENCY, in order: x followed by "tea", x preceded by
+# "tea", x near "tea", and "tea" on either descriptor side.
+ADJACENCY = (
+    'extract x:Entity from "d" if ()\nsatisfying x\n'
+    '    (x "tea" {0.2}) or ("tea" x {0.2}) or (x near "tea" {0.2}) or\n'
+    '    (x [["tea"]] {0.2}) or ([["tea"]] x {0.2})\n'
+    "with threshold 0.5"
+)
+
+
+def _ms(run, value):
+    """Each condition's confidence for the value, from its first row."""
+    row = next(r for r in run.rows if value in r.values.values())
+    (score,) = row.scores.values()
+    return [c.m for c in score.conditions]
+
+
+def test_adjacency_does_not_cross_sentence_ends():
+    # The value ends one sentence and the literal opens the next; the
+    # literal ends one sentence and the value opens the next.
+    corpus, bundle = _evidence_corpus([["we like Acme/Org", "tea is hot", "they sell tea", "Acme rules"]])
+    run = _assert_evidence_matches_oracle(corpus, bundle, ADJACENCY)
+    assert _ms(run, "Acme") == [0.0] * 5
+    assert _per_sentence(run, "Acme") == [[], [], [], [], []]
+
+
+def test_literal_overlapping_the_value_is_near_but_not_adjacent():
+    corpus, bundle = _evidence_corpus([["Blue/Org Bottle/Org sells", "tea Bottle"]])
+    run = _assert_evidence_matches_oracle(corpus, bundle, ADJACENCY.replace('"tea"', '"Bottle"'))
+    assert _ms(run, "Blue Bottle")[:3] == [0.0, 0.0, 1.0]
+    assert _per_sentence(run, "Blue Bottle")[2] == [0]
+
+
+def test_literal_next_to_the_second_occurrence_of_the_value():
+    corpus, bundle = _evidence_corpus([["Acme/Org is big so Acme tea wins", "and tea Acme"]])
+    run = _assert_evidence_matches_oracle(corpus, bundle, ADJACENCY.replace('("tea" x', '("so" x'))
+    assert _ms(run, "Acme")[:3] == [1.0, 1.0, 1.0]
+    assert _per_sentence(run, "Acme")[2:] == [[0, 1], [0], [1]]
+
+
+def test_evidence_reads_each_located_sentence_once_per_value(monkeypatch):
+    corpus, bundle = _evidence_corpus([
+        ["Acme/Org sells tea", "tea Acme serves coffee", "Zed/Person and Acme meet", "Acme", "none"],
+        ["Acme/Org again", "Acme tea", "Zed"],
+    ])
+    read = []
+    monkeypatch.setattr(corpus, "words", lambda sid: read.append(sid) or Corpus.words(corpus, sid))
+    q = parse_query(ADJACENCY.replace('(x "tea"', '(x "serves"'))
+    run = run_query(q, corpus, bundle, keep_failed=True)
+    # Acme in the first document, Zed in it, and Acme in the second.
+    assert [(r.sid, r.values["x"]) for r in run.rows] == [(0, "Acme"), (2, "Zed"), (5, "Acme")]
+    located = []
+    for r in run.rows:
+        doc_sids = corpus.doc_sids(corpus.doc_index_of(r.sid))
+        located += bundle.word.sentences_with(r.values["x"], doc_sids)
+    assert sorted(read) == sorted(located) == [0, 1, 2, 2, 3, 5, 6]
+
+
 def test_typed_entity_query_without_mentions_of_its_type():
     corpus, bundle = _evidence_corpus([["Acme/Org sells coffee", "Acme near coffee"]])
     run = _assert_evidence_matches_oracle(corpus, bundle, (

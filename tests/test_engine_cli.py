@@ -169,6 +169,23 @@ def test_explain_dpli_prints_patterns(capsys):
     assert '//"ate"/*//"delicious"' in out
 
 
+def test_explain_dpli_only_looks_up_candidates(monkeypatch, capsys):
+    # Its output is the looked-up table's, and nothing is evaluated.
+    import koko.engine
+    from koko.corpus import Corpus, load_corpus
+    from koko.indexes import build_indexes
+
+    q = data_path("queries", "ex41.koko")
+    docs = load_corpus(EX31)
+    with open(q, encoding="utf-8") as f:
+        expected = run_query(parse_query(f.read()), Corpus(docs), build_indexes(docs)).table.describe()
+    for name in ("_nested_loops", "run_direct", "finalize_results"):
+        monkeypatch.setattr(koko.engine, name, lambda *a, **k: pytest.fail("explain --stage dpli evaluated"))
+    code, out, _ = run_cli(["explain", "--query", q, "--corpus", EX31, "--stage", "dpli"], capsys)
+    assert code == 0
+    assert out == expected
+
+
 def test_explain_gsp_prints_costs_and_counts(capsys):
     q = data_path("queries", "ex41.koko")
     code, out, _ = run_cli(["explain", "--query", q, "--corpus", EX31, "--stage", "gsp"], capsys)
