@@ -271,7 +271,7 @@ class EvidenceEvaluator:
             )
             if conf:
                 per_sentence.append((sid, conf))
-        return min(1.0, sum(c for _, c in per_sentence)), per_sentence
+        return min(1.0, sum((c for _, c in per_sentence), 0.0)), per_sentence
 
     # -- clause scoring ----------------------------------------------------------
 

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 
 from .corpus import AnnotatedDocument, Corpus, Sentence, child_lists
-from .engine import run_query
+from .engine import evaluate, run_query
 from .errors import KokoInputError
 from .indexes import IndexBundle
 from .oracle import oracle_evaluate
@@ -393,9 +393,7 @@ def run_benchmark(
     for bq in suite.queries:
         q = parse_query(bq.text)
         run = run_query(q, corpus, bundle, resources=resources)
-        nogsp_iters = run_query(
-            q, corpus, bundle, resources=resources, use_gsp=False
-        ).stats.loop_iterations
+        nogsp_iters = evaluate(q, corpus, bundle, use_gsp=False).stats.loop_iterations
         candidates = set(run.candidate_sids)
         if with_oracle:
             oracle_rows = oracle_evaluate(q, corpus, resources=resources)

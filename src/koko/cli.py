@@ -15,9 +15,8 @@ import time
 from .aggregate import ResultRow
 from .corpus import Corpus, load_corpus, read_corpus_bytes
 from .dpli import candidate_bindings
-from .engine import run_query
+from .engine import evaluate, run_query
 from .errors import KokoError, KokoInputError, KokoQueryError, KokoResourceError
-from .gsp import estimate_cost, generate_skip_plan
 from .indexes import (
     build_indexes,
     corpus_fingerprint,
@@ -182,8 +181,9 @@ def cmd_explain(args: argparse.Namespace) -> int:
     if args.stage == "dpli":
         print(candidate_bindings(n, bundle).describe(), end="")
         return EXIT_OK
-    run = run_query(query, corpus, bundle, resources=resources, keep_failed=True)
     if args.stage == "gsp":
+        # Evaluated only: no row is built and no evidence scored.
+        run = evaluate(n, corpus, bundle)
         if run.direct is not None:
             print(
                 f"direct plan: one enumeration op ({run.direct}) answered from postings; "
@@ -192,15 +192,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
                 f"tuples: {run.stats.tuples}; checks: {run.stats.checks}"
             )
             return EXIT_OK
-        for sid in run.candidate_sids:
-            t = corpus.sentence_lengths[sid]
-            plan = generate_skip_plan(run.normalized, run.table, sid, t)
-            costs = {
-                name: estimate_cost(name, sid, run.table, t)
-                for name in n.variables
-                if n.var(name).kind not in ("subtree", "composite")
-            }
-            print(f"sid {sid}: costs {costs} skip {sorted(plan.skipped)}")
+        for key, sentences in run.plans.items():
+            print(f"skip {sorted({name for _, names in key for name in names})}: {sentences} sentences")
         print(f"loop iterations: {run.stats.loop_iterations}")
         print(f"tuples: {run.stats.tuples}")
         print(f"checks: {run.stats.checks}")
@@ -208,17 +201,12 @@ def cmd_explain(args: argparse.Namespace) -> int:
     if args.stage == "satisfy":
         if not args.value:
             raise KokoQueryError("--stage satisfy needs --value <candidate>")
-        shown = False
-        for r in run.rows:
-            for var, score in r.scores.items():
-                if score.value == args.value:
-                    print(f"satisfying {var}:")
-                    print(score.describe(), end="")
-                    shown = True
-                    break
-            if shown:
-                break
-        if not shown:
+        rows = run_query(query, corpus, bundle, resources=resources, keep_failed=True).rows
+        scores = [(var, score) for r in rows for var, score in r.scores.items() if score.value == args.value]
+        for var, score in scores[:1]:
+            print(f"satisfying {var}:")
+            print(score.describe(), end="")
+        if not scores:
             print(f"no evidence recorded for value {args.value!r}")
         return EXIT_OK
     raise KokoQueryError(f"unknown explain stage {args.stage!r}")

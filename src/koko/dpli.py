@@ -59,8 +59,6 @@ class DecomposedPath:
     pos_steps: list[tuple[str, str]]
     word_steps: list[tuple[str, str]]
     word_positions: list[int]  # step indices carrying a concrete word
-    min_depth: list[int]  # per step, minimal token depth
-    exact_depth: list[bool]  # per step, True when the depth is forced
 
     @property
     def has_pl(self) -> bool:
@@ -101,8 +99,6 @@ def decompose(path: PathExpr) -> DecomposedPath:
     pos_steps: list[tuple[str, str]] = []
     word_steps: list[tuple[str, str]] = []
     word_positions: list[int] = []
-    min_depth: list[int] = []
-    exact_depth: list[bool] = []
     for i, step in enumerate(path.steps):
         pl_label = pos_label = word_label = "*"
         if step.kind == "word":
@@ -131,20 +127,12 @@ def decompose(path: PathExpr) -> DecomposedPath:
         word_steps.append((step.axis, word_label))
         if word_label != "*":
             word_positions.append(i)
-        if i == 0:
-            min_depth.append(0)
-            exact_depth.append(step.axis == "/")
-        else:
-            min_depth.append(min_depth[-1] + 1)
-            exact_depth.append(exact_depth[-1] and step.axis == "/")
     return DecomposedPath(
         source=path,
         pl_steps=pl_steps,
         pos_steps=pos_steps,
         word_steps=word_steps,
         word_positions=word_positions,
-        min_depth=min_depth,
-        exact_depth=exact_depth,
     )
 
 
@@ -231,7 +219,10 @@ def join_word_path(
     current: list[int] | None = None
     for pos in dp.word_positions:
         word = bundle.word.read(dp.word_steps[pos][1], within)
-        leg = _filter_depth(word, t.depth, dp.min_depth[pos], dp.exact_depth[pos])
+        # Step `pos` lies `pos` levels below the root, exactly that deep
+        # when no step up to it is `//`.
+        exact = all(axis == "/" for axis, _ in dp.word_steps[: pos + 1])
+        leg = _filter_depth(word, t.depth, pos, exact)
         current = leg if current is None else _contained(leg, current, t, pos - prev_pos)
         if not current:
             return []

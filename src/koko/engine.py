@@ -17,13 +17,14 @@ values), so aggregation reads no sentence to build a row. Evidence finds
 each value's occurrences in its document once, through the word index
 (`WordIndex.sentences_with`), and reads only the words (`Corpus.words`)
 of the sentences holding its first token: it builds no sentence, and the
-nested loop is the only stage that builds a `Sentence`.
+nested loop is the only stage that builds a `Sentence`. `evaluate` stops
+before aggregation, for readers of the counts and plans alone.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .aggregate import Projected, ResultRow, finalize_results, projector
 from .corpus import Corpus
@@ -53,6 +54,9 @@ class QueryRun:
     eval_seconds: float = 0.0
     # The variable a direct plan answered from its postings, or None.
     direct: str | None = None
+    # The candidate sentences the nested loop ran under each skip plan, by
+    # `SkipPlan.key`, in first-use order.
+    plans: dict[tuple, int] = field(default_factory=dict)
 
     @property
     def candidate_sids(self) -> list[int]:
@@ -61,6 +65,31 @@ class QueryRun:
     @property
     def answer_sids(self) -> set[int]:
         return {r.sid for r in self.rows if r.passed}
+
+
+def evaluate(
+    q: Query | NormalizedQuery, corpus: Corpus, bundle: IndexBundle, use_gsp: bool = True
+) -> QueryRun:
+    """The query's tuples and counts, and no row. `use_gsp=False` evaluates
+    every sentence without skips (pure nested loops), also when a direct
+    plan would answer the query."""
+    n = normalize(q)
+    t0 = time.perf_counter()
+    table = candidate_bindings(n, bundle)
+    t1 = time.perf_counter()
+    stats = EvalStats()
+    plans: dict[tuple, int] = {}
+    direct = direct_binding(n, table) if use_gsp else None
+    if direct is not None:
+        tuples = run_direct(direct, bundle, stats)
+    else:
+        tuples = _nested_loops(n, table, corpus, stats, plans, use_gsp)
+    t2 = time.perf_counter()
+    return QueryRun(
+        rows=[], tuples=tuples, stats=stats, table=table, normalized=n,
+        lookup_seconds=t1 - t0, eval_seconds=t2 - t1,
+        direct=None if direct is None else direct.var.name, plans=plans,
+    )
 
 
 def run_query(
@@ -72,51 +101,39 @@ def run_query(
     keep_failed: bool = False,
     jobs: int = 1,
 ) -> QueryRun:
-    """Answer a query over the corpus through its index bundle.
+    """Answer a query over the corpus through its index bundle: `evaluate`
+    it, then aggregate its tuples into rows.
 
-    `use_gsp=False` evaluates every sentence without skips (pure nested
-    loops), also when a direct plan would answer the query. `keep_failed=
-    True` also returns rows that failed their satisfying clause or were
-    excluded. `jobs` must be 1: evaluation is CPU-bound pure Python, and
-    a thread pool over it ran 2.7 times slower under the GIL, so it was
-    removed. Other values raise ValueError rather than being ignored.
+    `use_gsp` is `evaluate`'s. `keep_failed=True` also returns rows that
+    failed their satisfying clause or were excluded. `jobs` must be 1:
+    evaluation is CPU-bound pure Python, and a thread pool over it ran 2.7
+    times slower under the GIL, so it was removed. Other values raise
+    ValueError rather than being ignored.
     """
     if jobs != 1:
         raise ValueError(f"jobs={jobs}: sentences are evaluated in one thread; only jobs=1 is supported")
-    n = normalize(q)
-    resources = resources if resources is not None else Resources()
-    t0 = time.perf_counter()
-    table = candidate_bindings(n, bundle)
-    t1 = time.perf_counter()
-    stats = EvalStats()
-    direct = direct_binding(n, table) if use_gsp else None
-    if direct is not None:
-        tuples = run_direct(direct, bundle, stats)
-    else:
-        tuples = _nested_loops(n, table, corpus, stats, use_gsp)
-    t2 = time.perf_counter()
-    rows = finalize_results(
-        n, tuples, corpus, resources, keep_failed=keep_failed, locate=bundle.word.sentences_with
+    run = evaluate(q, corpus, bundle, use_gsp)
+    run.rows = finalize_results(
+        run.normalized, run.tuples, corpus, resources if resources is not None else Resources(),
+        keep_failed=keep_failed, locate=bundle.word.sentences_with,
     )
-    return QueryRun(
-        rows=rows, tuples=tuples, stats=stats, table=table, normalized=n,
-        lookup_seconds=t1 - t0, eval_seconds=t2 - t1,
-        direct=None if direct is None else direct.var.name,
-    )
+    return run
 
 
 def _nested_loops(
-    n: NormalizedQuery, table: BindingTable, corpus: Corpus, stats: EvalStats, use_gsp: bool
+    n: NormalizedQuery, table: BindingTable, corpus: Corpus, stats: EvalStats, used: dict, use_gsp: bool
 ) -> list[Projected]:
-    """Every candidate sentence's tuples under its skip plan, projected."""
-    plans: dict = {}
+    """Every candidate sentence's tuples under its skip plan, projected.
+    `used` counts the sentences run under each plan, by `SkipPlan.key`."""
+    memo: dict = {}
     compiled: dict = {}
     no_skips = SkipPlan()
     lengths = corpus.sentence_lengths
     project = projector(n)
     tuples: list[Projected] = []
     for sid in table.candidate_sids:
-        plan = generate_skip_plan(n, table, sid, lengths[sid], plans) if use_gsp else no_skips
+        plan = generate_skip_plan(n, table, sid, lengths[sid], memo) if use_gsp else no_skips
+        used[plan.key] = used.get(plan.key, 0) + 1
         # The stats argument holds this sentence's counts only, so that
         # whoever observes the call sees them.
         sentence_stats = EvalStats()

@@ -42,6 +42,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate, chain, compress, count, repeat
 from operator import add, attrgetter, le, lt, sub
 
@@ -76,13 +77,14 @@ class TokenTable:
     ``depth`` are the sentence-local columns of each `Sentence`, by
     offset, with `NO_HEAD` as a root's head. ``lengths`` (the token count
     of each sentence) and ``sid_of`` (the sentence of each offset) are
-    derived from ``starts``."""
+    derived from ``starts``, ``depth`` from ``pl``, the PL hierarchy, at
+    its first read."""
 
     starts: array
     left: array
     right: array
     heads: array
-    depth: array
+    pl: HierarchyIndex | None = field(default=None, repr=False, compare=False)
     lengths: array = field(init=False, repr=False, compare=False)
     sid_of: array = field(init=False, repr=False, compare=False)
 
@@ -91,17 +93,31 @@ class TokenTable:
         sids = range(len(self.lengths))
         self.sid_of = array(_TYPECODE, chain.from_iterable(map(repeat, sids, self.lengths)))
 
+    @cached_property
+    def depth(self) -> array:
+        """Each token's depth, its PL node's; nodes are numbered parent
+        first, so one pass over the parents gives theirs. The PL lists must
+        hold every token once, each under a node less deep than its sentence is long."""
+        node_depth = [-1]
+        for parent in self.pl.parents[1:]:
+            node_depth.append(node_depth[parent] + 1)
+        depth = array(_TYPECODE, map(node_depth.__getitem__, self.pl.postings.owners(self.starts[-1])))
+        for o in compress(count(), map(le, map(self.lengths.__getitem__, self.sid_of), depth)):
+            sid, where = self.sid_of[o], self.pl.postings.where
+            raise KokoInputError(f"{where}: token ({sid},{o - self.starts[sid]}) lies deeper than its sentence is long")
+        return depth
+
     def check(self, offsets: array, where: str) -> None:
         """Raise KokoInputError unless `offsets` is a strictly increasing
         list of token offsets whose tree entries lie in their sentence."""
-        starts, sid_of, left, right, depth = self.starts, self.sid_of, self.left, self.right, self.depth
+        starts, sid_of, left, right = self.starts, self.sid_of, self.left, self.right
         prev = -1
         for o in offsets:
             if not prev < o < len(sid_of):
                 raise KokoInputError(f"{where}: posting {o} lies outside the corpus or out of order")
             sid = sid_of[o]
             tid, n = o - starts[sid], starts[sid + 1] - starts[sid]
-            if not (left[o] <= tid <= right[o] < n and depth[o] < n):
+            if not left[o] <= tid <= right[o] < n:
                 raise KokoInputError(f"{where}: tree entry of token ({sid},{tid}) lies outside the corpus")
             prev = o
 
@@ -455,10 +471,10 @@ def build_indexes(docs: list[AnnotatedDocument]) -> IndexBundle:
         column("left"),
         column("right"),
         array(_TYPECODE, [NO_HEAD if h is None else h for s in sentences for h in s.heads]),
-        column("depth"),
     )
     texts = list(chain.from_iterable(s.tokens for s in sentences))
     pl, pos = _merged_trees(sentences)
+    tokens.pl = pl
     return IndexBundle(
         word=WordIndex(tokens, PostingLists.grouped(texts, sorted(set(texts))), texts),
         entity=EntityIndex([e for s in sentences for e in s.entities]),
@@ -652,8 +668,8 @@ def index_fingerprint(directory: str) -> str:
 def load_bundle(directory: str, expected_fingerprint: str | None = None) -> IndexBundle:
     """Open a saved index. Every file is read whole, column by column, and
     its checksum checked against the manifest's; a posting list is checked
-    against the token table on first lookup. Each token's depth is its PL
-    node's, which the PL lists, inverted here, give."""
+    against the token table on first lookup, and the PL lists as a whole at
+    the first read of the depth column (`TokenTable.depth`)."""
     manifest = _read_manifest(directory)
     fingerprint = manifest.get("fingerprint", "")
     if expected_fingerprint is not None and fingerprint != expected_fingerprint:
@@ -680,8 +696,7 @@ def load_bundle(directory: str, expected_fingerprint: str | None = None) -> Inde
     bounds = [*doc_starts, len(starts) - 1]
     if len(doc_ids) != len(doc_starts) or bounds[0] != 0 or not all(map(le, bounds, bounds[1:])):
         raise f.fail("document table out of order or past the sentence count")
-    # The depth column is filled from the PL hierarchy below.
-    tokens = TokenTable(starts, *columns, array(_TYPECODE))
+    tokens = TokenTable(starts, *columns)
 
     def open_file(name: str) -> _IndexFile:
         return _IndexFile(directory, name, checksums[name], tokens)
@@ -737,14 +752,8 @@ def load_bundle(directory: str, expected_fingerprint: str | None = None) -> Inde
             raise f.fail("two children of a node share a label")
         hierarchies.append(index)
 
-    # Nodes are numbered parent first, so one pass gives every node's depth.
     pl, pos = hierarchies
-    node_depth = [-1]
-    for parent in pl.parents[1:]:
-        node_depth.append(node_depth[parent] + 1)
-    owners = pl.postings.owners(starts[-1])
-    tokens.depth = array(_TYPECODE, map(node_depth.__getitem__, owners))
-
+    tokens.pl = pl
     return IndexBundle(word, entity, pl, pos, tokens, fingerprint, doc_ids, doc_starts, directory)
 
 
@@ -755,13 +764,13 @@ def open_corpus(bundle: IndexBundle) -> Corpus:
     and of the PL and POS lists inverted, its heads and its entity records
     (B on a record's first token, I on the rest); one whose heads are no
     tree, or whose derived tree data differ from the token table's, raises
-    KokoInputError then. The columns are made at the first build, so a
-    query that builds no sentence inverts nothing. A sentence's words
-    (`Corpus.words`) are its slice of the word column alone."""
+    KokoInputError then. The lists are inverted at the first build
+    (`PostingLists.owners` keeps the column), so a query that builds no
+    sentence inverts nothing. A sentence's words (`Corpus.words`) are its
+    slice of the word column alone."""
     t = bundle.tokens
     records = bundle.entity.records
     record_sids = array(_TYPECODE, map(attrgetter("sid"), records))
-    columns: list = []  # the PL node and POS node of each token
 
     def fail(sid: int, what: str) -> KokoInputError:
         return KokoInputError(f"{os.path.join(bundle.directory, 'tree.idx')}: sentence {sid}: {what}")
@@ -771,10 +780,7 @@ def open_corpus(bundle: IndexBundle) -> Corpus:
 
     def build(sid: int) -> Sentence:
         texts = words(sid)
-        if not columns:
-            size = t.starts[-1]
-            columns.extend((bundle.pl.postings.owners(size), bundle.pos.postings.owners(size)))
-        label_of, tag_of = columns
+        label_of, tag_of = (index.postings.owners(t.starts[-1]) for index in (bundle.pl, bundle.pos))
         a, b = t.starts[sid], t.starts[sid + 1]
         heads = [None if h == NO_HEAD else h for h in t.heads[a:b]]
         if not all(h in range(b - a) for h in heads if h is not None):

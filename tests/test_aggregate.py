@@ -17,7 +17,7 @@ from koko.resources import Expansion, Resources
 from koko.syntax import SatCondition
 from koko.textutil import find_token_seq
 
-from .conftest import load_fixture_query
+from .conftest import QUERY_FIXTURES, load_fixture_query
 
 CAFE_TSV = """# doc_id = cafes.txt
 0	0	Blue	propn	nn	1	B-Entity
@@ -451,3 +451,15 @@ def test_projection_rows_follow_the_key_order_of_out_of_order_outputs(monkeypatc
     rows = run_query(q, corpus, bundle).rows
     assert [(r.key(), r.to_json()) for r in rows] == [(r.key(), r.to_json()) for r in oracle]
     assert [list(r.values) for r in rows[:1]] == [["w", "a"]]
+
+
+def test_every_condition_confidence_is_a_float(ex31_corpus, ex31_bundle):
+    # A descriptor with no evidence once scored the int 0, printed as
+    # "m": 0 where every other condition prints 0.0.
+    scored = 0
+    for name in QUERY_FIXTURES:
+        for row in run_query(load_fixture_query(name), ex31_corpus, ex31_bundle, keep_failed=True).rows:
+            for score in row.scores.values():
+                assert all(type(c.m) is float for c in score.conditions), name
+                scored += len(score.conditions)
+    assert scored

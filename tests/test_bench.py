@@ -116,3 +116,23 @@ def test_run_benchmark_reports(small_corpus):
         if r.answers > 0:
             assert r.dpli_effectiveness > 0.0  # completeness keeps it off 0
         assert r.iterations_gsp >= 0 and r.iterations_nogsp >= r.iterations_gsp
+
+
+def test_run_benchmark_aggregates_each_query_once(small_corpus, monkeypatch):
+    # The no-GSP run is evaluated only: it builds no rows.
+    import koko.engine
+    from koko.engine import run_query
+
+    _, corpus, bundle = small_corpus
+    suite = generate_span_suite(11, corpus)
+    suite.queries = suite.queries[:5] + suite.queries[200:205]
+    expected = [
+        run_query(parse_query(bq.text), corpus, bundle, use_gsp=False).stats.loop_iterations
+        for bq in suite.queries
+    ]
+    calls = []
+    finalize = koko.engine.finalize_results
+    monkeypatch.setattr(koko.engine, "finalize_results", lambda *a, **k: calls.append(1) or finalize(*a, **k))
+    reports = run_benchmark(suite, corpus, bundle, with_oracle=False)
+    assert len(calls) == len(suite.queries)
+    assert [r.iterations_nogsp for r in reports] == expected

@@ -17,7 +17,7 @@ from koko.engine import run_query
 from koko.parser import parse_query
 from koko.textutil import tokenize_literal
 
-from .conftest import data_path
+from .conftest import QUERY_FIXTURES, data_path, load_fixture_query
 
 EX31 = data_path("corpus", "ex31.tsv")
 EX21 = data_path("queries", "ex21.koko")
@@ -186,12 +186,51 @@ def test_explain_dpli_only_looks_up_candidates(monkeypatch, capsys):
     assert out == expected
 
 
-def test_explain_gsp_prints_costs_and_counts(capsys):
-    q = data_path("queries", "ex41.koko")
-    code, out, _ = run_cli(["explain", "--query", q, "--corpus", EX31, "--stage", "gsp"], capsys)
-    assert code == 0
-    assert "loop iterations:" in out
-    assert "checks:" in out
+def test_explain_gsp_prints_plans_and_counts(monkeypatch, capsys, ex31_corpus, ex31_bundle):
+    # One line per skip plan, whose sentences add up to the candidates,
+    # then the run's totals; no row is built and no evidence scored.
+    import koko.engine
+    from koko.aggregate import EvidenceEvaluator
+
+    runs = {name: run_query(load_fixture_query(name), ex31_corpus, ex31_bundle) for name in QUERY_FIXTURES}
+    monkeypatch.setattr(koko.engine, "finalize_results", lambda *a, **k: pytest.fail("finalized"))
+    monkeypatch.setattr(EvidenceEvaluator, "score", lambda *a, **k: pytest.fail("scored evidence"))
+    nested = 0
+    for name, run in runs.items():
+        q = data_path("queries", f"{name}.koko")
+        code, out, _ = run_cli(["explain", "--query", q, "--corpus", EX31, "--stage", "gsp"], capsys)
+        assert code == 0, name
+        if run.direct is not None:
+            assert out.startswith("direct plan:") and out.count("\n") == 1, name
+            continue
+        nested += bool(run.candidate_sids)
+        *plans, iterations, tuples, checks = out.splitlines()
+        assert len(plans) == len(run.plans), name
+        assert sum(int(line.rsplit(": ", 1)[1].split()[0]) for line in plans) == len(run.candidate_sids), name
+        assert all(line.startswith("skip [") and line.endswith(" sentences") for line in plans), name
+        assert iterations == f"loop iterations: {run.stats.loop_iterations}", name
+        assert tuples == f"tuples: {run.stats.tuples}", name
+        assert checks == f"checks: {run.stats.checks}", name
+    assert nested
+
+
+@pytest.mark.parametrize("loaded", [False, True])
+def test_evaluate_is_run_query_without_rows(tmp_path, loaded, ex31_corpus, ex31_bundle):
+    from koko.engine import evaluate
+    from koko.indexes import load_bundle, open_corpus, save_bundle
+
+    corpus, bundle = ex31_corpus, ex31_bundle
+    if loaded:
+        save_bundle(bundle, str(tmp_path / "idx"))
+        bundle = load_bundle(str(tmp_path / "idx"))
+        corpus = open_corpus(bundle)
+    for name in QUERY_FIXTURES:
+        q = load_fixture_query(name)
+        run, evaluated = run_query(q, corpus, bundle), evaluate(q, corpus, bundle)
+        assert evaluated.rows == [], name
+        assert evaluated.tuples == run.tuples and evaluated.stats == run.stats, name
+        assert evaluated.candidate_sids == run.candidate_sids and evaluated.direct == run.direct, name
+        assert evaluated.plans == run.plans, name
 
 
 def test_explain_gsp_prints_one_line_for_a_direct_plan(tmp_path, capsys):

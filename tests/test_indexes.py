@@ -815,7 +815,9 @@ def _drop_last(name, part):
     ids=lambda v: getattr(v, "__name__", None),
 )
 def test_structural_checks_reject_a_faulty_writer(tmp_path, name, corrupt, message):
-    # Each column is wrong in a file whose checksum matches.
+    # Each column is wrong in a file whose checksum matches. The PL lists
+    # are checked to hold every token once at the first read of the depth
+    # column, which inverts them; the other checks run in `load_bundle`.
     _, _, d = _small_index(tmp_path)
     path = d / name
     raw = bytearray(path.read_bytes())
@@ -823,7 +825,37 @@ def test_structural_checks_reject_a_faulty_writer(tmp_path, name, corrupt, messa
     path.write_bytes(bytes(raw))
     _rewrite_checksum(d, name)
     with pytest.raises(KokoInputError, match=message):
-        load_bundle(str(d))
+        bundle = load_bundle(str(d))
+        if corrupt in (_posting_repeated, _posting_added):
+            bundle.tokens.depth
+
+
+def test_depth_column_rejects_a_token_deeper_than_its_sentence(tmp_path):
+    # The one-token sentence 0's token swapped in the PL lists with the
+    # depth-2 token of sentence 1, in a file whose checksum matches: every
+    # token is still held once, and every list read alone passes its
+    # checks. It is rejected at the first read of the depth column, not at
+    # the first read of the list that holds it.
+    docs = [AnnotatedDocument("d", [
+        Sentence(0, ["hi"], ["UH"], ["root"], [None], [None], [None]),
+        Sentence(1, ["a", "b", "c"], ["DT", "NN", "VB"], ["det", "nsubj", "root"], [1, 2, None], [None] * 3, [None] * 3),
+    ])]
+    bundle = build_indexes(docs)
+    assert list(bundle.tokens.depth) == [0, 2, 1, 0]
+    d = tmp_path / "idx"
+    save_bundle(bundle, str(d))
+    raw = bytearray((d / "pl.idx").read_bytes())
+    flat = _offsets(raw, "pl.idx")["flat"]
+    i, j = list(bundle.pl.postings.flat).index(0), list(bundle.pl.postings.flat).index(1)
+    _set_u32(raw, flat + 4 * i, 1)
+    _set_u32(raw, flat + 4 * j, 0)
+    (d / "pl.idx").write_bytes(bytes(raw))
+    _rewrite_checksum(d, "pl.idx")
+    loaded = load_bundle(str(d))
+    for node in loaded.pl.postings:
+        loaded.pl.postings[node]
+    with pytest.raises(KokoInputError, match=r"pl.idx: token \(0,0\) lies deeper than its sentence is long"):
+        loaded.tokens.depth
 
 
 # ---------------------------------------------------------------------------
