@@ -24,12 +24,12 @@ first token are read; the oracle passes none and reads every sentence of
 the document. A query with neither a satisfying nor an excluding clause
 builds no evaluator and is a projection of its tuples.
 
-Finalize takes one tuple shape from every producer (the engine's direct
-plan, its nested loop and the oracle): ``(sid, values)``, the values
-projected in the order of `projected_names`. The nested loop and the
-oracle project their bindings through `projector` while the sentence is
-in hand, so finalize reads no sentence to build a row, and its sort and
-dedup keys come from the values tuple.
+Finalize takes one tuple shape from every producer (the engine's offset
+join, its nested loop and the oracle): ``(sid, values)``, the values
+projected in the order of `projected_names`. The join reads them from the
+index; the nested loop and the oracle project their bindings through
+`projector` while the sentence is in hand. So finalize reads no sentence
+to build a row, and its sort and dedup keys come from the values tuple.
 """
 
 from __future__ import annotations
@@ -37,9 +37,9 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from .corpus import Corpus, Sentence
-from .gsp import Bound, CandidateTuple
 from .normalize import ENTITY, NODE, NormalizedQuery
 from .resources import Clause, Expansion, Resources
 from .syntax import SatCondition, SatisfyingClause, print_condition
@@ -50,6 +50,9 @@ from .textutil import (
     subsequence_positions,
     tokenize_literal,
 )
+
+if TYPE_CHECKING:  # annotations only: gsp imports this module
+    from .gsp import Bound, CandidateTuple
 
 
 @dataclass
@@ -370,8 +373,8 @@ def apply_excluding(
 
 
 # A projected tuple: (sid, values), with one value per `projected_names`
-# entry, in that order. The engine's direct plan, GSP and the oracle all
-# hand finalize this one shape.
+# entry, in that order. The engine's offset join, its nested loop and the
+# oracle all hand finalize this one shape.
 Projected = tuple[int, tuple[str, ...]]
 
 

@@ -184,9 +184,9 @@ def cmd_explain(args: argparse.Namespace) -> int:
     if args.stage == "gsp":
         # Evaluated only: no row is built and no evidence scored.
         run = evaluate(n, corpus, bundle)
-        if run.direct is not None:
+        if run.joined:
             print(
-                f"direct plan: one enumeration op ({run.direct}) answered from postings; "
+                f"join: {' + '.join(run.joined)} answered from postings; "
                 f"candidate sentences: {len(run.candidate_sids)}; "
                 f"loop iterations: {run.stats.loop_iterations}; "
                 f"tuples: {run.stats.tuples}; checks: {run.stats.checks}"
@@ -294,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", help="corpus TSV; with --index, only checked against the index")
     p.add_argument("--index", help="previously built index directory, which holds the corpus")
     p.add_argument("--format", choices=["jsonl", "tsv"], default="jsonl")
-    p.add_argument("--no-gsp", action="store_true", help="disable skip plans and direct answers from postings")
+    p.add_argument("--no-gsp", action="store_true", help="disable skip plans and offset joins over postings")
     _add_resource_flags(p)
     p.set_defaults(func=cmd_query)
 

@@ -438,7 +438,10 @@ def candidate_bindings(n: NormalizedQuery, bundle: IndexBundle) -> BindingTable:
         if within is None or within.sids:
             vb = link.bind(bundle, within, info)
         else:
-            vb = VarBinding(var=link.var, records=[] if link.var.kind == ENTITY else None, index_bound=True)
+            vb = VarBinding(
+                var=link.var, records=[] if link.var.kind == ENTITY else None, index_bound=True,
+                exact=link.dp is not None and link.dp.exact,
+            )
         bindings[link.var.name] = vb
         chain.append(ChainLink(
             link.var.name, link.estimate, None if within is None else len(within.sids), len(vb.offsets)

@@ -1,11 +1,12 @@
 """End-to-end query pipeline: normalize, index lookup, per-sentence
 evaluation, evidence aggregation.
 
-A query whose plan is one enumeration op and no check op (one variable
-that the index answers exactly, see `gsp.direct_binding`) is answered
-from the index alone: one pass over the binding's candidate offsets
-reads each value from the index (`gsp.run_direct`), with no skip plan,
-no compiled loop, no candidate tuple and no sentence built.
+A query that the index answers without validation (one exact variable,
+or a span whose atoms the index answers exactly, separated by plain
+gaps, see `gsp.join_plan`) is answered from the index alone: a join over
+its atoms' sorted offsets reads each value from the index (`gsp.run_join`),
+with no skip plan, no compiled loop, no candidate tuple and no sentence
+built.
 
 Every other query's candidate sentences are evaluated in one loop, in
 sentence order. The loop plans each sentence (plans are memoized on their
@@ -29,14 +30,7 @@ from dataclasses import dataclass, field
 from .aggregate import Projected, ResultRow, finalize_results, projector
 from .corpus import Corpus
 from .dpli import BindingTable, candidate_bindings
-from .gsp import (
-    EvalStats,
-    SkipPlan,
-    direct_binding,
-    evaluate_sentence,
-    generate_skip_plan,
-    run_direct,
-)
+from .gsp import EvalStats, SkipPlan, evaluate_sentence, generate_skip_plan, join_plan, run_join
 from .indexes import IndexBundle
 from .normalize import NormalizedQuery, normalize
 from .resources import Resources
@@ -52,8 +46,9 @@ class QueryRun:
     normalized: NormalizedQuery
     lookup_seconds: float = 0.0
     eval_seconds: float = 0.0
-    # The variable a direct plan answered from its postings, or None.
-    direct: str | None = None
+    # The atoms an offset join answered from their postings, left to right;
+    # empty when the nested loop ran.
+    joined: tuple[str, ...] = ()
     # The candidate sentences the nested loop ran under each skip plan, by
     # `SkipPlan.key`, in first-use order.
     plans: dict[tuple, int] = field(default_factory=dict)
@@ -71,24 +66,24 @@ def evaluate(
     q: Query | NormalizedQuery, corpus: Corpus, bundle: IndexBundle, use_gsp: bool = True
 ) -> QueryRun:
     """The query's tuples and counts, and no row. `use_gsp=False` evaluates
-    every sentence without skips (pure nested loops), also when a direct
-    plan would answer the query."""
+    every sentence without skips (pure nested loops), also when an offset
+    join would answer the query."""
     n = normalize(q)
     t0 = time.perf_counter()
     table = candidate_bindings(n, bundle)
     t1 = time.perf_counter()
     stats = EvalStats()
     plans: dict[tuple, int] = {}
-    direct = direct_binding(n, table) if use_gsp else None
-    if direct is not None:
-        tuples = run_direct(direct, bundle, stats)
+    join = join_plan(n, table) if use_gsp else None
+    if join is not None:
+        tuples = run_join(join, table, bundle, stats)
     else:
         tuples = _nested_loops(n, table, corpus, stats, plans, use_gsp)
     t2 = time.perf_counter()
     return QueryRun(
         rows=[], tuples=tuples, stats=stats, table=table, normalized=n,
         lookup_seconds=t1 - t0, eval_seconds=t2 - t1,
-        direct=None if direct is None else direct.var.name, plans=plans,
+        joined=() if join is None else tuple(atom.name for atom in join.atoms), plans=plans,
     )
 
 
@@ -104,7 +99,8 @@ def run_query(
     """Answer a query over the corpus through its index bundle: `evaluate`
     it, then aggregate its tuples into rows.
 
-    `use_gsp` is `evaluate`'s. `keep_failed=True` also returns rows that
+    `use_gsp=False` forces the nested loop without skips, for the queries
+    an offset join would answer too. `keep_failed=True` also returns rows that
     failed their satisfying clause or were excluded. `jobs` must be 1:
     evaluation is CPU-bound pure Python, and a thread pool over it ran 2.7
     times slower under the GIL, so it was removed. Other values raise

@@ -1,4 +1,4 @@
-"""Per-sentence plan generation and nested-loop evaluation.
+"""Offset joins, per-sentence plan generation and nested-loop evaluation.
 
 For every horizontal condition the planner greedily marks expensive
 variables as skipped (highest estimated cost first) as long as neither
@@ -14,12 +14,18 @@ compiled once per query into a `CompiledPlan`: the op script of the
 nested loop, whose ops take the sentence and the bindings so far as
 arguments. Running it on a sentence only enumerates, derives and emits.
 
-The degenerate plan is one enumeration op and no check op: a query with
-one variable that the index answers exactly (`direct_binding`). Its
-candidates are its tuples, so `run_direct` emits them in one pass over
-the binding's candidate offsets, each value read from the index, with no
-plan per sentence, no compiled loop, no `CandidateTuple` and no
-`Sentence`.
+A skipped gap between two bound atoms is derived from their offsets. When
+every atom of a span is one the index answers exactly (an exact node path,
+a literal or an entity) and every gap is a plain `^` with at most `@min`
+and `@max`, nothing is left to check, and the whole query is a positional
+join over the atoms' sorted offsets, like an ordered "span near" with a
+slop over positional postings (Zobel & Moffat, "Inverted files for text
+search engines", ACM Computing Surveys 2006). `join_plan` recognizes such
+a query and `run_join` answers it: chains of candidates are extended left
+to right by bisecting the next atom's offsets, and each value is read
+from the index, with no plan per sentence, no compiled loop, no
+`CandidateTuple` and no `Sentence`. A query with one exact variable and
+nothing else is the one-atom join.
 
 An enumerated variable's candidates in a sentence are the slice of its
 binding's sorted offsets that `BindingTable.bounds` finds by bisection.
@@ -35,12 +41,15 @@ exception is a node variable enumerated from an exact binding (see
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
+from .aggregate import Projected, projected_names
 from .corpus import Corpus, Sentence, detokenize
 from .dpli import BindingTable, VarBinding
 from .indexes import IndexBundle
@@ -53,6 +62,7 @@ from .normalize import (
     SUBTREE,
     WORDSEQ,
     NormalizedQuery,
+    NormConstraint,
     NormVar,
     dedupe_hidden,
 )
@@ -180,47 +190,156 @@ def _plan_for_rankings(n: NormalizedQuery, rankings: tuple[tuple[str, ...], ...]
 
 
 # ---------------------------------------------------------------------------
-# The degenerate plan: one enumeration op and no check op
+# Offset joins: plans whose every check the index answers
 
 
-def direct_binding(n: NormalizedQuery, table: BindingTable) -> VarBinding | None:
-    """The binding of the query's one variable when its plan is a single
-    enumeration op with no check op, else None.
+class _JoinAtom:
+    """One index-exact atom of a join: its candidates' first and last
+    global offsets, sorted by the first, and an entity's records."""
 
-    That is a query with one variable, which is then its only output, no
-    constraint and no horizontal condition, whose variable the index
-    answers exactly: an exact node path (`VarBinding.exact`), a literal
-    word sequence or an entity. Its candidates are its tuples.
-    """
-    if len(n.variables) != 1 or n.constraints or n.horizontal:
-        return None
-    (vb,) = table.bindings.values()
-    var = vb.var
-    if var.hidden or vb.derived_from is not None or not vb.index_bound:
-        return None
-    if var.kind == NODE:
-        return vb if vb.exact else None
-    return vb if var.kind in (WORDSEQ, ENTITY) else None
+    def __init__(self, vb: VarBinding):
+        self.name = vb.var.name
+        self.kind = vb.var.kind
+        self.starts = vb.offsets
+        self.records = vb.records
+        # A literal's value, which every occurrence repeats, and its tokens
+        # after the first; "" and 0 for any other atom.
+        self.text = detokenize(vb.var.tokens)
+        self.width = max(len(vb.var.tokens) - 1, 0)
+
+    @cached_property
+    def ends(self) -> Sequence[int]:
+        if self.kind == ENTITY:
+            return [o + r.end - r.start for o, r in zip(self.starts, self.records)]
+        if self.width:
+            return [o + self.width for o in self.starts]
+        return self.starts
 
 
-def run_direct(vb: VarBinding, bundle: IndexBundle, stats: EvalStats) -> list[tuple[int, tuple[str]]]:
-    """A direct plan's tuples, projected (see `aggregate.projected_names`),
-    one per candidate offset, in the order the nested loop would emit
-    them, read from the index alone: a node's value is the word at its
-    offset (`WordIndex.texts`), a literal's its own words detokenized,
-    which every occurrence repeats, and an entity's its record's surface.
-    No sentence is built. `stats` gets the nested loop's counts: one
-    iteration and one tuple per candidate, no check."""
-    offsets = vb.offsets
-    kind = vb.var.kind
-    if kind == ENTITY:
-        values = map(attrgetter("surface"), vb.records)
-    elif kind == WORDSEQ:
-        values = repeat(detokenize(vb.var.tokens), len(offsets))
+@dataclass
+class JoinPlan:
+    atoms: list[_JoinAtom]  # left to right
+    gaps: list[tuple[int, int | None]]  # (@min, @max) of the gap after each atom but the last
+    # Each projected value: ("atom", i), ("gap", i) after atom i, or ("span", 0).
+    values: list[tuple[str, int]]
+    # The chain positions of the atoms in definition order, the order the
+    # nested loop enumerates them in; None when it is the chain's order.
+    order: tuple[int, ...] | None
+
+
+def _index_exact(vb: VarBinding) -> bool:
+    """The index answers the variable exactly: an exact node path, a
+    literal word sequence or an entity."""
+    if not vb.index_bound or vb.derived_from is not None:
+        return False
+    return vb.exact if vb.var.kind == NODE else vb.var.kind in (WORDSEQ, ENTITY)
+
+
+def join_plan(n: NormalizedQuery, table: BindingTable) -> JoinPlan | None:
+    """The query as a join of index-exact atoms over their offsets, or None
+    when it needs the nested loop.
+
+    A query joins when it has one variable, no constraint and no
+    horizontal condition, and the index answers that variable exactly;
+    or when its one horizontal condition alternates index-exact atoms
+    (first and last included) with plain gaps (`^` with at most `@min`
+    and `@max`), its constraints are exactly the condition's leftOf chain,
+    and it has no hidden variable, no repeated atom and no variable but
+    the condition's atoms and its composite. Its tuples are then the
+    chains of atom candidates whose gaps fit their bounds, and no check
+    is left to run."""
+    if n.horizontal:
+        if len(n.horizontal) > 1:
+            return None
+        (cond,) = n.horizontal
+        names, composite = cond.atoms, {cond.lhs}
     else:
-        values = map(bundle.word.texts().__getitem__, offsets)
-    out = list(zip(map(bundle.tokens.sid_of.__getitem__, offsets), zip(values)))
-    stats.loop_iterations += len(out)
+        names, composite = tuple(n.variables), set()
+        if len(names) != 1:
+            return None
+    if (
+        len(names) % 2 == 0
+        or len(set(names)) != len(names)
+        or set(n.variables) != {*names, *composite}
+        or any(v.hidden for v in n.variables.values())
+        or n.constraints != tuple(NormConstraint("leftOf", a, b) for a, b in zip(names, names[1:]))
+    ):
+        return None
+    atoms = [table.bindings[name] for name in names[::2]]
+    gaps = [n.var(name) for name in names[1::2]]
+    if not all(map(_index_exact, atoms)) or any(
+        g.kind != ELASTIC or g.elastic.regex is not None or g.elastic.etype is not None for g in gaps
+    ):
+        return None
+    where = {name: ("atom" if i % 2 == 0 else "gap", i // 2) for i, name in enumerate(names)}
+    where.update(dict.fromkeys(composite, ("span", 0)))
+    order = tuple(sorted(range(len(atoms)), key=lambda i: atoms[i].var.def_index))
+    return JoinPlan(
+        atoms=[_JoinAtom(vb) for vb in atoms],
+        gaps=[(g.elastic.min_tokens or 0, g.elastic.max_tokens) for g in gaps],
+        values=[where[name] for name in projected_names(n)],
+        order=None if order == tuple(range(len(atoms))) else order,
+    )
+
+
+def run_join(plan: JoinPlan, table: BindingTable, bundle: IndexBundle, stats: EvalStats) -> list[Projected]:
+    """A join plan's tuples, projected (see `aggregate.projected_names`),
+    in the order the nested loop would emit them, read from the index
+    alone. Chains start at every candidate of the first atom and are
+    extended left to right: the next atom's candidates in the chain's
+    sentence (`BindingTable.bounds`) are bisected at the chain's end plus
+    one plus the gap's `@min`, up to its `@max`. A node's value is its
+    word (`WordIndex.texts`), a literal's its own words, an entity's its
+    record's surface, and a gap's or the composite's its words
+    detokenized. No sentence is built. `stats` counts the first atom's
+    candidates plus the pairs each later atom adds as loop iterations,
+    and the tuples; no check is run."""
+    sid_of = bundle.tokens.sid_of
+    atoms = plan.atoms
+    # The chains, one column per atom: its candidate's index in each chain.
+    columns: list[Sequence[int]] = [range(len(atoms[0].starts))]
+    stats.loop_iterations += len(columns[0])
+    for j, (least, most) in enumerate(plan.gaps):
+        prev, atom = atoms[j], atoms[j + 1]
+        extended: list[int] = []  # the chain each longer chain extends
+        picked: list[int] = []
+        for chain, i in enumerate(columns[j]):
+            after = prev.ends[i] + 1
+            lo, hi = table.bounds(atom.name, sid_of[after - 1])
+            first = bisect_left(atom.starts, after + least, lo, hi)
+            stop = hi if most is None else bisect_right(atom.starts, after + most, first, hi)
+            extended += repeat(chain, stop - first)
+            picked += range(first, stop)
+        columns = [[column[c] for c in extended] for column in columns]
+        columns.append(picked)
+        stats.loop_iterations += len(picked)
+    if plan.order is not None:
+        keys = list(zip(*[columns[p] for p in plan.order]))
+        ranked = sorted(range(len(keys)), key=keys.__getitem__)
+        columns = [[column[r] for r in ranked] for column in columns]
+
+    def read(of: Sequence, j: int) -> Iterator:
+        return map(of.__getitem__, columns[j])
+
+    head, tail = atoms[0], atoms[-1]
+    values = []
+    for what, j in plan.values:
+        atom = atoms[j]
+        if what == "atom" and atom.kind == ENTITY:
+            values.append(map(attrgetter("surface"), read(atom.records, j)))
+        elif what == "atom" and atom.kind == WORDSEQ:
+            values.append(repeat(atom.text))
+        else:  # read from the word column, inverted at its first read
+            texts = bundle.word.texts()
+            if what == "span":
+                spans = zip(read(head.starts, 0), read(tail.ends, -1))
+                values.append([detokenize(texts[a : b + 1]) for a, b in spans])
+            elif what == "gap":
+                spans = zip(read(atom.ends, j), read(atoms[j + 1].starts, j + 1))
+                values.append([detokenize(texts[a + 1 : b]) for a, b in spans])
+            else:
+                values.append(map(texts.__getitem__, read(atom.starts, j)))
+    out = list(zip(map(sid_of.__getitem__, read(head.starts, 0)), zip(*values)))
     stats.tuples += len(out)
     return out
 

@@ -1,10 +1,12 @@
-"""The direct plan: a query with one exactly indexed variable is answered
-from its postings, without the per-sentence nested loop.
+"""Offset joins: a query whose every check the index answers is answered
+from its postings, without the per-sentence nested loop. The direct plan,
+a query with one exactly indexed variable, is the one-atom join; a span
+of exactly indexed atoms and plain gaps joins its atoms' offsets.
 
 Each query runs twice, once as usual and once forced through the nested
-loop (`use_gsp=False`). Rows, their order and their scores, and the loop
-counts must be equal; `koko.engine.evaluate_sentence` is counted to tell
-the two paths apart.
+loop (`use_gsp=False`). Rows, their order and their scores must be equal,
+and so must the loop counts of a one-atom join;
+`koko.engine.evaluate_sentence` is counted to tell the two paths apart.
 """
 
 from __future__ import annotations
@@ -39,6 +41,15 @@ DIRECT = {
         'extract x:Entity from "d" if ()\n'
         'satisfying x (str(x) contains "babe" {1}) with threshold 0.5'
     ),
+}
+JOINED = {
+    "path, gap, literal": _tree('//dobj + ^ + "babe"'),
+    "literal, bounded gap, path": _tree('"babe" + ^[@max=3] + //dobj'),
+    "two-word literal last": _tree('//dobj + ^ + "badi badi"'),
+    "entity, gap, path, gap, literal": (
+        'extract x:Entity, v:Str from "d" if (/ROOT:{ v = x + ^ + //dobj + ^[@min=1] + "babe" })'
+    ),
+    "entity last, defined first": 'extract x:Entity, v:Str from "d" if (/ROOT:{ v = //root + ^ + x })',
 }
 NESTED = {
     "[@text] path": _tree('//dobj[@text="badi"]'),
@@ -84,10 +95,10 @@ def test_direct_plan_skips_the_nested_loop(env, evaluated, name):
     q = parse_query(DIRECT[name])
     run = run_query(q, corpus, bundle, keep_failed=True)
     assert evaluated[0] == 0
-    assert run.direct == q.outputs[0][0]
+    assert run.joined == (q.outputs[0][0],)
     assert run.rows, "the query should match something"
     forced = run_query(q, corpus, bundle, keep_failed=True, use_gsp=False)
-    assert forced.direct is None
+    assert forced.joined == ()
     assert evaluated[0] == len(forced.candidate_sids) > 0
     assert _rows(run) == _rows(forced)
     assert _stats(run) == _stats(forced)
@@ -99,11 +110,31 @@ def test_direct_plan_skips_the_nested_loop(env, evaluated, name):
     ]
 
 
-@pytest.mark.parametrize("name", ["exact path", "literal", "entity"])
-def test_direct_plan_over_the_index_builds_no_sentence(env, tmp_path, monkeypatch, name):
-    # A direct plan reads its values from the index: the word column, the
-    # literal itself or the entity records.
-    # Nor are the POS lists inverted, which only a sentence needs.
+@pytest.mark.parametrize("name", sorted(JOINED))
+def test_span_join_skips_the_nested_loop(env, evaluated, name):
+    corpus, bundle = env
+    q = parse_query(JOINED[name])
+    run = run_query(q, corpus, bundle, keep_failed=True)
+    assert evaluated[0] == 0
+    assert len(run.joined) >= 2 and run.rows
+    forced = run_query(q, corpus, bundle, keep_failed=True, use_gsp=False)
+    assert forced.joined == ()
+    assert _rows(run) == _rows(forced)
+    assert run.candidate_sids == forced.candidate_sids
+    assert run.stats.checks == 0 and run.stats.tuples == len(run.tuples)
+    assert _rows(run) == [
+        (r.key(), json.dumps(r.to_json(), sort_keys=True), r.excluded_by)
+        for r in oracle_evaluate(q, corpus, keep_failed=True)
+    ]
+
+
+@pytest.mark.parametrize(
+    "name", ["exact path", "literal", "entity", "path, gap, literal", "entity, gap, path, gap, literal"]
+)
+def test_direct_plan_over_the_index_builds_no_sentence(env, tmp_path, monkeypatch, evaluated, name):
+    # A join reads its values from the index: the word column, the
+    # literal itself or the entity records. Nor are the PL or POS lists
+    # inverted, which only a sentence needs.
     corpus, bundle = env
     save_bundle(bundle, str(tmp_path))
     loaded = load_bundle(str(tmp_path))
@@ -116,11 +147,11 @@ def test_direct_plan_over_the_index_builds_no_sentence(env, tmp_path, monkeypatc
     built = []
     build = koko.indexes.Sentence
     monkeypatch.setattr(koko.indexes, "Sentence", lambda *columns: built.append(1) or build(*columns))
-    q = parse_query(DIRECT[name])
+    q = parse_query({**DIRECT, **JOINED}[name])
     run = run_query(q, opened, loaded, keep_failed=True)
-    assert run.direct == q.outputs[0][0] and run.rows
-    assert built == []
-    assert not any(where.endswith("pos.idx") for where in inverted)
+    assert run.joined and run.rows
+    assert built == [] and evaluated[0] == 0
+    assert not any(where.endswith(("pl.idx", "pos.idx")) for where in inverted)
     assert opened.sentence(0) == corpus.sentence(0)
     assert any(where.endswith("pos.idx") for where in inverted)
     assert _rows(run) == [
@@ -134,7 +165,7 @@ def test_other_plans_run_the_nested_loop(env, evaluated, name):
     corpus, bundle = env
     q = parse_query(NESTED[name])
     run = run_query(q, corpus, bundle, keep_failed=True)
-    assert run.direct is None
+    assert run.joined == ()
     assert evaluated[0] == len(run.candidate_sids) > 0
     assert run.rows, "the query should match something"
     forced = run_query(q, corpus, bundle, keep_failed=True, use_gsp=False)
@@ -178,7 +209,7 @@ def test_entity_values_deduplicate_per_document():
     corpus, bundle = Corpus(docs), build_indexes(docs)
     q = parse_query('extract x:GPE from "d" if ()')
     run = run_query(q, corpus, bundle)
-    assert run.direct == "x" and len(run.tuples) == 5
+    assert run.joined == ("x",) and len(run.tuples) == 5
     assert [(r.sid, r.values) for r in run.rows] == [
         (0, {"x": "Rome"}), (1, {"x": "Oslo"}), (2, {"x": "Rome"}),
     ]

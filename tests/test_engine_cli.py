@@ -179,7 +179,7 @@ def test_explain_dpli_only_looks_up_candidates(monkeypatch, capsys):
     docs = load_corpus(EX31)
     with open(q, encoding="utf-8") as f:
         expected = run_query(parse_query(f.read()), Corpus(docs), build_indexes(docs)).table.describe()
-    for name in ("_nested_loops", "run_direct", "finalize_results"):
+    for name in ("_nested_loops", "run_join", "finalize_results"):
         monkeypatch.setattr(koko.engine, name, lambda *a, **k: pytest.fail("explain --stage dpli evaluated"))
     code, out, _ = run_cli(["explain", "--query", q, "--corpus", EX31, "--stage", "dpli"], capsys)
     assert code == 0
@@ -200,8 +200,8 @@ def test_explain_gsp_prints_plans_and_counts(monkeypatch, capsys, ex31_corpus, e
         q = data_path("queries", f"{name}.koko")
         code, out, _ = run_cli(["explain", "--query", q, "--corpus", EX31, "--stage", "gsp"], capsys)
         assert code == 0, name
-        if run.direct is not None:
-            assert out.startswith("direct plan:") and out.count("\n") == 1, name
+        if run.joined:
+            assert out.startswith("join:") and out.count("\n") == 1, name
             continue
         nested += bool(run.candidate_sids)
         *plans, iterations, tuples, checks = out.splitlines()
@@ -229,7 +229,7 @@ def test_evaluate_is_run_query_without_rows(tmp_path, loaded, ex31_corpus, ex31_
         run, evaluated = run_query(q, corpus, bundle), evaluate(q, corpus, bundle)
         assert evaluated.rows == [], name
         assert evaluated.tuples == run.tuples and evaluated.stats == run.stats, name
-        assert evaluated.candidate_sids == run.candidate_sids and evaluated.direct == run.direct, name
+        assert evaluated.candidate_sids == run.candidate_sids and evaluated.joined == run.joined, name
         assert evaluated.plans == run.plans, name
 
 
@@ -239,7 +239,7 @@ def test_explain_gsp_prints_one_line_for_a_direct_plan(tmp_path, capsys):
     code, out, _ = run_cli(["explain", "--query", str(q), "--corpus", EX31, "--stage", "gsp"], capsys)
     assert code == 0
     assert out == (
-        "direct plan: one enumeration op (v) answered from postings; candidate sentences: 2; "
+        "join: v answered from postings; candidate sentences: 2; "
         "loop iterations: 3; tuples: 3; checks: 0\n"
     )
 
@@ -579,13 +579,19 @@ def test_lazy_path_parses_only_candidate_sentences(tmp_path, monkeypatch):
     parsed = []
     build = koko.indexes.Sentence
     monkeypatch.setattr(koko.indexes, "Sentence", lambda *columns: parsed.append(1) or build(*columns))
+    # The tree query's mixed label/POS path takes the nested loop; the span
+    # query joins its atoms' offsets and builds no sentence.
     for name in ("tree", "span"):
         parsed.clear()
         bundle = load_bundle(idx)
         corpus = open_corpus(bundle)
         run = run_query(parse_query(LAZY_QUERIES[name]), corpus, bundle)
         assert run.rows, name
-        assert 0 < len(parsed) <= len(run.candidate_sids) < len(corpus), name
+        assert len(run.candidate_sids) < len(corpus), name
+        if name == "span":
+            assert run.joined and parsed == []
+        else:
+            assert 0 < len(parsed) <= len(run.candidate_sids), name
 
     # The evidence query's candidates are the entity index's sentences, and
     # its evidence reads only the words of the sentences of a mention's

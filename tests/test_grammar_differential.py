@@ -10,16 +10,22 @@ index over-approximates but the engine does not validate shows up as an
 extra row.
 
 Literal queries (``v = "w1 w2"``) and entity queries (``extract x:GPE …
-if ()``) are the other direct plans, answered from the postings with no
+if ()``) are the other one-atom joins, answered from the postings with no
 nested loop. They run on a third corpus too, whose even documents repeat
 each sentence, so that values recur within a document; their rows must
 equal the oracle's and the nested loop's, in order and with their scores.
+
+Spans of one to three exactly indexed atoms separated by plain gaps are
+offset joins too. Generated ones, and near-misses that must take the
+nested loop, are checked against the nested loop with and without skips
+and the oracle, over built and loaded bundles.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +33,8 @@ from hypothesis import strategies as st
 
 from koko.bench import synthesize_corpus
 from koko.corpus import AnnotatedDocument, Corpus, Sentence
-from koko.engine import run_query
+import koko.engine
+from koko.engine import evaluate, run_query
 from koko.indexes import build_indexes, load_bundle, open_corpus, save_bundle
 from koko.normalize import ENTITY, NODE, WORDSEQ, normalize
 from koko.oracle import oracle_evaluate
@@ -204,7 +211,7 @@ def test_generated_direct_plans_match_oracle(text):
     q = parse_query(text)
     for corpus, bundle in [*ENVIRONMENTS.values(), REPEATED]:
         run = run_query(q, corpus, bundle, keep_failed=True)
-        assert run.direct is not None
+        assert run.joined
         rows = [(r.key(), r.to_json()) for r in run.rows]
         nested = run_query(q, corpus, bundle, keep_failed=True, use_gsp=False)
         assert rows == [(r.key(), r.to_json()) for r in nested.rows]
@@ -310,3 +317,104 @@ def test_chains_seeded_by_each_kind_match_the_oracle_and_a_full_binding(seed_kin
             assert len(run.table.chain) == 3 and run.table.chain[-1].within
             rows += len(oracle)
     assert rows >= 40
+
+
+# Offset joins: spans of one to three atoms the index answers exactly
+# (exact PL and POS paths, literals, entities) separated by plain gaps,
+# and near-misses of them that must take the nested loop. Named atoms and
+# gaps, some of them outputs, are defined in a drawn order, so the nested
+# loop's enumeration order (definition order) is not always the chain's.
+EXACT_PLAIN = {"label": LABELS, "tag": TAGS}
+PAIRS = sorted({w for w in INSIDE + ACROSS if len(w) == 2})
+NEAR_MISSES = ("repeated atom", "regex gap", "etype gap", "[@text] path", "hidden variable")
+
+
+@st.composite
+def exact_path(draw) -> str:
+    labels = EXACT_PLAIN[draw(st.sampled_from(sorted(EXACT_PLAIN)))]
+    out = []
+    for i in range(draw(st.integers(1, 2))):
+        axis = draw(st.sampled_from(["//", "//", "/"] if i == 0 else ["/", "//"]))
+        out.append(axis + draw(st.sampled_from(labels + ["*"])))
+    return "".join(out)
+
+
+@st.composite
+def plain_gap(draw) -> str:
+    least, most = draw(st.integers(0, 3)), draw(st.integers(0, 4))
+    return draw(st.sampled_from([
+        "^", "^", f"^[@min={least}]", f"^[@max={most}]", f"^[@min={min(least, most)}, @max={most}]",
+    ]))
+
+
+@st.composite
+def join_queries(draw) -> tuple[str, bool]:
+    """A query and whether it must be joined."""
+    outputs: list[str] = []
+    defs: list[str] = []
+    chain: list[str] = []
+    for i in range(draw(st.integers(1, 3))):
+        if i:
+            gap = draw(plain_gap())
+            if draw(st.integers(0, 3)) == 0:
+                defs.append(f"g{i} = {gap}")
+                gap = f"g{i}"
+                if draw(st.booleans()):
+                    outputs.append(f"{gap}:Str")
+            chain.append(gap)
+        kind = draw(st.sampled_from(["path", "path", "literal", "entity"]))
+        if kind == "entity":
+            outputs.append(f"x{i}:{draw(st.sampled_from(ETYPES + ['Entity']))}")
+            chain.append(f"x{i}")
+            continue
+        if kind == "path":
+            atom = draw(exact_path())
+        else:
+            words = draw(st.one_of(st.sampled_from(WORDS).map(lambda w: (w,)), st.sampled_from(PAIRS)))
+            atom = f'"{" ".join(words)}"'
+        if draw(st.booleans()):
+            defs.append(f"a{i} = {atom}")
+            atom = f"a{i}"
+            if draw(st.booleans()):
+                outputs.append(f"{atom}:Str")
+        chain.append(atom)
+    miss = draw(st.sampled_from([None] * 5 + list(NEAR_MISSES)))
+    based: list[str] = []  # definitions in order, after the drawn ones
+    if miss == "repeated atom":
+        if chain[0][0] not in "ax":  # an inline atom: name it
+            defs.append(f"r = {chain[0]}")
+            chain[0] = "r"
+        chain += ["^", chain[0]]
+    elif miss in ("regex gap", "etype gap"):
+        gap = '^[@regex="[a-z ]+"]' if miss == "regex gap" else f'^[@etype="{draw(st.sampled_from(ETYPES))}"]'
+        chain += [gap, draw(exact_path())]
+    elif miss == "[@text] path":
+        chain += ["^", f'//*[@text="{draw(st.sampled_from(WORDS))}"]']
+    elif miss == "hidden variable":
+        based += [f"r = //{draw(st.sampled_from(LABELS))}", "h = r/*/*"]
+        chain += ["^", "h"]
+    if chain[0][0] == "x" and len(chain) == 1 and not defs and draw(st.booleans()):
+        return f'extract {outputs[0]} from "d" if ()', True
+    body = [*draw(st.permutations(defs)), *based, "v = " + " + ".join(chain)]
+    return f'extract {", ".join(["v:Str", *outputs])} from "d" if (/ROOT:{{ {", ".join(body)} }})', miss is None
+
+
+@pytest.mark.parametrize("loaded", [False, True])
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(case=join_queries())
+def test_generated_joins_match_the_nested_loop_and_oracle(case, loaded, loaded_environments):
+    text, joins = case
+    q = parse_query(text)
+    for seed, (corpus, bundle) in ENVIRONMENTS.items():
+        oracle = [(r.key(), r.to_json()) for r in oracle_evaluate(q, corpus, keep_failed=True)]
+        env = loaded_environments[seed] if loaded else (corpus, bundle)
+        run = run_query(q, *env, keep_failed=True)
+        assert bool(run.joined) == joins, text
+        rows = [(r.key(), r.to_json()) for r in run.rows]
+        assert rows == oracle, text
+        nested = run_query(q, *env, keep_failed=True, use_gsp=False)
+        assert rows == [(r.key(), r.to_json()) for r in nested.rows], text
+        assert run.candidate_sids == nested.candidate_sids, text
+        # The skip-plan nested loop emits the same tuples in the same order.
+        with mock.patch.object(koko.engine, "join_plan", return_value=None):
+            assert run.tuples == evaluate(q, *env).tuples, text

@@ -991,7 +991,7 @@ def test_sentence_checks_reject_a_faulty_writer(tmp_path, corrupt, message):
 
 def test_word_column_rejects_lists_that_repeat_a_token(tmp_path):
     # The word lists are inverted into the word column on its first read,
-    # by the first sentence an opened corpus builds or by a direct plan,
+    # by the first sentence an opened corpus builds or by an offset join,
     # not by `load_bundle` or `open_corpus`.
     docs, _, d = _small_index(tmp_path)
     raw = bytearray((d / "word.idx").read_bytes())
