@@ -19,9 +19,9 @@ token id (``tokens``, ``pos``, ``labels``, ``heads``, ``etypes``,
 the one way to build a sentence, whether it comes from the reader, the
 columns of a saved index (`koko.indexes.open_corpus`) or a synthetic
 corpus: its constructor
-derives the tree data (``left``, ``right``, ``depth``), which the index's
-token table stores as it is, and the entity mentions (``EntitySpan``),
-which the entity index stores as they are. A sentence keeps no per-token
+derives the tree data (``left``, ``right``, ``depth``) from the heads,
+the one tree column the index's token table stores, and the entity
+mentions (``EntitySpan``), which the entity index stores as they are. A sentence keeps no per-token
 mutable container: CPython stops tracking a tuple of strs, ints and
 ``None`` at its first collection, so a loaded corpus costs the garbage
 collector about one object per sentence. Readers that walk the tree
@@ -61,10 +61,9 @@ class Sentence:
     tuples; a tuple is stored as it is, so sentences can share columns.
 
     Extents are min/max over subtree token ids even for non-projective
-    sentences, where the containment tests they feed become
-    over-approximate; exact answers are restored by the validation stage,
-    which walks real head links. A token that does not reach the root (a
-    head cycle) keeps depth -1.
+    sentences, where they span tokens outside the subtree; they give a
+    subtree variable's span, and no test of ancestry reads them. A token
+    that does not reach the root (a head cycle) keeps depth -1.
     """
 
     sid: int

@@ -3,11 +3,13 @@
 Each dominant path is decomposed into a parse-label pattern, a POS
 pattern and a word pattern sharing one axis skeleton; non-matching
 positions become ``*``. The three legs are fetched from their indices and
-joined back on token identity (PL with POS) and on ancestor containment
-with a depth gap (word chains), yielding a candidate set that is complete
-but possibly over-approximate; the validation stage makes it exact. A
-path that one hierarchy lookup answers whole (`DecomposedPath.exact`)
-yields exactly its matches, and its binding skips validation.
+joined back on token identity (PL with POS) and on ancestry with a depth
+gap (word chains), a walk up the token table's head column (`_contained`;
+the index stores no subtree extent), yielding a candidate set that is
+complete but possibly over-approximate; the validation stage makes it
+exact. A path that one hierarchy lookup answers whole
+(`DecomposedPath.exact`) yields exactly its matches, and its binding
+skips validation.
 
 Every index-bound variable's candidates have one shape, `VarBinding.offsets`:
 the sorted global offset of each candidate's first token (a node's token,
@@ -45,8 +47,8 @@ from itertools import repeat
 from operator import attrgetter, itemgetter, sub
 
 from .corpus import EntitySpan
-from .errors import KokoDecomposeError
-from .indexes import IndexBundle, Sentences, TokenTable
+from .errors import KokoDecomposeError, KokoInputError
+from .indexes import NO_HEAD, IndexBundle, Sentences, TokenTable
 from .normalize import ANY_ENTITY, ENTITY, NODE, WORDSEQ, NormalizedQuery, NormVar
 from .syntax import PathExpr
 from .vocab import PL, POS, classify_label
@@ -187,19 +189,29 @@ def _filter_depth(offsets, depth, min_depth: int, exact: bool) -> list[int]:
 
 
 def _contained(inner, outer, tokens: TokenTable, gap: int) -> list[int]:
-    """The offsets of `inner` whose token some `outer` token of the same
-    sentence contains, by extent, at least `gap` levels further up."""
-    sid_of, left, right, depth = tokens.sid_of, tokens.left, tokens.right, tokens.depth
-    by_sid: dict[int, list[int]] = {}
-    for o in outer:
-        by_sid.setdefault(sid_of[o], []).append(o)
-    return [
-        i for i in inner
-        if any(
-            left[o] <= left[i] and right[o] >= right[i] and depth[i] >= depth[o] + gap
-            for o in by_sid.get(sid_of[i], ())
-        )
-    ]
+    """The offsets of `inner` with an ancestor among `outer` at least `gap`
+    levels further up: a walk up the head column from each one in a
+    sentence holding an `outer` token, one step per level of its depth,
+    which must end at a root. A head outside the sentence, a root met
+    early or none at the end raises KokoInputError, so a head cycle ends."""
+    starts, sid_of, lengths, heads, depth = tokens.starts, tokens.sid_of, tokens.lengths, tokens.heads, tokens.depth
+    outer = set(outer)
+    sids = set(map(sid_of.__getitem__, outer))
+    kept = []
+    for i in inner:
+        sid, o = sid_of[i], i
+        if sid not in sids:
+            continue
+        for k in range(depth[i], -1, -1):  # o lies k levels deep by the PL lists
+            head = heads[o]
+            if head >= lengths[sid] if k else head != NO_HEAD:
+                what = "no head" if head == NO_HEAD else f"head {head}"
+                raise KokoInputError(f"{tokens.where}: token ({sid},{o - starts[sid]}) has {what} but depth {k}")
+            if depth[i] - k >= gap and o in outer:
+                kept.append(i)
+                break
+            o = starts[sid] + head
+    return kept
 
 
 def join_word_path(
@@ -210,8 +222,8 @@ def join_word_path(
 
     Returns the offsets of the last concrete word, or None when the path
     has no words at all (a universal leg). A later word survives when some
-    earlier-word token in the same sentence contains its extent and sits
-    at least as many levels up as there are steps between the two words.
+    earlier-word token is its ancestor, at least as many levels up as
+    there are steps between the two words.
     """
     if not dp.word_positions:
         return None

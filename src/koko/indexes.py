@@ -1,12 +1,12 @@
 """The token table, the four corpus indices and their on-disk form.
 
-* token table: every token's head, subtree extent and depth, stored once
+* token table: every token's head, stored once; its depth is derived
 * word index: surface string -> posting list
 * entity index: entity surface -> (sid, start-end, type) records
 * PL / POS hierarchy index: dependency trees merged on parse labels / POS tags
 
 A posting list is a sorted run of global token offsets (``starts[sid] +
-tid``), whose sid, tid and tree data the token table gives. Every posting
+tid``), whose sid, tid, head and depth the token table gives. Every posting
 list of an index lives in one `PostingLists`: the lists end to end in
 ``flat``, and ``ptr`` says where each key's list starts. Hierarchy indices
 merge same-labelled children recursively, so every node is addressed by
@@ -18,7 +18,9 @@ parent columns; ``//`` steps read a pre-order numbering of the nodes
 (`_PrePlane`), derived at the first such lookup and never stored.
 
 The index holds the whole corpus, heads and document table included, and
-`open_corpus` builds its sentences from the columns.
+`open_corpus` builds its sentences from the columns. The tree is stored
+once, as heads: no subtree extent is stored, DPLI's containment join walks
+up the head column, and a `Sentence` derives its extents when built.
 
 Persisted layout (directory): ``manifest.json``, which records the CRC-32
 of each file, plus ``tree.idx``, ``word.idx``, ``entity.idx``, ``pl.idx``
@@ -43,14 +45,14 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, compress, count, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import add, attrgetter, le, lt, sub
 
 from .corpus import AnnotatedDocument, Corpus, EntitySpan, Sentence, serialize_corpus
 from .errors import KokoInputError
 
 MAGIC = b"KOKO"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 INDEX_FILES = ("tree.idx", "word.idx", "entity.idx", "pl.idx", "pos.idx")
 NO_HEAD = 0xFFFFFFFF  # the head column's entry for a sentence root
 
@@ -71,20 +73,19 @@ def _swapped(a: array) -> array:
 
 @dataclass
 class TokenTable:
-    """Tree data of every token of the corpus, stored once. Sentence sid
-    holds the offsets ``starts[sid]`` up to ``starts[sid + 1]``, so
-    ``starts[-1]`` is the token count; ``left``, ``right``, ``heads`` and
-    ``depth`` are the sentence-local columns of each `Sentence`, by
-    offset, with `NO_HEAD` as a root's head. ``lengths`` (the token count
-    of each sentence) and ``sid_of`` (the sentence of each offset) are
-    derived from ``starts``, ``depth`` from ``pl``, the PL hierarchy, at
-    its first read."""
+    """The tree of every token of the corpus, stored once, as heads.
+    Sentence sid holds the offsets ``starts[sid]`` up to ``starts[sid +
+    1]``, so ``starts[-1]`` is the token count; ``heads`` is each token's
+    sentence-local head, by offset, with `NO_HEAD` as a root's. ``lengths``
+    (the token count of each sentence) and ``sid_of`` (the sentence of each
+    offset) are derived from ``starts``, ``depth`` from ``pl``, the PL
+    hierarchy, at its first read. `where` names the file the heads were
+    read from, for error messages."""
 
     starts: array
-    left: array
-    right: array
     heads: array
     pl: HierarchyIndex | None = field(default=None, repr=False, compare=False)
+    where: str = field(default="tree.idx", repr=False, compare=False)
     lengths: array = field(init=False, repr=False, compare=False)
     sid_of: array = field(init=False, repr=False, compare=False)
 
@@ -107,20 +108,6 @@ class TokenTable:
             raise KokoInputError(f"{where}: token ({sid},{o - self.starts[sid]}) lies deeper than its sentence is long")
         return depth
 
-    def check(self, offsets: array, where: str) -> None:
-        """Raise KokoInputError unless `offsets` is a strictly increasing
-        list of token offsets whose tree entries lie in their sentence."""
-        starts, sid_of, left, right = self.starts, self.sid_of, self.left, self.right
-        prev = -1
-        for o in offsets:
-            if not prev < o < len(sid_of):
-                raise KokoInputError(f"{where}: posting {o} lies outside the corpus or out of order")
-            sid = sid_of[o]
-            tid, n = o - starts[sid], starts[sid + 1] - starts[sid]
-            if not left[o] <= tid <= right[o] < n:
-                raise KokoInputError(f"{where}: tree entry of token ({sid},{tid}) lies outside the corpus")
-            prev = o
-
 
 class Sentences:
     """Some sentences of the corpus, the candidates a query has left: their
@@ -140,22 +127,22 @@ class Sentences:
 
 class PostingLists(Mapping):
     """The posting lists of an index by key (a word, or a node id), as two
-    columns: key i's list is ``flat[ptr[i]:ptr[i + 1]]``. A list read from
-    a file is checked on its first read (`check`, given the list and
-    `where`, the file's name for error messages); a built one is trusted.
-    `owners`, the forward column, may come with the lists."""
+    columns: key i's list is ``flat[ptr[i]:ptr[i + 1]]``. Lists read from a
+    file, `where` (its name for error messages), come with the corpus's
+    `token_count`: each is checked on its first read to rise strictly and
+    stay below it, and a union of them to repeat no offset; built ones are
+    trusted. `owners`, the forward column, may come with the lists."""
 
     def __init__(
         self, keys: Sequence, ptr: array, flat: array,
-        check: Callable[[array, str], None] | None = None, where: str = "",
-        owners: array | None = None,
+        where: str = "", token_count: int | None = None, owners: array | None = None,
     ) -> None:
         self._keys = keys
         self.ptr = ptr
         self.flat = flat
         self.where = where
         self._at = dict(zip(keys, count()))
-        self._check = check
+        self._token_count = token_count
         self._checked = bytearray(len(keys))
         self._owners = owners
 
@@ -173,8 +160,9 @@ class PostingLists(Mapping):
 
     def _list(self, i: int) -> array:
         plist = self.flat[self.ptr[i] : self.ptr[i + 1]]
-        if self._check is not None and not self._checked[i]:
-            self._check(plist, self.where)
+        if self._token_count is not None and not self._checked[i]:
+            if not all(map(lt, plist, plist[1:])) or plist and plist[-1] >= self._token_count:
+                raise KokoInputError(f"{self.where}: a posting list lies outside the corpus or out of order")
             self._checked[i] = 1
         return plist
 
@@ -197,22 +185,23 @@ class PostingLists(Mapping):
         `size` is the postings those lists hold (`size(keys)`). When they
         are fewer than `within` has tokens, the lists are read and
         filtered by sid. Otherwise `within`'s tokens are scanned through
-        `column()`, the key of each offset, and the offsets found are
-        checked as a list's first read is."""
+        `column()`, the key of each offset."""
         if within is not None and size >= within.token_count:
             forward, wanted = column(), keys.__contains__
-            found = list(chain.from_iterable(
+            return list(chain.from_iterable(
                 compress(range(a, b), map(wanted, forward[a:b])) for a, b in within.bounds()
             ))
-            if self._check is not None:
-                self._check(found, self.where)
-            return found
         lists = [self._list(self._at[key]) for key in keys if key in self._at]
-        if within is None:
-            return lists[0] if len(lists) == 1 else sorted(chain.from_iterable(lists))
-        inside = map(within.sids.__contains__, map(within.tokens.sid_of.__getitem__, chain.from_iterable(lists)))
-        kept = compress(chain.from_iterable(lists), inside)
-        return list(kept) if len(lists) == 1 else sorted(kept)
+        found = chain.from_iterable(lists)
+        if within is not None:
+            inside = map(within.sids.__contains__, map(within.tokens.sid_of.__getitem__, chain.from_iterable(lists)))
+            found = compress(found, inside)
+        if len(lists) == 1:
+            return lists[0] if within is None else list(found)
+        union = sorted(found)
+        if self._token_count is not None and not all(map(lt, union, islice(union, 1, None))):
+            raise KokoInputError(f"{self.where}: the posting lists do not hold every token once")
+        return union
 
     def __iter__(self):
         return iter(self._keys)
@@ -428,8 +417,6 @@ class IndexBundle:
     # The document table: document i holds sids doc_starts[i] .. the next start.
     doc_ids: list[str]
     doc_starts: array
-    # The directory a loaded bundle was read from, for error messages.
-    directory: str = field(default="", compare=False)
 
     @property
     def sentence_count(self) -> int:
@@ -462,14 +449,8 @@ def fingerprint_bytes(data: bytes) -> str:
 
 def build_indexes(docs: list[AnnotatedDocument]) -> IndexBundle:
     sentences = [s for doc in docs for s in doc.sentences]
-
-    def column(name: str) -> array:
-        return array(_TYPECODE, chain.from_iterable(map(attrgetter(name), sentences)))
-
     tokens = TokenTable(
         array(_TYPECODE, accumulate(map(len, sentences), initial=0)),
-        column("left"),
-        column("right"),
         array(_TYPECODE, [NO_HEAD if h is None else h for s in sentences for h in s.heads]),
     )
     texts = list(chain.from_iterable(s.tokens for s in sentences))
@@ -543,7 +524,7 @@ def save_bundle(bundle: IndexBundle, directory: str) -> None:
     checksum."""
     files = {name: bytearray(MAGIC + _U32.pack(FORMAT_VERSION)) for name in INDEX_FILES}
     t = bundle.tokens
-    _w_columns(files["tree.idx"], t.starts, t.left, t.right, t.heads)
+    _w_columns(files["tree.idx"], t.starts, t.heads)
     _w_strings(files["tree.idx"], bundle.doc_ids)
     _w_columns(files["tree.idx"], bundle.doc_starts)
     words = bundle.word.postings
@@ -577,10 +558,10 @@ class _IndexFile:
     """One .idx file in memory, read front to back as columns and string
     tables."""
 
-    def __init__(self, directory: str, name: str, crc: int, tokens: TokenTable | None = None):
+    def __init__(self, directory: str, name: str, crc: int, token_count: int | None = None):
         self.path = os.path.join(directory, name)
         self.crc = crc
-        self.tokens = tokens
+        self.token_count = token_count
         try:
             with open(self.path, "rb") as f:
                 self.buf = f.read()
@@ -631,7 +612,7 @@ class _IndexFile:
         ptr, flat = self.column(), self.column()
         if len(ptr) != len(keys) + 1 or ptr[0] != 0 or ptr[-1] != len(flat) or not all(map(le, ptr, ptr[1:])):
             raise self.fail(f"posting list bounds do not rise from 0 to {len(flat)} over {len(keys)} lists")
-        return PostingLists(keys, ptr, flat, self.tokens.check, self.path)
+        return PostingLists(keys, ptr, flat, self.path, self.token_count)
 
     def end(self) -> None:
         """After the scan: no bytes left over, and the checksum holds."""
@@ -668,8 +649,8 @@ def index_fingerprint(directory: str) -> str:
 def load_bundle(directory: str, expected_fingerprint: str | None = None) -> IndexBundle:
     """Open a saved index. Every file is read whole, column by column, and
     its checksum checked against the manifest's; a posting list is checked
-    against the token table on first lookup, and the PL lists as a whole at
-    the first read of the depth column (`TokenTable.depth`)."""
+    on first lookup, a union of lists at each read, and the PL lists as a
+    whole at the first read of the depth column (`TokenTable.depth`)."""
     manifest = _read_manifest(directory)
     fingerprint = manifest.get("fingerprint", "")
     if expected_fingerprint is not None and fingerprint != expected_fingerprint:
@@ -684,22 +665,22 @@ def load_bundle(directory: str, expected_fingerprint: str | None = None) -> Inde
         raise KokoInputError(f"{directory}: manifest.json lacks the checksums of the index files")
 
     f = _IndexFile(directory, "tree.idx", checksums["tree.idx"])
-    starts, *columns = (f.column() for _ in range(4))
+    starts, heads = f.column(), f.column()
     doc_ids, doc_starts = f.strings(), f.column()
     f.end()
     # Every sentence has a token.
     if not starts or starts[0] != 0 or not all(map(lt, starts, starts[1:])):
         raise f.fail("sentence starts do not increase from 0")
-    if any(len(c) != starts[-1] for c in columns):
-        raise f.fail(f"tree columns do not hold the {starts[-1]} tokens")
+    if len(heads) != starts[-1]:
+        raise f.fail(f"the head column does not hold the {starts[-1]} tokens")
     # Documents start at sid 0 (an empty corpus may have none) and in order.
     bounds = [*doc_starts, len(starts) - 1]
     if len(doc_ids) != len(doc_starts) or bounds[0] != 0 or not all(map(le, bounds, bounds[1:])):
         raise f.fail("document table out of order or past the sentence count")
-    tokens = TokenTable(starts, *columns)
+    tokens = TokenTable(starts, heads, where=f.path)
 
     def open_file(name: str) -> _IndexFile:
-        return _IndexFile(directory, name, checksums[name], tokens)
+        return _IndexFile(directory, name, checksums[name], tokens.starts[-1])
 
     f = open_file("word.idx")
     words = f.strings()
@@ -754,7 +735,7 @@ def load_bundle(directory: str, expected_fingerprint: str | None = None) -> Inde
 
     pl, pos = hierarchies
     tokens.pl = pl
-    return IndexBundle(word, entity, pl, pos, tokens, fingerprint, doc_ids, doc_starts, directory)
+    return IndexBundle(word, entity, pl, pos, tokens, fingerprint, doc_ids, doc_starts)
 
 
 def open_corpus(bundle: IndexBundle) -> Corpus:
@@ -763,17 +744,17 @@ def open_corpus(bundle: IndexBundle) -> Corpus:
     constructor, from its slices of the word column (`WordIndex.texts`)
     and of the PL and POS lists inverted, its heads and its entity records
     (B on a record's first token, I on the rest); one whose heads are no
-    tree, or whose derived tree data differ from the token table's, raises
-    KokoInputError then. The lists are inverted at the first build
-    (`PostingLists.owners` keeps the column), so a query that builds no
-    sentence inverts nothing. A sentence's words (`Corpus.words`) are its
+    tree, or whose derived depths differ from the PL lists' (the token
+    table's `depth`), raises KokoInputError then. The lists are inverted
+    at the first build (`PostingLists.owners` keeps the column), so a
+    query that builds no sentence inverts nothing. A sentence's words (`Corpus.words`) are its
     slice of the word column alone."""
     t = bundle.tokens
     records = bundle.entity.records
     record_sids = array(_TYPECODE, map(attrgetter("sid"), records))
 
     def fail(sid: int, what: str) -> KokoInputError:
-        return KokoInputError(f"{os.path.join(bundle.directory, 'tree.idx')}: sentence {sid}: {what}")
+        return KokoInputError(f"{t.where}: sentence {sid}: {what}")
 
     def words(sid: int) -> tuple[str, ...]:
         return tuple(bundle.word.texts()[t.starts[sid] : t.starts[sid + 1]])
@@ -797,8 +778,8 @@ def open_corpus(bundle: IndexBundle) -> Corpus:
         s = Sentence(sid, texts, pos, labels, heads, etypes, iobs)
         if -1 in s.depth:
             raise fail(sid, f"the heads run in a cycle at tid {s.depth.index(-1)}")
-        if (s.left, s.right, s.depth) != (tuple(t.left[a:b]), tuple(t.right[a:b]), tuple(t.depth[a:b])):
-            raise fail(sid, "its tree data differ from the token table's")
+        if s.depth != tuple(t.depth[a:b]):
+            raise fail(sid, "its depths differ from the PL lists'")
         return s
 
     return Corpus.built_by(build, words, t.lengths, bundle.doc_ids, bundle.doc_starts)

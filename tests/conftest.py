@@ -5,7 +5,7 @@ import os
 import pytest
 
 from koko.corpus import Corpus, load_corpus
-from koko.indexes import build_indexes
+from koko.indexes import build_indexes, open_corpus
 from koko.parser import parse_query
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -22,13 +22,16 @@ def data_path(*parts: str) -> str:
 
 
 def postings(bundle, offsets) -> list[tuple[int, int, int, int, int]]:
-    """(sid, tid, left, right, depth) of each token offset, read from the
-    bundle's token table."""
-    t = bundle.tokens
+    """(sid, tid, left, right, depth) of each token offset, the paper's
+    index entries: sid, tid and depth read from the bundle's token table,
+    the subtree extent from the sentence built from the bundle's heads (the
+    index stores no extent)."""
+    t, corpus = bundle.tokens, open_corpus(bundle)
     out = []
     for o in offsets:
         sid = t.sid_of[o]
-        out.append((sid, o - t.starts[sid], t.left[o], t.right[o], t.depth[o]))
+        tid, s = o - t.starts[sid], corpus.sentence(sid)
+        out.append((sid, tid, s.left[tid], s.right[tid], t.depth[o]))
     return out
 
 

@@ -12,7 +12,7 @@ from koko.corpus import Corpus, load_corpus, parse_corpus
 from koko.dpli import candidate_bindings, decompose, dominant_paths, join_word_path
 from koko.engine import run_query
 from koko.errors import KokoDecomposeError, KokoInputError
-from koko.indexes import PostingLists, WordIndex, build_indexes, load_bundle, save_bundle
+from koko.indexes import NO_HEAD, PostingLists, WordIndex, build_indexes, load_bundle, save_bundle
 from koko.normalize import normalize
 from koko.oracle import oracle_evaluate
 from koko.parser import parse_query
@@ -235,8 +235,8 @@ def test_empty_word_leg_short_circuits(ex31_bundle):
 
 
 def test_non_projective_tree_engine_matches_oracle():
-    # Subtree of token 0 is {0, 1, 3}: its extent covers token 2 too, so
-    # extent-based index tests over-approximate and validation must fix it.
+    # Subtree of token 0 is {0, 1, 3}: its extent covers token 2 too, which
+    # it does not dominate.
     tsv = (
         "0\t0\taa\tnoun\txcomp\t2\tO\n"
         "0\t1\tbb\tnoun\tamod\t3\tO\n"
@@ -350,28 +350,90 @@ def test_later_variable_is_filtered_or_scanned_inside_the_seed(tmp_path, monkeyp
     assert [r.key() for r in rows] == [r.key() for r in oracle_evaluate(q, Corpus(docs))]
 
 
-def test_scanned_offset_with_bad_tree_data_is_an_input_error(tmp_path, capsys):
-    # Token (0,3)'s right moved past its sentence in a tree.idx whose
-    # checksum matches. "pie" seeds the chain in sentence 0, and `//*`
-    # (30 postings, more than its 17 tokens) is scanned there; the scan
-    # checks what it finds as a posting list's first read does.
+def _ex31_index_with_heads(tmp_path, heads: dict[int, int]) -> str:
+    """The ex31 index with the heads of sentence 0's tids in `heads`
+    replaced, in a tree.idx whose checksum matches."""
     idx = tmp_path / "idx"
-    docs = load_corpus(data_path("corpus", "ex31.tsv"))
-    save_bundle(build_indexes(docs), str(idx))
+    save_bundle(build_indexes(load_corpus(data_path("corpus", "ex31.tsv"))), str(idx))
     raw = bytearray((idx / "tree.idx").read_bytes())
-    # After the header: the 3 sentence starts, then the 30 lefts, then
-    # the rights, each column after its count.
-    right_at = 8 + 4 + 4 * 3 + 4 + 4 * 30 + 4
-    assert struct.unpack_from("<I", raw, right_at + 4 * 3)[0] == 3
-    struct.pack_into("<I", raw, right_at + 4 * 3, 17)
+    # After the header: the 3 sentence starts, then the 30 heads, each
+    # column after its count.
+    heads_at = 8 + 4 + 4 * 3 + 4
+    assert struct.unpack_from("<I", raw, heads_at + 4 * 9)[0] == 8  # "delicious" under "was"
+    for tid, head in heads.items():
+        struct.pack_into("<I", raw, heads_at + 4 * tid, head)
     (idx / "tree.idx").write_bytes(bytes(raw))
     manifest = json.loads((idx / "manifest.json").read_text())
     manifest["checksums"]["tree.idx"] = zlib.crc32(bytes(raw))
     (idx / "manifest.json").write_text(json.dumps(manifest))
-    text = 'extract a:Str, b:Str from "x" if (/ROOT:{ a = "pie", b = //* })'
-    with pytest.raises(KokoInputError, match=r"pl\.idx: tree entry of token \(0,3\)"):
-        candidate_bindings(normalize(parse_query(text)), load_bundle(str(idx)))
+    return str(idx)
+
+
+# The word chain's walk starts at "delicious" (0,9), 3 levels deep under
+# "was" (0,8), "cream" (0,5) and the root "ate" (0,1): in join_word_path,
+# and in join_all's word leg, where //acomp is (0,9) alone.
+WALKED = ['//"ate"//"delicious"', '//"ate"//acomp']
+BAD_HEADS = {
+    "head_past_its_sentence": ({9: 17}, r"token \(0,9\) has head 17 but depth 3"),
+    "root_reached_early": ({8: NO_HEAD}, r"token \(0,8\) has no head but depth 2"),
+    # "was" and "delicious" head each other: the walk ends at depth 0 on no root.
+    "head_cycle": ({8: 9}, r"token \(0,8\) has head 9 but depth 0"),
+}
+
+
+@pytest.mark.parametrize("path", WALKED)
+@pytest.mark.parametrize("bad", sorted(BAD_HEADS))
+def test_walk_rejects_malformed_heads(tmp_path, path, bad):
+    # Before any sentence is built: no corpus is opened.
+    heads, message = BAD_HEADS[bad]
+    idx = _ex31_index_with_heads(tmp_path, heads)
+    q = parse_query(f'extract v:Str from "x" if (/ROOT:{{ v = {path} }})')
+    with pytest.raises(KokoInputError, match=r"tree\.idx: " + message):
+        candidate_bindings(normalize(q), load_bundle(idx))
+
+
+@pytest.mark.parametrize("path", WALKED)
+def test_walk_error_exits_2(tmp_path, capsys, path):
+    idx = _ex31_index_with_heads(tmp_path, {9: 17})
     q = tmp_path / "q.koko"
-    q.write_text(text + "\n")
-    assert main(["query", "--query", str(q), "--index", str(idx)]) == 2
-    assert "tree entry of token (0,3)" in capsys.readouterr().err
+    q.write_text(f'extract v:Str from "x" if (/ROOT:{{ v = {path} }})\n')
+    assert main(["query", "--query", str(q), "--index", idx]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "tree.idx: token (0,9) has head 17" in captured.err
+    assert "Traceback" not in captured.err
+
+
+# A non-projective sentence: "aa" (0) heads "dd" (3), so its extent 0..3
+# covers "bb" (1), one level below "aa" in depth, but "bb" hangs under
+# "ee" (4), not under "aa". A word chain from "aa" must not reach "bb".
+CROSSING_TSV = (
+    "0\t0\taa\tnoun\txcomp\t2\tO\n"
+    "0\t1\tbb\tnoun\tamod\t4\tO\n"
+    "0\t2\tcc\tverb\troot\t-1\tO\n"
+    "0\t3\tdd\tnoun\tdobj\t0\tO\n"
+    "0\t4\tee\tnoun\tnsubj\t2\tO\n"
+)
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+@pytest.mark.parametrize("path, sids", [
+    ('//"aa"//"bb"', []),  # join_word_path
+    ('//"aa"//amod', []),  # join_all's word leg
+    ('//"aa"/"dd"', [0]),
+    ('//"cc"//"bb"', [0]),
+    ('//"aa"//dobj', [0]),
+])
+def test_extent_covering_a_word_it_does_not_dominate(tmp_path, loaded, path, sids):
+    docs = parse_corpus(CROSSING_TSV)
+    s = Corpus(docs).sentence(0)
+    assert (s.left[0], s.right[0]) == (0, 3) and s.depth[1] == 2 and 0 not in s.ancestors(1)
+    bundle = build_indexes(docs)
+    if loaded:
+        save_bundle(bundle, str(tmp_path))
+        bundle = load_bundle(str(tmp_path))
+    q = parse_query(f'extract v:Str from "x" if (/ROOT:{{ v = {path} }})')
+    assert candidate_bindings(normalize(q), bundle).candidate_sids == sids
+    rows = run_query(q, Corpus(docs), bundle).rows
+    assert [r.key() for r in rows] == [r.key() for r in oracle_evaluate(q, Corpus(docs))]
+    assert bool(rows) == bool(sids)

@@ -11,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koko.bench import synthesize_corpus
-from koko.corpus import AnnotatedDocument, Corpus, EntitySpan, Sentence, parse_corpus, serialize_corpus
+from koko.corpus import AnnotatedDocument, Corpus, EntitySpan, Sentence, load_corpus, parse_corpus, serialize_corpus
 from koko.engine import run_query
 from koko.errors import KokoInputError
 from koko.indexes import (
     NO_HEAD,
+    Sentences,
     build_indexes,
     corpus_fingerprint,
     load_bundle,
@@ -300,7 +301,7 @@ def _small_index(tmp_path):
 # u32 count and that many items: 1-byte ones for a string table's UTF-8
 # text, u32 ones for every other column.
 _LAYOUT = {
-    "tree.idx": ["starts", "left", "right", "heads", "doc_ids.ends", "doc_ids.text", "doc_starts"],
+    "tree.idx": ["starts", "heads", "doc_ids.ends", "doc_ids.text", "doc_starts"],
     "word.idx": ["words.ends", "words.text", "ptr", "flat"],
     "entity.idx": [
         "etypes.ends", "etypes.text", "sid", "start", "end", "etype_id", "surfaces.ends", "surfaces.text",
@@ -422,27 +423,6 @@ def test_posting_block_out_of_order_rejected_on_lookup(tmp_path):
     _rewrite_checksum(d, "word.idx")
     loaded = load_bundle(str(d))
     with pytest.raises(KokoInputError, match="out of order"):
-        loaded.word.lookup(word)
-
-
-def test_tree_entry_past_its_sentence_rejected_on_lookup(tmp_path):
-    docs, bundle, d = _small_index(tmp_path)
-    path = d / "tree.idx"
-    raw = bytearray(path.read_bytes())
-    starts = bundle.tokens.starts
-    # Token 0's right, moved one past its sentence, in a file whose
-    # checksum matches.
-    right_at = _offsets(raw, "tree.idx")["right"]
-    assert right_at == 8 + 4 + 4 * len(starts) + 4 + 4 * bundle.token_count + 4
-    assert struct.unpack_from("<I", raw, right_at)[0] == bundle.tokens.right[0]
-    raw[right_at : right_at + 4] = struct.pack("<I", starts[1])
-    path.write_bytes(bytes(raw))
-    _rewrite_checksum(d, "tree.idx")
-    loaded = load_bundle(str(d))
-    word = docs[0].sentences[0].tokens[0]
-    other = next(w for w, plist in bundle.word.postings.items() if plist[0] != 0)
-    assert loaded.word.lookup(other) == bundle.word.lookup(other)
-    with pytest.raises(KokoInputError, match="tree entry of token \\(0,0\\)"):
         loaded.word.lookup(word)
 
 
@@ -800,7 +780,7 @@ def _drop_last(name, part):
         ("pl.idx", _parent_not_below_its_node, "node record 2 has parent 2"),
         ("entity.idx", _string_ends_out_of_order, "string end offsets"),
         ("word.idx", _words_out_of_order, "words out of order"),
-        ("tree.idx", _drop_last("tree.idx", "heads"), "tree columns do not hold"),
+        ("tree.idx", _drop_last("tree.idx", "heads"), "the head column does not hold"),
         ("entity.idx", _drop_last("entity.idx", "end"), "entity columns differ"),
         ("pl.idx", _drop_last("pl.idx", "parent"), "node columns differ"),
         ("tree.idx", _doc_starts_out_of_order, "document table out of order"),
@@ -957,10 +937,11 @@ def _head_cycle(raw, s):
     _set_u32(raw, heads + 4 * b, a)
 
 
-def _tree_data_differs(raw, s):
-    # The root's subtree starts at tid 0.
-    assert s.left[s.root_tid] == 0
-    _set_u32(raw, _offsets(raw, "tree.idx")["left"] + 4 * s.root_tid, 1)
+def _depths_differ(raw, s):
+    # A token two levels deep hung from the root: still a tree, one level
+    # less deep than the PL lists put it.
+    tid = s.depth.index(2)
+    _set_u32(raw, _offsets(raw, "tree.idx")["heads"] + 4 * tid, s.root_tid)
 
 
 @pytest.mark.parametrize(
@@ -970,14 +951,14 @@ def _tree_data_differs(raw, s):
         (_second_root, "sentence 0: 2 roots, expected exactly 1"),
         (_no_root, "sentence 0: 0 roots, expected exactly 1"),
         (_head_cycle, "sentence 0: the heads run in a cycle"),
-        (_tree_data_differs, "sentence 0: its tree data differ from the token table's"),
+        (_depths_differ, "sentence 0: its depths differ from the PL lists'"),
     ],
     ids=lambda v: getattr(v, "__name__", None),
 )
 def test_sentence_checks_reject_a_faulty_writer(tmp_path, corrupt, message):
-    # The head or tree column of sentence 0 is wrong in a file whose
-    # checksum matches; the sentence is rejected when it is built, and the
-    # others still build.
+    # The head column of sentence 0 is wrong in a file whose checksum
+    # matches; the sentence is rejected when it is built, and the others
+    # still build.
     docs, _, d = _small_index(tmp_path)
     raw = bytearray((d / "tree.idx").read_bytes())
     corrupt(raw, docs[0].sentences[0])
@@ -1006,3 +987,30 @@ def test_word_column_rejects_lists_that_repeat_a_token(tmp_path):
     q = parse_query('extract v:Str from "x" if (/ROOT:{ v = //dobj })')
     with pytest.raises(KokoInputError, match=message):
         run_query(q, Corpus(docs), load_bundle(str(d)))
+
+
+def test_union_of_lists_that_repeat_a_token_is_rejected(tmp_path):
+    # A single-posting PL list's offset overwritten with one that another
+    # list holds, in a pl.idx whose checksum matches: one token filed under
+    # two nodes and one under none. Each list alone passes its check; a
+    # union that reads both repeats the token, on the whole and inside a
+    # sentence, before the depth column is ever read.
+    docs = load_corpus(data_path("corpus", "ex31.tsv"))
+    bundle = build_indexes(docs)
+    d = tmp_path / "idx"
+    save_bundle(bundle, str(d))
+    ptr, flat = bundle.pl.postings.ptr, bundle.pl.postings.flat
+    single, other = [node for node in range(1, len(ptr) - 1) if ptr[node + 1] - ptr[node] == 1][:2]
+    raw = bytearray((d / "pl.idx").read_bytes())
+    _set_u32(raw, _offsets(raw, "pl.idx")["flat"] + 4 * ptr[single], flat[ptr[other]])
+    (d / "pl.idx").write_bytes(bytes(raw))
+    _rewrite_checksum(d, "pl.idx")
+    message = "pl.idx: the posting lists do not hold every token once"
+    q = parse_query('extract v:Str from "x" if (/ROOT:{ v = //* })')
+    with pytest.raises(KokoInputError, match=message):
+        run_query(q, Corpus(docs), load_bundle(str(d)))
+    loaded = load_bundle(str(d))
+    sentence = Sentences(loaded.tokens, [loaded.tokens.sid_of[flat[ptr[other]]]])
+    assert sentence.token_count > 2
+    with pytest.raises(KokoInputError, match=message):
+        loaded.pl.read({single, other}, 2, sentence)
