@@ -18,7 +18,10 @@ Adjacency, ``near`` and descriptors read one list per value: its
 occurrences in the document, each a sentence's sid, its words
 (`Corpus.words`: in a corpus opened over an index a slice of the word
 column, so evidence builds no `Sentence`) and the value's start tids.
-Adjacency is ``near`` at distance zero, on one side. The engine passes a
+Adjacency compares the words right after or before an occurrence with the
+literal's; a descriptor reads only the sentences that hold every word of
+one of its expansions. The conditions that depend on the value alone are
+worked out once per distinct value of a query. The engine passes a
 word-index locator, so only the document's sentences holding the value's
 first token are read; the oracle passes none and reads every sentence of
 the document. A query with neither a satisfying nor an excluding clause
@@ -152,6 +155,11 @@ Locate = Callable[[str, range], Sequence[int]]
 # value starts.
 Occurrences = list[tuple[int, tuple[str, ...], list[int]]]
 
+# The conditions whose confidence depends on the value alone, not on its
+# document: one query works each out once per distinct (kind, argument,
+# value), in a memo its documents' evaluators share.
+_VALUE_ONLY = frozenset({"contains", "mentions", "matches", "in_dict", "similar_to"})
+
 
 class EvidenceEvaluator:
     """Scores clause conditions for candidate values within one document.
@@ -164,6 +172,8 @@ class EvidenceEvaluator:
     locator over the word index. `koko.oracle` passes none and reads every
     sentence of `doc_sids`: it stays independent of the index, and the
     differential tests and `koko verify` check the locator against it.
+    The value-only conditions are looked up in `memo`, which the
+    evaluators of one query's documents share.
     """
 
     def __init__(
@@ -172,13 +182,16 @@ class EvidenceEvaluator:
         resources: Resources,
         doc_sids: Sequence[int],
         locate: Locate | None = None,
+        memo: dict[tuple[str, str, str], float] | None = None,
     ):
         self.corpus = corpus
         self.resources = resources
         self.doc_sids = doc_sids
         self.locate = locate
+        self.memo = {} if memo is None else memo
         self._occurrences: dict[str, Occurrences] = {}
-        self._expansions: dict[str, list[tuple[list[str], float]]] = {}
+        # Each phrase's expansions, lowercased, with the set of their words.
+        self._expansions: dict[str, list[tuple[list[str], float, frozenset[str]]]] = {}
         self._score_cache: dict[tuple[int, str], EvidenceScore] = {}
 
     def _occurrences_of(self, value: str) -> Occurrences:
@@ -195,30 +208,6 @@ class EvidenceEvaluator:
                 if starts:
                     found.append((sid, words, starts))
         return found
-
-    def _literal_gaps(self, value: str, literal: str) -> list[tuple[int, list[tuple[str, int]]]]:
-        """For each sentence holding both the value and the literal: its sid
-        and, for each pair of a value and a literal occurrence, where the
-        literal lies ("after", "before" or "over" the value) and the
-        number of tokens strictly between them (0 when they overlap)."""
-        lit_toks = _tokens(literal)
-        value_len = len(_tokens(value))
-        out: list[tuple[int, list[tuple[str, int]]]] = []
-        for sid, words, starts in self._occurrences_of(value):
-            pairs = []
-            for l in find_token_seq(words, lit_toks):
-                l_end = l + len(lit_toks) - 1
-                for v in starts:
-                    v_end = v + value_len - 1
-                    if l > v_end:
-                        pairs.append(("after", l - v_end - 1))
-                    elif v > l_end:
-                        pairs.append(("before", v - l_end - 1))
-                    else:
-                        pairs.append(("over", 0))
-            if pairs:
-                out.append((sid, pairs))
-        return out
 
     # -- boolean conditions ----------------------------------------------
 
@@ -240,17 +229,30 @@ class EvidenceEvaluator:
 
     def _adjacent(self, value: str, literal: str, side: str) -> float:
         """1.0 when the literal occurs right `side` ("after" or "before") the
-        value: a pair of their occurrences at distance zero on that side."""
-        return 1.0 if any((side, 0) in pairs for _, pairs in self._literal_gaps(value, literal)) else 0.0
+        value: the words next to one of its occurrences are the literal's."""
+        lit = _tokens(literal)
+        if not lit:
+            return 0.0
+        n, m = len(_tokens(value)), len(lit)
+        for _, words, starts in self._occurrences_of(value):
+            for v in starts:
+                if (words[v + n : v + n + m] if side == "after" else words[max(0, v - m) : v]) == lit:
+                    return 1.0
+        return 0.0
 
     # -- near -------------------------------------------------------------
 
     def eval_near(self, value: str, literal: str) -> tuple[float, list[tuple[int, float]]]:
-        """Best per-sentence 1/(1+gap); gap is tokens strictly between."""
-        per_sentence = [
-            (sid, 1.0 / (1.0 + min(gap for _, gap in pairs)))
-            for sid, pairs in self._literal_gaps(value, literal)
-        ]
+        """Best per-sentence 1/(1+gap) over the pairs of a value and a
+        literal occurrence; gap is the tokens strictly between them, 0
+        when they overlap."""
+        lit = _tokens(literal)
+        n, m = len(_tokens(value)), len(lit)
+        per_sentence: list[tuple[int, float]] = []
+        for sid, words, starts in self._occurrences_of(value):
+            gaps = [max(l - v - n, v - l - m, 0) for l in find_token_seq(words, lit) for v in starts]
+            if gaps:
+                per_sentence.append((sid, 1.0 / (1.0 + min(gaps))))
         return max((c for _, c in per_sentence), default=0.0), per_sentence
 
     # -- descriptors --------------------------------------------------------
@@ -260,14 +262,20 @@ class EvidenceEvaluator:
     ) -> tuple[float, list[tuple[int, float]]]:
         expansions = self._expansions.get(phrase)
         if expansions is None:
-            expansions = self._expansions[phrase] = [
-                ([w.lower() for w in e.words], e.score) for e in self.resources.expand(phrase)
-            ]
+            expansions = self._expansions[phrase] = []
+            for e in self.resources.expand(phrase):
+                lowered = [w.lower() for w in e.words]
+                expansions.append((lowered, e.score, frozenset(lowered)))
         value_len = len(_tokens(value))
         per_sentence: list[tuple[int, float]] = []
         for sid, words, starts in self._occurrences_of(value):
-            clause_set = self.resources.decompose(sid, words)
             lowered = [w.lower() for w in words]
+            # A sentence matches an expansion only when it holds all its
+            # words; its clauses are not read otherwise.
+            present = set(lowered)
+            if not any(wanted <= present for _, _, wanted in expansions):
+                continue
+            clause_set = self.resources.decompose(sid, words)
             conf = max(
                 _descriptor_conf(lowered, clause_set, expansions, occ, occ + value_len - 1, right_side)
                 for occ in starts
@@ -282,10 +290,17 @@ class EvidenceEvaluator:
         """The condition's confidence m for the value, and the per-sentence
         confidences it came from (empty for document-level conditions)."""
         kind = cond.kind
+        if kind in _VALUE_ONLY:
+            key = (kind, cond.arg, value)
+            m = self.memo.get(key)
+            if m is None:
+                if kind == "similar_to":
+                    m = self.memo[key] = self.resources.similarity(value, cond.arg)
+                else:
+                    m = self.memo[key] = self.eval_boolean(cond, value)
+            return m, []
         if kind == "near":
             return self.eval_near(value, cond.arg)
-        if kind == "similar_to":
-            return self.resources.similarity(value, cond.arg), []
         if kind in ("desc_right", "desc_left"):
             return self.eval_descriptor(value, cond.arg, right_side=kind == "desc_right")
         return self.eval_boolean(cond, value), []
@@ -326,7 +341,7 @@ class EvidenceEvaluator:
 def _descriptor_conf(
     lowered: list[str],
     clause_set: list[Clause],
-    expansions: list[tuple[list[str], float]],
+    expansions: list[tuple[list[str], float, frozenset[str]]],
     occ: int,
     occ_end: int,
     right_side: bool,
@@ -342,7 +357,7 @@ def _descriptor_conf(
             ids = [t for t in clause.token_ids if t < occ]
         sides.append((ids, [lowered[t] for t in ids], clause.score))
     best = 0.0
-    for words, k in expansions:
+    for words, k, _ in expansions:
         total = 0.0
         for ids, side_words, l in sides:
             if len(ids) < len(words):
@@ -444,6 +459,7 @@ def finalize_results(
         return [ResultRow(sid, dict(zip(shown, values)), {}, True) for sid, values in ordered]
     clauses = [(ci, clause, index[clause.var]) for ci, clause in enumerate(q.satisfying)]
     evaluator: EvidenceEvaluator | None = None
+    memo: dict[tuple[str, str, str], float] = {}
     rows: list[ResultRow] = []
     keys: list[tuple] = []
     dedup: set[tuple] = set()
@@ -455,7 +471,7 @@ def finalize_results(
         nonlocal evaluator
         doc_sids = corpus.doc_sids(doc_index_of(sid))
         if evaluator is None or evaluator.doc_sids != doc_sids:
-            evaluator = EvidenceEvaluator(corpus, resources, doc_sids, locate)
+            evaluator = EvidenceEvaluator(corpus, resources, doc_sids, locate, memo)
         return evaluator
 
     for t in tuples:

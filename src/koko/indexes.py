@@ -24,12 +24,21 @@ up the head column, and a `Sentence` derives its extents when built.
 
 Persisted layout (directory): ``manifest.json``, which records the CRC-32
 of each file, plus ``tree.idx``, ``word.idx``, ``entity.idx``, ``pl.idx``
-and ``pos.idx``: each the magic ``KOKO`` and a format version, then the
-columns and string tables `save_bundle` writes. A column is a count and
-that many little-endian 4-byte integers; a string table is a column of
-end offsets (in code points) and one UTF-8 blob (a byte count and the
-bytes), so each file is read with one ``frombytes`` per column and one
-decode per table.
+and ``pos.idx``: each the magic ``KOKO`` and a format version (7), then
+the columns, narrow columns, posting sets and string tables `save_bundle`
+writes. A column is a count and that many little-endian 4-byte integers;
+a narrow column (the heads) is a width of 1, 2 or 4 bytes, a count and
+that many integers of that width, the largest value standing for
+`NO_HEAD`; a string table is a column of end offsets (in code points) and
+one UTF-8 blob (a byte count and the bytes). A posting set is ``ptr``, a
+column of one byte per list giving the width of its gaps (1, 2 or 4),
+and one blob holding each non-empty list as its first offset in 4 bytes,
+then its d-gaps at that width (Zobel & Moffat, "Inverted files for text
+search engines", 2006). So each file is read with one ``frombytes`` per
+column and one decode per table, and a posting set is decoded whole at
+the first read of any of its lists (`PostingLists`), which also checks
+it: no gap is zero, no offset lies past the corpus, and the lists hold
+every token once.
 """
 
 from __future__ import annotations
@@ -44,31 +53,37 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import add, attrgetter, le, lt, sub
+from functools import cached_property, reduce
+from itertools import accumulate, chain, compress, count, repeat
+from operator import add, and_, attrgetter, le, lt, mul, sub
 
 from .corpus import AnnotatedDocument, Corpus, EntitySpan, Sentence, serialize_corpus
 from .errors import KokoInputError
 
 MAGIC = b"KOKO"
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 INDEX_FILES = ("tree.idx", "word.idx", "entity.idx", "pl.idx", "pos.idx")
 NO_HEAD = 0xFFFFFFFF  # the head column's entry for a sentence root
 
 TOP = "⊤"  # dummy label above every sentence root in the POS index
 
-_TYPECODE = "I"  # array typecode of every column, 4 bytes on disk
-if array(_TYPECODE).itemsize != 4:
-    raise ImportError(f"koko.indexes needs 4-byte array items of type {_TYPECODE!r}")
+_TYPECODE = "I"  # array typecode of every column in memory, 4 bytes on disk
+_WIDTHS = {1: "B", 2: "H", 4: _TYPECODE}  # typecode by width on disk
+if any(array(code).itemsize != width for width, code in _WIDTHS.items()):
+    raise ImportError(f"koko.indexes needs array items of the widths {_WIDTHS}")
 
 
 def _swapped(a: array) -> array:
     """`a` in little-endian order: a swapped copy on a big-endian host."""
-    if sys.byteorder == "big":
-        a = array(_TYPECODE, a)
+    if sys.byteorder == "big" and a.itemsize > 1:
+        a = array(a.typecode, a)
         a.byteswap()
     return a
+
+
+def _width(largest: int) -> int:
+    """The fewest bytes of 1, 2 or 4 that hold `largest`."""
+    return 1 if largest <= 0xFF else 2 if largest <= 0xFFFF else 4
 
 
 @dataclass
@@ -127,24 +142,26 @@ class Sentences:
 
 class PostingLists(Mapping):
     """The posting lists of an index by key (a word, or a node id), as two
-    columns: key i's list is ``flat[ptr[i]:ptr[i + 1]]``. Lists read from a
-    file, `where` (its name for error messages), come with the corpus's
-    `token_count`: each is checked on its first read to rise strictly and
-    stay below it, and a union of them to repeat no offset; built ones are
-    trusted. `owners`, the forward column, may come with the lists."""
+    columns: key i's list is ``flat[ptr[i]:ptr[i + 1]]``. Built lists are
+    given as these columns and trusted. Lists read from a file, `where`
+    (its name for error messages), come `encoded` as their width column,
+    their gap blob and the corpus's token count; ``flat`` is decoded whole
+    at the first read of any list, and checked then: no gap is zero, no
+    offset reaches the token count, and the lists hold every token once,
+    which inverting them into `owners`, the forward column, shows. ``ptr``
+    alone gives `size`, so estimates read no posting."""
 
     def __init__(
-        self, keys: Sequence, ptr: array, flat: array,
-        where: str = "", token_count: int | None = None, owners: array | None = None,
+        self, keys: Sequence, ptr: array, flat: array | None,
+        owners: array | None = None, where: str = "", encoded: tuple[memoryview, memoryview, int] | None = None,
     ) -> None:
         self._keys = keys
         self.ptr = ptr
-        self.flat = flat
+        self._flat = flat
         self.where = where
         self._at = dict(zip(keys, count()))
-        self._token_count = token_count
-        self._checked = bytearray(len(keys))
         self._owners = owners
+        self._encoded = encoded
 
     @classmethod
     def grouped(cls, key_of: Sequence, keys: Sequence) -> PostingLists:
@@ -156,15 +173,38 @@ class PostingLists(Mapping):
             lists[key].append(offset)
         ptr = array(_TYPECODE, accumulate(map(len, lists.values()), initial=0))
         owners = array(_TYPECODE, key_of) if keys == range(len(keys)) else None
-        return cls(keys, ptr, array(_TYPECODE, chain.from_iterable(lists.values())), owners=owners)
+        return cls(keys, ptr, array(_TYPECODE, chain.from_iterable(lists.values())), owners)
+
+    @property
+    def flat(self) -> array:
+        if self._flat is None:
+            self._decode()
+        return self._flat
+
+    def _decode(self) -> None:
+        """Decode every list, check the whole set and invert it, all once."""
+        widths, gaps, token_count = self._encoded
+        flat, at = array(_TYPECODE), 0
+        fail = KokoInputError(f"{self.where}: a posting list lies outside the corpus or out of order")
+        try:
+            for n, width in zip(map(sub, self.ptr[1:], self.ptr), widths):
+                if n:
+                    end = at + 4 + (n - 1) * width
+                    block = array(_WIDTHS[width])
+                    block.frombytes(gaps[at + 4 : end])
+                    if 0 in block:
+                        raise fail
+                    flat.extend(accumulate(_swapped(block), initial=_U32.unpack_from(gaps, at)[0]))
+                    if flat[-1] >= token_count:  # the list's last offset, its largest
+                        raise fail
+                    at = end
+        except OverflowError:  # an offset past the 4-byte range
+            raise fail from None
+        self._owners = self._inverted(flat, token_count)
+        self._flat = flat
 
     def _list(self, i: int) -> array:
-        plist = self.flat[self.ptr[i] : self.ptr[i + 1]]
-        if self._token_count is not None and not self._checked[i]:
-            if not all(map(lt, plist, plist[1:])) or plist and plist[-1] >= self._token_count:
-                raise KokoInputError(f"{self.where}: a posting list lies outside the corpus or out of order")
-            self._checked[i] = 1
-        return plist
+        return self.flat[self.ptr[i] : self.ptr[i + 1]]
 
     def __getitem__(self, key) -> array:
         return self._list(self._at[key])
@@ -198,10 +238,7 @@ class PostingLists(Mapping):
             found = compress(found, inside)
         if len(lists) == 1:
             return lists[0] if within is None else list(found)
-        union = sorted(found)
-        if self._token_count is not None and not all(map(lt, union, islice(union, 1, None))):
-            raise KokoInputError(f"{self.where}: the posting lists do not hold every token once")
-        return union
+        return sorted(found)
 
     def __iter__(self):
         return iter(self._keys)
@@ -212,20 +249,24 @@ class PostingLists(Mapping):
     def owners(self, size: int) -> array:
         """The index inverted into a forward column: the key position of the
         list holding each offset 0 .. size - 1, which must occur once each."""
+        flat = self.flat  # a loaded set's first read decodes and inverts it
         if self._owners is None:
-            owners: list[int | None] = [None] * size
-            keys = chain.from_iterable(map(repeat, count(), map(sub, self.ptr[1:], self.ptr)))
-            try:
-                if len(self.flat) != size:
-                    raise IndexError
-                for offset, key in zip(self.flat, keys):
-                    owners[offset] = key
-                # With as many postings as offsets, an offset left unowned
-                # (None, which the array rejects) means another repeated.
-                self._owners = array(_TYPECODE, owners)
-            except (IndexError, TypeError):
-                raise KokoInputError(f"{self.where}: the posting lists do not hold every token once") from None
+            self._owners = self._inverted(flat, size)
         return self._owners
+
+    def _inverted(self, flat: array, size: int) -> array:
+        owners: list[int | None] = [None] * size
+        keys = chain.from_iterable(map(repeat, count(), map(sub, self.ptr[1:], self.ptr)))
+        try:
+            if len(flat) != size:
+                raise IndexError
+            for offset, key in zip(flat, keys):
+                owners[offset] = key
+            # With as many postings as offsets, an offset left unowned
+            # (None, which the array rejects) means another repeated.
+            return array(_TYPECODE, owners)
+        except (IndexError, TypeError):
+            raise KokoInputError(f"{self.where}: the posting lists do not hold every token once") from None
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -497,6 +538,7 @@ def _merged_trees(sentences: list[Sentence]) -> tuple[HierarchyIndex, HierarchyI
 # Persistence
 
 _U32 = struct.Struct("<I")
+_ONLY_ONES = bytes(255) + b"\xff"  # a translation keeping 0xFF bytes, zeroing the rest
 
 
 def _w_columns(buf: bytearray, *columns: array) -> None:
@@ -505,11 +547,44 @@ def _w_columns(buf: bytearray, *columns: array) -> None:
         buf += _swapped(column).tobytes()
 
 
-def _w_strings(buf: bytearray, strings: Sequence[str]) -> None:
-    _w_columns(buf, array(_TYPECODE, accumulate(map(len, strings))))
-    raw = "".join(strings).encode("utf-8")
+def _w_bytes(buf: bytearray, raw: bytes) -> None:
     buf += _U32.pack(len(raw))
     buf += raw
+
+
+def _w_strings(buf: bytearray, strings: Sequence[str]) -> None:
+    _w_columns(buf, array(_TYPECODE, accumulate(map(len, strings))))
+    _w_bytes(buf, "".join(strings).encode("utf-8"))
+
+
+def _w_heads(buf: bytearray, tokens: TokenTable) -> None:
+    """The heads at the width of the longest sentence's token count, whose
+    largest value stands for `NO_HEAD`: 1 byte below 255 tokens. Each is
+    the low `width` bytes of its little-endian 4-byte entry; those of
+    `NO_HEAD` are all ones."""
+    width = _width(max(tokens.lengths, default=0) + 1)
+    entries = _swapped(tokens.heads).tobytes()
+    buf += _U32.pack(width)
+    buf += _U32.pack(len(tokens.heads))
+    buf += array(_WIDTHS[width], entries)[:: 4 // width].tobytes()
+
+
+def _w_postings(buf: bytearray, postings: PostingLists) -> None:
+    """``ptr``, a width per list and the lists: each its first offset, then
+    its gaps, at the fewest bytes that hold its largest gap."""
+    ptr, flat = postings.ptr, postings.flat
+    deltas = [0, *map(sub, flat[1:], flat)]  # flat[i] - flat[i - 1]
+    widths, lists = bytearray(), bytearray()
+    for a, b in zip(ptr, ptr[1:]):
+        gaps = deltas[a + 1 : b]
+        width = _width(max(gaps, default=0))
+        widths.append(width)
+        if b > a:
+            lists += _U32.pack(flat[a])
+            lists += _swapped(array(_WIDTHS[width], gaps)).tobytes()
+    _w_columns(buf, ptr)
+    _w_bytes(buf, widths)
+    _w_bytes(buf, lists)
 
 
 def _interned(values: Sequence[str]) -> tuple[list[str], array]:
@@ -524,12 +599,13 @@ def save_bundle(bundle: IndexBundle, directory: str) -> None:
     checksum."""
     files = {name: bytearray(MAGIC + _U32.pack(FORMAT_VERSION)) for name in INDEX_FILES}
     t = bundle.tokens
-    _w_columns(files["tree.idx"], t.starts, t.heads)
+    _w_columns(files["tree.idx"], t.starts)
+    _w_heads(files["tree.idx"], t)
     _w_strings(files["tree.idx"], bundle.doc_ids)
     _w_columns(files["tree.idx"], bundle.doc_starts)
     words = bundle.word.postings
     _w_strings(files["word.idx"], list(words))
-    _w_columns(files["word.idx"], words.ptr, words.flat)
+    _w_postings(files["word.idx"], words)
     sid, start, end, etype, surface = list(zip(*bundle.entity.records)) or [()] * 5
     etypes, etype_ids = _interned(etype)
     _w_strings(files["entity.idx"], etypes)
@@ -538,7 +614,8 @@ def save_bundle(bundle: IndexBundle, directory: str) -> None:
     for name, index in (("pl.idx", bundle.pl), ("pos.idx", bundle.pos)):
         labels, label_ids = _interned(index.labels[1:])
         _w_strings(files[name], labels)
-        _w_columns(files[name], label_ids, index.parents[1:], index.postings.ptr, index.postings.flat)
+        _w_columns(files[name], label_ids, index.parents[1:])
+        _w_postings(files[name], index.postings)
     os.makedirs(directory, exist_ok=True)
     for name, buf in files.items():
         with open(os.path.join(directory, name), "wb") as f:
@@ -597,6 +674,26 @@ class _IndexFile:
         column.frombytes(self.block(4))
         return _swapped(column)
 
+    def heads(self) -> array:
+        """The narrow head column widened to 4-byte entries, with no Python
+        step per head: each entry's bytes are laid into the low bytes of
+        its wide one, and its high bytes are all ones (making `NO_HEAD`)
+        where its own bytes all are, the width's largest value."""
+        width = self.u32()
+        if width not in _WIDTHS:
+            raise self.fail(f"head width {width} is not 1, 2 or 4")
+        raw = bytes(self.block(width))
+        planes = [raw[j::width] for j in range(width)]  # byte j of each entry
+        n = len(raw) // width
+        all_ones = reduce(and_, (int.from_bytes(plane, "little") for plane in planes)).to_bytes(n, "little")
+        high = all_ones.translate(_ONLY_ONES)
+        wide = bytearray(4 * n)
+        for j in range(4):
+            wide[j::4] = planes[j] if j < width else high
+        heads = array(_TYPECODE)
+        heads.frombytes(wide)
+        return _swapped(heads)
+
     def strings(self) -> list[str]:
         ends = self.column()
         try:
@@ -609,10 +706,20 @@ class _IndexFile:
         return list(map(text.__getitem__, map(slice, bounds, ends)))
 
     def postings(self, keys: Sequence) -> PostingLists:
-        ptr, flat = self.column(), self.column()
-        if len(ptr) != len(keys) + 1 or ptr[0] != 0 or ptr[-1] != len(flat) or not all(map(le, ptr, ptr[1:])):
-            raise self.fail(f"posting list bounds do not rise from 0 to {len(flat)} over {len(keys)} lists")
-        return PostingLists(keys, ptr, flat, self.path, self.token_count)
+        """A posting set, its framing checked: the lists are decoded and
+        checked at their first read (`PostingLists`)."""
+        ptr, widths, gaps = self.column(), self.block(1), self.block(1)
+        n = self.token_count
+        if len(ptr) != len(keys) + 1 or ptr[0] != 0 or ptr[-1] != n or not all(map(le, ptr, ptr[1:])):
+            raise self.fail(f"posting list bounds do not rise from 0 to {n} over {len(keys)} lists")
+        if len(widths) != len(keys) or not set(widths) <= _WIDTHS.keys():
+            raise self.fail("posting list widths are not one of 1, 2 or 4 per list")
+        counts = array(_TYPECODE, map(sub, ptr[1:], ptr))
+        # Each non-empty list is its 4-byte first offset and n - 1 gaps.
+        expected = sum(map(mul, counts, widths)) + sum(map(sub, repeat(4), compress(widths, counts)))
+        if len(gaps) != expected:
+            raise self.fail(f"the posting lists take {len(gaps)} bytes, their counts say {expected}")
+        return PostingLists(keys, ptr, None, where=self.path, encoded=(widths, gaps, n))
 
     def end(self) -> None:
         """After the scan: no bytes left over, and the checksum holds."""
@@ -648,9 +755,11 @@ def index_fingerprint(directory: str) -> str:
 
 def load_bundle(directory: str, expected_fingerprint: str | None = None) -> IndexBundle:
     """Open a saved index. Every file is read whole, column by column, and
-    its checksum checked against the manifest's; a posting list is checked
-    on first lookup, a union of lists at each read, and the PL lists as a
-    whole at the first read of the depth column (`TokenTable.depth`)."""
+    its checksum checked against the manifest's, and the heads widened to
+    4-byte entries. The posting sets are kept encoded, their framing
+    checked; each is decoded whole, checked and inverted at the first read
+    of any of its lists (`PostingLists`), and the PL lists' depths at the
+    first read of the depth column (`TokenTable.depth`)."""
     manifest = _read_manifest(directory)
     fingerprint = manifest.get("fingerprint", "")
     if expected_fingerprint is not None and fingerprint != expected_fingerprint:
@@ -665,7 +774,7 @@ def load_bundle(directory: str, expected_fingerprint: str | None = None) -> Inde
         raise KokoInputError(f"{directory}: manifest.json lacks the checksums of the index files")
 
     f = _IndexFile(directory, "tree.idx", checksums["tree.idx"])
-    starts, heads = f.column(), f.column()
+    starts, heads = f.column(), f.heads()
     doc_ids, doc_starts = f.strings(), f.column()
     f.end()
     # Every sentence has a token.
@@ -745,10 +854,11 @@ def open_corpus(bundle: IndexBundle) -> Corpus:
     and of the PL and POS lists inverted, its heads and its entity records
     (B on a record's first token, I on the rest); one whose heads are no
     tree, or whose derived depths differ from the PL lists' (the token
-    table's `depth`), raises KokoInputError then. The lists are inverted
-    at the first build (`PostingLists.owners` keeps the column), so a
-    query that builds no sentence inverts nothing. A sentence's words (`Corpus.words`) are its
-    slice of the word column alone."""
+    table's `depth`), raises KokoInputError then. The forward columns are
+    read at the first build (`PostingLists.owners`); a loaded set is
+    inverted at the first read of any of its lists, as its check, and
+    keeps the column. A sentence's words (`Corpus.words`) are its slice of
+    the word column alone."""
     t = bundle.tokens
     records = bundle.entity.records
     record_sids = array(_TYPECODE, map(attrgetter("sid"), records))

@@ -133,8 +133,9 @@ def test_span_join_skips_the_nested_loop(env, evaluated, name):
 )
 def test_direct_plan_over_the_index_builds_no_sentence(env, tmp_path, monkeypatch, evaluated, name):
     # A join reads its values from the index: the word column, the
-    # literal itself or the entity records. Nor are the PL or POS lists
-    # inverted, which only a sentence needs.
+    # literal itself or the entity records. Nor does it read the PL or POS
+    # forward column (`owners`), which only a sentence needs; a PL list's
+    # first read inverts its file once all the same, as its check.
     corpus, bundle = env
     save_bundle(bundle, str(tmp_path))
     loaded = load_bundle(str(tmp_path))

@@ -356,12 +356,16 @@ def _ex31_index_with_heads(tmp_path, heads: dict[int, int]) -> str:
     idx = tmp_path / "idx"
     save_bundle(build_indexes(load_corpus(data_path("corpus", "ex31.tsv"))), str(idx))
     raw = bytearray((idx / "tree.idx").read_bytes())
-    # After the header: the 3 sentence starts, then the 30 heads, each
-    # column after its count.
-    heads_at = 8 + 4 + 4 * 3 + 4
-    assert struct.unpack_from("<I", raw, heads_at + 4 * 9)[0] == 8  # "delicious" under "was"
+    # After the header: the 3 sentence starts after their count, then the
+    # heads' width (1 byte: no sentence has 255 tokens) and the 30 heads
+    # after their count. On disk a root's head is the width's largest
+    # value, 0xFF, which loads as NO_HEAD.
+    width_at = 8 + 4 + 4 * 3
+    assert struct.unpack_from("<I", raw, width_at)[0] == 1
+    heads_at = width_at + 4 + 4
+    assert raw[heads_at + 9] == 8  # "delicious" under "was"
     for tid, head in heads.items():
-        struct.pack_into("<I", raw, heads_at + 4 * tid, head)
+        raw[heads_at + tid] = min(head, 0xFF)
     (idx / "tree.idx").write_bytes(bytes(raw))
     manifest = json.loads((idx / "manifest.json").read_text())
     manifest["checksums"]["tree.idx"] = zlib.crc32(bytes(raw))

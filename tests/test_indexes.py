@@ -299,15 +299,17 @@ def _small_index(tmp_path):
 
 # The parts of each index file after its 8-byte header, in order. Each is a
 # u32 count and that many items: 1-byte ones for a string table's UTF-8
-# text, u32 ones for every other column.
+# text, a posting set's widths and its encoded lists, heads of the width
+# before them (a u32 with no count), u32 ones for every other column.
 _LAYOUT = {
-    "tree.idx": ["starts", "heads", "doc_ids.ends", "doc_ids.text", "doc_starts"],
-    "word.idx": ["words.ends", "words.text", "ptr", "flat"],
+    "tree.idx": ["starts", "heads.width", "heads", "doc_ids.ends", "doc_ids.text", "doc_starts"],
+    "word.idx": ["words.ends", "words.text", "ptr", "widths", "lists"],
     "entity.idx": [
         "etypes.ends", "etypes.text", "sid", "start", "end", "etype_id", "surfaces.ends", "surfaces.text",
     ],
-    "pl.idx": ["labels.ends", "labels.text", "label_id", "parent", "ptr", "flat"],
+    "pl.idx": ["labels.ends", "labels.text", "label_id", "parent", "ptr", "widths", "lists"],
 }
+_LAYOUT["pos.idx"] = _LAYOUT["pl.idx"]
 
 
 def _offsets(raw, name):
@@ -315,11 +317,70 @@ def _offsets(raw, name):
     count sits in the 4 bytes before."""
     at, out = 8, {}
     for part in _LAYOUT[name]:
+        if part == "heads.width":
+            out[part] = at
+            at += 4
+            continue
         (n,) = struct.unpack_from("<I", raw, at)
         out[part] = at + 4
-        at += 4 + n * (1 if part.endswith(".text") else 4)
+        at += 4 + n * _item_size(raw, out, part)
     assert at == len(raw)
     return out
+
+
+def _item_size(raw, at, part):
+    if part == "heads":
+        return _u32(raw, at["heads.width"])
+    return 1 if part.endswith((".text", "widths", "lists")) else 4
+
+
+_GAP_FORMAT = {1: "B", 2: "H", 4: "I"}
+
+
+def _decoded_lists(raw, name):
+    """The posting lists of a file, decoded as the format says: each
+    non-empty list is its first offset, then its gaps at its width."""
+    at = _offsets(raw, name)
+    ptr = struct.unpack_from(f"<{_u32(raw, at['ptr'] - 4)}I", raw, at["ptr"])
+    lists, pos = [], at["lists"]
+    for i, n in enumerate(b - a for a, b in zip(ptr, ptr[1:])):
+        width = raw[at["widths"] + i]
+        plist = []
+        if n:
+            plist.append(_u32(raw, pos))
+            for gap in struct.unpack_from(f"<{n - 1}{_GAP_FORMAT[width]}", raw, pos + 4):
+                plist.append(plist[-1] + gap)
+            pos += 4 + (n - 1) * width
+        lists.append(plist)
+    return lists
+
+
+def _with_lists(raw, name, lists):
+    """`raw` with its posting set (the last part of the file) replaced by
+    `lists` as a writer would encode them: each gap is the difference to
+    the offset before, modulo 2**32, at the fewest bytes that hold the
+    list's largest."""
+    ptr, widths, blob = [0], bytearray(), bytearray()
+    for plist in lists:
+        ptr.append(ptr[-1] + len(plist))
+        gaps = [(b - a) % (1 << 32) for a, b in zip(plist, plist[1:])]
+        width = next(w for w in (1, 2, 4) if max(gaps, default=0) < 1 << 8 * w)
+        widths.append(width)
+        if plist:
+            blob += struct.pack(f"<I{len(gaps)}{_GAP_FORMAT[width]}", plist[0], *gaps)
+    tail = struct.pack(f"<I{len(ptr)}I", len(ptr), *ptr)
+    tail += struct.pack("<I", len(widths)) + widths + struct.pack("<I", len(blob)) + blob
+    return raw[: _offsets(raw, name)["ptr"] - 4] + tail
+
+
+def _replace_lists(d, name, change):
+    """Rewrite the posting lists of index file `name` in directory `d` by
+    `change(lists)`, in a file whose checksum matches: a faulty writer."""
+    raw = (d / name).read_bytes()
+    lists = _decoded_lists(raw, name)
+    change(lists)
+    (d / name).write_bytes(_with_lists(raw, name, lists))
+    _rewrite_checksum(d, name)
 
 
 def _rewrite_checksum(d, name):
@@ -369,9 +430,9 @@ def test_posting_block_past_end_of_file_rejected(tmp_path):
     _, bundle, d = _small_index(tmp_path)
     path = d / "word.idx"
     raw = bytearray(path.read_bytes())
-    # The count of the posting column, which holds every token.
-    count_at = _offsets(raw, "word.idx")["flat"] - 4
-    assert struct.unpack_from("<I", raw, count_at)[0] == bundle.token_count
+    # The byte count of the encoded lists, which run to the end of the file.
+    count_at = _offsets(raw, "word.idx")["lists"] - 4
+    assert struct.unpack_from("<I", raw, count_at)[0] == len(raw) - count_at - 4
     raw[count_at : count_at + 4] = struct.pack("<I", 1 << 30)
     path.write_bytes(bytes(raw))
     with pytest.raises(KokoInputError, match="truncated"):
@@ -388,39 +449,32 @@ def test_trailing_bytes_rejected(tmp_path):
 
 def test_postings_decoded_and_checked_on_first_lookup(tmp_path):
     docs, bundle, d = _small_index(tmp_path)
-    path = d / "word.idx"
-    raw = bytearray(path.read_bytes())
     words = sorted(bundle.word.postings)
-    # The first posting's token offset, past the last token, in a file
-    # whose checksum matches: a faulty writer, not a corrupted copy.
-    offset_at = _offsets(raw, "word.idx")["flat"]
-    assert struct.unpack_from("<I", raw, offset_at)[0] == bundle.word.postings[words[0]][0]
-    raw[offset_at : offset_at + 4] = struct.pack("<I", bundle.token_count)
-    path.write_bytes(bytes(raw))
-    _rewrite_checksum(d, "word.idx")
+    # The first word's last posting moved to the token count, past the last
+    # token, in a file whose checksum matches: a faulty writer, not a
+    # corrupted copy. Its gap block stays in bounds, so the file loads.
+    _replace_lists(d, "word.idx", lambda lists: lists[0].__setitem__(-1, bundle.token_count))
     loaded = load_bundle(str(d))
-    assert loaded.word.lookup(words[1]) == bundle.word.lookup(words[1])
-    with pytest.raises(KokoInputError, match="outside the corpus"):
-        loaded.word.lookup(words[0])
+    assert loaded.word.count(words[0]) == bundle.word.count(words[0])
+    # The file is decoded and checked whole at the first lookup, of any
+    # word, and again at the next, since nothing was kept.
+    for word in words[1], words[0]:
+        with pytest.raises(KokoInputError, match="word.idx: a posting list lies outside the corpus"):
+            loaded.word.lookup(word)
 
 
 def test_posting_block_out_of_order_rejected_on_lookup(tmp_path):
     docs, bundle, d = _small_index(tmp_path)
-    path = d / "word.idx"
-    raw = bytearray(path.read_bytes())
-    # The posting column holds each word's list in word order.
-    block = _offsets(raw, "word.idx")["flat"]
-    for word in sorted(bundle.word.postings):
-        if len(bundle.word.postings[word]) > 1:
-            break
-        block += 4 * len(bundle.word.postings[word])
-    # The word's first two offsets swapped, in a file whose checksum
-    # matches.
-    a, b = bundle.word.postings[word][:2]
-    assert raw[block : block + 8] == struct.pack("<2I", a, b)
-    raw[block : block + 8] = struct.pack("<2I", b, a)
-    path.write_bytes(bytes(raw))
-    _rewrite_checksum(d, "word.idx")
+    word = next(w for w in sorted(bundle.word.postings) if len(bundle.word.postings[w]) > 1)
+    i = list(bundle.word.postings).index(word)
+
+    def swap(lists):
+        # The word's first two offsets swapped, in a file whose checksum
+        # matches: the descent is written as a gap modulo 2**32, 4 bytes
+        # wide, which decodes past the 4-byte range.
+        lists[i][:2] = lists[i][1::-1]
+
+    _replace_lists(d, "word.idx", swap)
     loaded = load_bundle(str(d))
     with pytest.raises(KokoInputError, match="out of order"):
         loaded.word.lookup(word)
@@ -434,6 +488,131 @@ def test_save_of_a_loaded_index_is_byte_identical(tmp_path):
     assert names == sorted(p.name for p in again.iterdir())
     for name in names:
         assert (again / name).read_bytes() == (d / name).read_bytes(), name
+
+
+# ---------------------------------------------------------------------------
+# The encoded posting lists and the narrow head column
+
+
+def _codec_corpus(lengths, markers=()):
+    """One document of sentences of the given lengths, every token "a"
+    hanging from its sentence's first token, except that each global offset
+    in `markers` holds the marker's word."""
+    words = ["a"] * sum(lengths)
+    for word, offset in markers:
+        words[offset] = word
+    sentences, at = [], 0
+    for sid, n in enumerate(lengths):
+        sentences.append(Sentence(
+            sid, words[at : at + n], ["NN"] * n, ["root"] + ["dep"] * (n - 1),
+            [None] + [0] * (n - 1), [None] * n, [None] * n,
+        ))
+        at += n
+    return [AnnotatedDocument("d", sentences)]
+
+
+def _round_trips(docs, d):
+    """Save the index of `docs` to `d`: it loads equal to the built one,
+    and saving the loaded one writes the same bytes."""
+    bundle = build_indexes(docs)
+    save_bundle(bundle, str(d / "idx"))
+    loaded = load_bundle(str(d / "idx"))
+    assert loaded == bundle
+    save_bundle(loaded, str(d / "again"))
+    for name in sorted(p.name for p in (d / "idx").iterdir()):
+        assert (d / "again" / name).read_bytes() == (d / "idx" / name).read_bytes(), name
+    return bundle, loaded
+
+
+def test_gap_widths_round_trip(tmp_path):
+    # Each word's one gap sits at a width boundary: gaps of 255 and 256
+    # take 1 and 2 bytes, gaps of 65,535 and 65,536 take 2 and 4. "solo"
+    # has one posting and no gap; the super-root's list is empty.
+    gaps = {"g255": 255, "g256": 256, "g65535": 65535, "g65536": 65536}
+    markers = [("solo", 4)]
+    for i, (word, gap) in enumerate(gaps.items()):
+        markers += [(word, i), (word, i + gap)]
+    docs = _codec_corpus([300] * 220, markers)
+    bundle, loaded = _round_trips(docs, tmp_path)
+    raw = (tmp_path / "idx" / "word.idx").read_bytes()
+    widths = dict(zip(bundle.word.postings, raw[_offsets(raw, "word.idx")["widths"] :]))
+    assert {word: widths[word] for word in gaps} == {"g255": 1, "g256": 2, "g65535": 2, "g65536": 4}
+    assert [list(loaded.word.lookup(word)) for word in gaps] == [[i, i + gap] for i, gap in enumerate(gaps.values())]
+    assert list(loaded.word.lookup("solo")) == [4]
+    assert list(loaded.pl.postings[0]) == [] and bundle.pl.postings.ptr[1] == 0
+    assert _decoded_lists(raw, "word.idx") == [list(bundle.word.postings[w]) for w in bundle.word.postings]
+
+
+@pytest.mark.parametrize("longest, width", [(254, 1), (255, 2), (65534, 2), (65535, 4)])
+def test_head_width_follows_the_longest_sentence(tmp_path, longest, width):
+    # A root's head is the width's largest value on disk, so a sentence of
+    # 255 tokens or more, whose heads could reach 254, takes the next width.
+    docs = _codec_corpus([3, longest, 1])
+    bundle, loaded = _round_trips(docs, tmp_path)
+    raw = (tmp_path / "idx" / "tree.idx").read_bytes()
+    assert _u32(raw, _offsets(raw, "tree.idx")["heads.width"]) == width
+    assert list(loaded.tokens.heads) == list(bundle.tokens.heads)
+    assert loaded.tokens.heads.count(NO_HEAD) == 3
+    corpus = open_corpus(loaded)
+    assert corpus.sentence(1) == docs[0].sentences[1]
+
+
+def _zero_gap(raw):
+    lists = _decoded_lists(raw, "pl.idx")
+    plist = next(plist for plist in lists if len(plist) > 1)
+    plist[1] = plist[0]
+    raw[:] = _with_lists(raw, "pl.idx", lists)
+
+
+def _width_three(raw):
+    raw[_offsets(raw, "word.idx")["widths"]] = 3
+
+
+def _gap_block(name, extra):
+    """The encoded lists `extra` bytes longer (or shorter, when negative)
+    than their counts say; they end the file."""
+
+    def corrupt(raw):
+        at = _offsets(raw, name)["lists"]
+        _set_u32(raw, at - 4, _u32(raw, at - 4) + extra)
+        raw[len(raw) :] = bytes(max(extra, 0))
+        del raw[len(raw) + min(extra, 0) :]
+
+    corrupt.__name__ = f"gap_block_{'longer' if extra > 0 else 'shorter'}"
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "name, corrupt, message",
+    [
+        ("pl.idx", _zero_gap, "a posting list lies outside the corpus or out of order"),
+        ("word.idx", _width_three, "posting list widths are not one of 1, 2 or 4"),
+        ("pos.idx", _gap_block("pos.idx", 1), "the posting lists take"),
+        ("pl.idx", _gap_block("pl.idx", -1), "the posting lists take"),
+    ],
+    ids=lambda v: getattr(v, "__name__", None),
+)
+def test_encoded_postings_reject_a_faulty_writer(tmp_path, capsys, name, corrupt, message):
+    # In a file whose checksum matches: the framing (widths, block length)
+    # is checked by `load_bundle`, a zero gap at the first read of the
+    # lists. Either way `koko query` exits 2 with the message, no traceback.
+    from koko.cli import main
+
+    _, _, d = _small_index(tmp_path)
+    raw = bytearray((d / name).read_bytes())
+    corrupt(raw)
+    (d / name).write_bytes(bytes(raw))
+    _rewrite_checksum(d, name)
+    with pytest.raises(KokoInputError, match=f"{name}: {message}"):
+        load_bundle(str(d)).pl.lookup(_parse_pattern("//*"))
+    q = tmp_path / "q.koko"
+    q.write_text('extract v:Str from "x" if (/ROOT:{ v = //* })\n')
+    capsys.readouterr()
+    assert main(["query", "--query", str(q), "--index", str(d)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and f"{name}: {message}" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_corrupted_index_loads_to_rows_or_input_error(tmp_path):
@@ -666,8 +845,8 @@ def _ptr_decreasing(raw):
 
 def _ptr_short_of_the_postings(raw):
     at = _offsets(raw, "word.idx")
-    last = at["flat"] - 8  # the last ptr entry, before the flat column's count
-    assert _u32(raw, last) == _u32(raw, at["flat"] - 4)
+    last = at["widths"] - 8  # the last ptr entry, the token count, before the width column's count
+    assert last == at["ptr"] + 4 * (_u32(raw, at["ptr"] - 4) - 1)
     _set_u32(raw, last, _u32(raw, last) - 1)
 
 
@@ -726,9 +905,22 @@ def _entity_records_overlap(raw):
     _set_u32(raw, at["end"] + 4, _u32(raw, at["end"]))
 
 
-def _super_root_holds_postings(raw):
+def _changed_lists(change):
+    """A corruption of the PL lists by `change(lists)`, written as a writer
+    would encode them."""
+
+    def corrupt(raw):
+        lists = _decoded_lists(raw, "pl.idx")
+        change(lists)
+        raw[:] = _with_lists(raw, "pl.idx", lists)
+
+    corrupt.__name__ = change.__name__
+    return corrupt
+
+
+def _super_root_holds_postings(lists):
     # The first posting moved from node 1's list to the super-root's.
-    _set_u32(raw, _offsets(raw, "pl.idx")["ptr"] + 4, 1)
+    lists[0].append(lists[1].pop(0))
 
 
 def _siblings_share_a_label(raw):
@@ -743,28 +935,32 @@ def _siblings_share_a_label(raw):
     raise AssertionError("no two nodes share a parent")
 
 
-def _posting_repeated(raw):
-    flat = _offsets(raw, "pl.idx")["flat"]
-    _set_u32(raw, flat + 4, _u32(raw, flat))
+def _posting_repeated(lists):
+    # A single-posting list's token filed under another single-posting
+    # list's key too, and that list's own token under none.
+    first, second = [plist for plist in lists if len(plist) == 1][:2]
+    second[0] = first[0]
 
 
-def _posting_added(raw):
-    # The last list's last posting, once more: every token is still held.
-    flat = _offsets(raw, "pl.idx")["flat"]
-    n = _u32(raw, flat - 4)
-    _set_u32(raw, flat - 4, n + 1)
-    _set_u32(raw, flat - 8, n + 1)
-    raw[flat + 4 * n : flat + 4 * n] = raw[flat + 4 * (n - 1) : flat + 4 * n]
+def _posting_added(lists):
+    # The last token once more, in the last list: every token is still
+    # held, and the lists hold one posting more than the corpus has tokens.
+    lists[-1].append(lists[-1][-1])
+
+
+def _head_width_three(raw):
+    _set_u32(raw, _offsets(raw, "tree.idx")["heads.width"], 3)
 
 
 def _drop_last(name, part):
     """A corruption that drops the last entry of one column."""
 
     def corrupt(raw):
-        at = _offsets(raw, name)[part]
+        offsets = _offsets(raw, name)
+        at, size = offsets[part], _item_size(raw, offsets, part)
         n = _u32(raw, at - 4)
         _set_u32(raw, at - 4, n - 1)
-        del raw[at + 4 * (n - 1) : at + 4 * n]
+        del raw[at + size * (n - 1) : at + size * n]
 
     corrupt.__name__ = f"{part}_short"
     return corrupt
@@ -781,23 +977,25 @@ def _drop_last(name, part):
         ("entity.idx", _string_ends_out_of_order, "string end offsets"),
         ("word.idx", _words_out_of_order, "words out of order"),
         ("tree.idx", _drop_last("tree.idx", "heads"), "the head column does not hold"),
+        ("tree.idx", _head_width_three, "head width 3 is not 1, 2 or 4"),
         ("entity.idx", _drop_last("entity.idx", "end"), "entity columns differ"),
         ("pl.idx", _drop_last("pl.idx", "parent"), "node columns differ"),
         ("tree.idx", _doc_starts_out_of_order, "document table out of order"),
         ("tree.idx", _doc_starts_past_the_sentences, "document table out of order or past"),
         ("tree.idx", _drop_last("tree.idx", "doc_starts"), "document table"),
         ("entity.idx", _entity_records_overlap, "entity records overlap"),
-        ("pl.idx", _super_root_holds_postings, "super-root holds postings"),
+        ("pl.idx", _changed_lists(_super_root_holds_postings), "super-root holds postings"),
         ("pl.idx", _siblings_share_a_label, "share a label"),
-        ("pl.idx", _posting_repeated, "do not hold every token once"),
-        ("pl.idx", _posting_added, "do not hold every token once"),
+        ("pl.idx", _changed_lists(_posting_repeated), "do not hold every token once"),
+        ("pl.idx", _changed_lists(_posting_added), "posting list bounds do not rise from 0 to"),
     ],
     ids=lambda v: getattr(v, "__name__", None),
 )
 def test_structural_checks_reject_a_faulty_writer(tmp_path, name, corrupt, message):
     # Each column is wrong in a file whose checksum matches. The PL lists
-    # are checked to hold every token once at the first read of the depth
-    # column, which inverts them; the other checks run in `load_bundle`.
+    # are checked to hold every token once at their first read, here that
+    # of the depth column, when they are decoded and inverted; the other
+    # checks run in `load_bundle`.
     _, _, d = _small_index(tmp_path)
     path = d / name
     raw = bytearray(path.read_bytes())
@@ -805,17 +1003,15 @@ def test_structural_checks_reject_a_faulty_writer(tmp_path, name, corrupt, messa
     path.write_bytes(bytes(raw))
     _rewrite_checksum(d, name)
     with pytest.raises(KokoInputError, match=message):
-        bundle = load_bundle(str(d))
-        if corrupt in (_posting_repeated, _posting_added):
-            bundle.tokens.depth
+        load_bundle(str(d)).tokens.depth
 
 
 def test_depth_column_rejects_a_token_deeper_than_its_sentence(tmp_path):
     # The one-token sentence 0's token swapped in the PL lists with the
     # depth-2 token of sentence 1, in a file whose checksum matches: every
-    # token is still held once, and every list read alone passes its
-    # checks. It is rejected at the first read of the depth column, not at
-    # the first read of the list that holds it.
+    # token is still held once, so the whole file passes the check at the
+    # first read of its lists. It is rejected at the first read of the
+    # depth column, not at the first read of the list that holds it.
     docs = [AnnotatedDocument("d", [
         Sentence(0, ["hi"], ["UH"], ["root"], [None], [None], [None]),
         Sentence(1, ["a", "b", "c"], ["DT", "NN", "VB"], ["det", "nsubj", "root"], [1, 2, None], [None] * 3, [None] * 3),
@@ -824,13 +1020,11 @@ def test_depth_column_rejects_a_token_deeper_than_its_sentence(tmp_path):
     assert list(bundle.tokens.depth) == [0, 2, 1, 0]
     d = tmp_path / "idx"
     save_bundle(bundle, str(d))
-    raw = bytearray((d / "pl.idx").read_bytes())
-    flat = _offsets(raw, "pl.idx")["flat"]
-    i, j = list(bundle.pl.postings.flat).index(0), list(bundle.pl.postings.flat).index(1)
-    _set_u32(raw, flat + 4 * i, 1)
-    _set_u32(raw, flat + 4 * j, 0)
-    (d / "pl.idx").write_bytes(bytes(raw))
-    _rewrite_checksum(d, "pl.idx")
+
+    def swap(lists):
+        lists[:] = [sorted({0: 1, 1: 0}.get(o, o) for o in plist) for plist in lists]
+
+    _replace_lists(d, "pl.idx", swap)
     loaded = load_bundle(str(d))
     for node in loaded.pl.postings:
         loaded.pl.postings[node]
@@ -917,31 +1111,38 @@ def test_index_built_corpus_round_trips(seed, n, per_doc, empty, adjacent):
         _assert_round_trip(serialize_corpus(docs), d)
 
 
+def _set_head(raw, tid, head):
+    """Sentence 0's head of `tid` set to `head` at the file's head width,
+    whose largest value stands for NO_HEAD."""
+    at = _offsets(raw, "tree.idx")
+    width = _u32(raw, at["heads.width"])
+    head = min(head, (1 << 8 * width) - 1)
+    raw[at["heads"] + width * tid : at["heads"] + width * (tid + 1)] = head.to_bytes(width, "little")
+
+
 def _head_outside(raw, s):
-    _set_u32(raw, _offsets(raw, "tree.idx")["heads"], len(s))
+    _set_head(raw, 0, len(s))
 
 
 def _second_root(raw, s):
     tid = next(tid for tid, head in enumerate(s.heads) if head is not None)
-    _set_u32(raw, _offsets(raw, "tree.idx")["heads"] + 4 * tid, NO_HEAD)
+    _set_head(raw, tid, NO_HEAD)
 
 
 def _no_root(raw, s):
-    _set_u32(raw, _offsets(raw, "tree.idx")["heads"] + 4 * s.root_tid, 1 if s.root_tid == 0 else 0)
+    _set_head(raw, s.root_tid, 1 if s.root_tid == 0 else 0)
 
 
 def _head_cycle(raw, s):
     a, b = [tid for tid, head in enumerate(s.heads) if head is not None][:2]
-    heads = _offsets(raw, "tree.idx")["heads"]
-    _set_u32(raw, heads + 4 * a, b)
-    _set_u32(raw, heads + 4 * b, a)
+    _set_head(raw, a, b)
+    _set_head(raw, b, a)
 
 
 def _depths_differ(raw, s):
     # A token two levels deep hung from the root: still a tree, one level
     # less deep than the PL lists put it.
-    tid = s.depth.index(2)
-    _set_u32(raw, _offsets(raw, "tree.idx")["heads"] + 4 * tid, s.root_tid)
+    _set_head(raw, s.depth.index(2), s.root_tid)
 
 
 @pytest.mark.parametrize(
@@ -971,15 +1172,11 @@ def test_sentence_checks_reject_a_faulty_writer(tmp_path, corrupt, message):
 
 
 def test_word_column_rejects_lists_that_repeat_a_token(tmp_path):
-    # The word lists are inverted into the word column on its first read,
-    # by the first sentence an opened corpus builds or by an offset join,
-    # not by `load_bundle` or `open_corpus`.
+    # The word lists are decoded, checked and inverted into the word column
+    # at their first read, by the first sentence an opened corpus builds or
+    # by a lookup, not by `load_bundle` or `open_corpus`.
     docs, _, d = _small_index(tmp_path)
-    raw = bytearray((d / "word.idx").read_bytes())
-    flat = _offsets(raw, "word.idx")["flat"]
-    _set_u32(raw, flat + 4, _u32(raw, flat))
-    (d / "word.idx").write_bytes(bytes(raw))
-    _rewrite_checksum(d, "word.idx")
+    _replace_lists(d, "word.idx", _posting_repeated)
     message = "word.idx: the posting lists do not hold every token once"
     corpus = open_corpus(load_bundle(str(d)))
     with pytest.raises(KokoInputError, match=message):
@@ -989,28 +1186,54 @@ def test_word_column_rejects_lists_that_repeat_a_token(tmp_path):
         run_query(q, Corpus(docs), load_bundle(str(d)))
 
 
-def test_union_of_lists_that_repeat_a_token_is_rejected(tmp_path):
-    # A single-posting PL list's offset overwritten with one that another
-    # list holds, in a pl.idx whose checksum matches: one token filed under
-    # two nodes and one under none. Each list alone passes its check; a
-    # union that reads both repeats the token, on the whole and inside a
-    # sentence, before the depth column is ever read.
-    docs = load_corpus(data_path("corpus", "ex31.tsv"))
-    bundle = build_indexes(docs)
+def _ex31_index_with_a_token_under_two_nodes(tmp_path):
+    """The ex31 index with a single-posting PL list's offset overwritten
+    with one that another list holds, in a pl.idx whose checksum matches:
+    one token filed under two nodes and one under none. The built bundle
+    and the two nodes come with it."""
+    bundle = build_indexes(load_corpus(data_path("corpus", "ex31.tsv")))
     d = tmp_path / "idx"
     save_bundle(bundle, str(d))
     ptr, flat = bundle.pl.postings.ptr, bundle.pl.postings.flat
     single, other = [node for node in range(1, len(ptr) - 1) if ptr[node + 1] - ptr[node] == 1][:2]
-    raw = bytearray((d / "pl.idx").read_bytes())
-    _set_u32(raw, _offsets(raw, "pl.idx")["flat"] + 4 * ptr[single], flat[ptr[other]])
-    (d / "pl.idx").write_bytes(bytes(raw))
-    _rewrite_checksum(d, "pl.idx")
+    _replace_lists(d, "pl.idx", lambda lists: lists[single].__setitem__(0, flat[ptr[other]]))
+    return d, bundle, single, other
+
+
+def test_union_of_lists_that_repeat_a_token_is_rejected(tmp_path):
+    # A union that reads both lists repeats the token, on the whole and
+    # inside a sentence; the first read of any list refuses the file
+    # before the union is made or the depth column is read.
+    d, bundle, single, other = _ex31_index_with_a_token_under_two_nodes(tmp_path)
+    ptr, flat = bundle.pl.postings.ptr, bundle.pl.postings.flat
     message = "pl.idx: the posting lists do not hold every token once"
     q = parse_query('extract v:Str from "x" if (/ROOT:{ v = //* })')
     with pytest.raises(KokoInputError, match=message):
-        run_query(q, Corpus(docs), load_bundle(str(d)))
+        run_query(q, Corpus(load_corpus(data_path("corpus", "ex31.tsv"))), load_bundle(str(d)))
     loaded = load_bundle(str(d))
     sentence = Sentences(loaded.tokens, [loaded.tokens.sid_of[flat[ptr[other]]]])
     assert sentence.token_count > 2
     with pytest.raises(KokoInputError, match=message):
         loaded.pl.read({single, other}, 2, sentence)
+
+
+def test_query_that_reads_one_of_two_lists_sharing_a_token_is_rejected(tmp_path, capsys):
+    # An exact path reads the one list that now holds another node's
+    # token, and no other PL list: the whole file is still checked at that
+    # first read, so the answer is an input error, not a silently wrong row.
+    from koko.cli import main
+
+    d, bundle, single, _ = _ex31_index_with_a_token_under_two_nodes(tmp_path)
+    path = "/" + "/".join(_label_path(bundle.pl, single))
+    assert bundle.pl.match_nodes(_parse_pattern(path)) == {single}
+    text = f'extract v:Str from "x" if (/ROOT:{{ v = {path} }})'
+    with pytest.raises(KokoInputError, match="pl.idx: the posting lists do not hold every token once"):
+        run_query(parse_query(text), Corpus(load_corpus(data_path("corpus", "ex31.tsv"))), load_bundle(str(d)))
+    q = tmp_path / "q.koko"
+    q.write_text(text + "\n")
+    capsys.readouterr()
+    assert main(["query", "--query", str(q), "--index", str(d)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "pl.idx: the posting lists do not hold every token once" in captured.err
+    assert "Traceback" not in captured.err
