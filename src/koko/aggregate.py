@@ -136,11 +136,8 @@ def conf_descriptor(expansions: list[Expansion], clauses: list[tuple[list[str], 
     return best
 
 
-# A query renders and tokenizes the same few conditions and values for
-# every row and document; each distinct one is worked out once.
-_render = lru_cache(maxsize=1024)(print_condition)
-
-
+# A query tokenizes the same few literals and values for every row and
+# document; each distinct one is worked out once.
 @lru_cache(maxsize=65536)
 def _tokens(text: str) -> tuple[str, ...]:
     return tuple(tokenize_literal(text))
@@ -157,8 +154,20 @@ Occurrences = list[tuple[int, tuple[str, ...], list[int]]]
 
 # The conditions whose confidence depends on the value alone, not on its
 # document: one query works each out once per distinct (kind, argument,
-# value), in a memo its documents' evaluators share.
+# value), in the `QueryMemo` its documents' evaluators share.
 _VALUE_ONLY = frozenset({"contains", "mentions", "matches", "in_dict", "similar_to"})
+
+
+@dataclass
+class QueryMemo:
+    """What one query works out once, shared by the evaluators of its
+    documents: each value-only condition's confidence by (kind, argument,
+    value), each sentence's words lowercased with their set by sid, and
+    each satisfying clause's conditions rendered by clause index."""
+
+    confidences: dict[tuple[str, str, str], float] = field(default_factory=dict)
+    lowered: dict[int, tuple[list[str], set[str]]] = field(default_factory=dict)
+    rendered: dict[int, list[str]] = field(default_factory=dict)
 
 
 class EvidenceEvaluator:
@@ -172,7 +181,7 @@ class EvidenceEvaluator:
     locator over the word index. `koko.oracle` passes none and reads every
     sentence of `doc_sids`: it stays independent of the index, and the
     differential tests and `koko verify` check the locator against it.
-    The value-only conditions are looked up in `memo`, which the
+    What does not depend on the document is kept in `memo`, which the
     evaluators of one query's documents share.
     """
 
@@ -182,13 +191,13 @@ class EvidenceEvaluator:
         resources: Resources,
         doc_sids: Sequence[int],
         locate: Locate | None = None,
-        memo: dict[tuple[str, str, str], float] | None = None,
+        memo: QueryMemo | None = None,
     ):
         self.corpus = corpus
         self.resources = resources
         self.doc_sids = doc_sids
         self.locate = locate
-        self.memo = {} if memo is None else memo
+        self.memo = QueryMemo() if memo is None else memo
         self._occurrences: dict[str, Occurrences] = {}
         # Each phrase's expansions, lowercased, with the set of their words.
         self._expansions: dict[str, list[tuple[list[str], float, frozenset[str]]]] = {}
@@ -268,11 +277,15 @@ class EvidenceEvaluator:
                 expansions.append((lowered, e.score, frozenset(lowered)))
         value_len = len(_tokens(value))
         per_sentence: list[tuple[int, float]] = []
+        lowered_of = self.memo.lowered
         for sid, words, starts in self._occurrences_of(value):
-            lowered = [w.lower() for w in words]
+            seen = lowered_of.get(sid)
+            if seen is None:
+                lowered = [w.lower() for w in words]
+                seen = lowered_of[sid] = (lowered, set(lowered))
+            lowered, present = seen
             # A sentence matches an expansion only when it holds all its
             # words; its clauses are not read otherwise.
-            present = set(lowered)
             if not any(wanted <= present for _, _, wanted in expansions):
                 continue
             clause_set = self.resources.decompose(sid, words)
@@ -292,12 +305,13 @@ class EvidenceEvaluator:
         kind = cond.kind
         if kind in _VALUE_ONLY:
             key = (kind, cond.arg, value)
-            m = self.memo.get(key)
+            confidences = self.memo.confidences
+            m = confidences.get(key)
             if m is None:
                 if kind == "similar_to":
-                    m = self.memo[key] = self.resources.similarity(value, cond.arg)
+                    m = confidences[key] = self.resources.similarity(value, cond.arg)
                 else:
-                    m = self.memo[key] = self.eval_boolean(cond, value)
+                    m = confidences[key] = self.eval_boolean(cond, value)
             return m, []
         if kind == "near":
             return self.eval_near(value, cond.arg)
@@ -310,15 +324,17 @@ class EvidenceEvaluator:
         cached = self._score_cache.get(key)
         if cached is not None:
             return cached
+        rendered = self.memo.rendered.get(clause_index)
+        if rendered is None:
+            rendered = self.memo.rendered[clause_index] = [print_condition(wc.condition) for wc in clause.conditions]
         conditions: list[ConditionScore] = []
         total = 0.0
         for i, wc in enumerate(clause.conditions):
-            cond = wc.condition
-            m, per_sentence = self.confidence(cond, value)
+            m, per_sentence = self.confidence(wc.condition, value)
             total += wc.weight * m
             conditions.append(ConditionScore(
                 index=i,
-                rendered=_render(cond),
+                rendered=rendered[i],
                 weight=wc.weight,
                 m=m,
                 per_sentence=per_sentence,
@@ -375,15 +391,16 @@ def _descriptor_conf(
 
 
 def apply_excluding(
-    evaluator: EvidenceEvaluator, conditions, values: dict[str, str]
+    evaluator: EvidenceEvaluator, conditions: Sequence[tuple[SatCondition, str]], values: dict[str, str]
 ) -> str | None:
-    """First excluding disjunct that fires for the tuple, rendered, or None."""
-    for cond in conditions:
+    """First excluding disjunct that fires for the tuple, or None; the
+    disjuncts come with their renderings, made once per query."""
+    for cond, rendered in conditions:
         target = values.get(cond.var)
         if target is None:
             continue
         if evaluator.condition_fires(cond, target):
-            return _render(cond)
+            return rendered
     return None
 
 
@@ -458,8 +475,9 @@ def finalize_results(
         ordered = sorted(tuples) if key_of is None else sorted(tuples, key=lambda t: (t[0], key_of(t[1])))
         return [ResultRow(sid, dict(zip(shown, values)), {}, True) for sid, values in ordered]
     clauses = [(ci, clause, index[clause.var]) for ci, clause in enumerate(q.satisfying)]
+    excluding = [(cond, print_condition(cond)) for cond in q.excluding]
     evaluator: EvidenceEvaluator | None = None
-    memo: dict[tuple[str, str, str], float] = {}
+    memo = QueryMemo()
     rows: list[ResultRow] = []
     keys: list[tuple] = []
     dedup: set[tuple] = set()
@@ -488,10 +506,8 @@ def finalize_results(
         for ci, clause, i in clauses:
             score = scores[clause.var] = evaluator_of(sid).score(clause, ci, values[i])
             ok = ok and score.passed
-        if ok and q.excluding:
-            excluded_by = apply_excluding(
-                evaluator_of(sid), q.excluding, dict(zip(names, values))
-            )
+        if ok and excluding:
+            excluded_by = apply_excluding(evaluator_of(sid), excluding, dict(zip(names, values)))
             ok = excluded_by is None
         if ok or keep_failed:
             rows.append(ResultRow(sid, dict(zip(shown, values)), scores, ok, excluded_by))

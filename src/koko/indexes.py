@@ -24,21 +24,28 @@ up the head column, and a `Sentence` derives its extents when built.
 
 Persisted layout (directory): ``manifest.json``, which records the CRC-32
 of each file, plus ``tree.idx``, ``word.idx``, ``entity.idx``, ``pl.idx``
-and ``pos.idx``: each the magic ``KOKO`` and a format version (7), then
-the columns, narrow columns, posting sets and string tables `save_bundle`
-writes. A column is a count and that many little-endian 4-byte integers;
-a narrow column (the heads) is a width of 1, 2 or 4 bytes, a count and
-that many integers of that width, the largest value standing for
-`NO_HEAD`; a string table is a column of end offsets (in code points) and
-one UTF-8 blob (a byte count and the bytes). A posting set is ``ptr``, a
-column of one byte per list giving the width of its gaps (1, 2 or 4),
-and one blob holding each non-empty list as its first offset in 4 bytes,
-then its d-gaps at that width (Zobel & Moffat, "Inverted files for text
-search engines", 2006). So each file is read with one ``frombytes`` per
-column and one decode per table, and a posting set is decoded whole at
-the first read of any of its lists (`PostingLists`), which also checks
-it: no gap is zero, no offset lies past the corpus, and the lists hold
-every token once.
+and ``pos.idx``: each the magic ``KOKO`` and a format version (8), then
+the columns, posting sets and string tables `save_bundle` writes. Every
+integer column is one codec, frame-of-reference coding at a byte-aligned
+width (Goldstein, Ramakrishnan & Shaft, "Compressing Relations and
+Indexes", 1998): a width byte of 1, 2 or 4, a count, and that many
+little-endian integers of that width, the fewest bytes that hold the
+column's largest entry. The heads take the width of the longest sentence,
+and the width's largest value stands for `NO_HEAD`. Each column is stored
+in its cheaper form: sentence and document lengths in place of their
+starts, and each posting set's list counts in place of ``ptr``, which one
+`accumulate` gives back at load. A string table is a column of end
+offsets (in code points) and one UTF-8 blob (a byte count and the bytes);
+a column of labels, etypes or entity surfaces is a table of its distinct
+strings and a column of ids into it. A posting set is the counts, a
+column of one byte per list giving the width of its gaps (1, 2 or 4), and
+one blob holding each non-empty list as its first offset in 4 bytes, then
+its d-gaps at that width (Zobel & Moffat, "Inverted files for text search
+engines", 2006). So each file is read with one C-level widening per
+column and one decode per table, and in memory every column is a 4-byte
+``array``; a posting set is decoded whole at the first read of any of its
+lists (`PostingLists`), which also checks it: no gap is zero, no offset
+lies past the corpus, and the lists hold every token once.
 """
 
 from __future__ import annotations
@@ -61,7 +68,7 @@ from .corpus import AnnotatedDocument, Corpus, EntitySpan, Sentence, serialize_c
 from .errors import KokoInputError
 
 MAGIC = b"KOKO"
-FORMAT_VERSION = 7
+FORMAT_VERSION = 8
 INDEX_FILES = ("tree.idx", "word.idx", "entity.idx", "pl.idx", "pos.idx")
 NO_HEAD = 0xFFFFFFFF  # the head column's entry for a sentence root
 
@@ -541,10 +548,16 @@ _U32 = struct.Struct("<I")
 _ONLY_ONES = bytes(255) + b"\xff"  # a translation keeping 0xFF bytes, zeroing the rest
 
 
-def _w_columns(buf: bytearray, *columns: array) -> None:
-    for column in columns:
-        buf += _U32.pack(len(column))
-        buf += _swapped(column).tobytes()
+def _w_column(buf: bytearray, values: Iterable[int], width: int | None = None) -> None:
+    """A narrow column: its width, at the fewest bytes that hold its largest
+    entry unless given, a count and the entries. Each is the low `width`
+    bytes of its little-endian 4-byte entry, so `NO_HEAD`'s are all ones."""
+    column = array(_TYPECODE, values)
+    if width is None:
+        width = _width(max(column, default=0))
+    buf.append(width)
+    buf += _U32.pack(len(column))
+    buf += array(_WIDTHS[width], _swapped(column).tobytes())[:: 4 // width].tobytes()
 
 
 def _w_bytes(buf: bytearray, raw: bytes) -> None:
@@ -553,25 +566,13 @@ def _w_bytes(buf: bytearray, raw: bytes) -> None:
 
 
 def _w_strings(buf: bytearray, strings: Sequence[str]) -> None:
-    _w_columns(buf, array(_TYPECODE, accumulate(map(len, strings))))
+    _w_column(buf, accumulate(map(len, strings)))
     _w_bytes(buf, "".join(strings).encode("utf-8"))
 
 
-def _w_heads(buf: bytearray, tokens: TokenTable) -> None:
-    """The heads at the width of the longest sentence's token count, whose
-    largest value stands for `NO_HEAD`: 1 byte below 255 tokens. Each is
-    the low `width` bytes of its little-endian 4-byte entry; those of
-    `NO_HEAD` are all ones."""
-    width = _width(max(tokens.lengths, default=0) + 1)
-    entries = _swapped(tokens.heads).tobytes()
-    buf += _U32.pack(width)
-    buf += _U32.pack(len(tokens.heads))
-    buf += array(_WIDTHS[width], entries)[:: 4 // width].tobytes()
-
-
 def _w_postings(buf: bytearray, postings: PostingLists) -> None:
-    """``ptr``, a width per list and the lists: each its first offset, then
-    its gaps, at the fewest bytes that hold its largest gap."""
+    """The list counts, a width per list and the lists: each its first
+    offset, then its gaps, at the fewest bytes that hold its largest gap."""
     ptr, flat = postings.ptr, postings.flat
     deltas = [0, *map(sub, flat[1:], flat)]  # flat[i] - flat[i - 1]
     widths, lists = bytearray(), bytearray()
@@ -582,7 +583,7 @@ def _w_postings(buf: bytearray, postings: PostingLists) -> None:
         if b > a:
             lists += _U32.pack(flat[a])
             lists += _swapped(array(_WIDTHS[width], gaps)).tobytes()
-    _w_columns(buf, ptr)
+    _w_column(buf, map(sub, ptr[1:], ptr))
     _w_bytes(buf, widths)
     _w_bytes(buf, lists)
 
@@ -599,22 +600,26 @@ def save_bundle(bundle: IndexBundle, directory: str) -> None:
     checksum."""
     files = {name: bytearray(MAGIC + _U32.pack(FORMAT_VERSION)) for name in INDEX_FILES}
     t = bundle.tokens
-    _w_columns(files["tree.idx"], t.starts)
-    _w_heads(files["tree.idx"], t)
+    _w_column(files["tree.idx"], t.lengths)
+    # A root's head is the width's largest value, so the width holds one
+    # more than the longest sentence's token count: 1 byte below 255 tokens.
+    _w_column(files["tree.idx"], t.heads, _width(max(t.lengths, default=0) + 1))
     _w_strings(files["tree.idx"], bundle.doc_ids)
-    _w_columns(files["tree.idx"], bundle.doc_starts)
+    _w_column(files["tree.idx"], map(sub, [*bundle.doc_starts[1:], bundle.sentence_count], bundle.doc_starts))
     words = bundle.word.postings
     _w_strings(files["word.idx"], list(words))
     _w_postings(files["word.idx"], words)
     sid, start, end, etype, surface = list(zip(*bundle.entity.records)) or [()] * 5
-    etypes, etype_ids = _interned(etype)
+    (etypes, etype_ids), (surfaces, surface_ids) = _interned(etype), _interned(surface)
     _w_strings(files["entity.idx"], etypes)
-    _w_columns(files["entity.idx"], *(array(_TYPECODE, c) for c in (sid, start, end)), etype_ids)
-    _w_strings(files["entity.idx"], surface)
+    _w_strings(files["entity.idx"], surfaces)
+    for column in (sid, start, end, etype_ids, surface_ids):
+        _w_column(files["entity.idx"], column)
     for name, index in (("pl.idx", bundle.pl), ("pos.idx", bundle.pos)):
         labels, label_ids = _interned(index.labels[1:])
         _w_strings(files[name], labels)
-        _w_columns(files[name], label_ids, index.parents[1:])
+        _w_column(files[name], label_ids)
+        _w_column(files[name], index.parents[1:])
         _w_postings(files[name], index.postings)
     os.makedirs(directory, exist_ok=True)
     for name, buf in files.items():
@@ -669,30 +674,31 @@ class _IndexFile:
         self.pos = end
         return memoryview(self.buf)[start:end]
 
-    def column(self) -> array:
-        column = array(_TYPECODE)
-        column.frombytes(self.block(4))
-        return _swapped(column)
-
-    def heads(self) -> array:
-        """The narrow head column widened to 4-byte entries, with no Python
-        step per head: each entry's bytes are laid into the low bytes of
-        its wide one, and its high bytes are all ones (making `NO_HEAD`)
-        where its own bytes all are, the width's largest value."""
-        width = self.u32()
+    def column(self, no_head: bool = False) -> array:
+        """A narrow column widened to 4-byte entries, with no Python step
+        per entry: each entry's bytes are laid into the low bytes of its
+        wide one, whose high bytes are zero or, in the head column
+        (`no_head`), all ones (making `NO_HEAD`) where the entry's own
+        bytes all are, the width's largest value."""
+        if self.pos >= len(self.buf):
+            raise self.fail("truncated index file")
+        width = self.buf[self.pos]
+        self.pos += 1
         if width not in _WIDTHS:
-            raise self.fail(f"head width {width} is not 1, 2 or 4")
+            raise self.fail(f"column width {width} is not 1, 2 or 4")
         raw = bytes(self.block(width))
         planes = [raw[j::width] for j in range(width)]  # byte j of each entry
-        n = len(raw) // width
-        all_ones = reduce(and_, (int.from_bytes(plane, "little") for plane in planes)).to_bytes(n, "little")
-        high = all_ones.translate(_ONLY_ONES)
-        wide = bytearray(4 * n)
-        for j in range(4):
-            wide[j::4] = planes[j] if j < width else high
-        heads = array(_TYPECODE)
-        heads.frombytes(wide)
-        return _swapped(heads)
+        wide = bytearray(4 * len(planes[0]))
+        for j, plane in enumerate(planes):
+            wide[j::4] = plane
+        if no_head and width < 4:
+            all_ones = reduce(and_, (int.from_bytes(plane, "little") for plane in planes))
+            high = all_ones.to_bytes(len(planes[0]), "little").translate(_ONLY_ONES)
+            for j in range(width, 4):
+                wide[j::4] = high
+        column = array(_TYPECODE)
+        column.frombytes(wide)
+        return _swapped(column)
 
     def strings(self) -> list[str]:
         ends = self.column()
@@ -708,17 +714,17 @@ class _IndexFile:
     def postings(self, keys: Sequence) -> PostingLists:
         """A posting set, its framing checked: the lists are decoded and
         checked at their first read (`PostingLists`)."""
-        ptr, widths, gaps = self.column(), self.block(1), self.block(1)
+        counts, widths, gaps = self.column(), self.block(1), self.block(1)
         n = self.token_count
-        if len(ptr) != len(keys) + 1 or ptr[0] != 0 or ptr[-1] != n or not all(map(le, ptr, ptr[1:])):
-            raise self.fail(f"posting list bounds do not rise from 0 to {n} over {len(keys)} lists")
+        if len(counts) != len(keys) or sum(counts) != n:
+            raise self.fail(f"posting list counts do not sum to {n} over {len(keys)} lists")
         if len(widths) != len(keys) or not set(widths) <= _WIDTHS.keys():
             raise self.fail("posting list widths are not one of 1, 2 or 4 per list")
-        counts = array(_TYPECODE, map(sub, ptr[1:], ptr))
         # Each non-empty list is its 4-byte first offset and n - 1 gaps.
         expected = sum(map(mul, counts, widths)) + sum(map(sub, repeat(4), compress(widths, counts)))
         if len(gaps) != expected:
             raise self.fail(f"the posting lists take {len(gaps)} bytes, their counts say {expected}")
+        ptr = array(_TYPECODE, accumulate(counts, initial=0))
         return PostingLists(keys, ptr, None, where=self.path, encoded=(widths, gaps, n))
 
     def end(self) -> None:
@@ -755,8 +761,9 @@ def index_fingerprint(directory: str) -> str:
 
 def load_bundle(directory: str, expected_fingerprint: str | None = None) -> IndexBundle:
     """Open a saved index. Every file is read whole, column by column, and
-    its checksum checked against the manifest's, and the heads widened to
-    4-byte entries. The posting sets are kept encoded, their framing
+    its checksum checked against the manifest's; every column is widened to
+    4-byte entries, and the lengths and counts summed back into starts and
+    ``ptr``. The posting sets are kept encoded, their framing
     checked; each is decoded whole, checked and inverted at the first read
     of any of its lists (`PostingLists`), and the PL lists' depths at the
     first read of the depth column (`TokenTable.depth`)."""
@@ -774,19 +781,21 @@ def load_bundle(directory: str, expected_fingerprint: str | None = None) -> Inde
         raise KokoInputError(f"{directory}: manifest.json lacks the checksums of the index files")
 
     f = _IndexFile(directory, "tree.idx", checksums["tree.idx"])
-    starts, heads = f.column(), f.heads()
-    doc_ids, doc_starts = f.strings(), f.column()
+    lengths, heads = f.column(), f.column(no_head=True)
+    doc_ids, doc_lengths = f.strings(), f.column()
     f.end()
-    # Every sentence has a token.
-    if not starts or starts[0] != 0 or not all(map(lt, starts, starts[1:])):
-        raise f.fail("sentence starts do not increase from 0")
-    if len(heads) != starts[-1]:
-        raise f.fail(f"the head column does not hold the {starts[-1]} tokens")
-    # Documents start at sid 0 (an empty corpus may have none) and in order.
-    bounds = [*doc_starts, len(starts) - 1]
-    if len(doc_ids) != len(doc_starts) or bounds[0] != 0 or not all(map(le, bounds, bounds[1:])):
-        raise f.fail("document table out of order or past the sentence count")
-    tokens = TokenTable(starts, heads, where=f.path)
+    # Every sentence has a token, and the heads are the sentences' tokens.
+    if 0 in lengths:
+        raise f.fail(f"sentence {lengths.index(0)} has no token")
+    if len(heads) != sum(lengths):
+        raise f.fail(f"the head column does not hold the {sum(lengths)} tokens of the sentence lengths")
+    # The documents (an empty corpus may have none) hold every sentence.
+    if len(doc_ids) != len(doc_lengths):
+        raise f.fail(f"the document table holds {len(doc_ids)} ids and {len(doc_lengths)} lengths")
+    if sum(doc_lengths) != len(lengths):
+        raise f.fail(f"the document lengths do not sum to the {len(lengths)} sentences")
+    tokens = TokenTable(array(_TYPECODE, accumulate(lengths, initial=0)), heads, where=f.path)
+    doc_starts = array(_TYPECODE, accumulate(doc_lengths, initial=0))[:-1]
 
     def open_file(name: str) -> _IndexFile:
         return _IndexFile(directory, name, checksums[name], tokens.starts[-1])
@@ -799,14 +808,13 @@ def load_bundle(directory: str, expected_fingerprint: str | None = None) -> Inde
     f.end()
 
     f = open_file("entity.idx")
-    etypes = f.strings()
-    sid, start, end, etype_ids = (f.column() for _ in range(4))
-    surfaces = f.strings()
-    if not len(sid) == len(start) == len(end) == len(etype_ids) == len(surfaces):
+    etypes, surfaces = f.strings(), f.strings()
+    sid, start, end, etype_ids, surface_ids = (f.column() for _ in range(5))
+    if not len(sid) == len(start) == len(end) == len(etype_ids) == len(surface_ids):
         raise f.fail("entity columns differ in length")
-    if max(etype_ids, default=-1) >= len(etypes):
-        raise f.fail(f"etype id {max(etype_ids)} past the {len(etypes)} etypes")
-    lengths = tokens.lengths
+    for ids, table, what in ((etype_ids, etypes, "etype"), (surface_ids, surfaces, "surface")):
+        if max(ids, default=-1) >= len(table):
+            raise f.fail(f"{what} id {max(ids)} past the {len(table)} {what}s")
     # Records come in sentence order, each inside its sentence and, in one
     # sentence, starting after the one before ends.
     if not (
@@ -817,7 +825,9 @@ def load_bundle(directory: str, expected_fingerprint: str | None = None) -> Inde
     ):
         raise f.fail("entity records overlap, come out of order or lie outside the corpus")
     f.end()
-    entity = EntityIndex(list(map(EntitySpan, sid, start, end, map(etypes.__getitem__, etype_ids), surfaces)))
+    entity = EntityIndex(list(map(
+        EntitySpan, sid, start, end, map(etypes.__getitem__, etype_ids), map(surfaces.__getitem__, surface_ids)
+    )))
 
     hierarchies: list[HierarchyIndex] = []
     for name, root_label in (("pl.idx", ""), ("pos.idx", TOP)):

@@ -158,6 +158,7 @@ class Resources:
     decomposer: str = "identity"  # identity | clauses | file
     clause_file: dict[int, list[Clause]] | None = None
     _expand_cache: dict[str, list[Expansion]] = field(default_factory=dict)
+    _vector_cache: dict[str, list[float] | None] = field(default_factory=dict)
     _decompose_cache: dict[int, list[Clause]] = field(default_factory=dict)
 
     # -- descriptor expansion ------------------------------------------------
@@ -211,7 +212,9 @@ class Resources:
         """How close a candidate string is to a query phrase, in [0, 1]."""
         if self.vectors is not None:
             va = self.vectors.phrase_vector(value.split())
-            vb = self.vectors.phrase_vector(phrase.split())
+            if phrase not in self._vector_cache:  # the argument's vector, once per phrase
+                self._vector_cache[phrase] = self.vectors.phrase_vector(phrase.split())
+            vb = self._vector_cache[phrase]
             if va is None or vb is None:
                 return 1.0 if value.lower() == phrase.lower() else 0.0
             return max(0.0, min(1.0, sum(x * y for x, y in zip(va, vb))))

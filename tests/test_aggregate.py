@@ -453,6 +453,40 @@ def test_projection_rows_follow_the_key_order_of_out_of_order_outputs(monkeypatc
     assert [list(r.values) for r in rows[:1]] == [["w", "a"]]
 
 
+def test_a_query_lowers_each_sentence_and_renders_each_condition_once(monkeypatch):
+    # One memo per query, shared by the evaluators of its documents: a
+    # sentence's words are lowercased once for every value and both
+    # descriptor sides, and each condition is rendered once, with the same
+    # rows as a fresh evaluation.
+    import koko.aggregate
+    from koko.syntax import print_condition
+
+    docs = synthesize_corpus(5, 60, entity_rate=0.6, sentences_per_doc=4)
+    corpus, bundle = Corpus(docs), build_indexes(docs)
+    q = parse_query(
+        'extract x:Entity from "d" if ()\n'
+        'satisfying x (x [["a b"]] {0.5}) or ([["c d"]] x {0.5}) or (str(x) mentions "a" {0.5})\n'
+        "with threshold 0.1\n"
+        'excluding (str(x) matches "Z.*")'
+    )
+    expected = [(r.to_json(), r.passed, r.excluded_by) for r in run_query(q, corpus, bundle, keep_failed=True).rows]
+    assert len({r.sid // 4 for r in run_query(q, corpus, bundle).rows}) > 1  # rows of several documents
+    memos, rendered = [], []
+
+    class Recorded(koko.aggregate.QueryMemo):
+        def __init__(self):
+            super().__init__()
+            memos.append(self)
+
+    monkeypatch.setattr(koko.aggregate, "QueryMemo", Recorded)
+    monkeypatch.setattr(koko.aggregate, "print_condition", lambda c: rendered.append(c) or print_condition(c))
+    rows = run_query(q, corpus, bundle, keep_failed=True).rows
+    assert [(r.to_json(), r.passed, r.excluded_by) for r in rows] == expected
+    assert len(memos) == 1 and len(rendered) == len(set(rendered)) == 4
+    lowered = memos[0].lowered
+    assert lowered and all(words == [w.lower() for w in corpus.words(sid)] for sid, (words, _) in lowered.items())
+
+
 def test_every_condition_confidence_is_a_float(ex31_corpus, ex31_bundle):
     # A descriptor with no evidence once scored the int 0, printed as
     # "m": 0 where every other condition prints 0.0.

@@ -356,13 +356,14 @@ def _ex31_index_with_heads(tmp_path, heads: dict[int, int]) -> str:
     idx = tmp_path / "idx"
     save_bundle(build_indexes(load_corpus(data_path("corpus", "ex31.tsv"))), str(idx))
     raw = bytearray((idx / "tree.idx").read_bytes())
-    # After the header: the 3 sentence starts after their count, then the
-    # heads' width (1 byte: no sentence has 255 tokens) and the 30 heads
-    # after their count. On disk a root's head is the width's largest
-    # value, 0xFF, which loads as NO_HEAD.
-    width_at = 8 + 4 + 4 * 3
-    assert struct.unpack_from("<I", raw, width_at)[0] == 1
-    heads_at = width_at + 4 + 4
+    # After the header: the 2 sentence lengths, 1 byte each after their
+    # width byte and count, then the heads' width byte (1: no sentence has
+    # 255 tokens) and the 30 heads after their count. On disk a root's head
+    # is the width's largest value, 0xFF, which loads as NO_HEAD.
+    assert raw[8] == 1 and struct.unpack_from("<I", raw, 9)[0] == 2
+    width_at = 8 + 1 + 4 + 2
+    assert raw[width_at] == 1 and struct.unpack_from("<I", raw, width_at + 1)[0] == 30
+    heads_at = width_at + 1 + 4
     assert raw[heads_at + 9] == 8  # "delicious" under "was"
     for tid, head in heads.items():
         raw[heads_at + tid] = min(head, 0xFF)

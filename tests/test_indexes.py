@@ -192,6 +192,29 @@ def test_version_mismatch_rejected(ex31_bundle, tmp_path):
         load_bundle(str(d))
 
 
+def test_index_of_the_previous_format_exits_2(ex31_bundle, tmp_path, capsys):
+    # A version-7 index, as its writer recorded it in the manifest and each
+    # file's header, is refused with the version message, no traceback.
+    from koko.cli import main
+
+    d = tmp_path / "idx"
+    save_bundle(ex31_bundle, str(d))
+    manifest = json.loads((d / "manifest.json").read_text())
+    manifest["format_version"] = 7
+    (d / "manifest.json").write_text(json.dumps(manifest))
+    for name in manifest["checksums"]:
+        raw = bytearray((d / name).read_bytes())
+        _set_u32(raw, 4, 7)
+        (d / name).write_bytes(bytes(raw))
+    q = tmp_path / "q.koko"
+    q.write_text('extract v:Str from "x" if (/ROOT:{ v = //dobj })\n')
+    capsys.readouterr()
+    assert main(["query", "--query", str(q), "--index", str(d)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "format version 7 does not match supported version 8" in captured.err
+
+
 def test_fingerprint_mismatch_rejected(ex31_bundle, tmp_path):
     d = tmp_path / "idx"
     save_bundle(ex31_bundle, str(d))
@@ -297,58 +320,91 @@ def _small_index(tmp_path):
     return docs, bundle, d
 
 
-# The parts of each index file after its 8-byte header, in order. Each is a
-# u32 count and that many items: 1-byte ones for a string table's UTF-8
-# text, a posting set's widths and its encoded lists, heads of the width
-# before them (a u32 with no count), u32 ones for every other column.
+# The parts of each index file after its 8-byte header, in order. A narrow
+# column is a width byte, a u32 count and that many items of the width; a
+# string table's UTF-8 text, a posting set's widths and its encoded lists
+# are a u32 count and that many bytes.
 _LAYOUT = {
-    "tree.idx": ["starts", "heads.width", "heads", "doc_ids.ends", "doc_ids.text", "doc_starts"],
-    "word.idx": ["words.ends", "words.text", "ptr", "widths", "lists"],
+    "tree.idx": ["lengths", "heads", "doc_ids.ends", "doc_ids.text", "doc_lengths"],
+    "word.idx": ["words.ends", "words.text", "counts", "widths", "lists"],
     "entity.idx": [
-        "etypes.ends", "etypes.text", "sid", "start", "end", "etype_id", "surfaces.ends", "surfaces.text",
+        "etypes.ends", "etypes.text", "surfaces.ends", "surfaces.text",
+        "sid", "start", "end", "etype_id", "surface_id",
     ],
-    "pl.idx": ["labels.ends", "labels.text", "label_id", "parent", "ptr", "widths", "lists"],
+    "pl.idx": ["labels.ends", "labels.text", "label_id", "parent", "counts", "widths", "lists"],
 }
 _LAYOUT["pos.idx"] = _LAYOUT["pl.idx"]
+_FORMATS = {1: "B", 2: "H", 4: "I"}
+
+
+def _is_narrow(part):
+    return not part.endswith(("text", "widths", "lists"))
+
+
+_NARROW = [(name, part) for name in sorted(_LAYOUT) for part in _LAYOUT[name] if _is_narrow(part)]
 
 
 def _offsets(raw, name):
     """Byte offset of the first item of each part of an index file; its
-    count sits in the 4 bytes before."""
+    count sits in the 4 bytes before, and a narrow column's width byte in
+    the one before that."""
     at, out = 8, {}
     for part in _LAYOUT[name]:
-        if part == "heads.width":
-            out[part] = at
-            at += 4
-            continue
+        width = 1
+        if _is_narrow(part):
+            width = raw[at]
+            at += 1
         (n,) = struct.unpack_from("<I", raw, at)
         out[part] = at + 4
-        at += 4 + n * _item_size(raw, out, part)
+        at += 4 + n * width
     assert at == len(raw)
     return out
 
 
-def _item_size(raw, at, part):
-    if part == "heads":
-        return _u32(raw, at["heads.width"])
-    return 1 if part.endswith((".text", "widths", "lists")) else 4
+def _width_of(raw, offsets, part):
+    return raw[offsets[part] - 5] if _is_narrow(part) else 1
 
 
-_GAP_FORMAT = {1: "B", 2: "H", 4: "I"}
+def _column(raw, name, part):
+    """The entries of a narrow column."""
+    at = _offsets(raw, name)[part]
+    return list(struct.unpack_from(f"<{_u32(raw, at - 4)}{_FORMATS[raw[at - 5]]}", raw, at))
+
+
+def _with_column(raw, name, part, values):
+    """`raw` with narrow column `part` replaced by `values` as a writer
+    would encode them, at the fewest bytes that hold the largest."""
+    at = _offsets(raw, name)[part]
+    end = at + _u32(raw, at - 4) * raw[at - 5]
+    width = next(w for w in (1, 2, 4) if max(values, default=0) < 1 << 8 * w)
+    column = struct.pack(f"<BI{len(values)}{_FORMATS[width]}", width, len(values), *values)
+    return raw[: at - 5] + column + raw[end:]
+
+
+def _changed_column(name, part, change):
+    """A corruption of one narrow column by `change(entries)`, written as a
+    writer would encode it."""
+
+    def corrupt(raw):
+        values = _column(raw, name, part)
+        change(values)
+        raw[:] = _with_column(raw, name, part, values)
+
+    corrupt.__name__ = part + change.__name__
+    return corrupt
 
 
 def _decoded_lists(raw, name):
     """The posting lists of a file, decoded as the format says: each
     non-empty list is its first offset, then its gaps at its width."""
     at = _offsets(raw, name)
-    ptr = struct.unpack_from(f"<{_u32(raw, at['ptr'] - 4)}I", raw, at["ptr"])
     lists, pos = [], at["lists"]
-    for i, n in enumerate(b - a for a, b in zip(ptr, ptr[1:])):
+    for i, n in enumerate(_column(raw, name, "counts")):
         width = raw[at["widths"] + i]
         plist = []
         if n:
             plist.append(_u32(raw, pos))
-            for gap in struct.unpack_from(f"<{n - 1}{_GAP_FORMAT[width]}", raw, pos + 4):
+            for gap in struct.unpack_from(f"<{n - 1}{_FORMATS[width]}", raw, pos + 4):
                 plist.append(plist[-1] + gap)
             pos += 4 + (n - 1) * width
         lists.append(plist)
@@ -356,21 +412,20 @@ def _decoded_lists(raw, name):
 
 
 def _with_lists(raw, name, lists):
-    """`raw` with its posting set (the last part of the file) replaced by
-    `lists` as a writer would encode them: each gap is the difference to
-    the offset before, modulo 2**32, at the fewest bytes that hold the
-    list's largest."""
-    ptr, widths, blob = [0], bytearray(), bytearray()
+    """`raw` with its posting set (the last three parts of the file)
+    replaced by `lists` as a writer would encode them: each gap is the
+    difference to the offset before, modulo 2**32, at the fewest bytes that
+    hold the list's largest."""
+    widths, blob = bytearray(), bytearray()
     for plist in lists:
-        ptr.append(ptr[-1] + len(plist))
         gaps = [(b - a) % (1 << 32) for a, b in zip(plist, plist[1:])]
         width = next(w for w in (1, 2, 4) if max(gaps, default=0) < 1 << 8 * w)
         widths.append(width)
         if plist:
-            blob += struct.pack(f"<I{len(gaps)}{_GAP_FORMAT[width]}", plist[0], *gaps)
-    tail = struct.pack(f"<I{len(ptr)}I", len(ptr), *ptr)
-    tail += struct.pack("<I", len(widths)) + widths + struct.pack("<I", len(blob)) + blob
-    return raw[: _offsets(raw, name)["ptr"] - 4] + tail
+            blob += struct.pack(f"<I{len(gaps)}{_FORMATS[width]}", plist[0], *gaps)
+    tail = struct.pack("<I", len(widths)) + widths + struct.pack("<I", len(blob)) + blob
+    raw = _with_column(raw, name, "counts", [len(plist) for plist in lists])
+    return raw[: _offsets(raw, name)["widths"] - 4] + tail
 
 
 def _replace_lists(d, name, change):
@@ -396,7 +451,7 @@ def test_checksum_mismatch_rejected(tmp_path):
     # The first record's sid, inside the corpus after the change.
     first = bundle.entity.records[0]
     sid_at = _offsets(raw, "entity.idx")["sid"]
-    assert struct.unpack_from("<I", raw, sid_at)[0] == first.sid == 0
+    assert _column(raw, "entity.idx", "sid")[0] == first.sid == 0
     raw[sid_at] = 1
     path.write_bytes(bytes(raw))
     with pytest.raises(KokoInputError, match="entity.idx: checksum mismatch"):
@@ -415,13 +470,13 @@ def test_manifest_without_checksums_rejected(tmp_path):
 def test_node_parent_out_of_range_rejected(tmp_path):
     _, _, d = _small_index(tmp_path)
     path = d / "pl.idx"
-    raw = bytearray(path.read_bytes())
+    raw = path.read_bytes()
     # Node 1's parent, the first entry of the parent column (the
-    # super-root has none).
-    parent_at = _offsets(raw, "pl.idx")["parent"]
-    assert struct.unpack_from("<I", raw, parent_at) == (0,)
-    raw[parent_at : parent_at + 4] = struct.pack("<I", 5000)
-    path.write_bytes(bytes(raw))
+    # super-root has none), widened to 2 bytes to hold it.
+    parents = _column(raw, "pl.idx", "parent")
+    assert parents[0] == 0
+    parents[0] = 5000
+    path.write_bytes(_with_column(raw, "pl.idx", "parent", parents))
     with pytest.raises(KokoInputError, match="node record 1 has parent 5000"):
         load_bundle(str(d))
 
@@ -494,18 +549,22 @@ def test_save_of_a_loaded_index_is_byte_identical(tmp_path):
 # The encoded posting lists and the narrow head column
 
 
-def _codec_corpus(lengths, markers=()):
+def _codec_corpus(lengths, markers=(), mentions=False):
     """One document of sentences of the given lengths, every token "a"
     hanging from its sentence's first token, except that each global offset
-    in `markers` holds the marker's word."""
+    in `markers` holds the marker's word. With `mentions`, each sentence's
+    first token is an entity mention."""
     words = ["a"] * sum(lengths)
     for word, offset in markers:
         words[offset] = word
     sentences, at = [], 0
     for sid, n in enumerate(lengths):
+        etypes, iobs = [None] * n, [None] * n
+        if mentions:
+            etypes[0], iobs[0] = "E", "B"
         sentences.append(Sentence(
             sid, words[at : at + n], ["NN"] * n, ["root"] + ["dep"] * (n - 1),
-            [None] + [0] * (n - 1), [None] * n, [None] * n,
+            [None] + [0] * (n - 1), etypes, iobs,
         ))
         at += n
     return [AnnotatedDocument("d", sentences)]
@@ -550,11 +609,47 @@ def test_head_width_follows_the_longest_sentence(tmp_path, longest, width):
     docs = _codec_corpus([3, longest, 1])
     bundle, loaded = _round_trips(docs, tmp_path)
     raw = (tmp_path / "idx" / "tree.idx").read_bytes()
-    assert _u32(raw, _offsets(raw, "tree.idx")["heads.width"]) == width
+    assert _width_of(raw, _offsets(raw, "tree.idx"), "heads") == width
     assert list(loaded.tokens.heads) == list(bundle.tokens.heads)
     assert loaded.tokens.heads.count(NO_HEAD) == 3
     corpus = open_corpus(loaded)
     assert corpus.sentence(1) == docs[0].sentences[1]
+
+
+def _width_cases():
+    """(corpus, file, column, width): a column's largest entry at each
+    width's edge. A sentence of 256 tokens takes 2-byte lengths and one of
+    65,536 tokens 4-byte ones; a list of 65,536 postings, the "a" tokens
+    or the "dep" node's, 4-byte counts; more than 256 distinct entity
+    surfaces, one per sentence, 2-byte surface ids."""
+    cases = []
+    for longest, width in ((255, 1), (256, 2), (65536, 4)):
+        docs = functools.partial(_codec_corpus, [3, longest])
+        cases.append(pytest.param(docs, "tree.idx", "lengths", width, id=f"lengths-{longest}"))
+    for largest, width in ((255, 1), (256, 2), (65535, 2), (65536, 4)):
+        # One sentence: "a" and the "dep" node hold all of it but one token.
+        docs = functools.partial(_codec_corpus, [largest + 1], [("b", 0)])
+        for name in ("word.idx", "pl.idx"):
+            cases.append(pytest.param(docs, name, "counts", width, id=f"{name}-counts-{largest}"))
+    for surfaces, width in ((256, 1), (257, 2)):
+        docs = functools.partial(_codec_corpus, [2] * surfaces, [(f"w{i}", 2 * i) for i in range(surfaces)], True)
+        cases.append(pytest.param(docs, "entity.idx", "surface_id", width, id=f"surfaces-{surfaces}"))
+    return cases
+
+
+@pytest.mark.parametrize("docs, name, part, width", _width_cases())
+def test_column_widths_round_trip(tmp_path, docs, name, part, width):
+    # Saved, the index loads equal to the built one, and saving the loaded
+    # one writes the same bytes (`_round_trips`), at each width.
+    docs = docs()
+    bundle, loaded = _round_trips(docs, tmp_path)
+    raw = (tmp_path / "idx" / name).read_bytes()
+    assert _width_of(raw, _offsets(raw, name), part) == width
+    assert list(loaded.tokens.starts) == list(bundle.tokens.starts)
+    assert list(loaded.word.postings.ptr) == list(bundle.word.postings.ptr)
+    assert list(loaded.pl.postings.ptr) == list(bundle.pl.postings.ptr)
+    assert loaded.entity.records == bundle.entity.records
+    assert open_corpus(loaded).sentence(len(loaded.tokens.lengths) - 1) == docs[0].sentences[-1]
 
 
 def _zero_gap(raw):
@@ -837,72 +932,49 @@ def _u32(raw, at):
     return struct.unpack_from("<I", raw, at)[0]
 
 
-def _ptr_decreasing(raw):
-    ptr = _offsets(raw, "word.idx")["ptr"]
-    # The second list's start, moved past the third's.
-    _set_u32(raw, ptr + 4, _u32(raw, ptr + 8) + 1)
+def _raised(values):
+    values[0] += 1
 
 
-def _ptr_short_of_the_postings(raw):
-    at = _offsets(raw, "word.idx")
-    last = at["widths"] - 8  # the last ptr entry, the token count, before the width column's count
-    assert last == at["ptr"] + 4 * (_u32(raw, at["ptr"] - 4) - 1)
-    _set_u32(raw, last, _u32(raw, last) - 1)
+def _lowered(values):
+    assert values[0] > 0
+    values[0] -= 1
 
 
-def _label_id_out_of_range(raw):
-    at = _offsets(raw, "pl.idx")
-    labels = _u32(raw, at["labels.ends"] - 4)
-    _set_u32(raw, at["label_id"], labels)
+def _zeroed(values):
+    values[0] = 0
 
 
-def _etype_id_out_of_range(raw):
-    at = _offsets(raw, "entity.idx")
-    etypes = _u32(raw, at["etypes.ends"] - 4)
-    _set_u32(raw, at["etype_id"], etypes)
+def _past_the_table(values):
+    # Ids are given in first-seen order, so every id of the table is used
+    # and the largest is one short of the table's length.
+    values[0] = max(values) + 1
 
 
-def _parent_not_below_its_node(raw):
+def _own_parent(values):
     # Node 2 made its own parent.
-    _set_u32(raw, _offsets(raw, "pl.idx")["parent"] + 4, 2)
+    values[1] = 2
 
 
-def _string_ends_out_of_order(raw):
-    # The surface table is checked by nothing else.
-    ends = _offsets(raw, "entity.idx")["surfaces.ends"]
-    first, second = _u32(raw, ends), _u32(raw, ends + 4)
-    assert first < second
-    _set_u32(raw, ends, second)
-    _set_u32(raw, ends + 4, first)
+def _swapped_first_two(values):
+    assert values[0] < values[1]
+    values[:2] = values[1::-1]
 
 
-def _words_out_of_order(raw):
-    # The second word emptied; the third takes over its text.
-    ends = _offsets(raw, "word.idx")["words.ends"]
-    assert _u32(raw, ends) > 0
-    _set_u32(raw, ends + 4, _u32(raw, ends))
-
-
-def _doc_starts_out_of_order(raw):
-    at = _offsets(raw, "tree.idx")["doc_starts"]
-    assert _u32(raw, at) == 0 < _u32(raw, at + 4)
-    _set_u32(raw, at, _u32(raw, at + 4) + 1)
-
-
-def _doc_starts_past_the_sentences(raw):
-    at = _offsets(raw, "tree.idx")
-    sentences = _u32(raw, at["starts"] - 4) - 1
-    last = at["doc_starts"] + 4 * (_u32(raw, at["doc_starts"] - 4) - 1)
-    _set_u32(raw, last, sentences + 1)
+def _second_emptied(values):
+    # The second string emptied; the third takes over its text.
+    assert values[0] > 0
+    values[1] = values[0]
 
 
 def _entity_records_overlap(raw):
     # The first record's sentence and end given to the second, whose
     # start is at most that end.
-    at = _offsets(raw, "entity.idx")
-    _set_u32(raw, at["sid"] + 4, _u32(raw, at["sid"]))
-    _set_u32(raw, at["start"] + 4, _u32(raw, at["end"]))
-    _set_u32(raw, at["end"] + 4, _u32(raw, at["end"]))
+    sid, end = _column(raw, "entity.idx", "sid"), _column(raw, "entity.idx", "end")
+    for part, first in (("sid", sid[0]), ("start", end[0]), ("end", end[0])):
+        values = _column(raw, "entity.idx", part)
+        values[1] = first
+        raw[:] = _with_column(raw, "entity.idx", part, values)
 
 
 def _changed_lists(change):
@@ -924,12 +996,12 @@ def _super_root_holds_postings(lists):
 
 
 def _siblings_share_a_label(raw):
-    at = _offsets(raw, "pl.idx")
-    parents = struct.unpack_from(f"<{_u32(raw, at['parent'] - 4)}I", raw, at["parent"])
+    parents, label_ids = _column(raw, "pl.idx", "parent"), _column(raw, "pl.idx", "label_id")
     first = {}
     for i, parent in enumerate(parents):
         if parent in first:
-            _set_u32(raw, at["label_id"] + 4 * i, _u32(raw, at["label_id"] + 4 * first[parent]))
+            label_ids[i] = label_ids[first[parent]]
+            raw[:] = _with_column(raw, "pl.idx", "label_id", label_ids)
             return
         first[parent] = i
     raise AssertionError("no two nodes share a parent")
@@ -948,16 +1020,12 @@ def _posting_added(lists):
     lists[-1].append(lists[-1][-1])
 
 
-def _head_width_three(raw):
-    _set_u32(raw, _offsets(raw, "tree.idx")["heads.width"], 3)
-
-
 def _drop_last(name, part):
-    """A corruption that drops the last entry of one column."""
+    """A corruption that drops the last entry of one narrow column."""
 
     def corrupt(raw):
         offsets = _offsets(raw, name)
-        at, size = offsets[part], _item_size(raw, offsets, part)
+        at, size = offsets[part], _width_of(raw, offsets, part)
         n = _u32(raw, at - 4)
         _set_u32(raw, at - 4, n - 1)
         del raw[at + size * (n - 1) : at + size * n]
@@ -966,44 +1034,77 @@ def _drop_last(name, part):
     return corrupt
 
 
+def _assert_query_exits_2(tmp_path, capsys, d, message):
+    """`koko query --index d` over every PL list exits 2 with `message`
+    and no traceback."""
+    from koko.cli import main
+
+    q = tmp_path / "q.koko"
+    q.write_text('extract v:Str from "x" if (/ROOT:{ v = //* })\n')
+    capsys.readouterr()
+    assert main(["query", "--query", str(q), "--index", str(d)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize(
     "name, corrupt, message",
     [
-        ("word.idx", _ptr_decreasing, "posting list bounds"),
-        ("word.idx", _ptr_short_of_the_postings, "posting list bounds"),
-        ("pl.idx", _label_id_out_of_range, "label id"),
-        ("entity.idx", _etype_id_out_of_range, "etype id"),
-        ("pl.idx", _parent_not_below_its_node, "node record 2 has parent 2"),
-        ("entity.idx", _string_ends_out_of_order, "string end offsets"),
-        ("word.idx", _words_out_of_order, "words out of order"),
+        ("word.idx", _changed_column("word.idx", "counts", _raised), "posting list counts do not sum to"),
+        ("word.idx", _changed_column("word.idx", "counts", _lowered), "posting list counts do not sum to"),
+        ("pl.idx", _changed_column("pl.idx", "label_id", _past_the_table), "label id"),
+        ("entity.idx", _changed_column("entity.idx", "etype_id", _past_the_table), "etype id"),
+        ("entity.idx", _changed_column("entity.idx", "surface_id", _past_the_table), "surface id"),
+        ("pl.idx", _changed_column("pl.idx", "parent", _own_parent), "node record 2 has parent 2"),
+        ("entity.idx", _changed_column("entity.idx", "surfaces.ends", _swapped_first_two), "string end offsets"),
+        ("word.idx", _changed_column("word.idx", "words.ends", _second_emptied), "words out of order"),
+        ("tree.idx", _changed_column("tree.idx", "lengths", _zeroed), "sentence 0 has no token"),
+        ("tree.idx", _changed_column("tree.idx", "lengths", _raised), "the head column does not hold"),
         ("tree.idx", _drop_last("tree.idx", "heads"), "the head column does not hold"),
-        ("tree.idx", _head_width_three, "head width 3 is not 1, 2 or 4"),
         ("entity.idx", _drop_last("entity.idx", "end"), "entity columns differ"),
+        ("entity.idx", _drop_last("entity.idx", "surface_id"), "entity columns differ"),
         ("pl.idx", _drop_last("pl.idx", "parent"), "node columns differ"),
-        ("tree.idx", _doc_starts_out_of_order, "document table out of order"),
-        ("tree.idx", _doc_starts_past_the_sentences, "document table out of order or past"),
-        ("tree.idx", _drop_last("tree.idx", "doc_starts"), "document table"),
+        ("tree.idx", _changed_column("tree.idx", "doc_lengths", _raised), "document lengths do not sum"),
+        ("tree.idx", _changed_column("tree.idx", "doc_lengths", _lowered), "document lengths do not sum"),
+        ("tree.idx", _drop_last("tree.idx", "doc_lengths"), "the document table holds"),
         ("entity.idx", _entity_records_overlap, "entity records overlap"),
         ("pl.idx", _changed_lists(_super_root_holds_postings), "super-root holds postings"),
         ("pl.idx", _siblings_share_a_label, "share a label"),
         ("pl.idx", _changed_lists(_posting_repeated), "do not hold every token once"),
-        ("pl.idx", _changed_lists(_posting_added), "posting list bounds do not rise from 0 to"),
+        ("pl.idx", _changed_lists(_posting_added), "posting list counts do not sum to"),
     ],
     ids=lambda v: getattr(v, "__name__", None),
 )
-def test_structural_checks_reject_a_faulty_writer(tmp_path, name, corrupt, message):
+def test_structural_checks_reject_a_faulty_writer(tmp_path, capsys, name, corrupt, message):
     # Each column is wrong in a file whose checksum matches. The PL lists
     # are checked to hold every token once at their first read, here that
-    # of the depth column, when they are decoded and inverted; the other
-    # checks run in `load_bundle`.
+    # of the depth column or of the query's `//*`, when they are decoded
+    # and inverted; the other checks run in `load_bundle`.
     _, _, d = _small_index(tmp_path)
     path = d / name
     raw = bytearray(path.read_bytes())
     corrupt(raw)
     path.write_bytes(bytes(raw))
     _rewrite_checksum(d, name)
-    with pytest.raises(KokoInputError, match=message):
+    with pytest.raises(KokoInputError, match=f"{name}: .*{message}"):
         load_bundle(str(d)).tokens.depth
+    _assert_query_exits_2(tmp_path, capsys, d, message)
+
+
+@pytest.mark.parametrize("width", [0, 3, 8])
+@pytest.mark.parametrize("name, part", _NARROW, ids=lambda v: v if isinstance(v, str) else None)
+def test_column_width_other_than_1_2_or_4_rejected(tmp_path, capsys, name, part, width):
+    _, _, d = _small_index(tmp_path)
+    raw = bytearray((d / name).read_bytes())
+    raw[_offsets(raw, name)[part] - 5] = width
+    (d / name).write_bytes(bytes(raw))
+    _rewrite_checksum(d, name)
+    message = f"column width {width} is not 1, 2 or 4"
+    with pytest.raises(KokoInputError, match=f"{name}: {message}"):
+        load_bundle(str(d))
+    _assert_query_exits_2(tmp_path, capsys, d, message)
 
 
 def test_depth_column_rejects_a_token_deeper_than_its_sentence(tmp_path):
@@ -1115,7 +1216,7 @@ def _set_head(raw, tid, head):
     """Sentence 0's head of `tid` set to `head` at the file's head width,
     whose largest value stands for NO_HEAD."""
     at = _offsets(raw, "tree.idx")
-    width = _u32(raw, at["heads.width"])
+    width = _width_of(raw, at, "heads")
     head = min(head, (1 << 8 * width) - 1)
     raw[at["heads"] + width * tid : at["heads"] + width * (tid + 1)] = head.to_bytes(width, "little")
 

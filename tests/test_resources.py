@@ -99,6 +99,19 @@ def test_similarity_with_vectors(vectors):
     assert res.similarity("zzz", "coffee") == 0.0
 
 
+def test_similarity_computes_the_argument_vector_once(vectors, monkeypatch):
+    # similarTo's argument is the same phrase for every value of a query:
+    # its vector is computed at the first call, the value's at each.
+    res = Resources(vectors=vectors)
+    expected = [res.similarity(value, "coffee") for value in ("coffee", "espresso", "zzz")]
+    computed = []
+    phrase_vector = vectors.phrase_vector
+    monkeypatch.setattr(vectors, "phrase_vector", lambda words: computed.append(words) or phrase_vector(words))
+    fresh = Resources(vectors=vectors)
+    assert [fresh.similarity(value, "coffee") for value in ("coffee", "espresso", "zzz")] == expected
+    assert computed == [["coffee"], ["coffee"], ["espresso"], ["zzz"]]
+
+
 def test_similarity_with_table_only():
     res = Resources(expansion_table={"city": [Expansion(("town",), 0.7)]})
     assert res.similarity("town", "city") == pytest.approx(0.7)
