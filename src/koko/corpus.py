@@ -26,14 +26,24 @@ mutable container: CPython stops tracking a tuple of strs, ints and
 ``None`` at its first collection, so a loaded corpus costs the garbage
 collector about one object per sentence. Readers that walk the tree
 downwards derive the children from ``heads`` (`child_lists`).
+
+The reader is dictionary-encoded: one `parse_corpus` call keeps one
+``str`` per distinct token text, POS tag, label, entity type and entity
+surface, and every sentence's columns hold those (Abadi, Madden &
+Ferreira, "Integrating Compression and Execution in Column-Oriented
+Database Systems", 2006). The table is the call's own, so nothing
+outlives the corpus. The text is split into lines a bounded chunk at a
+time, and the canonical serialization (`serialize_corpus`) is written,
+and hashed (`koko.indexes.corpus_fingerprint`), a document at a time, so
+neither holds a second copy of the corpus.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterator, Sequence
+from dataclasses import InitVar, dataclass, field
 from operator import eq
 from typing import Iterable, NamedTuple
 
@@ -59,6 +69,8 @@ class Sentence:
     min/max tid over the subtree) and depth (the root's is 0), and the
     entity mentions. Columns given as other sequences are stored as
     tuples; a tuple is stored as it is, so sentences can share columns.
+    Each entity surface is looked up in `strings`, when given, and the
+    one found there is kept (the reader's table of distinct strings).
 
     Extents are min/max over subtree token ids even for non-projective
     sentences, where they span tokens outside the subtree; they give a
@@ -80,8 +92,9 @@ class Sentence:
     right: tuple[int, ...] = field(init=False, compare=False)
     depth: tuple[int, ...] = field(init=False, compare=False)
     entities: tuple[EntitySpan, ...] = field(init=False, compare=False)
+    strings: InitVar[dict[str, str] | None] = field(default=None, kw_only=True)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, strings: dict[str, str] | None) -> None:
         self.tokens = tuple(self.tokens)
         self.pos = tuple(self.pos)
         self.labels = tuple(self.labels)
@@ -98,12 +111,12 @@ class Sentence:
             start, etype = None, None
             for tid in range(n):
                 if start is not None and (etypes[tid] != etype or iobs[tid] == "B"):
-                    entities.append(self._mention(start, tid - 1, etype))
+                    entities.append(self._mention(start, tid - 1, etype, strings))
                     start = None
                 if start is None and etypes[tid] is not None:
                     start, etype = tid, etypes[tid]
             if start is not None:
-                entities.append(self._mention(start, n - 1, etype))
+                entities.append(self._mention(start, n - 1, etype, strings))
         left = list(range(n))
         right = list(range(n))
         depth = [-1] * n
@@ -132,8 +145,11 @@ class Sentence:
         self.left, self.right, self.depth = tuple(left), tuple(right), tuple(depth)
         self.entities = tuple(entities)
 
-    def _mention(self, start: int, end: int, etype: str) -> EntitySpan:
-        return EntitySpan(self.sid, start, end, etype, self.text(start, end))
+    def _mention(self, start: int, end: int, etype: str, strings: dict[str, str] | None) -> EntitySpan:
+        surface = self.text(start, end)
+        if strings is not None:
+            surface = strings.setdefault(surface, surface)
+        return EntitySpan(self.sid, start, end, etype, surface)
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -272,12 +288,25 @@ def detokenize(tokens: Iterable[str]) -> str:
 
 
 _DOC_LINE = re.compile(r"#\s*doc_id\s*=\s*(.+?)\s*$")
+_CHUNK = 1 << 20  # characters the reader splits into lines at a time
+
+
+def _lines(text: str) -> Iterator[str]:
+    r"""``text.split("\n")``, a chunk of about `_CHUNK` characters at a
+    time, each cut at a newline, so no list of every line is held. Not
+    `splitlines`, which also splits at U+2028, "\x0c" and the like."""
+    start = 0
+    while (cut := text.find("\n", start + _CHUNK)) >= 0:
+        yield from text[start:cut].split("\n")
+        start = cut + 1
+    yield from text[start:].split("\n")
 
 
 def parse_corpus(text: str, origin: str = "<string>") -> list[AnnotatedDocument]:
     docs: list[AnnotatedDocument] = []
     current_doc: AnnotatedDocument | None = None
     rows: list[tuple[int, list[str]]] = []
+    strings: dict[str, str] = {}  # each distinct field value, kept once
 
     def ensure_doc() -> AnnotatedDocument:
         nonlocal current_doc
@@ -286,34 +315,34 @@ def parse_corpus(text: str, origin: str = "<string>") -> list[AnnotatedDocument]
             docs.append(current_doc)
         return current_doc
 
-    def flush(lineno: int) -> None:
+    def flush() -> None:
         nonlocal rows
         if rows:
-            ensure_doc().sentences.append(_build_sentence(rows, origin))
+            ensure_doc().sentences.append(_build_sentence(rows, origin, strings))
             rows = []
 
-    # Not `splitlines`, which also splits at U+2028, "\x0c" and the like.
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.rstrip()
         if not line:
-            flush(lineno)
+            flush()
             continue
         if line.startswith("#"):
             m = _DOC_LINE.match(line)
             if m:
-                flush(lineno)
+                flush()
                 current_doc = AnnotatedDocument(doc_id=m.group(1))
                 docs.append(current_doc)
             continue
         rows.append((lineno, line.split("\t")))
-    flush(-1)
+    flush()
     # Validate global sid contiguity through Corpus construction.
     Corpus(docs)
     return docs
 
 
-def _build_sentence(rows: list[tuple[int, list[str]]], origin: str) -> Sentence:
-    """The sentence of one block of TSV rows, each (line number, fields).
+def _build_sentence(rows: list[tuple[int, list[str]]], origin: str, strings: dict[str, str]) -> Sentence:
+    """The sentence of one block of TSV rows, each (line number, fields),
+    its strings replaced by their first occurrences in `strings`.
 
     The rows are transposed into columns and each check runs down a whole
     column, naming the first row it fails on. So of several faults in one
@@ -370,11 +399,13 @@ def _build_sentence(rows: list[tuple[int, list[str]]], origin: str) -> Sentence:
             iob, etype = etag[0], etag[2:]
             if iob == "I" and (etypes[tid - 1] if tid else None) != etype:
                 raise fail(tid, f"I-{etype} tag without a preceding B-/I-{etype} (sid {sid})")
-            iobs[tid], etypes[tid] = iob, etype
+            iobs[tid], etypes[tid] = iob, strings.setdefault(etype, etype)
     # Faults of the whole sentence name its first line.
     if roots != 1:
         raise fail(0, f"sentence {sid} has {roots} roots, expected exactly 1")
-    sentence = Sentence(sid, texts, pos, labels, heads, etypes, iobs)
+    share = strings.setdefault
+    texts, pos, labels = (tuple(map(share, column, column)) for column in (texts, pos, labels))
+    sentence = Sentence(sid, texts, pos, labels, heads, etypes, iobs, strings=strings)
     if -1 in sentence.depth:
         # Some token does not reach the root: its head links run in a cycle.
         raise fail(0, f"cyclic head relation at sid {sid}, tid {sentence.depth.index(-1)}")
@@ -388,6 +419,7 @@ def load_corpus(path: str) -> list[AnnotatedDocument]:
     except UnicodeDecodeError as exc:
         line = 1 + raw.count(b"\n", 0, exc.start)
         raise KokoInputError(f"{path}:{line}: not valid UTF-8 ({exc.reason})") from None
+    del raw  # the text alone is parsed
     return parse_corpus(text, origin=path)
 
 
@@ -399,11 +431,12 @@ def read_corpus_bytes(path: str) -> bytes:
         raise KokoInputError(f"cannot read corpus: {exc}") from None
 
 
-def serialize_corpus(docs: list[AnnotatedDocument]) -> str:
-    """Inverse of parse_corpus up to comments and trailing whitespace."""
-    out: list[str] = []
+def serialized_documents(docs: Iterable[AnnotatedDocument]) -> Iterator[str]:
+    """The canonical serialization, one document's text at a time: its
+    ``# doc_id`` line, then each sentence's rows and a blank line, every
+    line ending in a newline."""
     for doc in docs:
-        out.append(f"# doc_id = {doc.doc_id}")
+        out = [f"# doc_id = {doc.doc_id}"]
         for s in doc.sentences:
             sid = str(s.sid)
             columns = zip(s.tokens, s.pos, s.labels, s.heads, s.etypes, s.iobs)
@@ -412,4 +445,10 @@ def serialize_corpus(docs: list[AnnotatedDocument]) -> str:
                 etag = "O" if etype is None else f"{iob}-{etype}"
                 out.append("\t".join((sid, str(tid), text, pos, label, str(head), etag)))
             out.append("")
-    return "\n".join(out) + ("\n" if out else "")
+        out.append("")
+        yield "\n".join(out)
+
+
+def serialize_corpus(docs: list[AnnotatedDocument]) -> str:
+    """Inverse of parse_corpus up to comments and trailing whitespace."""
+    return "".join(serialized_documents(docs))

@@ -64,7 +64,7 @@ from functools import cached_property, reduce
 from itertools import accumulate, chain, compress, count, repeat
 from operator import add, and_, attrgetter, le, lt, mul, sub
 
-from .corpus import AnnotatedDocument, Corpus, EntitySpan, Sentence, serialize_corpus
+from .corpus import AnnotatedDocument, Corpus, EntitySpan, Sentence, serialized_documents
 from .errors import KokoInputError
 
 MAGIC = b"KOKO"
@@ -96,23 +96,23 @@ def _width(largest: int) -> int:
 @dataclass
 class TokenTable:
     """The tree of every token of the corpus, stored once, as heads.
-    Sentence sid holds the offsets ``starts[sid]`` up to ``starts[sid +
-    1]``, so ``starts[-1]`` is the token count; ``heads`` is each token's
-    sentence-local head, by offset, with `NO_HEAD` as a root's. ``lengths``
-    (the token count of each sentence) and ``sid_of`` (the sentence of each
-    offset) are derived from ``starts``, ``depth`` from ``pl``, the PL
-    hierarchy, at its first read. `where` names the file the heads were
-    read from, for error messages."""
+    ``lengths`` is the token count of each sentence; ``heads`` is each
+    token's sentence-local head, by offset, with `NO_HEAD` as a root's.
+    Derived once, from the lengths: sentence sid holds the offsets
+    ``starts[sid]`` up to ``starts[sid + 1]``, so ``starts[-1]`` is the
+    token count, and ``sid_of`` is the sentence of each offset. ``depth``
+    is derived from ``pl``, the PL hierarchy, at its first read. `where`
+    names the file the heads were read from, for error messages."""
 
-    starts: array
+    lengths: array
     heads: array
     pl: HierarchyIndex | None = field(default=None, repr=False, compare=False)
     where: str = field(default="tree.idx", repr=False, compare=False)
-    lengths: array = field(init=False, repr=False, compare=False)
+    starts: array = field(init=False, repr=False, compare=False)
     sid_of: array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.lengths = array(_TYPECODE, map(sub, self.starts[1:], self.starts))
+        self.starts = array(_TYPECODE, accumulate(self.lengths, initial=0))
         sids = range(len(self.lengths))
         self.sid_of = array(_TYPECODE, chain.from_iterable(map(repeat, sids, self.lengths)))
 
@@ -486,7 +486,12 @@ class IndexBundle:
 
 
 def corpus_fingerprint(docs: list[AnnotatedDocument]) -> str:
-    return fingerprint_bytes(serialize_corpus(docs).encode("utf-8"))
+    """The SHA-256 of `serialize_corpus(docs)` in UTF-8, hashed a document
+    at a time."""
+    digest = hashlib.sha256()
+    for text in serialized_documents(docs):
+        digest.update(text.encode("utf-8"))
+    return digest.hexdigest()
 
 
 def fingerprint_bytes(data: bytes) -> str:
@@ -498,7 +503,7 @@ def fingerprint_bytes(data: bytes) -> str:
 def build_indexes(docs: list[AnnotatedDocument]) -> IndexBundle:
     sentences = [s for doc in docs for s in doc.sentences]
     tokens = TokenTable(
-        array(_TYPECODE, accumulate(map(len, sentences), initial=0)),
+        array(_TYPECODE, map(len, sentences)),
         array(_TYPECODE, [NO_HEAD if h is None else h for s in sentences for h in s.heads]),
     )
     texts = list(chain.from_iterable(s.tokens for s in sentences))
@@ -794,7 +799,7 @@ def load_bundle(directory: str, expected_fingerprint: str | None = None) -> Inde
         raise f.fail(f"the document table holds {len(doc_ids)} ids and {len(doc_lengths)} lengths")
     if sum(doc_lengths) != len(lengths):
         raise f.fail(f"the document lengths do not sum to the {len(lengths)} sentences")
-    tokens = TokenTable(array(_TYPECODE, accumulate(lengths, initial=0)), heads, where=f.path)
+    tokens = TokenTable(lengths, heads, where=f.path)
     doc_starts = array(_TYPECODE, accumulate(doc_lengths, initial=0))[:-1]
 
     def open_file(name: str) -> _IndexFile:

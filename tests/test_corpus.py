@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import koko.corpus
+from koko.cli import main
 from koko.corpus import (
+    AnnotatedDocument,
     Corpus,
     Sentence,
     detokenize,
@@ -15,6 +18,7 @@ from koko.corpus import (
     serialize_corpus,
 )
 from koko.errors import KokoInputError
+from koko.indexes import corpus_fingerprint, fingerprint_bytes
 
 from .conftest import data_path
 
@@ -302,3 +306,112 @@ def test_non_utf8_corpus_rejected(tmp_path):
     path.write_bytes(b"0\t0\ta\tnoun\troot\t-1\tO\n\n1\t0\th\xffi\tintj\troot\t-1\tO\n")
     with pytest.raises(KokoInputError, match=r"bad.tsv:3: not valid UTF-8"):
         load_corpus(str(path))
+
+
+# Two documents whose sentences repeat words, tags, labels, an entity type
+# and an entity surface, with non-ASCII text.
+_SHARED = (
+    "# doc_id = one\n"
+    "0\t0\tZoë\tpropn\tnsubj\t1\tB-Person\n"
+    "0\t1\tsang\tverb\troot\t-1\tO\n"
+    "\n"
+    "1\t0\tZoë\tpropn\tnsubj\t1\tB-Person\n"
+    "1\t1\tran\tverb\troot\t-1\tO\n"
+    "\n"
+    "# doc_id = two\n"
+    "2\t0\tZoë\tpropn\tnsubj\t1\tB-Person\n"
+    "2\t1\tsang\tverb\troot\t-1\tO\n"
+    "2\t2\tKraków\tpropn\tobl\t1\tB-Place\n"
+)
+
+
+def test_equal_fields_are_one_object_across_sentences_and_documents():
+    (a, b), (c,) = (doc.sentences for doc in parse_corpus(_SHARED))
+    for s in (b, c):
+        for column in ("tokens", "pos", "labels", "etypes"):
+            assert getattr(s, column)[0] is getattr(a, column)[0]
+        assert s.entities[0].etype is a.entities[0].etype
+        assert s.entities[0].surface is a.entities[0].surface
+    assert c.tokens[1] is a.tokens[1]
+    assert c.pos[2] is c.pos[0] and c.labels[1] is b.labels[1]
+
+
+@pytest.mark.parametrize(
+    "docs",
+    [
+        parse_corpus(_SHARED),
+        [AnnotatedDocument("empty")],
+        [AnnotatedDocument("empty"), *parse_corpus(_SHARED)],
+        [],
+    ],
+    ids=["two documents", "no sentence", "empty document first", "empty corpus"],
+)
+def test_fingerprint_hashes_the_serialization_a_document_at_a_time(docs):
+    assert corpus_fingerprint(docs) == fingerprint_bytes(serialize_corpus(docs).encode("utf-8"))
+
+
+@given(st.text(alphabet="ab\n", max_size=30), st.integers(min_value=1, max_value=12))
+@settings(max_examples=200, deadline=None)
+def test_lines_split_in_chunks_as_one_split(text, chunk):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(koko.corpus, "_CHUNK", chunk)
+        assert list(koko.corpus._lines(text)) == text.split("\n")
+
+
+# A document of two sentences, then a second document; each case below
+# puts one fault in it.
+_TWO_DOCS = [
+    "# doc_id = one",
+    *_FOUR_ROWS,
+    "",
+    "1\t0\tDogs\tnoun\tnsubj\t1\tO",
+    "1\t1\tbark\tverb\troot\t-1\tO",
+    "",
+    "# doc_id = two",
+    "2\t0\tBirds\tnoun\tnsubj\t1\tO",
+    "2\t1\tsing\tverb\troot\t-1\tO",
+    "",
+]
+
+
+def _with_line(lineno: int, row: str, lines: list[str] = _TWO_DOCS) -> list[str]:
+    return [row if i == lineno else line for i, line in enumerate(lines, start=1)]
+
+
+@pytest.mark.parametrize(
+    "data, chunk, message",
+    [
+        # The cut after line 6 opens the chunk of the second sentence, whose
+        # first row has a bad column.
+        (
+            "\n".join(_with_line(7, "1\t0\tDogs\tnoun\tnsubj\t1")).encode(),
+            len("\n".join(_TWO_DOCS[:5])) + 1,
+            "{path}:7: expected 7 tab-separated columns, got 6",
+        ),
+        (
+            "\n".join(_with_line(12, "2\t1\tsing\tverb\tdep\t-1\tO")).encode(),
+            16,
+            "{path}:12: head -1 requires label 'root', got 'dep'",
+        ),
+        # The last line has no newline after it.
+        (
+            "\n".join(_with_line(12, "2\t1\tsing\tverb\troot\t5\tO")[:-1]).encode(),
+            1 << 20,
+            "{path}:12: head 5 out of range for sid 2",
+        ),
+        (
+            "\n".join(_with_line(11, "2\t0\tB\xffirds")).encode("latin-1"),
+            16,
+            "{path}:11: not valid UTF-8 (invalid start byte)",
+        ),
+    ],
+    ids=["after a chunk boundary", "second document", "last line unterminated", "not UTF-8"],
+)
+def test_reader_errors_name_their_line(tmp_path, capsys, monkeypatch, data, chunk, message):
+    path = tmp_path / "c.tsv"
+    path.write_bytes(data)
+    monkeypatch.setattr(koko.corpus, "_CHUNK", chunk)
+    code = main(["index", "--corpus", str(path), "--out", str(tmp_path / "idx")])
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+    assert err == f"error: {message.format(path=path)}\n"
