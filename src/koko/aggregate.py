@@ -14,18 +14,36 @@ decomposed clauses c_j, where a match requires the descriptor's words in
 order (gaps allowed, case-insensitive) and scores k_i * l_j, damped by
 1/(1+g) for the token gap g between the candidate and the matched words.
 
+Each satisfying and excluding condition is compiled once per query into a
+`Scorer`: its rendering, its literal's tokens, its compiled pattern and,
+for a condition that depends on the value alone (`contains`, `mentions`,
+`matches`, `in dict`, `similarTo`), each value's confidence once worked
+out. A `QueryPlan` holds the scorers and each descriptor phrase's
+expansions, lowercased once per query. A sentence's words are lowercased
+once per query too, by the evaluator of its document.
+
+Scores stay columns until a row is returned (late materialization, as in
+Abadi et al., "Materialization Strategies in a Column-Oriented DBMS",
+ICDE 2007). For each (document, value) pair a clause records its
+`Measures`: each condition's m and the total, added in condition order,
+and per-sentence confidences for ``near`` and the descriptors only. Pass,
+fail and exclusion are decided on these; `ConditionScore` and
+`EvidenceScore` objects are built (`EvidenceEvaluator.score`) only for
+the rows finalize returns.
+
 Adjacency, ``near`` and descriptors read one list per value: its
 occurrences in the document, each a sentence's sid, its words
 (`Corpus.words`: in a corpus opened over an index a slice of the word
 column, so evidence builds no `Sentence`) and the value's start tids.
 Adjacency compares the words right after or before an occurrence with the
-literal's; a descriptor reads only the sentences that hold every word of
-one of its expansions. The conditions that depend on the value alone are
-worked out once per distinct value of a query. The engine passes a
-word-index locator, so only the document's sentences holding the value's
-first token are read; the oracle passes none and reads every sentence of
-the document. A query with neither a satisfying nor an excluding clause
-builds no evaluator and is a projection of its tuples.
+literal's. A descriptor scores an occurrence only when some expansion has
+all its words on the side it reads, after the value for ``x [[d]]`` and
+before it for ``[[d]] x``; no other occurrence can score, so a sentence
+without such an occurrence is neither decomposed nor matched. The engine
+passes a word-index locator, so only the document's sentences holding the
+value's first token are read; the oracle passes none and reads every
+sentence of the document. A query with neither a satisfying nor an
+excluding clause builds no evaluator and is a projection of its tuples.
 
 Finalize takes one tuple shape from every producer (the engine's offset
 join, its nested loop and the oracle): ``(sid, values)``, the values
@@ -152,22 +170,89 @@ Locate = Callable[[str, range], Sequence[int]]
 # value starts.
 Occurrences = list[tuple[int, tuple[str, ...], list[int]]]
 
+# A condition's confidence m for a value, and the per-sentence confidences
+# it came from: a list for `near` and the descriptors, None for the others.
+Measure = tuple[float, list[tuple[int, float]] | None]
+
+# A clause's measures of one value: its total, and each condition's
+# `Measure` in condition order.
+Measures = tuple[float, list[Measure]]
+
+# A descriptor phrase's expansions: each one's words, lowercased, its score
+# and the set of its words.
+Expansions = list[tuple[tuple[str, ...], float, frozenset[str]]]
+
+# A sentence's words lowercased, and the last position of each.
+Lowered = tuple[tuple[str, ...], dict[str, int]]
+
 # The conditions whose confidence depends on the value alone, not on its
-# document: one query works each out once per distinct (kind, argument,
-# value), in the `QueryMemo` its documents' evaluators share.
+# document: their `Scorer` works each value out once per query.
 _VALUE_ONLY = frozenset({"contains", "mentions", "matches", "in_dict", "similar_to"})
+_BOOLEAN = frozenset({"contains", "mentions", "matches", "in_dict", "followed_by", "preceded_by"})
 
 
-@dataclass
-class QueryMemo:
+class Scorer:
+    """One satisfying or excluding condition, compiled once per query: its
+    rendering, its literal's tokens, its compiled pattern, and the
+    confidence of each value already worked out when the condition depends
+    on the value alone."""
+
+    __slots__ = ("kind", "arg", "rendered", "tokens", "pattern", "values")
+
+    def __init__(self, cond: SatCondition):
+        self.kind = cond.kind
+        self.arg = cond.arg
+        self.rendered = print_condition(cond)
+        self.tokens = _tokens(cond.arg)
+        self.pattern = compile_pattern(cond.arg) if cond.kind == "matches" else None
+        self.values: dict[str, float] = {}
+
+
+@dataclass(frozen=True)
+class ClausePlan:
+    """A satisfying clause compiled: its conditions' scorers with their
+    weights, in condition order."""
+
+    clause: SatisfyingClause
+    index: int
+    conditions: tuple[tuple[Scorer, float], ...]
+
+
+class QueryPlan:
     """What one query works out once, shared by the evaluators of its
-    documents: each value-only condition's confidence by (kind, argument,
-    value), each sentence's words lowercased with their set by sid, and
-    each satisfying clause's conditions rendered by clause index."""
+    documents: a `Scorer` per distinct condition, a `ClausePlan` per
+    satisfying clause by clause index and each descriptor phrase's
+    expansions lowercased (`Expansions`)."""
 
-    confidences: dict[tuple[str, str, str], float] = field(default_factory=dict)
-    lowered: dict[int, tuple[list[str], set[str]]] = field(default_factory=dict)
-    rendered: dict[int, list[str]] = field(default_factory=dict)
+    def __init__(self, resources: Resources):
+        self.resources = resources
+        self.scorers: dict[SatCondition, Scorer] = {}
+        self.clauses: dict[int, ClausePlan] = {}
+        self.expansions: dict[str, Expansions] = {}
+
+    def scorer(self, cond: SatCondition) -> Scorer:
+        found = self.scorers.get(cond)
+        if found is None:
+            found = self.scorers[cond] = Scorer(cond)
+        return found
+
+    def clause(self, clause: SatisfyingClause, index: int) -> ClausePlan:
+        found = self.clauses.get(index)
+        if found is None:
+            conditions = tuple((self.scorer(wc.condition), wc.weight) for wc in clause.conditions)
+            found = self.clauses[index] = ClausePlan(clause, index, conditions)
+        return found
+
+    def expansions_of(self, phrase: str) -> Expansions:
+        found = self.expansions.get(phrase)
+        if found is None:
+            # An expansion without words matches no clause: it is dropped.
+            found = self.expansions[phrase] = []
+            for e in self.resources.expand(phrase):
+                words = tuple(w.lower() for w in e.words)
+                if words:
+                    found.append((words, e.score, frozenset(words)))
+        return found
 
 
 class EvidenceEvaluator:
@@ -181,8 +266,9 @@ class EvidenceEvaluator:
     locator over the word index. `koko.oracle` passes none and reads every
     sentence of `doc_sids`: it stays independent of the index, and the
     differential tests and `koko verify` check the locator against it.
-    What does not depend on the document is kept in `memo`, which the
-    evaluators of one query's documents share.
+    What does not depend on the document is kept in `plan`, which the
+    evaluators of one query's documents share; a sentence belongs to one
+    document, so its words are lowercased (`Lowered`) here, once per query.
     """
 
     def __init__(
@@ -191,17 +277,17 @@ class EvidenceEvaluator:
         resources: Resources,
         doc_sids: Sequence[int],
         locate: Locate | None = None,
-        memo: QueryMemo | None = None,
+        plan: QueryPlan | None = None,
     ):
         self.corpus = corpus
         self.resources = resources
         self.doc_sids = doc_sids
         self.locate = locate
-        self.memo = QueryMemo() if memo is None else memo
+        self.plan = QueryPlan(resources) if plan is None else plan
         self._occurrences: dict[str, Occurrences] = {}
-        # Each phrase's expansions, lowercased, with the set of their words.
-        self._expansions: dict[str, list[tuple[list[str], float, frozenset[str]]]] = {}
-        self._score_cache: dict[tuple[int, str], EvidenceScore] = {}
+        self.lowered: dict[int, Lowered] = {}
+        self._measures: dict[tuple[int, str], Measures] = {}
+        self._scores: dict[tuple[int, str], EvidenceScore] = {}
 
     def _occurrences_of(self, value: str) -> Occurrences:
         found = self._occurrences.get(value)
@@ -218,38 +304,62 @@ class EvidenceEvaluator:
                     found.append((sid, words, starts))
         return found
 
-    # -- boolean conditions ----------------------------------------------
+    def _lowered_of(self, sid: int, words: Sequence[str]) -> Lowered:
+        found = self.lowered.get(sid)
+        if found is None:
+            lowered = tuple(map(str.lower, words))
+            # A later position of a word overwrites an earlier one.
+            found = self.lowered[sid] = (lowered, dict(zip(lowered, range(len(lowered)))))
+        return found
 
-    def eval_boolean(self, cond: SatCondition, value: str) -> float:
-        kind = cond.kind
-        if kind == "contains":
-            return 1.0 if find_token_seq(_tokens(value), _tokens(cond.arg)) else 0.0
-        if kind == "mentions":
-            return 1.0 if cond.arg in value else 0.0
-        if kind == "matches":
-            return 1.0 if compile_pattern(cond.arg).fullmatch(value) else 0.0
-        if kind == "in_dict":
-            return 1.0 if self.resources.dict_contains(cond.arg, value) else 0.0
-        if kind == "followed_by":
-            return self._adjacent(value, cond.arg, "after")
-        if kind == "preceded_by":
-            return self._adjacent(value, cond.arg, "before")
+    # -- conditions ---------------------------------------------------------
+
+    def measure(self, scorer: Scorer, value: str) -> Measure:
+        """The condition's confidence m for the value, with the
+        per-sentence confidences it came from (see `Measure`)."""
+        kind = scorer.kind
+        if kind in _VALUE_ONLY:
+            m = scorer.values.get(value)
+            if m is None:
+                m = scorer.values[value] = self._value_confidence(scorer, value)
+            return m, None
+        if kind == "followed_by" or kind == "preceded_by":
+            return self._adjacent(value, scorer.tokens, kind == "followed_by"), None
+        if kind == "near":
+            return self.eval_near(value, scorer.arg)
+        if kind == "desc_right" or kind == "desc_left":
+            return self.eval_descriptor(value, scorer.arg, kind == "desc_right")
         raise ValueError(f"unknown condition kind {kind!r}")
 
-    def _adjacent(self, value: str, literal: str, side: str) -> float:
-        """1.0 when the literal occurs right `side` ("after" or "before") the
-        value: the words next to one of its occurrences are the literal's."""
-        lit = _tokens(literal)
+    def _value_confidence(self, scorer: Scorer, value: str) -> float:
+        kind = scorer.kind
+        if kind == "contains":
+            return 1.0 if find_token_seq(_tokens(value), scorer.tokens) else 0.0
+        if kind == "mentions":
+            return 1.0 if scorer.arg in value else 0.0
+        if kind == "matches":
+            return 1.0 if scorer.pattern.fullmatch(value) else 0.0
+        if kind == "in_dict":
+            return 1.0 if self.resources.dict_contains(scorer.arg, value) else 0.0
+        return self.resources.similarity(value, scorer.arg)
+
+    def eval_boolean(self, cond: SatCondition, value: str) -> float:
+        if cond.kind not in _BOOLEAN:
+            raise ValueError(f"not a boolean condition kind {cond.kind!r}")
+        return self.measure(self.plan.scorer(cond), value)[0]
+
+    def _adjacent(self, value: str, lit: tuple[str, ...], after: bool) -> float:
+        """1.0 when the literal's tokens `lit` occur right after (or
+        before) the value: the words next to one of its occurrences are
+        the literal's."""
         if not lit:
             return 0.0
         n, m = len(_tokens(value)), len(lit)
         for _, words, starts in self._occurrences_of(value):
             for v in starts:
-                if (words[v + n : v + n + m] if side == "after" else words[max(0, v - m) : v]) == lit:
+                if (words[v + n : v + n + m] if after else words[max(0, v - m) : v]) == lit:
                     return 1.0
         return 0.0
-
-    # -- near -------------------------------------------------------------
 
     def eval_near(self, value: str, literal: str) -> tuple[float, list[tuple[int, float]]]:
         """Best per-sentence 1/(1+gap) over the pairs of a value and a
@@ -259,105 +369,87 @@ class EvidenceEvaluator:
         n, m = len(_tokens(value)), len(lit)
         per_sentence: list[tuple[int, float]] = []
         for sid, words, starts in self._occurrences_of(value):
-            gaps = [max(l - v - n, v - l - m, 0) for l in find_token_seq(words, lit) for v in starts]
-            if gaps:
-                per_sentence.append((sid, 1.0 / (1.0 + min(gaps))))
-        return max((c for _, c in per_sentence), default=0.0), per_sentence
-
-    # -- descriptors --------------------------------------------------------
+            found = find_token_seq(words, lit)
+            if found:
+                gap = min([max(l - v - n, v - l - m, 0) for l in found for v in starts])
+                per_sentence.append((sid, 1.0 / (1.0 + gap)))
+        return max([c for _, c in per_sentence]) if per_sentence else 0.0, per_sentence
 
     def eval_descriptor(
         self, value: str, phrase: str, right_side: bool
     ) -> tuple[float, list[tuple[int, float]]]:
-        expansions = self._expansions.get(phrase)
-        if expansions is None:
-            expansions = self._expansions[phrase] = []
-            for e in self.resources.expand(phrase):
-                lowered = [w.lower() for w in e.words]
-                expansions.append((lowered, e.score, frozenset(lowered)))
+        expansions = self.plan.expansions_of(phrase)
         value_len = len(_tokens(value))
         per_sentence: list[tuple[int, float]] = []
-        lowered_of = self.memo.lowered
         for sid, words, starts in self._occurrences_of(value):
-            seen = lowered_of.get(sid)
-            if seen is None:
-                lowered = [w.lower() for w in words]
-                seen = lowered_of[sid] = (lowered, set(lowered))
-            lowered, present = seen
-            # A sentence matches an expansion only when it holds all its
-            # words; its clauses are not read otherwise.
-            if not any(wanted <= present for _, _, wanted in expansions):
+            lowered, last = self._lowered_of(sid, words)
+            # Of the expansions whose words the sentence holds, how far
+            # each reaches: the first position of its words' last
+            # occurrences on the right, the last of their first ones on
+            # the left. An expansion can match a clause on the side read
+            # only when its reach lies there.
+            present = last.keys()
+            if right_side:
+                reaches = [(min(map(last.__getitem__, e[0])), e) for e in expansions if e[2] <= present]
+            else:
+                reaches = [(max(map(lowered.index, e[0])), e) for e in expansions if e[2] <= present]
+            if not reaches:
                 continue
-            clause_set = self.resources.decompose(sid, words)
-            conf = max(
-                _descriptor_conf(lowered, clause_set, expansions, occ, occ + value_len - 1, right_side)
-                for occ in starts
-            )
+            clause_set = None
+            conf = 0.0
+            for occ in starts:
+                occ_end = occ + value_len - 1
+                if right_side:
+                    live = [e for reach, e in reaches if reach > occ_end]
+                else:
+                    live = [e for reach, e in reaches if reach < occ]
+                if live:
+                    if clause_set is None:
+                        clause_set = self.resources.decompose(sid, words)
+                    conf = max(conf, _descriptor_conf(lowered, clause_set, live, occ, occ_end, right_side))
             if conf:
                 per_sentence.append((sid, conf))
-        return min(1.0, sum((c for _, c in per_sentence), 0.0)), per_sentence
+        if not per_sentence:
+            return 0.0, per_sentence
+        return min(1.0, sum([c for _, c in per_sentence], 0.0)), per_sentence
 
     # -- clause scoring ----------------------------------------------------------
 
-    def confidence(self, cond: SatCondition, value: str) -> tuple[float, list[tuple[int, float]]]:
-        """The condition's confidence m for the value, and the per-sentence
-        confidences it came from (empty for document-level conditions)."""
-        kind = cond.kind
-        if kind in _VALUE_ONLY:
-            key = (kind, cond.arg, value)
-            confidences = self.memo.confidences
-            m = confidences.get(key)
-            if m is None:
-                if kind == "similar_to":
-                    m = confidences[key] = self.resources.similarity(value, cond.arg)
-                else:
-                    m = confidences[key] = self.eval_boolean(cond, value)
-            return m, []
-        if kind == "near":
-            return self.eval_near(value, cond.arg)
-        if kind in ("desc_right", "desc_left"):
-            return self.eval_descriptor(value, cond.arg, right_side=kind == "desc_right")
-        return self.eval_boolean(cond, value), []
+    def measures(self, clause: ClausePlan, value: str) -> Measures:
+        """The clause's `Measures` of the value, worked out once per
+        document; the total adds w * m in condition order."""
+        key = (clause.index, value)
+        found = self._measures.get(key)
+        if found is None:
+            measured = [self.measure(scorer, value) for scorer, _ in clause.conditions]
+            total = 0.0
+            for (_, weight), (m, _) in zip(clause.conditions, measured):
+                total += weight * m
+            found = self._measures[key] = (total, measured)
+        return found
 
     def score(self, clause: SatisfyingClause, clause_index: int, value: str) -> EvidenceScore:
+        """The clause's score of the value as objects, built once per
+        document from its `Measures`."""
         key = (clause_index, value)
-        cached = self._score_cache.get(key)
-        if cached is not None:
-            return cached
-        rendered = self.memo.rendered.get(clause_index)
-        if rendered is None:
-            rendered = self.memo.rendered[clause_index] = [print_condition(wc.condition) for wc in clause.conditions]
-        conditions: list[ConditionScore] = []
-        total = 0.0
-        for i, wc in enumerate(clause.conditions):
-            m, per_sentence = self.confidence(wc.condition, value)
-            total += wc.weight * m
-            conditions.append(ConditionScore(
-                index=i,
-                rendered=rendered[i],
-                weight=wc.weight,
-                m=m,
-                per_sentence=per_sentence,
-            ))
-        score = EvidenceScore(
-            value=value,
-            threshold=clause.threshold,
-            conditions=conditions,
-            total=total,
-            passed=total >= clause.threshold,
-        )
-        self._score_cache[key] = score
-        return score
-
-    def condition_fires(self, cond: SatCondition, value: str) -> bool:
-        """Excluding semantics: a condition fires when its confidence > 0."""
-        return self.confidence(cond, value)[0] > 0.0
+        found = self._scores.get(key)
+        if found is None:
+            plan = self.plan.clause(clause, clause_index)
+            total, measured = self.measures(plan, value)
+            conditions = [
+                ConditionScore(i, scorer.rendered, weight, m, [] if sentences is None else sentences)
+                for i, ((scorer, weight), (m, sentences)) in enumerate(zip(plan.conditions, measured))
+            ]
+            found = self._scores[key] = EvidenceScore(
+                value, clause.threshold, conditions, total, total >= clause.threshold
+            )
+        return found
 
 
 def _descriptor_conf(
-    lowered: list[str],
+    lowered: tuple[str, ...],
     clause_set: list[Clause],
-    expansions: list[tuple[list[str], float, frozenset[str]]],
+    expansions: Expansions,
     occ: int,
     occ_end: int,
     right_side: bool,
@@ -388,20 +480,6 @@ def _descriptor_conf(
             total += k * l / (1.0 + gap)
         best = max(best, total)
     return best
-
-
-def apply_excluding(
-    evaluator: EvidenceEvaluator, conditions: Sequence[tuple[SatCondition, str]], values: dict[str, str]
-) -> str | None:
-    """First excluding disjunct that fires for the tuple, or None; the
-    disjuncts come with their renderings, made once per query."""
-    for cond, rendered in conditions:
-        target = values.get(cond.var)
-        if target is None:
-            continue
-        if evaluator.condition_fires(cond, target):
-            return rendered
-    return None
 
 
 # A projected tuple: (sid, values), with one value per `projected_names`
@@ -460,7 +538,9 @@ def finalize_results(
     no sentence: values come projected. `locate` is handed to each
     document's `EvidenceEvaluator`; a query with neither a satisfying nor
     an excluding clause makes none, and one that also keeps duplicates
-    builds its rows in one pass over its sorted tuples."""
+    builds its rows in one pass over its sorted tuples. A tuple passes or
+    fails on its clauses' `Measures`; score objects are built for the
+    rows returned only."""
     q = n.query
     names = projected_names(n)
     index = {name: i for i, name in enumerate(names)}
@@ -474,42 +554,46 @@ def finalize_results(
         # A projection: every tuple is a passing row, in key order.
         ordered = sorted(tuples) if key_of is None else sorted(tuples, key=lambda t: (t[0], key_of(t[1])))
         return [ResultRow(sid, dict(zip(shown, values)), {}, True) for sid, values in ordered]
-    clauses = [(ci, clause, index[clause.var]) for ci, clause in enumerate(q.satisfying)]
-    excluding = [(cond, print_condition(cond)) for cond in q.excluding]
+    plan = QueryPlan(resources)
+    clauses = [(plan.clause(clause, ci), index[clause.var]) for ci, clause in enumerate(q.satisfying)]
+    excluding = [(plan.scorer(cond), index[cond.var]) for cond in q.excluding]
+    scoring = bool(clauses or excluding)
     evaluator: EvidenceEvaluator | None = None
-    memo = QueryMemo()
+    doc = -1
     rows: list[ResultRow] = []
     keys: list[tuple] = []
     dedup: set[tuple] = set()
     doc_index_of = corpus.doc_index_of
 
-    def evaluator_of(sid: int) -> EvidenceEvaluator:
-        # Producers emit tuples in sid order, so a document's evaluator and
-        # the occurrences it holds are dropped when the next document starts.
-        nonlocal evaluator
-        doc_sids = corpus.doc_sids(doc_index_of(sid))
-        if evaluator is None or evaluator.doc_sids != doc_sids:
-            evaluator = EvidenceEvaluator(corpus, resources, doc_sids, locate, memo)
-        return evaluator
-
     for t in tuples:
         sid, values = t
         key = values if key_of is None else key_of(values)
+        d = doc_index_of(sid)
         if dedup_mode:
-            seen = (doc_index_of(sid), key)
+            seen = (d, key)
             if seen in dedup:
                 continue
             dedup.add(seen)
-        scores: dict[str, EvidenceScore] = {}
+        if scoring and d != doc:
+            # Producers emit tuples in sid order, so a document's evaluator
+            # and the occurrences it holds are dropped when the next starts.
+            doc = d
+            evaluator = EvidenceEvaluator(corpus, resources, corpus.doc_sids(d), locate, plan)
         ok = True
+        for clause, i in clauses:
+            passed = evaluator.measures(clause, values[i])[0] >= clause.clause.threshold
+            ok = ok and passed
         excluded_by: str | None = None
-        for ci, clause, i in clauses:
-            score = scores[clause.var] = evaluator_of(sid).score(clause, ci, values[i])
-            ok = ok and score.passed
-        if ok and excluding:
-            excluded_by = apply_excluding(evaluator_of(sid), excluding, dict(zip(names, values)))
-            ok = excluded_by is None
+        if ok:
+            for scorer, i in excluding:
+                if evaluator.measure(scorer, values[i])[0] > 0.0:
+                    excluded_by = scorer.rendered
+                    ok = False
+                    break
         if ok or keep_failed:
+            scores = {
+                clause.clause.var: evaluator.score(clause.clause, clause.index, values[i]) for clause, i in clauses
+            }
             rows.append(ResultRow(sid, dict(zip(shown, values)), scores, ok, excluded_by))
             # A projected tuple whose values are its key is its own sort key.
             keys.append(t if key_of is None else (sid, key))

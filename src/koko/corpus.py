@@ -44,6 +44,7 @@ import re
 from bisect import bisect_right
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import InitVar, dataclass, field
+from functools import lru_cache
 from operator import eq
 from typing import Iterable, NamedTuple
 
@@ -340,6 +341,13 @@ def parse_corpus(text: str, origin: str = "<string>") -> list[AnnotatedDocument]
     return docs
 
 
+@lru_cache(maxsize=256)
+def _no_entity(n: int) -> tuple[None, ...]:
+    """The etypes and iobs column of every sentence of n tokens without an
+    entity: one tuple, shared (`Sentence` keeps a tuple as it is)."""
+    return (None,) * n
+
+
 def _build_sentence(rows: list[tuple[int, list[str]]], origin: str, strings: dict[str, str]) -> Sentence:
     """The sentence of one block of TSV rows, each (line number, fields),
     its strings replaced by their first occurrences in `strings`.
@@ -388,9 +396,10 @@ def _build_sentence(rows: list[tuple[int, list[str]]], origin: str, strings: dic
         if labels[tid] != "root":
             raise fail(tid, f"head -1 requires label 'root', got {labels[tid]!r}")
         heads[tid] = None
-    etypes: list[str | None] = [None] * n
-    iobs: list[str | None] = [None] * n
-    if etags.count("O") != n:
+    if etags.count("O") == n:
+        etypes = iobs = _no_entity(n)
+    else:
+        etypes, iobs = [None] * n, [None] * n
         for tid, etag in enumerate(etags):
             if etag == "O":
                 continue

@@ -85,7 +85,14 @@ def find_token_seq(haystack: tuple[str, ...], needle: tuple[str, ...]) -> list[i
     if not needle:
         return []
     first, m = needle[0], len(needle)
-    return [i for i, w in enumerate(haystack) if w == first and haystack[i : i + m] == needle]
+    out: list[int] = []
+    i = -1
+    # Each occurrence of the first token, found by the tuple's own scan.
+    for _ in range(haystack.count(first)):
+        i = haystack.index(first, i + 1)
+        if haystack[i : i + m] == needle:
+            out.append(i)
+    return out
 
 
 def subsequence_positions(words: list[str], phrase: list[str]) -> list[int] | None:

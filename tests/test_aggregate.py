@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +16,7 @@ from koko.indexes import build_indexes
 from koko.normalize import normalize
 from koko.oracle import oracle_evaluate
 from koko.parser import parse_query
-from koko.resources import Expansion, Resources
+from koko.resources import Expansion, Resources, WordVectors
 from koko.syntax import SatCondition
 from koko.textutil import find_token_seq
 
@@ -454,10 +457,11 @@ def test_projection_rows_follow_the_key_order_of_out_of_order_outputs(monkeypatc
 
 
 def test_a_query_lowers_each_sentence_and_renders_each_condition_once(monkeypatch):
-    # One memo per query, shared by the evaluators of its documents: a
-    # sentence's words are lowercased once for every value and both
-    # descriptor sides, and each condition is rendered once, with the same
-    # rows as a fresh evaluation.
+    # One plan per query, shared by the evaluators of its documents: each
+    # condition is rendered once, and each descriptor phrase is expanded
+    # and its expansions lowercased once. A sentence's words are lowercased
+    # once for every value and both descriptor sides, by the one evaluator
+    # of its document. The rows are those of a fresh evaluation.
     import koko.aggregate
     from koko.syntax import print_condition
 
@@ -471,20 +475,135 @@ def test_a_query_lowers_each_sentence_and_renders_each_condition_once(monkeypatc
     )
     expected = [(r.to_json(), r.passed, r.excluded_by) for r in run_query(q, corpus, bundle, keep_failed=True).rows]
     assert len({r.sid // 4 for r in run_query(q, corpus, bundle).rows}) > 1  # rows of several documents
-    memos, rendered = [], []
+    plans, evaluators, rendered, expanded = [], [], [], []
 
-    class Recorded(koko.aggregate.QueryMemo):
-        def __init__(self):
-            super().__init__()
-            memos.append(self)
+    class RecordedPlan(koko.aggregate.QueryPlan):
+        def __init__(self, resources):
+            super().__init__(resources)
+            plans.append(self)
 
-    monkeypatch.setattr(koko.aggregate, "QueryMemo", Recorded)
+    class RecordedEvaluator(koko.aggregate.EvidenceEvaluator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            evaluators.append(self)
+
+    expand = Resources.expand
+    monkeypatch.setattr(koko.aggregate, "QueryPlan", RecordedPlan)
+    monkeypatch.setattr(koko.aggregate, "EvidenceEvaluator", RecordedEvaluator)
     monkeypatch.setattr(koko.aggregate, "print_condition", lambda c: rendered.append(c) or print_condition(c))
+    monkeypatch.setattr(Resources, "expand", lambda self, phrase: expanded.append(phrase) or expand(self, phrase))
     rows = run_query(q, corpus, bundle, keep_failed=True).rows
     assert [(r.to_json(), r.passed, r.excluded_by) for r in rows] == expected
-    assert len(memos) == 1 and len(rendered) == len(set(rendered)) == 4
-    lowered = memos[0].lowered
-    assert lowered and all(words == [w.lower() for w in corpus.words(sid)] for sid, (words, _) in lowered.items())
+    assert len(plans) == 1 and len(rendered) == len(set(rendered)) == 4
+    assert sorted(expanded) == ["a b", "c d"] and sorted(plans[0].expansions) == ["a b", "c d"]
+    assert len(evaluators) > 1 and all(ev.plan is plans[0] for ev in evaluators)
+    lowered = [sid for ev in evaluators for sid in ev.lowered]
+    assert len(lowered) > 4 and len(lowered) == len(set(lowered))
+    for ev in evaluators:
+        for sid, (words, last) in ev.lowered.items():
+            assert sid in ev.doc_sids
+            assert words == tuple(w.lower() for w in corpus.words(sid))
+            assert last == {w: len(words) - 1 - words[::-1].index(w) for w in words}
+
+
+def test_kept_rows_are_the_passing_rows_of_keep_failed_and_only_they_build_scores(tmp_path, monkeypatch):
+    # Every condition kind, similarTo with and without word vectors: the
+    # rows of keep_failed=False are the passing, non-excluded rows of
+    # keep_failed=True, and each run builds score objects for the rows it
+    # returns only.
+    import koko.aggregate
+
+    docs = synthesize_corpus(17, 300, vocabulary=60, entity_rate=0.8, sentences_per_doc=5)
+    corpus, bundle = Corpus(docs), build_indexes(docs)
+    tokens = Counter(t for s in corpus.sentences for t in s.tokens)
+    w = [word for word, _ in tokens.most_common(8)]
+    surfaces = sorted({e.surface for s in corpus.sentences for e in s.entities})
+    rng = random.Random(17)
+    vectors_file = tmp_path / "vectors.txt"
+    vectors_file.write_text("".join(
+        word + "".join(f" {rng.gauss(0.0, 1.0):.3f}" for _ in range(3)) + "\n" for word in sorted(tokens)
+    ))
+    table = {
+        f"{w[0]} {w[1]}": [Expansion((w[2], w[4]), 0.8), Expansion((w[5], w[1], w[3]), 0.5)],
+        f"{w[2]} {w[3]}": [Expansion((w[0], w[5]), 0.7), Expansion((w[4], w[6]), 0.6)],
+    }
+    q = parse_query(
+        'extract x:Entity from "d" if ()\nsatisfying x\n'
+        f'  (str(x) contains "{w[0]}" {{0.2}}) or (str(x) mentions "{w[1][:3]}" {{0.1}}) or\n'
+        f'  (str(x) matches "{w[2]}.*" {{0.1}}) or (str(x) in dict("Known") {{0.2}}) or\n'
+        f'  (x similarTo "{surfaces[3]}" {{0.3}}) or (x "{w[3]}" {{0.3}}) or ("{w[4]}" x {{0.3}}) or\n'
+        f'  (x near "{w[5]}" {{0.2}}) or (x [["{w[0]} {w[1]}"]] {{0.4}}) or ([["{w[2]} {w[3]}"]] x {{0.4}})\n'
+        "with threshold 0.5\n"
+        f'excluding (str(x) matches ".*{w[6]}.*") or (str(x) contains "{w[7]}")'
+    )
+    conditions = len(q.satisfying[0].conditions)
+    built = []
+    condition_score = koko.aggregate.ConditionScore
+    monkeypatch.setattr(koko.aggregate, "ConditionScore", lambda *a: built.append(a) or condition_score(*a))
+    for vectors in (None, WordVectors(str(vectors_file))):
+        def resources():
+            res = Resources(expansion_table=table, vectors=vectors, decomposer="clauses")
+            res.dictionaries.add("Known", set(surfaces[::3]))
+            return res
+
+        built.clear()
+        every = run_query(q, corpus, bundle, resources=resources(), keep_failed=True).rows
+        assert len(built) == len(every) * conditions
+        # Every condition scores some row, and the query keeps some rows,
+        # fails some on their score and excludes some.
+        assert all(any(r.scores["x"].conditions[i].m > 0 for r in every) for i in range(conditions))
+        assert any(r.excluded_by for r in every) and any(not r.scores["x"].passed for r in every)
+        passing = [r for r in every if r.passed]
+        built.clear()
+        kept = run_query(q, corpus, bundle, resources=resources()).rows
+        assert 0 < len(kept) == len(passing) < len(every)
+        assert len(built) == len(kept) * conditions
+        assert [r.to_json() for r in kept] == [r.to_json() for r in passing]
+        assert [r.scores["x"].describe() for r in kept] == [r.scores["x"].describe() for r in passing]
+        assert all(r.passed and r.excluded_by is None for r in kept)
+
+
+def test_a_descriptor_reads_only_the_side_it_scores(monkeypatch):
+    # "serves coffee" after the value in sentence 0, before it in sentence
+    # 1, and split around it in sentence 2: each descriptor side scores only
+    # the sentences with the expansion's words on its side, and decomposes
+    # no other. Each document holds one sentence, so a value scores 0 in a
+    # document whose sentence holds the words on the other side only.
+    def sentence(sid, words):
+        rows = []
+        for tid, word in enumerate(words):
+            head, label = (-1, "root") if tid == 0 else (0, "dep")
+            etag = {"Blue": "B-Entity", "Bottle": "I-Entity"}.get(word, "O")
+            rows.append(f"{sid}\t{tid}\t{word}\tnoun\t{label}\t{head}\t{etag}")
+        return f"# doc_id = d{sid}\n" + "\n".join(rows) + "\n"
+
+    docs = parse_corpus("\n".join([
+        sentence(0, ["Blue", "Bottle", "truly", "serves", "great", "coffee"]),
+        sentence(1, ["they", "serve", "coffee", "and", "serves", "coffee", "at", "Blue", "Bottle"]),
+        sentence(2, ["coffee", "fans", "like", "Blue", "Bottle", "serves", "."]),
+    ]))
+    corpus, bundle = Corpus(docs), build_indexes(docs)
+    resources = Resources(
+        expansion_table={"serves coffee": [Expansion(("sells", "espresso"), 0.8)]}, decomposer="clauses"
+    )
+    decomposed = []
+    decompose = Resources.decompose
+    monkeypatch.setattr(Resources, "decompose", lambda self, sid, words: decomposed.append(sid) or decompose(self, sid, words))
+    for side, text, scored in (
+        ("right", 'x [["serves coffee"]]', {0: 0.5}),
+        ("left", '[["serves coffee"]] x', {1: 0.5}),
+    ):
+        q = parse_query(f'extract x:Entity from "d" if ()\nsatisfying x ({text} {{1}}) with threshold 0.4\n')
+        decomposed.clear()
+        rows = run_query(q, corpus, bundle, resources=resources, keep_failed=True).rows
+        assert decomposed == list(scored), side
+        by_sid = {r.sid: r.scores["x"].conditions[0] for r in rows}
+        assert {sid: c.m for sid, c in by_sid.items()} == {0: 0.0, 1: 0.0, 2: 0.0, **scored}, side
+        assert {sid: c.per_sentence for sid, c in by_sid.items() if c.per_sentence} == {
+            sid: [(sid, m)] for sid, m in scored.items()
+        }
+        oracle = oracle_evaluate(q, corpus, resources, keep_failed=True)
+        assert [r.to_json() for r in rows] == [r.to_json() for r in oracle], side
 
 
 def test_every_condition_confidence_is_a_float(ex31_corpus, ex31_bundle):

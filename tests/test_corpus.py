@@ -336,6 +336,43 @@ def test_equal_fields_are_one_object_across_sentences_and_documents():
     assert c.pos[2] is c.pos[0] and c.labels[1] is b.labels[1]
 
 
+_NO_ENTITY = (
+    "# doc_id = one\n"
+    "0\t0\tDogs\tnoun\tnsubj\t1\tO\n"
+    "0\t1\tbark\tverb\troot\t-1\tO\n"
+    "\n"
+    "1\t0\tZoë\tpropn\tnsubj\t1\tB-Person\n"
+    "1\t1\tsang\tverb\troot\t-1\tO\n"
+    "\n"
+    "# doc_id = two\n"
+    "2\t0\tBirds\tnoun\tnsubj\t1\tO\n"
+    "2\t1\tsing\tverb\troot\t-1\tO\n"
+    "\n"
+    "3\t0\tBirds\tnoun\tnsubj\t1\tO\n"
+    "3\t1\tsing\tverb\troot\t-1\tO\n"
+    "3\t2\tloudly\tadv\tadvmod\t1\tO\n"
+)
+
+
+def test_sentences_without_an_entity_share_one_none_column_per_length():
+    docs = parse_corpus(_NO_ENTITY)
+    (a, b), (c, d) = (doc.sentences for doc in docs)
+    assert a.etypes is a.iobs is c.etypes is c.iobs == (None, None)
+    assert d.etypes is d.iobs == (None,) * 3
+    assert b.etypes == ("Person", None) and b.iobs == ("B", None) and b.etypes is not a.etypes
+    # Sentences built with columns of their own serialize and hash the same.
+    unshared = [
+        AnnotatedDocument(doc.doc_id, [
+            Sentence(s.sid, s.tokens, s.pos, s.labels, s.heads, list(s.etypes), list(s.iobs))
+            for s in doc.sentences
+        ])
+        for doc in docs
+    ]
+    assert unshared[0].sentences[0].etypes is not unshared[1].sentences[0].etypes
+    assert serialize_corpus(docs) == serialize_corpus(unshared) == _NO_ENTITY + "\n"
+    assert corpus_fingerprint(docs) == corpus_fingerprint(unshared)
+
+
 @pytest.mark.parametrize(
     "docs",
     [
