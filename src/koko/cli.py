@@ -18,16 +18,9 @@ from .dpli import candidate_bindings
 from .engine import evaluate, run_query
 from .errors import KokoError, KokoInputError, KokoQueryError, KokoResourceError
 from .indexes import (
-    build_indexes,
-    corpus_fingerprint,
-    fingerprint_bytes,
-    index_fingerprint,
-    load_bundle,
-    open_corpus,
-    save_bundle,
+    build_indexes, corpus_fingerprint, fingerprint_bytes, index_fingerprint, load_bundle, open_corpus, save_bundle,
 )
 from .normalize import normalize
-from .oracle import oracle_evaluate
 from .parser import parse_query
 from .resources import Resources, WordVectors, load_clause_file, load_expansion_table, read_text
 
@@ -210,6 +203,15 @@ def cmd_explain(args: argparse.Namespace) -> int:
             print(f"no evidence recorded for value {args.value!r}")
         return EXIT_OK
     raise KokoQueryError(f"unknown explain stage {args.stage!r}")
+
+
+def oracle_evaluate(*args, **kwargs) -> list[ResultRow]:
+    """`koko.oracle.oracle_evaluate`, imported at its first call: only
+    verify runs the oracle, and every `koko query` process would pay for
+    the import."""
+    from .oracle import oracle_evaluate as evaluate
+
+    return evaluate(*args, **kwargs)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -43,12 +43,12 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
 from operator import eq
 from typing import Iterable, NamedTuple
 
 from .errors import KokoInputError
+from .record import Record
 
 
 class EntitySpan(NamedTuple):
@@ -62,8 +62,7 @@ class EntitySpan(NamedTuple):
     surface: str
 
 
-@dataclass(slots=True)
-class Sentence:
+class Sentence(Record):
     """A sentence's per-token columns, tuples indexed by tid, and what
     their head links and IOB2 tags imply, all derived when the sentence is
     built: the root, each token's subtree extent (``left``/``right``, the
@@ -79,29 +78,23 @@ class Sentence:
     that does not reach the root (a head cycle) keeps depth -1.
     """
 
-    sid: int
-    tokens: tuple[str, ...]  # token texts
-    pos: tuple[str, ...]
-    labels: tuple[str, ...]
-    heads: tuple[int | None, ...]  # None on the root
-    etypes: tuple[str | None, ...]
-    # IOB2 marker ("B" or "I") kept so adjacent same-typed entities stay
-    # distinguishable; None whenever the etype is None.
-    iobs: tuple[str | None, ...]
-    root_tid: int = field(init=False, compare=False)
-    left: tuple[int, ...] = field(init=False, compare=False)
-    right: tuple[int, ...] = field(init=False, compare=False)
-    depth: tuple[int, ...] = field(init=False, compare=False)
-    entities: tuple[EntitySpan, ...] = field(init=False, compare=False)
-    strings: InitVar[dict[str, str] | None] = field(default=None, kw_only=True)
+    # The columns: token texts, POS tags, labels, heads (None on the root),
+    # entity types and IOB2 markers ("B" or "I", kept so adjacent
+    # same-typed entities stay distinguishable; None whenever the etype is
+    # None). Sentences are equal when their sids and columns are.
+    _fields = ("sid", "tokens", "pos", "labels", "heads", "etypes", "iobs")
+    __slots__ = _fields + ("root_tid", "left", "right", "depth", "entities")
 
-    def __post_init__(self, strings: dict[str, str] | None) -> None:
-        self.tokens = tuple(self.tokens)
-        self.pos = tuple(self.pos)
-        self.labels = tuple(self.labels)
-        self.heads = heads = tuple(self.heads)
-        self.etypes = etypes = tuple(self.etypes)
-        self.iobs = iobs = tuple(self.iobs)
+    def __init__(self, sid: int, tokens: Sequence[str], pos: Sequence[str], labels: Sequence[str],
+                 heads: Sequence[int | None], etypes: Sequence[str | None], iobs: Sequence[str | None], *,
+                 strings: dict[str, str] | None = None) -> None:
+        self.sid = sid
+        self.tokens = tuple(tokens)
+        self.pos = tuple(pos)
+        self.labels = tuple(labels)
+        self.heads = heads = tuple(heads)
+        self.etypes = etypes = tuple(etypes)
+        self.iobs = iobs = tuple(iobs)
         n = len(self.tokens)
         if not n == len(self.pos) == len(self.labels) == len(heads) == len(etypes) == len(iobs):
             raise ValueError(f"sentence {self.sid}: its per-token columns differ in length")
@@ -180,10 +173,12 @@ def child_lists(heads: Sequence[int | None]) -> list[list[int]]:
     return children
 
 
-@dataclass(slots=True)
-class AnnotatedDocument:
-    doc_id: str
-    sentences: list[Sentence] = field(default_factory=list)
+class AnnotatedDocument(Record):
+    __slots__ = _fields = ("doc_id", "sentences")
+
+    def __init__(self, doc_id: str, sentences: list[Sentence] | None = None) -> None:
+        self.doc_id = doc_id
+        self.sentences = [] if sentences is None else sentences
 
 
 class SentenceList(Sequence):

@@ -42,7 +42,6 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from itertools import repeat
 from operator import attrgetter, itemgetter, sub
 
@@ -50,17 +49,15 @@ from .corpus import EntitySpan
 from .errors import KokoDecomposeError, KokoInputError
 from .indexes import NO_HEAD, IndexBundle, Sentences, TokenTable
 from .normalize import ANY_ENTITY, ENTITY, NODE, WORDSEQ, NormalizedQuery, NormVar
+from .record import Record
 from .syntax import PathExpr
 from .vocab import PL, POS, classify_label
 
 
-@dataclass
-class DecomposedPath:
-    source: PathExpr
-    pl_steps: list[tuple[str, str]]
-    pos_steps: list[tuple[str, str]]
-    word_steps: list[tuple[str, str]]
-    word_positions: list[int]  # step indices carrying a concrete word
+class DecomposedPath(Record):
+    # Each step's (axis, label) in the PL, POS and word skeletons ("*" where
+    # the step has none), and the indices of the steps carrying a word.
+    __slots__ = _fields = ("source", "pl_steps", "pos_steps", "word_steps", "word_positions")
 
     @property
     def has_pl(self) -> bool:
@@ -278,50 +275,45 @@ def join_all(
 # Candidate bindings
 
 
-@dataclass
-class VarBinding:
-    var: NormVar
-    # The global offset of each candidate's first token, sorted: a node's
-    # token, a literal's first word, an entity record's first token.
-    offsets: Sequence[int] = field(default_factory=list)
-    records: list[EntitySpan] | None = None  # an entity variable's, one per offset
-    index_bound: bool = False
-    exact: bool = False  # the candidates need no path validation
-    derived_from: str | None = None  # dominant variable for dominated node vars
-    prefix_len: int = 0
+class VarBinding(Record):
+    """A variable's candidates. `offsets` holds the global offset of each
+    candidate's first token, sorted: a node's token, a literal's first
+    word, an entity record's first token; `records` an entity variable's
+    records, one per offset. `exact` candidates need no path validation;
+    a dominated node variable names its dominant in `derived_from`."""
+
+    __slots__ = _fields = ("var", "offsets", "records", "index_bound", "exact", "derived_from", "prefix_len")
+    _defaults = {"offsets": (), "records": None, "index_bound": False, "exact": False, "derived_from": None,
+                 "prefix_len": 0}
 
 
-@dataclass
-class DominantInfo:
-    var: str
-    decomposed: DecomposedPath
-    # The postings each leg read inside the sentences it was looked for in;
-    # None for a leg the path does not have or that was not read.
-    p1_size: int | None
-    p2_size: int | None
-    q_size: int | None
-    result_size: int
+class DominantInfo(Record):
+    """A dominant path's lookup: the postings each leg read inside the
+    sentences it was looked for in (None for a leg the path does not have
+    or that was not read), and the candidates the legs' join left."""
+
+    __slots__ = _fields = ("var", "decomposed", "p1_size", "p2_size", "q_size", "result_size")
 
 
-@dataclass
-class ChainLink:
-    """One index-bound variable of the chain, in binding order."""
+class ChainLink(Record):
+    """One index-bound variable of the chain, in binding order: its
+    candidates estimated from the index alone, the sentences it was looked
+    for in (None: all) and its candidates."""
 
-    var: str
-    estimate: int  # candidates, estimated from the index alone
-    within: int | None  # the sentences it was looked for in; None: all
-    candidates: int
+    __slots__ = _fields = ("var", "estimate", "within", "candidates")
 
 
-@dataclass
 class BindingTable:
-    bindings: dict[str, VarBinding]
-    candidate_sids: list[int]
-    dominance: dict[str, tuple[str, int]]
-    starts: array  # candidates are token offsets, starts[sid] + tid
-    info: list[DominantInfo] = field(default_factory=list)
-    chain: list[ChainLink] = field(default_factory=list)
-    _last: dict[str, tuple[int, int, int]] = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(self, bindings: dict[str, VarBinding], candidate_sids: list[int],
+                 dominance: dict[str, tuple[str, int]], starts: array, info: list[DominantInfo],
+                 chain: list[ChainLink]) -> None:
+        self.bindings = bindings
+        self.candidate_sids = candidate_sids
+        self.dominance = dominance
+        self.starts = starts  # candidates are token offsets, starts[sid] + tid
+        self.info = info
+        self.chain = chain
+        self._last: dict[str, tuple[int, int, int]] = {}
 
     def bounds(self, var: str, sid: int) -> tuple[int, int]:
         """(lo, hi): a variable's candidates in sentence sid are its

@@ -25,33 +25,30 @@ before aggregation, for readers of the counts and plans alone.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
-from .aggregate import Projected, ResultRow, finalize_results, projector
+from .aggregate import Projected, finalize_results, projector
 from .corpus import Corpus
 from .dpli import BindingTable, candidate_bindings
 from .gsp import EvalStats, SkipPlan, evaluate_sentence, generate_skip_plan, join_plan, run_join
 from .indexes import IndexBundle
 from .normalize import NormalizedQuery, normalize
+from .record import Record
 from .resources import Resources
 from .syntax import Query
 
 
-@dataclass
-class QueryRun:
-    rows: list[ResultRow]
-    tuples: list[Projected]
-    stats: EvalStats
-    table: BindingTable
-    normalized: NormalizedQuery
-    lookup_seconds: float = 0.0
-    eval_seconds: float = 0.0
-    # The atoms an offset join answered from their postings, left to right;
-    # empty when the nested loop ran.
-    joined: tuple[str, ...] = ()
-    # The candidate sentences the nested loop ran under each skip plan, by
-    # `SkipPlan.key`, in first-use order.
-    plans: dict[tuple, int] = field(default_factory=dict)
+class QueryRun(Record):
+    """A query's evaluation: its rows (filled in by `run_query`), projected
+    tuples, counts, binding table and normalized query, and the seconds
+    its index lookup and evaluation took. `joined` names the atoms an
+    offset join answered from their postings, left to right, and is empty
+    when the nested loop ran; `plans` counts the candidate sentences the
+    nested loop ran under each skip plan, by `SkipPlan.key`, in first-use
+    order."""
+
+    __slots__ = _fields = (
+        "rows", "tuples", "stats", "table", "normalized", "lookup_seconds", "eval_seconds", "joined", "plans",
+    )
 
     @property
     def candidate_sids(self) -> list[int]:

@@ -59,13 +59,13 @@ import zlib
 from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import accumulate, chain, compress, count, repeat
 from operator import add, and_, attrgetter, le, lt, mul, sub
 
 from .corpus import AnnotatedDocument, Corpus, EntitySpan, Sentence, serialized_documents
 from .errors import KokoInputError
+from .record import Record
 
 MAGIC = b"KOKO"
 FORMAT_VERSION = 8
@@ -93,8 +93,7 @@ def _width(largest: int) -> int:
     return 1 if largest <= 0xFF else 2 if largest <= 0xFFFF else 4
 
 
-@dataclass
-class TokenTable:
+class TokenTable(Record):
     """The tree of every token of the corpus, stored once, as heads.
     ``lengths`` is the token count of each sentence; ``heads`` is each
     token's sentence-local head, by offset, with `NO_HEAD` as a root's.
@@ -104,17 +103,15 @@ class TokenTable:
     is derived from ``pl``, the PL hierarchy, at its first read. `where`
     names the file the heads were read from, for error messages."""
 
-    lengths: array
-    heads: array
-    pl: HierarchyIndex | None = field(default=None, repr=False, compare=False)
-    where: str = field(default="tree.idx", repr=False, compare=False)
-    starts: array = field(init=False, repr=False, compare=False)
-    sid_of: array = field(init=False, repr=False, compare=False)
+    _fields = ("lengths", "heads")
 
-    def __post_init__(self) -> None:
-        self.starts = array(_TYPECODE, accumulate(self.lengths, initial=0))
-        sids = range(len(self.lengths))
-        self.sid_of = array(_TYPECODE, chain.from_iterable(map(repeat, sids, self.lengths)))
+    def __init__(self, lengths: array, heads: array, pl: HierarchyIndex | None = None, where: str = "tree.idx") -> None:
+        self.lengths = lengths
+        self.heads = heads
+        self.pl = pl
+        self.where = where
+        self.starts = array(_TYPECODE, accumulate(lengths, initial=0))
+        self.sid_of = array(_TYPECODE, chain.from_iterable(map(repeat, range(len(lengths)), lengths)))
 
     @cached_property
     def depth(self) -> array:
@@ -210,11 +207,9 @@ class PostingLists(Mapping):
         self._owners = self._inverted(flat, token_count)
         self._flat = flat
 
-    def _list(self, i: int) -> array:
-        return self.flat[self.ptr[i] : self.ptr[i + 1]]
-
     def __getitem__(self, key) -> array:
-        return self._list(self._at[key])
+        i = self._at[key]
+        return self.flat[self.ptr[i] : self.ptr[i + 1]]
 
     def size(self, keys: Iterable) -> int:
         """How many postings the lists of `keys` hold, read from ``ptr``
@@ -238,7 +233,8 @@ class PostingLists(Mapping):
             return list(chain.from_iterable(
                 compress(range(a, b), map(wanted, forward[a:b])) for a, b in within.bounds()
             ))
-        lists = [self._list(self._at[key]) for key in keys if key in self._at]
+        flat, ptr = self.flat, self.ptr
+        lists = [flat[ptr[i] : ptr[i + 1]] for i in map(self._at.get, keys) if i is not None]
         found = chain.from_iterable(lists)
         if within is not None:
             inside = map(within.sids.__contains__, map(within.tokens.sid_of.__getitem__, chain.from_iterable(lists)))
@@ -284,11 +280,13 @@ class PostingLists(Mapping):
         )
 
 
-@dataclass
-class WordIndex:
-    tokens: TokenTable = field(repr=False, compare=False)
-    postings: PostingLists  # by word, in sorted order
-    _texts: list[str] | None = field(default=None, repr=False, compare=False)
+class WordIndex(Record):
+    _fields = ("postings",)
+
+    def __init__(self, tokens: TokenTable, postings: PostingLists, texts: list[str] | None = None) -> None:
+        self.tokens = tokens
+        self.postings = postings  # by word, in sorted order
+        self._texts = texts
 
     def texts(self) -> list[str]:
         """The word of every token, by offset: the column a build was given,
@@ -319,14 +317,13 @@ class WordIndex:
         return list(dict.fromkeys(map(self.tokens.sid_of.__getitem__, postings[lo:hi])))
 
 
-@dataclass
-class EntityIndex:
-    records: list[EntitySpan]
-    by_type: dict[str, list[EntitySpan]] = field(init=False, repr=False, compare=False)
+class EntityIndex(Record):
+    _fields = ("records",)
 
-    def __post_init__(self) -> None:
-        self.by_type = {}
-        for record in self.records:
+    def __init__(self, records: list[EntitySpan]) -> None:
+        self.records = records
+        self.by_type: dict[str, list[EntitySpan]] = {}
+        for record in records:
             self.by_type.setdefault(record.etype, []).append(record)
 
     def lookup(self, etype: str | None = None) -> list[EntitySpan]:
@@ -335,18 +332,16 @@ class EntityIndex:
         return list(self.by_type.get(etype, []))
 
 
-@dataclass
-class HierarchyIndex:
-    labels: list[str]  # by node id; node 0 is the super-root
-    parents: array  # by node id, each below its node's; the super-root's is 0
-    postings: PostingLists  # by node id
-    # A `/` step's lookup, (parent, label) -> node, derived from the columns.
-    child: dict[tuple[int, str], int] = field(init=False, repr=False, compare=False)
-    # Derived at the first `//` or `/*` step.
-    _plane: _PrePlane | None = field(default=None, init=False, repr=False, compare=False)
+class HierarchyIndex(Record):
+    _fields = ("labels", "parents", "postings")
 
-    def __post_init__(self) -> None:
-        self.child = dict(zip(zip(self.parents[1:], self.labels[1:]), count(1)))
+    def __init__(self, labels: list[str], parents: array, postings: PostingLists) -> None:
+        self.labels = labels  # by node id; node 0 is the super-root
+        self.parents = parents  # by node id, each below its node's; the super-root's is 0
+        self.postings = postings  # by node id
+        # A `/` step's lookup, (parent, label) -> node, derived from the columns.
+        self.child = dict(zip(zip(parents[1:], labels[1:]), count(1)))
+        self._plane: _PrePlane | None = None  # derived at the first `//` or `/*` step
 
     @property
     def node_count(self) -> int:
@@ -454,17 +449,9 @@ class _PrePlane:
                 out.update(map(order.__getitem__, ranks[i : bisect_left(ranks, stop, i)]))
 
 
-@dataclass
-class IndexBundle:
-    word: WordIndex
-    entity: EntityIndex
-    pl: HierarchyIndex
-    pos: HierarchyIndex
-    tokens: TokenTable
-    fingerprint: str
+class IndexBundle(Record):
     # The document table: document i holds sids doc_starts[i] .. the next start.
-    doc_ids: list[str]
-    doc_starts: array
+    __slots__ = _fields = ("word", "entity", "pl", "pos", "tokens", "fingerprint", "doc_ids", "doc_starts")
 
     @property
     def sentence_count(self) -> int:

@@ -13,22 +13,9 @@ the empty gap between their neighbours.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
-
 from .errors import KokoNormalizeError
-from .syntax import (
-    ElasticAtom,
-    PathAtom,
-    PathExpr,
-    Query,
-    SpanAtom,
-    SubtreeAtom,
-    TokensAtom,
-    VarAtom,
-    print_atom,
-    print_path,
-)
+from .record import Frozen, Record
+from .syntax import PathAtom, PathExpr, Query, SpanAtom, SubtreeAtom, TokensAtom, VarAtom, print_atom, print_path
 from .textutil import tokenize_literal
 
 NODE = "node"
@@ -43,21 +30,20 @@ COMPOSITE = "composite"
 ANY_ENTITY = "Entity"
 
 
-@dataclass(frozen=True)
-class NormVar:
-    name: str
-    kind: str
-    def_index: int
-    synthesized: bool = False
-    # Path intermediates synthesized for multi-step relative definitions;
-    # hidden variables never affect output tuple multiplicity.
-    hidden: bool = False
-    path: PathExpr | None = None  # node
-    etype: str | None = None  # entity
-    elastic: ElasticAtom | None = None  # elastic
-    tokens: tuple[str, ...] = ()  # words
-    of: str | None = None  # subtree base
-    atoms: tuple[str, ...] = ()  # composite members
+class NormVar(Frozen):
+    """A variable of one kind, with the field of its kind: a node's `path`,
+    an entity's `etype`, an elastic's atom, a word sequence's `tokens`, a
+    subtree's base (`of`) or a composite's member `atoms`. `hidden`
+    marks the path intermediates synthesized for multi-step relative
+    definitions, which never affect output tuple multiplicity."""
+
+    __slots__ = _fields = (
+        "name", "kind", "def_index", "synthesized", "hidden", "path", "etype", "elastic", "tokens", "of", "atoms",
+    )
+    _defaults = {
+        "synthesized": False, "hidden": False, "path": None, "etype": None, "elastic": None,
+        "tokens": (), "of": None, "atoms": (),
+    }
 
     def describe(self) -> str:
         if self.kind == NODE:
@@ -73,11 +59,8 @@ class NormVar:
         return "composite " + " + ".join(self.atoms)
 
 
-@dataclass(frozen=True)
-class NormConstraint:
-    kind: str  # parentOf | ancestorOf | leftOf | in | eq
-    a: str
-    b: str
+class NormConstraint(Frozen):
+    __slots__ = _fields = ("kind", "a", "b")  # kind: parentOf | ancestorOf | leftOf | in | eq
 
     def describe(self) -> str:
         if self.kind in ("in", "eq"):
@@ -85,18 +68,12 @@ class NormConstraint:
         return f"({self.a} {self.kind} {self.b})"
 
 
-@dataclass(frozen=True)
-class HorizontalCondition:
-    lhs: str
-    atoms: tuple[str, ...]
+class HorizontalCondition(Frozen):
+    __slots__ = _fields = ("lhs", "atoms")
 
 
-@dataclass
-class NormalizedQuery:
-    query: Query
-    variables: dict[str, NormVar] = field(default_factory=dict)
-    horizontal: tuple[HorizontalCondition, ...] = ()
-    constraints: tuple[NormConstraint, ...] = ()
+class NormalizedQuery(Record):
+    __slots__ = _fields = ("query", "variables", "horizontal", "constraints")
 
     def node_vars(self) -> list[NormVar]:
         return [v for v in self.variables.values() if v.kind == NODE]
@@ -193,7 +170,7 @@ class _Normalizer:
             return name
         name = self._synth_name()
         self._definition(name, atoms)
-        self.variables[name] = dataclasses.replace(self.variables[name], synthesized=True)
+        self.variables[name] = self.variables[name].replace(synthesized=True)
         return name
 
     def _atom_var(self, atom: SpanAtom) -> str:

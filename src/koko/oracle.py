@@ -17,16 +17,7 @@ from .aggregate import Projected, ResultRow, finalize_results, projector
 from .corpus import Corpus, Sentence
 from .gsp import Bound, CandidateTuple
 from .normalize import (
-    ANY_ENTITY,
-    COMPOSITE,
-    ENTITY,
-    NODE,
-    SUBTREE,
-    WORDSEQ,
-    NormalizedQuery,
-    NormVar,
-    dedupe_hidden,
-    normalize,
+    ANY_ENTITY, COMPOSITE, ENTITY, NODE, SUBTREE, WORDSEQ, NormalizedQuery, NormVar, dedupe_hidden, normalize,
 )
 from .resources import Resources
 from .syntax import Query, Step

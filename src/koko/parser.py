@@ -9,25 +9,11 @@ are accepted with or without the leading ``@`` (canonical form has it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import KokoSyntaxError
+from .record import Record
 from .syntax import (
-    Constraint,
-    ElasticAtom,
-    NodeCondition,
-    PathAtom,
-    PathExpr,
-    Query,
-    SatCondition,
-    SatisfyingClause,
-    SpanAtom,
-    Step,
-    SubtreeAtom,
-    TokensAtom,
-    VarAtom,
-    VarDef,
-    WeightedCondition,
+    Constraint, ElasticAtom, NodeCondition, PathAtom, PathExpr, Query, SatCondition, SatisfyingClause, SpanAtom,
+    Step, SubtreeAtom, TokensAtom, VarAtom, VarDef, WeightedCondition,
 )
 from .textutil import compile_pattern
 
@@ -41,12 +27,8 @@ _NODE_CONDITION_KEYS = {"regex", "pos", "etype", "text"}
 _ELASTIC_CONDITION_KEYS = {"regex", "etype", "min", "max"}
 
 
-@dataclass(frozen=True)
-class Tok:
-    kind: str  # ident | string | number | op | eof
-    value: str
-    line: int
-    col: int
+class Tok(Record):
+    __slots__ = _fields = ("kind", "value", "line", "col")  # kind: ident | string | number | op | eof
 
 
 _TWO_CHAR_OPS = ("//", "[[", "]]")

@@ -17,24 +17,24 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
 from .errors import KokoError, KokoResourceError
+from .record import Record
 from .vocab import STOPWORDS
 
 MAX_EXPANSIONS = 10  # fixed number of expanded terms kept per descriptor
 
 
-@dataclass(frozen=True)
-class Expansion:
-    words: tuple[str, ...]
-    score: float
+class Expansion(Record):
+    __slots__ = _fields = ("words", "score")
 
 
-@dataclass(frozen=True)
-class Clause:
-    token_ids: tuple[int, ...]
-    score: float
+class Clause(Record):
+    __slots__ = _fields = ("token_ids", "score")
+
+    def __init__(self, token_ids: tuple[int, ...], score: float) -> None:
+        self.token_ids = token_ids
+        self.score = score
 
 
 def read_text(path: str, what: str, error: type[KokoError] = KokoResourceError) -> str:
@@ -95,13 +95,6 @@ class WordVectors:
                 vec = [x / norm for x in vec]
             self.vectors[parts[0]] = vec
 
-    def cosine(self, a: str, b: str) -> float | None:
-        va = self.vectors.get(a)
-        vb = self.vectors.get(b)
-        if va is None or vb is None:
-            return None
-        return sum(x * y for x, y in zip(va, vb))
-
     def neighbors(self, word: str, k: int) -> list[tuple[str, float]]:
         base = self.vectors.get(word)
         if base is None or k <= 0:
@@ -149,17 +142,19 @@ def load_expansion_table(path: str) -> dict[str, list[Expansion]]:
     return table
 
 
-@dataclass
 class Resources:
-    expansion_table: dict[str, list[Expansion]] | None = None
-    vectors: WordVectors | None = None
-    topk: int = 3
-    dictionaries: DictionaryStore = field(default_factory=DictionaryStore)
-    decomposer: str = "identity"  # identity | clauses | file
-    clause_file: dict[int, list[Clause]] | None = None
-    _expand_cache: dict[str, list[Expansion]] = field(default_factory=dict)
-    _vector_cache: dict[str, list[float] | None] = field(default_factory=dict)
-    _decompose_cache: dict[int, list[Clause]] = field(default_factory=dict)
+    def __init__(self, expansion_table: dict[str, list[Expansion]] | None = None, vectors: WordVectors | None = None,
+                 topk: int = 3, dictionaries: DictionaryStore | None = None, decomposer: str = "identity",
+                 clause_file: dict[int, list[Clause]] | None = None) -> None:
+        self.expansion_table = expansion_table
+        self.vectors = vectors
+        self.topk = topk
+        self.dictionaries = DictionaryStore() if dictionaries is None else dictionaries
+        self.decomposer = decomposer  # identity | clauses | file
+        self.clause_file = clause_file
+        self._expand_cache: dict[str, list[Expansion]] = {}
+        self._vector_cache: dict[str, list[float] | None] = {}
+        self._decompose_cache: dict[int, list[Clause]] = {}
 
     # -- descriptor expansion ------------------------------------------------
 
@@ -233,8 +228,8 @@ class Resources:
     # -- sentence decomposition ----------------------------------------------------
 
     def decompose(self, sid: int, words: Sequence[str]) -> list[Clause]:
-        """The scored clauses of sentence sid, whose token texts are
-        `words`."""
+        """The scored clauses of sentence sid, whose token texts,
+        lowercased, are `words`."""
         cached = self._decompose_cache.get(sid)
         if cached is None:
             cached = self._decompose(sid, words)
@@ -264,25 +259,21 @@ _RELATIVE_PRONOUNS = {"who", "whom", "whose", "which", "that", "where", "when"}
 
 
 def _split_clauses(words: Sequence[str]) -> list[Clause]:
-    boundaries: set[int] = set()
-    for i, w in enumerate(words):
-        lw = w.lower()
-        if lw in _COORDINATORS or w == ";":
-            boundaries.add(i)
-        elif w == "," and i + 1 < len(words) and words[i + 1].lower() in _RELATIVE_PRONOUNS:
-            boundaries.add(i)
+    """The runs of tokens between the boundaries, each a clause: a
+    coordinator, a semicolon, or a comma before a relative pronoun.
+    `words` are lowercased."""
+    n = len(words)
+    cuts = [
+        i for i, w in enumerate(words)
+        if w in _COORDINATORS or w == ";" or (w == "," and i + 1 < n and words[i + 1] in _RELATIVE_PRONOUNS)
+    ]
     clauses: list[Clause] = []
-    current: list[int] = []
-    for i in range(len(words)):
-        if i in boundaries:
-            if current:
-                clauses.append(Clause(tuple(current), 1.0))
-                current = []
-        else:
-            current.append(i)
-    if current:
-        clauses.append(Clause(tuple(current), 1.0))
-    return clauses or [Clause(tuple(range(len(words))), 1.0)]
+    start = 0
+    for cut in cuts + [n]:
+        if cut > start:
+            clauses.append(Clause(tuple(range(start, cut)), 1.0))
+        start = cut + 1
+    return clauses or [Clause(tuple(range(n)), 1.0)]
 
 
 def load_clause_file(path: str) -> dict[int, list[Clause]]:

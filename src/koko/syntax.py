@@ -1,115 +1,84 @@
-"""Abstract syntax for queries plus the canonical pretty-printer.
+"""Abstract syntax for queries, and the renderings of paths, atoms and
+conditions that `explain` and evidence print.
 
-The printer's output re-parses to an AST equal to its input; tests lean on
-that round-trip, so every construct here has exactly one canonical
-rendering.
+Every node is a `Frozen` record: immutable and hashable, and equal to
+another only when of the same type with equal fields, so a parsed query
+compares and hashes by value (`QueryPlan` keys its scorers by
+`SatCondition`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from .record import Frozen
 
 
-@dataclass(frozen=True)
-class NodeCondition:
-    key: str  # regex | pos | etype | text
-    value: str
+class NodeCondition(Frozen):
+    __slots__ = _fields = ("key", "value")  # key: regex | pos | etype | text
 
 
-@dataclass(frozen=True)
-class Step:
-    axis: str  # "/" (child) or "//" (descendant)
-    label: str
-    kind: str  # name | word | wild
-    conditions: tuple[NodeCondition, ...] = ()
+class Step(Frozen):
+    # axis: "/" (child) or "//" (descendant); kind: name | word | wild
+    __slots__ = _fields = ("axis", "label", "kind", "conditions")
+    _defaults = {"conditions": ()}
 
 
-@dataclass(frozen=True)
-class PathExpr:
-    base: str | None  # None means anchored at ROOT
-    steps: tuple[Step, ...]
+class PathExpr(Frozen):
+    __slots__ = _fields = ("base", "steps")  # base None means anchored at ROOT
 
 
-@dataclass(frozen=True)
-class PathAtom:
-    path: PathExpr
+class PathAtom(Frozen):
+    __slots__ = _fields = ("path",)
 
 
-@dataclass(frozen=True)
-class VarAtom:
-    name: str
+class VarAtom(Frozen):
+    __slots__ = _fields = ("name",)
 
 
-@dataclass(frozen=True)
-class SubtreeAtom:
-    var: str
+class SubtreeAtom(Frozen):
+    __slots__ = _fields = ("var",)
 
 
-@dataclass(frozen=True)
-class TokensAtom:
-    text: str
+class TokensAtom(Frozen):
+    __slots__ = _fields = ("text",)
 
 
-@dataclass(frozen=True)
-class ElasticAtom:
-    regex: str | None = None
-    min_tokens: int | None = None
-    max_tokens: int | None = None
-    etype: str | None = None
+class ElasticAtom(Frozen):
+    __slots__ = _fields = ("regex", "min_tokens", "max_tokens", "etype")
+    _defaults = dict.fromkeys(_fields)
 
 
-SpanAtom = Union[PathAtom, VarAtom, SubtreeAtom, TokensAtom, ElasticAtom]
+SpanAtom = PathAtom | VarAtom | SubtreeAtom | TokensAtom | ElasticAtom
 
 
-@dataclass(frozen=True)
-class VarDef:
-    name: str
-    atoms: tuple[SpanAtom, ...]
+class VarDef(Frozen):
+    __slots__ = _fields = ("name", "atoms")
 
 
-@dataclass(frozen=True)
-class Constraint:
-    op: str  # in | eq
-    left: tuple[SpanAtom, ...]
-    right: str  # variable name
+class Constraint(Frozen):
+    # op: in | eq; left: atoms; right: a variable name
+    __slots__ = _fields = ("op", "left", "right")
 
 
-@dataclass(frozen=True)
-class SatCondition:
-    kind: str  # contains | mentions | matches | in_dict | followed_by |
+class SatCondition(Frozen):
+    # kind: contains | mentions | matches | in_dict | followed_by |
     # preceded_by | near | similar_to | desc_right | desc_left
-    var: str
-    arg: str
+    __slots__ = _fields = ("kind", "var", "arg")
 
 
-@dataclass(frozen=True)
-class WeightedCondition:
-    condition: SatCondition
-    weight: float
+class WeightedCondition(Frozen):
+    __slots__ = _fields = ("condition", "weight")
 
 
-@dataclass(frozen=True)
-class SatisfyingClause:
-    var: str
-    conditions: tuple[WeightedCondition, ...]
-    threshold: float
+class SatisfyingClause(Frozen):
+    __slots__ = _fields = ("var", "conditions", "threshold")
 
 
-@dataclass(frozen=True)
-class Query:
-    outputs: tuple[tuple[str, str], ...]  # (variable, type); type is Str or an entity type
-    source: str  # verbatim source token, e.g. "input.txt" (quoted) or wiki.article
-    defs: tuple[VarDef, ...] = ()
-    constraints: tuple[Constraint, ...] = ()
-    satisfying: tuple[SatisfyingClause, ...] = ()
-    excluding: tuple[SatCondition, ...] = ()
-
-
-def format_number(x: float) -> str:
-    if x == int(x):
-        return str(int(x))
-    return f"{x:g}"
+class Query(Frozen):
+    # outputs: (variable, type) pairs, a type Str or an entity type;
+    # source: the verbatim source token, e.g. "input.txt" (quoted) or
+    # wiki.article.
+    __slots__ = _fields = ("outputs", "source", "defs", "constraints", "satisfying", "excluding")
+    _defaults = {"defs": (), "constraints": (), "satisfying": (), "excluding": ()}
 
 
 def quote(text: str) -> str:
@@ -162,10 +131,6 @@ def print_atom(atom: SpanAtom) -> str:
     return "^" + _print_conditions(tuple(conds))
 
 
-def print_atoms(atoms: tuple[SpanAtom, ...]) -> str:
-    return " + ".join(print_atom(a) for a in atoms)
-
-
 def print_condition(cond: SatCondition) -> str:
     if cond.kind == "contains":
         return f"str({cond.var}) contains {quote(cond.arg)}"
@@ -188,32 +153,3 @@ def print_condition(cond: SatCondition) -> str:
     if cond.kind == "desc_left":
         return f"[[{quote(cond.arg)}]] {cond.var}"
     raise ValueError(f"unknown condition kind {cond.kind!r}")
-
-
-def pretty_print(q: Query) -> str:
-    lines: list[str] = []
-    outs = ", ".join(f"{name}:{typ}" for name, typ in q.outputs)
-    lines.append(f"extract {outs} from {q.source} if (")
-    if q.defs:
-        lines.append("/ROOT:{")
-        for i, d in enumerate(q.defs):
-            comma = "," if i < len(q.defs) - 1 else ""
-            lines.append(f"    {d.name} = {print_atoms(d.atoms)}{comma}")
-        lines.append("}")
-    for c in q.constraints:
-        lines.append(f"({print_atoms(c.left)}) {c.op} ({c.right})")
-    lines.append(")")
-    for clause in q.satisfying:
-        lines.append(f"satisfying {clause.var}")
-        for i, wc in enumerate(clause.conditions):
-            tail = " or" if i < len(clause.conditions) - 1 else ""
-            lines.append(
-                f"    ({print_condition(wc.condition)} {{{format_number(wc.weight)}}}){tail}"
-            )
-        lines.append(f"with threshold {format_number(clause.threshold)}")
-    if q.excluding:
-        lines.append("excluding")
-        for i, cond in enumerate(q.excluding):
-            tail = " or" if i < len(q.excluding) - 1 else ""
-            lines.append(f"    ({print_condition(cond)}){tail}")
-    return "\n".join(lines) + "\n"

@@ -95,17 +95,10 @@ def find_token_seq(haystack: tuple[str, ...], needle: tuple[str, ...]) -> list[i
     return out
 
 
-def subsequence_positions(words: list[str], phrase: list[str]) -> list[int] | None:
-    """Leftmost in-order match of phrase within words, gaps allowed.
-
-    Returns the matched indices or None. Matching is case-insensitive,
-    which is how descriptor phrases are compared.
-    """
-    return in_order_positions([w.lower() for w in words], [w.lower() for w in phrase])
-
-
 def in_order_positions(words: list[str], phrase: Sequence[str]) -> list[int] | None:
-    """`subsequence_positions` for words and phrase already lowercased."""
+    """Leftmost in-order match of phrase within words, gaps allowed: the
+    matched indices, or None. Descriptor phrases are compared this way,
+    with words and phrase already lowercased."""
     if not phrase:
         return None
     out: list[int] = []

@@ -5,8 +5,10 @@ import os
 import pytest
 
 from koko.corpus import Corpus, load_corpus
+from koko.evidence import _descriptor_conf
 from koko.indexes import build_indexes, open_corpus
 from koko.parser import parse_query
+from koko.resources import Clause
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -33,6 +35,20 @@ def postings(bundle, offsets) -> list[tuple[int, int, int, int, int]]:
         tid, s = o - t.starts[sid], corpus.sentence(sid)
         out.append((sid, tid, s.left[tid], s.right[tid], t.depth[o]))
     return out
+
+
+def descriptor_conf(expansions, words: list[str]) -> float:
+    """The confidence of a descriptor's expansions on the right of a value
+    at the first of `words`, all one clause of weight 1, as evidence works
+    it out (`koko.evidence._descriptor_conf`): the best expansion's score
+    when its words follow the value in order, gaps allowed, and 0 when
+    none do. A match starting right after the value is not damped."""
+    lowered = tuple(w.lower() for w in words)
+    matched = []
+    for e in expansions:
+        phrase = tuple(w.lower() for w in e.words)
+        matched.append((phrase, e.score, frozenset(phrase)))
+    return _descriptor_conf(lowered, [Clause(tuple(range(len(words))), 1.0)], matched, 0, 0, True)
 
 
 def load_fixture_query(name: str):

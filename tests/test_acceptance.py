@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from koko.aggregate import EvidenceEvaluator, conf_descriptor
+from koko.evidence import EvidenceEvaluator
 from koko.bench import (
     effectiveness,
     generate_span_suite,
@@ -27,9 +27,9 @@ from koko.normalize import normalize
 from koko.oracle import oracle_evaluate
 from koko.parser import parse_query
 from koko.resources import Expansion, Resources
-from koko.syntax import pretty_print
 
-from .conftest import QUERY_FIXTURES, fixture_query_text, load_fixture_query, postings
+from .conftest import QUERY_FIXTURES, descriptor_conf, fixture_query_text, load_fixture_query, postings
+from .pretty import pretty_print
 
 SEED = 20240617
 
@@ -220,17 +220,17 @@ def test_criterion_9_formula_spot_checks():
     assert ev.eval_near("x", "a")[0] == 1.0
     assert abs(ev.eval_near("x", "y")[0] - 0.25) < 1e-12
 
-    assert abs(conf_descriptor(
+    assert abs(descriptor_conf(
         [Expansion(("serves", "coffee"), 1.0)],
-        [(["it", "serves", "great", "coffee", "daily"], 1.0)],
+        ["it", "serves", "great", "coffee", "daily"],
     ) - 1.0) < 1e-12
-    assert abs(conf_descriptor(
+    assert abs(descriptor_conf(
         [Expansion(("serves", "coffee"), 1.0), Expansion(("sells", "espresso"), 0.8)],
-        [(["they", "sells", "espresso"], 1.0)],
+        ["they", "sells", "espresso"],
     ) - 0.8) < 1e-12
-    assert conf_descriptor(
+    assert descriptor_conf(
         [Expansion(("serves", "coffee"), 1.0)],
-        [(["nothing", "here"], 1.0)],
+        ["nothing", "here"],
     ) == 0.0
 
     # Weighted-sum fixtures: a single full-weight boolean hit passes the

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koko.aggregate import EvidenceEvaluator, conf_descriptor
+from koko.evidence import EvidenceEvaluator
 from koko.bench import synthesize_corpus
 from koko.corpus import Corpus, parse_corpus
 from koko.engine import run_query
@@ -20,7 +20,7 @@ from koko.resources import Expansion, Resources, WordVectors
 from koko.syntax import SatCondition
 from koko.textutil import find_token_seq
 
-from .conftest import QUERY_FIXTURES, load_fixture_query
+from .conftest import QUERY_FIXTURES, descriptor_conf, load_fixture_query
 
 CAFE_TSV = """# doc_id = cafes.txt
 0	0	Blue	propn	nn	1	B-Entity
@@ -80,35 +80,40 @@ def _evaluator(corpus, resources=None):
     return EvidenceEvaluator(corpus, res, list(range(len(corpus))))
 
 
+def _boolean(ev, cond, value):
+    """A boolean condition's m for the value, as the engine measures it."""
+    return ev.measure(ev.plan.scorer(cond), value)[0]
+
+
 def test_contains_vs_mentions():
     corpus = Corpus(parse_corpus("0\t0\tx\tnoun\troot\t-1\tO\n"))
     ev = _evaluator(corpus)
     value = "chocolate ice cream"
-    assert ev.eval_boolean(SatCondition("contains", "x", "ice"), value) == 1.0
-    assert ev.eval_boolean(SatCondition("mentions", "x", "choc"), value) == 1.0
-    assert ev.eval_boolean(SatCondition("contains", "x", "choc"), value) == 0.0
-    assert ev.eval_boolean(SatCondition("contains", "x", "ice cream"), value) == 1.0
+    assert _boolean(ev, SatCondition("contains", "x", "ice"), value) == 1.0
+    assert _boolean(ev, SatCondition("mentions", "x", "choc"), value) == 1.0
+    assert _boolean(ev, SatCondition("contains", "x", "choc"), value) == 0.0
+    assert _boolean(ev, SatCondition("contains", "x", "ice cream"), value) == 1.0
 
 
 def test_matches_is_full_string():
     corpus = Corpus(parse_corpus("0\t0\tx\tnoun\troot\t-1\tO\n"))
     ev = _evaluator(corpus)
-    assert ev.eval_boolean(SatCondition("matches", "x", "[Ll]a Marzocco"), "La Marzocco") == 1.0
-    assert ev.eval_boolean(SatCondition("matches", "x", "Marzocco"), "La Marzocco") == 0.0
+    assert _boolean(ev, SatCondition("matches", "x", "[Ll]a Marzocco"), "La Marzocco") == 1.0
+    assert _boolean(ev, SatCondition("matches", "x", "Marzocco"), "La Marzocco") == 0.0
 
 
 def test_matches_empty_alternation_never_fires():
     corpus = Corpus(parse_corpus("0\t0\tx\tnoun\troot\t-1\tO\n"))
     ev = _evaluator(corpus)
-    assert ev.eval_boolean(SatCondition("matches", "x", "a[b]c"), "") == 0.0
+    assert _boolean(ev, SatCondition("matches", "x", "a[b]c"), "") == 0.0
 
 
 def test_followed_by_adjacency(cafe_env):
     corpus, _, _ = cafe_env
     ev = _evaluator(corpus)
-    assert ev.eval_boolean(SatCondition("followed_by", "x", ", a cafe"), "Blue Bottle") == 1.0
-    assert ev.eval_boolean(SatCondition("followed_by", "x", "a cafe"), "Blue Bottle") == 0.0
-    assert ev.eval_boolean(SatCondition("preceded_by", "x", "Blue"), "Bottle") == 1.0
+    assert _boolean(ev, SatCondition("followed_by", "x", ", a cafe"), "Blue Bottle") == 1.0
+    assert _boolean(ev, SatCondition("followed_by", "x", "a cafe"), "Blue Bottle") == 0.0
+    assert _boolean(ev, SatCondition("preceded_by", "x", "Blue"), "Bottle") == 1.0
 
 
 def test_token_sequences_match_on_tuple_columns():
@@ -126,9 +131,9 @@ def test_token_sequences_match_on_tuple_columns():
     assert isinstance(words, tuple)
     assert find_token_seq(words, ("hot", "coffee")) == [3]
     ev = _evaluator(corpus)
-    assert ev.eval_boolean(SatCondition("followed_by", "x", "serves hot"), "Blue Bottle") == 1.0
-    assert ev.eval_boolean(SatCondition("preceded_by", "x", "Bottle serves"), "hot coffee") == 1.0
-    assert ev.eval_boolean(SatCondition("contains", "x", "hot coffee"), "serves hot coffee") == 1.0
+    assert _boolean(ev, SatCondition("followed_by", "x", "serves hot"), "Blue Bottle") == 1.0
+    assert _boolean(ev, SatCondition("preceded_by", "x", "Bottle serves"), "hot coffee") == 1.0
+    assert _boolean(ev, SatCondition("contains", "x", "hot coffee"), "serves hot coffee") == 1.0
     # The word sequence is skipped by the plan and aligned to the gap left
     # of "coffee", which compares the sentence's tokens with the literal's.
     query = parse_query('extract v:Str from "t" if (/ROOT:{ v = "serves hot" + "coffee" })')
@@ -141,10 +146,10 @@ def test_in_dict_requires_known_dictionary(cafe_env):
     res = Resources()
     res.dictionaries.add("Location", {"Portland"})
     ev = _evaluator(corpus, res)
-    assert ev.eval_boolean(SatCondition("in_dict", "x", "Location"), "Portland") == 1.0
-    assert ev.eval_boolean(SatCondition("in_dict", "x", "Location"), "Seattle") == 0.0
+    assert _boolean(ev, SatCondition("in_dict", "x", "Location"), "Portland") == 1.0
+    assert _boolean(ev, SatCondition("in_dict", "x", "Location"), "Seattle") == 0.0
     with pytest.raises(KokoResourceError, match="Nowhere"):
-        ev.eval_boolean(SatCondition("in_dict", "x", "Nowhere"), "Portland")
+        _boolean(ev, SatCondition("in_dict", "x", "Nowhere"), "Portland")
 
 
 def test_near_distance_zero_is_one():
@@ -201,20 +206,17 @@ def test_near_bounds_property(cafe_env):
 
 def test_conf_descriptor_in_order_with_gaps():
     e = [Expansion(("serves", "coffee"), 1.0)]
-    c = [(["it", "serves", "great", "coffee", "daily"], 1.0)]
-    assert conf_descriptor(e, c) == 1.0
+    assert descriptor_conf(e, ["it", "serves", "great", "coffee", "daily"]) == 1.0
 
 
 def test_conf_descriptor_takes_best_expansion():
     e = [Expansion(("serves", "coffee"), 1.0), Expansion(("sells", "espresso"), 0.8)]
-    c = [(["they", "sells", "espresso"], 1.0)]
-    assert conf_descriptor(e, c) == pytest.approx(0.8, abs=1e-15)
+    assert descriptor_conf(e, ["they", "sells", "espresso"]) == pytest.approx(0.8, abs=1e-15)
 
 
 def test_conf_descriptor_absent_words():
     e = [Expansion(("serves", "coffee"), 1.0)]
-    c = [(["nothing", "relevant", "here"], 1.0)]
-    assert conf_descriptor(e, c) == 0.0
+    assert descriptor_conf(e, ["nothing", "relevant", "here"]) == 0.0
 
 
 def test_descriptor_window_is_one_sided(cafe_env):
@@ -351,8 +353,8 @@ def test_boolean_idempotence_under_duplication():
     c1 = Corpus(parse_corpus(sent(0)))
     c2 = Corpus(parse_corpus(sent(0) + "\n" + sent(1)))
     cond = SatCondition("contains", "x", "Roasters")
-    assert _evaluator(c1).eval_boolean(cond, "Ritual Roasters") == 1.0
-    assert _evaluator(c2).eval_boolean(cond, "Ritual Roasters") == 1.0
+    assert _boolean(_evaluator(c1), cond, "Ritual Roasters") == 1.0
+    assert _boolean(_evaluator(c2), cond, "Ritual Roasters") == 1.0
 
 
 def test_descriptor_monotonicity_added_evidence():
@@ -417,7 +419,7 @@ def test_evidence_scoped_per_document():
 
 
 def test_query_without_evidence_is_a_projection(ex31_corpus, ex31_bundle, monkeypatch):
-    import koko.aggregate
+    import koko.evidence
 
     q = parse_query('extract v:Str from "d" if (/ROOT:{ v = //verb })')
     expected = run_query(q, ex31_corpus, ex31_bundle).rows
@@ -426,7 +428,7 @@ def test_query_without_evidence_is_a_projection(ex31_corpus, ex31_bundle, monkey
     def unused(*args, **kwargs):
         raise AssertionError("a query without evidence needs no document")
 
-    monkeypatch.setattr(koko.aggregate, "EvidenceEvaluator", unused)
+    monkeypatch.setattr(koko.evidence, "EvidenceEvaluator", unused)
     monkeypatch.setattr(Corpus, "doc_index_of", unused)
     assert run_query(q, ex31_corpus, ex31_bundle).rows == expected
 
@@ -435,7 +437,7 @@ def test_projection_rows_follow_the_key_order_of_out_of_order_outputs(monkeypatc
     # Outputs named w, a: a row's key orders them a, w. The projection
     # sorts its tuples once, by that key, and touches no document. Two
     # independent paths give every pair in a sentence.
-    import koko.aggregate
+    import koko.evidence
 
     docs = synthesize_corpus(23, 150)
     corpus, bundle = Corpus(docs), build_indexes(docs)
@@ -449,7 +451,7 @@ def test_projection_rows_follow_the_key_order_of_out_of_order_outputs(monkeypatc
     def unused(*args, **kwargs):
         raise AssertionError("a projection needs no document")
 
-    monkeypatch.setattr(koko.aggregate, "EvidenceEvaluator", unused)
+    monkeypatch.setattr(koko.evidence, "EvidenceEvaluator", unused)
     monkeypatch.setattr(Corpus, "doc_index_of", unused)
     rows = run_query(q, corpus, bundle).rows
     assert [(r.key(), r.to_json()) for r in rows] == [(r.key(), r.to_json()) for r in oracle]
@@ -462,7 +464,7 @@ def test_a_query_lowers_each_sentence_and_renders_each_condition_once(monkeypatc
     # and its expansions lowercased once. A sentence's words are lowercased
     # once for every value and both descriptor sides, by the one evaluator
     # of its document. The rows are those of a fresh evaluation.
-    import koko.aggregate
+    import koko.evidence
     from koko.syntax import print_condition
 
     docs = synthesize_corpus(5, 60, entity_rate=0.6, sentences_per_doc=4)
@@ -477,20 +479,20 @@ def test_a_query_lowers_each_sentence_and_renders_each_condition_once(monkeypatc
     assert len({r.sid // 4 for r in run_query(q, corpus, bundle).rows}) > 1  # rows of several documents
     plans, evaluators, rendered, expanded = [], [], [], []
 
-    class RecordedPlan(koko.aggregate.QueryPlan):
+    class RecordedPlan(koko.evidence.QueryPlan):
         def __init__(self, resources):
             super().__init__(resources)
             plans.append(self)
 
-    class RecordedEvaluator(koko.aggregate.EvidenceEvaluator):
+    class RecordedEvaluator(koko.evidence.EvidenceEvaluator):
         def __init__(self, *args):
             super().__init__(*args)
             evaluators.append(self)
 
     expand = Resources.expand
-    monkeypatch.setattr(koko.aggregate, "QueryPlan", RecordedPlan)
-    monkeypatch.setattr(koko.aggregate, "EvidenceEvaluator", RecordedEvaluator)
-    monkeypatch.setattr(koko.aggregate, "print_condition", lambda c: rendered.append(c) or print_condition(c))
+    monkeypatch.setattr(koko.evidence, "QueryPlan", RecordedPlan)
+    monkeypatch.setattr(koko.evidence, "EvidenceEvaluator", RecordedEvaluator)
+    monkeypatch.setattr(koko.evidence, "print_condition", lambda c: rendered.append(c) or print_condition(c))
     monkeypatch.setattr(Resources, "expand", lambda self, phrase: expanded.append(phrase) or expand(self, phrase))
     rows = run_query(q, corpus, bundle, keep_failed=True).rows
     assert [(r.to_json(), r.passed, r.excluded_by) for r in rows] == expected
@@ -511,7 +513,7 @@ def test_kept_rows_are_the_passing_rows_of_keep_failed_and_only_they_build_score
     # rows of keep_failed=False are the passing, non-excluded rows of
     # keep_failed=True, and each run builds score objects for the rows it
     # returns only.
-    import koko.aggregate
+    import koko.evidence
 
     docs = synthesize_corpus(17, 300, vocabulary=60, entity_rate=0.8, sentences_per_doc=5)
     corpus, bundle = Corpus(docs), build_indexes(docs)
@@ -538,8 +540,8 @@ def test_kept_rows_are_the_passing_rows_of_keep_failed_and_only_they_build_score
     )
     conditions = len(q.satisfying[0].conditions)
     built = []
-    condition_score = koko.aggregate.ConditionScore
-    monkeypatch.setattr(koko.aggregate, "ConditionScore", lambda *a: built.append(a) or condition_score(*a))
+    condition_score = koko.evidence.ConditionScore
+    monkeypatch.setattr(koko.evidence, "ConditionScore", lambda *a: built.append(a) or condition_score(*a))
     for vectors in (None, WordVectors(str(vectors_file))):
         def resources():
             res = Resources(expansion_table=table, vectors=vectors, decomposer="clauses")

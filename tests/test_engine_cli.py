@@ -190,7 +190,7 @@ def test_explain_gsp_prints_plans_and_counts(monkeypatch, capsys, ex31_corpus, e
     # One line per skip plan, whose sentences add up to the candidates,
     # then the run's totals; no row is built and no evidence scored.
     import koko.engine
-    from koko.aggregate import EvidenceEvaluator
+    from koko.evidence import EvidenceEvaluator
 
     runs = {name: run_query(load_fixture_query(name), ex31_corpus, ex31_bundle) for name in QUERY_FIXTURES}
     monkeypatch.setattr(koko.engine, "finalize_results", lambda *a, **k: pytest.fail("finalized"))
@@ -345,6 +345,33 @@ def test_console_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert "chocolate ice cream" in proc.stdout
+
+
+def test_a_query_process_loads_neither_the_oracle_nor_the_bench():
+    # Only verify runs the oracle and only bench the suites: a fresh query
+    # process imports neither, nor the dataclass machinery.
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from koko.cli import main\n"
+        f"code = main(['query', '--query', {EX21!r}, '--corpus', {EX31!r}])\n"
+        "print(sorted(set(sys.modules) - before), code)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+    loaded, code = proc.stdout.strip().splitlines()[-1].rsplit(" ", 1)
+    assert code == "0" and "koko.cli" in loaded and "koko.engine" in loaded
+    for module in ("koko.oracle", "koko.bench", "dataclasses", "inspect"):
+        assert repr(module) not in loaded, module
+
+
+def test_oracle_evaluate_loads_at_first_use():
+    import koko
+    import koko.oracle
+    from koko import oracle_evaluate
+
+    assert oracle_evaluate is koko.oracle.oracle_evaluate
+    with pytest.raises(AttributeError, match="no_such_name"):
+        koko.no_such_name
 
 
 def test_keep_failed_rows_expose_pass_fail(ex31_corpus, ex31_bundle):

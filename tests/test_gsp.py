@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from koko import gsp
+from koko import nested
 from koko.bench import synthesize_corpus
 from koko.corpus import Corpus, parse_corpus
 from koko.dpli import candidate_bindings
@@ -334,12 +334,12 @@ def test_query_compiles_once_per_distinct_plan(synthetic_env, monkeypatch):
     corpus, bundle = synthetic_env
     built: list[tuple] = []
 
-    class Counted(gsp.CompiledPlan):
+    class Counted(nested.CompiledPlan):
         def __init__(self, n, table, plan):
             built.append(plan.key)
             super().__init__(n, table, plan)
 
-    monkeypatch.setattr(gsp, "CompiledPlan", Counted)
+    monkeypatch.setattr(nested, "CompiledPlan", Counted)
     q = parse_query(SHARED_QUERY)
     run = run_query(q, corpus, bundle)
     n, table = run.normalized, run.table

@@ -20,10 +20,10 @@ from koko.syntax import (
     VarAtom,
     VarDef,
     WeightedCondition,
-    pretty_print,
 )
 
 from .conftest import QUERY_FIXTURES, fixture_query_text
+from .pretty import pretty_print
 
 
 @pytest.mark.parametrize("name", QUERY_FIXTURES)
@@ -229,3 +229,36 @@ def _query(draw):
 @settings(max_examples=80, deadline=None)
 def test_round_trip_property(q):
     assert parse_query(pretty_print(q)) == q
+
+
+def test_nodes_of_different_types_with_equal_fields_differ():
+    # A named tuple of either type would equal the other and hash alike.
+    nodes = [VarAtom("x"), SubtreeAtom("x"), TokensAtom("x")]
+    assert all(a != b for i, a in enumerate(nodes) for b in nodes[i + 1 :])
+    assert VarAtom("x") != ("x",)
+    keyed = {node: i for i, node in enumerate(nodes)}
+    assert len(keyed) == 3 and keyed[SubtreeAtom("x")] == 1
+
+
+def test_sat_condition_is_hashable_and_equal_to_its_reparse():
+    q = parse_query(fixture_query_text("ex23"))
+    again = parse_query(pretty_print(q))
+    for wc, wc_again in zip(q.satisfying[0].conditions, again.satisfying[0].conditions):
+        cond = wc.condition
+        assert cond == wc_again.condition and cond is not wc_again.condition
+        assert hash(cond) == hash(wc_again.condition)
+        assert {cond: 1}[wc_again.condition] == 1
+    assert hash(q) == hash(again)
+
+
+def test_nodes_are_immutable_records():
+    cond = SatCondition("contains", "x", "ice")
+    assert cond == SatCondition(kind="contains", var="x", arg="ice")
+    assert repr(cond) == "SatCondition(kind='contains', var='x', arg='ice')"
+    with pytest.raises(AttributeError):
+        cond.arg = "cream"
+    assert Step("/", "nsubj", "name") == Step("/", "nsubj", "name", ())
+    with pytest.raises(TypeError):
+        SatCondition("contains", "x")
+    with pytest.raises(TypeError):
+        SatCondition("contains", "x", "ice", kind="near")
