@@ -348,16 +348,6 @@ class HierarchyIndex(Record):
         """Number of merged nodes, super-root excluded."""
         return len(self.labels) - 1
 
-    def lookup(self, steps: list[tuple[str, str]]) -> list[int]:
-        """Sorted union of posting lists over nodes whose root path matches.
-
-        ``steps`` are (axis, label) pairs where label may be ``*``. ``/``
-        consumes exactly one edge, ``//`` one or more; both start from the
-        super-root, so a leading ``//`` reaches the depth-0 tokens too.
-        """
-        nodes = self.match_nodes(steps)
-        return list(self.read(nodes, self.postings.size(nodes)))
-
     def read(self, nodes: set[int], size: int, within: Sentences | None = None) -> Sequence[int]:
         """The offsets of the tokens of `nodes`, `size` postings in all, in
         the sentences of `within` (every sentence when None; see
@@ -366,6 +356,10 @@ class HierarchyIndex(Record):
         return postings.read(nodes, size, within, lambda: postings.owners(within.tokens.starts[-1]))
 
     def match_nodes(self, steps: list[tuple[str, str]]) -> set[int]:
+        """The nodes whose root path matches ``steps``, (axis, label) pairs
+        where label may be ``*``. ``/`` consumes exactly one edge, ``//``
+        one or more; both start from the super-root, so a leading ``//``
+        reaches the depth-0 tokens too."""
         positions = {0}
         for axis, label in steps:
             nxt: set[int] = set()

@@ -1,4 +1,4 @@
-"""Hand-written lexer and recursive-descent parser for query text.
+"""Regular-expression tokenizer and recursive-descent parser for query text.
 
 Every diagnostic carries a line/column pair. The accepted surface covers
 node and span definitions inside a ``/ROOT:{...}`` block, ``in``/``eq``
@@ -9,11 +9,14 @@ are accepted with or without the leading ``@`` (canonical form has it).
 
 from __future__ import annotations
 
+import math
+import re
+
 from .errors import KokoSyntaxError
 from .record import Record
 from .syntax import (
     Constraint, ElasticAtom, NodeCondition, PathAtom, PathExpr, Query, SatCondition, SatisfyingClause, SpanAtom,
-    Step, SubtreeAtom, TokensAtom, VarAtom, VarDef, WeightedCondition,
+    Step, SubtreeAtom, TokensAtom, VarAtom, VarDef, WeightedCondition, quote,
 )
 from .textutil import compile_pattern
 
@@ -31,92 +34,45 @@ class Tok(Record):
     __slots__ = _fields = ("kind", "value", "line", "col")  # kind: ident | string | number | op | eof
 
 
-_TWO_CHAR_OPS = ("//", "[[", "]]")
-_ONE_CHAR_OPS = set("(){}[]:,=+^/*@~.<>")
+# One alternative per token class, tried in order: the two-character
+# operators before the one-character ones, and `bad` last, so that every
+# position of the text matches and `finditer` walks it end to end.
+_TOKEN = re.compile(
+    r"""(?P<blank>[ \t\r\n]+)
+      | (?P<comment>\#[^\n]*)
+      | (?P<string>"(?:[^"\\\n]|\\.)*")
+      | (?P<number>\d+(?:\.\d+)?)
+      | (?P<ident>[^\W\d]\w*)
+      | (?P<op>//|\[\[|\]\]|[(){}\[\]:,=+^/*@~.<>])
+      | (?P<bad>.)""",
+    re.VERBOSE | re.DOTALL,
+)
+_ESCAPE = re.compile(r'\\(["\\])')
 
 
 def _lex(text: str) -> list[Tok]:
+    """The tokens of `text`, then an eof token. A string's value is its
+    text between the quotes with `\\"` and `\\\\` unescaped; every other
+    token's value is its source text. A comment takes no columns."""
     toks: list[Tok] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if ch == '"':
-            i += 1
-            col += 1
-            buf: list[str] = []
-            while i < n and text[i] != '"':
-                c = text[i]
-                if c == "\n":
-                    raise KokoSyntaxError("unterminated string literal", start_line, start_col)
-                if c == "\\" and i + 1 < n:
-                    nxt = text[i + 1]
-                    if nxt in ('"', "\\"):
-                        buf.append(nxt)
-                    else:
-                        # Lenient passthrough keeps regex escapes readable.
-                        buf.append(c)
-                        buf.append(nxt)
-                    i += 2
-                    col += 2
-                    continue
-                buf.append(c)
-                i += 1
-                col += 1
-            if i >= n:
-                raise KokoSyntaxError("unterminated string literal", start_line, start_col)
-            i += 1
-            col += 1
-            toks.append(Tok("string", "".join(buf), start_line, start_col))
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            toks.append(Tok("number", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Tok("ident", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        two = text[i : i + 2]
-        if two in _TWO_CHAR_OPS:
-            toks.append(Tok("op", two, start_line, start_col))
-            i += 2
-            col += 2
-            continue
-        if ch in _ONE_CHAR_OPS:
-            toks.append(Tok("op", ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise KokoSyntaxError(f"unexpected character {ch!r}", line, col)
-    toks.append(Tok("eof", "", line, col))
+    line, line_start, end = 1, 0, 0
+    for m in _TOKEN.finditer(text):
+        kind, value, col = m.lastgroup, m.group(), m.start() - line_start + 1
+        # `\w` also holds digits that are not decimal, such as '²': no
+        # identifier starts with one.
+        if kind == "bad" or kind == "ident" and not (value[0].isalpha() or value[0] == "_"):
+            message = "unterminated string literal" if value == '"' else f"unexpected character {value[0]!r}"
+            raise KokoSyntaxError(message, line, col)
+        if kind == "string":
+            toks.append(Tok(kind, _ESCAPE.sub(r"\1", value[1:-1]), line, col))
+        elif kind != "blank" and kind != "comment":
+            toks.append(Tok(kind, value, line, col))
+        if kind != "comment":
+            end = m.end()
+        if "\n" in value:
+            line += value.count("\n")
+            line_start = m.start() + value.rindex("\n") + 1
+    toks.append(Tok("eof", "", line, end - line_start + 1))
     return toks
 
 
@@ -156,7 +112,7 @@ class _Parser:
         tok = self.next()
         if tok.kind != "ident":
             raise self.error(f"expected {what}, found {tok.value or 'end of input'!r}", tok)
-        if tok.value in KEYWORDS or self._is_similar_kw(tok.value):
+        if tok.value in KEYWORDS or tok.value.lower() == "similarto":
             raise self.error(f"{tok.value!r} is a reserved word", tok)
         return tok
 
@@ -166,15 +122,22 @@ class _Parser:
             raise self.error(f"expected {what}", tok)
         return tok
 
-    def expect_number(self, what: str = "number") -> float:
+    def expect_number(self, what: str = "number") -> int | float:
+        """The next token's value: an exact int when its fraction is absent
+        or zero, else a float. A value that a float cannot hold finitely is
+        an error."""
         tok = self.next()
         if tok.kind != "number":
             raise self.error(f"expected {what}", tok)
-        return float(tok.value)
-
-    @staticmethod
-    def _is_similar_kw(word: str) -> bool:
-        return word.lower() == "similarto"
+        number = float(tok.value)
+        if number == math.inf:
+            raise self.error(f"{what} is too large", tok)
+        whole, _, fraction = tok.value.partition(".")
+        if any(map(int, fraction)):
+            return number
+        # A finite integer has at most 309 digits after its leading zeros,
+        # and int() refuses a text of more than 4300 digits.
+        return int(whole[-309:])
 
     def at_op(self, value: str) -> bool:
         tok = self.peek()
@@ -235,7 +198,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "string":
             self.next()
-            return '"' + tok.value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+            return quote(tok.value)
         if tok.kind == "op" and tok.value == "<":
             self.next()
             name = self.next()
@@ -322,9 +285,7 @@ class _Parser:
         if tok.kind == "op" and tok.value in ("/", "//"):
             return [PathAtom(self._path(base=None))]
         if tok.kind == "ident":
-            if tok.value in KEYWORDS or self._is_similar_kw(tok.value):
-                raise self.error(f"{tok.value!r} is a reserved word", tok)
-            self.next()
+            self.expect_ident()
             if self.at_op(".") and self.peek(1).kind == "ident" and self.peek(1).value == "subtree":
                 self.next()
                 self.next()
@@ -356,8 +317,6 @@ class _Parser:
                 if c.key == "regex":
                     compile_pattern(c.value)
             steps.append(Step(axis=axis, label=label, kind=kind, conditions=conditions))
-        if not steps:
-            raise self.error("empty path expression")
         return PathExpr(base=base, steps=tuple(steps))
 
     def _conditions(self, allowed: set[str]) -> list[NodeCondition]:
@@ -376,9 +335,9 @@ class _Parser:
             self.expect_op("=")
             if key_tok.value in ("min", "max"):
                 num = self.expect_number("token count")
-                if num != int(num) or num < 0:
+                if type(num) is not int:
                     raise self.error(f"@{key_tok.value} must be a non-negative integer", key_tok)
-                out.append(NodeCondition(key_tok.value, str(int(num))))
+                out.append(NodeCondition(key_tok.value, str(num)))
             else:
                 val = self.expect_string(f"value for @{key_tok.value}")
                 out.append(NodeCondition(key_tok.value, val.value))
@@ -415,9 +374,7 @@ class _Parser:
             raise self.error("satisfying clause requires 'with threshold <number>'")
         self.next()
         self.expect_kw("threshold")
-        threshold = self.expect_number("threshold")
-        if threshold < 0:
-            raise self.error("threshold must be non-negative")
+        threshold = float(self.expect_number("threshold"))
         return SatisfyingClause(
             var=var.value,
             conditions=tuple(WeightedCondition(c, w) for c, w in conditions),
@@ -439,7 +396,7 @@ class _Parser:
             open_tok = self.next()
             if not weights:
                 raise self.error("excluding conditions take no weight", open_tok)
-            weight = self.expect_number("weight")
+            weight = float(self.expect_number("weight"))
             self.expect_op("}")
             if not 0.0 <= weight <= 1.0:
                 raise self.error("weight must lie in [0, 1]", open_tok)
@@ -448,12 +405,6 @@ class _Parser:
 
     def _condition_body(self) -> SatCondition:
         tok = self.peek()
-        if tok.kind == "ident" and tok.value == "str":
-            self.next()
-            self.expect_op("(")
-            var = self.expect_ident("variable inside str(...)")
-            self.expect_op(")")
-            return self._str_condition(var.value)
         if tok.kind == "string":
             self.next()
             var = self.expect_ident("variable after literal")
@@ -462,27 +413,32 @@ class _Parser:
             phrase = self._descriptor_phrase()
             var = self.expect_ident("variable after descriptor")
             return SatCondition("desc_left", var.value, phrase)
-        if tok.kind == "ident":
-            var = self.expect_ident("variable")
-            return self._var_condition(var.value)
-        raise self.error("expected a condition", tok)
+        if tok.kind != "ident":
+            raise self.error("expected a condition", tok)
+        if tok.value == "str":
+            self.next()
+            self.expect_op("(")
+            var = self.expect_ident("variable inside str(...)").value
+            self.expect_op(")")
+        else:
+            var = self.expect_ident("variable").value
+        op = self.peek()
+        # `x similarTo "p"`, `x ~ "p"` and both with `str(x)` are one condition.
+        if op.kind == "op" and op.value == "~" or op.kind == "ident" and op.value.lower() == "similarto":
+            self.next()
+            phrase = self.expect_string("phrase after '~'" if op.value == "~" else "phrase after similarTo")
+            return SatCondition("similar_to", var, phrase.value)
+        return self._str_condition(var) if tok.value == "str" else self._var_condition(var)
 
     def _str_condition(self, var: str) -> SatCondition:
         op = self.next()
-        if op.kind == "op" and op.value == "~":
-            phrase = self.expect_string("phrase after '~'")
-            return SatCondition("similar_to", var, phrase.value)
         if op.kind != "ident":
             raise self.error("expected condition operator after str(...)", op)
-        if self._is_similar_kw(op.value):
-            phrase = self.expect_string("phrase after similarTo")
-            return SatCondition("similar_to", var, phrase.value)
         if op.value in ("contains", "mentions", "matches"):
             lit = self.expect_string(f"literal after {op.value}")
             if op.value == "matches":
                 compile_pattern(lit.value)
-            kind = {"contains": "contains", "mentions": "mentions", "matches": "matches"}[op.value]
-            return SatCondition(kind, var, lit.value)
+            return SatCondition(op.value, var, lit.value)
         if op.value == "in":
             self.expect_kw("dict")
             self.expect_op("(")
@@ -493,14 +449,6 @@ class _Parser:
 
     def _var_condition(self, var: str) -> SatCondition:
         tok = self.peek()
-        if tok.kind == "op" and tok.value == "~":
-            self.next()
-            phrase = self.expect_string("phrase after '~'")
-            return SatCondition("similar_to", var, phrase.value)
-        if tok.kind == "ident" and self._is_similar_kw(tok.value):
-            self.next()
-            phrase = self.expect_string("phrase after similarTo")
-            return SatCondition("similar_to", var, phrase.value)
         if tok.kind == "ident" and tok.value == "near":
             self.next()
             lit = self.expect_string("literal after near")

@@ -276,6 +276,16 @@ def _split_clauses(words: Sequence[str]) -> list[Clause]:
     return clauses or [Clause(tuple(range(n)), 1.0)]
 
 
+def _clause(tokens: list, score: object) -> Clause:
+    """A clause of a clause file's record: its token ids JSON integers,
+    its score a finite number (JSON booleans are neither)."""
+    if any(type(t) is not int for t in tokens):
+        raise ValueError(f"token ids {tokens!r} are not all integers")
+    if type(score) not in (int, float) or not math.isfinite(score):
+        raise ValueError(f"score {score!r} is not a finite number")
+    return Clause(tuple(tokens), float(score))
+
+
 def load_clause_file(path: str) -> dict[int, list[Clause]]:
     """JSON Lines: {"sid": n, "clauses": [{"tokens": [...], "score": s}]}"""
     out: dict[int, list[Clause]] = {}
@@ -284,10 +294,7 @@ def load_clause_file(path: str) -> dict[int, list[Clause]]:
             continue
         try:
             row = json.loads(line)
-            out[int(row["sid"])] = [
-                Clause(tuple(int(t) for t in c["tokens"]), float(c.get("score", 1.0)))
-                for c in row["clauses"]
-            ]
+            out[int(row["sid"])] = [_clause(c["tokens"], c.get("score", 1.0)) for c in row["clauses"]]
         except (KeyError, ValueError, TypeError, AttributeError, OverflowError) as exc:
             raise KokoResourceError(f"{path}:{lineno}: bad clause record: {exc}") from None
     return out

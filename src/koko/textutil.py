@@ -40,7 +40,9 @@ def compile_pattern(pattern: str) -> re.Pattern[str]:
     _check_dialect(pattern)
     try:
         return re.compile(pattern)
-    except re.error as exc:
+    except (re.error, OverflowError, RecursionError) as exc:
+        # OverflowError: a repeat count above sre's limit; RecursionError:
+        # groups nested too deep for the compiler.
         raise KokoQueryError(f"invalid regex {pattern!r}: {exc}") from None
 
 

@@ -37,6 +37,14 @@ def postings(bundle, offsets) -> list[tuple[int, int, int, int, int]]:
     return out
 
 
+def path_offsets(index, steps) -> list[int]:
+    """The sorted token offsets of the nodes of a PL or POS index whose root
+    path matches `steps`, (axis, label) pairs with label possibly `*`: `/`
+    consumes one edge, `//` one or more, both from the super-root."""
+    nodes = index.match_nodes(steps)
+    return list(index.read(nodes, index.postings.size(nodes)))
+
+
 def descriptor_conf(expansions, words: list[str]) -> float:
     """The confidence of a descriptor's expansions on the right of a value
     at the first of `words`, all one clause of weight 1, as evidence works

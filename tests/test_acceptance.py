@@ -28,7 +28,7 @@ from koko.oracle import oracle_evaluate
 from koko.parser import parse_query
 from koko.resources import Expansion, Resources
 
-from .conftest import QUERY_FIXTURES, descriptor_conf, fixture_query_text, load_fixture_query, postings
+from .conftest import QUERY_FIXTURES, descriptor_conf, fixture_query_text, load_fixture_query, path_offsets, postings
 from .pretty import pretty_print
 
 SEED = 20240617
@@ -113,7 +113,7 @@ def test_criterion_1_golden_index_contents(ex31_bundle):
     }
     for path, rows in pl_rows.items():
         steps = [("/", label) for label in path.strip("/").split("/")]
-        got = postings(ex31_bundle, ex31_bundle.pl.lookup(steps))
+        got = postings(ex31_bundle, path_offsets(ex31_bundle.pl, steps))
         assert got == rows, path
     _report(1, "golden index contents", t0, 1.0)
 

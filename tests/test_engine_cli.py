@@ -752,3 +752,73 @@ def test_malformed_corpus_fuzz_exits_2(data):
             code = main(["query", "--query", EX21, "--corpus", path])
     assert code == 2
     assert err.getvalue().startswith("error: ") and len(err.getvalue().strip()) > len("error:")
+
+
+_DEEP_REGEX = "(" * 1000 + "a" + ")" * 1000
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('extract v:Str from "x" if (/ROOT:{ v = "a" + ^[@max=²] })', "unexpected character '²' (line 1, column 53)"),
+        ('extract v:Str from "x" if (/ROOT:{ v = "a" + ^[@max=' + "9" * 400 + "] })",
+         "token count is too large (line 1, column 53)"),
+        ('extract v:Str from "x" if (/ROOT:{ v = "a\\\nb" })\n$', "unexpected character '$' (line 3, column 1)"),
+        ('extract v:Str from "x" if (/ROOT:{ v = //nsubj[@regex="a{99999999999}"] })', "invalid regex"),
+        ('extract v:Str from "x" if (/ROOT:{ v = "a" + ^[@regex="%s"] })' % _DEEP_REGEX, "invalid regex"),
+        ('extract v:Str from "x" if (/ROOT:{ v = //verb }) satisfying v (str(v) matches "%s" {1}) '
+         "with threshold 0" % _DEEP_REGEX, "invalid regex"),
+    ],
+    ids=["superscript-digit", "400-digits", "backslash-newline", "huge-repeat", "deep-elastic", "deep-matches"],
+)
+def test_malformed_query_reproductions_exit_3(tmp_path, capsys, text, message):
+    q = tmp_path / "q.koko"
+    q.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(["query", "--query", str(q), "--corpus", EX31], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+with open(EX21, encoding="utf-8") as _f:
+    EX21_TEXT = _f.read()
+
+_NUMBERS = ["3", "3.0", "²", "①", "1²", "9" * 400, "9" * 400 + ".5", str(2**53 + 1), "12345678901234567890"]
+_REGEXES = ["a+", "a{99999999999}", _DEEP_REGEX, "(" * 200 + "a", "[", "a{2,1}"]
+_TEMPLATES = [
+    EX21_TEXT,
+    'extract v:Str from "x" if (/ROOT:{ v = "a" + ^[@min=0, @max=N] })\n',
+    'extract v:Str from "x" if (/ROOT:{ v = //verb[@regex="R"] })\n',
+    'extract v:Str from "x" if (/ROOT:{ v = "a" + ^[@regex="R"] })\n',
+    'extract v:Str from "x" if (/ROOT:{ v = //verb })\nsatisfying v (str(v) matches "R" {1}) with threshold N\n',
+]
+
+
+@st.composite
+def _broken_query(draw) -> str:
+    """A query with numbers beyond what a float holds exactly or at all,
+    digits that are not decimal, regexes beyond the compiler's limits, and
+    perhaps one more such piece, a backslash-newline or a stray quote
+    inserted anywhere."""
+    text = draw(st.sampled_from(_TEMPLATES))
+    number = draw(st.sampled_from(_NUMBERS) | st.integers(2**53, 2**80).map(str))
+    text = text.replace("N", number).replace('"R"', '"%s"' % draw(st.sampled_from(_REGEXES)))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        extra = draw(st.sampled_from(["²", "①", "9" * 400, "\\\n", '"', '"a\\\nb"', "@max=" + number]))
+        text = text[:at] + extra + text[at:]
+    return text
+
+
+@given(_broken_query())
+@settings(max_examples=60, deadline=None)
+def test_malformed_query_fuzz_exits_0_or_3(text):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "q.koko")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["query", "--query", path, "--corpus", EX31])
+    assert code in (0, 3)
+    if code == 3:
+        assert err.getvalue().startswith("error: ") and len(err.getvalue().strip()) > len("error:")

@@ -25,7 +25,7 @@ from koko.indexes import (
 )
 from koko.parser import parse_query
 
-from .conftest import data_path, postings
+from .conftest import data_path, path_offsets, postings
 
 
 def _parse_pattern(path: str):
@@ -83,35 +83,35 @@ def test_pl_index_pinned_rows(ex31_bundle):
         "/root/dobj/nn": [(0, 3), (0, 4)],
     }
     for path, rows in expect.items():
-        got = postings(ex31_bundle, ex31_bundle.pl.lookup(_parse_pattern(path)))
+        got = postings(ex31_bundle, path_offsets(ex31_bundle.pl, _parse_pattern(path)))
         assert [(sid, tid) for sid, tid, *_ in got] == rows, path
 
 
 def test_merged_nn_node_carries_both_tokens(ex31_bundle, ex31_corpus):
-    got = postings(ex31_bundle, ex31_bundle.pl.lookup(_parse_pattern("/root/dobj/nn")))
+    got = postings(ex31_bundle, path_offsets(ex31_bundle.pl, _parse_pattern("/root/dobj/nn")))
     assert got == [(0, 3, 3, 3, 2), (0, 4, 4, 4, 2)]
     words = [ex31_corpus.sentence(sid).tokens[tid] for sid, tid, *_ in got]
     assert words == ["chocolate", "ice"]
 
 
 def test_hierarchy_descendant_and_wildcard(ex31_bundle):
-    got = postings(ex31_bundle, ex31_bundle.pl.lookup(_parse_pattern("//*/dobj//*")))
+    got = postings(ex31_bundle, path_offsets(ex31_bundle.pl, _parse_pattern("//*/dobj//*")))
     # Everything strictly below a non-root-attached dobj node.
     sids_tids = {(sid, tid) for sid, tid, *_ in got}
     assert (0, 3) in sids_tids and (0, 9) in sids_tids and (1, 10) in sids_tids
     assert (0, 5) not in sids_tids  # the dobj itself is not its own descendant
     assert (0, 15) not in sids_tids  # pie sits under conj/dobj, matched elsewhere
-    got_root = postings(ex31_bundle, ex31_bundle.pl.lookup(_parse_pattern("/root")))
+    got_root = postings(ex31_bundle, path_offsets(ex31_bundle.pl, _parse_pattern("/root")))
     assert [(sid, tid) for sid, tid, *_ in got_root] == [(0, 1), (1, 1)]
 
 
 def test_lookup_missing_path_is_empty(ex31_bundle):
-    assert ex31_bundle.pl.lookup(_parse_pattern("/root/iobj")) == []
-    assert ex31_bundle.pos.lookup(_parse_pattern("//sym")) == []
+    assert path_offsets(ex31_bundle.pl, _parse_pattern("/root/iobj")) == []
+    assert path_offsets(ex31_bundle.pos, _parse_pattern("//sym")) == []
 
 
 def test_pos_index_rooted_lookup(ex31_bundle):
-    got = postings(ex31_bundle, ex31_bundle.pos.lookup(_parse_pattern("/verb")))
+    got = postings(ex31_bundle, path_offsets(ex31_bundle.pos, _parse_pattern("/verb")))
     assert [(sid, tid) for sid, tid, *_ in got] == [(0, 1), (1, 1)]
 
 
@@ -125,7 +125,7 @@ def test_every_token_reachable_through_its_root_path(ex31_bundle, ex31_corpus):
                 head = s.heads[head]
             chain.reverse()
             pattern = [("/", s.labels[x]) for x in chain]
-            got = postings(ex31_bundle, ex31_bundle.pl.lookup(pattern))
+            got = postings(ex31_bundle, path_offsets(ex31_bundle.pl, pattern))
             assert any(sid == s.sid and t == tid for sid, t, *_ in got)
 
 
@@ -291,7 +291,7 @@ def test_wildcard_descendant_union_matches_brute_force(ex31_bundle, ex31_corpus)
             )
             if ok:
                 expected.append((s.sid, tid, s.left[tid], s.right[tid], s.depth[tid]))
-    got = postings(ex31_bundle, ex31_bundle.pl.lookup([("//", "*"), ("/", "dobj"), ("//", "*")]))
+    got = postings(ex31_bundle, path_offsets(ex31_bundle.pl, [("//", "*"), ("/", "dobj"), ("//", "*")]))
     assert sorted(got) == sorted(expected)
 
 
@@ -699,7 +699,7 @@ def test_encoded_postings_reject_a_faulty_writer(tmp_path, capsys, name, corrupt
     (d / name).write_bytes(bytes(raw))
     _rewrite_checksum(d, name)
     with pytest.raises(KokoInputError, match=f"{name}: {message}"):
-        load_bundle(str(d)).pl.lookup(_parse_pattern("//*"))
+        path_offsets(load_bundle(str(d)).pl, _parse_pattern("//*"))
     q = tmp_path / "q.koko"
     q.write_text('extract v:Str from "x" if (/ROOT:{ v = //* })\n')
     capsys.readouterr()
@@ -837,19 +837,18 @@ def test_range_filter_matches_reference_walk(seed, which, loaded, steps):
         if _reference_match(_label_path(index, node_id), steps)
     }
     assert index.match_nodes(steps) == expected
-    assert index.lookup(steps) == sorted(o for n in expected for o in index.postings[n])
+    assert path_offsets(index, steps) == sorted(o for n in expected for o in index.postings[n])
 
 
 def test_pre_order_plane_is_derived_at_the_first_descendant_step(tmp_path):
     bundle = build_indexes(synthesize_corpus(5, 50))
     save_bundle(bundle, str(tmp_path / "idx"))
     loaded = load_bundle(str(tmp_path / "idx"))
-    loaded.pl.lookup(_parse_pattern("/root/nsubj"))
+    path_offsets(loaded.pl, _parse_pattern("/root/nsubj"))
     assert loaded.pl._plane is None  # `/` steps read the children only
     assert loaded == bundle
-    assert loaded.pl.lookup(_parse_pattern("//nsubj//det")) == bundle.pl.lookup(
-        _parse_pattern("//nsubj//det")
-    )
+    steps = _parse_pattern("//nsubj//det")
+    assert path_offsets(loaded.pl, steps) == path_offsets(bundle.pl, steps)
     assert loaded.pl._plane is not None and bundle.pl._plane is not None
     assert loaded == bundle
     # Nothing derived is saved: the files stay byte-identical.

@@ -121,6 +121,9 @@ def test_comment_lines_ignored():
         ('extract e:Entity from "x" if (/ROOT:{ e = //verb })', "entity-typed output"),
         ('extract v:Str from "x" if (/ROOT:{ v = ^[@min=3, @max=1] })', "@min cannot exceed"),
         ('extract v:Str from "x" if () excluding (str(v) contains "a" {1})', "no weight"),
+        # Digits that are not decimal start no number.
+        ('extract v:Str from "x" if (/ROOT:{ v = ^[@max=²] })', r"unexpected character '²' \(line 1, column 47\)"),
+        ('extract v:Str from "x" if (/ROOT:{ v = ^[@max=①] })', r"unexpected character '①' \(line 1, column 47\)"),
     ],
 )
 def test_parse_errors(text, message):
@@ -262,3 +265,66 @@ def test_nodes_are_immutable_records():
         SatCondition("contains", "x")
     with pytest.raises(TypeError):
         SatCondition("contains", "x", "ice", kind="near")
+
+
+_ELASTIC = 'extract v:Str from "x" if (/ROOT:{ v = "a" + ^[@max=%s] })'
+
+
+def test_a_number_a_float_cannot_hold_is_a_syntax_error():
+    nines = "9" * 400
+    with pytest.raises(KokoSyntaxError, match=r"token count is too large \(line 1, column 53\)"):
+        parse_query(_ELASTIC % nines)
+    text = 'extract v:Str from "x" if (/ROOT:{ v = //verb }) satisfying v (str(v) contains "a" {1}) with threshold '
+    with pytest.raises(KokoSyntaxError, match=r"threshold is too large \(line 1, column 104\)"):
+        parse_query(text + nines)
+    # Leading zeros do not make a value too large.
+    assert parse_query(_ELASTIC % ("0" * 5000 + "7")).defs[0].atoms[1].max_tokens == 7
+
+
+def test_elastic_bounds_are_read_exactly():
+    q = parse_query(_ELASTIC % "12345678901234567890")
+    assert q.defs[0].atoms[1].max_tokens == 12345678901234567890
+    assert parse_query(pretty_print(q)) == q
+    assert parse_query(_ELASTIC % "3.0").defs[0].atoms[1].max_tokens == 3
+    assert parse_query(_ELASTIC % "12345678901234567890.00").defs[0].atoms[1].max_tokens == 12345678901234567890
+    with pytest.raises(KokoSyntaxError, match="@max must be a non-negative integer"):
+        parse_query(_ELASTIC % "3.5")
+    with pytest.raises(KokoSyntaxError, match="@max must be a non-negative integer"):
+        parse_query(_ELASTIC % "12345678901234567890.5")
+
+
+def test_weights_and_thresholds_stay_floats():
+    clause = parse_query(
+        'extract v:Str from "x" if (/ROOT:{ v = //verb }) satisfying v (str(v) contains "a" {1}) with threshold 1'
+    ).satisfying[0]
+    assert type(clause.conditions[0].weight) is float and type(clause.threshold) is float
+
+
+def test_positions_count_a_newline_after_a_backslash_in_a_string():
+    text = 'extract v:Str from "x" if (/ROOT:{ v = "a\\\nb" })\n  $\n'
+    with pytest.raises(KokoSyntaxError, match=r"unexpected character '\$' \(line 3, column 3\)"):
+        parse_query(text)
+    assert parse_query(text[: text.index("$")]).defs[0].atoms[0] == TokensAtom("a\\\nb")
+
+
+def test_an_error_at_the_end_after_a_comment_is_placed_before_the_comment():
+    with pytest.raises(KokoSyntaxError, match=r"found 'end of input' \(line 2, column 7\)"):
+        parse_query('extract v:Str from "x" if (\n/ROOT # open')
+
+
+_DEEP = "(" * 1000 + "a" + ")" * 1000
+
+
+@pytest.mark.parametrize("regex", ["a{99999999999}", _DEEP], ids=["huge-repeat", "deep-nesting"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        'extract v:Str from "x" if (/ROOT:{ v = //nsubj[@regex="%s"] })',
+        'extract v:Str from "x" if (/ROOT:{ v = "a" + ^[@regex="%s"] })',
+        'extract v:Str from "x" if (/ROOT:{ v = //verb }) satisfying v (str(v) matches "%s" {1}) with threshold 0',
+    ],
+    ids=["node", "elastic", "matches"],
+)
+def test_regexes_beyond_the_compiler_limits_are_query_errors(text, regex):
+    with pytest.raises(KokoQueryError, match="invalid regex"):
+        parse_query(text % regex)

@@ -183,3 +183,21 @@ def test_vectors_are_unit_normalized(tmp_path):
     v = WordVectors(str(path))
     assert math.isclose(sum(x * x for x in v.vectors["w"]), 1.0, abs_tol=1e-12)
 
+
+
+@pytest.mark.parametrize(
+    "clause, message",
+    [
+        ('{"tokens": [0, 1.5], "score": 0.9}', "not all integers"),
+        ('{"tokens": [true, 1], "score": 0.9}', "not all integers"),
+        ('{"tokens": [0, 1], "score": NaN}', "not a finite number"),
+        ('{"tokens": [0, 1], "score": Infinity}', "not a finite number"),
+        ('{"tokens": [0, 1], "score": "0.9"}', "not a finite number"),
+    ],
+    ids=["fraction", "boolean", "nan", "infinity", "string"],
+)
+def test_clause_file_refuses_non_integer_tokens_and_non_finite_scores(tmp_path, clause, message):
+    path = tmp_path / "clauses.jsonl"
+    path.write_text('{"sid": 0, "clauses": [{"tokens": [0]}]}\n{"sid": 1, "clauses": [%s]}\n' % clause)
+    with pytest.raises(KokoResourceError, match=f"clauses.jsonl:2: bad clause record: .*{message}"):
+        load_clause_file(str(path))
