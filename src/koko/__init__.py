@@ -7,10 +7,7 @@ only `koko verify` and the tests run it, so no query process imports it."""
 
 from .corpus import Corpus, load_corpus, serialize_corpus
 from .engine import run_query
-from .errors import (
-    KokoDecomposeError, KokoError, KokoInputError, KokoNormalizeError, KokoQueryError, KokoResourceError,
-    KokoSyntaxError,
-)
+from .errors import KokoError, KokoInputError, KokoQueryError, KokoResourceError, KokoSyntaxError
 from .indexes import build_indexes, load_bundle, save_bundle
 from .parser import parse_query
 from .resources import Resources
@@ -18,9 +15,8 @@ from .resources import Resources
 __version__ = "0.1.0"
 
 __all__ = [
-    "Corpus", "KokoDecomposeError", "KokoError", "KokoInputError",
-    "KokoNormalizeError", "KokoQueryError", "KokoResourceError",
-    "KokoSyntaxError", "Resources", "build_indexes", "load_bundle",
+    "Corpus", "KokoError", "KokoInputError", "KokoQueryError",
+    "KokoResourceError", "KokoSyntaxError", "Resources", "build_indexes", "load_bundle",
     "load_corpus", "oracle_evaluate", "parse_query", "run_query",
     "save_bundle", "serialize_corpus",
 ]

@@ -46,12 +46,12 @@ from itertools import repeat
 from operator import attrgetter, itemgetter, sub
 
 from .corpus import EntitySpan
-from .errors import KokoDecomposeError, KokoInputError
+from .errors import KokoInputError
 from .indexes import NO_HEAD, IndexBundle, Sentences, TokenTable
 from .normalize import ANY_ENTITY, ENTITY, NODE, WORDSEQ, NormalizedQuery, NormVar
 from .record import Record
 from .syntax import PathExpr
-from .vocab import PL, POS, classify_label
+from .vocab import PL, classify_label
 
 
 class DecomposedPath(Record):
@@ -92,8 +92,8 @@ class DecomposedPath(Record):
 
 
 def decompose(path: PathExpr) -> DecomposedPath:
-    if path.base is not None:
-        raise KokoDecomposeError("only ROOT-anchored paths can be decomposed")
+    """The skeletons of a ROOT-anchored path. The parser has checked that
+    every label is known and that a step's POS tags agree."""
     pl_steps: list[tuple[str, str]] = []
     pos_steps: list[tuple[str, str]] = []
     word_steps: list[tuple[str, str]] = []
@@ -103,23 +103,14 @@ def decompose(path: PathExpr) -> DecomposedPath:
         if step.kind == "word":
             word_label = step.label
         elif step.kind == "name":
-            side = classify_label(step.label)
-            if side == PL:
+            if classify_label(step.label) == PL:
                 pl_label = step.label
-            elif side == POS:
-                pos_label = step.label
             else:
-                raise KokoDecomposeError(
-                    f"label {step.label!r} is neither a known parse label nor a POS tag"
-                )
+                pos_label = step.label
         for cond in step.conditions:
             if cond.key == "text":
                 word_label = cond.value
             elif cond.key == "pos":
-                if pos_label != "*" and pos_label != cond.value:
-                    raise KokoDecomposeError(
-                        f"conflicting POS constraints {pos_label!r} and {cond.value!r} on one step"
-                    )
                 pos_label = cond.value
         pl_steps.append((step.axis, pl_label))
         pos_steps.append((step.axis, pos_label))

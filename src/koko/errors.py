@@ -1,9 +1,10 @@
 """Exception hierarchy shared across the engine.
 
 Exit-code mapping used by the CLI: input-format problems (corpus or index
-files) are ``KokoInputError`` (exit 2); query-side problems (syntax,
-normalization, unknown labels, missing resources) are ``KokoQueryError``
-(exit 3).
+files) are ``KokoInputError`` (exit 2); query-side problems are
+``KokoQueryError`` (exit 3): an invalid query, which the parser refuses
+as a ``KokoSyntaxError`` at the token at fault, or a missing or malformed
+resource, a ``KokoResourceError``.
 """
 
 
@@ -24,14 +25,6 @@ class KokoSyntaxError(KokoQueryError):
         super().__init__(f"{message} (line {line}, column {col})")
         self.line = line
         self.col = col
-
-
-class KokoNormalizeError(KokoQueryError):
-    pass
-
-
-class KokoDecomposeError(KokoQueryError):
-    pass
 
 
 class KokoResourceError(KokoQueryError):

@@ -8,14 +8,16 @@ horizontal condition. Relative path definitions contribute a parentOf
 constraint (single child step) or an ancestorOf constraint (anything
 deeper), and every horizontal condition contributes a leftOf chain over
 its atoms. leftOf means x.end + 1 = y.start; elastic variables may bind
-the empty gap between their neighbours.
+the empty gap between their neighbours. The parser has checked that every
+name resolves to a variable of the kind its use needs.
 """
 
 from __future__ import annotations
 
-from .errors import KokoNormalizeError
 from .record import Frozen, Record
-from .syntax import PathAtom, PathExpr, Query, SpanAtom, SubtreeAtom, TokensAtom, VarAtom, print_atom, print_path
+from .syntax import (
+    ElasticAtom, PathAtom, PathExpr, Query, SpanAtom, SubtreeAtom, TokensAtom, VarAtom, print_atom, print_path,
+)
 from .textutil import tokenize_literal
 
 NODE = "node"
@@ -28,6 +30,14 @@ COMPOSITE = "composite"
 # The universal entity type: an output typed Entity accepts spans of every
 # entity type, while any other type name selects that type exactly.
 ANY_ENTITY = "Entity"
+
+_ATOM_KINDS = {PathAtom: NODE, SubtreeAtom: SUBTREE, TokensAtom: WORDSEQ, ElasticAtom: ELASTIC}
+
+
+def definition_kind(atoms: tuple[SpanAtom, ...] | list[SpanAtom]) -> str:
+    """The kind of the variable that `atoms` define: a lone atom's own (a
+    node variable is one path), else a composite of its atoms."""
+    return _ATOM_KINDS.get(type(atoms[0]), COMPOSITE) if len(atoms) == 1 else COMPOSITE
 
 
 class NormVar(Frozen):
@@ -115,20 +125,7 @@ class _Normalizer:
         for d in q.defs:
             self._definition(d.name, d.atoms)
         for c in q.constraints:
-            left = self._operand(c.left)
-            if c.right not in self.variables:
-                raise KokoNormalizeError(f"constraint references unknown variable {c.right!r}")
-            self.constraints.append(NormConstraint(c.op, left, c.right))
-        for name, typ in q.outputs:
-            if typ == "Str" and name not in self.variables:
-                raise KokoNormalizeError(
-                    f"output variable {name!r} of type Str has no definition"
-                )
-        for clause in q.satisfying:
-            if clause.var not in self.variables:
-                raise KokoNormalizeError(
-                    f"satisfying clause references unbound variable {clause.var!r}"
-                )
+            self.constraints.append(NormConstraint(c.op, self._operand(c.left), c.right))
         return NormalizedQuery(
             query=q,
             variables=self.variables,
@@ -149,7 +146,7 @@ class _Normalizer:
         return f"__s{self.step_count}"
 
     def _definition(self, name: str, atoms: tuple[SpanAtom, ...]) -> None:
-        if len(atoms) == 1 and not isinstance(atoms[0], VarAtom):
+        if definition_kind(atoms) != COMPOSITE:
             self._atom_def(name, atoms[0], synthesized=False)
             return
         member_names = [self._atom_var(a) for a in atoms]
@@ -164,10 +161,7 @@ class _Normalizer:
     def _operand(self, atoms: tuple[SpanAtom, ...]) -> str:
         """Variable naming the left side of an in/eq constraint."""
         if len(atoms) == 1 and isinstance(atoms[0], VarAtom):
-            name = atoms[0].name
-            if name not in self.variables:
-                raise KokoNormalizeError(f"constraint references unknown variable {name!r}")
-            return name
+            return atoms[0].name
         name = self._synth_name()
         self._definition(name, atoms)
         self.variables[name] = self.variables[name].replace(synthesized=True)
@@ -175,8 +169,6 @@ class _Normalizer:
 
     def _atom_var(self, atom: SpanAtom) -> str:
         if isinstance(atom, VarAtom):
-            if atom.name not in self.variables:
-                raise KokoNormalizeError(f"unknown variable {atom.name!r} in span composition")
             return atom.name
         name = self._synth_name()
         self._atom_def(name, atom, synthesized=True)
@@ -206,17 +198,10 @@ class _Normalizer:
                 synthesized=synthesized, path=path,
             ))
             return
-        base = self.variables.get(path.base)
-        if base is None:
-            raise KokoNormalizeError(f"path base {path.base!r} cannot be resolved")
-        if base.kind != NODE:
-            raise KokoNormalizeError(
-                f"path base {path.base!r} must be a node variable, it is {base.kind}"
-            )
         # Each relative step becomes its own variable chained by a
         # parentOf/ancestorOf constraint, keeping the base-to-variable
         # distance semantics exact; intermediates stay hidden.
-        prefix = base.path.steps
+        prefix = self.variables[path.base].path.steps
         current = path.base
         for i, step in enumerate(path.steps):
             last = i == len(path.steps) - 1
@@ -231,9 +216,6 @@ class _Normalizer:
             current = var_name
 
     def _subtree_var(self, name: str, of: str, synthesized: bool) -> None:
-        base = self.variables.get(of)
-        if base is None or base.kind != NODE:
-            raise KokoNormalizeError(f"subtree base {of!r} must be a defined node variable")
         self._add(NormVar(
             name=name, kind=SUBTREE, def_index=len(self.variables),
             synthesized=synthesized, of=of,

@@ -1,10 +1,16 @@
 """Regular-expression tokenizer and recursive-descent parser for query text.
 
-Every diagnostic carries a line/column pair. The accepted surface covers
-node and span definitions inside a ``/ROOT:{...}`` block, ``in``/``eq``
-constraints, weighted satisfying clauses with a threshold, and an
-excluding clause. ``~`` is an alias for ``similarTo`` and node conditions
-are accepted with or without the leading ``@`` (canonical form has it).
+The accepted surface covers node and span definitions inside a
+``/ROOT:{...}`` block, ``in``/``eq`` constraints, weighted satisfying
+clauses with a threshold, and an excluding clause. ``~`` is an alias for
+``similarTo`` and node conditions are accepted with or without the
+leading ``@`` (canonical form has it).
+
+The parser alone decides whether a query is valid: it checks each rule at
+the token at fault, whose line and column every diagnostic carries. A
+name resolves against the entity outputs and the definitions so far, or,
+in a constraint, which may precede its definitions, against all of them
+when the ``if`` body ends. ``__`` starts only the names normalize makes up.
 """
 
 from __future__ import annotations
@@ -12,13 +18,15 @@ from __future__ import annotations
 import math
 import re
 
-from .errors import KokoSyntaxError
+from .errors import KokoQueryError, KokoSyntaxError
+from .normalize import ENTITY, NODE, definition_kind
 from .record import Record
 from .syntax import (
     Constraint, ElasticAtom, NodeCondition, PathAtom, PathExpr, Query, SatCondition, SatisfyingClause, SpanAtom,
     Step, SubtreeAtom, TokensAtom, VarAtom, VarDef, WeightedCondition, quote,
 )
 from .textutil import compile_pattern
+from .vocab import POS, classify_label
 
 KEYWORDS = {
     "extract", "from", "if", "satisfying", "with", "threshold", "excluding",
@@ -32,6 +40,23 @@ _ELASTIC_CONDITION_KEYS = {"regex", "etype", "min", "max"}
 
 class Tok(Record):
     __slots__ = _fields = ("kind", "value", "line", "col")  # kind: ident | string | number | op | eof
+
+    def __init__(self, kind: str, value: str, line: int, col: int) -> None:
+        self.kind = kind
+        self.value = value
+        self.line = line
+        self.col = col
+
+
+# How an error names a token it found without text.
+_EMPTY_TOKEN = {"eof": "end of input", "string": "empty string literal"}
+
+# The message for a constraint's reference, by role, to a Str output that has no definition.
+_UNDEFINED_OUTPUT = {
+    "var": "constraint references unknown variable {!r}", "right": "constraint references unknown variable {!r}",
+    "member": "unknown variable {!r} in span composition", "base": "path base {!r} cannot be resolved",
+    "subtree": "subtree base {!r} must be a defined node variable",
+}
 
 
 # One alternative per token class, tried in order: the two-character
@@ -80,6 +105,14 @@ class _Parser:
     def __init__(self, text: str):
         self.toks = _lex(text)
         self.pos = 0
+        # The kind of each entity output and definition so far; each Str output's name.
+        self.kinds: dict[str, str] = {}
+        self.str_outputs: dict[str, Tok] = {}
+        # The references to variables of the span expression being parsed and
+        # of the constraints so far, each a token and its role: "var", "member"
+        # (of a composition), "right" (of a constraint), "base" or "subtree".
+        self.refs: list[tuple[Tok, str]] = []
+        self.deferred: list[tuple[Tok, str]] = []
 
     # -- token plumbing ---------------------------------------------------
 
@@ -99,21 +132,28 @@ class _Parser:
     def expect_op(self, value: str) -> Tok:
         tok = self.next()
         if tok.kind != "op" or tok.value != value:
-            raise self.error(f"expected {value!r}, found {tok.value or 'end of input'!r}", tok)
+            raise self.error(f"expected {value!r}, found {tok.value or _EMPTY_TOKEN[tok.kind]!r}", tok)
         return tok
 
     def expect_kw(self, word: str) -> Tok:
         tok = self.next()
         if tok.kind != "ident" or tok.value != word:
-            raise self.error(f"expected keyword {word!r}, found {tok.value or 'end of input'!r}", tok)
+            raise self.error(f"expected keyword {word!r}, found {tok.value or _EMPTY_TOKEN[tok.kind]!r}", tok)
         return tok
 
     def expect_ident(self, what: str = "identifier") -> Tok:
         tok = self.next()
         if tok.kind != "ident":
-            raise self.error(f"expected {what}, found {tok.value or 'end of input'!r}", tok)
+            raise self.error(f"expected {what}, found {tok.value or _EMPTY_TOKEN[tok.kind]!r}", tok)
         if tok.value in KEYWORDS or tok.value.lower() == "similarto":
             raise self.error(f"{tok.value!r} is a reserved word", tok)
+        return tok
+
+    def expect_new_name(self, what: str) -> Tok:
+        """The name token of an output or a definition."""
+        tok = self.expect_ident(what)
+        if tok.value.startswith("__"):
+            raise self.error(f"{what} {tok.value!r} starts with '__', which is reserved", tok)
         return tok
 
     def expect_string(self, what: str = "string literal") -> Tok:
@@ -147,6 +187,34 @@ class _Parser:
         tok = self.peek()
         return tok.kind == "ident" and tok.value == word
 
+    # -- names ------------------------------------------------------------
+
+    def resolve(self, tok: Tok, role: str, target: str | None) -> None:
+        """Check the reference `tok` to a variable, in `role`, from the
+        definition of `target` or, when `target` is None, from a
+        constraint once every definition is in the table."""
+        name = tok.value
+        kind = self.kinds.get(name)
+        if kind is None:
+            if target is None and name in self.str_outputs:
+                raise self.error(_UNDEFINED_OUTPUT[role].format(name), tok)
+            if role == "right":
+                raise self.error(f"constraint references undeclared variable {name!r}", tok)
+            where = f" (in definition of {target!r})" if target else ""
+            raise self.error(f"variable {name!r} is used before it is defined{where}", tok)
+        if role == "base" and kind != NODE:
+            raise self.error(f"path base {name!r} must be a node variable, it is {kind}", tok)
+        if role == "subtree" and kind != NODE:
+            raise self.error(f"subtree base {name!r} must be a defined node variable", tok)
+
+    def expect_declared(self, what: str, where: str) -> Tok:
+        """A variable that the `where` of a satisfying or excluding clause
+        reads: an output, or a definition of the if body, which has ended."""
+        tok = self.expect_ident(what)
+        if tok.value not in self.kinds and tok.value not in self.str_outputs:
+            raise self.error(f"{where} references undeclared variable {tok.value!r}", tok)
+        return tok
+
     # -- grammar ----------------------------------------------------------
 
     def parse_query(self) -> Query:
@@ -160,24 +228,18 @@ class _Parser:
         self.expect_op(")")
         satisfying: list[SatisfyingClause] = []
         while self.at_kw("satisfying"):
-            satisfying.append(self._satisfying())
+            satisfying.append(self._satisfying(satisfying))
         excluding: tuple[SatCondition, ...] = ()
         if self.at_kw("excluding"):
             self.next()
-            excluding = tuple(c for c, _ in self._condition_disjunction(weights=False))
+            excluding = tuple(c for c, _ in self._condition_disjunction("excluding condition"))
         tok = self.peek()
         if tok.kind != "eof":
             raise self.error(f"unexpected trailing input {tok.value!r}", tok)
-        query = Query(
-            outputs=tuple(outputs),
-            source=source,
-            defs=tuple(defs),
-            constraints=tuple(constraints),
-            satisfying=tuple(satisfying),
-            excluding=excluding,
-        )
-        self._validate(query)
-        return query
+        for name, tok in self.str_outputs.items():
+            if name not in self.kinds:
+                raise self.error(f"output variable {name!r} of type Str has no definition", tok)
+        return Query(tuple(outputs), source, tuple(defs), tuple(constraints), tuple(satisfying), excluding)
 
     def _outputs(self) -> list[tuple[str, str]]:
         outs = [self._one_output()]
@@ -187,11 +249,17 @@ class _Parser:
         return outs
 
     def _one_output(self) -> tuple[str, str]:
-        name = self.expect_ident("output variable")
+        name = self.expect_new_name("output variable")
+        if name.value in self.kinds or name.value in self.str_outputs:
+            raise self.error(f"duplicate output variable {name.value!r}", name)
         self.expect_op(":")
         typ = self.next()
         if typ.kind != "ident":
             raise self.error("expected output type", typ)
+        if typ.value == "Str":
+            self.str_outputs[name.value] = name
+        else:
+            self.kinds[name.value] = ENTITY
         return name.value, typ.value
 
     def _source(self) -> str:
@@ -229,6 +297,8 @@ class _Parser:
                 constraints.append(self._constraint())
             else:
                 break
+        for tok, role in self.deferred:
+            self.resolve(tok, role, None)
         return defs, constraints
 
     def _definitions(self) -> list[VarDef]:
@@ -236,9 +306,19 @@ class _Parser:
         if self.at_op("}"):
             return defs
         while True:
-            name = self.expect_ident("variable name")
+            name = self.expect_new_name("variable name")
+            kind = self.kinds.get(name.value)
+            if kind == ENTITY:
+                message = "is bound by the entity index and cannot also be defined"
+                raise self.error(f"entity-typed output {name.value!r} {message}", name)
+            if kind is not None:
+                raise self.error(f"variable {name.value!r} defined twice", name)
             self.expect_op("=")
             atoms = self._span_expr()
+            for tok, role in self.refs:
+                self.resolve(tok, role, name.value)
+            self.refs.clear()
+            self.kinds[name.value] = definition_kind(atoms)
             defs.append(VarDef(name=name.value, atoms=tuple(atoms)))
             if self.at_op(","):
                 self.next()
@@ -257,9 +337,13 @@ class _Parser:
         right = self._span_expr()
         self.expect_op(")")
         if len(right) != 1 or not isinstance(right[0], VarAtom):
-            raise self.error(
-                f"right side of '{op_tok.value}' must be a single variable", op_tok
-            )
+            raise self.error(f"right side of '{op_tok.value}' must be a single variable", op_tok)
+        *refs, (right_tok, _) = self.refs
+        self.refs.clear()
+        if len(left) > 1:
+            refs = [(tok, "member" if role == "var" else role) for tok, role in refs]
+        self.deferred += refs
+        self.deferred.append((right_tok, "right"))
         return Constraint(op=op_tok.value, left=tuple(left), right=right[0].name)
 
     def _span_expr(self) -> list[SpanAtom]:
@@ -289,11 +373,14 @@ class _Parser:
             if self.at_op(".") and self.peek(1).kind == "ident" and self.peek(1).value == "subtree":
                 self.next()
                 self.next()
+                self.refs.append((tok, "subtree"))
                 return [SubtreeAtom(tok.value)]
             if self.at_op("/") or self.at_op("//"):
+                self.refs.append((tok, "base"))
                 return [PathAtom(self._path(base=tok.value))]
+            self.refs.append((tok, "var"))
             return [VarAtom(tok.value)]
-        raise self.error(f"expected a span atom, found {tok.value or 'end of input'!r}", tok)
+        raise self.error(f"expected a span atom, found {tok.value or _EMPTY_TOKEN[tok.kind]!r}", tok)
 
     def _path(self, base: str | None) -> PathExpr:
         steps: list[Step] = []
@@ -306,20 +393,23 @@ class _Parser:
                 kind, label = "wild", "*"
             elif label_tok.kind == "ident":
                 kind, label = "name", label_tok.value
+                side = classify_label(label)
+                if side is None:
+                    raise self.error(f"label {label!r} is neither a known parse label nor a POS tag", label_tok)
             else:
                 raise self.error("expected a label, quoted token or '*' after axis", label_tok)
             conditions: tuple[NodeCondition, ...] = ()
             if self.at_op("["):
-                conditions = tuple(self._conditions(_NODE_CONDITION_KEYS))
+                pos = label if kind == "name" and side == POS else None
+                conditions = tuple(self._conditions(_NODE_CONDITION_KEYS, pos))
             if kind == "word" and any(c.key == "text" for c in conditions):
                 raise self.error("a quoted token step cannot also carry a @text condition", label_tok)
-            for c in conditions:
-                if c.key == "regex":
-                    compile_pattern(c.value)
             steps.append(Step(axis=axis, label=label, kind=kind, conditions=conditions))
         return PathExpr(base=base, steps=tuple(steps))
 
-    def _conditions(self, allowed: set[str]) -> list[NodeCondition]:
+    def _conditions(self, allowed: set[str], pos: str | None = None) -> list[NodeCondition]:
+        """A bracketed condition list. `pos` is the POS tag that the
+        step's label names, which every @pos condition must agree with."""
         self.expect_op("[")
         out: list[NodeCondition] = []
         while True:
@@ -327,11 +417,8 @@ class _Parser:
                 self.next()
             key_tok = self.next()
             if key_tok.kind != "ident" or key_tok.value not in allowed:
-                raise self.error(
-                    f"unknown condition key {key_tok.value!r}; expected one of "
-                    + ", ".join(sorted(allowed)),
-                    key_tok,
-                )
+                expected = ", ".join(sorted(allowed))
+                raise self.error(f"unknown condition key {key_tok.value!r}; expected one of {expected}", key_tok)
             self.expect_op("=")
             if key_tok.value in ("min", "max"):
                 num = self.expect_number("token count")
@@ -340,6 +427,12 @@ class _Parser:
                 out.append(NodeCondition(key_tok.value, str(num)))
             else:
                 val = self.expect_string(f"value for @{key_tok.value}")
+                if key_tok.value == "regex":
+                    self._regex(val)
+                elif key_tok.value == "pos":
+                    if pos is not None and pos != val.value:
+                        raise self.error(f"conflicting POS constraints {pos!r} and {val.value!r} on one step", val)
+                    pos = val.value
                 out.append(NodeCondition(key_tok.value, val.value))
             if self.at_op(","):
                 self.next()
@@ -349,52 +442,50 @@ class _Parser:
         return out
 
     def _elastic(self) -> ElasticAtom:
-        regex = min_tokens = max_tokens = etype = None
-        if self.at_op("["):
-            start = self.peek()
-            for cond in self._conditions(_ELASTIC_CONDITION_KEYS):
-                if cond.key == "regex":
-                    compile_pattern(cond.value)
-                    regex = cond.value
-                elif cond.key == "etype":
-                    etype = cond.value
-                elif cond.key == "min":
-                    min_tokens = int(cond.value)
-                else:
-                    max_tokens = int(cond.value)
-            if min_tokens is not None and max_tokens is not None and min_tokens > max_tokens:
-                raise self.error("@min cannot exceed @max on an elastic span", start)
-        return ElasticAtom(regex=regex, min_tokens=min_tokens, max_tokens=max_tokens, etype=etype)
+        if not self.at_op("["):
+            return ElasticAtom()
+        start = self.peek()
+        conds = {c.key: c.value for c in self._conditions(_ELASTIC_CONDITION_KEYS)}
+        low, high = (int(conds[key]) if key in conds else None for key in ("min", "max"))
+        if low is not None and high is not None and low > high:
+            raise self.error("@min cannot exceed @max on an elastic span", start)
+        return ElasticAtom(regex=conds.get("regex"), min_tokens=low, max_tokens=high, etype=conds.get("etype"))
 
-    def _satisfying(self) -> SatisfyingClause:
+    def _regex(self, tok: Tok) -> None:
+        try:
+            compile_pattern(tok.value)
+        except KokoQueryError as exc:
+            raise self.error(str(exc), tok) from None
+
+    def _satisfying(self, before: list[SatisfyingClause]) -> SatisfyingClause:
         self.expect_kw("satisfying")
-        var = self.expect_ident("variable name after 'satisfying'")
-        conditions = self._condition_disjunction(weights=True)
+        var = self.expect_declared("variable name after 'satisfying'", "satisfying clause")
+        if any(clause.var == var.value for clause in before):
+            raise self.error(f"variable {var.value!r} has more than one satisfying clause", var)
+        conditions = self._condition_disjunction("condition")
         if not self.at_kw("with"):
             raise self.error("satisfying clause requires 'with threshold <number>'")
         self.next()
         self.expect_kw("threshold")
         threshold = float(self.expect_number("threshold"))
-        return SatisfyingClause(
-            var=var.value,
-            conditions=tuple(WeightedCondition(c, w) for c, w in conditions),
-            threshold=threshold,
-        )
+        return SatisfyingClause(var.value, tuple(WeightedCondition(c, w) for c, w in conditions), threshold)
 
-    def _condition_disjunction(self, weights: bool) -> list[tuple[SatCondition, float]]:
-        out = [self._one_condition(weights)]
+    def _condition_disjunction(self, where: str) -> list[tuple[SatCondition, float]]:
+        """The conditions of a satisfying clause, `where` "condition", or of
+        the excluding clause, "excluding condition", which take no weights."""
+        out = [self._one_condition(where)]
         while self.at_kw("or"):
             self.next()
-            out.append(self._one_condition(weights))
+            out.append(self._one_condition(where))
         return out
 
-    def _one_condition(self, weights: bool) -> tuple[SatCondition, float]:
+    def _one_condition(self, where: str) -> tuple[SatCondition, float]:
         self.expect_op("(")
-        cond = self._condition_body()
+        cond = self._condition_body(where)
         weight = 1.0
         if self.at_op("{"):
             open_tok = self.next()
-            if not weights:
+            if where == "excluding condition":
                 raise self.error("excluding conditions take no weight", open_tok)
             weight = float(self.expect_number("weight"))
             self.expect_op("}")
@@ -403,25 +494,25 @@ class _Parser:
         self.expect_op(")")
         return cond, weight
 
-    def _condition_body(self) -> SatCondition:
+    def _condition_body(self, where: str) -> SatCondition:
         tok = self.peek()
         if tok.kind == "string":
             self.next()
-            var = self.expect_ident("variable after literal")
+            var = self.expect_declared("variable after literal", where)
             return SatCondition("preceded_by", var.value, tok.value)
         if tok.kind == "op" and tok.value == "[[":
             phrase = self._descriptor_phrase()
-            var = self.expect_ident("variable after descriptor")
+            var = self.expect_declared("variable after descriptor", where)
             return SatCondition("desc_left", var.value, phrase)
         if tok.kind != "ident":
             raise self.error("expected a condition", tok)
         if tok.value == "str":
             self.next()
             self.expect_op("(")
-            var = self.expect_ident("variable inside str(...)").value
+            var = self.expect_declared("variable inside str(...)", where).value
             self.expect_op(")")
         else:
-            var = self.expect_ident("variable").value
+            var = self.expect_declared("variable", where).value
         op = self.peek()
         # `x similarTo "p"`, `x ~ "p"` and both with `str(x)` are one condition.
         if op.kind == "op" and op.value == "~" or op.kind == "ident" and op.value.lower() == "similarto":
@@ -437,7 +528,7 @@ class _Parser:
         if op.value in ("contains", "mentions", "matches"):
             lit = self.expect_string(f"literal after {op.value}")
             if op.value == "matches":
-                compile_pattern(lit.value)
+                self._regex(lit)
             return SatCondition(op.value, var, lit.value)
         if op.value == "in":
             self.expect_kw("dict")
@@ -468,72 +559,6 @@ class _Parser:
             raise self.error("descriptor phrase must contain at least one word", phrase)
         self.expect_op("]]")
         return phrase.value
-
-    # -- semantic validation ----------------------------------------------
-
-    def _validate(self, q: Query) -> None:
-        seen_outputs: set[str] = set()
-        for name, _typ in q.outputs:
-            if name in seen_outputs:
-                raise KokoSyntaxError(f"duplicate output variable {name!r}", 1, 1)
-            seen_outputs.add(name)
-        defined: set[str] = set()
-        entity_outputs = {n for n, t in q.outputs if t != "Str"}
-        for d in q.defs:
-            if d.name in defined:
-                raise KokoSyntaxError(f"variable {d.name!r} defined twice", 1, 1)
-            if d.name in entity_outputs:
-                raise KokoSyntaxError(
-                    f"entity-typed output {d.name!r} is bound by the entity index "
-                    "and cannot also be defined",
-                    1, 1,
-                )
-            for atom in d.atoms:
-                self._check_atom_vars(atom, defined | entity_outputs, d.name)
-            defined.add(d.name)
-        declared = defined | {n for n, _ in q.outputs}
-        for c in q.constraints:
-            for atom in c.left:
-                self._check_atom_vars(atom, declared, None)
-            if c.right not in declared:
-                raise KokoSyntaxError(f"constraint references undeclared variable {c.right!r}", 1, 1)
-        clause_vars: set[str] = set()
-        for clause in q.satisfying:
-            if clause.var not in declared:
-                raise KokoSyntaxError(
-                    f"satisfying clause references undeclared variable {clause.var!r}", 1, 1
-                )
-            if clause.var in clause_vars:
-                raise KokoSyntaxError(
-                    f"variable {clause.var!r} has more than one satisfying clause", 1, 1
-                )
-            clause_vars.add(clause.var)
-            for wc in clause.conditions:
-                if wc.condition.var not in declared:
-                    raise KokoSyntaxError(
-                        f"condition references undeclared variable {wc.condition.var!r}", 1, 1
-                    )
-        for cond in q.excluding:
-            if cond.var not in declared:
-                raise KokoSyntaxError(
-                    f"excluding condition references undeclared variable {cond.var!r}", 1, 1
-                )
-
-    @staticmethod
-    def _check_atom_vars(atom: SpanAtom, known: set[str], target: str | None) -> None:
-        def fail(name: str) -> None:
-            raise KokoSyntaxError(
-                f"variable {name!r} is used before it is defined"
-                + (f" (in definition of {target!r})" if target else ""),
-                1, 1,
-            )
-
-        if isinstance(atom, VarAtom) and atom.name not in known:
-            fail(atom.name)
-        if isinstance(atom, SubtreeAtom) and atom.var not in known:
-            fail(atom.var)
-        if isinstance(atom, PathAtom) and atom.path.base is not None and atom.path.base not in known:
-            fail(atom.path.base)
 
 
 def parse_query(text: str) -> Query:

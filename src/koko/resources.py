@@ -287,14 +287,18 @@ def _clause(tokens: list, score: object) -> Clause:
 
 
 def load_clause_file(path: str) -> dict[int, list[Clause]]:
-    """JSON Lines: {"sid": n, "clauses": [{"tokens": [...], "score": s}]}"""
+    """JSON Lines: {"sid": n, "clauses": [{"tokens": [...], "score": s}]},
+    n a non-negative JSON integer."""
     out: dict[int, list[Clause]] = {}
     for lineno, line in enumerate(read_text(path, "clause file").split("\n"), start=1):
         if not line.strip():
             continue
         try:
             row = json.loads(line)
-            out[int(row["sid"])] = [_clause(c["tokens"], c.get("score", 1.0)) for c in row["clauses"]]
+            sid = row["sid"]
+            if type(sid) is not int or sid < 0:
+                raise ValueError(f"sid {sid!r} is not a non-negative integer")
+            out[sid] = [_clause(c["tokens"], c.get("score", 1.0)) for c in row["clauses"]]
         except (KeyError, ValueError, TypeError, AttributeError, OverflowError) as exc:
             raise KokoResourceError(f"{path}:{lineno}: bad clause record: {exc}") from None
     return out

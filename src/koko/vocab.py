@@ -1,7 +1,7 @@
 """Closed label vocabularies used to classify bare path labels.
 
 A bare label in a path is either a dependency parse label, a POS tag, or
-nothing we know about (an error at decomposition time). A handful of names
+nothing we know about, which the parser refuses. A handful of names
 (punct, det, num, aux, conj, x, expl, mark) exist in both worlds; those are
 resolved as parse labels, and the POS reading stays reachable through an
 explicit ``[@pos="..."]`` condition.

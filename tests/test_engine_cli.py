@@ -48,9 +48,8 @@ def test_public_names_are_the_documented_ones():
     import koko
 
     assert sorted(koko.__all__) == [
-        "Corpus", "KokoDecomposeError", "KokoError", "KokoInputError",
-        "KokoNormalizeError", "KokoQueryError", "KokoResourceError",
-        "KokoSyntaxError", "Resources", "build_indexes", "load_bundle",
+        "Corpus", "KokoError", "KokoInputError", "KokoQueryError",
+        "KokoResourceError", "KokoSyntaxError", "Resources", "build_indexes", "load_bundle",
         "load_corpus", "oracle_evaluate", "parse_query", "run_query",
         "save_bundle", "serialize_corpus",
     ]
@@ -777,6 +776,35 @@ def test_malformed_query_reproductions_exit_3(tmp_path, capsys, text, message):
     code, out, err = run_cli(["query", "--query", str(q), "--corpus", EX31], capsys)
     assert code == 3 and out == ""
     assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # A user variable named like one that normalization makes up would
+        # replace it: the spans would start at the subject, not at "ate".
+        ('extract v:Str, __v1:Str from "x" if (/ROOT:{ v = "ate" + ^ + //punct, __v1 = //nsubj })',
+         "output variable '__v1' starts with '__', which is reserved (line 1, column 16)"),
+        # ... and 3 rows would become none.
+        ('extract v:Str from "x" if (/ROOT:{ a = //verb, v = a/dobj/det, __s1 = //nsubj })',
+         "variable name '__s1' starts with '__', which is reserved (line 1, column 64)"),
+        # Once refused only when the engine decomposed the path.
+        ('extract v:Str from "x" if (/ROOT:{ v = //foo })',
+         "label 'foo' is neither a known parse label nor a POS tag (line 1, column 42)"),
+        ('extract v:Str from "x" if (/ROOT:{ v = //verb[@pos="noun"] })',
+         "conflicting POS constraints 'verb' and 'noun' on one step (line 1, column 52)"),
+    ],
+    ids=["reserved-output", "reserved-definition", "unknown-label", "conflicting-pos"],
+)
+@pytest.mark.parametrize(
+    "command", [["query"], ["explain", "--stage", "normalize"], ["verify"]], ids=["query", "explain", "verify"]
+)
+def test_every_command_refuses_an_invalid_query_at_its_token(tmp_path, capsys, command, text, message):
+    q = tmp_path / "q.koko"
+    q.write_text(text, encoding="utf-8")
+    code, out, err = run_cli([*command, "--query", str(q), "--corpus", EX31], capsys)
+    assert code == 3 and out == ""
+    assert err == f"error: {message}\n"
 
 
 with open(EX21, encoding="utf-8") as _f:

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from koko.dpli import candidate_bindings
 from koko.errors import KokoQueryError, KokoSyntaxError
-from koko.parser import parse_query
+from koko.normalize import normalize
+from koko.parser import _lex, parse_query
 from koko.syntax import (
+    Constraint,
     ElasticAtom,
     NodeCondition,
     PathAtom,
@@ -124,11 +129,112 @@ def test_comment_lines_ignored():
         # Digits that are not decimal start no number.
         ('extract v:Str from "x" if (/ROOT:{ v = ^[@max=²] })', r"unexpected character '²' \(line 1, column 47\)"),
         ('extract v:Str from "x" if (/ROOT:{ v = ^[@max=①] })', r"unexpected character '①' \(line 1, column 47\)"),
+        # A token without text is named by its kind.
+        ('extract v:Str from "x" if "" ()', r"expected '\(', found 'empty string literal' \(line 1, column 27\)"),
+        ('extract v:Str "" from "x" if ()', r"expected keyword 'from', found 'empty string literal' \(line 1, column 15\)"),
+        ('extract v:Str from "x" if (/ROOT:{ "" = //verb })', r"expected variable name, found 'empty string literal'"),
     ],
 )
 def test_parse_errors(text, message):
     with pytest.raises(KokoSyntaxError, match=message):
         parse_query(text)
+
+
+# One query per rule that the parser checks, each refused at the token at
+# fault: (query, message, line, column).
+_RULES = {
+    "duplicate-output": (
+        'extract v:Str,\n        v:Str\nfrom "x" if (/ROOT:{ v = //verb })',
+        "duplicate output variable 'v'", 2, 9,
+    ),
+    "defined-twice": (
+        'extract v:Str from "x" if (\n/ROOT:{\n    v = //verb,\n    v = //noun\n})',
+        "variable 'v' defined twice", 4, 5,
+    ),
+    "entity-output-defined": (
+        'extract e:Entity from "x" if (\n/ROOT:{\n    a = //verb,\n    e = a/dobj\n})',
+        "entity-typed output 'e' is bound by the entity index and cannot also be defined", 4, 5,
+    ),
+    "use-before-definition-variable": (
+        'extract v:Str from "x" if (\n/ROOT:{\n    v = //verb + ^ + w,\n    w = //noun\n})',
+        "variable 'w' is used before it is defined (in definition of 'v')", 3, 22,
+    ),
+    "use-before-definition-subtree": (
+        'extract v:Str from "x" if (\n/ROOT:{\n    v = (w.subtree),\n    w = //noun\n})',
+        "variable 'w' is used before it is defined (in definition of 'v')", 3, 10,
+    ),
+    "use-before-definition-path-base": (
+        'extract v:Str from "x" if (\n/ROOT:{\n    v = w/dobj,\n    w = //verb\n})',
+        "variable 'w' is used before it is defined (in definition of 'v')", 3, 9,
+    ),
+    "undeclared-in-constraint": (
+        'extract e:Entity from "x" if (\n/ROOT:{ v = //verb }\n(w) in (e)\n)',
+        "variable 'w' is used before it is defined", 3, 2,
+    ),
+    "undeclared-in-constraint-right": (
+        'extract e:Entity from "x" if (\n(e) in (w)\n/ROOT:{ v = //verb }\n)',
+        "constraint references undeclared variable 'w'", 2, 9,
+    ),
+    "undeclared-in-satisfying-clause": (
+        'extract v:Str from "x" if (/ROOT:{ v = //verb })\nsatisfying w\n    (str(v) contains "a" {1})\nwith threshold 0.5',
+        "satisfying clause references undeclared variable 'w'", 2, 12,
+    ),
+    "undeclared-in-condition": (
+        'extract v:Str from "x" if (/ROOT:{ v = //verb })\nsatisfying v\n    (str(v) contains "a" {1}) or\n'
+        '    (w near "b" {1})\nwith threshold 0.5',
+        "condition references undeclared variable 'w'", 4, 6,
+    ),
+    "undeclared-in-excluding-clause": (
+        'extract v:Str from "x" if (/ROOT:{ v = //verb })\nexcluding\n    (str(v) contains "a") or\n'
+        '    (str(w) matches "b")',
+        "excluding condition references undeclared variable 'w'", 4, 10,
+    ),
+    "two-satisfying-clauses": (
+        'extract v:Str from "x" if (/ROOT:{ v = //verb })\nsatisfying v (str(v) contains "a" {1}) with threshold 0.5\n'
+        'satisfying v (str(v) contains "b" {1}) with threshold 0.5',
+        "variable 'v' has more than one satisfying clause", 3, 12,
+    ),
+    "str-output-without-definition": (
+        'extract e:Entity,\n        v:Str\nfrom "x" if ()\nsatisfying v (str(v) contains "a" {1}) with threshold 0.5',
+        "output variable 'v' of type Str has no definition", 2, 9,
+    ),
+    "str-output-without-definition-in-constraint": (
+        'extract e:Entity, v:Str from "x" if (\n/ROOT:{ a = //verb }\n(v) in (e)\n)',
+        "constraint references unknown variable 'v'", 3, 2,
+    ),
+    "path-base-not-a-node": (
+        'extract v:Str from "x" if (\n/ROOT:{\n    a = "ate" + ^,\n    v = a//dobj\n})',
+        "path base 'a' must be a node variable, it is composite", 4, 9,
+    ),
+    "subtree-base-not-a-node": (
+        'extract e:Entity, v:Str from "x" if (\n/ROOT:{\n    v = (e.subtree)\n})',
+        "subtree base 'e' must be a defined node variable", 3, 10,
+    ),
+    "unknown-label": (
+        'extract v:Str from "x" if (\n/ROOT:{\n    a = //verb,\n    v = a/dobj/blorp\n})',
+        "label 'blorp' is neither a known parse label nor a POS tag", 4, 16,
+    ),
+    "conflicting-pos": (
+        'extract v:Str from "x" if (\n/ROOT:{\n    v = //verb[@etype="Person",\n               @pos="noun"]\n})',
+        "conflicting POS constraints 'verb' and 'noun' on one step", 4, 21,
+    ),
+    "reserved-output-name": (
+        'extract v:Str,\n        __v1:Str\nfrom "x" if (/ROOT:{ v = //verb })',
+        "output variable '__v1' starts with '__', which is reserved", 2, 9,
+    ),
+    "reserved-definition-name": (
+        'extract v:Str from "x" if (\n/ROOT:{\n    v = //verb,\n    __s1 = //nsubj\n})',
+        "variable name '__s1' starts with '__', which is reserved", 4, 5,
+    ),
+}
+
+
+@pytest.mark.parametrize("text, message, line, col", _RULES.values(), ids=_RULES.keys())
+def test_each_rule_is_checked_at_the_token_at_fault(text, message, line, col):
+    with pytest.raises(KokoSyntaxError) as info:
+        parse_query(text)
+    assert str(info.value) == f"{message} (line {line}, column {col})"
+    assert (info.value.line, info.value.col) == (line, col)
 
 
 def test_syntax_errors_carry_position():
@@ -207,7 +313,13 @@ def _query(draw):
     if draw(st.booleans()):
         atoms += [ElasticAtom(min_tokens=draw(st.integers(0, 2))), TokensAtom(draw(_words))]
     defs.append(VarDef(name="spanv", atoms=tuple(atoms)))
+    if draw(st.booleans()):
+        defs.append(VarDef(name="rel", atoms=(PathAtom(PathExpr("n0", (draw(_step()),))),)))
     outputs = [("spanv", "Str")]
+    constraints = []
+    if draw(st.booleans()):
+        outputs.append(("ent", draw(_etypes)))
+        constraints.append(Constraint("in", (VarAtom(f"n{n_nodes - 1}"),), "ent"))
     satisfying = []
     if draw(st.booleans()):
         cond = SatCondition(
@@ -220,11 +332,16 @@ def _query(draw):
             conditions=(WeightedCondition(cond, draw(st.sampled_from([0.25, 0.5, 1.0]))),),
             threshold=draw(st.sampled_from([0.0, 0.5, 1.0])),
         ))
+    excluding = ()
+    if draw(st.booleans()):
+        excluding = (SatCondition("contains", "spanv", draw(_words)),)
     return Query(
         outputs=tuple(outputs),
         source='"input.txt"',
         defs=tuple(defs),
+        constraints=tuple(constraints),
         satisfying=tuple(satisfying),
+        excluding=excluding,
     )
 
 
@@ -232,6 +349,39 @@ def _query(draw):
 @settings(max_examples=80, deadline=None)
 def test_round_trip_property(q):
     assert parse_query(pretty_print(q)) == q
+
+
+@given(q=_query())
+@settings(max_examples=40, deadline=None)
+def test_a_parsed_query_normalizes_and_binds(ex31_bundle, q):
+    candidate_bindings(normalize(parse_query(pretty_print(q))), ex31_bundle)
+
+
+@given(_query(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_a_query_broken_at_one_token_is_refused_at_that_token(q, data):
+    """Renames one reference to a variable to a name that is not defined,
+    or one label to an unknown one, in the printed query. A reference is
+    a variable's name anywhere but before the `=` or `:` that defines it;
+    a label is a name after an axis."""
+    text = pretty_print(q)
+    toks = _lex(text)
+    names = {name for name, _ in q.outputs} | {d.name for d in q.defs}
+    refs = [t for t, after in zip(toks, toks[1:]) if t.value in names and after.value not in ("=", ":")]
+    labels = [t for t, before in zip(toks[1:], toks) if t.kind == "ident" and before.value in ("/", "//")]
+    labels = [t for t in labels if t.value != "ROOT"]
+    tok = data.draw(st.sampled_from(refs + labels))
+    if tok in refs:
+        new, message = data.draw(st.sampled_from(["nowhere", "__v1"])), "undeclared|before it is defined"
+    else:
+        new, message = "blorp", "neither a known parse label nor a POS tag"
+    lines = text.split("\n")
+    line = lines[tok.line - 1]
+    lines[tok.line - 1] = line[: tok.col - 1] + new + line[tok.col - 1 + len(tok.value) :]
+    with pytest.raises(KokoSyntaxError) as info:
+        parse_query("\n".join(lines))
+    assert re.search(message, str(info.value))
+    assert (info.value.line, info.value.col) == (tok.line, tok.col)
 
 
 def test_nodes_of_different_types_with_equal_fields_differ():

@@ -186,18 +186,24 @@ def test_vectors_are_unit_normalized(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "clause, message",
+    "sid, clause, message",
     [
-        ('{"tokens": [0, 1.5], "score": 0.9}', "not all integers"),
-        ('{"tokens": [true, 1], "score": 0.9}', "not all integers"),
-        ('{"tokens": [0, 1], "score": NaN}', "not a finite number"),
-        ('{"tokens": [0, 1], "score": Infinity}', "not a finite number"),
-        ('{"tokens": [0, 1], "score": "0.9"}', "not a finite number"),
+        ("1", '{"tokens": [0, 1.5], "score": 0.9}', "not all integers"),
+        ("1", '{"tokens": [true, 1], "score": 0.9}', "not all integers"),
+        ("1", '{"tokens": [0, 1], "score": NaN}', "not a finite number"),
+        ("1", '{"tokens": [0, 1], "score": Infinity}', "not a finite number"),
+        ("1", '{"tokens": [0, 1], "score": "0.9"}', "not a finite number"),
+        ("0.5", '{"tokens": [0]}', "sid 0.5 is not a non-negative integer"),
+        ("true", '{"tokens": [0]}', "sid True is not a non-negative integer"),
+        ('"3"', '{"tokens": [0]}', "sid '3' is not a non-negative integer"),
+        ("-1", '{"tokens": [0]}', "sid -1 is not a non-negative integer"),
+        ("1.0", '{"tokens": [0]}', "sid 1.0 is not a non-negative integer"),
     ],
-    ids=["fraction", "boolean", "nan", "infinity", "string"],
+    ids=["fraction", "boolean", "nan", "infinity", "string", "sid-fraction", "sid-boolean", "sid-string",
+         "sid-negative", "sid-float"],
 )
-def test_clause_file_refuses_non_integer_tokens_and_non_finite_scores(tmp_path, clause, message):
+def test_clause_file_refuses_non_integer_tokens_and_non_finite_scores(tmp_path, sid, clause, message):
     path = tmp_path / "clauses.jsonl"
-    path.write_text('{"sid": 0, "clauses": [{"tokens": [0]}]}\n{"sid": 1, "clauses": [%s]}\n' % clause)
+    path.write_text('{"sid": 0, "clauses": [{"tokens": [0]}]}\n{"sid": %s, "clauses": [%s]}\n' % (sid, clause))
     with pytest.raises(KokoResourceError, match=f"clauses.jsonl:2: bad clause record: .*{message}"):
         load_clause_file(str(path))
