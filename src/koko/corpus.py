@@ -74,8 +74,11 @@ class Sentence(Record):
 
     Extents are min/max over subtree token ids even for non-projective
     sentences, where they span tokens outside the subtree; they give a
-    subtree variable's span, and no test of ancestry reads them. A token
-    that does not reach the root (a head cycle) keeps depth -1.
+    subtree variable's span, and no test of ancestry reads them. Heads
+    that are no tree raise ValueError: no root or more than one, a head
+    outside the sentence, or a token that does not reach the root (its
+    head links run in a cycle, a token heading itself included), whose
+    tid the error's ``tid`` names.
     """
 
     # The columns: token texts, POS tags, labels, heads (None on the root),
@@ -98,8 +101,13 @@ class Sentence(Record):
         n = len(self.tokens)
         if not n == len(self.pos) == len(self.labels) == len(heads) == len(etypes) == len(iobs):
             raise ValueError(f"sentence {self.sid}: its per-token columns differ in length")
+        if heads.count(None) != 1:
+            raise ValueError(f"sentence {sid}: {heads.count(None)} roots, expected exactly 1")
+        root = heads.index(None)
+        linked = heads[:root] + heads[root + 1 :]
+        if linked and not 0 <= min(linked) <= max(linked) < n:
+            raise ValueError(f"sentence {sid}: a head lies outside the sentence")
         children = child_lists(heads)
-        root = heads.index(None) if None in heads else -1
         entities: list[EntitySpan] = []
         if etypes.count(None) != n:
             start, etype = None, None
@@ -128,6 +136,10 @@ class Sentence(Record):
                 for c in below:
                     depth[c] = d
                 stack.extend(below)
+        if len(order) != n:
+            error = ValueError(f"sentence {sid}: the heads run in a cycle at tid {depth.index(-1)}")
+            error.tid = depth.index(-1)  # the first token off the root, for a reader's own message
+            raise error
         for tid in reversed(order):
             head = heads[tid]
             if head is not None:
@@ -409,11 +421,11 @@ def _build_sentence(rows: list[tuple[int, list[str]]], origin: str, strings: dic
         raise fail(0, f"sentence {sid} has {roots} roots, expected exactly 1")
     share = strings.setdefault
     texts, pos, labels = (tuple(map(share, column, column)) for column in (texts, pos, labels))
-    sentence = Sentence(sid, texts, pos, labels, heads, etypes, iobs, strings=strings)
-    if -1 in sentence.depth:
-        # Some token does not reach the root: its head links run in a cycle.
-        raise fail(0, f"cyclic head relation at sid {sid}, tid {sentence.depth.index(-1)}")
-    return sentence
+    try:
+        return Sentence(sid, texts, pos, labels, heads, etypes, iobs, strings=strings)
+    except ValueError as exc:
+        # The one fault of the heads left: a token does not reach the root.
+        raise fail(0, f"cyclic head relation at sid {sid}, tid {exc.tid}") from None
 
 
 def load_corpus(path: str) -> list[AnnotatedDocument]:

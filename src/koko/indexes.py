@@ -14,8 +14,8 @@ the unique label path from the root, and each token lands in exactly one
 node's posting list per index. Both hang off a synthetic super-root
 (labelled TOP in the POS index, where sentence roots carry arbitrary
 tags), which is not counted as a node. A hierarchy is its label and
-parent columns; ``//`` steps read a pre-order numbering of the nodes
-(`_PrePlane`), derived at the first such lookup and never stored.
+parent columns, by node id, and node ids are pre-order ranks, so a
+node's descendants are one range of ids (`HierarchyIndex`).
 
 The index holds the whole corpus, heads and document table included, and
 `open_corpus` builds its sentences from the columns. The tree is stored
@@ -24,7 +24,7 @@ up the head column, and a `Sentence` derives its extents when built.
 
 Persisted layout (directory): ``manifest.json``, which records the CRC-32
 of each file, plus ``tree.idx``, ``word.idx``, ``entity.idx``, ``pl.idx``
-and ``pos.idx``: each the magic ``KOKO`` and a format version (8), then
+and ``pos.idx``: each the magic ``KOKO`` and a format version (9), then
 the columns, posting sets and string tables `save_bundle` writes. Every
 integer column is one codec, frame-of-reference coding at a byte-aligned
 width (Goldstein, Ramakrishnan & Shaft, "Compressing Relations and
@@ -58,17 +58,18 @@ import sys
 import zlib
 from array import array
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 from functools import cached_property, reduce
 from itertools import accumulate, chain, compress, count, repeat
-from operator import add, and_, attrgetter, le, lt, mul, sub
+from operator import and_, attrgetter, le, lt, mul, sub
 
 from .corpus import AnnotatedDocument, Corpus, EntitySpan, Sentence, serialized_documents
 from .errors import KokoInputError
 from .record import Record
 
 MAGIC = b"KOKO"
-FORMAT_VERSION = 8
+FORMAT_VERSION = 9
 INDEX_FILES = ("tree.idx", "word.idx", "entity.idx", "pl.idx", "pos.idx")
 NO_HEAD = 0xFFFFFFFF  # the head column's entry for a sentence root
 
@@ -115,9 +116,10 @@ class TokenTable(Record):
 
     @cached_property
     def depth(self) -> array:
-        """Each token's depth, its PL node's; nodes are numbered parent
-        first, so one pass over the parents gives theirs. The PL lists must
-        hold every token once, each under a node less deep than its sentence is long."""
+        """Each token's depth, its PL node's; nodes are numbered in
+        pre-order, parents first, so one pass over the parents gives theirs.
+        The PL lists must hold every token once, each under a node less deep
+        than its sentence is long."""
         node_depth = [-1]
         for parent in self.pl.parents[1:]:
             node_depth.append(node_depth[parent] + 1)
@@ -333,15 +335,41 @@ class EntityIndex(Record):
 
 
 class HierarchyIndex(Record):
+    """A hierarchy's nodes by id: their labels, parents and posting lists.
+    Node ids are pre-order ranks, node 0 the super-root's, so the nodes
+    below node n are n + 1 up to ``end[n]``, and its children are n + 1 and
+    each one's next sibling, at the end of the one before (Grust,
+    "Accelerating XPath Location Steps", SIGMOD 2002). One pass over the
+    parents derives ``end`` and each label's sorted ids, ``ids_of``, and
+    checks that each node's parent is the node before it or an ancestor of
+    that node; it and the check that siblings' labels differ name the file
+    of a loaded hierarchy (``postings.where``) in a KokoInputError."""
+
     _fields = ("labels", "parents", "postings")
 
     def __init__(self, labels: list[str], parents: array, postings: PostingLists) -> None:
         self.labels = labels  # by node id; node 0 is the super-root
-        self.parents = parents  # by node id, each below its node's; the super-root's is 0
+        self.parents = parents  # by node id; the super-root's is 0
         self.postings = postings  # by node id
-        # A `/` step's lookup, (parent, label) -> node, derived from the columns.
-        self.child = dict(zip(zip(parents[1:], labels[1:]), count(1)))
-        self._plane: _PrePlane | None = None  # derived at the first `//` or `/*` step
+        n = len(labels)
+        self.end = end = [n] * n  # one past the last node of each subtree
+        self.ids_of = ids_of = defaultdict(list)
+        path = [0]  # the previous node and its ancestors
+        try:
+            for node, parent, label in zip(count(1), parents[1:], labels[1:]):
+                while path[-1] != parent:
+                    end[path.pop()] = node
+                path.append(node)
+                ids_of[label].append(node)
+        except IndexError:
+            raise KokoInputError(
+                f"{postings.where}: node record {node} has parent {parent}, which is neither "
+                f"node {node - 1} nor one of its ancestors: the node ids are not in pre-order"
+            ) from None
+        # No two children of a node share a label: no two nodes of a label share a parent.
+        for ids in ids_of.values():
+            if len(set(map(parents.__getitem__, ids))) != len(ids):
+                raise KokoInputError(f"{postings.where}: two children of a node share a label")
 
     @property
     def node_count(self) -> int:
@@ -359,88 +387,36 @@ class HierarchyIndex(Record):
         """The nodes whose root path matches ``steps``, (axis, label) pairs
         where label may be ``*``. ``/`` consumes exactly one edge, ``//``
         one or more; both start from the super-root, so a leading ``//``
-        reaches the depth-0 tokens too."""
+        reaches the depth-0 tokens too. A ``/`` step hops over each node's
+        children; a ``//`` step keeps the outermost subtree ranges and
+        takes each whole (``*``) or bisects the label's ids in it."""
+        labels, end = self.labels, self.end
         positions = {0}
         for axis, label in steps:
             nxt: set[int] = set()
-            if axis == "/" and label != "*":
-                nxt.update(self.child[key] for key in zip(positions, repeat(label)) if key in self.child)
+            if axis == "/":
+                for n in positions:
+                    child, stop = n + 1, end[n]
+                    while child < stop:
+                        if label == "*" or labels[child] == label:
+                            nxt.add(child)
+                        child = end[child]
             else:
-                if self._plane is None:
-                    self._plane = _PrePlane(self.labels, self.parents)
-                if axis == "/":
-                    self._plane.children(positions, nxt)
-                else:
-                    self._plane.descendants(positions, label, nxt)
+                ids = None if label == "*" else self.ids_of.get(label, ())
+                hi = 0
+                for lo, stop in sorted((n + 1, end[n]) for n in positions):
+                    if stop <= hi:
+                        continue  # inside a range already taken
+                    hi = stop
+                    if ids is None:
+                        nxt.update(range(lo, stop))
+                    else:
+                        i = bisect_left(ids, lo)
+                        nxt.update(ids[i : bisect_left(ids, stop, i)])
             positions = nxt
             if not positions:
                 break
         return positions
-
-
-class _PrePlane:
-    """Pre-order numbering of a hierarchy (Grust, "Accelerating XPath
-    Location Steps", SIGMOD 2002): the descendants of a node hold the
-    ranks after its own and before its ``end``, so a ``//label`` step is
-    a bisect of the label's rank list inside each range. Derived, with the
-    children of each node, from the parent column, never stored."""
-
-    def __init__(self, labels: list[str], parents: array) -> None:
-        below: list[list[int]] = [[] for _ in labels]
-        for node_id in range(1, len(labels)):
-            below[parents[node_id]].append(node_id)
-        order = array(_TYPECODE)  # node id by rank
-        stack = [0]
-        while stack:
-            node_id = stack.pop()
-            order.append(node_id)
-            stack.extend(below[node_id])
-        # Every parent has a lower id than its children, so one backward
-        # pass sums the subtree sizes.
-        size = [1] * len(labels)
-        for node_id in range(len(labels) - 1, 0, -1):
-            size[parents[node_id]] += size[node_id]
-        rank = [0] * len(labels)
-        ranks_of: dict[str, array] = {}
-        for r, node_id in enumerate(order):
-            rank[node_id] = r
-            label = labels[node_id]
-            ranks = ranks_of.get(label)
-            if ranks is None:
-                ranks = ranks_of[label] = array(_TYPECODE)
-            ranks.append(r)
-        self.order = order
-        # Each node's children, as a posting list of node ids.
-        self.kids_at = array(_TYPECODE, accumulate(map(len, below), initial=0))
-        self.kids = array(_TYPECODE, chain.from_iterable(below))
-        self.rank = array(_TYPECODE, rank)
-        self.end = array(_TYPECODE, map(add, rank, size))  # one past the last rank of each subtree
-        self.ranks_of = ranks_of
-
-    def children(self, node_ids: set[int], out: set[int]) -> None:
-        """Add to `out` the children of the nodes of `node_ids`."""
-        kids, at = self.kids, self.kids_at
-        out.update(chain.from_iterable(kids[at[n] : at[n + 1]] for n in node_ids))
-
-    def descendants(self, node_ids: set[int], label: str, out: set[int]) -> None:
-        """Add to `out` the nodes labelled `label` (any, for ``*``) strictly
-        below some node of `node_ids`."""
-        order, rank, end = self.order, self.rank, self.end
-        ranks = None
-        if label != "*":
-            ranks = self.ranks_of.get(label)
-            if ranks is None:
-                return
-        hi = 0
-        for lo, stop in sorted((rank[n] + 1, end[n]) for n in node_ids):
-            if stop <= hi:
-                continue  # inside a range already taken
-            hi = stop
-            if ranks is None:
-                out.update(order[lo:stop])
-            else:
-                i = bisect_left(ranks, lo)
-                out.update(map(order.__getitem__, ranks[i : bisect_left(ranks, stop, i)]))
 
 
 class IndexBundle(Record):
@@ -504,12 +480,14 @@ def build_indexes(docs: list[AnnotatedDocument]) -> IndexBundle:
 
 def _merged_trees(sentences: list[Sentence]) -> tuple[HierarchyIndex, HierarchyIndex]:
     """The PL and the POS hierarchy: the sentences' trees with children
-    merged on their parse label and on their POS tag. Nodes are numbered
-    as first reached, sentence by sentence, each sentence's tokens by
-    depth and then tid, so a head's node is known before its children's."""
+    merged on their parse label and on their POS tag. Nodes are first
+    numbered as reached, sentence by sentence, each sentence's tokens by
+    depth and then tid, so a head's node is known before its children's;
+    then renumbered in pre-order, each node's children in the order they
+    were reached, so a build is deterministic."""
     merged = []
     for column, root in (("labels", ""), ("pos", TOP)):
-        labels, parents, child = [root], array(_TYPECODE, [0]), {}
+        labels, parents, child = [root], [0], {}
         node_of: list[int] = []  # by token offset
         for s in sentences:
             values, heads, nodes = getattr(s, column), s.heads, [0] * len(s)
@@ -523,7 +501,19 @@ def _merged_trees(sentences: list[Sentence]) -> tuple[HierarchyIndex, HierarchyI
                     parents.append(key[0])
                 nodes[tid] = node
             node_of += nodes
-        merged.append(HierarchyIndex(labels, parents, PostingLists.grouped(node_of, range(len(labels)))))
+        below: list[list[int]] = [[] for _ in labels]  # each node's children, the last reached first
+        for node in range(len(labels) - 1, 0, -1):
+            below[parents[node]].append(node)
+        reached, stack = [], [0]  # the nodes in pre-order
+        while stack:
+            reached.append(stack.pop())
+            stack += below[reached[-1]]
+        pre = sorted(range(len(labels)), key=reached.__getitem__)  # each node's pre-order id
+        merged.append(HierarchyIndex(
+            [labels[node] for node in reached],
+            array(_TYPECODE, [pre[parents[node]] for node in reached]),
+            PostingLists.grouped(list(map(pre.__getitem__, node_of)), range(len(labels))),
+        ))
     return merged[0], merged[1]
 
 
@@ -825,18 +815,13 @@ def load_bundle(directory: str, expected_fingerprint: str | None = None) -> Inde
             raise f.fail("node columns differ in length")
         if max(label_ids, default=-1) >= len(labels):
             raise f.fail(f"label id {max(label_ids)} past the {len(labels)} labels")
-        # Parents come before their children.
-        if not all(map(lt, parents, count(1))):
-            node_id = next(i for i, p in enumerate(parents, 1) if p >= i)
-            raise f.fail(f"node record {node_id} has parent {parents[node_id - 1]}")
+        # Building the hierarchy checks that the node ids are a pre-order
+        # and that no two children of a node share a label.
+        labels = [root_label, *map(labels.__getitem__, label_ids)]
+        hierarchies.append(HierarchyIndex(labels, array(_TYPECODE, [0]) + parents, postings))
         if postings.ptr[1]:
             raise f.fail("the super-root holds postings")
         f.end()
-        labels = [root_label, *map(labels.__getitem__, label_ids)]
-        index = HierarchyIndex(labels, array(_TYPECODE, [0]) + parents, postings)
-        if len(index.child) != index.node_count:
-            raise f.fail("two children of a node share a label")
-        hierarchies.append(index)
 
     pl, pos = hierarchies
     tokens.pl = pl
@@ -870,10 +855,6 @@ def open_corpus(bundle: IndexBundle) -> Corpus:
         label_of, tag_of = (index.postings.owners(t.starts[-1]) for index in (bundle.pl, bundle.pos))
         a, b = t.starts[sid], t.starts[sid + 1]
         heads = [None if h == NO_HEAD else h for h in t.heads[a:b]]
-        if not all(h in range(b - a) for h in heads if h is not None):
-            raise fail(sid, "a head lies outside the sentence")
-        if heads.count(None) != 1:
-            raise fail(sid, f"{heads.count(None)} roots, expected exactly 1")
         etypes, iobs = [None] * (b - a), [None] * (b - a)
         lo = bisect_left(record_sids, sid)
         for rec in records[lo : bisect_right(record_sids, sid, lo)]:
@@ -881,9 +862,10 @@ def open_corpus(bundle: IndexBundle) -> Corpus:
             iobs[rec.start : rec.end + 1] = ["B"] + ["I"] * (rec.end - rec.start)
         pos = map(bundle.pos.labels.__getitem__, tag_of[a:b])
         labels = map(bundle.pl.labels.__getitem__, label_of[a:b])
-        s = Sentence(sid, texts, pos, labels, heads, etypes, iobs)
-        if -1 in s.depth:
-            raise fail(sid, f"the heads run in a cycle at tid {s.depth.index(-1)}")
+        try:
+            s = Sentence(sid, texts, pos, labels, heads, etypes, iobs)
+        except ValueError as exc:  # heads that are no tree
+            raise KokoInputError(f"{t.where}: {exc}") from None
         if s.depth != tuple(t.depth[a:b]):
             raise fail(sid, "its depths differ from the PL lists'")
         return s

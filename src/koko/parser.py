@@ -235,7 +235,7 @@ class _Parser:
             excluding = tuple(c for c, _ in self._condition_disjunction("excluding condition"))
         tok = self.peek()
         if tok.kind != "eof":
-            raise self.error(f"unexpected trailing input {tok.value!r}", tok)
+            raise self.error(f"unexpected trailing input {tok.value or _EMPTY_TOKEN[tok.kind]!r}", tok)
         for name, tok in self.str_outputs.items():
             if name not in self.kinds:
                 raise self.error(f"output variable {name!r} of type Str has no definition", tok)
@@ -365,6 +365,8 @@ class _Parser:
             return [self._elastic()]
         if tok.kind == "string":
             self.next()
+            if not tok.value.split():
+                raise self.error("string literal must contain at least one word", tok)
             return [TokensAtom(tok.value)]
         if tok.kind == "op" and tok.value in ("/", "//"):
             return [PathAtom(self._path(base=None))]

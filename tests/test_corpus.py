@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings
@@ -110,6 +114,39 @@ def test_tree_meta_property(n, seed):
 def test_columns_of_different_lengths_rejected():
     with pytest.raises(ValueError, match="differ in length"):
         Sentence(0, ["a", "b"], ["noun", "noun"], ["root", "dep"], [None, 0], [None, None], [None])
+
+
+def test_heads_that_are_no_tree_rejected():
+    # In a child process with a timeout, since heads without a root once
+    # sent the constructor's walk of the tree round forever.
+    script = textwrap.dedent("""
+        from koko.corpus import Sentence
+        cases = {
+            "no root": [1, 0],
+            "two roots": [None, None],
+            "negative head": [None, -2],
+            "head past the end": [None, 5],
+            "self-head": [None, 1, 1],
+            "cycle": [None, 2, 1],
+        }
+        for case, heads in cases.items():
+            n = len(heads)
+            try:
+                Sentence(0, ["w"] * n, ["x"] * n, ["l"] * n, heads, [None] * n, [None] * n)
+            except ValueError as exc:
+                print(f"{case}: {exc}")
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=10, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "no root: sentence 0: 0 roots, expected exactly 1",
+        "two roots: sentence 0: 2 roots, expected exactly 1",
+        "negative head: sentence 0: a head lies outside the sentence",
+        "head past the end: sentence 0: a head lies outside the sentence",
+        "self-head: sentence 0: the heads run in a cycle at tid 1",
+        "cycle: sentence 0: the heads run in a cycle at tid 1",
+    ]
 
 
 def test_extents_nest_along_head_links_on_projective_trees(ex31_corpus):

@@ -144,9 +144,24 @@ def test_posting_lists_sorted(ex31_bundle):
 
 def test_children_labels_distinct(ex31_bundle):
     for index in (ex31_bundle.pl, ex31_bundle.pos):
-        assert len(index.child) == index.node_count == len(index.parents) - 1
-        for (parent, label), child in index.child.items():
-            assert (index.parents[child], index.labels[child]) == (parent, label)
+        pairs = list(zip(index.parents[1:], index.labels[1:]))
+        assert len(set(pairs)) == len(pairs) == index.node_count
+        # Node ids are pre-order ranks: the nodes below node n are the ids
+        # n + 1 up to end[n], and each label's ids are sorted.
+        for n in range(len(index.labels)):
+            below = {m for m in range(1, len(index.labels)) if n in _ancestors(index, m)}
+            assert below == set(range(n + 1, index.end[n]))
+        for label, ids in index.ids_of.items():
+            assert ids == sorted(m for m in range(1, len(index.labels)) if index.labels[m] == label)
+
+
+def _ancestors(index, node_id):
+    """The proper ancestors of a node, the super-root included."""
+    found = []
+    while node_id > 0:
+        node_id = index.parents[node_id]
+        found.append(node_id)
+    return found
 
 
 def test_compression_on_repeated_sentences():
@@ -193,18 +208,18 @@ def test_version_mismatch_rejected(ex31_bundle, tmp_path):
 
 
 def test_index_of_the_previous_format_exits_2(ex31_bundle, tmp_path, capsys):
-    # A version-7 index, as its writer recorded it in the manifest and each
+    # A version-8 index, as its writer recorded it in the manifest and each
     # file's header, is refused with the version message, no traceback.
     from koko.cli import main
 
     d = tmp_path / "idx"
     save_bundle(ex31_bundle, str(d))
     manifest = json.loads((d / "manifest.json").read_text())
-    manifest["format_version"] = 7
+    manifest["format_version"] = 8
     (d / "manifest.json").write_text(json.dumps(manifest))
     for name in manifest["checksums"]:
         raw = bytearray((d / name).read_bytes())
-        _set_u32(raw, 4, 7)
+        _set_u32(raw, 4, 8)
         (d / name).write_bytes(bytes(raw))
     q = tmp_path / "q.koko"
     q.write_text('extract v:Str from "x" if (/ROOT:{ v = //dobj })\n')
@@ -212,7 +227,7 @@ def test_index_of_the_previous_format_exits_2(ex31_bundle, tmp_path, capsys):
     assert main(["query", "--query", str(q), "--index", str(d)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
-    assert "format version 7 does not match supported version 8" in captured.err
+    assert "format version 8 does not match supported version 9" in captured.err
 
 
 def test_fingerprint_mismatch_rejected(ex31_bundle, tmp_path):
@@ -824,32 +839,50 @@ _steps = st.lists(
 )
 
 
+def _assert_matches_reference(index, steps):
+    expected = {
+        node_id
+        for node_id in range(1, len(index.labels))
+        if _reference_match(_label_path(index, node_id), steps)
+    }
+    assert index.match_nodes(steps) == expected, steps
+    assert path_offsets(index, steps) == sorted(o for n in expected for o in index.postings[n])
+
+
 @pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
 @pytest.mark.parametrize("which", ["pl", "pos"])
 @pytest.mark.parametrize("seed", [5, 29])
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(steps=_steps)
 def test_range_filter_matches_reference_walk(seed, which, loaded, steps):
+    _assert_matches_reference(_hierarchies(seed, loaded)[which], steps)
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+@pytest.mark.parametrize("which", ["pl", "pos"])
+@pytest.mark.parametrize("seed", [5, 29])
+def test_child_steps_match_reference_walk(seed, which, loaded):
+    # `/*`, `/*/*` and, for every label, `/label/*` and `//label/*`: the
+    # steps that hop over a node's children.
     index = _hierarchies(seed, loaded)[which]
-    expected = {
-        node_id
-        for node_id in range(1, len(index.labels))
-        if _reference_match(_label_path(index, node_id), steps)
-    }
-    assert index.match_nodes(steps) == expected
-    assert path_offsets(index, steps) == sorted(o for n in expected for o in index.postings[n])
+    patterns = [[("/", "*")], [("/", "*"), ("/", "*")]]
+    for label in sorted(set(index.labels[1:])):
+        patterns += [[("/", label), ("/", "*")], [("//", label), ("/", "*")]]
+    for steps in patterns:
+        _assert_matches_reference(index, steps)
 
 
-def test_pre_order_plane_is_derived_at_the_first_descendant_step(tmp_path):
+def test_pre_order_pass_runs_at_construction_and_nothing_derived_is_saved(tmp_path):
     bundle = build_indexes(synthesize_corpus(5, 50))
     save_bundle(bundle, str(tmp_path / "idx"))
     loaded = load_bundle(str(tmp_path / "idx"))
-    path_offsets(loaded.pl, _parse_pattern("/root/nsubj"))
-    assert loaded.pl._plane is None  # `/` steps read the children only
-    assert loaded == bundle
-    steps = _parse_pattern("//nsubj//det")
-    assert path_offsets(loaded.pl, steps) == path_offsets(bundle.pl, steps)
-    assert loaded.pl._plane is not None and bundle.pl._plane is not None
+    # A built and a loaded hierarchy derive the same subtree ends and
+    # label ids, and answer every step kind alike.
+    for built, read in ((bundle.pl, loaded.pl), (bundle.pos, loaded.pos)):
+        assert read.end == built.end and read.ids_of == built.ids_of
+    for path in ("/root/nsubj", "/root/*", "//nsubj//det", "//*", "//dobj/*"):
+        steps = _parse_pattern(path)
+        assert path_offsets(loaded.pl, steps) == path_offsets(bundle.pl, steps)
     assert loaded == bundle
     # Nothing derived is saved: the files stay byte-identical.
     save_bundle(loaded, str(tmp_path / "again"))
@@ -955,6 +988,15 @@ def _own_parent(values):
     values[1] = 2
 
 
+def _out_of_pre_order(values):
+    # The last node moved under the first leaf that is not the node before
+    # it: its parent still comes first, but is neither the node before it
+    # nor an ancestor of that node. Entry i is node i + 1's parent, and
+    # node n is a leaf when node n + 1's parent is not n.
+    leaf = next(n for n in range(1, len(values) - 1) if values[n] != n)
+    values[-1] = leaf
+
+
 def _swapped_first_two(values):
     assert values[0] < values[1]
     values[:2] = values[1::-1]
@@ -1057,6 +1099,7 @@ def _assert_query_exits_2(tmp_path, capsys, d, message):
         ("entity.idx", _changed_column("entity.idx", "etype_id", _past_the_table), "etype id"),
         ("entity.idx", _changed_column("entity.idx", "surface_id", _past_the_table), "surface id"),
         ("pl.idx", _changed_column("pl.idx", "parent", _own_parent), "node record 2 has parent 2"),
+        ("pl.idx", _changed_column("pl.idx", "parent", _out_of_pre_order), "the node ids are not in pre-order"),
         ("entity.idx", _changed_column("entity.idx", "surfaces.ends", _swapped_first_two), "string end offsets"),
         ("word.idx", _changed_column("word.idx", "words.ends", _second_emptied), "words out of order"),
         ("tree.idx", _changed_column("tree.idx", "lengths", _zeroed), "sentence 0 has no token"),

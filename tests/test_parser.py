@@ -133,6 +133,8 @@ def test_comment_lines_ignored():
         ('extract v:Str from "x" if "" ()', r"expected '\(', found 'empty string literal' \(line 1, column 27\)"),
         ('extract v:Str "" from "x" if ()', r"expected keyword 'from', found 'empty string literal' \(line 1, column 15\)"),
         ('extract v:Str from "x" if (/ROOT:{ "" = //verb })', r"expected variable name, found 'empty string literal'"),
+        ('extract v:Str from "x" if (/ROOT:{ v = //verb }) ""',
+         r"unexpected trailing input 'empty string literal' \(line 1, column 50\)"),
     ],
 )
 def test_parse_errors(text, message):
@@ -221,6 +223,19 @@ _RULES = {
     "reserved-output-name": (
         'extract v:Str,\n        __v1:Str\nfrom "x" if (/ROOT:{ v = //verb })',
         "output variable '__v1' starts with '__', which is reserved", 2, 9,
+    ),
+    # A string literal atom matches a sequence of words, so it needs one.
+    "empty-literal": (
+        'extract v:Str from "x" if (\n/ROOT:{\n    v = ""\n})',
+        "string literal must contain at least one word", 3, 9,
+    ),
+    "empty-literal-in-span": (
+        'extract v:Str from "x" if (\n/ROOT:{\n    v = "ate" + ""\n})',
+        "string literal must contain at least one word", 3, 17,
+    ),
+    "blank-literal": (
+        'extract v:Str from "x" if (\n/ROOT:{\n    v = "  "\n})',
+        "string literal must contain at least one word", 3, 9,
     ),
     "reserved-definition-name": (
         'extract v:Str from "x" if (\n/ROOT:{\n    v = //verb,\n    __s1 = //nsubj\n})',
