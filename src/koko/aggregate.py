@@ -18,7 +18,7 @@ from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING
 
 from .corpus import Corpus, Sentence
-from .normalize import ENTITY, NODE, NormalizedQuery
+from .normalize import NODE, NormalizedQuery
 from .record import Record
 from .resources import Resources
 
@@ -77,8 +77,6 @@ def projected_names(n: NormalizedQuery) -> tuple[str, ...]:
 
 
 def value_of(sentence: Sentence, bound: Bound, kind: str) -> str:
-    if kind == ENTITY and bound.rec is not None:
-        return bound.rec.surface
     if kind == NODE:
         return sentence.tokens[bound.tid]
     return sentence.text(bound.start, bound.end)

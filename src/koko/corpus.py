@@ -21,17 +21,19 @@ columns of a saved index (`koko.indexes.open_corpus`) or a synthetic
 corpus: its constructor
 derives the tree data (``left``, ``right``, ``depth``) from the heads,
 the one tree column the index's token table stores, and the entity
-mentions (``EntitySpan``), which the entity index stores as they are. A sentence keeps no per-token
-mutable container: CPython stops tracking a tuple of strs, ints and
-``None`` at its first collection, so a loaded corpus costs the garbage
-collector about one object per sentence. Readers that walk the tree
+mentions (``EntitySpan``), which the entity index stores as they are. A
+mention is its span: its text is read from its words (`Sentence.text`)
+where a value is needed. A sentence keeps no per-token mutable
+container: CPython stops tracking a tuple of strs, ints and ``None`` at
+its first collection, so a loaded corpus costs the garbage collector
+about one object per sentence. Readers that walk the tree
 downwards derive the children from ``heads`` (`child_lists`).
 
 The reader is dictionary-encoded: one `parse_corpus` call keeps one
-``str`` per distinct token text, POS tag, label, entity type and entity
-surface, and every sentence's columns hold those (Abadi, Madden &
-Ferreira, "Integrating Compression and Execution in Column-Oriented
-Database Systems", 2006). The table is the call's own, so nothing
+``str`` per distinct token text, POS tag, label and entity type, and
+every sentence's columns hold those (Abadi, Madden & Ferreira,
+"Integrating Compression and Execution in Column-Oriented Database
+Systems", 2006). The table is the call's own, so nothing
 outlives the corpus. The text is split into lines a bounded chunk at a
 time, and the canonical serialization (`serialize_corpus`) is written,
 and hashed (`koko.indexes.corpus_fingerprint`), a document at a time, so
@@ -53,13 +55,13 @@ from .record import Record
 
 class EntitySpan(NamedTuple):
     """An entity mention: a maximal IOB2 run of tokens start..end
-    inclusive. Sentences and the entity index hold the same records."""
+    inclusive. Sentences and the entity index hold the same records; its
+    text is its words' (`Sentence.text(start, end)`)."""
 
     sid: int
     start: int
     end: int
     etype: str
-    surface: str
 
 
 class Sentence(Record):
@@ -69,8 +71,6 @@ class Sentence(Record):
     min/max tid over the subtree) and depth (the root's is 0), and the
     entity mentions. Columns given as other sequences are stored as
     tuples; a tuple is stored as it is, so sentences can share columns.
-    Each entity surface is looked up in `strings`, when given, and the
-    one found there is kept (the reader's table of distinct strings).
 
     Extents are min/max over subtree token ids even for non-projective
     sentences, where they span tokens outside the subtree; they give a
@@ -89,8 +89,7 @@ class Sentence(Record):
     __slots__ = _fields + ("root_tid", "left", "right", "depth", "entities")
 
     def __init__(self, sid: int, tokens: Sequence[str], pos: Sequence[str], labels: Sequence[str],
-                 heads: Sequence[int | None], etypes: Sequence[str | None], iobs: Sequence[str | None], *,
-                 strings: dict[str, str] | None = None) -> None:
+                 heads: Sequence[int | None], etypes: Sequence[str | None], iobs: Sequence[str | None]) -> None:
         self.sid = sid
         self.tokens = tuple(tokens)
         self.pos = tuple(pos)
@@ -113,12 +112,12 @@ class Sentence(Record):
             start, etype = None, None
             for tid in range(n):
                 if start is not None and (etypes[tid] != etype or iobs[tid] == "B"):
-                    entities.append(self._mention(start, tid - 1, etype, strings))
+                    entities.append(EntitySpan(sid, start, tid - 1, etype))
                     start = None
                 if start is None and etypes[tid] is not None:
                     start, etype = tid, etypes[tid]
             if start is not None:
-                entities.append(self._mention(start, n - 1, etype, strings))
+                entities.append(EntitySpan(sid, start, n - 1, etype))
         left = list(range(n))
         right = list(range(n))
         depth = [-1] * n
@@ -150,12 +149,6 @@ class Sentence(Record):
         self.root_tid = root
         self.left, self.right, self.depth = tuple(left), tuple(right), tuple(depth)
         self.entities = tuple(entities)
-
-    def _mention(self, start: int, end: int, etype: str, strings: dict[str, str] | None) -> EntitySpan:
-        surface = self.text(start, end)
-        if strings is not None:
-            surface = strings.setdefault(surface, surface)
-        return EntitySpan(self.sid, start, end, etype, surface)
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -422,7 +415,7 @@ def _build_sentence(rows: list[tuple[int, list[str]]], origin: str, strings: dic
     share = strings.setdefault
     texts, pos, labels = (tuple(map(share, column, column)) for column in (texts, pos, labels))
     try:
-        return Sentence(sid, texts, pos, labels, heads, etypes, iobs, strings=strings)
+        return Sentence(sid, texts, pos, labels, heads, etypes, iobs)
     except ValueError as exc:
         # The one fault of the heads left: a token does not reach the root.
         raise fail(0, f"cyclic head relation at sid {sid}, tid {exc.tid}") from None

@@ -39,7 +39,6 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Sequence
 from functools import cached_property
 from itertools import repeat
-from operator import attrgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .aggregate import Projected, projected_names
@@ -54,12 +53,11 @@ if TYPE_CHECKING:  # annotations only: nested imports this module
 
 
 class Bound(NamedTuple):
-    """A runtime binding: inclusive span, token id for node vars, record."""
+    """A runtime binding: inclusive span, token id for node vars."""
 
     start: int
     end: int  # end < start encodes the empty span at position start
     tid: int | None = None
-    rec: object = None
 
 
 class SkipPlan:
@@ -275,11 +273,10 @@ def run_join(plan: JoinPlan, table: BindingTable, bundle: IndexBundle, stats: Ev
     extended left to right: the next atom's candidates in the chain's
     sentence (`BindingTable.bounds`) are bisected at the chain's end plus
     one plus the gap's `@min`, up to its `@max`. A node's value is its
-    word (`WordIndex.texts`), a literal's its own words, an entity's its
-    record's surface, and a gap's or the composite's its words
-    detokenized. No sentence is built. `stats` counts the first atom's
-    candidates plus the pairs each later atom adds as loop iterations,
-    and the tuples; no check is run."""
+    word (`WordIndex.texts`), a literal's its own words, and an entity's,
+    a gap's or the composite's its words detokenized. No sentence is
+    built. `stats` counts the first atom's candidates plus the pairs each
+    later atom adds as loop iterations, and the tuples; no check is run."""
     sid_of = bundle.tokens.sid_of
     atoms = plan.atoms
     # The chains, one column per atom: its candidate's index in each chain.
@@ -307,25 +304,24 @@ def run_join(plan: JoinPlan, table: BindingTable, bundle: IndexBundle, stats: Ev
     def read(of: Sequence, j: int) -> Iterator:
         return map(of.__getitem__, columns[j])
 
-    head, tail = atoms[0], atoms[-1]
     values = []
     for what, j in plan.values:
         atom = atoms[j]
-        if what == "atom" and atom.kind == ENTITY:
-            values.append(map(attrgetter("surface"), read(atom.records, j)))
-        elif what == "atom" and atom.kind == WORDSEQ:
+        if what == "atom" and atom.kind == WORDSEQ:
             values.append(repeat(atom.text))
         else:  # read from the word column, inverted at its first read
             texts = bundle.word.texts()
-            if what == "span":
-                spans = zip(read(head.starts, 0), read(tail.ends, -1))
-                values.append([detokenize(texts[a : b + 1]) for a, b in spans])
-            elif what == "gap":
+            if what == "gap":
                 spans = zip(read(atom.ends, j), read(atoms[j + 1].starts, j + 1))
                 values.append([detokenize(texts[a + 1 : b]) for a, b in spans])
+            elif what == "span" or atom.kind == ENTITY:
+                # The composite runs from the first atom to the last.
+                first, last = (0, -1) if what == "span" else (j, j)
+                spans = zip(read(atoms[first].starts, first), read(atoms[last].ends, last))
+                values.append([detokenize(texts[a : b + 1]) for a, b in spans])
             else:
                 values.append(map(texts.__getitem__, read(atom.starts, j)))
-    out = list(zip(map(sid_of.__getitem__, read(head.starts, 0)), zip(*values)))
+    out = list(zip(map(sid_of.__getitem__, read(atoms[0].starts, 0)), zip(*values)))
     stats.tuples += len(out)
     return out
 

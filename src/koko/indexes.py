@@ -1,8 +1,8 @@
 """The token table, the four corpus indices and their on-disk form.
 
 * token table: every token's head, stored once; its depth is derived
-* word index: surface string -> posting list
-* entity index: entity surface -> (sid, start-end, type) records
+* word index: word -> posting list
+* entity index: entity type -> (sid, start, end, type) records
 * PL / POS hierarchy index: dependency trees merged on parse labels / POS tags
 
 A posting list is a sorted run of global token offsets (``starts[sid] +
@@ -20,11 +20,13 @@ node's descendants are one range of ids (`HierarchyIndex`).
 The index holds the whole corpus, heads and document table included, and
 `open_corpus` builds its sentences from the columns. The tree is stored
 once, as heads: no subtree extent is stored, DPLI's containment join walks
-up the head column, and a `Sentence` derives its extents when built.
+up the head column, and a `Sentence` derives its extents when built. No
+entity surface is stored either: a mention is its span, and its text is
+read from the word column where a value is needed.
 
 Persisted layout (directory): ``manifest.json``, which records the CRC-32
 of each file, plus ``tree.idx``, ``word.idx``, ``entity.idx``, ``pl.idx``
-and ``pos.idx``: each the magic ``KOKO`` and a format version (9), then
+and ``pos.idx``: each the magic ``KOKO`` and a format version (10), then
 the columns, posting sets and string tables `save_bundle` writes. Every
 integer column is one codec, frame-of-reference coding at a byte-aligned
 width (Goldstein, Ramakrishnan & Shaft, "Compressing Relations and
@@ -36,10 +38,10 @@ in its cheaper form: sentence and document lengths in place of their
 starts, and each posting set's list counts in place of ``ptr``, which one
 `accumulate` gives back at load. A string table is a column of end
 offsets (in code points) and one UTF-8 blob (a byte count and the bytes);
-a column of labels, etypes or entity surfaces is a table of its distinct
-strings and a column of ids into it. A posting set is the counts, a
-column of one byte per list giving the width of its gaps (1, 2 or 4), and
-one blob holding each non-empty list as its first offset in 4 bytes, then
+a column of labels or etypes is a table of its distinct strings and a
+column of ids into it. A posting set is the counts, a column of one byte
+per list giving the width of its gaps (1, 2 or 4), and one blob holding
+each non-empty list as its first offset in 4 bytes, then
 its d-gaps at that width (Zobel & Moffat, "Inverted files for text search
 engines", 2006). So each file is read with one C-level widening per
 column and one decode per table, and in memory every column is a 4-byte
@@ -69,7 +71,7 @@ from .errors import KokoInputError
 from .record import Record
 
 MAGIC = b"KOKO"
-FORMAT_VERSION = 9
+FORMAT_VERSION = 10
 INDEX_FILES = ("tree.idx", "word.idx", "entity.idx", "pl.idx", "pos.idx")
 NO_HEAD = 0xFFFFFFFF  # the head column's entry for a sentence root
 
@@ -485,13 +487,14 @@ def _merged_trees(sentences: list[Sentence]) -> tuple[HierarchyIndex, HierarchyI
     depth and then tid, so a head's node is known before its children's;
     then renumbered in pre-order, each node's children in the order they
     were reached, so a build is deterministic."""
-    merged = []
-    for column, root in (("labels", ""), ("pos", TOP)):
-        labels, parents, child = [root], [0], {}
-        node_of: list[int] = []  # by token offset
-        for s in sentences:
-            values, heads, nodes = getattr(s, column), s.heads, [0] * len(s)
-            for tid in sorted(range(len(s)), key=s.depth.__getitem__):
+    # Each hierarchy's labels and parents by node id, its node of each
+    # (parent, label) and its node of each token, by offset.
+    tries = [([root], [0], {}, []) for root in ("", TOP)]
+    for s in sentences:
+        heads, order = s.heads, sorted(range(len(s)), key=s.depth.__getitem__)
+        for (labels, parents, child, node_of), values in zip(tries, (s.labels, s.pos)):
+            nodes = [0] * len(s)
+            for tid in order:
                 head = heads[tid]
                 key = (0 if head is None else nodes[head], values[tid])
                 node = child.get(key)
@@ -501,6 +504,8 @@ def _merged_trees(sentences: list[Sentence]) -> tuple[HierarchyIndex, HierarchyI
                     parents.append(key[0])
                 nodes[tid] = node
             node_of += nodes
+    merged = []
+    for labels, parents, _, node_of in tries:
         below: list[list[int]] = [[] for _ in labels]  # each node's children, the last reached first
         for node in range(len(labels) - 1, 0, -1):
             below[parents[node]].append(node)
@@ -585,11 +590,10 @@ def save_bundle(bundle: IndexBundle, directory: str) -> None:
     words = bundle.word.postings
     _w_strings(files["word.idx"], list(words))
     _w_postings(files["word.idx"], words)
-    sid, start, end, etype, surface = list(zip(*bundle.entity.records)) or [()] * 5
-    (etypes, etype_ids), (surfaces, surface_ids) = _interned(etype), _interned(surface)
+    sid, start, end, etype = list(zip(*bundle.entity.records)) or [()] * 4
+    etypes, etype_ids = _interned(etype)
     _w_strings(files["entity.idx"], etypes)
-    _w_strings(files["entity.idx"], surfaces)
-    for column in (sid, start, end, etype_ids, surface_ids):
+    for column in (sid, start, end, etype_ids):
         _w_column(files["entity.idx"], column)
     for name, index in (("pl.idx", bundle.pl), ("pos.idx", bundle.pos)):
         labels, label_ids = _interned(index.labels[1:])
@@ -784,13 +788,12 @@ def load_bundle(directory: str, expected_fingerprint: str | None = None) -> Inde
     f.end()
 
     f = open_file("entity.idx")
-    etypes, surfaces = f.strings(), f.strings()
-    sid, start, end, etype_ids, surface_ids = (f.column() for _ in range(5))
-    if not len(sid) == len(start) == len(end) == len(etype_ids) == len(surface_ids):
+    etypes = f.strings()
+    sid, start, end, etype_ids = (f.column() for _ in range(4))
+    if not len(sid) == len(start) == len(end) == len(etype_ids):
         raise f.fail("entity columns differ in length")
-    for ids, table, what in ((etype_ids, etypes, "etype"), (surface_ids, surfaces, "surface")):
-        if max(ids, default=-1) >= len(table):
-            raise f.fail(f"{what} id {max(ids)} past the {len(table)} {what}s")
+    if max(etype_ids, default=-1) >= len(etypes):
+        raise f.fail(f"etype id {max(etype_ids)} past the {len(etypes)} etypes")
     # Records come in sentence order, each inside its sentence and, in one
     # sentence, starting after the one before ends.
     if not (
@@ -801,9 +804,7 @@ def load_bundle(directory: str, expected_fingerprint: str | None = None) -> Inde
     ):
         raise f.fail("entity records overlap, come out of order or lie outside the corpus")
     f.end()
-    entity = EntityIndex(list(map(
-        EntitySpan, sid, start, end, map(etypes.__getitem__, etype_ids), map(surfaces.__getitem__, surface_ids)
-    )))
+    entity = EntityIndex(list(map(EntitySpan, sid, start, end, map(etypes.__getitem__, etype_ids))))
 
     hierarchies: list[HierarchyIndex] = []
     for name, root_label in (("pl.idx", ""), ("pos.idx", TOP)):

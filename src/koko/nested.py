@@ -164,7 +164,7 @@ class CompiledPlan:
 
             def entities(s: Sentence, env: dict) -> list[Bound]:
                 lo, hi = bounds(var.name, s.sid)
-                return [Bound(r.start, r.end, None, r) for r in records[lo:hi]]
+                return [Bound(r.start, r.end) for r in records[lo:hi]]
 
             return entities
         if var.kind == WORDSEQ:
@@ -378,7 +378,7 @@ def _materialize(
         return [Bound(start, end)]
     if var.kind == ENTITY:
         return [
-            Bound(ent.start, ent.end, None, ent)
+            Bound(ent.start, ent.end)
             for ent in s.entities
             if (var.etype == ANY_ENTITY or ent.etype == var.etype)
             and (start is None or ent.start == start)

@@ -129,7 +129,7 @@ class _SentenceOracle:
             return [Bound(t, t, t) for t in match_path_tokens(s, var.path.steps)]
         if var.kind == ENTITY:
             return [
-                Bound(e.start, e.end, None, e)
+                Bound(e.start, e.end)
                 for e in s.entities
                 if var.etype == ANY_ENTITY or e.etype == var.etype
             ]

@@ -75,7 +75,7 @@ def span_results(synth):
     return out
 
 
-def test_criterion_1_golden_index_contents(ex31_bundle):
+def test_criterion_1_golden_index_contents(ex31_corpus, ex31_bundle):
     t0 = time.time()
 
     def word(text):
@@ -97,7 +97,9 @@ def test_criterion_1_golden_index_contents(ex31_bundle):
         (0, 13, 12, 15, 1),
         (1, 1, 0, 12, 0),
     ]
-    entities = {(r.surface, r.sid, r.start, r.end) for r in ex31_bundle.entity.lookup()}
+    entities = {
+        (ex31_corpus.sentence(r.sid).text(r.start, r.end), r.sid, r.start, r.end) for r in ex31_bundle.entity.lookup()
+    }
     assert entities == {
         ("cheesecake", 1, 4, 4),
         ("grocery store", 1, 10, 11),

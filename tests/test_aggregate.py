@@ -519,7 +519,7 @@ def test_kept_rows_are_the_passing_rows_of_keep_failed_and_only_they_build_score
     corpus, bundle = Corpus(docs), build_indexes(docs)
     tokens = Counter(t for s in corpus.sentences for t in s.tokens)
     w = [word for word, _ in tokens.most_common(8)]
-    surfaces = sorted({e.surface for s in corpus.sentences for e in s.entities})
+    surfaces = sorted({s.text(e.start, e.end) for s in corpus.sentences for e in s.entities})
     rng = random.Random(17)
     vectors_file = tmp_path / "vectors.txt"
     vectors_file.write_text("".join(

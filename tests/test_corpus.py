@@ -160,10 +160,10 @@ def test_extents_nest_along_head_links_on_projective_trees(ex31_corpus):
 
 def test_entity_spans(ex31_corpus):
     s0, s1 = ex31_corpus.sentences
-    assert [(e.etype, e.start, e.end, e.surface) for e in s0.entities] == [
+    assert [(e.etype, e.start, e.end, s0.text(e.start, e.end)) for e in s0.entities] == [
         ("Entity", 3, 5, "chocolate ice cream"),
     ]
-    assert [(e.start, e.end, e.surface) for e in s1.entities] == [
+    assert [(e.start, e.end, s1.text(e.start, e.end)) for e in s1.entities] == [
         (4, 4, "cheesecake"),
         (10, 11, "grocery store"),
     ]
@@ -345,8 +345,8 @@ def test_non_utf8_corpus_rejected(tmp_path):
         load_corpus(str(path))
 
 
-# Two documents whose sentences repeat words, tags, labels, an entity type
-# and an entity surface, with non-ASCII text.
+# Two documents whose sentences repeat words, tags, labels and an entity
+# type, with non-ASCII text.
 _SHARED = (
     "# doc_id = one\n"
     "0\t0\tZoë\tpropn\tnsubj\t1\tB-Person\n"
@@ -368,7 +368,6 @@ def test_equal_fields_are_one_object_across_sentences_and_documents():
         for column in ("tokens", "pos", "labels", "etypes"):
             assert getattr(s, column)[0] is getattr(a, column)[0]
         assert s.entities[0].etype is a.entities[0].etype
-        assert s.entities[0].surface is a.entities[0].surface
     assert c.tokens[1] is a.tokens[1]
     assert c.pos[2] is c.pos[0] and c.labels[1] is b.labels[1]
 

@@ -114,12 +114,13 @@ def test_join_word_path_universal(ex31_bundle):
     assert join_word_path(ex31_bundle, dp) is None
 
 
-def test_candidate_bindings_ex21_figure1(figure1_bundle):
+def test_candidate_bindings_ex21_figure1(figure1_corpus, figure1_bundle):
     n = normalize(load_fixture_query("ex21"))
     table = candidate_bindings(n, figure1_bundle)
     assert table.candidate_sids == [0]
     lo, hi = table.bounds("e", 0)
-    assert [r.surface for r in table.bindings["e"].records[lo:hi]] == ["chocolate ice cream"]
+    s = figure1_corpus.sentence(0)
+    assert [s.text(r.start, r.end) for r in table.bindings["e"].records[lo:hi]] == ["chocolate ice cream"]
     # Dominated variables share the dominant's candidate offsets.
     assert table.bindings["a"].derived_from == "c"
     assert table.bindings["a"].offsets is table.bindings["c"].offsets

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from koko.cli import main
 from koko.engine import run_query
 from koko.parser import parse_query
-from koko.textutil import tokenize_literal
 
 from .conftest import QUERY_FIXTURES, data_path, load_fixture_query
 
@@ -638,9 +637,9 @@ def test_lazy_path_parses_only_candidate_sentences(tmp_path, monkeypatch):
     assert run.rows
     mentions = bundle.entity.lookup()
     assert run.candidate_sids == sorted({e.sid for e in mentions})
-    holding = set()
+    holding, texts, starts = set(), bundle.word.texts(), bundle.tokens.starts
     for e in mentions:
-        first = tokenize_literal(e.surface)[0]
+        first = texts[starts[e.sid] + e.start]
         doc = corpus.doc_sids(corpus.doc_index_of(e.sid))
         holding |= {bundle.tokens.sid_of[o] for o in bundle.word.lookup(first)} & set(doc)
     assert parsed == []

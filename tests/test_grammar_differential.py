@@ -197,7 +197,7 @@ def test_repeated_environment_has_values_with_and_without_repeats():
         repeats = []
         for d in range(len(corpus.doc_ids)):
             surfaces = Counter(
-                e.surface for sid in corpus.doc_sids(d) for e in corpus.sentence(sid).entities
+                s.text(e.start, e.end) for s in map(corpus.sentence, corpus.doc_sids(d)) for e in s.entities
                 if e.etype == etype
             )
             if surfaces:

@@ -8,7 +8,7 @@ from koko.corpus import Corpus, parse_corpus
 from koko.dpli import candidate_bindings
 from koko.engine import run_query
 from koko.gsp import EvalStats, SkipPlan, estimate_cost, evaluate_sentence, generate_skip_plan
-from koko.indexes import build_indexes
+from koko.indexes import build_indexes, load_bundle, open_corpus, save_bundle
 from koko.normalize import normalize
 from koko.oracle import oracle_evaluate
 from koko.parser import parse_query
@@ -191,7 +191,7 @@ def test_empty_extract_tuples_from_entity_index(ex31_corpus, ex31_bundle):
     tuples = []
     for sid in table.candidate_sids:
         tuples += evaluate_sentence(n, table, sid, SkipPlan(), ex31_corpus)
-    surfaces = sorted(t.bindings["x"].rec.surface for t in tuples)
+    surfaces = sorted(ex31_corpus.sentence(t.sid).text(t.bindings["x"].start, t.bindings["x"].end) for t in tuples)
     assert surfaces == ["cheesecake", "chocolate ice cream", "grocery store"]
 
 
@@ -215,6 +215,41 @@ def test_engine_oracle_agree_on_title_style_query():
     rows = [(r.values["a"], r.values["b"]) for r in run.rows]
     assert rows == [("Cyd Charisse", "Sid")]
     assert [r.key() for r in oracle_evaluate(q, corpus)] == [r.key() for r in run.rows]
+
+
+def test_mention_values_are_read_from_its_words(tmp_path):
+    # One mention whose words detokenize with attached punctuation: its
+    # value is "Ann's, Ltd" in the offset join (an entity atom alone, in a
+    # span and under evidence) and in the nested loop (a regex gap), over a
+    # built and a loaded bundle, as in the oracle.
+    tsv = (
+        "0\t0\tAnn\tpropn\tposs\t3\tB-Org\n"
+        "0\t1\t's\tpart\tcase\t0\tI-Org\n"
+        "0\t2\t,\tpunct\tpunct\t3\tI-Org\n"
+        "0\t3\tLtd\tpropn\tnsubj\t4\tI-Org\n"
+        "0\t4\tsells\tverb\troot\t-1\tO\n"
+        "0\t5\tpie\tnoun\tdobj\t4\tO\n"
+        "0\t6\t.\tpunct\tpunct\t4\tO\n"
+    )
+    docs = parse_corpus(tsv)
+    corpus, bundle = Corpus(docs), build_indexes(docs)
+    save_bundle(bundle, str(tmp_path / "idx"))
+    loaded = load_bundle(str(tmp_path / "idx"))
+    queries = {
+        'extract x:Org from "t" if ()': ("Ann's, Ltd",),
+        'extract x:Org, v:Str from "t" if (/ROOT:{ v = x + ^ + //dobj })': ("Ann's, Ltd", "Ann's, Ltd sells pie"),
+        'extract x:Org, v:Str from "t" if (/ROOT:{ v = x + ^[@regex="[a-z]+"] + //dobj })':
+            ("Ann's, Ltd", "Ann's, Ltd sells pie"),
+        'extract x:Org from "t" if () satisfying x (str(x) contains "Ann\'s, Ltd" {1}) with threshold 0.5':
+            ("Ann's, Ltd",),
+    }
+    for text, values in queries.items():
+        q = parse_query(text)
+        expected = [r.key() for r in oracle_evaluate(q, corpus)]
+        assert [tuple(r.values.values()) for r in oracle_evaluate(q, corpus)] == [values], text
+        for run in (run_query(q, corpus, bundle), run_query(q, open_corpus(loaded), loaded)):
+            assert [r.key() for r in run.rows] == expected, text
+            assert bool(run.joined) == ("regex" not in text), text
 
 
 def test_chocolate_style_query_end_to_end():

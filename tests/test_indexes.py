@@ -16,6 +16,7 @@ from koko.engine import run_query
 from koko.errors import KokoInputError
 from koko.indexes import (
     NO_HEAD,
+    PostingLists,
     Sentences,
     build_indexes,
     corpus_fingerprint,
@@ -62,8 +63,9 @@ def test_word_index_rows(ex31_bundle):
     assert word("zzz-absent") == []
 
 
-def test_entity_index_rows(ex31_bundle):
-    rows = {(r.surface, r.sid, r.start, r.end) for r in ex31_bundle.entity.lookup()}
+def test_entity_index_rows(ex31_corpus, ex31_bundle):
+    sentence = ex31_corpus.sentence
+    rows = {(sentence(r.sid).text(r.start, r.end), r.sid, r.start, r.end) for r in ex31_bundle.entity.lookup()}
     assert rows == {
         ("chocolate ice cream", 0, 3, 5),
         ("cheesecake", 1, 4, 4),
@@ -208,18 +210,18 @@ def test_version_mismatch_rejected(ex31_bundle, tmp_path):
 
 
 def test_index_of_the_previous_format_exits_2(ex31_bundle, tmp_path, capsys):
-    # A version-8 index, as its writer recorded it in the manifest and each
+    # A version-9 index, as its writer recorded it in the manifest and each
     # file's header, is refused with the version message, no traceback.
     from koko.cli import main
 
     d = tmp_path / "idx"
     save_bundle(ex31_bundle, str(d))
     manifest = json.loads((d / "manifest.json").read_text())
-    manifest["format_version"] = 8
+    manifest["format_version"] = 9
     (d / "manifest.json").write_text(json.dumps(manifest))
     for name in manifest["checksums"]:
         raw = bytearray((d / name).read_bytes())
-        _set_u32(raw, 4, 8)
+        _set_u32(raw, 4, 9)
         (d / name).write_bytes(bytes(raw))
     q = tmp_path / "q.koko"
     q.write_text('extract v:Str from "x" if (/ROOT:{ v = //dobj })\n')
@@ -227,7 +229,7 @@ def test_index_of_the_previous_format_exits_2(ex31_bundle, tmp_path, capsys):
     assert main(["query", "--query", str(q), "--index", str(d)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
-    assert "format version 8 does not match supported version 9" in captured.err
+    assert "format version 9 does not match supported version 10" in captured.err
 
 
 def test_fingerprint_mismatch_rejected(ex31_bundle, tmp_path):
@@ -269,7 +271,8 @@ def test_entity_type_filter_selects_single_person():
     )
     bundle = build_indexes(docs)
     people = bundle.entity.lookup("Person")
-    assert [(r.surface, r.sid, r.start, r.end) for r in people] == [("Anna", 0, 0, 0)]
+    assert [(r.sid, r.start, r.end) for r in people] == [(0, 0, 0)]
+    assert docs[0].sentences[0].text(0, 0) == "Anna"
 
 
 def test_entity_index_holds_the_sentences_mentions(tmp_path):
@@ -283,6 +286,17 @@ def test_entity_index_holds_the_sentences_mentions(tmp_path):
     loaded = load_bundle(str(tmp_path / "idx"))
     assert loaded.entity.records == mentions
     assert all(type(e) is EntitySpan for e in loaded.entity.records)
+
+
+def test_entity_index_stores_no_mention_text(ex31_corpus, ex31_bundle, tmp_path):
+    # A mention is its span: entity.idx holds the etype table and the
+    # records' columns, and no mention's text, which is read from its words.
+    save_bundle(ex31_bundle, str(tmp_path / "idx"))
+    raw = (tmp_path / "idx" / "entity.idx").read_bytes()
+    texts = [ex31_corpus.sentence(r.sid).text(r.start, r.end) for r in ex31_bundle.entity.records]
+    assert texts == ["chocolate ice cream", "cheesecake", "grocery store"]
+    assert not any(text.encode("utf-8") in raw for text in texts)
+    assert load_bundle(str(tmp_path / "idx")).entity.records == ex31_bundle.entity.records
 
 
 def test_wildcard_descendant_union_matches_brute_force(ex31_bundle, ex31_corpus):
@@ -342,10 +356,7 @@ def _small_index(tmp_path):
 _LAYOUT = {
     "tree.idx": ["lengths", "heads", "doc_ids.ends", "doc_ids.text", "doc_lengths"],
     "word.idx": ["words.ends", "words.text", "counts", "widths", "lists"],
-    "entity.idx": [
-        "etypes.ends", "etypes.text", "surfaces.ends", "surfaces.text",
-        "sid", "start", "end", "etype_id", "surface_id",
-    ],
+    "entity.idx": ["etypes.ends", "etypes.text", "sid", "start", "end", "etype_id"],
     "pl.idx": ["labels.ends", "labels.text", "label_id", "parent", "counts", "widths", "lists"],
 }
 _LAYOUT["pos.idx"] = _LAYOUT["pl.idx"]
@@ -568,7 +579,7 @@ def _codec_corpus(lengths, markers=(), mentions=False):
     """One document of sentences of the given lengths, every token "a"
     hanging from its sentence's first token, except that each global offset
     in `markers` holds the marker's word. With `mentions`, each sentence's
-    first token is an entity mention."""
+    first token is an entity mention of a type of its own: E0, E1 and so on."""
     words = ["a"] * sum(lengths)
     for word, offset in markers:
         words[offset] = word
@@ -576,7 +587,7 @@ def _codec_corpus(lengths, markers=(), mentions=False):
     for sid, n in enumerate(lengths):
         etypes, iobs = [None] * n, [None] * n
         if mentions:
-            etypes[0], iobs[0] = "E", "B"
+            etypes[0], iobs[0] = f"E{sid}", "B"
         sentences.append(Sentence(
             sid, words[at : at + n], ["NN"] * n, ["root"] + ["dep"] * (n - 1),
             [None] + [0] * (n - 1), etypes, iobs,
@@ -636,7 +647,7 @@ def _width_cases():
     width's edge. A sentence of 256 tokens takes 2-byte lengths and one of
     65,536 tokens 4-byte ones; a list of 65,536 postings, the "a" tokens
     or the "dep" node's, 4-byte counts; more than 256 distinct entity
-    surfaces, one per sentence, 2-byte surface ids."""
+    types, one per sentence, 2-byte etype ids."""
     cases = []
     for longest, width in ((255, 1), (256, 2), (65536, 4)):
         docs = functools.partial(_codec_corpus, [3, longest])
@@ -646,9 +657,9 @@ def _width_cases():
         docs = functools.partial(_codec_corpus, [largest + 1], [("b", 0)])
         for name in ("word.idx", "pl.idx"):
             cases.append(pytest.param(docs, name, "counts", width, id=f"{name}-counts-{largest}"))
-    for surfaces, width in ((256, 1), (257, 2)):
-        docs = functools.partial(_codec_corpus, [2] * surfaces, [(f"w{i}", 2 * i) for i in range(surfaces)], True)
-        cases.append(pytest.param(docs, "entity.idx", "surface_id", width, id=f"surfaces-{surfaces}"))
+    for etypes, width in ((256, 1), (257, 2)):
+        docs = functools.partial(_codec_corpus, [2] * etypes, (), True)
+        cases.append(pytest.param(docs, "entity.idx", "etype_id", width, id=f"etypes-{etypes}"))
     return cases
 
 
@@ -899,8 +910,9 @@ _ODD = ["", "\x00", "a\u2028b", "\U0001d538"]
 
 def _odd_strings_corpus():
     """One sentence whose words, labels, POS tags, entity types and
-    surfaces are the odd strings. TSV rows end at the entity column, whose
-    trailing whitespace the reader strips, so no type ends in U+2028."""
+    one-word mentions are the odd strings. TSV rows end at the entity
+    column, whose trailing whitespace the reader strips, so no type ends in
+    U+2028."""
     from koko.corpus import AnnotatedDocument, Sentence
 
     n = len(_ODD)
@@ -917,9 +929,10 @@ def _odd_strings_corpus():
 
 
 def test_string_tables_round_trip_odd_strings(tmp_path):
-    bundle = build_indexes(_odd_strings_corpus())
+    docs = _odd_strings_corpus()
+    bundle = build_indexes(docs)
     assert set(_ODD) <= set(bundle.word.postings)
-    assert {e.surface for e in bundle.entity.records} == set(_ODD)
+    assert {docs[0].sentences[0].text(e.start, e.end) for e in bundle.entity.records} == set(_ODD)
     save_bundle(bundle, str(tmp_path / "idx"))
     loaded = load_bundle(str(tmp_path / "idx"))
     assert loaded == bundle
@@ -1097,16 +1110,15 @@ def _assert_query_exits_2(tmp_path, capsys, d, message):
         ("word.idx", _changed_column("word.idx", "counts", _lowered), "posting list counts do not sum to"),
         ("pl.idx", _changed_column("pl.idx", "label_id", _past_the_table), "label id"),
         ("entity.idx", _changed_column("entity.idx", "etype_id", _past_the_table), "etype id"),
-        ("entity.idx", _changed_column("entity.idx", "surface_id", _past_the_table), "surface id"),
         ("pl.idx", _changed_column("pl.idx", "parent", _own_parent), "node record 2 has parent 2"),
         ("pl.idx", _changed_column("pl.idx", "parent", _out_of_pre_order), "the node ids are not in pre-order"),
-        ("entity.idx", _changed_column("entity.idx", "surfaces.ends", _swapped_first_two), "string end offsets"),
+        ("entity.idx", _changed_column("entity.idx", "etypes.ends", _swapped_first_two), "string end offsets"),
         ("word.idx", _changed_column("word.idx", "words.ends", _second_emptied), "words out of order"),
         ("tree.idx", _changed_column("tree.idx", "lengths", _zeroed), "sentence 0 has no token"),
         ("tree.idx", _changed_column("tree.idx", "lengths", _raised), "the head column does not hold"),
         ("tree.idx", _drop_last("tree.idx", "heads"), "the head column does not hold"),
         ("entity.idx", _drop_last("entity.idx", "end"), "entity columns differ"),
-        ("entity.idx", _drop_last("entity.idx", "surface_id"), "entity columns differ"),
+        ("entity.idx", _drop_last("entity.idx", "etype_id"), "entity columns differ"),
         ("pl.idx", _drop_last("pl.idx", "parent"), "node columns differ"),
         ("tree.idx", _changed_column("tree.idx", "doc_lengths", _raised), "document lengths do not sum"),
         ("tree.idx", _changed_column("tree.idx", "doc_lengths", _lowered), "document lengths do not sum"),
@@ -1147,6 +1159,31 @@ def test_column_width_other_than_1_2_or_4_rejected(tmp_path, capsys, name, part,
     with pytest.raises(KokoInputError, match=f"{name}: {message}"):
         load_bundle(str(d))
     _assert_query_exits_2(tmp_path, capsys, d, message)
+
+
+@pytest.mark.xfail(strict=True, reason="FOUND: PL lists that disagree with the heads give silently wrong rows")
+def test_pl_lists_that_disagree_with_the_heads_are_rejected(tmp_path, capsys):
+    # Offsets 5 and 14, nsubj tokens of sentences 0 and 2 at the same
+    # depth, swap their PL nodes in a writer's output: every token is still
+    # held once and keeps its depth, so every check passes, and the path
+    # /root/nsubj/nsubj answers sentence 2's token, where the oracle has
+    # sentence 0's. Only comparing each token's node parent with its
+    # head's node would reject the file.
+    from koko.cli import main
+
+    bundle = build_indexes(synthesize_corpus(5, 60, entity_rate=0.6))
+    owners = list(bundle.pl.postings.owners(bundle.token_count))
+    assert (owners[5], owners[14]) == (48, 124) and bundle.pl.labels[48] == bundle.pl.labels[124] == "nsubj"
+    assert bundle.tokens.depth[5] == bundle.tokens.depth[14]
+    owners[5], owners[14] = owners[14], owners[5]
+    bundle.pl.postings = PostingLists.grouped(owners, range(len(bundle.pl.labels)))
+    d = tmp_path / "idx"
+    save_bundle(bundle, str(d))
+    q = tmp_path / "q.koko"
+    q.write_text('extract v:Str from "x" if (/ROOT:{ v = /root/nsubj/nsubj })\n')
+    capsys.readouterr()
+    assert main(["query", "--query", str(q), "--index", str(d)]) == 2
+    assert "pl.idx" in capsys.readouterr().err
 
 
 def test_depth_column_rejects_a_token_deeper_than_its_sentence(tmp_path):
