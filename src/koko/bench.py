@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .corpus import AnnotatedDocument, Corpus, Sentence, child_lists
+from .corpus import AnnotatedDocument, Corpus, EntitySpan, Sentence, child_lists
 from .engine import evaluate, run_query
 from .errors import KokoInputError
 from .indexes import IndexBundle
@@ -124,18 +124,14 @@ def synthesize_corpus(
             shape = rng.choice(shapes)
         else:
             shape = _random_shape(rng, n)
-        etypes: list[str | None] = [None] * n
-        iobs: list[str | None] = [None] * n
+        entities = []
         if rng.random() < entity_rate:
             start = rng.randrange(n)
             length = min(rng.randint(1, 2), n - start)
-            etype = rng.choice(_ENTITY_TYPES)
-            for k in range(length):
-                etypes[start + k] = etype
-                iobs[start + k] = "B" if k == 0 else "I"
+            entities.append(EntitySpan(sid, start, start + length - 1, rng.choice(_ENTITY_TYPES)))
         texts = [_zipf_pick(rng, vocab) for _ in range(n)]
         doc.sentences.append(
-            Sentence(sid, texts, shape.pos, shape.labels, shape.heads, etypes, iobs)
+            Sentence(sid, texts, shape.pos, shape.labels, shape.heads, entities)
         )
     return docs
 

@@ -14,14 +14,16 @@ form ``# doc_id = <id>`` opens a new document. Other ``#`` lines are
 comments and are dropped on read.
 
 A sentence stores each per-token field as a column: a tuple indexed by
-token id (``tokens``, ``pos``, ``labels``, ``heads``, ``etypes``,
-``iobs``). ``Sentence(sid, tokens, pos, labels, heads, etypes, iobs)`` is
-the one way to build a sentence, whether it comes from the reader, the
-columns of a saved index (`koko.indexes.open_corpus`) or a synthetic
-corpus: its constructor
-derives the tree data (``left``, ``right``, ``depth``) from the heads,
-the one tree column the index's token table stores, and the entity
-mentions (``EntitySpan``), which the entity index stores as they are. A
+token id (``tokens``, ``pos``, ``labels``, ``heads``), and its entity
+mentions as spans (``entities``, a tuple of ``EntitySpan``).
+``Sentence(sid, tokens, pos, labels, heads, entities)`` is the one way to
+build a sentence, whether it comes from the reader, a saved index
+(`koko.indexes.open_corpus`, which hands it the entity index's own
+records) or a synthetic corpus. Its constructor derives the root and the
+depths from the heads, the one tree column the index's token table
+stores; a subtree's extent is derived from them where it is read
+(`Sentence.extent`). IOB2 tags live only in the file: the reader builds
+the spans from them and the writer writes them back from the spans. A
 mention is its span: its text is read from its words (`Sentence.text`)
 where a value is needed. A sentence keeps no per-token mutable
 container: CPython stops tracking a tuple of strs, ints and ``None`` at
@@ -45,7 +47,6 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from collections.abc import Callable, Iterator, Sequence
-from functools import lru_cache
 from operator import eq
 from typing import Iterable, NamedTuple
 
@@ -54,9 +55,9 @@ from .record import Record
 
 
 class EntitySpan(NamedTuple):
-    """An entity mention: a maximal IOB2 run of tokens start..end
-    inclusive. Sentences and the entity index hold the same records; its
-    text is its words' (`Sentence.text(start, end)`)."""
+    """An entity mention: tokens start..end inclusive of sentence sid.
+    Sentences and the entity index hold the same records; its text is its
+    words' (`Sentence.text(start, end)`)."""
 
     sid: int
     start: int
@@ -65,41 +66,45 @@ class EntitySpan(NamedTuple):
 
 
 class Sentence(Record):
-    """A sentence's per-token columns, tuples indexed by tid, and what
-    their head links and IOB2 tags imply, all derived when the sentence is
-    built: the root, each token's subtree extent (``left``/``right``, the
-    min/max tid over the subtree) and depth (the root's is 0), and the
-    entity mentions. Columns given as other sequences are stored as
-    tuples; a tuple is stored as it is, so sentences can share columns.
+    """A sentence's per-token columns, tuples indexed by tid, its entity
+    mentions, and what its head links imply, derived when the sentence is
+    built: the root and each token's depth (the root's is 0). Columns
+    given as other sequences are stored as tuples; a tuple is stored as it
+    is, so sentences can share columns, and a sentence built over an index
+    holds the entity index's own records.
 
-    Extents are min/max over subtree token ids even for non-projective
-    sentences, where they span tokens outside the subtree; they give a
-    subtree variable's span, and no test of ancestry reads them. Heads
-    that are no tree raise ValueError: no root or more than one, a head
-    outside the sentence, or a token that does not reach the root (its
-    head links run in a cycle, a token heading itself included), whose
-    tid the error's ``tid`` names.
+    Heads that are no tree raise ValueError: no root or more than one, a
+    head outside the sentence, or a token that does not reach the root
+    (its head links run in a cycle, a token heading itself included),
+    whose tid the error's ``tid`` names. So do mentions that carry
+    another sid, lie outside the sentence, overlap or come out of order.
     """
 
-    # The columns: token texts, POS tags, labels, heads (None on the root),
-    # entity types and IOB2 markers ("B" or "I", kept so adjacent
-    # same-typed entities stay distinguishable; None whenever the etype is
-    # None). Sentences are equal when their sids and columns are.
-    _fields = ("sid", "tokens", "pos", "labels", "heads", "etypes", "iobs")
-    __slots__ = _fields + ("root_tid", "left", "right", "depth", "entities")
+    # The columns: token texts, POS tags, labels and heads (None on the
+    # root); then the mentions, in order. Sentences are equal when their
+    # sids, columns and mentions are.
+    _fields = ("sid", "tokens", "pos", "labels", "heads", "entities")
+    __slots__ = _fields + ("root_tid", "depth")
 
     def __init__(self, sid: int, tokens: Sequence[str], pos: Sequence[str], labels: Sequence[str],
-                 heads: Sequence[int | None], etypes: Sequence[str | None], iobs: Sequence[str | None]) -> None:
+                 heads: Sequence[int | None], entities: Sequence[EntitySpan]) -> None:
         self.sid = sid
         self.tokens = tuple(tokens)
         self.pos = tuple(pos)
         self.labels = tuple(labels)
         self.heads = heads = tuple(heads)
-        self.etypes = etypes = tuple(etypes)
-        self.iobs = iobs = tuple(iobs)
+        self.entities = tuple(entities)
         n = len(self.tokens)
-        if not n == len(self.pos) == len(self.labels) == len(heads) == len(etypes) == len(iobs):
-            raise ValueError(f"sentence {self.sid}: its per-token columns differ in length")
+        if not n == len(self.pos) == len(self.labels) == len(heads):
+            raise ValueError(f"sentence {sid}: its per-token columns differ in length")
+        end = -1
+        for e in self.entities:
+            if e.sid != sid:
+                raise ValueError(f"sentence {sid}: a mention carries sid {e.sid}")
+            if not end < e.start <= e.end < n:
+                raise ValueError(f"sentence {sid}: mention {e.start}..{e.end} overlaps or precedes the one"
+                                 " before or lies outside the sentence")
+            end = e.end
         if heads.count(None) != 1:
             raise ValueError(f"sentence {sid}: {heads.count(None)} roots, expected exactly 1")
         root = heads.index(None)
@@ -107,48 +112,24 @@ class Sentence(Record):
         if linked and not 0 <= min(linked) <= max(linked) < n:
             raise ValueError(f"sentence {sid}: a head lies outside the sentence")
         children = child_lists(heads)
-        entities: list[EntitySpan] = []
-        if etypes.count(None) != n:
-            start, etype = None, None
-            for tid in range(n):
-                if start is not None and (etypes[tid] != etype or iobs[tid] == "B"):
-                    entities.append(EntitySpan(sid, start, tid - 1, etype))
-                    start = None
-                if start is None and etypes[tid] is not None:
-                    start, etype = tid, etypes[tid]
-            if start is not None:
-                entities.append(EntitySpan(sid, start, n - 1, etype))
-        left = list(range(n))
-        right = list(range(n))
         depth = [-1] * n
         depth[root] = 0
-        # Iterative DFS from the root; the reversed visit order folds child
-        # extents into their heads.
-        order: list[int] = []
-        stack = [root]
-        while stack:
-            tid = stack.pop()
-            order.append(tid)
+        # Breadth first from the root: a token that is never reached runs in
+        # a cycle.
+        order = [root]
+        for tid in order:
             below = children[tid]
             if below:
                 d = depth[tid] + 1
                 for c in below:
                     depth[c] = d
-                stack.extend(below)
+                order += below
         if len(order) != n:
             error = ValueError(f"sentence {sid}: the heads run in a cycle at tid {depth.index(-1)}")
             error.tid = depth.index(-1)  # the first token off the root, for a reader's own message
             raise error
-        for tid in reversed(order):
-            head = heads[tid]
-            if head is not None:
-                if left[tid] < left[head]:
-                    left[head] = left[tid]
-                if right[tid] > right[head]:
-                    right[head] = right[tid]
         self.root_tid = root
-        self.left, self.right, self.depth = tuple(left), tuple(right), tuple(depth)
-        self.entities = tuple(entities)
+        self.depth = tuple(depth)
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -158,6 +139,16 @@ class Sentence(Record):
         if end is None:
             end = len(self.tokens) - 1
         return detokenize(self.tokens[start : end + 1])
+
+    def extent(self, tid: int) -> tuple[int, int]:
+        """The least and the greatest tid of tid's subtree. On a
+        non-projective tree the tokens between them need not all lie in
+        the subtree."""
+        children = child_lists(self.heads)
+        below = [tid]
+        for t in below:
+            below += children[t]
+        return min(below), max(below)
 
     def ancestors(self, tid: int) -> Iterable[int]:
         """Proper ancestors of tid, nearest first."""
@@ -341,13 +332,6 @@ def parse_corpus(text: str, origin: str = "<string>") -> list[AnnotatedDocument]
     return docs
 
 
-@lru_cache(maxsize=256)
-def _no_entity(n: int) -> tuple[None, ...]:
-    """The etypes and iobs column of every sentence of n tokens without an
-    entity: one tuple, shared (`Sentence` keeps a tuple as it is)."""
-    return (None,) * n
-
-
 def _build_sentence(rows: list[tuple[int, list[str]]], origin: str, strings: dict[str, str]) -> Sentence:
     """The sentence of one block of TSV rows, each (line number, fields),
     its strings replaced by their first occurrences in `strings`.
@@ -396,26 +380,28 @@ def _build_sentence(rows: list[tuple[int, list[str]]], origin: str, strings: dic
         if labels[tid] != "root":
             raise fail(tid, f"head -1 requires label 'root', got {labels[tid]!r}")
         heads[tid] = None
-    if etags.count("O") == n:
-        etypes = iobs = _no_entity(n)
-    else:
-        etypes, iobs = [None] * n, [None] * n
+    entities: list[EntitySpan] = []
+    if etags.count("O") != n:
         for tid, etag in enumerate(etags):
             if etag == "O":
                 continue
-            if not etag.startswith(("B-", "I-")):
+            iob, etype = etag[:2], etag[2:]
+            if iob not in ("B-", "I-") or not etype:
                 raise fail(tid, f"entity column must be O, B-<T> or I-<T>, got {etag!r}")
-            iob, etype = etag[0], etag[2:]
-            if iob == "I" and (etypes[tid - 1] if tid else None) != etype:
+            if iob == "B-":
+                entities.append(EntitySpan(sid, tid, tid, strings.setdefault(etype, etype)))
+                continue
+            last = entities[-1] if entities else None
+            if last is None or last.end != tid - 1 or last.etype != etype:
                 raise fail(tid, f"I-{etype} tag without a preceding B-/I-{etype} (sid {sid})")
-            iobs[tid], etypes[tid] = iob, strings.setdefault(etype, etype)
+            entities[-1] = EntitySpan(sid, last.start, tid, last.etype)
     # Faults of the whole sentence name its first line.
     if roots != 1:
         raise fail(0, f"sentence {sid} has {roots} roots, expected exactly 1")
     share = strings.setdefault
     texts, pos, labels = (tuple(map(share, column, column)) for column in (texts, pos, labels))
     try:
-        return Sentence(sid, texts, pos, labels, heads, etypes, iobs)
+        return Sentence(sid, texts, pos, labels, heads, entities)
     except ValueError as exc:
         # The one fault of the heads left: a token does not reach the root.
         raise fail(0, f"cyclic head relation at sid {sid}, tid {exc.tid}") from None
@@ -448,10 +434,11 @@ def serialized_documents(docs: Iterable[AnnotatedDocument]) -> Iterator[str]:
         out = [f"# doc_id = {doc.doc_id}"]
         for s in doc.sentences:
             sid = str(s.sid)
-            columns = zip(s.tokens, s.pos, s.labels, s.heads, s.etypes, s.iobs)
-            for tid, (text, pos, label, head, etype, iob) in enumerate(columns):
+            etags = ["O"] * len(s.tokens)
+            for e in s.entities:
+                etags[e.start : e.end + 1] = [f"B-{e.etype}"] + [f"I-{e.etype}"] * (e.end - e.start)
+            for tid, (text, pos, label, head, etag) in enumerate(zip(s.tokens, s.pos, s.labels, s.heads, etags)):
                 head = -1 if head is None else head
-                etag = "O" if etype is None else f"{iob}-{etype}"
                 out.append("\t".join((sid, str(tid), text, pos, label, str(head), etag)))
             out.append("")
         out.append("")

@@ -18,11 +18,13 @@ parent columns, by node id, and node ids are pre-order ranks, so a
 node's descendants are one range of ids (`HierarchyIndex`).
 
 The index holds the whole corpus, heads and document table included, and
-`open_corpus` builds its sentences from the columns. The tree is stored
-once, as heads: no subtree extent is stored, DPLI's containment join walks
-up the head column, and a `Sentence` derives its extents when built. No
-entity surface is stored either: a mention is its span, and its text is
-read from the word column where a value is needed.
+`open_corpus` builds its sentences from the columns and the entity
+records. The tree is stored once, as heads: no subtree extent is stored,
+DPLI's containment join walks up the head column, and a subtree's extent
+is derived from the heads where it is read (`Sentence.extent`). No entity
+surface is stored either: a mention is its span, one `EntitySpan` in the
+entity index and in its sentence, and its text is read from the word
+column where a value is needed.
 
 Persisted layout (directory): ``manifest.json``, which records the CRC-32
 of each file, plus ``tree.idx``, ``word.idx``, ``entity.idx``, ``pl.idx``
@@ -833,13 +835,13 @@ def open_corpus(bundle: IndexBundle) -> Corpus:
     """The corpus the bundle was built from, read from the bundle alone. A
     sentence is built when first read, through the one `Sentence`
     constructor, from its slices of the word column (`WordIndex.texts`)
-    and of the PL and POS lists inverted, its heads and its entity records
-    (B on a record's first token, I on the rest); one whose heads are no
-    tree, or whose derived depths differ from the PL lists' (the token
-    table's `depth`), raises KokoInputError then. The forward columns are
-    read at the first build (`PostingLists.owners`); a loaded set is
-    inverted at the first read of any of its lists, as its check, and
-    keeps the column. A sentence's words (`Corpus.words`) are its slice of
+    and of the PL and POS lists inverted, its heads, and its slice of the
+    entity records, the very objects the entity index holds; one whose
+    heads are no tree, or whose derived depths differ from the PL lists'
+    (the token table's `depth`), raises KokoInputError then. The forward
+    columns are read at the first build (`PostingLists.owners`); a loaded
+    set is inverted at the first read of any of its lists, as its check,
+    and keeps the column. A sentence's words (`Corpus.words`) are its slice of
     the word column alone."""
     t = bundle.tokens
     records = bundle.entity.records
@@ -856,15 +858,12 @@ def open_corpus(bundle: IndexBundle) -> Corpus:
         label_of, tag_of = (index.postings.owners(t.starts[-1]) for index in (bundle.pl, bundle.pos))
         a, b = t.starts[sid], t.starts[sid + 1]
         heads = [None if h == NO_HEAD else h for h in t.heads[a:b]]
-        etypes, iobs = [None] * (b - a), [None] * (b - a)
         lo = bisect_left(record_sids, sid)
-        for rec in records[lo : bisect_right(record_sids, sid, lo)]:
-            etypes[rec.start : rec.end + 1] = [rec.etype] * (rec.end + 1 - rec.start)
-            iobs[rec.start : rec.end + 1] = ["B"] + ["I"] * (rec.end - rec.start)
+        entities = records[lo : bisect_right(record_sids, sid, lo)]
         pos = map(bundle.pos.labels.__getitem__, tag_of[a:b])
         labels = map(bundle.pl.labels.__getitem__, label_of[a:b])
         try:
-            s = Sentence(sid, texts, pos, labels, heads, etypes, iobs)
+            s = Sentence(sid, texts, pos, labels, heads, entities)
         except ValueError as exc:  # heads that are no tree
             raise KokoInputError(f"{t.where}: {exc}") from None
         if s.depth != tuple(t.depth[a:b]):

@@ -51,7 +51,9 @@ def _token_matches_step(s: Sentence, tid: int, step: Step) -> bool:
             return False
         if cond.key == "text" and text != cond.value:
             return False
-        if cond.key == "etype" and s.etypes[tid] != cond.value:
+        if cond.key == "etype" and not any(
+            e.start <= tid <= e.end and e.etype == cond.value for e in s.entities
+        ):
             return False
         if cond.key == "regex" and not full_match(cond.value, text):
             return False
@@ -214,12 +216,7 @@ class CompiledPlan:
     def _deriver(self, var: NormVar) -> Callable[[Sentence, dict], list[Bound]]:
         if var.kind == SUBTREE:
             of = var.of
-
-            def subtree(s: Sentence, env: dict) -> list[Bound]:
-                tid = env[of].tid
-                return [Bound(s.left[tid], s.right[tid])]
-
-            return subtree
+            return lambda s, env: [Bound(*s.extent(env[of].tid))]
         if var.kind == COMPOSITE:
             first, last = var.atoms[0], var.atoms[-1]
             return lambda s, env: [Bound(env[first].start, env[last].end)]

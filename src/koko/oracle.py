@@ -14,7 +14,7 @@ desk-scale corpora (a few thousand sentences).
 from __future__ import annotations
 
 from .aggregate import Projected, ResultRow, finalize_results, projector
-from .corpus import Corpus, Sentence
+from .corpus import Corpus, Sentence, child_lists
 from .gsp import Bound, CandidateTuple
 from .normalize import (
     ANY_ENTITY, COMPOSITE, ENTITY, NODE, SUBTREE, WORDSEQ, NormalizedQuery, NormVar, dedupe_hidden, normalize,
@@ -44,20 +44,13 @@ def _step_ok(s: Sentence, tid: int, step: Step) -> bool:
             return False
         if cond.key == "text" and text != value:
             return False
-        if cond.key == "etype" and s.etypes[tid] != value:
+        if cond.key == "etype" and not any(
+            e.start <= tid <= e.end and e.etype == value for e in s.entities
+        ):
             return False
         if cond.key == "regex" and not full_match(value, text):
             return False
     return True
-
-
-def _children(s: Sentence) -> list[list[int]]:
-    """Each token's children, in tid order, from the head links."""
-    children: list[list[int]] = [[] for _ in range(len(s))]
-    for tid, head in enumerate(s.heads):
-        if head is not None:
-            children[head].append(tid)
-    return children
 
 
 def _descendants(children: list[list[int]], tid: int) -> list[int]:
@@ -72,7 +65,7 @@ def _descendants(children: list[list[int]], tid: int) -> list[int]:
 
 def match_path_tokens(s: Sentence, steps: tuple[Step, ...]) -> list[int]:
     """Tokens whose root-anchored downward walk realizes every step."""
-    children = _children(s)
+    children = child_lists(s.heads)
     frontier: list[int] | None = None  # None marks the virtual anchor
     for step in steps:
         if frontier is None:
@@ -88,7 +81,7 @@ def match_path_tokens(s: Sentence, steps: tuple[Step, ...]) -> list[int]:
 
 
 def _subtree_span(s: Sentence, tid: int) -> tuple[int, int]:
-    tids = [tid] + _descendants(_children(s), tid)
+    tids = [tid] + _descendants(child_lists(s.heads), tid)
     return min(tids), max(tids)
 
 

@@ -33,7 +33,7 @@ def postings(bundle, offsets) -> list[tuple[int, int, int, int, int]]:
     for o in offsets:
         sid = t.sid_of[o]
         tid, s = o - t.starts[sid], corpus.sentence(sid)
-        out.append((sid, tid, s.left[tid], s.right[tid], t.depth[o]))
+        out.append((sid, tid, *s.extent(tid), t.depth[o]))
     return out
 
 

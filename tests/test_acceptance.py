@@ -264,7 +264,7 @@ def test_criterion_9_formula_spot_checks():
 
 
 def _replicate(s: Sentence, sid: int) -> Sentence:
-    return Sentence(sid, s.tokens, s.pos, s.labels, s.heads, s.etypes, s.iobs)
+    return Sentence(sid, s.tokens, s.pos, s.labels, s.heads, [e._replace(sid=sid) for e in s.entities])
 
 
 def test_criterion_10_compression_property():

@@ -15,6 +15,7 @@ from koko.cli import main
 from koko.corpus import (
     AnnotatedDocument,
     Corpus,
+    EntitySpan,
     Sentence,
     detokenize,
     load_corpus,
@@ -34,11 +35,11 @@ def test_load_ex31_shape(ex31_corpus):
     assert len(s1) == 13 and s1.root_tid == 1
     assert s0.tokens[5] == "cream" and s0.labels[5] == "dobj"
     assert s0.tokens[3:6] == ("chocolate", "ice", "cream")
-    assert s0.etypes[3:6] == ("Entity",) * 3
+    assert s0.entities[0] == EntitySpan(0, 3, 5, "Entity")
 
 
 def _tree_meta(s: Sentence, tid: int) -> tuple[int, int, int, int, int]:
-    return (s.sid, tid, s.left[tid], s.right[tid], s.depth[tid])
+    return (s.sid, tid, *s.extent(tid), s.depth[tid])
 
 
 def test_tree_meta_pinned_values(ex31_corpus):
@@ -64,8 +65,7 @@ def _brute_extents(s: Sentence, tid: int) -> tuple[int, int, int]:
 def test_tree_meta_matches_brute_force(ex31_corpus):
     for s in ex31_corpus.sentences:
         for tid in range(len(s)):
-            left, right, depth = _brute_extents(s, tid)
-            assert (s.left[tid], s.right[tid], s.depth[tid]) == (left, right, depth)
+            assert (*s.extent(tid), s.depth[tid]) == _brute_extents(s, tid)
 
 
 def _random_sentence(rng: random.Random, n: int, sid: int = 0) -> Sentence:
@@ -95,8 +95,7 @@ def _random_sentence(rng: random.Random, n: int, sid: int = 0) -> Sentence:
         ["noun"] * n,
         ["root" if i == root else "dep" for i in range(n)],
         [None if i == root else heads[i] for i in range(n)],
-        [None] * n,
-        [None] * n,
+        (),
     )
     assert s.root_tid == root
     return s
@@ -107,13 +106,33 @@ def _random_sentence(rng: random.Random, n: int, sid: int = 0) -> Sentence:
 def test_tree_meta_property(n, seed):
     s = _random_sentence(random.Random(seed), n)
     for tid in range(len(s)):
-        left, right, depth = _brute_extents(s, tid)
-        assert (s.left[tid], s.right[tid], s.depth[tid]) == (left, right, depth)
+        assert (*s.extent(tid), s.depth[tid]) == _brute_extents(s, tid)
 
 
 def test_columns_of_different_lengths_rejected():
     with pytest.raises(ValueError, match="differ in length"):
-        Sentence(0, ["a", "b"], ["noun", "noun"], ["root", "dep"], [None, 0], [None, None], [None])
+        Sentence(0, ["a", "b"], ["noun", "noun"], ["root", "dep"], [None], ())
+
+
+_TWO_TOKENS = (0, ["Ann", "ran"], ["propn", "verb"], ["nsubj", "root"], [1, None])
+
+
+@pytest.mark.parametrize(
+    "mentions, message",
+    [
+        ([EntitySpan(1, 0, 0, "Person")], "a mention carries sid 1"),
+        ([EntitySpan(0, 0, 1, "Person"), EntitySpan(0, 1, 1, "Person")], "mention 1..1 overlaps"),
+        ([EntitySpan(0, 1, 1, "Person"), EntitySpan(0, 0, 0, "Person")], "mention 0..0 overlaps or precedes"),
+        ([EntitySpan(0, 1, 2, "Person")], "mention 1..2 .* lies outside the sentence"),
+        ([EntitySpan(0, -1, 0, "Person")], "mention -1..0 .* lies outside the sentence"),
+        ([EntitySpan(0, 1, 0, "Person")], "mention 1..0 .* lies outside the sentence"),
+    ],
+    ids=["another sid", "overlapping", "out of order", "past the end", "before the start", "empty"],
+)
+def test_mentions_that_are_no_spans_of_the_sentence_rejected(mentions, message):
+    with pytest.raises(ValueError, match=f"^sentence 0: {message}"):
+        Sentence(*_TWO_TOKENS, mentions)
+    assert Sentence(*_TWO_TOKENS, [EntitySpan(0, 0, 0, "Person"), EntitySpan(0, 1, 1, "Person")])
 
 
 def test_heads_that_are_no_tree_rejected():
@@ -132,7 +151,7 @@ def test_heads_that_are_no_tree_rejected():
         for case, heads in cases.items():
             n = len(heads)
             try:
-                Sentence(0, ["w"] * n, ["x"] * n, ["l"] * n, heads, [None] * n, [None] * n)
+                Sentence(0, ["w"] * n, ["x"] * n, ["l"] * n, heads, ())
             except ValueError as exc:
                 print(f"{case}: {exc}")
     """)
@@ -154,7 +173,8 @@ def test_extents_nest_along_head_links_on_projective_trees(ex31_corpus):
     for s in ex31_corpus.sentences:
         for tid, head in enumerate(s.heads):
             if head is not None:
-                assert s.left[head] <= s.left[tid] and s.right[tid] <= s.right[head]
+                (head_left, head_right), (left, right) = s.extent(head), s.extent(tid)
+                assert head_left <= left and right <= head_right
                 assert s.depth[head] == s.depth[tid] - 1
 
 
@@ -214,6 +234,8 @@ def test_round_trip(ex31_docs):
         ("0\t0\thello\tnoun\tdep\t-1\tO", "label 'root'"),
         ("0\t0\thello\tnoun\troot\t-1\tI-Person", "I-Person tag without"),
         ("0\t0\thello\tnoun\troot\t-1\tPerson", "must be O, B-<T> or I-<T>"),
+        ("0\t0\thello\tnoun\troot\t-1\tB-", "must be O, B-<T> or I-<T>, got 'B-'"),
+        ("0\t0\thello\tnoun\troot\t-1\tI-", "must be O, B-<T> or I-<T>, got 'I-'"),
     ],
 )
 def test_malformed_lines(line, message):
@@ -253,6 +275,7 @@ _FOUR_ROWS = [
             "0\t2\tsat\tverb\tdep\t1\tI-Person",
             "c.tsv:4: I-Person tag without a preceding B-/I-Person (sid 0)",
         ),
+        ("0\t2\tsat\tverb\tdep\t1\tB-", "c.tsv:4: entity column must be O, B-<T> or I-<T>, got 'B-'"),
         # Faults of the whole sentence name its first line.
         ("0\t2\tsat\tverb\troot\t-1\tO", "c.tsv:2: sentence 0 has 2 roots, expected exactly 1"),
         ("0\t2\tsat\tverb\tdep\t3\tO", "c.tsv:2: cyclic head relation at sid 0, tid 2"),
@@ -335,7 +358,7 @@ def test_long_chain_parses():
     )
     s = parse_corpus(text)[0].sentences[0]
     assert s.root_tid == n - 1
-    assert s.depth[0] == n - 1 and s.left[n - 1] == 0
+    assert s.depth[0] == n - 1 and s.extent(n - 1) == (0, n - 1)
 
 
 def test_non_utf8_corpus_rejected(tmp_path):
@@ -365,7 +388,7 @@ _SHARED = (
 def test_equal_fields_are_one_object_across_sentences_and_documents():
     (a, b), (c,) = (doc.sentences for doc in parse_corpus(_SHARED))
     for s in (b, c):
-        for column in ("tokens", "pos", "labels", "etypes"):
+        for column in ("tokens", "pos", "labels"):
             assert getattr(s, column)[0] is getattr(a, column)[0]
         assert s.entities[0].etype is a.entities[0].etype
     assert c.tokens[1] is a.tokens[1]
@@ -390,23 +413,21 @@ _NO_ENTITY = (
 )
 
 
-def test_sentences_without_an_entity_share_one_none_column_per_length():
+def test_a_sentence_holds_its_mentions_and_the_writer_tags_them():
+    # The IOB2 tags live in the file only: a sentence holds its columns
+    # and its mentions, and the writer tags each mention from its span.
+    assert Sentence._fields == ("sid", "tokens", "pos", "labels", "heads", "entities")
     docs = parse_corpus(_NO_ENTITY)
     (a, b), (c, d) = (doc.sentences for doc in docs)
-    assert a.etypes is a.iobs is c.etypes is c.iobs == (None, None)
-    assert d.etypes is d.iobs == (None,) * 3
-    assert b.etypes == ("Person", None) and b.iobs == ("B", None) and b.etypes is not a.etypes
-    # Sentences built with columns of their own serialize and hash the same.
-    unshared = [
-        AnnotatedDocument(doc.doc_id, [
-            Sentence(s.sid, s.tokens, s.pos, s.labels, s.heads, list(s.etypes), list(s.iobs))
-            for s in doc.sentences
-        ])
-        for doc in docs
-    ]
-    assert unshared[0].sentences[0].etypes is not unshared[1].sentences[0].etypes
-    assert serialize_corpus(docs) == serialize_corpus(unshared) == _NO_ENTITY + "\n"
-    assert corpus_fingerprint(docs) == corpus_fingerprint(unshared)
+    assert a.entities == c.entities == d.entities == () and b.entities == (EntitySpan(1, 0, 0, "Person"),)
+    assert not any(hasattr(b, name) for name in ("etypes", "iobs", "left", "right"))
+    assert serialize_corpus(docs) == _NO_ENTITY + "\n"
+    # Mentions of one type side by side stay two: B-Person B-Person I-Person.
+    adjacent = Sentence(0, ["Bob", "Ann", "Lee", "ran"], ["propn"] * 3 + ["verb"], ["nsubj"] * 3 + ["root"],
+                        [3, 3, 3, None], [EntitySpan(0, 0, 0, "Person"), EntitySpan(0, 1, 2, "Person")])
+    text = serialize_corpus([AnnotatedDocument("d", [adjacent])])
+    assert [row.split("\t")[6] for row in text.splitlines()[1:5]] == ["B-Person", "B-Person", "I-Person", "O"]
+    assert parse_corpus(text)[0].sentences == [adjacent]
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,7 @@ import pytest
 import koko.engine
 import koko.indexes
 from koko.bench import synthesize_corpus
-from koko.corpus import AnnotatedDocument, Corpus, Sentence
+from koko.corpus import AnnotatedDocument, Corpus, EntitySpan, Sentence
 from koko.engine import run_query
 from koko.indexes import build_indexes, load_bundle, open_corpus, save_bundle
 from koko.oracle import oracle_evaluate
@@ -188,14 +188,13 @@ def test_projected_tuples_hold_values_in_output_order(env):
     assert by_key == {(sid, x, v) for sid, (x, v) in run.tuples}
 
 
-def _sentence(sid: int, words: str, etypes: str) -> Sentence:
+def _sentence(sid: int, words: str, etags: str) -> Sentence:
+    """A flat sentence of `words` whose one-token mentions are its B- tags."""
     tokens = words.split()
-    tags = etypes.split()
     heads = [None] + [0] * (len(tokens) - 1)
-    etype = [None if t == "O" else t[2:] for t in tags]
-    iob = [None if t == "O" else t[0] for t in tags]
+    mentions = [EntitySpan(sid, tid, tid, tag[2:]) for tid, tag in enumerate(etags.split()) if tag != "O"]
     return Sentence(sid, tokens, ["noun"] * len(tokens), ["root"] + ["dobj"] * (len(tokens) - 1),
-                    heads, etype, iob)
+                    heads, mentions)
 
 
 def test_entity_values_deduplicate_per_document():

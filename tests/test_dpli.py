@@ -248,7 +248,7 @@ def test_non_projective_tree_engine_matches_oracle():
     docs = parse_corpus(tsv)
     corpus = Corpus(docs)
     s = corpus.sentence(0)
-    assert (s.left[0], s.right[0]) == (0, 3)  # non-projective extent
+    assert s.extent(0) == (0, 3)  # non-projective extent
     bundle = build_indexes(docs)
     queries = [
         'extract v:Str from "x" if (/ROOT:{ v = //xcomp/dobj })',
@@ -434,7 +434,7 @@ CROSSING_TSV = (
 def test_extent_covering_a_word_it_does_not_dominate(tmp_path, loaded, path, sids):
     docs = parse_corpus(CROSSING_TSV)
     s = Corpus(docs).sentence(0)
-    assert (s.left[0], s.right[0]) == (0, 3) and s.depth[1] == 2 and 0 not in s.ancestors(1)
+    assert s.extent(0) == (0, 3) and s.depth[1] == 2 and 0 not in s.ancestors(1)
     bundle = build_indexes(docs)
     if loaded:
         save_bundle(bundle, str(tmp_path))

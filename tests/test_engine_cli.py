@@ -549,7 +549,7 @@ def test_token_holding_a_unicode_line_break(ch, tmp_path, capsys):
     token = f"ice{ch}cream"
     sentence = Sentence(
         0, ["I", "ate", token], ["pron", "verb", "noun"], ["nsubj", "root", "dobj"],
-        [1, None, 1], [None] * 3, [None] * 3,
+        [1, None, 1], (),
     )
     text = serialize_corpus([AnnotatedDocument("d0", [sentence])])
     assert parse_corpus(text)[0].sentences[0] == sentence
@@ -718,7 +718,7 @@ def _broken_corpus(draw) -> bytes:
             bad.append("-1")  # a second root
         cols[5] = draw(st.sampled_from(bad))
     elif kind == "iob":
-        cols[6] = draw(st.sampled_from(["", "B", "Person", "X-Person", "b-Person", "I-Zzz"]))
+        cols[6] = draw(st.sampled_from(["", "B", "B-", "I-", "Person", "X-Person", "b-Person", "I-Zzz"]))
     elif kind == "cycle":
         a, b = draw(
             st.lists(

@@ -64,7 +64,8 @@ def _repeated_environment(seed: int):
         sentences = []
         for s in doc.sentences:
             for _ in range(2 if i % 2 == 0 else 1):
-                sentences.append(Sentence(sid, s.tokens, s.pos, s.labels, s.heads, s.etypes, s.iobs))
+                mentions = [e._replace(sid=sid) for e in s.entities]
+                sentences.append(Sentence(sid, s.tokens, s.pos, s.labels, s.heads, mentions))
                 sid += 1
         docs.append(AnnotatedDocument(doc.doc_id, sentences))
     return Corpus(docs), build_indexes(docs)

@@ -5,6 +5,7 @@ import json
 import struct
 import tempfile
 import zlib
+from operator import is_
 
 import pytest
 from hypothesis import given, settings
@@ -319,7 +320,7 @@ def test_wildcard_descendant_union_matches_brute_force(ex31_bundle, ex31_corpus)
                 for i in range(len(labels))
             )
             if ok:
-                expected.append((s.sid, tid, s.left[tid], s.right[tid], s.depth[tid]))
+                expected.append((s.sid, tid, *s.extent(tid), s.depth[tid]))
     got = postings(ex31_bundle, path_offsets(ex31_bundle.pl, [("//", "*"), ("/", "dobj"), ("//", "*")]))
     assert sorted(got) == sorted(expected)
 
@@ -585,12 +586,9 @@ def _codec_corpus(lengths, markers=(), mentions=False):
         words[offset] = word
     sentences, at = [], 0
     for sid, n in enumerate(lengths):
-        etypes, iobs = [None] * n, [None] * n
-        if mentions:
-            etypes[0], iobs[0] = f"E{sid}", "B"
         sentences.append(Sentence(
             sid, words[at : at + n], ["NN"] * n, ["root"] + ["dep"] * (n - 1),
-            [None] + [0] * (n - 1), etypes, iobs,
+            [None] + [0] * (n - 1), [EntitySpan(sid, 0, 0, f"E{sid}")] if mentions else (),
         ))
         at += n
     return [AnnotatedDocument("d", sentences)]
@@ -908,13 +906,11 @@ def test_pre_order_pass_runs_at_construction_and_nothing_derived_is_saved(tmp_pa
 _ODD = ["", "\x00", "a\u2028b", "\U0001d538"]
 
 
-def _odd_strings_corpus():
+def _odd_strings_corpus(etypes=("", "\x00", "\u2028T", "\U0001d538")):
     """One sentence whose words, labels, POS tags, entity types and
     one-word mentions are the odd strings. TSV rows end at the entity
     column, whose trailing whitespace the reader strips, so no type ends in
     U+2028."""
-    from koko.corpus import AnnotatedDocument, Sentence
-
     n = len(_ODD)
     sentence = Sentence(
         0,
@@ -922,8 +918,7 @@ def _odd_strings_corpus():
         ["verb", *_ODD],
         ["root", *_ODD],
         [None] + [0] * n,
-        [None, "", "\x00", "\u2028T", "\U0001d538"],
-        [None] + ["B"] * n,
+        [EntitySpan(0, tid, tid, etype) for tid, etype in enumerate(etypes, start=1)],
     )
     return [AnnotatedDocument("d0", [sentence])]
 
@@ -947,8 +942,9 @@ def test_string_tables_round_trip_through_the_cli(tmp_path, capsys):
     from koko.cli import main
     from koko.corpus import serialize_corpus
 
+    # A TSV entity tag needs a type, so the file's first mention is of type E.
     corpus = tmp_path / "c.tsv"
-    corpus.write_bytes(serialize_corpus(_odd_strings_corpus()).encode("utf-8"))
+    corpus.write_bytes(serialize_corpus(_odd_strings_corpus(("E", "\x00", "\u2028T", "\U0001d538"))).encode("utf-8"))
     idx = str(tmp_path / "idx")
     assert main(["index", "--corpus", str(corpus), "--out", idx]) == 0
     queries = {
@@ -1193,8 +1189,8 @@ def test_depth_column_rejects_a_token_deeper_than_its_sentence(tmp_path):
     # first read of its lists. It is rejected at the first read of the
     # depth column, not at the first read of the list that holds it.
     docs = [AnnotatedDocument("d", [
-        Sentence(0, ["hi"], ["UH"], ["root"], [None], [None], [None]),
-        Sentence(1, ["a", "b", "c"], ["DT", "NN", "VB"], ["det", "nsubj", "root"], [1, 2, None], [None] * 3, [None] * 3),
+        Sentence(0, ["hi"], ["UH"], ["root"], [None], ()),
+        Sentence(1, ["a", "b", "c"], ["DT", "NN", "VB"], ["det", "nsubj", "root"], [1, 2, None], ()),
     ])]
     bundle = build_indexes(docs)
     assert list(bundle.tokens.depth) == [0, 2, 1, 0]
@@ -1240,7 +1236,9 @@ def _assert_round_trip(text: str, directory: str) -> None:
         assert serialize_corpus(again) == text
         assert corpus_fingerprint(again) == loaded.fingerprint
         assert list(corpus.sentence_lengths) == [len(s) for doc in docs for s in doc.sentences]
-        assert [e for s in corpus.sentences for e in s.entities] == loaded.entity.records
+        # The sentences hold the entity index's own records.
+        mentions = [e for s in corpus.sentences for e in s.entities]
+        assert mentions == bundle.entity.records and all(map(is_, mentions, bundle.entity.records))
         # Built once, and addressed from the end too.
         assert not len(corpus) or corpus.sentences[-1] is corpus.sentence(len(corpus) - 1)
         assert [corpus.doc_index_of(sid) for sid in range(len(corpus))] == [
@@ -1255,14 +1253,12 @@ def test_index_built_corpus_round_trips_ex31(tmp_path):
 
 
 def _adjacent_mentions(s, at: int):
-    """`s` with its entity tags replaced by two mentions of one type side
-    by side (B-X B-X I-X), from tid `at` on."""
+    """`s` with its mentions replaced by two of one type side by side
+    (B-X B-X I-X), from tid `at` on."""
     n = len(s)
     at %= max(1, n - 1)
-    etypes, iobs = [None] * n, [None] * n
-    for tid, iob in zip(range(at, n), "BBI"):
-        etypes[tid], iobs[tid] = "Person", iob
-    return Sentence(s.sid, s.tokens, s.pos, s.labels, s.heads, etypes, iobs)
+    mentions = [EntitySpan(s.sid, at, at, "Person"), EntitySpan(s.sid, at + 1, min(at + 2, n - 1), "Person")]
+    return Sentence(s.sid, s.tokens, s.pos, s.labels, s.heads, mentions)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
