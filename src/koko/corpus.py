@@ -77,7 +77,8 @@ class Sentence(Record):
     head outside the sentence, or a token that does not reach the root
     (its head links run in a cycle, a token heading itself included),
     whose tid the error's ``tid`` names. So do mentions that carry
-    another sid, lie outside the sentence, overlap or come out of order.
+    another sid or no type, lie outside the sentence, overlap or come out
+    of order.
     """
 
     # The columns: token texts, POS tags, labels and heads (None on the
@@ -104,6 +105,8 @@ class Sentence(Record):
             if not end < e.start <= e.end < n:
                 raise ValueError(f"sentence {sid}: mention {e.start}..{e.end} overlaps or precedes the one"
                                  " before or lies outside the sentence")
+            if not e.etype:
+                raise ValueError(f"sentence {sid}: mention {e.start}..{e.end} has no type")
             end = e.end
         if heads.count(None) != 1:
             raise ValueError(f"sentence {sid}: {heads.count(None)} roots, expected exactly 1")

@@ -273,7 +273,7 @@ def run_join(plan: JoinPlan, table: BindingTable, bundle: IndexBundle, stats: Ev
     extended left to right: the next atom's candidates in the chain's
     sentence (`BindingTable.bounds`) are bisected at the chain's end plus
     one plus the gap's `@min`, up to its `@max`. A node's value is its
-    word (`WordIndex.texts`), a literal's its own words, and an entity's,
+    word, read from the word column, a literal's its own words, and an entity's,
     a gap's or the composite's its words detokenized. No sentence is
     built. `stats` counts the first atom's candidates plus the pairs each
     later atom adds as loop iterations, and the tuples; no check is run."""
@@ -309,18 +309,18 @@ def run_join(plan: JoinPlan, table: BindingTable, bundle: IndexBundle, stats: Ev
         atom = atoms[j]
         if what == "atom" and atom.kind == WORDSEQ:
             values.append(repeat(atom.text))
-        else:  # read from the word column, inverted at its first read
-            texts = bundle.word.texts()
+        else:  # read from the word column at the row's offsets
+            words = bundle.word.postings
             if what == "gap":
                 spans = zip(read(atom.ends, j), read(atoms[j + 1].starts, j + 1))
-                values.append([detokenize(texts[a + 1 : b]) for a, b in spans])
+                values.append([detokenize(words.keys_at(a + 1, b)) for a, b in spans])
             elif what == "span" or atom.kind == ENTITY:
                 # The composite runs from the first atom to the last.
                 first, last = (0, -1) if what == "span" else (j, j)
                 spans = zip(read(atoms[first].starts, first), read(atoms[last].ends, last))
-                values.append([detokenize(texts[a : b + 1]) for a, b in spans])
+                values.append([detokenize(words.keys_at(a, b + 1)) for a, b in spans])
             else:
-                values.append(map(texts.__getitem__, read(atom.starts, j)))
+                values.append(words.keys_of(read(atom.starts, j)))
     out = list(zip(map(sid_of.__getitem__, read(atoms[0].starts, 0)), zip(*values)))
     stats.tuples += len(out)
     return out

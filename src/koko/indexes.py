@@ -7,8 +7,9 @@
 
 A posting list is a sorted run of global token offsets (``starts[sid] +
 tid``), whose sid, tid, head and depth the token table gives. Every posting
-list of an index lives in one `PostingLists`: the lists end to end in
-``flat``, and ``ptr`` says where each key's list starts. Hierarchy indices
+list of an index lives in one `PostingLists`, held as its forward column,
+the position of each token's key, so each token lies in exactly one list;
+a built set also holds the lists end to end in ``flat``. Hierarchy indices
 merge same-labelled children recursively, so every node is addressed by
 the unique label path from the root, and each token lands in exactly one
 node's posting list per index. Both hang off a synthetic super-root
@@ -28,7 +29,7 @@ column where a value is needed.
 
 Persisted layout (directory): ``manifest.json``, which records the CRC-32
 of each file, plus ``tree.idx``, ``word.idx``, ``entity.idx``, ``pl.idx``
-and ``pos.idx``: each the magic ``KOKO`` and a format version (10), then
+and ``pos.idx``: each the magic ``KOKO`` and a format version (11), then
 the columns, posting sets and string tables `save_bundle` writes. Every
 integer column is one codec, frame-of-reference coding at a byte-aligned
 width (Goldstein, Ramakrishnan & Shaft, "Compressing Relations and
@@ -41,15 +42,17 @@ starts, and each posting set's list counts in place of ``ptr``, which one
 `accumulate` gives back at load. A string table is a column of end
 offsets (in code points) and one UTF-8 blob (a byte count and the bytes);
 a column of labels or etypes is a table of its distinct strings and a
-column of ids into it. A posting set is the counts, a column of one byte
-per list giving the width of its gaps (1, 2 or 4), and one blob holding
-each non-empty list as its first offset in 4 bytes, then
-its d-gaps at that width (Zobel & Moffat, "Inverted files for text search
-engines", 2006). So each file is read with one C-level widening per
-column and one decode per table, and in memory every column is a 4-byte
-``array``; a posting set is decoded whole at the first read of any of its
-lists (`PostingLists`), which also checks it: no gap is zero, no offset
-lies past the corpus, and the lists hold every token once.
+column of ids into it. A posting set ends its file: the list counts, then
+its forward column, each token's key position at the fewest bytes that
+hold the key count less one, deflated by `zlib` at level 1 into one blob
+(Zobel & Moffat, "Inverted files for text search engines", 2006). So each
+file is read with one C-level widening per column and one decode per
+table, and in memory every column but a forward one is a 4-byte ``array``.
+A posting set's column is inflated at the first read of any of its lists
+(`PostingLists`), never past one entry more than the corpus has tokens,
+and checked then: it is one stream of one entry per token, every key
+position lies below the key count, and no token lies under a hierarchy's
+super-root. The counts serve only as estimates, which plan the reads.
 """
 
 from __future__ import annotations
@@ -63,17 +66,17 @@ import zlib
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from functools import cached_property, reduce
 from itertools import accumulate, chain, compress, count, repeat
-from operator import and_, attrgetter, le, lt, mul, sub
+from operator import and_, attrgetter, le, lt, sub
 
 from .corpus import AnnotatedDocument, Corpus, EntitySpan, Sentence, serialized_documents
 from .errors import KokoInputError
 from .record import Record
 
 MAGIC = b"KOKO"
-FORMAT_VERSION = 10
+FORMAT_VERSION = 11
 INDEX_FILES = ("tree.idx", "word.idx", "entity.idx", "pl.idx", "pos.idx")
 NO_HEAD = 0xFFFFFFFF  # the head column's entry for a sentence root
 
@@ -96,6 +99,37 @@ def _swapped(a: array) -> array:
 def _width(largest: int) -> int:
     """The fewest bytes of 1, 2 or 4 that hold `largest`."""
     return 1 if largest <= 0xFF else 2 if largest <= 0xFFFF else 4
+
+
+def _scan(raw: bytes, width: int, i: int, lo: int, hi: int) -> array:
+    """The positions lo <= o < hi of `raw`'s little-endian entries of
+    `width` bytes that equal i: a `bytes.find` that skips unaligned hits."""
+    needle, stop, found = i.to_bytes(width, "little"), hi * width, array(_TYPECODE)
+    at = raw.find(needle, lo * width, stop)
+    while at >= 0:
+        if not at % width:
+            found.append(at // width)
+        at = raw.find(needle, at + 1, stop)
+    return found
+
+
+def _all_below(raw: bytes, width: int, bound: int) -> bool:
+    """Whether every little-endian entry of `width` bytes in `raw` is
+    below `bound`, with no Python step per entry: compared with the largest
+    allowed, byte j of every entry at once from the most significant, as
+    the bits of one integer with all 8 set where the byte is greater (or
+    equal), so `tied` keeps the entries equal to it so far."""
+    if not raw or bound >= 1 << 8 * width:
+        return True
+    if not bound:
+        return False
+    limit, tied = (bound - 1).to_bytes(width, "little"), -1
+    for j in reversed(range(width)):
+        plane = raw[j::width]
+        if tied & int.from_bytes(plane.translate(bytes(255 * (b > limit[j]) for b in range(256))), "little"):
+            return False
+        tied &= int.from_bytes(plane.translate(bytes(255 * (b == limit[j]) for b in range(256))), "little")
+    return True
 
 
 class TokenTable(Record):
@@ -122,12 +156,11 @@ class TokenTable(Record):
     def depth(self) -> array:
         """Each token's depth, its PL node's; nodes are numbered in
         pre-order, parents first, so one pass over the parents gives theirs.
-        The PL lists must hold every token once, each under a node less deep
-        than its sentence is long."""
+        Each token's node must lie less deep than its sentence is long."""
         node_depth = [-1]
         for parent in self.pl.parents[1:]:
             node_depth.append(node_depth[parent] + 1)
-        depth = array(_TYPECODE, map(node_depth.__getitem__, self.pl.postings.owners(self.starts[-1])))
+        depth = array(_TYPECODE, map(node_depth.__getitem__, self.pl.postings.column))
         for o in compress(count(), map(le, map(self.lengths.__getitem__, self.sid_of), depth)):
             sid, where = self.sid_of[o], self.pl.postings.where
             raise KokoInputError(f"{where}: token ({sid},{o - self.starts[sid]}) lies deeper than its sentence is long")
@@ -151,71 +184,92 @@ class Sentences:
 
 
 class PostingLists(Mapping):
-    """The posting lists of an index by key (a word, or a node id), as two
-    columns: key i's list is ``flat[ptr[i]:ptr[i + 1]]``. Built lists are
-    given as these columns and trusted. Lists read from a file, `where`
-    (its name for error messages), come `encoded` as their width column,
-    their gap blob and the corpus's token count; ``flat`` is decoded whole
-    at the first read of any list, and checked then: no gap is zero, no
-    offset reaches the token count, and the lists hold every token once,
-    which inverting them into `owners`, the forward column, shows. ``ptr``
-    alone gives `size`, so estimates read no posting."""
+    """The posting lists of an index by key (a word, or a node id), held as
+    their forward column: ``column[o]`` is the position of the key whose
+    list holds offset o, so every offset lies in exactly one list. ``ptr``
+    accumulates the lists' counts, which give `size`: the estimates that
+    plan a read, read from no posting. A built set also holds its lists
+    end to end in ``flat``, key i's ``flat[ptr[i]:ptr[i + 1]]``, and reads
+    them. A set read from file `where` holds its column `deflated`, with
+    the corpus's token count and whether key 0 is a hierarchy's super-root,
+    which holds no token; it is inflated and checked at its first read
+    (`column`) and then read by scans: an aligned `bytes.find` for one key,
+    a `compress` for several."""
 
     def __init__(
-        self, keys: Sequence, ptr: array, flat: array | None,
-        owners: array | None = None, where: str = "", encoded: tuple[memoryview, memoryview, int] | None = None,
+        self, keys: Sequence, ptr: array, flat: array | None = None, column: Sequence[int] | None = None,
+        where: str = "", deflated: tuple[memoryview, int, bool] | None = None,
     ) -> None:
         self._keys = keys
         self.ptr = ptr
-        self._flat = flat
+        self.flat = flat
+        self.width = _width(len(keys) - 1)
+        self._column = column if column is None else array(_WIDTHS[self.width], column)
+        self._raw = b""  # a loaded column's bytes, inflated, for `find`'s scans
         self.where = where
+        self._deflated = deflated
         self._at = dict(zip(keys, count()))
-        self._owners = owners
-        self._encoded = encoded
 
     @classmethod
-    def grouped(cls, key_of: Sequence, keys: Sequence) -> PostingLists:
-        """The offsets 0, 1, ... grouped by their key in `key_of`, the
-        lists in the order of `keys`. When the keys are the positions 0,
-        1, ..., `key_of` is the forward column and is kept as `owners`."""
-        lists: dict = {key: [] for key in keys}
-        for offset, key in enumerate(key_of):
-            lists[key].append(offset)
-        ptr = array(_TYPECODE, accumulate(map(len, lists.values()), initial=0))
-        owners = array(_TYPECODE, key_of) if keys == range(len(keys)) else None
-        return cls(keys, ptr, array(_TYPECODE, chain.from_iterable(lists.values())), owners)
+    def grouped(cls, column: Sequence[int], keys: Sequence) -> PostingLists:
+        """The lists of `keys` over the offsets 0, 1, ...: `column` gives
+        the position of each offset's key."""
+        lists: list[list[int]] = [[] for _ in keys]
+        for offset, i in enumerate(column):
+            lists[i].append(offset)
+        ptr = array(_TYPECODE, accumulate(map(len, lists), initial=0))
+        return cls(keys, ptr, array(_TYPECODE, chain.from_iterable(lists)), column)
 
     @property
-    def flat(self) -> array:
-        if self._flat is None:
-            self._decode()
-        return self._flat
+    def column(self) -> array:
+        if self._column is None:
+            self._inflate()
+        return self._column
 
-    def _decode(self) -> None:
-        """Decode every list, check the whole set and invert it, all once."""
-        widths, gaps, token_count = self._encoded
-        flat, at = array(_TYPECODE), 0
-        fail = KokoInputError(f"{self.where}: a posting list lies outside the corpus or out of order")
+    def _inflate(self) -> None:
+        """Inflate the column, never past one entry more than the corpus
+        has tokens, and check it: one stream of exactly one entry per token,
+        every key position below the key count and, under a super-root,
+        none 0."""
+        data, n, rooted = self._deflated
+        inflater, size = zlib.decompressobj(), n * self.width
         try:
-            for n, width in zip(map(sub, self.ptr[1:], self.ptr), widths):
-                if n:
-                    end = at + 4 + (n - 1) * width
-                    block = array(_WIDTHS[width])
-                    block.frombytes(gaps[at + 4 : end])
-                    if 0 in block:
-                        raise fail
-                    flat.extend(accumulate(_swapped(block), initial=_U32.unpack_from(gaps, at)[0]))
-                    if flat[-1] >= token_count:  # the list's last offset, its largest
-                        raise fail
-                    at = end
-        except OverflowError:  # an offset past the 4-byte range
-            raise fail from None
-        self._owners = self._inverted(flat, token_count)
-        self._flat = flat
+            raw = inflater.decompress(data, size + 1)
+        except zlib.error:
+            raw = b""
+        if len(raw) != size or not inflater.eof or inflater.unused_data:
+            raise KokoInputError(f"{self.where}: the posting column does not inflate to its {n} entries")
+        if not _all_below(raw, self.width, len(self._keys)):
+            raise KokoInputError(f"{self.where}: the posting lists do not hold every token once")
+        if rooted and _scan(raw, self.width, 0, 0, n):
+            raise KokoInputError(f"{self.where}: the super-root holds postings")
+        self._raw, self._column = raw, _swapped(array(_WIDTHS[self.width], raw))
 
-    def __getitem__(self, key) -> array:
+    def find(self, key, lo: int, hi: int) -> Sequence[int]:
+        """The offsets lo <= o < hi in the list of `key`: bisected in a
+        built list, else scanned for in the inflated column."""
         i = self._at[key]
-        return self.flat[self.ptr[i] : self.ptr[i + 1]]
+        if self.flat is None:
+            if self._column is None:
+                self._inflate()
+            return _scan(self._raw, self.width, i, lo, hi)
+        a, b = self.ptr[i], self.ptr[i + 1]
+        a = bisect_left(self.flat, lo, a, b)
+        return self.flat[a : bisect_left(self.flat, hi, a, b)]
+
+    def __getitem__(self, key) -> Sequence[int]:
+        return self.find(key, 0, self.ptr[-1])
+
+    def __contains__(self, key) -> bool:
+        return key in self._at
+
+    def keys_at(self, a: int, b: int) -> Iterator:
+        """The keys of the offsets a .. b - 1, read from the column."""
+        return map(self._keys.__getitem__, self.column[a:b])
+
+    def keys_of(self, offsets: Iterable[int]) -> Iterator:
+        """The key of each offset, read from the column."""
+        return map(self._keys.__getitem__, map(self.column.__getitem__, offsets))
 
     def size(self, keys: Iterable) -> int:
         """How many postings the lists of `keys` hold, read from ``ptr``
@@ -224,30 +278,31 @@ class PostingLists(Mapping):
         positions = list(map(at.__getitem__, filter(at.__contains__, keys)))
         return sum(map(ptr.__getitem__, map((1).__add__, positions))) - sum(map(ptr.__getitem__, positions))
 
-    def read(
-        self, keys: Collection, size: int, within: Sentences | None, column: Callable[[], Sequence]
-    ) -> Sequence[int]:
+    def read(self, keys: Collection, size: int, within: Sentences | None) -> Sequence[int]:
         """The sorted union of the lists of `keys` (a key with no list has
         none), cut to the sentences of `within`, or whole when it is None.
 
-        `size` is the postings those lists hold (`size(keys)`). When they
-        are fewer than `within` has tokens, the lists are read and
-        filtered by sid. Otherwise `within`'s tokens are scanned through
-        `column()`, the key of each offset."""
-        if within is not None and size >= within.token_count:
-            forward, wanted = column(), keys.__contains__
+        `size` is the postings those lists hold (`size(keys)`). `within`'s
+        tokens are scanned in the column when they are no more than that,
+        or when several lists are wanted and only the column holds them;
+        otherwise the lists are read whole and filtered by sid."""
+        at = self._at
+        if within is not None and (size >= within.token_count or (self.flat is None and len(keys) > 1)):
+            column, wanted = self.column, set(map(at.get, keys)).__contains__
             return list(chain.from_iterable(
-                compress(range(a, b), map(wanted, forward[a:b])) for a, b in within.bounds()
+                compress(range(a, b), map(wanted, column[a:b])) for a, b in within.bounds()
             ))
-        flat, ptr = self.flat, self.ptr
-        lists = [flat[ptr[i] : ptr[i + 1]] for i in map(self._at.get, keys) if i is not None]
-        found = chain.from_iterable(lists)
-        if within is not None:
-            inside = map(within.sids.__contains__, map(within.tokens.sid_of.__getitem__, chain.from_iterable(lists)))
-            found = compress(found, inside)
-        if len(lists) == 1:
-            return lists[0] if within is None else list(found)
-        return sorted(found)
+        keys = [key for key in keys if key in at]
+        if len(keys) <= 1:
+            found = self[keys[0]] if keys else []
+        elif self.flat is not None:
+            flat, ptr = self.flat, self.ptr
+            found = sorted(chain.from_iterable([flat[ptr[i] : ptr[i + 1]] for i in map(at.get, keys)]))
+        else:
+            found = list(compress(count(), map(set(map(at.get, keys)).__contains__, self.column)))
+        if within is None:
+            return found
+        return list(compress(found, map(within.sids.__contains__, map(within.tokens.sid_of.__getitem__, found))))
 
     def __iter__(self):
         return iter(self._keys)
@@ -255,55 +310,24 @@ class PostingLists(Mapping):
     def __len__(self) -> int:
         return len(self._keys)
 
-    def owners(self, size: int) -> array:
-        """The index inverted into a forward column: the key position of the
-        list holding each offset 0 .. size - 1, which must occur once each."""
-        flat = self.flat  # a loaded set's first read decodes and inverts it
-        if self._owners is None:
-            self._owners = self._inverted(flat, size)
-        return self._owners
-
-    def _inverted(self, flat: array, size: int) -> array:
-        owners: list[int | None] = [None] * size
-        keys = chain.from_iterable(map(repeat, count(), map(sub, self.ptr[1:], self.ptr)))
-        try:
-            if len(flat) != size:
-                raise IndexError
-            for offset, key in zip(flat, keys):
-                owners[offset] = key
-            # With as many postings as offsets, an offset left unowned
-            # (None, which the array rejects) means another repeated.
-            return array(_TYPECODE, owners)
-        except (IndexError, TypeError):
-            raise KokoInputError(f"{self.where}: the posting lists do not hold every token once") from None
-
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, PostingLists)
-            and self._keys == other._keys
-            and self.ptr == other.ptr
-            and self.flat == other.flat
-        )
+        return isinstance(other, PostingLists) and (self._keys, self.ptr, self.column) == (
+            other._keys, other.ptr, other.column)
 
 
 class WordIndex(Record):
     _fields = ("postings",)
 
-    def __init__(self, tokens: TokenTable, postings: PostingLists, texts: list[str] | None = None) -> None:
+    def __init__(self, tokens: TokenTable, postings: PostingLists) -> None:
         self.tokens = tokens
         self.postings = postings  # by word, in sorted order
-        self._texts = texts
 
-    def texts(self) -> list[str]:
-        """The word of every token, by offset: the column a build was given,
-        else the postings inverted, once."""
-        if self._texts is None:
-            words = list(self.postings)
-            self._texts = list(map(words.__getitem__, self.postings.owners(self.tokens.starts[-1])))
-        return self._texts
+    def words(self, a: int, b: int) -> tuple[str, ...]:
+        """The words of the offsets a .. b - 1, read from the word column."""
+        return tuple(self.postings.keys_at(a, b))
 
-    def lookup(self, word: str) -> array:
-        return self.postings.get(word) or array(_TYPECODE)
+    def lookup(self, word: str) -> Sequence[int]:
+        return self.postings.get(word, array(_TYPECODE))
 
     def count(self, word: str) -> int:
         return self.postings.size((word,))
@@ -311,16 +335,14 @@ class WordIndex(Record):
     def read(self, word: str, within: Sentences | None = None) -> Sequence[int]:
         """The offsets of `word` in the sentences of `within` (every
         sentence when None; see `PostingLists.read`)."""
-        return self.postings.read((word,), self.count(word), within, self.texts)
+        return self.postings.read((word,), self.count(word), within)
 
     def sentences_with(self, word: str, sids: range) -> list[int]:
         """The sids in `sids` of the sentences holding `word`, in order,
-        cut from its offset-sorted posting list."""
-        postings = self.lookup(word)
+        found among those sentences' tokens alone."""
         starts = self.tokens.starts
-        lo = bisect_left(postings, starts[sids.start])
-        hi = bisect_left(postings, starts[sids.stop], lo)
-        return list(dict.fromkeys(map(self.tokens.sid_of.__getitem__, postings[lo:hi])))
+        found = self.postings.find(word, starts[sids.start], starts[sids.stop]) if word in self.postings else ()
+        return list(dict.fromkeys(map(self.tokens.sid_of.__getitem__, found)))
 
 
 class EntityIndex(Record):
@@ -384,8 +406,7 @@ class HierarchyIndex(Record):
         """The offsets of the tokens of `nodes`, `size` postings in all, in
         the sentences of `within` (every sentence when None; see
         `PostingLists.read`)."""
-        postings = self.postings
-        return postings.read(nodes, size, within, lambda: postings.owners(within.tokens.starts[-1]))
+        return self.postings.read(nodes, size, within)
 
     def match_nodes(self, steps: list[tuple[str, str]]) -> set[int]:
         """The nodes whose root path matches ``steps``, (axis, label) pairs
@@ -468,10 +489,11 @@ def build_indexes(docs: list[AnnotatedDocument]) -> IndexBundle:
         array(_TYPECODE, [NO_HEAD if h is None else h for s in sentences for h in s.heads]),
     )
     texts = list(chain.from_iterable(s.tokens for s in sentences))
+    words = sorted(set(texts))
     pl, pos = _merged_trees(sentences)
     tokens.pl = pl
     return IndexBundle(
-        word=WordIndex(tokens, PostingLists.grouped(texts, sorted(set(texts))), texts),
+        word=WordIndex(tokens, PostingLists.grouped(list(map(dict(zip(words, count())).__getitem__, texts)), words)),
         entity=EntityIndex([e for s in sentences for e in s.entities]),
         pl=pl,
         pos=pos,
@@ -553,24 +575,6 @@ def _w_strings(buf: bytearray, strings: Sequence[str]) -> None:
     _w_bytes(buf, "".join(strings).encode("utf-8"))
 
 
-def _w_postings(buf: bytearray, postings: PostingLists) -> None:
-    """The list counts, a width per list and the lists: each its first
-    offset, then its gaps, at the fewest bytes that hold its largest gap."""
-    ptr, flat = postings.ptr, postings.flat
-    deltas = [0, *map(sub, flat[1:], flat)]  # flat[i] - flat[i - 1]
-    widths, lists = bytearray(), bytearray()
-    for a, b in zip(ptr, ptr[1:]):
-        gaps = deltas[a + 1 : b]
-        width = _width(max(gaps, default=0))
-        widths.append(width)
-        if b > a:
-            lists += _U32.pack(flat[a])
-            lists += _swapped(array(_WIDTHS[width], gaps)).tobytes()
-    _w_column(buf, map(sub, ptr[1:], ptr))
-    _w_bytes(buf, widths)
-    _w_bytes(buf, lists)
-
-
 def _interned(values: Sequence[str]) -> tuple[list[str], array]:
     """The distinct values, in first-seen order, and each value's id."""
     ids: dict[str, int] = {}
@@ -589,9 +593,7 @@ def save_bundle(bundle: IndexBundle, directory: str) -> None:
     _w_column(files["tree.idx"], t.heads, _width(max(t.lengths, default=0) + 1))
     _w_strings(files["tree.idx"], bundle.doc_ids)
     _w_column(files["tree.idx"], map(sub, [*bundle.doc_starts[1:], bundle.sentence_count], bundle.doc_starts))
-    words = bundle.word.postings
-    _w_strings(files["word.idx"], list(words))
-    _w_postings(files["word.idx"], words)
+    _w_strings(files["word.idx"], list(bundle.word.postings))
     sid, start, end, etype = list(zip(*bundle.entity.records)) or [()] * 4
     etypes, etype_ids = _interned(etype)
     _w_strings(files["entity.idx"], etypes)
@@ -602,7 +604,11 @@ def save_bundle(bundle: IndexBundle, directory: str) -> None:
         _w_strings(files[name], labels)
         _w_column(files[name], label_ids)
         _w_column(files[name], index.parents[1:])
-        _w_postings(files[name], index.postings)
+    # Each posting set ends its file: the list counts, then the forward
+    # column at its width, deflated.
+    for name, index in (("word.idx", bundle.word), ("pl.idx", bundle.pl), ("pos.idx", bundle.pos)):
+        _w_column(files[name], map(sub, index.postings.ptr[1:], index.postings.ptr))
+        _w_bytes(files[name], zlib.compress(_swapped(index.postings.column).tobytes(), 1))
     os.makedirs(directory, exist_ok=True)
     for name, buf in files.items():
         with open(os.path.join(directory, name), "wb") as f:
@@ -693,21 +699,16 @@ class _IndexFile:
             raise self.fail("string end offsets out of order or past the text")
         return list(map(text.__getitem__, map(slice, bounds, ends)))
 
-    def postings(self, keys: Sequence) -> PostingLists:
-        """A posting set, its framing checked: the lists are decoded and
-        checked at their first read (`PostingLists`)."""
-        counts, widths, gaps = self.column(), self.block(1), self.block(1)
+    def postings(self, keys: Sequence, rooted: bool = False) -> PostingLists:
+        """A posting set, its counts checked: its column is inflated and
+        checked at its first read (`PostingLists`). `rooted`: key 0 is a
+        hierarchy's super-root."""
+        counts, deflated = self.column(), self.block(1)
         n = self.token_count
         if len(counts) != len(keys) or sum(counts) != n:
             raise self.fail(f"posting list counts do not sum to {n} over {len(keys)} lists")
-        if len(widths) != len(keys) or not set(widths) <= _WIDTHS.keys():
-            raise self.fail("posting list widths are not one of 1, 2 or 4 per list")
-        # Each non-empty list is its 4-byte first offset and n - 1 gaps.
-        expected = sum(map(mul, counts, widths)) + sum(map(sub, repeat(4), compress(widths, counts)))
-        if len(gaps) != expected:
-            raise self.fail(f"the posting lists take {len(gaps)} bytes, their counts say {expected}")
         ptr = array(_TYPECODE, accumulate(counts, initial=0))
-        return PostingLists(keys, ptr, None, where=self.path, encoded=(widths, gaps, n))
+        return PostingLists(keys, ptr, where=self.path, deflated=(deflated, n, rooted))
 
     def end(self) -> None:
         """After the scan: no bytes left over, and the checksum holds."""
@@ -745,10 +746,10 @@ def load_bundle(directory: str, expected_fingerprint: str | None = None) -> Inde
     """Open a saved index. Every file is read whole, column by column, and
     its checksum checked against the manifest's; every column is widened to
     4-byte entries, and the lengths and counts summed back into starts and
-    ``ptr``. The posting sets are kept encoded, their framing
-    checked; each is decoded whole, checked and inverted at the first read
-    of any of its lists (`PostingLists`), and the PL lists' depths at the
-    first read of the depth column (`TokenTable.depth`)."""
+    ``ptr``. The posting sets are kept deflated, their counts checked to sum
+    to the tokens; each set's column is inflated and checked at the first
+    read of any of its lists (`PostingLists`), and the depths at the first
+    read of the depth column (`TokenTable.depth`)."""
     manifest = _read_manifest(directory)
     fingerprint = manifest.get("fingerprint", "")
     if expected_fingerprint is not None and fingerprint != expected_fingerprint:
@@ -791,6 +792,8 @@ def load_bundle(directory: str, expected_fingerprint: str | None = None) -> Inde
 
     f = open_file("entity.idx")
     etypes = f.strings()
+    if "" in etypes:
+        raise f.fail(f"entity type {etypes.index('')} is the empty string")
     sid, start, end, etype_ids = (f.column() for _ in range(4))
     if not len(sid) == len(start) == len(end) == len(etype_ids):
         raise f.fail("entity columns differ in length")
@@ -813,7 +816,7 @@ def load_bundle(directory: str, expected_fingerprint: str | None = None) -> Inde
         f = open_file(name)
         labels = f.strings()
         label_ids, parents = f.column(), f.column()
-        postings = f.postings(range(len(label_ids) + 1))
+        postings = f.postings(range(len(label_ids) + 1), rooted=True)
         if len(parents) != len(label_ids):
             raise f.fail("node columns differ in length")
         if max(label_ids, default=-1) >= len(labels):
@@ -822,8 +825,6 @@ def load_bundle(directory: str, expected_fingerprint: str | None = None) -> Inde
         # and that no two children of a node share a label.
         labels = [root_label, *map(labels.__getitem__, label_ids)]
         hierarchies.append(HierarchyIndex(labels, array(_TYPECODE, [0]) + parents, postings))
-        if postings.ptr[1]:
-            raise f.fail("the super-root holds postings")
         f.end()
 
     pl, pos = hierarchies
@@ -834,15 +835,13 @@ def load_bundle(directory: str, expected_fingerprint: str | None = None) -> Inde
 def open_corpus(bundle: IndexBundle) -> Corpus:
     """The corpus the bundle was built from, read from the bundle alone. A
     sentence is built when first read, through the one `Sentence`
-    constructor, from its slices of the word column (`WordIndex.texts`)
-    and of the PL and POS lists inverted, its heads, and its slice of the
-    entity records, the very objects the entity index holds; one whose
-    heads are no tree, or whose derived depths differ from the PL lists'
-    (the token table's `depth`), raises KokoInputError then. The forward
-    columns are read at the first build (`PostingLists.owners`); a loaded
-    set is inverted at the first read of any of its lists, as its check,
-    and keeps the column. A sentence's words (`Corpus.words`) are its slice of
-    the word column alone."""
+    constructor, from its slices of the word, PL and POS columns, its
+    heads, and its slice of the entity records, the very objects the entity
+    index holds; one whose heads are no tree, or whose derived depths
+    differ from the PL column's (the token table's `depth`), raises
+    KokoInputError then. A loaded set's column is inflated and checked at
+    its first read (`PostingLists.column`). A sentence's words
+    (`Corpus.words`) are its slice of the word column alone."""
     t = bundle.tokens
     records = bundle.entity.records
     record_sids = array(_TYPECODE, map(attrgetter("sid"), records))
@@ -851,19 +850,17 @@ def open_corpus(bundle: IndexBundle) -> Corpus:
         return KokoInputError(f"{t.where}: sentence {sid}: {what}")
 
     def words(sid: int) -> tuple[str, ...]:
-        return tuple(bundle.word.texts()[t.starts[sid] : t.starts[sid + 1]])
+        return bundle.word.words(t.starts[sid], t.starts[sid + 1])
 
     def build(sid: int) -> Sentence:
-        texts = words(sid)
-        label_of, tag_of = (index.postings.owners(t.starts[-1]) for index in (bundle.pl, bundle.pos))
         a, b = t.starts[sid], t.starts[sid + 1]
         heads = [None if h == NO_HEAD else h for h in t.heads[a:b]]
         lo = bisect_left(record_sids, sid)
         entities = records[lo : bisect_right(record_sids, sid, lo)]
-        pos = map(bundle.pos.labels.__getitem__, tag_of[a:b])
-        labels = map(bundle.pl.labels.__getitem__, label_of[a:b])
+        pos = map(bundle.pos.labels.__getitem__, bundle.pos.postings.column[a:b])
+        labels = map(bundle.pl.labels.__getitem__, bundle.pl.postings.column[a:b])
         try:
-            s = Sentence(sid, texts, pos, labels, heads, entities)
+            s = Sentence(sid, words(sid), pos, labels, heads, entities)
         except ValueError as exc:  # heads that are no tree
             raise KokoInputError(f"{t.where}: {exc}") from None
         if s.depth != tuple(t.depth[a:b]):

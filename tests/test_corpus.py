@@ -126,8 +126,9 @@ _TWO_TOKENS = (0, ["Ann", "ran"], ["propn", "verb"], ["nsubj", "root"], [1, None
         ([EntitySpan(0, 1, 2, "Person")], "mention 1..2 .* lies outside the sentence"),
         ([EntitySpan(0, -1, 0, "Person")], "mention -1..0 .* lies outside the sentence"),
         ([EntitySpan(0, 1, 0, "Person")], "mention 1..0 .* lies outside the sentence"),
+        ([EntitySpan(0, 0, 0, "Person"), EntitySpan(0, 1, 1, "")], "mention 1..1 has no type"),
     ],
-    ids=["another sid", "overlapping", "out of order", "past the end", "before the start", "empty"],
+    ids=["another sid", "overlapping", "out of order", "past the end", "before the start", "empty", "no type"],
 )
 def test_mentions_that_are_no_spans_of_the_sentence_rejected(mentions, message):
     with pytest.raises(ValueError, match=f"^sentence 0: {message}"):

@@ -133,16 +133,16 @@ def test_span_join_skips_the_nested_loop(env, evaluated, name):
 )
 def test_direct_plan_over_the_index_builds_no_sentence(env, tmp_path, monkeypatch, evaluated, name):
     # A join reads its values from the index: the word column, the
-    # literal itself or the entity records. Nor does it read the PL or POS
-    # forward column (`owners`), which only a sentence needs; a PL list's
-    # first read inverts its file once all the same, as its check.
+    # literal itself or the entity records. Nor does it inflate the POS
+    # column, which only a sentence (or a POS leg) reads; the PL column is
+    # inflated where a path's nodes are read from it.
     corpus, bundle = env
     save_bundle(bundle, str(tmp_path))
     loaded = load_bundle(str(tmp_path))
-    inverted = []
-    owners = koko.indexes.PostingLists.owners
+    inflated = []
+    inflate = koko.indexes.PostingLists._inflate
     monkeypatch.setattr(
-        koko.indexes.PostingLists, "owners", lambda self, size: inverted.append(self.where) or owners(self, size)
+        koko.indexes.PostingLists, "_inflate", lambda self: inflated.append(self.where) or inflate(self)
     )
     opened = open_corpus(loaded)
     built = []
@@ -152,9 +152,9 @@ def test_direct_plan_over_the_index_builds_no_sentence(env, tmp_path, monkeypatc
     run = run_query(q, opened, loaded, keep_failed=True)
     assert run.joined and run.rows
     assert built == [] and evaluated[0] == 0
-    assert not any(where.endswith(("pl.idx", "pos.idx")) for where in inverted)
+    assert not any(where.endswith("pos.idx") for where in inflated)
     assert opened.sentence(0) == corpus.sentence(0)
-    assert any(where.endswith("pos.idx") for where in inverted)
+    assert any(where.endswith("pos.idx") for where in inflated)
     assert _rows(run) == [
         (r.key(), json.dumps(r.to_json(), sort_keys=True), r.excluded_by)
         for r in oracle_evaluate(q, corpus, keep_failed=True)

@@ -12,7 +12,7 @@ from koko.corpus import Corpus, load_corpus, parse_corpus
 from koko.dpli import candidate_bindings, decompose, dominant_paths, join_word_path
 from koko.engine import run_query
 from koko.errors import KokoInputError, KokoSyntaxError
-from koko.indexes import NO_HEAD, PostingLists, WordIndex, build_indexes, load_bundle, save_bundle
+from koko.indexes import NO_HEAD, Sentences, build_indexes, load_bundle, save_bundle
 from koko.normalize import normalize
 from koko.oracle import oracle_evaluate
 from koko.parser import parse_query
@@ -324,19 +324,9 @@ def test_later_variable_is_filtered_or_scanned_inside_the_seed(tmp_path, monkeyp
     if loaded:
         save_bundle(bundle, str(tmp_path))
         bundle = load_bundle(str(tmp_path))
-    columns = []  # the forward columns read, in order
-
-    def count_reads(owner, name):
-        original = getattr(owner, name)
-
-        def counted(self, *args):
-            columns.append(name)
-            return original(self, *args)
-
-        monkeypatch.setattr(owner, name, counted)
-
-    count_reads(PostingLists, "owners")
-    count_reads(WordIndex, "texts")
+    scans = []  # the sentences whose tokens a read scanned in a column
+    bounds = Sentences.bounds
+    monkeypatch.setattr(Sentences, "bounds", lambda self: scans.append(len(self.sids)) or bounds(self))
     q = parse_query(f'extract a:Str, b:Str from "x" if (/ROOT:{{ a = "x", b = {definition} }})')
     table = candidate_bindings(normalize(q), bundle)
     branch, tids = CHAIN_LEGS[definition]
@@ -344,10 +334,7 @@ def test_later_variable_is_filtered_or_scanned_inside_the_seed(tmp_path, monkeyp
     assert table.candidate_sids == [0]
     assert table.tids("b", 0) == tids
     assert list(table.bindings["b"].offsets) == tids  # nothing from sentence 1
-    if branch == "filter":
-        assert columns == []
-    else:  # the forward column: words for a word, nodes for a node set
-        assert columns[0] == ("texts" if definition.startswith('"') else "owners")
+    assert scans == ([] if branch == "filter" else [1])
     rows = run_query(q, Corpus(docs), bundle).rows
     assert [r.key() for r in rows] == [r.key() for r in oracle_evaluate(q, Corpus(docs))]
 

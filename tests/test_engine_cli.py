@@ -621,29 +621,26 @@ def test_lazy_path_parses_only_candidate_sentences(tmp_path, monkeypatch):
     # The evidence query's candidates are the entity index's sentences, and
     # its evidence reads only the words of the sentences of a mention's
     # document that hold the mention's first token: it builds no sentence
-    # and inverts neither the PL nor the POS lists.
+    # and inflates neither the PL nor the POS column.
     parsed.clear()
     bundle = load_bundle(idx)
     corpus = open_corpus(bundle)
-    inverted = []
-    owners = koko.indexes.PostingLists.owners
-    monkeypatch.setattr(
-        koko.indexes.PostingLists, "owners",
-        lambda lists, size: inverted.append(lists) or owners(lists, size),
-    )
+    inflated = []
+    inflate = koko.indexes.PostingLists._inflate
+    monkeypatch.setattr(koko.indexes.PostingLists, "_inflate", lambda lists: inflated.append(lists) or inflate(lists))
     read = []
     monkeypatch.setattr(corpus, "words", lambda sid: read.append(sid) or Corpus.words(corpus, sid))
     run = run_query(parse_query(LAZY_QUERIES["evidence"]), corpus, bundle)
     assert run.rows
     mentions = bundle.entity.lookup()
     assert run.candidate_sids == sorted({e.sid for e in mentions})
-    holding, texts, starts = set(), bundle.word.texts(), bundle.tokens.starts
+    holding, starts = set(), bundle.tokens.starts
     for e in mentions:
-        first = texts[starts[e.sid] + e.start]
+        first = bundle.word.words(starts[e.sid] + e.start, starts[e.sid] + e.start + 1)[0]
         doc = corpus.doc_sids(corpus.doc_index_of(e.sid))
         holding |= {bundle.tokens.sid_of[o] for o in bundle.word.lookup(first)} & set(doc)
     assert parsed == []
-    assert not any(lists is bundle.pl.postings or lists is bundle.pos.postings for lists in inverted)
+    assert inflated == [bundle.word.postings]
     assert 0 < len(set(read)) <= len(holding) < len(corpus)
     assert len(run.candidate_sids) < len(corpus)
 

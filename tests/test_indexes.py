@@ -211,18 +211,18 @@ def test_version_mismatch_rejected(ex31_bundle, tmp_path):
 
 
 def test_index_of_the_previous_format_exits_2(ex31_bundle, tmp_path, capsys):
-    # A version-9 index, as its writer recorded it in the manifest and each
+    # A version-10 index, as its writer recorded it in the manifest and each
     # file's header, is refused with the version message, no traceback.
     from koko.cli import main
 
     d = tmp_path / "idx"
     save_bundle(ex31_bundle, str(d))
     manifest = json.loads((d / "manifest.json").read_text())
-    manifest["format_version"] = 9
+    manifest["format_version"] = 10
     (d / "manifest.json").write_text(json.dumps(manifest))
     for name in manifest["checksums"]:
         raw = bytearray((d / name).read_bytes())
-        _set_u32(raw, 4, 9)
+        _set_u32(raw, 4, 10)
         (d / name).write_bytes(bytes(raw))
     q = tmp_path / "q.koko"
     q.write_text('extract v:Str from "x" if (/ROOT:{ v = //dobj })\n')
@@ -230,7 +230,7 @@ def test_index_of_the_previous_format_exits_2(ex31_bundle, tmp_path, capsys):
     assert main(["query", "--query", str(q), "--index", str(d)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
-    assert "format version 9 does not match supported version 10" in captured.err
+    assert "format version 10 does not match supported version 11" in captured.err
 
 
 def test_fingerprint_mismatch_rejected(ex31_bundle, tmp_path):
@@ -352,20 +352,20 @@ def _small_index(tmp_path):
 
 # The parts of each index file after its 8-byte header, in order. A narrow
 # column is a width byte, a u32 count and that many items of the width; a
-# string table's UTF-8 text, a posting set's widths and its encoded lists
-# are a u32 count and that many bytes.
+# string table's UTF-8 text and a posting set's deflated forward column are
+# a u32 count and that many bytes.
 _LAYOUT = {
     "tree.idx": ["lengths", "heads", "doc_ids.ends", "doc_ids.text", "doc_lengths"],
-    "word.idx": ["words.ends", "words.text", "counts", "widths", "lists"],
+    "word.idx": ["words.ends", "words.text", "counts", "column"],
     "entity.idx": ["etypes.ends", "etypes.text", "sid", "start", "end", "etype_id"],
-    "pl.idx": ["labels.ends", "labels.text", "label_id", "parent", "counts", "widths", "lists"],
+    "pl.idx": ["labels.ends", "labels.text", "label_id", "parent", "counts", "column"],
 }
 _LAYOUT["pos.idx"] = _LAYOUT["pl.idx"]
 _FORMATS = {1: "B", 2: "H", 4: "I"}
 
 
 def _is_narrow(part):
-    return not part.endswith(("text", "widths", "lists"))
+    return not part.endswith(("text", "column"))
 
 
 _NARROW = [(name, part) for name in sorted(_LAYOUT) for part in _LAYOUT[name] if _is_narrow(part)]
@@ -421,38 +421,57 @@ def _changed_column(name, part, change):
     return corrupt
 
 
+def _key_width(raw, name):
+    """The width of a file's forward column: the fewest bytes that hold its
+    largest key position, one less than its list count."""
+    keys = _u32(raw, _offsets(raw, name)["counts"] - 4)
+    return next(w for w in (1, 2, 4) if keys - 1 < 1 << 8 * w)
+
+
+def _forward_column(raw, name):
+    """The key position of each token, the posting set's column inflated."""
+    width = _key_width(raw, name)
+    column = zlib.decompress(raw[_offsets(raw, name)["column"] :])
+    return list(struct.unpack(f"<{len(column) // width}{_FORMATS[width]}", column))
+
+
+def _with_deflated(raw, name, data):
+    """`raw` with its deflated column, which ends the file, replaced by the
+    bytes `data`."""
+    at = _offsets(raw, name)["column"]
+    return raw[: at - 4] + struct.pack("<I", len(data)) + data
+
+
+def _with_forward_column(raw, name, column):
+    """`raw` with its forward column replaced by `column`, deflated as the
+    writer does."""
+    data = struct.pack(f"<{len(column)}{_FORMATS[_key_width(raw, name)]}", *column)
+    return _with_deflated(raw, name, zlib.compress(data, 1))
+
+
 def _decoded_lists(raw, name):
-    """The posting lists of a file, decoded as the format says: each
-    non-empty list is its first offset, then its gaps at its width."""
-    at = _offsets(raw, name)
-    lists, pos = [], at["lists"]
-    for i, n in enumerate(_column(raw, name, "counts")):
-        width = raw[at["widths"] + i]
-        plist = []
-        if n:
-            plist.append(_u32(raw, pos))
-            for gap in struct.unpack_from(f"<{n - 1}{_FORMATS[width]}", raw, pos + 4):
-                plist.append(plist[-1] + gap)
-            pos += 4 + (n - 1) * width
-        lists.append(plist)
+    """The posting lists of a file: the offsets of each key position in
+    its forward column, by key position."""
+    lists = [[] for _ in _column(raw, name, "counts")]
+    for offset, key in enumerate(_forward_column(raw, name)):
+        lists[key].append(offset)
     return lists
 
 
 def _with_lists(raw, name, lists):
-    """`raw` with its posting set (the last three parts of the file)
-    replaced by `lists` as a writer would encode them: each gap is the
-    difference to the offset before, modulo 2**32, at the fewest bytes that
-    hold the list's largest."""
-    widths, blob = bytearray(), bytearray()
-    for plist in lists:
-        gaps = [(b - a) % (1 << 32) for a, b in zip(plist, plist[1:])]
-        width = next(w for w in (1, 2, 4) if max(gaps, default=0) < 1 << 8 * w)
-        widths.append(width)
-        if plist:
-            blob += struct.pack(f"<I{len(gaps)}{_FORMATS[width]}", plist[0], *gaps)
-    tail = struct.pack("<I", len(widths)) + widths + struct.pack("<I", len(blob)) + blob
+    """`raw` with its posting set replaced by `lists` as a writer that
+    groups offsets into lists would encode them: their counts, and a column
+    that gives each token the position of the last list holding it, or the
+    width's largest value, which no key has, when none does."""
+    width = _key_width(raw, name)
+    unheld = (1 << 8 * width) - 1
+    assert unheld >= len(lists)
+    column = [unheld] * len(_forward_column(raw, name))
+    for key, plist in enumerate(lists):
+        for offset in plist:
+            column[offset] = key
     raw = _with_column(raw, name, "counts", [len(plist) for plist in lists])
-    return raw[: _offsets(raw, name)["widths"] - 4] + tail
+    return _with_forward_column(raw, name, column)
 
 
 def _replace_lists(d, name, change):
@@ -512,8 +531,8 @@ def test_posting_block_past_end_of_file_rejected(tmp_path):
     _, bundle, d = _small_index(tmp_path)
     path = d / "word.idx"
     raw = bytearray(path.read_bytes())
-    # The byte count of the encoded lists, which run to the end of the file.
-    count_at = _offsets(raw, "word.idx")["lists"] - 4
+    # The byte count of the deflated column, which runs to the end of the file.
+    count_at = _offsets(raw, "word.idx")["column"] - 4
     assert struct.unpack_from("<I", raw, count_at)[0] == len(raw) - count_at - 4
     raw[count_at : count_at + 4] = struct.pack("<I", 1 << 30)
     path.write_bytes(bytes(raw))
@@ -529,37 +548,46 @@ def test_trailing_bytes_rejected(tmp_path):
         load_bundle(str(d))
 
 
+def _replace_column(d, name, change):
+    """Rewrite the forward column of index file `name` in directory `d` by
+    `change(column)`, its counts kept, in a file whose checksum matches: a
+    faulty writer."""
+    raw = (d / name).read_bytes()
+    column = _forward_column(raw, name)
+    change(column)
+    (d / name).write_bytes(_with_forward_column(raw, name, column))
+    _rewrite_checksum(d, name)
+
+
 def test_postings_decoded_and_checked_on_first_lookup(tmp_path):
     docs, bundle, d = _small_index(tmp_path)
     words = sorted(bundle.word.postings)
-    # The first word's last posting moved to the token count, past the last
-    # token, in a file whose checksum matches: a faulty writer, not a
-    # corrupted copy. Its gap block stays in bounds, so the file loads.
-    _replace_lists(d, "word.idx", lambda lists: lists[0].__setitem__(-1, bundle.token_count))
+    # The last token's word id set to the word count, one past the last
+    # word, in a file whose checksum matches: a faulty writer, not a
+    # corrupted copy. The counts are unchanged, so the file loads.
+    _replace_column(d, "word.idx", lambda column: column.__setitem__(-1, len(words)))
     loaded = load_bundle(str(d))
     assert loaded.word.count(words[0]) == bundle.word.count(words[0])
-    # The file is decoded and checked whole at the first lookup, of any
+    # The column is inflated and checked whole at the first lookup, of any
     # word, and again at the next, since nothing was kept.
     for word in words[1], words[0]:
-        with pytest.raises(KokoInputError, match="word.idx: a posting list lies outside the corpus"):
+        with pytest.raises(KokoInputError, match="word.idx: the posting lists do not hold every token once"):
             loaded.word.lookup(word)
 
 
-def test_posting_block_out_of_order_rejected_on_lookup(tmp_path):
+def test_garbled_column_rejected_on_lookup(tmp_path):
+    # Bytes in the middle of the deflated word column flipped, in a file
+    # whose checksum matches: the file loads, and the first lookup, which
+    # inflates the column, refuses it.
     docs, bundle, d = _small_index(tmp_path)
-    word = next(w for w in sorted(bundle.word.postings) if len(bundle.word.postings[w]) > 1)
-    i = list(bundle.word.postings).index(word)
-
-    def swap(lists):
-        # The word's first two offsets swapped, in a file whose checksum
-        # matches: the descent is written as a gap modulo 2**32, 4 bytes
-        # wide, which decodes past the 4-byte range.
-        lists[i][:2] = lists[i][1::-1]
-
-    _replace_lists(d, "word.idx", swap)
+    raw = bytearray((d / "word.idx").read_bytes())
+    at = (_offsets(raw, "word.idx")["column"] + len(raw)) // 2
+    raw[at : at + 4] = bytes(b ^ 0x5A for b in raw[at : at + 4])
+    (d / "word.idx").write_bytes(bytes(raw))
+    _rewrite_checksum(d, "word.idx")
     loaded = load_bundle(str(d))
-    with pytest.raises(KokoInputError, match="out of order"):
-        loaded.word.lookup(word)
+    with pytest.raises(KokoInputError, match="word.idx: the posting column does not inflate to its"):
+        loaded.word.lookup(sorted(bundle.word.postings)[0])
 
 
 def test_save_of_a_loaded_index_is_byte_identical(tmp_path):
@@ -607,23 +635,20 @@ def _round_trips(docs, d):
     return bundle, loaded
 
 
-def test_gap_widths_round_trip(tmp_path):
-    # Each word's one gap sits at a width boundary: gaps of 255 and 256
-    # take 1 and 2 bytes, gaps of 65,535 and 65,536 take 2 and 4. "solo"
-    # has one posting and no gap; the super-root's list is empty.
-    gaps = {"g255": 255, "g256": 256, "g65535": 65535, "g65536": 65536}
-    markers = [("solo", 4)]
-    for i, (word, gap) in enumerate(gaps.items()):
-        markers += [(word, i), (word, i + gap)]
-    docs = _codec_corpus([300] * 220, markers)
+@pytest.mark.parametrize("words, width", [(256, 1), (257, 2), (65536, 2), (65537, 4)])
+def test_forward_column_width_follows_the_key_count(tmp_path, words, width):
+    # The word column takes the fewest bytes that hold the largest word id,
+    # one less than the word count: with 256 words, 255 fits in 1 byte.
+    # Every token but the first is a word of its own.
+    docs = _codec_corpus([words], [(f"w{i:05}", i) for i in range(1, words)])
     bundle, loaded = _round_trips(docs, tmp_path)
     raw = (tmp_path / "idx" / "word.idx").read_bytes()
-    widths = dict(zip(bundle.word.postings, raw[_offsets(raw, "word.idx")["widths"] :]))
-    assert {word: widths[word] for word in gaps} == {"g255": 1, "g256": 2, "g65535": 2, "g65536": 4}
-    assert [list(loaded.word.lookup(word)) for word in gaps] == [[i, i + gap] for i, gap in enumerate(gaps.values())]
-    assert list(loaded.word.lookup("solo")) == [4]
+    assert len(bundle.word.postings) == words
+    assert _key_width(raw, "word.idx") == width
+    assert _forward_column(raw, "word.idx") == list(loaded.word.postings.column) == list(range(words))
+    assert list(loaded.word.lookup("a")) == [0]
+    assert list(loaded.word.lookup(f"w{words - 1:05}")) == [words - 1]
     assert list(loaded.pl.postings[0]) == [] and bundle.pl.postings.ptr[1] == 0
-    assert _decoded_lists(raw, "word.idx") == [list(bundle.word.postings[w]) for w in bundle.word.postings]
 
 
 @pytest.mark.parametrize("longest, width", [(254, 1), (255, 2), (65534, 2), (65535, 4)])
@@ -676,62 +701,136 @@ def test_column_widths_round_trip(tmp_path, docs, name, part, width):
     assert open_corpus(loaded).sentence(len(loaded.tokens.lengths) - 1) == docs[0].sentences[-1]
 
 
-def _zero_gap(raw):
-    lists = _decoded_lists(raw, "pl.idx")
-    plist = next(plist for plist in lists if len(plist) > 1)
-    plist[1] = plist[0]
-    raw[:] = _with_lists(raw, "pl.idx", lists)
+def _deflated(raw, name):
+    return bytes(raw[_offsets(raw, name)["column"] :])
 
 
-def _width_three(raw):
-    raw[_offsets(raw, "word.idx")["widths"]] = 3
+def _truncated(raw, name):
+    data = _deflated(raw, name)
+    raw[:] = _with_deflated(raw, name, data[: len(data) // 2])
 
 
-def _gap_block(name, extra):
-    """The encoded lists `extra` bytes longer (or shorter, when negative)
-    than their counts say; they end the file."""
+def _garbled(raw, name):
+    data = bytearray(_deflated(raw, name))
+    at = len(data) // 2
+    data[at : at + 4] = bytes(b ^ 0x5A for b in data[at : at + 4])
+    raw[:] = _with_deflated(raw, name, bytes(data))
 
-    def corrupt(raw):
-        at = _offsets(raw, name)["lists"]
-        _set_u32(raw, at - 4, _u32(raw, at - 4) + extra)
-        raw[len(raw) :] = bytes(max(extra, 0))
-        del raw[len(raw) + min(extra, 0) :]
 
-    corrupt.__name__ = f"gap_block_{'longer' if extra > 0 else 'shorter'}"
-    return corrupt
+def _trailing_bytes(raw, name):
+    raw[:] = _with_deflated(raw, name, _deflated(raw, name) + b"\0")
+
+
+def _one_entry_short(raw, name):
+    raw[:] = _with_forward_column(raw, name, _forward_column(raw, name)[:-1])
+
+
+def _inflates_past_its_entries(raw, name):
+    # A stream of zero bytes 64 times as long as the column.
+    size = 64 * len(_forward_column(raw, name)) * _key_width(raw, name)
+    raw[:] = _with_deflated(raw, name, zlib.compress(bytes(size), 1))
+
+
+def _wider_entries(raw, name):
+    # Each entry in 4 bytes, where the key count takes fewer.
+    assert _key_width(raw, name) < 4
+    column = _forward_column(raw, name)
+    raw[:] = _with_deflated(raw, name, zlib.compress(struct.pack(f"<{len(column)}I", *column), 1))
+
+
+def _key_past_the_keys(raw, name):
+    # The last token's key position set to the key count, its counts kept.
+    column = _forward_column(raw, name)
+    column[-1] = len(_column(raw, name, "counts"))
+    raw[:] = _with_forward_column(raw, name, column)
+
+
+def _under_the_super_root(raw, name):
+    # The first token filed under node 0, its counts kept.
+    column = _forward_column(raw, name)
+    column[0] = 0
+    raw[:] = _with_forward_column(raw, name, column)
+
+
+_NOT_INFLATED = "the posting column does not inflate to its"
 
 
 @pytest.mark.parametrize(
     "name, corrupt, message",
     [
-        ("pl.idx", _zero_gap, "a posting list lies outside the corpus or out of order"),
-        ("word.idx", _width_three, "posting list widths are not one of 1, 2 or 4"),
-        ("pos.idx", _gap_block("pos.idx", 1), "the posting lists take"),
-        ("pl.idx", _gap_block("pl.idx", -1), "the posting lists take"),
+        ("pl.idx", _truncated, _NOT_INFLATED),
+        ("word.idx", _garbled, _NOT_INFLATED),
+        ("pos.idx", _trailing_bytes, _NOT_INFLATED),
+        ("word.idx", _one_entry_short, _NOT_INFLATED),
+        ("pl.idx", _inflates_past_its_entries, _NOT_INFLATED),
+        ("word.idx", _wider_entries, _NOT_INFLATED),
+        ("word.idx", _key_past_the_keys, "the posting lists do not hold every token once"),
+        ("pl.idx", _key_past_the_keys, "the posting lists do not hold every token once"),
+        ("pos.idx", _under_the_super_root, "the super-root holds postings"),
     ],
     ids=lambda v: getattr(v, "__name__", None),
 )
 def test_encoded_postings_reject_a_faulty_writer(tmp_path, capsys, name, corrupt, message):
-    # In a file whose checksum matches: the framing (widths, block length)
-    # is checked by `load_bundle`, a zero gap at the first read of the
-    # lists. Either way `koko query` exits 2 with the message, no traceback.
+    # In a file whose checksum matches, the deflated column is wrong; its
+    # counts frame it, so the file loads. The column is inflated and
+    # checked at its first read, here by building a sentence, which reads
+    # every column, or by a query, and refused: `koko query` exits 2 with
+    # the message, no traceback.
     from koko.cli import main
 
     _, _, d = _small_index(tmp_path)
     raw = bytearray((d / name).read_bytes())
-    corrupt(raw)
+    corrupt(raw, name)
     (d / name).write_bytes(bytes(raw))
     _rewrite_checksum(d, name)
+    corpus = open_corpus(load_bundle(str(d)))
     with pytest.raises(KokoInputError, match=f"{name}: {message}"):
-        path_offsets(load_bundle(str(d)).pl, _parse_pattern("//*"))
+        corpus.sentence(0)
     q = tmp_path / "q.koko"
     q.write_text('extract v:Str from "x" if (/ROOT:{ v = //* })\n')
     capsys.readouterr()
-    assert main(["query", "--query", str(q), "--index", str(d)]) == 2
+    assert main(["query", "--query", str(q), "--index", str(d), "--no-gsp"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and f"{name}: {message}" in captured.err
     assert "Traceback" not in captured.err
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), width=st.sampled_from([1, 2, 4]))
+def test_key_bound_check_matches_a_comparison_per_entry(data, width):
+    # The byte-plane check that every entry of a column lies below the key
+    # count, against one comparison per entry, with bounds and entries
+    # drawn near each other so that most planes tie.
+    from koko.indexes import _all_below
+
+    top = (1 << 8 * width) - 1
+    bound = data.draw(st.integers(0, top + 1))
+    near = st.integers(max(0, bound - 300), min(top, bound + 300))
+    entries = data.draw(st.lists(st.one_of(near, st.integers(0, top)), max_size=40))
+    raw = struct.pack(f"<{len(entries)}{_FORMATS[width]}", *entries)
+    assert _all_below(raw, width, bound) == all(e < bound for e in entries)
+
+
+def test_a_column_is_never_inflated_past_one_entry_more_than_its_tokens(tmp_path):
+    # A word column that would inflate to 64 MB of zeros, where the corpus
+    # needs a few hundred bytes: the reader stops one byte past the column
+    # it expects, and refuses it.
+    import tracemalloc
+
+    _, bundle, d = _small_index(tmp_path)
+    raw = (d / "word.idx").read_bytes()
+    (d / "word.idx").write_bytes(_with_deflated(raw, "word.idx", zlib.compress(bytes(64 << 20), 1)))
+    _rewrite_checksum(d, "word.idx")
+    loaded = load_bundle(str(d))
+    tracemalloc.start()
+    try:
+        with pytest.raises(KokoInputError, match=f"word.idx: {_NOT_INFLATED}"):
+            loaded.word.lookup(sorted(bundle.word.postings)[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20 and bundle.token_count * 2 < 1 << 20
 
 
 def test_corrupted_index_loads_to_rows_or_input_error(tmp_path):
@@ -906,10 +1005,11 @@ def test_pre_order_pass_runs_at_construction_and_nothing_derived_is_saved(tmp_pa
 _ODD = ["", "\x00", "a\u2028b", "\U0001d538"]
 
 
-def _odd_strings_corpus(etypes=("", "\x00", "\u2028T", "\U0001d538")):
-    """One sentence whose words, labels, POS tags, entity types and
-    one-word mentions are the odd strings. TSV rows end at the entity
-    column, whose trailing whitespace the reader strips, so no type ends in
+def _odd_strings_corpus(etypes=("\n", "\x00", "\u2028T", "\U0001d538")):
+    """One sentence whose words, labels, POS tags and one-word mentions are
+    the odd strings, and whose mentions' types are odd too. A mention
+    has a type, so no type is empty. TSV rows end at the entity column,
+    whose trailing whitespace the reader strips, so no type ends in
     U+2028."""
     n = len(_ODD)
     sentence = Sentence(
@@ -935,7 +1035,7 @@ def test_string_tables_round_trip_odd_strings(tmp_path):
     for index in (loaded.pl, loaded.pos):
         assert set(_ODD) <= set(index.labels)
     assert loaded.entity.records == bundle.entity.records
-    assert {e.etype for e in loaded.entity.records} == {"", "\x00", "\u2028T", "\U0001d538"}
+    assert {e.etype for e in loaded.entity.records} == {"\n", "\x00", "\u2028T", "\U0001d538"}
 
 
 def test_string_tables_round_trip_through_the_cli(tmp_path, capsys):
@@ -1011,6 +1111,11 @@ def _swapped_first_two(values):
     values[:2] = values[1::-1]
 
 
+def _first_emptied(values):
+    # The first string emptied; the second takes over its text.
+    values[0] = 0
+
+
 def _second_emptied(values):
     # The second string emptied; the third takes over its text.
     assert values[0] > 0
@@ -1041,7 +1146,8 @@ def _changed_lists(change):
 
 
 def _super_root_holds_postings(lists):
-    # The first posting moved from node 1's list to the super-root's.
+    # The first posting moved from node 1's list to the super-root's: the
+    # counts still sum to the tokens, and the column files it under node 0.
     lists[0].append(lists[1].pop(0))
 
 
@@ -1059,7 +1165,8 @@ def _siblings_share_a_label(raw):
 
 def _posting_repeated(lists):
     # A single-posting list's token filed under another single-posting
-    # list's key too, and that list's own token under none.
+    # list's key too, and that list's own token under none: a column holds
+    # a token once, so it holds that one under no key.
     first, second = [plist for plist in lists if len(plist) == 1][:2]
     second[0] = first[0]
 
@@ -1109,6 +1216,7 @@ def _assert_query_exits_2(tmp_path, capsys, d, message):
         ("pl.idx", _changed_column("pl.idx", "parent", _own_parent), "node record 2 has parent 2"),
         ("pl.idx", _changed_column("pl.idx", "parent", _out_of_pre_order), "the node ids are not in pre-order"),
         ("entity.idx", _changed_column("entity.idx", "etypes.ends", _swapped_first_two), "string end offsets"),
+        ("entity.idx", _changed_column("entity.idx", "etypes.ends", _first_emptied), "entity type 0 is the empty string"),
         ("word.idx", _changed_column("word.idx", "words.ends", _second_emptied), "words out of order"),
         ("tree.idx", _changed_column("tree.idx", "lengths", _zeroed), "sentence 0 has no token"),
         ("tree.idx", _changed_column("tree.idx", "lengths", _raised), "the head column does not hold"),
@@ -1128,10 +1236,10 @@ def _assert_query_exits_2(tmp_path, capsys, d, message):
     ids=lambda v: getattr(v, "__name__", None),
 )
 def test_structural_checks_reject_a_faulty_writer(tmp_path, capsys, name, corrupt, message):
-    # Each column is wrong in a file whose checksum matches. The PL lists
-    # are checked to hold every token once at their first read, here that
-    # of the depth column or of the query's `//*`, when they are decoded
-    # and inverted; the other checks run in `load_bundle`.
+    # Each column is wrong in a file whose checksum matches. The PL column
+    # is checked at its first read, here that of the depth column or of the
+    # query's `//*`, when it is inflated; the other checks run in
+    # `load_bundle`.
     _, _, d = _small_index(tmp_path)
     path = d / name
     raw = bytearray(path.read_bytes())
@@ -1168,11 +1276,11 @@ def test_pl_lists_that_disagree_with_the_heads_are_rejected(tmp_path, capsys):
     from koko.cli import main
 
     bundle = build_indexes(synthesize_corpus(5, 60, entity_rate=0.6))
-    owners = list(bundle.pl.postings.owners(bundle.token_count))
-    assert (owners[5], owners[14]) == (48, 124) and bundle.pl.labels[48] == bundle.pl.labels[124] == "nsubj"
+    nodes = list(bundle.pl.postings.column)
+    assert (nodes[5], nodes[14]) == (48, 124) and bundle.pl.labels[48] == bundle.pl.labels[124] == "nsubj"
     assert bundle.tokens.depth[5] == bundle.tokens.depth[14]
-    owners[5], owners[14] = owners[14], owners[5]
-    bundle.pl.postings = PostingLists.grouped(owners, range(len(bundle.pl.labels)))
+    nodes[5], nodes[14] = nodes[14], nodes[5]
+    bundle.pl.postings = PostingLists.grouped(nodes, range(len(bundle.pl.labels)))
     d = tmp_path / "idx"
     save_bundle(bundle, str(d))
     q = tmp_path / "q.koko"
@@ -1185,7 +1293,7 @@ def test_pl_lists_that_disagree_with_the_heads_are_rejected(tmp_path, capsys):
 def test_depth_column_rejects_a_token_deeper_than_its_sentence(tmp_path):
     # The one-token sentence 0's token swapped in the PL lists with the
     # depth-2 token of sentence 1, in a file whose checksum matches: every
-    # token is still held once, so the whole file passes the check at the
+    # token is still held once, so the whole column passes the check at the
     # first read of its lists. It is rejected at the first read of the
     # depth column, not at the first read of the list that holds it.
     docs = [AnnotatedDocument("d", [
@@ -1348,9 +1456,10 @@ def test_sentence_checks_reject_a_faulty_writer(tmp_path, corrupt, message):
 
 
 def test_word_column_rejects_lists_that_repeat_a_token(tmp_path):
-    # The word lists are decoded, checked and inverted into the word column
-    # at their first read, by the first sentence an opened corpus builds or
-    # by a lookup, not by `load_bundle` or `open_corpus`.
+    # The word column, written from lists that file one token twice and
+    # another nowhere, is inflated and checked at its first read, by the
+    # first sentence an opened corpus builds or by a lookup, not by
+    # `load_bundle` or `open_corpus`.
     docs, _, d = _small_index(tmp_path)
     _replace_lists(d, "word.idx", _posting_repeated)
     message = "word.idx: the posting lists do not hold every token once"
@@ -1365,8 +1474,9 @@ def test_word_column_rejects_lists_that_repeat_a_token(tmp_path):
 def _ex31_index_with_a_token_under_two_nodes(tmp_path):
     """The ex31 index with a single-posting PL list's offset overwritten
     with one that another list holds, in a pl.idx whose checksum matches:
-    one token filed under two nodes and one under none. The built bundle
-    and the two nodes come with it."""
+    one token filed under two nodes and one under none, which the column
+    holds under no node. The built bundle and the two nodes come with
+    it."""
     bundle = build_indexes(load_corpus(data_path("corpus", "ex31.tsv")))
     d = tmp_path / "idx"
     save_bundle(bundle, str(d))
@@ -1377,9 +1487,9 @@ def _ex31_index_with_a_token_under_two_nodes(tmp_path):
 
 
 def test_union_of_lists_that_repeat_a_token_is_rejected(tmp_path):
-    # A union that reads both lists repeats the token, on the whole and
-    # inside a sentence; the first read of any list refuses the file
-    # before the union is made or the depth column is read.
+    # A union that reads both lists, on the whole and inside a sentence:
+    # the first read of any list refuses the file before the union is made
+    # or the depth column is read.
     d, bundle, single, other = _ex31_index_with_a_token_under_two_nodes(tmp_path)
     ptr, flat = bundle.pl.postings.ptr, bundle.pl.postings.flat
     message = "pl.idx: the posting lists do not hold every token once"
@@ -1395,8 +1505,9 @@ def test_union_of_lists_that_repeat_a_token_is_rejected(tmp_path):
 
 def test_query_that_reads_one_of_two_lists_sharing_a_token_is_rejected(tmp_path, capsys):
     # An exact path reads the one list that now holds another node's
-    # token, and no other PL list: the whole file is still checked at that
-    # first read, so the answer is an input error, not a silently wrong row.
+    # token, and no other PL list: the whole column is still checked at
+    # that first read, so the answer is an input error, not a silently
+    # wrong row.
     from koko.cli import main
 
     d, bundle, single, _ = _ex31_index_with_a_token_under_two_nodes(tmp_path)
